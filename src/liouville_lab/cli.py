@@ -46,13 +46,6 @@ from .transport import (
 )
 
 EXPERIMENTS = ("simulate", "verify", "converge", "residual", "scaling")
-CHECK_NAMES = (
-    "time_continuity",
-    "measure_preservation",
-    "group_property",
-    "energy_invariance",
-    "weak_ode",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +246,7 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
         experiment: {},
     }
     if experiment == "verify":
-        top_allowed["checks"] = [{"name": name} for name in CHECK_NAMES]
+        top_allowed["checks"] = [{"name": name} for name in verification.CHECK_NAMES]
     top = _require_keys(raw, top_allowed, "config")
     if top["experiment"] != experiment:
         raise ConfigError(
@@ -335,11 +328,13 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
             raise ConfigError("config.checks: at least one check is required")
         for i, c in enumerate(raw_checks):
             c = _require_keys(c, {"name": None, "tolerance": None}, f"config.checks[{i}]")
-            if c["name"] not in CHECK_NAMES:
+            if c["name"] not in verification.CHECK_NAMES:
                 raise ConfigError(
                     f"config.checks[{i}].name: unknown check {c['name']!r};"
-                    f" known {list(CHECK_NAMES)}"
+                    f" known {list(verification.CHECK_NAMES)}"
                 )
+            if any(c["name"] == seen["name"] for seen in checks):
+                raise ConfigError(f"config.checks[{i}].name: repeated check {c['name']!r}")
             if c["tolerance"] is not None:
                 c["tolerance"] = _as_type(
                     c["tolerance"], float, f"config.checks[{i}].tolerance"
@@ -409,40 +404,24 @@ def _run_simulate(cfg: ResolvedConfig, quiet: bool) -> list:
 
 def _run_verify(cfg: ResolvedConfig, quiet: bool) -> list:
     sec = cfg.section
-    t = _as_type(sec["t"], float, "config.verify.t")
-    measure_t = _as_type(sec["measure_t"], float, "config.verify.measure_t")
-    measure_count = cfg.count
-    if sec["measure_count"] is not None:
-        measure_count = _as_type(sec["measure_count"], int, "config.verify.measure_count")
-    requested = cfg.checks
-    reports = []
-    for spec in requested:
-        name, tol = spec["name"], spec["tolerance"]
-        kwargs = {} if tol is None else {"tolerance": tol}
-        if name == "time_continuity":
-            rep = verification.check_time_continuity(
-                cfg.potential, cfg.box, 0.5 * t, cfg.count, cfg.seed, cfg.icfg, **kwargs
-            )
-        elif name == "measure_preservation":
-            rep = verification.check_measure_preservation(
-                cfg.potential, cfg.box, measure_t, measure_count, cfg.seed, cfg.icfg,
-                **kwargs,
-            )
-        elif name == "group_property":
-            rep = verification.check_group_property(
-                cfg.potential, cfg.box, 0.4 * t, 0.6 * t, cfg.count, cfg.seed, cfg.icfg,
-                **kwargs,
-            )
-        elif name == "energy_invariance":
-            rep = verification.check_energy_invariance(
-                cfg.potential, cfg.box, t, cfg.count, cfg.seed, cfg.icfg, **kwargs
-            )
-        else:
-            rep = verification.check_weak_ode(
-                cfg.potential, cfg.box, t, cfg.count, cfg.seed, cfg.icfg, **kwargs
-            )
-        reports.append(rep)
-        if not quiet:
+    measure_count = sec["measure_count"]
+    if measure_count is not None:
+        measure_count = _as_type(measure_count, int, "config.verify.measure_count")
+    reports = verification.flow_axiom_suite(
+        cfg.potential,
+        cfg.box,
+        cfg.count,
+        cfg.seed,
+        cfg.icfg,
+        t=_as_type(sec["t"], float, "config.verify.t"),
+        measure_t=_as_type(sec["measure_t"], float, "config.verify.measure_t"),
+        measure_count=measure_count,
+        with_controls=False,
+        checks=[c["name"] for c in cfg.checks],
+        tolerances={c["name"]: c["tolerance"] for c in cfg.checks if c["tolerance"] is not None},
+    )
+    if not quiet:
+        for rep in reports:
             print(rep.summary_line())
     return reports
 

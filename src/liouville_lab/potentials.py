@@ -414,41 +414,12 @@ def mollified_potential(
     )
 
 
-def mollified_gradient(
-    potential: PairPotential,
-    kernel: MollifierKernel,
-    shrink: ShrinkFunction,
-    level: int,
-    r,
-) -> np.ndarray:
-    """Central finite difference of the mollified potential.
-
-    Step h = 2^-level * alpha(r) / 16 ties the difference to the local
-    averaging radius, so the relative truncation error is level-uniform.
-    """
-    x = np.asarray(r, dtype=float).reshape(potential.d)
-    rad = float(np.linalg.norm(x))
-    eps = float(2.0 ** (-level) * shrink(rad))
-    if eps == 0.0:
-        raise SingularityError("mollified gradient undefined at r = 0")
-    h = eps / 16.0
-    out = np.empty(potential.d)
-    for k in range(potential.d):
-        xp, xm = x.copy(), x.copy()
-        xp[k] += h
-        xm[k] -= h
-        fp = mollified_potential(potential, kernel, shrink, level, xp)
-        fm = mollified_potential(potential, kernel, shrink, level, xm)
-        out[k] = (fp - fm) / (2.0 * h)
-    return out
-
-
 class MollifiedPotential:
     """Batch-evaluable mollified potential V_level with the PairPotential interface.
 
     Uses a fixed quadrature order chosen once (the shipped default is
     already exact for the kernel and spectrally accurate for the shipped
-    families; `validate_order` measures the residual refinement gap).
+    families).
     Gradients are central finite differences with step eps(x)/16.
     """
 
@@ -526,22 +497,6 @@ class MollifiedPotential:
         if self.is_singular and float(np.dot(x, x)) == 0.0:
             raise SingularityError("mollified gradient at r = 0")
         return self.gradient_batch(x)
-
-    def validate_order(self, r, refine_tol: float = 1e-8) -> float:
-        """Gap between this order and the doubled order at displacement r."""
-        x = np.asarray(r, dtype=float).reshape(self.d)
-        rad = np.array([float(np.linalg.norm(x))])
-        eps = self._eps(rad)
-        a = _ball_average(self.base, self.kernel, x[None, :], eps, self.radial_order, self.angular_order)
-        b = _ball_average(
-            self.base, self.kernel, x[None, :], eps, 2 * self.radial_order, 2 * self.angular_order
-        )
-        gap = abs(float(a[0]) - float(b[0]))
-        if gap >= refine_tol:
-            raise QuadratureError(
-                f"order {self.radial_order} not converged at |r|={rad[0]:g} (gap {gap:g})"
-            )
-        return gap
 
 
 def gradient_l1_error(

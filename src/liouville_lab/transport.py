@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, flow_batch, _forces, _energy_batch, _min_pair_distance
+from .dynamics import IntegratorConfig, flow_batch, _forces, _energy_batch
 from .errors import AlignmentError, CoverageError, DomainError
 from .estimates import MCEstimate
 from .potentials import CONFINING_AT_ZERO
@@ -677,23 +677,6 @@ def weak_residual(
         count=count,
         collision_margin=collision_margin,
         step_size=step_size,
-    )[0]
-
-
-def renormalized_residual(
-    beta: BetaFunction,
-    series,
-    potential,
-    phi: TestFunction,
-    count: int = 65,
-    step_size: float | None = None,
-) -> MCEstimate:
-    """Weak residual of beta(f): the transported values pass through beta
-    and the initial term uses beta(f0)."""
-    if hasattr(series, "__len__"):
-        count = len(series)
-    return weak_residual_suite(
-        series, potential, phi, [beta], count=count, step_size=step_size
     )[0]
 
 

@@ -34,7 +34,6 @@ from .profiles import bump, bump_prime
 from .rng import rng_for
 from .transport import (
     DT_BIAS_COEFFICIENT,
-    Ensemble,
     EnergyCutoff,
     InitialDatum,
     PhaseBox,
@@ -163,6 +162,23 @@ def write_summary_csv(reports: Sequence[CheckReport], path) -> None:
 # ---------------------------------------------------------------------------
 # flow-axiom checks
 
+TOLERANCES = {
+    "time_continuity": 1.05,
+    "measure_preservation": 0.0,
+    "group_property": 1e-6,
+    "energy_invariance": 1e-4,
+    "weak_ode": 1e-4,
+}
+CHECK_NAMES = tuple(TOLERANCES)
+# per-sample checks compare only samples below this quantile of the
+# initial energy, the truncated form in which the axioms hold a.e.
+ENERGY_QUANTILE = 0.9
+# time-continuity resolution, in integrator steps
+DELTA_STEPS = 10
+# velocity kick of the group-law control after every flow leg
+KICK = 0.05
+WEAK_ODE_NODES = 129
+
 
 def default_observable_for(potential, box: PhaseBox, seed: int) -> TestFunction:
     """Observable for the preservation check, adapted to the potential.
@@ -239,7 +255,7 @@ def check_measure_preservation(
     seed: int,
     icfg: IntegratorConfig,
     phi: TestFunction | None = None,
-    tolerance: float = 0.0,
+    tolerance: float = TOLERANCES["measure_preservation"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Flow invariance of integrals of a fixed observable.
@@ -291,6 +307,170 @@ def check_measure_preservation(
     )
 
 
+class _Sample:
+    """The (box, seed) ensemble of the per-sample flow-axiom checks.
+
+    Sampled once, with its initial energies and the ENERGY_QUANTILE
+    level; `below` marks the samples the checks compare.  A state is an
+    (x, v, ok) triple whose ok keeps the rows that no flow leg leading to
+    it flagged.
+    """
+
+    def __init__(self, potential, box: PhaseBox, count: int, seed: int):
+        datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
+        e0 = sample_ensemble(box, count, datum, seed)
+        self.potential, self.count, self.seed = potential, count, seed
+        self.start = (e0.x, e0.v, np.ones(count, dtype=bool))
+        self.energies = _energy_batch(e0.x, e0.v, potential)
+        self.level = float(np.quantile(self.energies, ENERGY_QUANTILE))
+        self.below = self.energies < self.level
+
+    def advance(self, state, t: float, icfg: IntegratorConfig):
+        x, v, ok = state
+        x, v, flags = flow_batch(x, v, self.potential, t, icfg)
+        return x, v, ok & (flags == dynamics.FLAG_OK)
+
+    def walk(self, stops, icfg: IntegratorConfig):
+        """Yield (stop, state) at each of the increasing stop times,
+        flowing one leg from the previous stop (the first from 0)."""
+        state, now = self.start, 0.0
+        for stop in stops:
+            state, now = self.advance(state, stop - now, icfg), stop
+            yield stop, state
+
+    def report(
+        self, name: str, control: bool, statistic: float, tolerance: float, ok,
+        started: float, details: dict, std_error: float = 0.0,
+    ) -> CheckReport:
+        return CheckReport.build(
+            check_name=name + ("_control" if control else ""),
+            potential=self.potential.describe(),
+            seed=self.seed,
+            sample_count=self.count,
+            statistic=statistic,
+            std_error=std_error,
+            bias_bound=0.0,
+            tolerance=tolerance,
+            flagged_fraction=float(np.mean(~ok)),
+            runtime_seconds=time.perf_counter() - started,
+            details=details,
+        )
+
+
+def _worst(values: np.ndarray, selected: np.ndarray) -> float:
+    return float(np.max(values[selected])) if np.any(selected) else math.inf
+
+
+def _kicked(state):
+    x, v, ok = state
+    return x, v + KICK, ok
+
+
+def _time_continuity(
+    sample: _Sample, a, b, t: float, delta: float, tolerance: float,
+    control: bool, started: float,
+) -> CheckReport:
+    (xa, va, _), (xb, vb, ok) = a, b
+    if control:
+        xb = xb + 0.5
+
+    def phase_speed(x, v):
+        acc, _ = _forces(x, sample.potential)
+        return np.sqrt(np.sum(v**2, axis=(1, 2)) + np.sum(acc**2, axis=(1, 2)))
+
+    move = np.sqrt(np.sum((xb - xa) ** 2, axis=(1, 2)) + np.sum((vb - va) ** 2, axis=(1, 2)))
+    speed = np.maximum(phase_speed(xa, va), phase_speed(xb, vb))
+    selected = ok & sample.below & (speed > 0)
+    ratio = move[selected] / (delta * speed[selected])
+    statistic = float(np.max(ratio)) if np.any(selected) else math.inf
+    return sample.report(
+        "time_continuity", control, statistic, tolerance, ok, started,
+        {"t": t, "delta": delta, "energy_level": sample.level},
+    )
+
+
+def _group_property(
+    sample: _Sample, direct, mid, s: float, t: float, icfg: IntegratorConfig,
+    tolerance: float, control: bool, started: float,
+) -> CheckReport:
+    if control:
+        direct, mid = _kicked(direct), _kicked(mid)
+    comp = sample.advance(mid, t, icfg)
+    if control:
+        comp = _kicked(comp)
+    (x_direct, v_direct, ok_direct), (x_comp, v_comp, ok) = direct, comp
+    ok = ok & ok_direct
+    gap = np.maximum(
+        np.max(np.abs(x_comp - x_direct), axis=(1, 2)),
+        np.max(np.abs(v_comp - v_direct), axis=(1, 2)),
+    )
+    return sample.report(
+        "group_property", control, _worst(gap, ok & sample.below), tolerance, ok,
+        started, {"s": s, "t": t, "energy_level": sample.level},
+    )
+
+
+def _energy_invariance(
+    sample: _Sample, end, t: float, tolerance: float, control: bool, started: float
+) -> CheckReport:
+    x, v, ok = end
+    e_after = _energy_batch(x, v, sample.potential)
+    e_before = sample.energies
+    drift = np.abs(e_after - e_before) / np.maximum(1.0, np.abs(e_before))
+    return sample.report(
+        "energy_invariance", control, _worst(drift, ok & sample.below), tolerance, ok,
+        started, {"t": t, "energy_level": sample.level},
+    )
+
+
+def _weak_ode(
+    sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig,
+    tolerance: float, control: bool, started: float,
+):
+    """Walk the Simpson nodes once, accumulating the defect as it goes;
+    returns the report and the state at t_final."""
+    if nodes < 5 or (nodes - 1) % 4 != 0:
+        raise DomainError("node count must be 4 m + 1")
+    t_mid, t_half = t_final / 2.0, t_final / 2.0
+    times = np.linspace(0.0, t_final, nodes)
+    w_full = transport.simpson_weights(nodes, 0.0, t_final)
+    w_half = transport.simpson_weights((nodes + 1) // 2, 0.0, t_final)
+    x0, v0, _ = sample.start
+    defect = np.zeros((sample.count, 2) + x0.shape[1:])
+    defect_half = np.zeros_like(defect)
+    for k, (tk, state) in enumerate(sample.walk(times, icfg)):
+        x, v, _ = state
+        if k == 0:
+            identity_defect = max(
+                float(np.max(np.abs(x - x0))), float(np.max(np.abs(v - v0)))
+            )
+        u = (tk - t_mid) / t_half
+        chi = float(bump(np.asarray(u)))
+        chi_p = float(bump_prime(np.asarray(u))) / t_half
+        forces, _ = _forces(x, sample.potential)
+        term = np.stack([x * chi_p + v * chi, v * chi_p + forces * chi], axis=1)
+        defect += w_full[k] * term
+        if k % 2 == 0:
+            defect_half += w_half[k // 2] * term
+    ok = state[2]
+    selected = ok & sample.below
+    per_sample = np.max(np.abs(defect), axis=(1, 2, 3))
+    per_half = np.max(np.abs(defect - defect_half), axis=(1, 2, 3))
+    statistic = max(_worst(per_sample, selected), identity_defect)
+    quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
+    report = sample.report(
+        "weak_ode", control, statistic, tolerance, ok, started,
+        {
+            "t_final": t_final,
+            "nodes": nodes,
+            "energy_level": sample.level,
+            "initial_identity_defect": identity_defect,
+        },
+        std_error=quad_err,
+    )
+    return report, state
+
+
 def check_time_continuity(
     potential,
     box: PhaseBox,
@@ -298,14 +478,12 @@ def check_time_continuity(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    delta_steps: int = 10,
-    tolerance: float = 1.05,
-    energy_quantile: float = 0.9,
+    tolerance: float = TOLERANCES["time_continuity"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Difference quotients of t -> Y(t, z) stay below the phase speed.
 
-    At resolution delta = delta_steps * dt the displacement
+    At resolution delta = DELTA_STEPS * dt the displacement
     |Y(t + delta) - Y(t)| of every selected sample must not exceed
     delta times the larger of its endpoint phase speeds |(v, a)|, up to
     the stated tolerance factor for speed variation along the way.
@@ -313,39 +491,10 @@ def check_time_continuity(
     which no continuous-in-time flow can produce.
     """
     started = time.perf_counter()
-    delta = delta_steps * icfg.dt
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
-    energies = _energy_batch(e0.x, e0.v, potential)
-    m_level = float(np.quantile(energies, energy_quantile))
-    xa, va, fla = flow_batch(e0.x, e0.v, potential, t, icfg)
-    xb, vb, flb = flow_batch(xa, va, potential, delta, icfg)
-    if negative_control:
-        xb = xb + 0.5
-    ok = (fla == dynamics.FLAG_OK) & (flb == dynamics.FLAG_OK)
-
-    def phase_speed(x, v):
-        acc, _ = _forces(x, potential)
-        return np.sqrt(np.sum(v**2, axis=(1, 2)) + np.sum(acc**2, axis=(1, 2)))
-
-    move = np.sqrt(np.sum((xb - xa) ** 2, axis=(1, 2)) + np.sum((vb - va) ** 2, axis=(1, 2)))
-    speed = np.maximum(phase_speed(xa, va), phase_speed(xb, vb))
-    selected = ok & (energies < m_level) & (speed > 0)
-    ratio = move[selected] / (delta * speed[selected])
-    statistic = float(np.max(ratio)) if np.any(selected) else math.inf
-    return CheckReport.build(
-        check_name="time_continuity" + ("_control" if negative_control else ""),
-        potential=potential.describe(),
-        seed=seed,
-        sample_count=count,
-        statistic=statistic,
-        std_error=0.0,
-        bias_bound=0.0,
-        tolerance=tolerance,
-        flagged_fraction=float(np.mean(~ok)),
-        runtime_seconds=time.perf_counter() - started,
-        details={"t": t, "delta": delta, "energy_level": m_level},
-    )
+    sample = _Sample(potential, box, count, seed)
+    delta = DELTA_STEPS * icfg.dt
+    (_, a), (_, b) = sample.walk([t, t + delta], icfg)
+    return _time_continuity(sample, a, b, t, delta, tolerance, negative_control, started)
 
 
 def check_group_property(
@@ -356,54 +505,23 @@ def check_group_property(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = 1e-6,
-    energy_quantile: float = 0.9,
+    tolerance: float = TOLERANCES["group_property"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Composition law Y(t + s, z) = Y(t, Y(s, z)) below an energy level.
 
     The comparison is restricted to samples whose initial energy lies
-    below the given quantile, matching the truncated form in which the
-    law holds almost everywhere.  Control: a velocity kick after every
-    flow invocation; composing applies it twice.
+    below the ENERGY_QUANTILE level, matching the truncated form in which
+    the law holds almost everywhere.  The direct leg never stops at s.
+    Control: a velocity kick after every flow invocation; composing
+    applies it twice.
     """
     started = time.perf_counter()
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
-    kick = 0.05 if negative_control else 0.0
-
-    def flow(x, v, dt_total):
-        fx, fv, fl = flow_batch(x, v, potential, dt_total, icfg)
-        if kick:
-            fv = fv + kick
-        return fx, fv, fl
-
-    x_direct, v_direct, fl_direct = flow(e0.x, e0.v, s + t)
-    x_mid, v_mid, fl_mid = flow(e0.x, e0.v, s)
-    x_comp, v_comp, fl_comp = flow(x_mid, v_mid, t)
-    flags = np.maximum(np.maximum(fl_direct, fl_mid), fl_comp)
-    ok = flags == dynamics.FLAG_OK
-
-    energies = _energy_batch(e0.x, e0.v, potential)
-    m_level = float(np.quantile(energies, energy_quantile))
-    selected = ok & (energies < m_level)
-    gap = np.maximum(
-        np.max(np.abs(x_comp - x_direct), axis=(1, 2)),
-        np.max(np.abs(v_comp - v_direct), axis=(1, 2)),
-    )
-    statistic = float(np.max(gap[selected])) if np.any(selected) else math.inf
-    return CheckReport.build(
-        check_name="group_property" + ("_control" if negative_control else ""),
-        potential=potential.describe(),
-        seed=seed,
-        sample_count=count,
-        statistic=statistic,
-        std_error=0.0,
-        bias_bound=0.0,
-        tolerance=tolerance,
-        flagged_fraction=float(np.mean(~ok)),
-        runtime_seconds=time.perf_counter() - started,
-        details={"s": s, "t": t, "energy_level": m_level},
+    sample = _Sample(potential, box, count, seed)
+    direct = sample.advance(sample.start, s + t, icfg)
+    mid = sample.advance(sample.start, s, icfg)
+    return _group_property(
+        sample, direct, mid, s, t, icfg, tolerance, negative_control, started
     )
 
 
@@ -414,8 +532,7 @@ def check_energy_invariance(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = 1e-4,
-    energy_quantile: float = 0.9,
+    tolerance: float = TOLERANCES["energy_invariance"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Worst relative energy drift along the flow below an energy level.
@@ -423,30 +540,9 @@ def check_energy_invariance(
     Control: velocity damping bleeds kinetic energy.
     """
     started = time.perf_counter()
-    run_icfg = _control_icfg(icfg, negative_control)
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
-    e_before = _energy_batch(e0.x, e0.v, potential)
-    e1 = transport.push_forward(e0, potential, t, run_icfg)
-    e_after = _energy_batch(e1.x, e1.v, potential)
-    ok = e1.flags == dynamics.FLAG_OK
-    m_level = float(np.quantile(e_before, energy_quantile))
-    selected = ok & (e_before < m_level)
-    drift = np.abs(e_after - e_before) / np.maximum(1.0, np.abs(e_before))
-    statistic = float(np.max(drift[selected])) if np.any(selected) else math.inf
-    return CheckReport.build(
-        check_name="energy_invariance" + ("_control" if negative_control else ""),
-        potential=potential.describe(),
-        seed=seed,
-        sample_count=count,
-        statistic=statistic,
-        std_error=0.0,
-        bias_bound=0.0,
-        tolerance=tolerance,
-        flagged_fraction=float(np.mean(~ok)),
-        runtime_seconds=time.perf_counter() - started,
-        details={"t": t, "energy_level": m_level},
-    )
+    sample = _Sample(potential, box, count, seed)
+    end = sample.advance(sample.start, t, _control_icfg(icfg, negative_control))
+    return _energy_invariance(sample, end, t, tolerance, negative_control, started)
 
 
 def check_weak_ode(
@@ -456,9 +552,8 @@ def check_weak_ode(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = 1e-4,
-    energy_quantile: float = 0.9,
-    nodes: int = 129,
+    tolerance: float = TOLERANCES["weak_ode"],
+    nodes: int = WEAK_ODE_NODES,
     negative_control: bool = False,
 ) -> CheckReport:
     """Distributional form of dY/dt = B(Y) against a smooth time bump.
@@ -471,63 +566,12 @@ def check_weak_ode(
     velocity damping makes trajectories solve a different ODE.
     """
     started = time.perf_counter()
-    run_icfg = _control_icfg(icfg, negative_control)
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
-    energies = _energy_batch(e0.x, e0.v, potential)
-    m_level = float(np.quantile(energies, energy_quantile))
-    x0, v0, _ = flow_batch(e0.x, e0.v, potential, 0.0, run_icfg)
-    identity_defect = max(
-        float(np.max(np.abs(x0 - e0.x))), float(np.max(np.abs(v0 - e0.v)))
+    sample = _Sample(potential, box, count, seed)
+    report, _ = _weak_ode(
+        sample, t_final, nodes, _control_icfg(icfg, negative_control), tolerance,
+        negative_control, started,
     )
-
-    t_mid, t_half = t_final / 2.0, t_final / 2.0
-    if nodes < 5 or (nodes - 1) % 4 != 0:
-        raise DomainError("node count must be 4 m + 1")
-    times = np.linspace(0.0, t_final, nodes)
-    w_full = transport.simpson_weights(nodes, 0.0, t_final)
-    w_half = transport.simpson_weights((nodes + 1) // 2, 0.0, t_final)
-    defect = np.zeros((count, 2, box.n, box.d))
-    defect_half = np.zeros_like(defect)
-    ok = np.ones(count, dtype=bool)
-    x, v = e0.x, e0.v
-    prev_t = 0.0
-    for k, tk in enumerate(times):
-        x, v, flags = flow_batch(x, v, potential, tk - prev_t, run_icfg)
-        prev_t = tk
-        ok &= flags == dynamics.FLAG_OK
-        u = (tk - t_mid) / t_half
-        chi = float(bump(np.asarray(u)))
-        chi_p = float(bump_prime(np.asarray(u))) / t_half
-        forces, _ = _forces(x, potential)
-        term = np.stack([x * chi_p + v * chi, v * chi_p + forces * chi], axis=1)
-        defect += w_full[k] * term
-        if k % 2 == 0:
-            defect_half += w_half[k // 2] * term
-    selected = ok & (energies < m_level)
-    per_sample = np.max(np.abs(defect), axis=(1, 2, 3))
-    per_half = np.max(np.abs(defect - defect_half), axis=(1, 2, 3))
-    statistic = float(np.max(per_sample[selected])) if np.any(selected) else math.inf
-    statistic = max(statistic, identity_defect)
-    quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
-    return CheckReport.build(
-        check_name="weak_ode" + ("_control" if negative_control else ""),
-        potential=potential.describe(),
-        seed=seed,
-        sample_count=count,
-        statistic=statistic,
-        std_error=quad_err,
-        bias_bound=0.0,
-        tolerance=tolerance,
-        flagged_fraction=float(np.mean(~ok)),
-        runtime_seconds=time.perf_counter() - started,
-        details={
-            "t_final": t_final,
-            "nodes": nodes,
-            "energy_level": m_level,
-            "initial_identity_defect": identity_defect,
-        },
-    )
+    return report
 
 
 def flow_axiom_suite(
@@ -537,47 +581,79 @@ def flow_axiom_suite(
     seed: int,
     icfg: IntegratorConfig,
     t: float = 1.0,
-    group_tolerance: float = 1e-6,
-    energy_tolerance: float = 1e-4,
-    ode_tolerance: float = 1e-4,
     observable: TestFunction | None = None,
     measure_t: float | None = None,
     measure_count: int | None = None,
     with_controls: bool = True,
+    checks: Sequence[str] = CHECK_NAMES,
+    tolerances: dict[str, float] | None = None,
 ) -> list[CheckReport]:
-    """The four flow-axiom checks, plus their negative controls.
+    """The named flow-axiom checks in the order of `checks`, then their
+    negative controls; `tolerances` overrides TOLERANCES per name.
 
-    The preservation check may use its own horizon and sample count
-    (shorter and larger, respectively): its power comes from how many
-    samples visit the observable support, while the other checks are
-    per-sample statements.
+    Continuity runs at 0.5 t, the group law as 0.4 t + 0.6 t, energy
+    invariance and weak_ode over t, all on one sample.  One undamped
+    pass stops at 0.5 t, 0.5 t + delta and t and serves continuity, the
+    group law's direct leg and energy invariance, and the controls of
+    the first two; one Simpson walk per damping gives weak_ode and,
+    damped, the energy control.  On a fixed step grid the positives
+    equal the standalone check_* calls at these times bitwise.
+
+    Preservation samples its own ensemble, with its own horizon and
+    count: its power comes from how many samples visit the observable
+    support, while the other checks are per-sample statements.
+
+    A report's runtime_seconds covers only its own work: its statistic
+    and the legs run for it (the mid leg goes to the positive group
+    law, each Simpson walk to its weak_ode).  Sampling and the shared
+    pass are not split among the reports and appear in none of them.
     """
-    m_t = t if measure_t is None else measure_t
-    m_count = count if measure_count is None else measure_count
-    reports = []
-    for control in [False] + ([True] if with_controls else []):
-        reports += [
-            check_time_continuity(
-                potential, box, 0.5 * t, count, seed, icfg, negative_control=control
-            ),
-            check_measure_preservation(
-                potential, box, m_t, m_count, seed, icfg, phi=observable,
+    unknown = sorted(set(checks) - set(CHECK_NAMES))
+    if unknown:
+        raise DomainError(f"unknown flow-axiom checks {unknown}; known {list(CHECK_NAMES)}")
+    tol = {**TOLERANCES, **(tolerances or {})}
+    controls = (False, True) if with_controls else (False,)
+    out = {}
+    if "measure_preservation" in checks:
+        for control in controls:
+            out["measure_preservation", control] = check_measure_preservation(
+                potential, box, t if measure_t is None else measure_t,
+                count if measure_count is None else measure_count, seed, icfg,
+                phi=observable, tolerance=tol["measure_preservation"],
                 negative_control=control,
-            ),
-            check_group_property(
-                potential, box, 0.4 * t, 0.6 * t, count, seed, icfg,
-                tolerance=group_tolerance, negative_control=control,
-            ),
-            check_energy_invariance(
-                potential, box, t, count, seed, icfg,
-                tolerance=energy_tolerance, negative_control=control,
-            ),
-            check_weak_ode(
-                potential, box, t, count, seed, icfg,
-                tolerance=ode_tolerance, negative_control=control,
-            ),
-        ]
-    return reports
+            )
+    per_sample = set(checks) - {"measure_preservation"}
+    if per_sample:
+        sample = _Sample(potential, box, count, seed)
+    half, delta = 0.5 * t, DELTA_STEPS * icfg.dt
+    at = {}
+    if per_sample - {"weak_ode"}:
+        at = dict(sample.walk(sorted({half, half + delta, t}), icfg))
+    for control in controls:
+        if "time_continuity" in checks:
+            out["time_continuity", control] = _time_continuity(
+                sample, at[half], at[half + delta], half, delta, tol["time_continuity"],
+                control, time.perf_counter(),
+            )
+        if "group_property" in checks:
+            started = time.perf_counter()
+            if not control:
+                mid = sample.advance(sample.start, 0.4 * t, icfg)
+            out["group_property", control] = _group_property(
+                sample, at[t], mid, 0.4 * t, 0.6 * t, icfg, tol["group_property"],
+                control, started,
+            )
+        if "weak_ode" in checks or (control and "energy_invariance" in checks):
+            out["weak_ode", control], walk_end = _weak_ode(
+                sample, t, WEAK_ODE_NODES, _control_icfg(icfg, control), tol["weak_ode"],
+                control, time.perf_counter(),
+            )
+        if "energy_invariance" in checks:
+            out["energy_invariance", control] = _energy_invariance(
+                sample, walk_end if control else at[t], t, tol["energy_invariance"],
+                control, time.perf_counter(),
+            )
+    return [out[name, control] for control in controls for name in checks]
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +692,7 @@ def check_mollification_cauchy(
     for pos, lvl in enumerate(levels):
         run_icfg = icfg
         if negative_control and pos == len(levels) - 1:
-            run_icfg = replace(icfg, velocity_damping=0.99)
+            run_icfg = _control_icfg(icfg, True)
         pot = MollifiedPotential(base, kernel, shrink, lvl)
         fx, fv, fl = flow_batch(e0.x, e0.v, pot, t, run_icfg)
         ends.append((fx, fv))

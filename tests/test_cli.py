@@ -1,13 +1,16 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from liouville_lab import cli
+from liouville_lab import cli, verification
 from liouville_lab.errors import ConfigError
 from liouville_lab.estimates import MCEstimate
+
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -140,6 +143,58 @@ def test_verify_rerun_is_idempotent(tmp_path):
     assert strip(take("r1", "reports.jsonl")) == strip(take("r2", "reports.jsonl"))
 
 
+def test_verify_runs_the_library_suite(tmp_path):
+    # one code path: the CLI, the suite and the standalone checks at the
+    # suite's times give the same statistics to the bit on a fixed grid
+    order = ["weak_ode", "group_property", "time_continuity", "energy_invariance",
+             "measure_preservation"]
+    raw = verify_config(
+        tmp_path / "run",
+        ensemble={"x_half": 1.5, "v_half": 1.5, "count": 1500, "seed": 424242},
+        verify={"t": 0.5, "measure_t": 0.2, "measure_count": 8000},
+        checks=[{"name": name} for name in order],
+    )
+    cfg = cli.load_config(raw, "verify", {})
+    args = (cfg.potential, cfg.box)
+    run = (cfg.count, cfg.seed, cfg.icfg)
+    standalone = {
+        "time_continuity": verification.check_time_continuity(*args, 0.25, *run),
+        "measure_preservation": verification.check_measure_preservation(
+            *args, 0.2, 8000, cfg.seed, cfg.icfg
+        ),
+        "group_property": verification.check_group_property(*args, 0.2, 0.3, *run),
+        "energy_invariance": verification.check_energy_invariance(*args, 0.5, *run),
+        "weak_ode": verification.check_weak_ode(*args, 0.5, *run),
+    }
+    suite = verification.flow_axiom_suite(
+        *args, *run, t=0.5, measure_t=0.2, measure_count=8000, with_controls=False,
+        checks=order,
+    )
+
+    def stats(report_dicts):
+        return [
+            {k: v for k, v in json.loads(json.dumps(r)).items() if k != "runtime_seconds"}
+            for r in report_dicts
+        ]
+
+    want = stats(standalone[name].to_json_dict() for name in order)
+    assert stats(r.to_json_dict() for r in suite) == want
+    assert cli.main(["verify", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
+    lines = (tmp_path / "run" / "reports.jsonl").read_text().strip().split("\n")
+    assert stats(json.loads(line) for line in lines) == want
+    assert [r["check_name"] for r in want] == order
+
+
+def test_example_configs_load():
+    # schema drift check: every shipped config resolves without running
+    paths = sorted(CONFIGS.glob("*.json"))
+    assert paths
+    for path in paths:
+        raw = json.loads(path.read_text())
+        cfg = cli.load_config(raw, raw["experiment"], {})
+        assert cfg.experiment == raw["experiment"], path.name
+
+
 def test_resolved_config_round_trips(tmp_path):
     raw = verify_config(tmp_path / "r1")
     cfg = cli.load_config(raw, "verify", {})
@@ -245,6 +300,10 @@ def test_verify_requires_checks(tmp_path):
     cfg = verify_config(tmp_path / "run", checks=[])
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
     cfg = verify_config(tmp_path / "run", checks=[{"name": "does_not_exist"}])
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+    cfg = verify_config(
+        tmp_path / "run", checks=[{"name": "weak_ode"}, {"name": "weak_ode", "tolerance": 1.0}]
+    )
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
 
 

@@ -223,6 +223,20 @@ def test_flow_axiom_suite_shape_and_verdicts():
     assert not any(r.passed for r in reports[5:])
 
 
+def test_flow_axiom_suite_group_law_direct_leg_is_its_own_path():
+    # adaptive steps shrink with each path's pair distances, so a direct
+    # leg that stopped at s would retrace the composition and read 0.0
+    icfg = IntegratorConfig(dt=1e-3, adaptive=True)
+    (report,) = flow_axiom_suite(
+        harmonic(2), BOX, 300, SEED, icfg, t=0.25, with_controls=False,
+        checks=["group_property"],
+    )
+    assert report.passed
+    assert report.statistic > 0.0
+    with pytest.raises(DomainError):
+        flow_axiom_suite(harmonic(2), BOX, 300, SEED, icfg, checks=["no_such_check"])
+
+
 # ---------------------------------------------------------------------------
 # mollification convergence, small N
 
