@@ -182,8 +182,9 @@ def _verlet_step(x, v, acc, potential, dt, damping):
         v_new = damping * v_new
     return x_new, v_new, acc_new, dmin_new
 
-def _rk4_step(x, v, potential, dt, damping):
-    k1v, _ = _forces(x, potential)
+def _rk4_step(x, v, acc, potential, dt, damping):
+    """One classical RK4 step; acc is _forces(x), so k1 costs nothing."""
+    k1v = acc
     k2v, _ = _forces(x + 0.5 * dt * v, potential)
     x3 = x + 0.5 * dt * (v + 0.5 * dt * k1v)
     k3v, _ = _forces(x3, potential)
@@ -200,7 +201,7 @@ def _rk4_step(x, v, potential, dt, damping):
 def _step_dispatch(x, v, acc, potential, dt, icfg: IntegratorConfig):
     if icfg.scheme == "velocity_verlet":
         return _verlet_step(x, v, acc, potential, dt, icfg.velocity_damping)
-    return _rk4_step(x, v, potential, dt, icfg.velocity_damping)
+    return _rk4_step(x, v, acc, potential, dt, icfg.velocity_damping)
 
 
 def _run_fixed(x, v, potential, t, icfg, recorder=None):

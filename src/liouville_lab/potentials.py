@@ -18,6 +18,11 @@ with alpha(x) <= min(1, |x|/2) so the averaging ball never contains the
 origin.  The average uses a C^2 polynomial kernel and is computed with a
 ball-adapted product quadrature (Gauss-Legendre in radius, uniform or
 Gauss-Legendre in angle) that integrates the kernel itself exactly.
+
+Base, kernel and alpha are radial, so V_n(x) = f_n(|x|).  Batch
+evaluation reads f_n from a RadialTable (piecewise Chebyshev series in
+log |x| fitted to that quadrature, built once per level) and takes the
+gradient f_n'(|x|) x/|x| from the series derivative.
 """
 
 from __future__ import annotations
@@ -414,13 +419,202 @@ def mollified_potential(
     )
 
 
+# Radial table of f_n.  Chebyshev interpolation on first-kind nodes,
+# checked on the interleaved second-kind nodes (Trefethen, Approximation
+# Theory and Approximation Practice, 2013, chapters 3 and 8).
+TABLE_DEGREE = 12
+# held-out error bound of every panel, relative to its largest |f_n|
+TABLE_RTOL = 1e-12
+TABLE_MAX_PANELS = 1024
+# longest panel in s = log(rho): the rounding of the series derivative
+# grows with the spread of |f_n| across a panel
+TABLE_MAX_WIDTH = 0.5
+# radii covered by the table, in units of the shrink kink cap/slope
+TABLE_RANGE = (1e-3, 1e2)
+
+
+def _radial_kinks(potential: PairPotential) -> tuple[float, ...]:
+    """Radii at which dV/d|r| of a base potential jumps."""
+    return (potential.jump_radius,) if potential.kind == "piecewise_radial" else ()
+
+
+def _node_crossings(
+    potential: PairPotential, shrink: ShrinkFunction, level: int, nodes: np.ndarray
+) -> np.ndarray:
+    """Radii rho at which a node rho e_1 + eps(rho) z of the averaging
+    ball crosses a kink of the base; the quadrature is not smooth there."""
+    z1 = nodes[:, 0]
+    zz = np.sum(nodes * nodes, axis=1)
+    kink = shrink.cap / shrink.slope
+    c = 2.0 ** (-level) * shrink.slope  # eps = c rho below the kink
+    e = 2.0 ** (-level) * shrink.cap  # eps = e above it
+    out = []
+    for r0 in _radial_kinks(potential):
+        below = r0 / np.sqrt(1.0 + 2.0 * c * z1 + c * c * zz)
+        disc = r0 * r0 - e * e * (zz - z1 * z1)
+        above = -e * z1[disc >= 0.0] + np.sqrt(disc[disc >= 0.0])
+        out += [below[below < kink], above[above >= kink]]
+    return np.concatenate(out) if out else np.empty(0)
+
+
+def _clenshaw(coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row-wise Chebyshev sums: sum_k coefs[i, k] T_k(t[i])."""
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    t2 = 2.0 * t
+    for k in range(coefs.shape[1] - 1, 0, -1):
+        b1, b2 = coefs[:, k] + t2 * b1 - b2, b1
+    return coefs[:, 0] + t * b1 - b2
+
+
+@dataclass(frozen=True)
+class RadialTable:
+    """f_n(rho) on [lo, hi] as piecewise Chebyshev series in s = log(rho).
+
+    Panel p spans s in [edges[p], edges[p+1]]; `coefs[p]` holds the series
+    of f_n and `slopes[p]` that of df_n/ds in the panel variable t in
+    [-1, 1].  `max_error` is the largest held-out gap to the direct
+    quadrature over all panels, relative to each panel's largest |f_n|.
+    """
+
+    edges: np.ndarray
+    coefs: np.ndarray
+    slopes: np.ndarray
+    max_error: float
+
+    @property
+    def lo(self) -> float:
+        return float(np.exp(self.edges[0]))
+
+    @property
+    def hi(self) -> float:
+        return float(np.exp(self.edges[-1]))
+
+    def covers(self, rad: np.ndarray) -> np.ndarray:
+        return (rad >= self.lo) & (rad <= self.hi)
+
+    def _series(self, series: np.ndarray, rad: np.ndarray) -> np.ndarray:
+        s = np.log(rad)
+        p = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(series) - 1)
+        a, b = self.edges[p], self.edges[p + 1]
+        return _clenshaw(series[p], (2.0 * s - a - b) / (b - a))
+
+    def value(self, rad: np.ndarray) -> np.ndarray:
+        """f_n at radii inside [lo, hi]."""
+        return self._series(self.coefs, rad)
+
+    def log_slope(self, rad: np.ndarray) -> np.ndarray:
+        """rho f_n'(rho) = df_n/ds at radii inside [lo, hi]."""
+        return self._series(self.slopes, rad)
+
+
+def _radial_average(
+    potential: PairPotential,
+    kernel: MollifierKernel,
+    shrink: ShrinkFunction,
+    level: int,
+    rad: np.ndarray,
+    radial_order: int,
+    angular_order: int,
+) -> np.ndarray:
+    """Direct quadrature of f_n at radii rad > 0, on the first axis."""
+    centers = np.zeros((rad.size, potential.d))
+    centers[:, 0] = rad
+    eps = 2.0 ** (-level) * shrink(rad)
+    return _ball_average(potential, kernel, centers, eps, radial_order, angular_order)
+
+
+@lru_cache(maxsize=64)
+def _radial_table(
+    potential: PairPotential,
+    kernel: MollifierKernel,
+    shrink: ShrinkFunction,
+    level: int,
+    radial_order: int,
+    angular_order: int,
+) -> RadialTable:
+    """Tabulate f_n over TABLE_RANGE.
+
+    Panel edges sit at the shrink kink cap/slope, where f_n' jumps, and
+    at every radius where a quadrature node crosses a kink of the base.
+    Each panel is fitted at TABLE_DEGREE + 1 nodes and checked at
+    TABLE_DEGREE + 2 held-out nodes (its ends included); panels wider
+    than TABLE_MAX_WIDTH or with error above TABLE_RTOL are bisected,
+    and more than TABLE_MAX_PANELS panels raise QuadratureError.
+    """
+    kink = shrink.cap / shrink.slope
+    lo, hi = TABLE_RANGE[0] * kink, TABLE_RANGE[1] * kink
+    z, _ = ball_nodes(potential.d, radial_order, angular_order)
+    cuts = _node_crossings(potential, shrink, level, z)
+    breaks = np.log(np.concatenate([[lo, kink, hi], cuts[(cuts > lo) & (cuts < hi)]]))
+    breaks = np.sort(breaks)
+    breaks = breaks[np.concatenate([[True], np.diff(breaks) > 1e-12])]
+
+    cheb = np.polynomial.chebyshev
+    k = TABLE_DEGREE + 1
+    fit_t = np.cos(math.pi * (np.arange(k) + 0.5) / k)
+    held_t = np.cos(math.pi * np.arange(k + 1) / k)
+    # discrete orthogonality of T_j on the first-kind nodes
+    fit = (2.0 / k) * cheb.chebvander(fit_t, k - 1).T
+    fit[0] *= 0.5
+    held = cheb.chebvander(held_t, k - 1)
+
+    def average(s):
+        return _radial_average(
+            potential, kernel, shrink, level, np.exp(s).ravel(), radial_order, angular_order
+        ).reshape(s.shape)
+
+    pending = np.stack([breaks[:-1], breaks[1:]], axis=1)
+    done_edges, done_coefs, errors = [], [], [0.0]
+    while pending.size:
+        if sum(map(len, done_edges)) + len(pending) > TABLE_MAX_PANELS:
+            raise QuadratureError(
+                f"radial table of {potential.describe()} at level {level} needs more than "
+                f"{TABLE_MAX_PANELS} panels for relative error {TABLE_RTOL:g}"
+            )
+        mid = 0.5 * (pending[:, :1] + pending[:, 1:])
+        half = 0.5 * (pending[:, 1:] - pending[:, :1])
+        vals = average(mid + half * fit_t)
+        ref = average(mid + half * held_t)
+        coefs = vals @ fit.T
+        # below the smallest normal float the quadrature has no relative digits
+        scale = np.maximum(
+            np.maximum(np.max(np.abs(vals), axis=1), np.max(np.abs(ref), axis=1)),
+            np.finfo(float).tiny / TABLE_RTOL,
+        )
+        err = np.max(np.abs(coefs @ held.T - ref), axis=1) / scale
+        ok = (err <= TABLE_RTOL) & (2.0 * half[:, 0] <= TABLE_MAX_WIDTH)
+        done_edges.append(pending[ok])
+        done_coefs.append(coefs[ok])
+        errors.append(float(np.max(err[ok], initial=0.0)))
+        split = pending[~ok]
+        middle = 0.5 * (split[:, 0] + split[:, 1])
+        pending = np.concatenate(
+            [np.stack([split[:, 0], middle], axis=1), np.stack([middle, split[:, 1]], axis=1)]
+        )
+    spans = np.concatenate(done_edges)
+    order = np.argsort(spans[:, 0])
+    spans = spans[order]
+    coefs = np.concatenate(done_coefs)[order]
+    # dt/ds = 2 / (panel width)
+    slopes = cheb.chebder(coefs, axis=1) * (2.0 / (spans[:, 1:] - spans[:, :1]))
+    edges = np.append(spans[:, 0], spans[-1, 1])
+    for arr in (edges, coefs, slopes):
+        arr.setflags(write=False)
+    return RadialTable(edges=edges, coefs=coefs, slopes=slopes, max_error=max(errors))
+
+
 class MollifiedPotential:
     """Batch-evaluable mollified potential V_level with the PairPotential interface.
 
     Uses a fixed quadrature order chosen once (the shipped default is
     already exact for the kernel and spectrally accurate for the shipped
-    families).
-    Gradients are central finite differences with step eps(x)/16.
+    families).  Batch values and gradients come from the shared
+    table of these inputs, built on first use: V = f_n(|r|),
+    grad V = f_n'(|r|) r/|r|.  Rows outside the table range (near
+    coincidence or far out) take the direct quadrature at (|r|, 0, ...)
+    instead, with a radial central difference of step eps(|r|)/16 for the
+    gradient; `fallback_rows` counts these row evaluations.
     """
 
     def __init__(
@@ -447,44 +641,64 @@ class MollifiedPotential:
         self.singularity_class = base.singularity_class
         self.lower_bound_constant = base.lower_bound_constant
         self.is_singular = base.is_singular
+        self.fallback_rows = 0
+        self._table = None
 
     def describe(self) -> str:
         return f"mollified[{self.base.describe()}, n={self.level}]"
 
-    def _eps(self, radii: np.ndarray) -> np.ndarray:
-        return 2.0 ** (-self.level) * self.shrink(radii)
+    @property
+    def table(self) -> RadialTable:
+        if self._table is None:
+            self._table = _radial_table(
+                self.base, self.kernel, self.shrink, self.level, self.radial_order,
+                self.angular_order,
+            )
+        return self._table
+
+    def _radii(self, r: np.ndarray) -> np.ndarray:
+        if r.shape[-1] != self.d:
+            raise DomainError(f"expected last axis {self.d}, got shape {r.shape}")
+        return np.sqrt(np.sum(r * r, axis=-1)).ravel()
+
+    def _direct(self, rad: np.ndarray) -> np.ndarray:
+        """f_n by direct quadrature; rad = 0 gives the base value at 0."""
+        out = np.empty(rad.size)
+        pos = rad > 0.0
+        out[pos] = _radial_average(
+            self.base, self.kernel, self.shrink, self.level, rad[pos], self.radial_order,
+            self.angular_order,
+        )
+        out[~pos] = self.base.value_batch(np.zeros((int(np.sum(~pos)), self.d)))
+        return out
 
     def value_batch(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1, self.d)
-        rad = np.sqrt(np.sum(flat * flat, axis=-1))
-        eps = self._eps(rad)
-        out = np.empty(flat.shape[0])
-        pos = eps > 0.0
-        if np.any(pos):
-            out[pos] = _ball_average(
-                self.base, self.kernel, flat[pos], eps[pos], self.radial_order, self.angular_order
-            )
-        if np.any(~pos):
-            out[~pos] = self.base.value_batch(flat[~pos])
+        rad = self._radii(r)
+        inside = self.table.covers(rad)
+        out = np.empty(rad.size)
+        out[inside] = self.table.value(rad[inside])
+        outside = ~inside
+        if outside.any():
+            out[outside] = self._direct(rad[outside])
+            self.fallback_rows += int(np.sum(outside))
         return out.reshape(r.shape[:-1])
 
     def gradient_batch(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        flat = r.reshape(-1, self.d)
-        rad = np.sqrt(np.sum(flat * flat, axis=-1))
-        h = self._eps(rad) / 16.0
-        safe_h = np.where(h > 0.0, h, 1.0)
-        m, d = flat.shape
-        # displaced points (m, 2d, d): +h e_k then -h e_k for each axis k
-        disp = np.repeat(flat[:, None, :], 2 * d, axis=1)
-        for k in range(d):
-            disp[:, 2 * k, k] += safe_h
-            disp[:, 2 * k + 1, k] -= safe_h
-        vals = self.value_batch(disp.reshape(-1, d)).reshape(m, 2 * d)
-        grad = (vals[:, 0::2] - vals[:, 1::2]) / (2.0 * safe_h[:, None])
-        grad = np.where(h[:, None] > 0.0, grad, 0.0)
-        return grad.reshape(r.shape)
+        rad = self._radii(r)
+        inside = self.table.covers(rad)
+        # f_n'(|r|) / |r|; rows at r = 0 keep a zero gradient
+        coef = np.zeros(rad.size)
+        coef[inside] = self.table.log_slope(rad[inside]) / rad[inside] ** 2
+        outside = ~inside
+        if outside.any():
+            rows = np.flatnonzero(outside & (rad > 0.0))
+            ro = rad[rows]
+            h = 2.0 ** (-self.level) * self.shrink(ro) / 16.0
+            coef[rows] = (self._direct(ro + h) - self._direct(ro - h)) / (2.0 * h * ro)
+            self.fallback_rows += int(np.sum(outside))
+        return coef.reshape(r.shape[:-1])[..., None] * r
 
     def value(self, r) -> float:
         x = np.asarray(r, dtype=float).reshape(self.d)

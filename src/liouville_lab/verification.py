@@ -264,7 +264,10 @@ def check_measure_preservation(
     sum w phi(z).  The default observable lives on a shrunken box so
     that its backward image can stay inside the sampling box, which
     _require_preimage_coverage verifies by flowing probe points
-    backward.  Control: velocity damping contracts phase volume.
+    backward.  A nonzero statistic with a zero standard error means no
+    sample got past the edge of the observable support, where the
+    squared terms underflow; that raises CoverageError.  Control:
+    velocity damping contracts phase volume.
     """
     started = time.perf_counter()
     run_icfg = _control_icfg(icfg, negative_control)
@@ -288,6 +291,18 @@ def check_measure_preservation(
     xi = np.where(ok, e0.weights * (after - before), 0.0)
     statistic = abs(float(np.sum(xi)))
     se = float(np.std(xi, ddof=1) * math.sqrt(count))
+    if statistic > 0.0 and se == 0.0:
+        # nonzero terms whose squares underflow: phi was met only where it
+        # is below 1e-154, at the edge of its support
+        visits = int(np.count_nonzero(ok & (
+            phi.support_mask(phi.t_center, e0.x, e0.v)
+            | phi.support_mask(phi.t_center, e1.x, e1.v)
+        )))
+        raise CoverageError(
+            f"the observable support was not visited: {visits} of {count} samples"
+            f" reached only its edge, statistic {statistic:.3g} has no standard error;"
+            " raise the count or widen the observable"
+        )
     bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(
         np.sum(np.abs(np.where(ok, e0.weights * after, 0.0)))
     )
@@ -660,6 +675,15 @@ def flow_axiom_suite(
 # mollification convergence
 
 
+def _table_details(pots: Sequence[MollifiedPotential]) -> dict:
+    """Largest held-out radial-table error and the row evaluations that
+    fell back to direct quadrature, over the potentials a check flowed."""
+    return {
+        "table_max_error": max(p.table.max_error for p in pots),
+        "table_fallback_rows": sum(p.fallback_rows for p in pots),
+    }
+
+
 def check_mollification_cauchy(
     base,
     kernel: MollifierKernel,
@@ -688,12 +712,12 @@ def check_mollification_cauchy(
         alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)
 
     ends = []
+    pots = [MollifiedPotential(base, kernel, shrink, lvl) for lvl in levels]
     flags_all = np.zeros(count, dtype=np.int8)
-    for pos, lvl in enumerate(levels):
+    for pos, pot in enumerate(pots):
         run_icfg = icfg
         if negative_control and pos == len(levels) - 1:
             run_icfg = _control_icfg(icfg, True)
-        pot = MollifiedPotential(base, kernel, shrink, lvl)
         fx, fv, fl = flow_batch(e0.x, e0.v, pot, t, run_icfg)
         ends.append((fx, fv))
         flags_all = np.maximum(flags_all, fl)
@@ -728,6 +752,7 @@ def check_mollification_cauchy(
         details={
             "levels": list(levels),
             "gap_means": [float(np.mean(g[ok])) for g in gaps],
+            **_table_details(pots),
         },
     )
 
@@ -754,6 +779,7 @@ def check_mollification_cauchy(
             "level": levels[-1],
             "kernel_powers": [kernel.power, alt_kernel.power],
             "finest_gap": finest_gap,
+            **_table_details([pot_alt]),
         },
     )
     return [cauchy, independence]
@@ -865,8 +891,11 @@ def check_uniqueness_monotone(
     times = icfg.dt * stride * np.arange(times_count)
     horizon = float(times[-1])
 
+    made = []
+
     def make(lvl: int) -> MollifiedPotential:
-        return MollifiedPotential(base, kernel, shrink, lvl)
+        made.append(MollifiedPotential(base, kernel, shrink, lvl))
+        return made[-1]
 
     series, disps = level_difference_series(
         e0, make, level_pair[0], level_pair[1], beta, times, icfg
@@ -925,5 +954,6 @@ def check_uniqueness_monotone(
             "levels": list(level_pair),
             "functional": F.tolist(),
             "std_errors": SE.tolist(),
+            **_table_details(made),
         },
     )

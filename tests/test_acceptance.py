@@ -178,9 +178,11 @@ def test_criterion_6_mollification_convergence():
 
 
 def test_criterion_7_flow_axioms_with_negative_controls():
-    # Measure preservation, the group law, energy invariance, and the weak
-    # derivative identity all hold at scale on a smooth and on a confining
-    # potential, and every check rejects its built-in corruption.
+    # Time continuity, measure preservation, the group law, energy
+    # invariance, and the weak derivative identity all hold at scale on a
+    # smooth and on a confining potential, and every check rejects its
+    # built-in corruption.  One flow_axiom_suite call per case shares the
+    # sample and its flow among the per-sample checks.
     with runtime_budget(600.0):
         separated_observable = TestFunction(
             d=2, n=2, t_center=0.0, t_width=1.0,
@@ -193,31 +195,26 @@ def test_criterion_7_flow_axioms_with_negative_controls():
                 PhaseBox.centered(d=2, n=2, x_half=2.0, v_half=2.0),
                 VERLET,
                 11,
-                dict(t=0.25),
+                dict(measure_t=0.25),
             ),
             (
                 repulsive_power(d=2, exponent=1.0),
                 PhaseBox.centered(d=2, n=2, x_half=1.5, v_half=1.5),
                 IntegratorConfig(scheme="velocity_verlet", dt=1e-3, adaptive=True),
                 7,
-                dict(t=0.05, phi=separated_observable),
+                dict(measure_t=0.05, observable=separated_observable),
             ),
         ]
         for pot, box, icfg, seed, measure_kwargs in cases:
-            checks = [
-                (V.check_measure_preservation, measure_kwargs),
-                (V.check_group_property, dict(s=0.4, t=0.6)),
-                (V.check_energy_invariance, dict(t=1.0)),
-                (V.check_weak_ode, dict(t_final=1.0)),
-            ]
-            for fn, kwargs in checks:
-                r = fn(pot, box, count=100_000, seed=seed, icfg=icfg, **kwargs)
-                assert r.passed, f"{pot.kind}: {r.summary_line()}"
-                rc = fn(
-                    pot, box, count=100_000, seed=seed, icfg=icfg,
-                    negative_control=True, **kwargs,
-                )
-                assert not rc.passed, f"{pot.kind}: control slipped: {rc.summary_line()}"
+            reports = V.flow_axiom_suite(
+                pot, box, count=100_000, seed=seed, icfg=icfg, t=1.0, **measure_kwargs
+            )
+            assert len(reports) == 2 * len(V.CHECK_NAMES)
+            for r in reports:
+                if r.check_name.endswith("_control"):
+                    assert not r.passed, f"{pot.kind}: control slipped: {r.summary_line()}"
+                else:
+                    assert r.passed, f"{pot.kind}: {r.summary_line()}"
 
 
 def test_criterion_8_product_renormalization():

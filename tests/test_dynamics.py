@@ -77,6 +77,23 @@ def test_rk4_reaches_roundoff_on_two_body(two_body):
     assert phase_gap(got, want) < 1e-12
 
 
+def test_rk4_step_reuses_incoming_forces(two_body):
+    # the incoming acceleration is k1, so a step costs 4 force evaluations
+    # (k2, k3, k4 and the outgoing acceleration) after the initial one
+    class Counting:
+        def __init__(self, base):
+            self.base = base
+            self.calls = 0
+
+        def gradient_batch(self, r):
+            self.calls += 1
+            return self.base.gradient_batch(r)
+
+    pot = Counting(harmonic(2))
+    flow_map(two_body, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
+    assert pot.calls == 1 + 4 * 10
+
+
 def test_verlet_time_reversibility(two_body):
     pot = gaussian_well(2, depth=1.3, width=0.8)
     icfg = IntegratorConfig(dt=1e-3)

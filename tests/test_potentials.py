@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from liouville_lab.errors import ConfigError, DomainError, SingularityError
+from liouville_lab import potentials
+from liouville_lab.errors import ConfigError, DomainError, QuadratureError, SingularityError
 from liouville_lab.potentials import (
     CONFINING_AT_ZERO,
     L1_SINGULAR_GRADIENT,
     SMOOTH,
+    TABLE_RTOL,
     MollifiedPotential,
     MollifierKernel,
     ShrinkFunction,
@@ -158,3 +160,120 @@ def test_gradient_l1_error_decreases_with_level():
     # shared-seed sampling makes the quartering visible even at small N
     ratio = errs[1].estimate / errs[0].estimate
     assert 0.15 < ratio < 0.4
+
+
+# ---------------------------------------------------------------------------
+# radial table of the mollified potential
+
+
+def random_rows(radii, d, seed):
+    dirs = np.random.default_rng(seed).normal(size=(radii.size, d))
+    return radii[:, None] * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("exponent", [0.5, 1.0])
+@pytest.mark.parametrize("level", [3, 6])
+def test_table_gradient_matches_homogeneity_oracle(exponent, level):
+    # below the shrink kink eps is proportional to |r|, so averaging
+    # |r|^-a reproduces C_n |r|^-a exactly and grad V_n = -a V_n r/|r|^2
+    shrink = ShrinkFunction()
+    pot = MollifiedPotential(
+        repulsive_power(2, exponent=exponent), MollifierKernel(d=2), shrink, level
+    )
+    kink = shrink.cap / shrink.slope
+    rng = np.random.default_rng(level)
+    radii = np.exp(rng.uniform(np.log(pot.table.lo), np.log(0.999 * kink), 4000))
+    r = random_rows(radii, 2, level)
+    want = -exponent * pot.value_batch(r)[:, None] * r / radii[:, None] ** 2
+    got = pot.gradient_batch(r)
+    rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    # the series derivative amplifies the ~1e-15 rounding of the quadrature
+    assert np.max(rel) < 2e-12
+    values = pot.value_batch(r) * radii**exponent
+    assert np.ptp(values) < 1e-13 * values[0]
+    assert pot.fallback_rows == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_table_matches_quadrature_at_held_out_radii(d):
+    shrink = ShrinkFunction()
+    kernel = MollifierKernel(d=d)
+    level = 3
+    # both sides of the shrink kink cap/slope = 2
+    radii = np.array([0.3, 1.3, 1.9, 2.1, 3.3, 7.0])
+    r = random_rows(radii, d, d)
+    bases = [
+        free_potential(d),
+        harmonic(d, strength=0.7),
+        gaussian_well(d, depth=1.3, width=0.8),
+        repulsive_power(d, exponent=0.5),
+        piecewise_radial(d, 0.8, -0.6, 0.4),
+    ]
+    for base in bases:
+        pot = MollifiedPotential(base, kernel, shrink, level)
+        assert pot.table.max_error <= TABLE_RTOL
+        want = np.array([mollified_potential(base, kernel, shrink, level, x) for x in r])
+        scale = np.maximum(np.abs(want), 1.0)
+        assert np.max(np.abs(pot.value_batch(r) - want) / scale) < 1e-10, base.kind
+        # radial central difference of the oracle, O(h^2) = 1e-8 accurate
+        h = 1e-4 * radii
+        up = [mollified_potential(base, kernel, shrink, level, x * (1 + s)) for x, s in zip(r, h / radii)]
+        dn = [mollified_potential(base, kernel, shrink, level, x * (1 - s)) for x, s in zip(r, h / radii)]
+        slope = (np.array(up) - np.array(dn)) / (2.0 * h)
+        want_grad = slope[:, None] * r / radii[:, None]
+        gerr = np.max(np.abs(pot.gradient_batch(r) - want_grad) / np.maximum(np.abs(slope), 1.0)[:, None])
+        assert gerr < 1e-7, base.kind
+        assert pot.fallback_rows == 0
+    # where the averaging ball straddles the slope jump of piecewise_radial
+    # the order-8 quadrature has kinks in |r|, which the panel edges follow
+    straddle = np.linspace(0.7, 0.9, 41)
+    pot = MollifiedPotential(bases[-1], kernel, shrink, level)
+    direct = potentials._radial_average(bases[-1], kernel, shrink, level, straddle, 8, 8)
+    got = pot.value_batch(random_rows(straddle, d, 7))
+    assert np.max(np.abs(got - direct)) < 10 * TABLE_RTOL * np.max(np.abs(direct))
+
+
+def test_rows_outside_table_take_the_counted_fallback():
+    base = repulsive_power(2, exponent=1.0)
+    kernel = MollifierKernel(d=2)
+    shrink = ShrinkFunction()
+    pot = MollifiedPotential(base, kernel, shrink, level=4)
+    lo, hi = pot.table.lo, pot.table.hi
+    radii = np.array([0.1 * lo, 0.5 * lo, 1.0, 2.0 * hi])
+    r = random_rows(radii, 2, 3)
+    values = pot.value_batch(r)
+    assert pot.fallback_rows == 3
+    want = [mollified_potential(base, kernel, shrink, 4, x) for x in r]
+    np.testing.assert_allclose(values, want, rtol=1e-10)
+    grad = pot.gradient_batch(r)
+    assert pot.fallback_rows == 6
+    # below the kink V_n = C_n |r|^-1; the radial difference with step
+    # eps/16 carries an O((eps/16r)^2) = 1e-6 relative error
+    below = radii < 1.0
+    oracle = -values[below, None] * r[below] / radii[below, None] ** 2
+    np.testing.assert_allclose(grad[below], oracle, rtol=1e-5)
+    # exactly coincident rows keep the zero gradient of the batch interface
+    np.testing.assert_array_equal(pot.gradient_batch(np.zeros((2, 2))), 0.0)
+    assert pot.fallback_rows == 8
+
+
+def test_equal_inputs_share_one_table():
+    def make(level, exponent=1.0):
+        return MollifiedPotential(
+            repulsive_power(2, exponent=exponent), MollifierKernel(d=2), ShrinkFunction(), level
+        )
+
+    assert make(4).table is make(4).table
+    assert make(4).table is not make(5).table
+    assert make(4).table is not make(4, exponent=0.5).table
+
+
+def test_table_panel_cap_raises(monkeypatch):
+    monkeypatch.setattr(potentials, "TABLE_MAX_PANELS", 8)
+    # inputs used by no other test, so the cached builder runs here
+    pot = MollifiedPotential(
+        gaussian_well(2, depth=0.7, width=0.9), MollifierKernel(d=2, power=4),
+        ShrinkFunction(cap=0.9), level=2,
+    )
+    with pytest.raises(QuadratureError):
+        pot.value_batch(np.array([[0.5, 0.5]]))

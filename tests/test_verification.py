@@ -155,6 +155,14 @@ def test_measure_preservation_rejects_uncovered_observable():
         )
 
 
+def test_measure_preservation_rejects_unvisited_observable():
+    # one of 4000 samples reaches the edge of the default observable's
+    # support at t=0 and none at t=0.1: the statistic underflowed to
+    # 3e-258 with a zero standard error and read as a failed check
+    with pytest.raises(CoverageError, match="not visited: 1 of 4000"):
+        check_measure_preservation(harmonic(2), BOX, 0.1, 4000, 11, ICFG)
+
+
 def test_measure_preservation_rejects_colliding_observable_when_confining():
     phi = TestFunction(
         d=2, n=2, t_center=0.0, t_width=1.0,
