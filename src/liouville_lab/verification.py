@@ -41,6 +41,7 @@ from .transport import (
     level_difference_series,
     random_test_function,
     sample_ensemble,
+    # not called here; perfbench/tracer.py wraps it in this namespace
     weak_residual_suite,
 )
 
@@ -266,8 +267,11 @@ def check_measure_preservation(
     _require_preimage_coverage verifies by flowing probe points
     backward.  A nonzero statistic with a zero standard error means no
     sample got past the edge of the observable support, where the
-    squared terms underflow; that raises CoverageError.  Control:
-    velocity damping contracts phase volume.
+    squared terms underflow; that raises CoverageError.  A zero
+    statistic with a zero standard error still passes, so
+    details["support_visits"] counts the unflagged samples inside the
+    support of phi at the start and at the end: 0 and 0 mean the verdict
+    rests on no sample.  Control: velocity damping contracts phase volume.
     """
     started = time.perf_counter()
     run_icfg = _control_icfg(icfg, negative_control)
@@ -288,16 +292,15 @@ def check_measure_preservation(
     before = phi.value(phi.t_center, e0.x, e0.v)
     after = phi.value(phi.t_center, e1.x, e1.v)
     ok = e1.flags == dynamics.FLAG_OK
+    in_start = ok & phi.support_mask(phi.t_center, e0.x, e0.v)
+    in_end = ok & phi.support_mask(phi.t_center, e1.x, e1.v)
     xi = np.where(ok, e0.weights * (after - before), 0.0)
     statistic = abs(float(np.sum(xi)))
     se = float(np.std(xi, ddof=1) * math.sqrt(count))
     if statistic > 0.0 and se == 0.0:
         # nonzero terms whose squares underflow: phi was met only where it
         # is below 1e-154, at the edge of its support
-        visits = int(np.count_nonzero(ok & (
-            phi.support_mask(phi.t_center, e0.x, e0.v)
-            | phi.support_mask(phi.t_center, e1.x, e1.v)
-        )))
+        visits = int(np.count_nonzero(in_start | in_end))
         raise CoverageError(
             f"the observable support was not visited: {visits} of {count} samples"
             f" reached only its edge, statistic {statistic:.3g} has no standard error;"
@@ -318,7 +321,14 @@ def check_measure_preservation(
         tolerance=tolerance,
         flagged_fraction=float(np.mean(~ok)),
         runtime_seconds=time.perf_counter() - started,
-        details={"t": t, "observable_center": phi.centers.tolist()},
+        details={
+            "t": t,
+            "observable_center": phi.centers.tolist(),
+            "support_visits": {
+                "start": int(np.count_nonzero(in_start)),
+                "end": int(np.count_nonzero(in_end)),
+            },
+        },
     )
 
 
@@ -803,33 +813,58 @@ def check_renormalization_suite(
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
-    One ensemble pass serves the identity map and all betas.  Control:
-    the carried values gain a smooth time-dependent factor, which no
-    transported density can have.
+    One ensemble pass serves the identity map and all betas.  Only the
+    rows whose carried value f0 is nonzero are flowed and estimated
+    (support mask, forces and pairing included): renormalization in L^1
+    needs beta(0) = 0, which is checked for every beta (DomainError
+    otherwise), so a zero row adds exactly 0 to every residual.  The
+    per-row sums are scattered back into full-length zero arrays before
+    any statistic is taken, so estimate, std_error and bias_bound are
+    those of the whole ensemble, bitwise.  A row that is not flowed
+    counts as unflagged, since it contributes 0 wherever it would go.
+
+    Control: the carried values gain a smooth time-dependent factor,
+    which no transported density can have (it also maps 0 to 0).
+
+    runtime_seconds is measured: the identity report carries sampling,
+    the flow, the shared support mask, forces and pairing, its own terms
+    and the statistics; each beta report carries only its own terms,
+    timed inside the per-map loop.  The shares sum to the call's wall
+    time.  details["carried_rows"] is the number of rows flowed.
     """
     started = time.perf_counter()
+    shifted = [b.name for b in betas if b(np.zeros(1))[0] != 0.0]
+    if shifted:
+        raise DomainError(
+            f"renormalizers {shifted} do not map 0 to 0; renormalization needs beta(0) = 0"
+        )
     if phi is None:
         phi = random_test_function(
             box.d, box.n, box,
             t_center=1.0, t_width=0.8, rng=rng_for(seed, "residual-phi"),
         )
     e0 = sample_ensemble(box, count, datum, seed)
+    rows = np.flatnonzero(e0.values)
     times = transport.simpson_times(phi, nodes)
     a, _ = transport.residual_window(phi)
-    series = transport.evolve_series_iter(e0, potential, times, icfg)
+    series = transport.evolve_series_iter(e0.take(rows), potential, times, icfg)
     if negative_control:
         series = (
             e.with_values((1.0 + 3.0 * (e.time - a)) * e.values) for e in series
         )
-    maps = [None] + list(betas)
-    results = weak_residual_suite(
-        series, potential, phi, maps, count=nodes, step_size=icfg.dt
+    terms = transport.weak_residual_terms(
+        series, potential, phi, [None] + list(betas), count=nodes
+    )
+    results = transport.weak_residual_statistics(
+        terms.scatter(rows, e0.weights), step_size=icfg.dt
     )
     elapsed = time.perf_counter() - started
+    beta_seconds = terms.map_seconds[1:].tolist()
+    shares = [elapsed - sum(beta_seconds)] + beta_seconds
     names = ["identity"] + [b.name for b in betas]
     suffix = "_control" if negative_control else ""
     reports = []
-    for name, r in zip(names, results):
+    for name, r, share in zip(names, results, shares):
         reports.append(
             CheckReport.build(
                 check_name=f"renormalized_residual[{name}]" + suffix,
@@ -841,8 +876,8 @@ def check_renormalization_suite(
                 bias_bound=r.bias_bound,
                 tolerance=0.0,
                 flagged_fraction=r.details.get("flagged_fraction", 0.0),
-                runtime_seconds=elapsed / len(names),
-                details=r.details,
+                runtime_seconds=share,
+                details={**r.details, "carried_rows": rows.size},
             )
         )
     return reports

@@ -39,7 +39,9 @@ from liouville_lab.transport import (
     truncate,
     uniqueness_functional,
     weak_residual,
+    weak_residual_statistics,
     weak_residual_suite,
+    weak_residual_terms,
 )
 
 
@@ -238,6 +240,13 @@ def test_support_mask_bounds_value_support():
     assert np.all(vals[~mask] == 0.0)
     assert np.all(mask[vals > 0.0])
     assert not phi.support_mask(2.0, x, v).any()  # outside the time window
+    # exactly the open box |z - c| < w, boundary points excluded
+    x[:10, 1, 0] = 0.8
+    v[10:20, 0, 1] = -0.8
+    z = np.concatenate([x.reshape(3000, 4), v.reshape(3000, 4)], axis=1)
+    expected = np.all(np.abs(z - phi.centers) < phi.widths, axis=1)
+    np.testing.assert_array_equal(phi.support_mask(0.5, x, v), expected)
+    assert phi.support_mask(0.5, x[:0], v[:0]).shape == (0,)
 
 
 def test_test_function_validation_and_window():
@@ -311,6 +320,14 @@ def test_beta_lipschitz_constants_hold(beta):
     y = x + rng.normal(scale=0.1, size=x.size)
     gap = np.abs(beta(x) - beta(y))
     assert np.all(gap <= beta.lipschitz * np.abs(x - y) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("m", [0.3, 1.0, 4.0])
+def test_shipped_betas_map_zero_to_zero(m):
+    # the renormalization suite flows only rows with f0 != 0, which is
+    # exact only when every renormalizer fixes 0
+    for beta in shipped_beta_family(m) + [nonneg_squash(m)]:
+        assert beta(np.zeros(1))[0] == 0.0, beta.name
 
 
 def test_smoothed_clamp_shape():
@@ -423,6 +440,32 @@ def test_weak_residual_suite_shares_one_series_pass():
     assert len(ests) == 2
     for est in ests:
         assert est.consistent_with(0.0, sigmas=3.0)
+
+
+def test_residual_terms_of_carried_rows_scatter_back_bitwise():
+    # a window opening before t = 0 exercises the phi(0, z) boundary term
+    box, _, e, _ = free_setup(count=2000)
+    phi = random_test_function(
+        2, 2, box, t_center=0.3, t_width=0.45, rng=np.random.default_rng(5)
+    )
+    pot = free_potential(2)
+    icfg = IntegratorConfig(dt=1e-2)
+    times = simpson_times(phi, 33)
+    maps = [None, tanh_squash(1.0)]
+    full = weak_residual_terms(evolve_series(e, pot, times, icfg), pot, phi, maps, count=33)
+    rows = np.flatnonzero(e.values)
+    assert 0 < rows.size < e.size
+    carried = e.take(rows)
+    assert np.array_equal(carried.weights, e.weights[rows])
+    part = weak_residual_terms(
+        evolve_series(carried, pot, times, icfg), pot, phi, maps, count=33
+    )
+    assert part.acc_full.shape == (2, rows.size) and part.map_seconds.shape == (2,)
+    back = part.scatter(rows, e.weights)
+    np.testing.assert_array_equal(back.acc_full, full.acc_full)
+    np.testing.assert_array_equal(back.acc_half, full.acc_half)
+    np.testing.assert_array_equal(back.active, full.active)
+    assert weak_residual_statistics(back, 1e-2) == weak_residual_statistics(full, 1e-2)
 
 
 def test_weak_residual_rejects_non_compact_datum():

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,9 +12,23 @@ from liouville_lab.potentials import (
     ShrinkFunction,
     free_potential,
     harmonic,
+    piecewise_radial,
     repulsive_power,
 )
-from liouville_lab.transport import InitialDatum, PhaseBox, TestFunction, smoothed_clamp, tanh_squash
+from liouville_lab.transport import (
+    BetaFunction,
+    InitialDatum,
+    PhaseBox,
+    TestFunction,
+    evolve_series,
+    residual_window,
+    sample_ensemble,
+    shipped_beta_family,
+    simpson_times,
+    smoothed_clamp,
+    tanh_squash,
+    weak_residual_suite,
+)
 from liouville_lab.verification import (
     FLAGGED_FRACTION_LIMIT,
     CheckReport,
@@ -163,6 +178,21 @@ def test_measure_preservation_rejects_unvisited_observable():
         check_measure_preservation(harmonic(2), BOX, 0.1, 4000, 11, ICFG)
 
 
+def test_measure_preservation_reports_support_visits():
+    report = check_measure_preservation(harmonic(2), BOX, 0.3, 8000, SEED, ICFG)
+    visits = report.details["support_visits"]
+    assert visits["start"] > 0 and visits["end"] > 0
+    # no sample comes near a support of (0.05 / 1.5)^8 of the box: the
+    # check passes on nothing, and the details say so
+    tiny = TestFunction(
+        d=2, n=2, t_center=0.0, t_width=1.0,
+        centers=np.zeros(8), widths=np.full(8, 0.05),
+    )
+    empty = check_measure_preservation(harmonic(2), BOX, 0.3, 1000, SEED, ICFG, phi=tiny)
+    assert empty.statistic == 0.0 and empty.std_error == 0.0 and empty.passed
+    assert empty.details["support_visits"] == {"start": 0, "end": 0}
+
+
 def test_measure_preservation_rejects_colliding_observable_when_confining():
     phi = TestFunction(
         d=2, n=2, t_center=0.0, t_width=1.0,
@@ -303,6 +333,114 @@ def test_renormalization_suite_passes_and_control_fails():
     )
     assert all(r.check_name.endswith("_control") for r in controls)
     assert not any(r.passed for r in controls)
+
+
+RESIDUAL_BOX = PhaseBox.centered(2, 2, 1.2, 1.2)
+RESIDUAL_DATUM = InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
+RESIDUAL_PHI = TestFunction(
+    d=2, n=2, t_center=0.3, t_width=0.45,
+    centers=np.zeros(8), widths=np.full(8, 0.9),
+)
+RESIDUAL_ICFG = IntegratorConfig(dt=1e-2)
+
+
+def residual_reference(pot, count, negative_control):
+    """The suite's estimates by hand: every sample flowed, one full pass."""
+    e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
+    series = evolve_series(e0, pot, simpson_times(RESIDUAL_PHI, 65), RESIDUAL_ICFG)
+    if negative_control:
+        a, _ = residual_window(RESIDUAL_PHI)
+        series = [e.with_values((1.0 + 3.0 * (e.time - a)) * e.values) for e in series]
+    maps = [None] + shipped_beta_family(1.0)
+    return e0, weak_residual_suite(
+        series, pot, RESIDUAL_PHI, maps, count=65, step_size=RESIDUAL_ICFG.dt
+    )
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
+@pytest.mark.parametrize(
+    "pot", [free_potential(2), piecewise_radial(2, 0.8, -0.6, 0.4)], ids=lambda p: p.kind
+)
+def test_renormalization_suite_flows_only_carried_rows_bitwise(pot, control):
+    # the window opens before t = 0, so the phi(0, z) term is covered too
+    e0, expected = residual_reference(pot, 3000, control)
+    carried = int(np.count_nonzero(e0.values))
+    assert 0 < carried < e0.size
+    reports = check_renormalization_suite(
+        pot, RESIDUAL_BOX, RESIDUAL_DATUM, shipped_beta_family(1.0), 3000, SEED,
+        RESIDUAL_ICFG, phi=RESIDUAL_PHI, negative_control=control,
+    )
+    assert len(reports) == len(expected) == 5
+    for r, ref in zip(reports, expected):
+        assert r.statistic == abs(ref.estimate), r.check_name
+        assert r.std_error == ref.std_error, r.check_name
+        assert r.bias_bound == ref.bias_bound, r.check_name
+        assert r.sample_count == ref.sample_count == 3000, r.check_name
+        assert r.details["carried_rows"] == carried
+
+
+class CountingPotential:
+    """A pair potential that records the row count of every gradient call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = []
+
+    def gradient_batch(self, r):
+        self.rows.append(r.shape[0])
+        return self.inner.gradient_batch(r)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_renormalization_suite_forces_see_only_carried_rows():
+    pot = CountingPotential(piecewise_radial(2, 0.8, -0.6, 0.4))
+    (report,) = check_renormalization_suite(
+        pot, RESIDUAL_BOX, RESIDUAL_DATUM, [], 3000, SEED, RESIDUAL_ICFG, phi=RESIDUAL_PHI,
+    )
+    carried = report.details["carried_rows"]
+    assert 0 < carried < 3000
+    # each flow leg starts with a force pass over every carried row; the
+    # estimator evaluates forces only on carried rows inside supp phi
+    assert max(pot.rows) == carried
+
+
+def test_renormalization_suite_without_carried_rows_reads_zero():
+    # a datum of (0.05 / 1.2)^8 of the box: none of 50 samples carries mass
+    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.05)
+    reports = check_renormalization_suite(
+        piecewise_radial(2, 0.8, -0.6, 0.4), RESIDUAL_BOX, datum,
+        shipped_beta_family(1.0), 50, SEED, RESIDUAL_ICFG, phi=RESIDUAL_PHI,
+    )
+    for r in reports:
+        assert r.details["carried_rows"] == 0
+        assert (r.statistic, r.std_error, r.bias_bound) == (0.0, 0.0, 0.0)
+        assert r.sample_count == 50 and r.flagged_fraction == 0.0 and r.passed
+
+
+def test_renormalization_suite_requires_beta_fixing_zero():
+    shifted = BetaFunction(name="shifted_tanh", fn=lambda x: np.tanh(x) + 0.1)
+    with pytest.raises(DomainError, match="shifted_tanh"):
+        check_renormalization_suite(
+            free_potential(2), RESIDUAL_BOX, RESIDUAL_DATUM,
+            [tanh_squash(1.0), shifted], 100, SEED, RESIDUAL_ICFG, phi=RESIDUAL_PHI,
+        )
+
+
+def test_renormalization_suite_runtime_shares_are_measured():
+    pot = piecewise_radial(2, 0.8, -0.6, 0.4)
+    started = time.perf_counter()
+    reports = check_renormalization_suite(
+        pot, RESIDUAL_BOX, RESIDUAL_DATUM, shipped_beta_family(1.0), 3000, SEED,
+        RESIDUAL_ICFG, phi=RESIDUAL_PHI,
+    )
+    wall = time.perf_counter() - started
+    shares = [r.runtime_seconds for r in reports]
+    # the identity carries sampling and the flow, each beta only its own terms
+    assert all(0.0 < s < shares[0] for s in shares[1:])
+    assert sum(shares) <= wall
+    assert sum(shares) == pytest.approx(wall, rel=0.05, abs=0.01)
 
 
 # ---------------------------------------------------------------------------
