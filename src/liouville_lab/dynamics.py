@@ -11,6 +11,19 @@ stiff, so an adaptive mode shrinks the step with the minimum pair
 distance.  Batch drivers propagate whole Monte Carlo ensembles at once
 and flag (rather than raise on) samples that hit a coincidence or the
 substep budget.
+
+Internally a batch of N states is component-major: positions,
+velocities and accelerations are (n, d, N) arrays, each particle
+component one contiguous vector over the batch, updated in place in
+buffers allocated once per call.  The public functions keep their
+(N, n, d) arrays and transpose once on entry and once on exit.  Forces
+go through one `gradient_batch` call per evaluation on the (P*N, d)
+transposed view of all P pair displacements.  Every step performs the
+same floating-point operations, in the same order, as the row-major
+textbook form (`v + 0.5 dt a`, then `x + dt v`, ...), and rows that are
+frozen by a flag leave the batch, so results are bitwise those of
+stepping each row on its own (numpy sums fewer than 8 components left
+to right, which holds for d < 8).
 """
 
 from __future__ import annotations
@@ -135,165 +148,314 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# batched primitives on (N, n, d) arrays
+# component-major core: a batch of N states lives in (n, d, N) arrays
 
 
-def _min_pair_distance(x: np.ndarray) -> np.ndarray:
-    N, n, _ = x.shape
-    dmin = np.full(N, np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rij = x[:, i, :] - x[:, j, :]
-            np.minimum(dmin, np.sqrt(np.sum(rij * rij, axis=-1)), out=dmin)
-    return dmin
+def _component_major(x) -> np.ndarray:
+    """(N, n, d) -> a C-contiguous (n, d, N) copy."""
+    return np.moveaxis(np.asarray(x, dtype=float), 0, -1).copy()
+
+
+def _row_major(x: np.ndarray) -> np.ndarray:
+    """(n, d, N) -> a C-contiguous (N, n, d) copy."""
+    return np.moveaxis(x, -1, 0).copy()
+
+
+class _PairForces:
+    """Pair displacements, distances and accelerations of (n, d, m) states.
+
+    The displacements x_i - x_j of all P pairs i < j share one (d, P, m)
+    block, so a single `gradient_batch` call on its (P*m, d) transposed
+    view serves every pair.  Buffers hold up to `capacity` rows; `resize`
+    re-views them for the current row count.
+    """
+
+    def __init__(self, n: int, d: int, capacity: int, potential):
+        self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        self.potential = potential
+        self.d = d
+        size = len(self.pairs) * capacity
+        self._disp = np.empty(d * size)
+        self._sq = np.empty(d * size)
+        self._rad = np.empty(size)
+        self.resize(capacity)
+
+    def resize(self, m: int) -> None:
+        P, d = len(self.pairs), self.d
+        self.m = m
+        self.R = self._disp[: d * P * m].reshape(d, P, m)
+        self.rows = self.R.reshape(d, P * m).T
+        self.per_pair = [self.R[:, p] for p in range(P)]
+        self._squares = self._sq[: d * P * m].reshape(d, P, m)
+        self._radii = self._rad[: P * m].reshape(P, m)
+
+    def displace(self, X: np.ndarray) -> None:
+        for (i, j), r in zip(self.pairs, self.per_pair):
+            np.subtract(X[i], X[j], out=r)
+
+    def min_distance(self, dmin: np.ndarray) -> None:
+        """Min over pairs of |x_i - x_j| of the displaced pairs; the
+        components are summed in order, as numpy sums fewer than 8."""
+        sq = np.multiply(self.R, self.R, out=self._squares)
+        total = sq[0]
+        if self.d > 1:
+            total = np.add(sq[0], sq[1], out=self._radii)
+            for k in range(2, self.d):
+                np.add(total, sq[k], out=total)
+        if len(self.pairs) == 1:
+            np.sqrt(total[0], out=dmin)
+        else:
+            np.min(np.sqrt(total, out=self._radii), axis=0, out=dmin)
+
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """Pair potential values, one row per pair."""
+        self.displace(X)
+        return np.asarray(self.potential.value_batch(self.rows)).reshape(len(self.pairs), self.m)
+
+    def accelerate(self, X: np.ndarray, A: np.ndarray, dmin: np.ndarray | None = None) -> None:
+        """A = -sum_j grad V(x_i - x_j), accumulated pair by pair in i < j
+        order from zero; dmin, if given, gets the min pair distance."""
+        if not self.pairs:
+            A.fill(0.0)
+            if dmin is not None:
+                dmin.fill(np.inf)
+            return
+        self.displace(X)
+        if dmin is not None:
+            self.min_distance(dmin)
+        m, single = self.m, len(self.pairs) == 1
+        G = self.potential.gradient_batch(self.rows).T
+        for p, (i, j) in enumerate(self.pairs):
+            g = G if single else G[:, p * m : (p + 1) * m]
+            # a particle's first term is 0 -/+ g, as on a zeroed A
+            if p == 0:
+                np.subtract(0.0, g, out=A[i])
+            else:
+                np.subtract(A[i], g, out=A[i])
+            if i == 0:
+                np.add(0.0, g, out=A[j])
+            else:
+                np.add(A[j], g, out=A[j])
+
+
+class _Batch:
+    """The rows of one flow still being integrated, component-major.
+
+    Columns [0, m) of the (n, d, N) buffers X, V, A (positions,
+    velocities, accelerations at X) and of the per-row vectors hold the
+    live rows in input order; `idx` maps them to input rows.  `retire`
+    freezes rows with a flag and compacts the rest to the front.
+    """
+
+    def __init__(self, x, v, potential, icfg: IntegratorConfig):
+        N, n, d = np.shape(x)
+        self.N = N
+        self.rk4 = icfg.scheme == "rk4"
+        self.damping = icfg.velocity_damping
+        self.forces = _PairForces(n, d, N, potential)
+        self._X = _component_major(x)
+        self._V = _component_major(v)
+        self._A = np.empty_like(self._X)
+        # scratch: S for Verlet; S, K2, K3, K4, T for RK4
+        self._S = np.empty((5 if self.rk4 else 1,) + self._X.shape)
+        self._dmin = np.empty(N)
+        self._idx = np.arange(N)
+        self._coefs = np.empty((3, N))
+        self.tracked: list[np.ndarray] = []
+        self.flags = np.zeros(N, dtype=np.int8)
+        self._out = None
+        self._resize(N)
+        self.forces.accelerate(self.X, self.A, self.dmin)
+
+    def _resize(self, m: int) -> None:
+        self.m = m
+        self.X, self.V, self.A = self._X[..., :m], self._V[..., :m], self._A[..., :m]
+        self.S = self._S[..., :m]
+        self.dmin, self.idx = self._dmin[:m], self._idx[:m]
+        self.coefs = self._coefs[:, :m]
+        self.forces.resize(m)
+
+    def track(self, values: np.ndarray) -> np.ndarray:
+        """Register a per-row vector that `retire` compacts with the state."""
+        self.tracked.append(values)
+        return values
+
+    def retire(self, mask: np.ndarray, flag) -> None:
+        """Freeze the live rows in mask with flag (a scalar or a per-row
+        array) and compact the others to the front, keeping their order."""
+        rows = np.flatnonzero(mask)
+        if rows.size == 0:
+            return
+        if self._out is None:
+            shape = (self.N,) + self._X.shape[:2]
+            self._out = (np.empty(shape), np.empty(shape))
+        src = self.idx[rows]
+        self._out[0][src] = np.moveaxis(self.X[..., rows], -1, 0)
+        self._out[1][src] = np.moveaxis(self.V[..., rows], -1, 0)
+        self.flags[src] = flag if np.ndim(flag) == 0 else flag[rows]
+        keep = np.flatnonzero(~mask)
+        k = keep.size
+        for buf in (self._X, self._V, self._A):
+            buf[..., :k] = buf[..., keep]
+        for vec in (self._dmin, self._idx, *self.tracked):
+            vec[:k] = vec[keep]
+        self._resize(k)
+
+    def retire_singular(self) -> None:
+        """Freeze rows whose min pair distance fell below the threshold."""
+        # fmin skips NaN, so this is any(dmin < threshold) in one pass
+        if self.m and np.fmin.reduce(self.dmin) < COINCIDENCE_THRESHOLD:
+            self.retire(self.dmin < COINCIDENCE_THRESHOLD, FLAG_SINGULAR)
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final (N, n, d) states of every row, frozen or live, and flags."""
+        if self._out is None:
+            return _row_major(self.X), _row_major(self.V), self.flags
+        out_x, out_v = self._out
+        out_x[self.idx] = np.moveaxis(self.X, -1, 0)
+        out_v[self.idx] = np.moveaxis(self.V, -1, 0)
+        return out_x, out_v, self.flags
+
+    def step(self, h) -> None:
+        """Advance every live row by h, a scalar or one step per row."""
+        if self.rk4:
+            if isinstance(h, np.ndarray):
+                half, sixth, sq_sixth = self.coefs
+                np.multiply(h, 0.5, out=half)
+                np.divide(h, 6.0, out=sixth)
+                np.divide(np.multiply(h, h, out=sq_sixth), 6.0, out=sq_sixth)
+            else:
+                half, sixth, sq_sixth = 0.5 * h, h / 6.0, h * h / 6.0
+            self._rk4(h, half, sixth, sq_sixth)
+        else:
+            half = np.multiply(h, 0.5, out=self.coefs[0]) if isinstance(h, np.ndarray) else 0.5 * h
+            self._verlet(h, half)
+
+    def _verlet(self, h, half) -> None:
+        """Kick by h/2, drift by h, kick by h/2 with the forces at the new x."""
+        X, V, A, S = self.X, self.V, self.A, self.S[0]
+        np.add(V, np.multiply(A, half, out=S), out=V)
+        np.add(X, np.multiply(V, h, out=S), out=X)
+        self.forces.accelerate(X, A, self.dmin)
+        np.add(V, np.multiply(A, half, out=S), out=V)
+        if self.damping != 1.0:
+            np.multiply(V, self.damping, out=V)
+
+    def _rk4(self, h, half, sixth, sq_sixth) -> None:
+        """Classical RK4 with k1 = A, the forces at the incoming x."""
+        X, V, A = self.X, self.V, self.A
+        S, K2, K3, K4, T = self.S
+        accelerate = self.forces.accelerate
+        # k2 at x + h/2 v
+        accelerate(np.add(X, np.multiply(V, half, out=S), out=S), K2)
+        # k3 at x + h/2 (v + h/2 k1)
+        np.add(V, np.multiply(A, half, out=T), out=T)
+        accelerate(np.add(X, np.multiply(T, half, out=T), out=S), K3)
+        # k4 at x + h (v + h/2 k2)
+        np.add(V, np.multiply(K2, half, out=T), out=T)
+        accelerate(np.add(X, np.multiply(T, h, out=T), out=S), K4)
+        # x + h v + h^2/6 (k1 + k2 + k3)
+        np.add(X, np.multiply(V, h, out=S), out=S)
+        np.add(np.add(A, K2, out=T), K3, out=T)
+        np.add(S, np.multiply(T, sq_sixth, out=T), out=X)
+        # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        np.add(A, np.multiply(K2, 2.0, out=T), out=T)
+        np.add(T, np.multiply(K3, 2.0, out=S), out=T)
+        np.add(T, K4, out=T)
+        np.add(V, np.multiply(T, sixth, out=T), out=V)
+        if self.damping != 1.0:
+            np.multiply(V, self.damping, out=V)
+        accelerate(X, A, self.dmin)
 
 
 def _forces(x: np.ndarray, potential) -> tuple[np.ndarray, np.ndarray]:
-    """Accelerations -sum_j grad V(x_i - x_j) and the min pair distance."""
-    N, n, _ = x.shape
-    acc = np.zeros_like(x)
-    dmin = np.full(N, np.inf)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rij = x[:, i, :] - x[:, j, :]
-            g = potential.gradient_batch(rij)
-            acc[:, i, :] -= g
-            acc[:, j, :] += g
-            np.minimum(dmin, np.sqrt(np.sum(rij * rij, axis=-1)), out=dmin)
-    return acc, dmin
+    """Accelerations -sum_j grad V(x_i - x_j) of an (N, n, d) batch and
+    its min pair distance."""
+    X = _component_major(x)
+    A = np.empty_like(X)
+    dmin = np.empty(X.shape[-1])
+    _PairForces(*X.shape, potential).accelerate(X, A, dmin)
+    return _row_major(A), dmin
+
+
+def _min_pair_distance(x: np.ndarray) -> np.ndarray:
+    X = _component_major(x)
+    dmin = np.full(X.shape[-1], np.inf)
+    pairs = _PairForces(*X.shape, None)
+    if pairs.pairs:
+        pairs.displace(X)
+        pairs.min_distance(dmin)
+    return dmin
 
 
 def _energy_batch(x: np.ndarray, v: np.ndarray, potential) -> np.ndarray:
-    N, n, _ = x.shape
     e = 0.5 * np.sum(v * v, axis=(1, 2))
-    for i in range(n):
-        for j in range(i + 1, n):
-            e += potential.value_batch(x[:, i, :] - x[:, j, :])
+    X = _component_major(x)
+    pairs = _PairForces(*X.shape, potential)
+    if pairs.pairs:
+        for values in pairs.values(X):
+            e += values
     return e
-
-
-def _verlet_step(x, v, acc, potential, dt, damping):
-    """One velocity Verlet step; dt may be scalar or (N, 1, 1)."""
-    v_half = v + 0.5 * dt * acc
-    x_new = x + dt * v_half
-    acc_new, dmin_new = _forces(x_new, potential)
-    v_new = v_half + 0.5 * dt * acc_new
-    if damping != 1.0:
-        v_new = damping * v_new
-    return x_new, v_new, acc_new, dmin_new
-
-def _rk4_step(x, v, acc, potential, dt, damping):
-    """One classical RK4 step; acc is _forces(x), so k1 costs nothing."""
-    k1v = acc
-    k2v, _ = _forces(x + 0.5 * dt * v, potential)
-    x3 = x + 0.5 * dt * (v + 0.5 * dt * k1v)
-    k3v, _ = _forces(x3, potential)
-    x4 = x + dt * (v + 0.5 * dt * k2v)
-    k4v, _ = _forces(x4, potential)
-    x_new = x + dt * v + dt * dt / 6.0 * (k1v + k2v + k3v)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if damping != 1.0:
-        v_new = damping * v_new
-    acc_new, dmin_new = _forces(x_new, potential)
-    return x_new, v_new, acc_new, dmin_new
-
-
-def _step_dispatch(x, v, acc, potential, dt, icfg: IntegratorConfig):
-    if icfg.scheme == "velocity_verlet":
-        return _verlet_step(x, v, acc, potential, dt, icfg.velocity_damping)
-    return _rk4_step(x, v, acc, potential, dt, icfg.velocity_damping)
 
 
 def _run_fixed(x, v, potential, t, icfg, recorder=None):
     """Advance every row by time t with fixed steps; returns (x, v, flags)."""
-    N = x.shape[0]
-    flags = np.zeros(N, dtype=np.int8)
     if t == 0.0:
-        return x.copy(), v.copy(), flags
+        return x.copy(), v.copy(), np.zeros(x.shape[0], dtype=np.int8)
     sgn = 1.0 if t > 0 else -1.0
     nsteps = int(math.floor(abs(t) / icfg.dt + 1e-12))
     rem = t - sgn * nsteps * icfg.dt
-    if nsteps + 1 > icfg.max_substeps:
-        raise SubstepLimitError(
-            f"{nsteps} fixed steps exceed the budget of {icfg.max_substeps}"
-        )
-    x, v = x.copy(), v.copy()
-    acc, dmin = _forces(x, potential)
-    live = dmin >= COINCIDENCE_THRESHOLD
-    flags[~live] = FLAG_SINGULAR
-    step_sizes = [sgn * icfg.dt] * nsteps
-    if abs(rem) > 1e-9 * max(1.0, abs(t)):
-        step_sizes.append(rem)
-    all_live = bool(live.all())
-    for k, h in enumerate(step_sizes):
-        if all_live:
-            x, v, acc, dminn = _step_dispatch(x, v, acc, potential, h, icfg)
-            if np.any(dminn < COINCIDENCE_THRESHOLD):
-                flags[dminn < COINCIDENCE_THRESHOLD] = FLAG_SINGULAR
-                live = flags == FLAG_OK
-                all_live = False
-        else:
-            if not np.any(live):
-                break
-            xn, vn, accn, dminn = _step_dispatch(
-                x[live], v[live], acc[live], potential, h, icfg
-            )
-            x[live], v[live], acc[live] = xn, vn, accn
-            newly_bad = np.zeros(N, dtype=bool)
-            newly_bad[live] = dminn < COINCIDENCE_THRESHOLD
-            flags[newly_bad] = FLAG_SINGULAR
-            live &= ~newly_bad
-        if recorder is not None:
-            tk = sgn * icfg.dt * (k + 1) if k < nsteps else t
-            recorder(tk, x, v)
-    return x, v, flags
+    total = nsteps + int(abs(rem) > 1e-9 * max(1.0, abs(t)))
+    if total > icfg.max_substeps:
+        raise SubstepLimitError(f"{total} fixed steps exceed the budget of {icfg.max_substeps}")
+    batch = _Batch(x, v, potential, icfg)
+    # a NaN distance at the start counts as a coincidence
+    batch.retire(~(batch.dmin >= COINCIDENCE_THRESHOLD), FLAG_SINGULAR)
+    for k in range(total):
+        if not batch.m:
+            break
+        batch.step(sgn * icfg.dt if k < nsteps else rem)
+        batch.retire_singular()
+        if recorder is not None and batch.m:
+            recorder(sgn * icfg.dt * (k + 1) if k < nsteps else t, batch.X, batch.V)
+    return batch.result()
 
 
 def _run_adaptive(x, v, potential, t, icfg, recorder=None):
     """Advance by t with per-row steps shrunk near pair coincidences."""
     N = x.shape[0]
-    out_x, out_v = x.copy(), v.copy()
-    flags = np.zeros(N, dtype=np.int8)
     if t == 0.0:
-        return out_x, out_v, flags
+        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
     sgn = 1.0 if t > 0 else -1.0
-    T = abs(t)
-    idx = np.arange(N)
-    xa, va = x.copy(), v.copy()
-    acc, dmin = _forces(xa, potential)
-    bad = dmin < COINCIDENCE_THRESHOLD
-    flags[idx[bad]] = FLAG_SINGULAR
-    keep = ~bad
-    idx, xa, va, acc, dmin = idx[keep], xa[keep], va[keep], acc[keep], dmin[keep]
-    remaining = np.full(idx.size, T)
-    steps = np.zeros(idx.size, dtype=np.int64)
-    elapsed = 0.0
-    while idx.size:
-        shrink = np.minimum(1.0, (dmin / icfg.reference_distance) ** 1.5)
-        h = icfg.dt * shrink
-        last = h >= remaining
-        h = np.where(last, remaining, h)
-        xa, va, acc, dmin = _step_dispatch(
-            xa, va, acc, potential, (sgn * h)[:, None, None], icfg,
-        )
-        steps += 1
-        remaining = np.where(last, 0.0, remaining - h)
+    batch = _Batch(x, v, potential, icfg)
+    remaining = batch.track(np.full(N, abs(t)))
+    batch.retire_singular()
+    buffers = np.empty((2, N)), np.empty((3, N), dtype=bool)
+    m, elapsed, taken = -1, 0.0, 0
+    while batch.m:
+        if batch.m != m:
+            m = batch.m
+            h, signed = buffers[0][:, :m]
+            last, singular, retire = buffers[1][:, :m]
+            rem = remaining[:m]
+        # every live row has taken the same number of steps
+        taken += 1
+        # h = dt min(1, (dmin / reference_distance)^1.5), clipped to what is left
+        np.power(np.divide(batch.dmin, icfg.reference_distance, out=h), 1.5, out=h)
+        np.multiply(np.minimum(h, 1.0, out=h), icfg.dt, out=h)
+        np.copyto(h, rem, where=np.greater_equal(h, rem, out=last))
+        batch.step(h if sgn > 0 else np.multiply(h, sgn, out=signed))
+        np.subtract(rem, h, out=rem)
         if recorder is not None:
             elapsed += float(h[0])
-            recorder(sgn * elapsed, xa, va)
-        hit_sing = dmin < COINCIDENCE_THRESHOLD
-        hit_budget = (steps >= icfg.max_substeps) & ~last & ~hit_sing
-        retire = last | hit_sing | hit_budget
-        if np.any(retire):
-            rows = retire.nonzero()[0]
-            out_x[idx[rows]] = xa[rows]
-            out_v[idx[rows]] = va[rows]
-            flags[idx[rows[hit_sing[rows]]]] = FLAG_SINGULAR
-            flags[idx[rows[hit_budget[rows]]]] = FLAG_SUBSTEP_LIMIT
-            keep = ~retire
-            idx, xa, va, acc = idx[keep], xa[keep], va[keep], acc[keep]
-            dmin, remaining, steps = dmin[keep], remaining[keep], steps[keep]
-    return out_x, out_v, flags
+            recorder(sgn * elapsed, batch.X, batch.V)
+        np.less(batch.dmin, COINCIDENCE_THRESHOLD, out=singular)
+        if taken >= icfg.max_substeps:
+            codes = np.where(singular, FLAG_SINGULAR, np.where(last, FLAG_OK, FLAG_SUBSTEP_LIMIT))
+            batch.retire(np.ones(m, dtype=bool), codes.astype(np.int8))
+        elif np.logical_or(last, singular, out=retire).any():
+            batch.retire(retire, singular.astype(np.int8))
+    return batch.result()
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +484,14 @@ def step(cfg: Configuration, potential, dt: float, scheme: str = "velocity_verle
     icfg = IntegratorConfig(scheme=scheme, dt=abs(dt) if dt != 0 else 1.0)
     if dt == 0.0:
         return cfg
-    acc, dmin = _forces(cfg.x[None], potential)
-    if dmin[0] < COINCIDENCE_THRESHOLD:
-        raise SingularityError(f"pair distance {dmin[0]:g} below threshold")
-    xn, vn, _, dminn = _step_dispatch(cfg.x[None], cfg.v[None], acc, potential, dt, icfg)
-    if dminn[0] < COINCIDENCE_THRESHOLD:
-        raise SingularityError(f"pair distance {dminn[0]:g} below threshold after step")
-    return Configuration(xn[0], vn[0])
+    batch = _Batch(cfg.x[None], cfg.v[None], potential, icfg)
+    if batch.dmin[0] < COINCIDENCE_THRESHOLD:
+        raise SingularityError(f"pair distance {batch.dmin[0]:g} below threshold")
+    batch.step(dt)
+    if batch.dmin[0] < COINCIDENCE_THRESHOLD:
+        raise SingularityError(f"pair distance {batch.dmin[0]:g} below threshold after step")
+    x, v, _ = batch.result()
+    return Configuration(x[0], v[0])
 
 
 def _raise_for_flag(flag: int):
@@ -346,10 +509,10 @@ def integrate(
     xs = [cfg.x.copy()]
     vs = [cfg.v.copy()]
 
-    def recorder(tk, xk, vk):
+    def recorder(tk, X, V):
         times.append(tk)
-        xs.append(xk[0].copy())
-        vs.append(vk[0].copy())
+        xs.append(X[..., 0].copy())
+        vs.append(V[..., 0].copy())
 
     runner = _run_adaptive if icfg.adaptive else _run_fixed
     _, _, flags = runner(cfg.x[None], cfg.v[None], potential, t_final, icfg, recorder)

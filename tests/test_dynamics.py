@@ -46,6 +46,12 @@ def two_body():
     )
 
 
+THREE_BODY = Configuration(
+    x=np.array([[0.3, -0.2], [-0.5, 0.4], [0.6, 0.7]]),
+    v=np.array([[0.1, 0.5], [-0.3, 0.2], [0.2, -0.4]]),
+)
+
+
 def phase_gap(a: Configuration, b: Configuration) -> float:
     return max(np.max(np.abs(a.x - b.x)), np.max(np.abs(a.v - b.v)))
 
@@ -91,6 +97,10 @@ def test_rk4_step_reuses_incoming_forces(two_body):
 
     pot = Counting(harmonic(2))
     flow_map(two_body, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
+    assert pot.calls == 1 + 4 * 10
+    # one force evaluation is one gradient_batch call for every pair
+    pot = Counting(harmonic(2))
+    flow_map(THREE_BODY, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
     assert pot.calls == 1 + 4 * 10
 
 
@@ -166,6 +176,21 @@ def test_trajectory_recording_and_csv(two_body, tmp_path):
         traj.to_csv(path, stride=0)
 
 
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("cfg", [pytest.param("two", id="n2"), pytest.param("three", id="n3")])
+def test_integrate_records_the_flow_bitwise(scheme, cfg, two_body):
+    cfg = two_body if cfg == "two" else THREE_BODY
+    pot = gaussian_well(2, depth=1.3, width=0.8)
+    icfg = IntegratorConfig(scheme=scheme, dt=1e-3)
+    # 12 whole steps and a remainder step
+    traj = integrate(cfg, pot, -0.0125, icfg)
+    assert traj.times.size == 14
+    for k in range(1, traj.times.size):
+        want = flow_map(cfg, float(traj.times[k]), pot, icfg)
+        np.testing.assert_array_equal(traj.x[k], want.x)
+        np.testing.assert_array_equal(traj.v[k], want.v)
+
+
 def test_adaptive_close_encounter_conserves_energy():
     pot = repulsive_power(2, exponent=1.0)
     cfg = Configuration(
@@ -196,6 +221,15 @@ def test_fixed_step_budget_raises():
     cfg = Configuration(np.zeros((2, 2)), np.ones((2, 2)))
     with pytest.raises(SubstepLimitError):
         flow_map(cfg, 1.0, pot, IntegratorConfig(dt=1e-3, max_substeps=10))
+
+
+@pytest.mark.parametrize("t, steps", [(0.01, 10), (0.0105, 11)])
+def test_fixed_step_budget_counts_steps_taken(t, steps, two_body):
+    # 0.01 is ten whole steps with no remainder step; 0.0105 takes one
+    pot = harmonic(2)
+    flow_map(two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps))
+    with pytest.raises(SubstepLimitError, match=f"{steps} fixed steps"):
+        flow_map(two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps - 1))
 
 
 def test_coincident_rows_freeze_with_singular_flag():
@@ -255,3 +289,143 @@ def test_velocity_damping_dissipates(two_body):
     pot = harmonic(2)
     out = flow_map(two_body, 1.0, pot, IntegratorConfig(dt=1e-3, velocity_damping=0.99))
     assert energy(out, pot) < energy(two_body, pot)
+
+
+# -- bitwise oracle: the row-major (N, n, d) integrator, one row at a time
+
+
+def _reference_forces(x, potential):
+    N, n, _ = x.shape
+    acc = np.zeros_like(x)
+    dmin = np.full(N, np.inf)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rij = x[:, i, :] - x[:, j, :]
+            g = potential.gradient_batch(rij)
+            acc[:, i, :] -= g
+            acc[:, j, :] += g
+            np.minimum(dmin, np.sqrt(np.sum(rij * rij, axis=-1)), out=dmin)
+    return acc, dmin
+
+
+def _reference_verlet(x, v, acc, potential, dt, damping):
+    v_half = v + 0.5 * dt * acc
+    x_new = x + dt * v_half
+    acc_new, dmin_new = _reference_forces(x_new, potential)
+    v_new = v_half + 0.5 * dt * acc_new
+    if damping != 1.0:
+        v_new = damping * v_new
+    return x_new, v_new, acc_new, dmin_new
+
+
+def _reference_rk4(x, v, acc, potential, dt, damping):
+    k1v = acc
+    k2v, _ = _reference_forces(x + 0.5 * dt * v, potential)
+    x3 = x + 0.5 * dt * (v + 0.5 * dt * k1v)
+    k3v, _ = _reference_forces(x3, potential)
+    x4 = x + dt * (v + 0.5 * dt * k2v)
+    k4v, _ = _reference_forces(x4, potential)
+    x_new = x + dt * v + dt * dt / 6.0 * (k1v + k2v + k3v)
+    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    if damping != 1.0:
+        v_new = damping * v_new
+    acc_new, dmin_new = _reference_forces(x_new, potential)
+    return x_new, v_new, acc_new, dmin_new
+
+
+def _reference_flow_row(x, v, potential, t, icfg):
+    """Flow one (n, d) state; returns (x, v, flag) with the state frozen
+    at the step that raised the flag."""
+    step = _reference_verlet if icfg.scheme == "velocity_verlet" else _reference_rk4
+    damping = icfg.velocity_damping
+    x, v = x[None], v[None]
+    acc, dmin = _reference_forces(x, potential)
+    if dmin[0] < 1e-12:
+        return x[0], v[0], FLAG_SINGULAR
+    sgn = 1.0 if t > 0 else -1.0
+    if icfg.adaptive:
+        remaining = np.array([abs(t)])
+        for taken in range(1, icfg.max_substeps + 1):
+            h = icfg.dt * np.minimum(1.0, (dmin / icfg.reference_distance) ** 1.5)
+            last = h >= remaining
+            h = np.where(last, remaining, h)
+            x, v, acc, dmin = step(x, v, acc, potential, (sgn * h)[:, None, None], damping)
+            remaining = remaining - h
+            if dmin[0] < 1e-12:
+                return x[0], v[0], FLAG_SINGULAR
+            if last[0]:
+                return x[0], v[0], FLAG_OK
+        return x[0], v[0], FLAG_SUBSTEP_LIMIT
+    nsteps = int(math.floor(abs(t) / icfg.dt + 1e-12))
+    rem = t - sgn * nsteps * icfg.dt
+    sizes = [sgn * icfg.dt] * nsteps + ([rem] if abs(rem) > 1e-9 * max(1.0, abs(t)) else [])
+    for h in sizes:
+        x, v, acc, dmin = step(x, v, acc, potential, h, damping)
+        if dmin[0] < 1e-12:
+            return x[0], v[0], FLAG_SINGULAR
+    return x[0], v[0], FLAG_OK
+
+
+def _assert_matches_reference(x, v, potential, t, icfg):
+    got = flow_batch(x, v, potential, t, icfg)
+    rows = [_reference_flow_row(x[k], v[k], potential, t, icfg) for k in range(x.shape[0])]
+    np.testing.assert_array_equal(got[0], np.stack([r[0] for r in rows]))
+    np.testing.assert_array_equal(got[1], np.stack([r[1] for r in rows]))
+    np.testing.assert_array_equal(got[2], np.array([r[2] for r in rows], dtype=np.int8))
+    return got[2]
+
+
+class Untagged:
+    """A potential without a kind, so that flow_batch steps even free flow."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def gradient_batch(self, r):
+        return self.base.gradient_batch(r)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t", [0.0305, -0.0305])
+@pytest.mark.parametrize("damping", [1.0, 0.99])
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_flow_batch_matches_row_major_reference_bitwise(adaptive, scheme, damping, t, n):
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1.0, 1.0, (12, n, 2))
+    v = rng.uniform(-1.0, 1.0, (12, n, 2))
+    x[3, 1] = x[3, 0]  # coincident at the start
+    # a head-on pair that closes to 2e-3 within the run
+    x[5, 0], x[5, 1] = [-0.03, 0.001], [0.03, -0.001]
+    v[5, 0], v[5, 1] = [2.0, 0.0], [-2.0, 0.0]
+    icfg = IntegratorConfig(
+        scheme=scheme, dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=40,
+    )
+    flags = _assert_matches_reference(x, v, repulsive_power(2, exponent=1.0), t, icfg)
+    assert flags[3] == FLAG_SINGULAR
+    # 31 steps cover |t|; the encounter needs more than 40 adaptive substeps
+    assert flags[5] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
+
+
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_flagged_rows_freeze_like_the_reference(adaptive, scheme):
+    # force-free flow on a dyadic grid is exact: row 1 closes 2 dt per step
+    # and meets at step 10, row 2 sits below reference_distance and crawls
+    dt = 2.0**-10
+    x = np.zeros((4, 2, 2))
+    v = np.zeros((4, 2, 2))
+    x[:, 0, 0], x[:, 1, 0] = -0.5, 0.5
+    v[[0, 3], 0, 1] = 1.0
+    x[1, 0, 0], x[1, 1, 0] = -10 * dt, 10 * dt
+    v[1, 0, 0], v[1, 1, 0] = 1.0, -1.0
+    x[2, 1, 0] = x[2, 0, 0] + 2.0**-24
+    icfg = IntegratorConfig(
+        scheme=scheme, dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
+    )
+    flags = _assert_matches_reference(x, v, Untagged(free_potential(2)), 0.02, icfg)
+    xo, _, _ = flow_batch(x, v, Untagged(free_potential(2)), 0.02, icfg)
+    assert flags[1] == FLAG_SINGULAR
+    np.testing.assert_array_equal(xo[1, 0], xo[1, 1])
+    assert flags[2] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
+    assert flags[0] == flags[3] == FLAG_OK
