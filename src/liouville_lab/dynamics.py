@@ -301,11 +301,15 @@ class _Batch:
             vec[:k] = vec[keep]
         self._resize(k)
 
+    def singular(self, out=None) -> np.ndarray:
+        """Live rows whose min pair distance is below the threshold or NaN."""
+        return np.logical_not(np.greater_equal(self.dmin, COINCIDENCE_THRESHOLD, out=out), out=out)
+
     def retire_singular(self) -> None:
-        """Freeze rows whose min pair distance fell below the threshold."""
-        # fmin skips NaN, so this is any(dmin < threshold) in one pass
-        if self.m and np.fmin.reduce(self.dmin) < COINCIDENCE_THRESHOLD:
-            self.retire(self.dmin < COINCIDENCE_THRESHOLD, FLAG_SINGULAR)
+        """Freeze the `singular` rows with FLAG_SINGULAR."""
+        # minimum propagates NaN, so this is any(singular) in one pass
+        if self.m and not np.minimum.reduce(self.dmin) >= COINCIDENCE_THRESHOLD:
+            self.retire(self.singular(), FLAG_SINGULAR)
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Final (N, n, d) states of every row, frozen or live, and flags."""
@@ -409,8 +413,7 @@ def _run_fixed(x, v, potential, t, icfg, recorder=None):
     if total > icfg.max_substeps:
         raise SubstepLimitError(f"{total} fixed steps exceed the budget of {icfg.max_substeps}")
     batch = _Batch(x, v, potential, icfg)
-    # a NaN distance at the start counts as a coincidence
-    batch.retire(~(batch.dmin >= COINCIDENCE_THRESHOLD), FLAG_SINGULAR)
+    batch.retire_singular()
     for k in range(total):
         if not batch.m:
             break
@@ -449,7 +452,7 @@ def _run_adaptive(x, v, potential, t, icfg, recorder=None):
         if recorder is not None:
             elapsed += float(h[0])
             recorder(sgn * elapsed, batch.X, batch.V)
-        np.less(batch.dmin, COINCIDENCE_THRESHOLD, out=singular)
+        batch.singular(out=singular)
         if taken >= icfg.max_substeps:
             codes = np.where(singular, FLAG_SINGULAR, np.where(last, FLAG_OK, FLAG_SUBSTEP_LIMIT))
             batch.retire(np.ones(m, dtype=bool), codes.astype(np.int8))

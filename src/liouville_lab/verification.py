@@ -8,6 +8,8 @@ passes iff
 and at most 1% of the ensemble was flagged during integration.  Every
 check also has a constructed failure mode (`negative_control=True`)
 that must fail; a check whose control passes is not measuring anything.
+Two checks have no control yet and hold their statistic to a pinned
+tolerance: `check_gradient_l1_decreasing` and `check_collision_scaling`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import dynamics, transport
+from . import dynamics, potentials, transport
 from .dynamics import IntegratorConfig, flow_batch, _forces, _energy_batch
 from .errors import CoverageError, DomainError
 from .potentials import (
@@ -46,6 +48,9 @@ from .transport import (
 )
 
 FLAGGED_FRACTION_LIMIT = 0.01
+# pinned budgets of the two checks without a negative control
+GRADIENT_RATIO_TOLERANCE = 1.05
+SLOPE_TOLERANCE = 0.3
 
 
 @dataclass
@@ -694,6 +699,59 @@ def _table_details(pots: Sequence[MollifiedPotential]) -> dict:
     }
 
 
+def check_gradient_l1_decreasing(
+    base,
+    kernel: MollifierKernel,
+    shrink: ShrinkFunction,
+    levels: Sequence[int],
+    r_inner: float,
+    r_outer: float,
+    n_samples: int,
+    seed: int,
+) -> CheckReport:
+    """Mollified gradients approach the true gradient in L1, level by level.
+
+    The L1 error of grad V_n - grad V on the annulus r_inner <= |r| <=
+    r_outer is estimated at each level (an increasing list of at least
+    two) from the same sample points, so consecutive estimates share
+    their randomness.  The statistic is the worst fine/coarse ratio of
+    consecutive errors, held to a pinned tolerance of 1.05, the slack
+    left for Monte Carlo jitter; std_error and bias_bound are 0.  This
+    check has no negative control yet and its budget is pinned, not
+    measured.  details: levels, errors and std_errors per level, ratios.
+    """
+    levels = list(levels)
+    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise DomainError("gradient convergence needs an increasing list of at least two levels")
+    started = time.perf_counter()
+    estimates = [
+        potentials.gradient_l1_error(
+            base, kernel, shrink, level, r_inner, r_outer, n_samples=n_samples, seed=seed
+        )
+        for level in levels
+    ]
+    errors = [est.estimate for est in estimates]
+    ratios = [fine / coarse for coarse, fine in zip(errors, errors[1:])]
+    return CheckReport.build(
+        check_name="gradient_l1_decreasing",
+        potential=base.describe(),
+        seed=seed,
+        sample_count=n_samples,
+        statistic=max(ratios),
+        std_error=0.0,
+        bias_bound=0.0,
+        tolerance=GRADIENT_RATIO_TOLERANCE,
+        flagged_fraction=0.0,
+        runtime_seconds=time.perf_counter() - started,
+        details={
+            "levels": levels,
+            "errors": errors,
+            "std_errors": [est.std_error for est in estimates],
+            "ratios": ratios,
+        },
+    )
+
+
 def check_mollification_cauchy(
     base,
     kernel: MollifierKernel,
@@ -793,6 +851,58 @@ def check_mollification_cauchy(
         },
     )
     return [cauchy, independence]
+
+
+# ---------------------------------------------------------------------------
+# collision boundary term
+
+
+def check_collision_scaling(
+    potential,
+    box: PhaseBox,
+    datum: InitialDatum,
+    count: int,
+    seed: int,
+    mus: Sequence[float],
+    pair: Sequence[int] = (0, 1),
+) -> CheckReport:
+    """The collision boundary term scales like mu^(d-1).
+
+    Samples the (box, seed) ensemble carrying datum, takes the boundary
+    term of the pair at every cutoff radius in mus and fits the log-log
+    slope by least squares.  The samples are not flowed: the term is a
+    property of the density, and potential only names the report.  The
+    statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
+    std_error and bias_bound are 0.  With fewer than two radii the slope
+    is nan and the check fails.  This check has no negative control yet
+    and its budget is pinned, not measured.  details: mus, terms and
+    std_errors per radius, fitted_slope, expected_slope.
+    """
+    started = time.perf_counter()
+    mus = list(mus)
+    e = sample_ensemble(box, count, datum, seed)
+    estimates = [transport.collision_boundary_term(e, mu, pair=pair) for mu in mus]
+    terms = [est.estimate for est in estimates]
+    slope = float(np.polyfit(np.log(mus), np.log(terms), 1)[0]) if len(mus) >= 2 else math.nan
+    return CheckReport.build(
+        check_name="collision_scaling_slope",
+        potential=potential.describe(),
+        seed=seed,
+        sample_count=count,
+        statistic=abs(slope - (box.d - 1)),
+        std_error=0.0,
+        bias_bound=0.0,
+        tolerance=SLOPE_TOLERANCE,
+        flagged_fraction=0.0,
+        runtime_seconds=time.perf_counter() - started,
+        details={
+            "mus": mus,
+            "terms": terms,
+            "std_errors": [est.std_error for est in estimates],
+            "fitted_slope": slope,
+            "expected_slope": box.d - 1,
+        },
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from liouville_lab import cli, verification
 from liouville_lab.errors import ConfigError
-from liouville_lab.estimates import MCEstimate
+from liouville_lab.potentials import MollifierKernel, ShrinkFunction, free_potential
+from liouville_lab.transport import InitialDatum, PhaseBox
 
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
 
@@ -48,6 +49,22 @@ def verify_config(out_dir, **over):
     }
     cfg.update(over)
     return cfg
+
+
+def report_stats(report_dicts):
+    return [
+        {k: v for k, v in json.loads(json.dumps(r)).items() if k != "runtime_seconds"}
+        for r in report_dicts
+    ]
+
+
+def read_reports(out):
+    return [json.loads(line) for line in (out / "reports.jsonl").read_text().strip().split("\n")]
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +188,76 @@ def test_verify_runs_the_library_suite(tmp_path):
         checks=order,
     )
 
-    def stats(report_dicts):
-        return [
-            {k: v for k, v in json.loads(json.dumps(r)).items() if k != "runtime_seconds"}
-            for r in report_dicts
-        ]
-
-    want = stats(standalone[name].to_json_dict() for name in order)
-    assert stats(r.to_json_dict() for r in suite) == want
+    want = report_stats(standalone[name].to_json_dict() for name in order)
+    assert report_stats(r.to_json_dict() for r in suite) == want
     assert cli.main(["verify", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
-    lines = (tmp_path / "run" / "reports.jsonl").read_text().strip().split("\n")
-    assert stats(json.loads(line) for line in lines) == want
+    assert report_stats(read_reports(tmp_path / "run")) == want
     assert [r["check_name"] for r in want] == order
 
 
 def test_example_configs_load():
-    # schema drift check: every shipped config resolves without running
+    # schema drift check: every shipped config resolves without running,
+    # and every experiment ships at least one
     paths = sorted(CONFIGS.glob("*.json"))
-    assert paths
+    shipped = set()
     for path in paths:
         raw = json.loads(path.read_text())
         cfg = cli.load_config(raw, raw["experiment"], {})
         assert cfg.experiment == raw["experiment"], path.name
+        shipped.add(cfg.experiment)
+    assert shipped == set(cli.EXPERIMENTS)
+
+
+def test_converge_runs_the_library_checks(tmp_path):
+    out = tmp_path / "run"
+    raw = json.loads((CONFIGS / "converge_mollified.json").read_text())
+    code = cli.main(["converge", "--config", str(CONFIGS / "converge_mollified.json"),
+                     "--out", str(out), "--quiet"])
+    assert code == 0
+    reports = read_reports(out)
+    assert [r["check_name"] for r in reports] == [
+        "gradient_l1_decreasing", "mollification_cauchy", "mollification_kernel_independence",
+    ]
+    g = reports[0]["details"]
+    assert read_rows(out / "levels.csv") == [["level", "l1_error", "std_error"]] + [
+        [str(level), f"{err:.17g}", f"{se:.17g}"]
+        for level, err, se in zip(g["levels"], g["errors"], g["std_errors"])
+    ]
+    cfg = cli.load_config(raw, "converge", {})
+    sec = cfg.section
+    kernel = MollifierKernel(d=2, power=sec["kernel_power"])
+    shrink = ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
+    direct = [
+        verification.check_gradient_l1_decreasing(
+            cfg.potential, kernel, shrink, sec["levels"], sec["r_inner"], sec["r_outer"],
+            n_samples=sec["gradient_samples"], seed=cfg.seed,
+        )
+    ] + verification.check_mollification_cauchy(
+        cfg.potential, kernel, shrink, cfg.box, t=sec["flow_t"], count=sec["flow_count"],
+        seed=cfg.seed, icfg=cfg.icfg, levels=sec["levels"],
+    )
+    assert report_stats(reports) == report_stats(r.to_json_dict() for r in direct)
+
+
+def test_scaling_runs_the_library_check(tmp_path):
+    out = tmp_path / "run"
+    raw = json.loads((CONFIGS / "scaling_collisions_d2.json").read_text())
+    raw["ensemble"]["count"] = 200_000
+    raw["output"]["directory"] = str(out)
+    assert cli.main(["scaling", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
+    reports = read_reports(out)
+    assert [r["check_name"] for r in reports] == ["collision_scaling_slope"]
+    details = reports[0]["details"]
+    assert read_rows(out / "scaling.csv") == [["mu", "term", "std_error", "fitted_slope"]] + [
+        [f"{mu:.17g}", f"{term:.17g}", f"{se:.17g}", ""]
+        for mu, term, se in zip(details["mus"], details["terms"], details["std_errors"])
+    ] + [["fit", "", "", f"{details['fitted_slope']:.17g}"]]
+    cfg = cli.load_config(raw, "scaling", {})
+    direct = verification.check_collision_scaling(
+        cfg.potential, cfg.box, cfg.datum, cfg.count, cfg.seed, cfg.section["mus"],
+        pair=cfg.section["pair"],
+    )
+    assert report_stats(reports) == report_stats([direct.to_json_dict()])
 
 
 def test_resolved_config_round_trips(tmp_path):
@@ -233,33 +298,39 @@ def test_residual_experiment_end_to_end(tmp_path):
 # scaling table writer
 
 
-def fake_estimate(value):
-    return MCEstimate(estimate=value, std_error=0.1 * value, sample_count=10)
-
-
 def test_emit_scaling_table_formats(tmp_path):
     path = tmp_path / "scaling.csv"
-    mus = [0.4, 0.2]
-    slope = cli.emit_scaling_table(path, mus, [fake_estimate(0.4**2), fake_estimate(0.2**2)])
-    assert slope == pytest.approx(2.0, abs=1e-12)
+    details = {
+        "mus": [0.4, 0.2],
+        "terms": [0.4**2, 0.2**2],
+        "std_errors": [0.1 * 0.4**2, 0.1 * 0.2**2],
+        "fitted_slope": 2.0,
+    }
+    cli.emit_scaling_table(path, details)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["mu", "term", "std_error", "fitted_slope"]
     assert len(rows) == 4
     assert rows[1][0] == "0.40000000000000002" and rows[1][3] == ""
-    assert rows[3][0] == "fit" and float(rows[3][3]) == pytest.approx(2.0)
+    assert rows[3][0] == "fit" and float(rows[3][3]) == 2.0
 
 
 def test_emit_scaling_table_degenerate_sweeps(tmp_path):
+    # the check fits nothing and fails on fewer than two radii; the table
+    # still records what was swept
+    box = PhaseBox.centered(d=2, n=2, x_half=1.0, v_half=1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
     path = tmp_path / "scaling.csv"
-    slope = cli.emit_scaling_table(path, [], [])
-    assert math.isnan(slope)
+    empty = verification.check_collision_scaling(free_potential(2), box, datum, 1000, 1, [])
+    assert math.isnan(empty.details["fitted_slope"]) and not empty.passed
+    cli.emit_scaling_table(path, empty.details)
     assert path.read_text().strip() == "mu,term,std_error,fitted_slope"
-    slope = cli.emit_scaling_table(path, [0.4], [fake_estimate(1.0)])
-    assert math.isnan(slope)
+    single = verification.check_collision_scaling(free_potential(2), box, datum, 1000, 1, [0.4])
+    assert math.isnan(single.details["fitted_slope"]) and not single.passed
+    cli.emit_scaling_table(path, single.details)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert len(rows) == 3 and rows[2][0] == "fit"
+    assert len(rows) == 3 and rows[2][0] == "fit" and rows[2][3] == "nan"
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +379,42 @@ def test_verify_requires_checks(tmp_path):
 
 
 def test_type_errors_exit_two(tmp_path):
-    cfg = simulate_config(tmp_path / "run", dynamics={"dt": "fast"})
-    assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-    cfg = simulate_config(tmp_path / "run", dynamics={"adaptive": 1})
-    assert cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
+    # every value is type-checked at load, before resolved_config.json
+    out = tmp_path / "run"
+    for experiment, section in [
+        ("simulate", {"dynamics": {"dt": "fast"}}),
+        ("simulate", {"dynamics": {"adaptive": 1}}),
+        ("scaling", {"scaling": {"mus": "0.4"}}),
+        ("scaling", {"scaling": {"pair": [0.0, 1.9]}}),
+        ("converge", {"converge": {"levels": "34"}}),
+        ("converge", {"converge": {"gradient_samples": "x"}}),
+        ("residual", {"residual": {"include_betas": "no"}}),
+        ("verify", {"verify": {"measure_count": 1.5}}),
+    ]:
+        cfg = {"experiment": experiment, "output": {"directory": str(out)}, **section}
+        code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
+        assert code == 2, section
+        assert not (out / "resolved_config.json").exists(), section
     with pytest.raises(ConfigError):
         cli.load_config({"experiment": "simulate", "n": True}, "simulate", {})
+
+
+def test_section_rules_exit_two_before_writing(tmp_path):
+    out = tmp_path / "run"
+    for experiment, section in [
+        ("simulate", {"simulate": {"x0": [[0.0, 0.0], [1.0]], "v0": [[0.0, 0.0]] * 2}}),
+        ("simulate", {"simulate": {"x0": [[0.0, 0.0]] * 3, "v0": [[0.0, 0.0]] * 2}}),
+        ("converge", {"converge": {"levels": [4, 3]}}),
+        ("converge", {"converge": {"levels": [4]}}),
+        ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),
+        ("scaling", {"scaling": {"pair": [1, 1]}}),
+        ("scaling", {"scaling": {"pair": [0, 2]}}),
+        ("scaling", {"ensemble": {"x_half": -1.0}}),
+    ]:
+        cfg = {"experiment": experiment, "output": {"directory": str(out)}, **section}
+        code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
+        assert code == 2, section
+        assert not (out / "resolved_config.json").exists(), section
 
 
 def test_runtime_failure_exits_three(tmp_path):

@@ -429,3 +429,24 @@ def test_flagged_rows_freeze_like_the_reference(adaptive, scheme):
     np.testing.assert_array_equal(xo[1, 0], xo[1, 1])
     assert flags[2] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
     assert flags[0] == flags[3] == FLAG_OK
+
+
+@pytest.mark.parametrize("kind", ["harmonic", "repulsive_power"])
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_nan_rows_are_singular_in_both_runners(adaptive, scheme, kind):
+    # one flag rule: a NaN min pair distance is a coincidence at once, so an
+    # adaptive run does not step a NaN row until its budget runs out
+    pot = harmonic(2) if kind == "harmonic" else repulsive_power(2, exponent=1.0)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1.0, 1.0, (5, 2, 2))
+    v = rng.uniform(-1.0, 1.0, (5, 2, 2))
+    x[2, 1, 0] = np.nan
+    icfg = IntegratorConfig(scheme=scheme, dt=1e-3, adaptive=adaptive, max_substeps=2000)
+    xo, vo, flags = flow_batch(x, v, pot, 0.0305, icfg)
+    assert flags[2] == FLAG_SINGULAR
+    others = [0, 1, 3, 4]
+    rows = [_reference_flow_row(x[k], v[k], pot, 0.0305, icfg) for k in others]
+    np.testing.assert_array_equal(xo[others], np.stack([r[0] for r in rows]))
+    np.testing.assert_array_equal(vo[others], np.stack([r[1] for r in rows]))
+    np.testing.assert_array_equal(flags[others], np.array([r[2] for r in rows], dtype=np.int8))

@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from liouville_lab import potentials, transport
 from liouville_lab.dynamics import IntegratorConfig
 from liouville_lab.errors import CoverageError, DomainError
+from liouville_lab.estimates import MCEstimate
 from liouville_lab.potentials import (
     MollifierKernel,
     ShrinkFunction,
@@ -32,7 +34,9 @@ from liouville_lab.transport import (
 from liouville_lab.verification import (
     FLAGGED_FRACTION_LIMIT,
     CheckReport,
+    check_collision_scaling,
     check_energy_invariance,
+    check_gradient_l1_decreasing,
     check_group_property,
     check_measure_preservation,
     check_mollification_cauchy,
@@ -498,3 +502,53 @@ def test_uniqueness_monotone_needs_compact_datum():
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
     with pytest.raises(DomainError):
         check_uniqueness_monotone(**uniqueness_kwargs(datum=datum))
+
+
+def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypatch):
+    # an exact mu^2 law fits slope 2 = d - 1 for d = 3 and fails d = 2; the
+    # term is looked up on the transport module, where tracing wraps it
+    calls = []
+
+    def squared(e, mu, pair=(0, 1)):
+        calls.append((mu, tuple(pair)))
+        return MCEstimate(estimate=mu**2, std_error=0.1 * mu**2, sample_count=10)
+
+    monkeypatch.setattr(transport, "collision_boundary_term", squared)
+    mus = [0.4, 0.2, 0.1]
+    for d, passed in ((3, True), (2, False)):
+        box = PhaseBox.centered(d=d, n=3, x_half=1.0, v_half=1.0)
+        datum = InitialDatum(kind="constant", center=np.zeros(6 * d), width=1.0)
+        calls.clear()
+        rep = check_collision_scaling(free_potential(d), box, datum, 100, 1, mus, pair=(0, 2))
+        assert calls == [(mu, (0, 2)) for mu in mus]
+        assert rep.check_name == "collision_scaling_slope"
+        assert rep.details["fitted_slope"] == pytest.approx(2.0, abs=1e-12)
+        assert rep.details["expected_slope"] == d - 1
+        assert rep.details["terms"] == [mu**2 for mu in mus]
+        assert rep.details["std_errors"] == [0.1 * mu**2 for mu in mus]
+        assert rep.statistic == pytest.approx(abs(2.0 - (d - 1)), abs=1e-12)
+        assert rep.passed is passed
+
+
+def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
+    # the errors are looked up on the potentials module, where tracing wraps it
+    base = repulsive_power(d=2, exponent=0.5)
+    kernel, shrink = MollifierKernel(d=2), ShrinkFunction()
+    for errors, passed in (([1.0, 0.25, 0.26], True), ([1.0, 0.25, 0.27], False)):
+        table = dict(zip((3, 4, 5), errors))
+        monkeypatch.setattr(
+            potentials, "gradient_l1_error",
+            lambda b, k, s, level, r_in, r_out, n_samples, seed: MCEstimate(
+                estimate=table[level], std_error=0.01 * table[level]
+            ),
+        )
+        rep = check_gradient_l1_decreasing(base, kernel, shrink, [3, 4, 5], 0.5, 2.0, 100, 1)
+        assert rep.check_name == "gradient_l1_decreasing"
+        assert rep.statistic == max(errors[1] / errors[0], errors[2] / errors[1])
+        assert rep.tolerance == 1.05 and rep.std_error == rep.bias_bound == 0.0
+        assert rep.details["errors"] == errors
+        assert rep.details["std_errors"] == [0.01 * e for e in errors]
+        assert rep.passed is passed
+    for levels in ([3], [3, 3], [4, 3]):
+        with pytest.raises(DomainError):
+            check_gradient_l1_decreasing(base, kernel, shrink, levels, 0.5, 2.0, 100, 1)
