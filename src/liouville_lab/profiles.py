@@ -61,7 +61,13 @@ def smooth_step_down(s):
     out[s >= 2.0] = 0.0
     m = (s > 1.0) & (s < 2.0)
     if np.any(m):
-        out[m] = 1.0 - bump_incomplete(2.0 * s[m] - 3.0) / BUMP_MASS
+        # b is even, so the mass right of w equals the mass left of -w.
+        # Integrating only over [-1, -|w|] keeps the quadrature on the short
+        # side: 1 - F(w)/M with w near 1 would subtract two nearly equal
+        # numbers and leave O(1e-12) negative or non-monotone values.
+        w = 2.0 * s[m] - 3.0
+        near = bump_incomplete(-np.abs(w)) / BUMP_MASS
+        out[m] = np.where(w > 0.0, near, 1.0 - near)
     return out
 
 

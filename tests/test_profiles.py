@@ -73,3 +73,12 @@ def test_smooth_step_down_monotone_range(s):
     later = float(smooth_step_down(np.array(s + 0.25)))
     assert 0.0 <= val <= 1.0
     assert later <= val + 1e-15
+
+
+def test_smooth_step_down_exact_range_and_monotone_near_ends():
+    # the falsifying example once gave -7.9e-13 from quadrature round-off
+    assert smooth_step_down(np.array(1.9921875)) >= 0.0
+    s = np.linspace(0.9, 2.1, 120001)
+    out = smooth_step_down(s)
+    assert out.min() >= 0.0 and out.max() <= 1.0
+    assert np.all(np.diff(out) <= 0.0)
