@@ -9,6 +9,15 @@ advanced by one step; the count comes from the rows the potential's
 `gradient_batch` sees (one force evaluation per Verlet step, four per
 RK4 step, plus the initial one), so adaptive substeps are counted too.
 
+The "walks" rows time the Simpson walk of the flow-axiom suite: velocity
+Verlet over t = 0.25 with 129 evenly spaced stops, on harmonic with
+fixed steps and repulsive_power with fixed and adaptive steps.  (Adaptive
+steps on a smooth potential crawl through near coincidences for
+millions of substeps, so that case is left out.)  "stopped" is one
+flow_batch call pausing at every stop, "straight" one call over t with
+no stop, and "restarted" one call per leg between two stops, each
+starting with its own force evaluation (not counted as a step).
+
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
 Single-threaded BLAS/numpy is assumed; set OMP_NUM_THREADS=1 and friends
@@ -80,6 +89,55 @@ def measure(kind: str, scheme: str, mode: str, count: int, steps: int, repeats: 
     }
 
 
+WALK_T = 0.25
+WALK_STOPS = 129
+WALK_CASES = (("harmonic", "fixed"), ("repulsive_power", "fixed"), ("repulsive_power", "adaptive"))
+
+
+def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
+    x, v = ensemble(count, seed)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=mode == "adaptive")
+    stops = np.linspace(0.0, WALK_T, WALK_STOPS)
+    pot = CountingRows(KINDS[kind]())
+
+    def straight():
+        flow_batch(x, v, pot, WALK_T, icfg)
+        return 1
+
+    def stopped():
+        flow_batch(x, v, pot, WALK_T, icfg, stops=stops, observe=lambda stop, batch: None)
+        return 1
+
+    def restarted():
+        cx, cv, now = x, v, 0.0
+        for stop in stops[1:]:
+            cx, cv, _ = flow_batch(cx, cv, pot, stop - now, icfg)
+            now = stop
+        return stops.size - 1
+
+    per, sample_steps = {}, {}
+    for name, walk in (("straight", straight), ("stopped", stopped), ("restarted", restarted)):
+        walls = []
+        for _ in range(repeats):
+            pot.rows = 0
+            started = time.perf_counter()
+            starts = walk()
+            walls.append(time.perf_counter() - started)
+        sample_steps[name] = pot.rows - starts * count
+        ns = [1e9 * w / sample_steps[name] for w in walls]
+        per[name] = {"median": statistics.median(ns), "min": min(ns)}
+    return {
+        "kind": kind,
+        "scheme": "velocity_verlet",
+        "mode": mode,
+        "rows": count,
+        "t": WALK_T,
+        "stops": WALK_STOPS,
+        "sample_steps": sample_steps,
+        "ns_per_sample_step": per,
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[5_000, 100_000])
@@ -94,13 +152,20 @@ def main() -> None:
         for scheme in SCHEMES
         for mode in MODES
     ]
+    walks = [
+        measure_walk(kind, mode, count, args.repeats, args.seed)
+        for count in args.sizes
+        for kind, mode in WALK_CASES
+    ]
     machine = {
         "cores": os.cpu_count(),
         "numpy": np.__version__,
         "python": platform.python_version(),
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
     }
-    print(json.dumps({"machine": machine, "repeats": args.repeats, "results": results}, indent=1))
+    print(json.dumps(
+        {"machine": machine, "repeats": args.repeats, "results": results, "walks": walks}, indent=1
+    ))
 
 
 if __name__ == "__main__":

@@ -244,6 +244,11 @@ def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> Non
         levels = sec["levels"]
         if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
             raise ConfigError(f"{path}.levels: need an increasing list of at least two levels")
+        try:
+            MollifierKernel(d=d, power=sec["kernel_power"])
+            ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
+        except LiouvilleLabError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
     elif experiment == "scaling":
         if len(sec["mus"]) < 2 or any(m <= 0 for m in sec["mus"]):
             raise ConfigError(f"{path}.mus: need at least two positive radii")

@@ -24,6 +24,17 @@ textbook form (`v + 0.5 dt a`, then `x + dt v`, ...), and rows that are
 frozen by a flag leave the batch, so results are bitwise those of
 stepping each row on its own (numpy sums fewer than 8 components left
 to right, which holds for d < 8).
+
+A flow may pause at stops on its way to t.  The legs between stops are
+stepped one after another on the same batch, and each takes exactly the
+steps of a flow over that leg alone: fixed steps count and budget per
+leg, and adaptive steps are clipped to what is left of the leg.  An
+adaptive row that finishes a leg early is parked behind the active rows
+until the leg ends.  At each stop an observer sees the live batch,
+including the forces of its last step.  Parking and retiring move rows
+by swapping columns, so the batch keeps no input order: `idx` maps each
+column back to its input row, and every per-row result is scattered
+through it.
 """
 
 from __future__ import annotations
@@ -241,10 +252,13 @@ class _PairForces:
 class _Batch:
     """The rows of one flow still being integrated, component-major.
 
-    Columns [0, m) of the (n, d, N) buffers X, V, A (positions,
-    velocities, accelerations at X) and of the per-row vectors hold the
-    live rows in input order; `idx` maps them to input rows.  `retire`
-    freezes rows with a flag and compacts the rest to the front.
+    Columns [0, live) of the (n, d, N) buffers X, V, A (positions,
+    velocities, accelerations at X), of `dmin`, of `idx` (the input row
+    of each column) and of every `track`ed array hold the live rows, in
+    no particular order.  The first m of them are active: `step` and
+    `retire_singular` see only those.  An adaptive leg parks the rows that
+    finish it early behind the active ones (`park`) until the leg ends
+    (`unpark`).  `retire` freezes rows with a flag for good.
     """
 
     def __init__(self, x, v, potential, icfg: IntegratorConfig):
@@ -261,9 +275,11 @@ class _Batch:
         self._dmin = np.empty(N)
         self._idx = np.arange(N)
         self._coefs = np.empty((3, N))
-        self.tracked: list[np.ndarray] = []
+        # per-row arrays whose last axis follows the rows when they move
+        self._per_row = [self._X, self._V, self._A, self._dmin, self._idx]
         self.flags = np.zeros(N, dtype=np.int8)
         self._out = None
+        self.live = N
         self._resize(N)
         self.forces.accelerate(self.X, self.A, self.dmin)
 
@@ -276,13 +292,40 @@ class _Batch:
         self.forces.resize(m)
 
     def track(self, values: np.ndarray) -> np.ndarray:
-        """Register a per-row vector that `retire` compacts with the state."""
-        self.tracked.append(values)
+        """Register an array with one column per row (last axis N) that
+        moves with the rows."""
+        self._per_row.append(values)
         return values
 
-    def retire(self, mask: np.ndarray, flag) -> None:
-        """Freeze the live rows in mask with flag (a scalar or a per-row
-        array) and compact the others to the front, keeping their order."""
+    def _swap_out(self, mask: np.ndarray) -> int:
+        """Move the active rows in mask behind the other active rows,
+        which then form the new active range; returns how many moved."""
+        k = int(np.count_nonzero(mask))
+        cut = self.m - k
+        # rows in mask ahead of the cut trade places with rows not in
+        # mask behind it, so only 2 min(k, m - k) columns move
+        ahead = np.flatnonzero(mask[:cut])
+        if ahead.size:
+            behind = cut + np.flatnonzero(~mask[cut:])
+            dst = np.concatenate([ahead, behind])
+            src = np.concatenate([behind, ahead])
+            for values in self._per_row:
+                values[..., dst] = values[..., src]
+        self._resize(cut)
+        return k
+
+    def park(self, mask: np.ndarray) -> None:
+        """Stop stepping the active rows in mask until `unpark`."""
+        if mask.any():
+            self._swap_out(mask)
+
+    def unpark(self) -> None:
+        """Make every live row active again."""
+        self._resize(self.live)
+
+    def retire(self, mask: np.ndarray, flag: int) -> None:
+        """Freeze the active rows in mask with flag and drop them from
+        the batch."""
         rows = np.flatnonzero(mask)
         if rows.size == 0:
             return
@@ -292,36 +335,38 @@ class _Batch:
         src = self.idx[rows]
         self._out[0][src] = np.moveaxis(self.X[..., rows], -1, 0)
         self._out[1][src] = np.moveaxis(self.V[..., rows], -1, 0)
-        self.flags[src] = flag if np.ndim(flag) == 0 else flag[rows]
-        keep = np.flatnonzero(~mask)
-        k = keep.size
-        for buf in (self._X, self._V, self._A):
-            buf[..., :k] = buf[..., keep]
-        for vec in (self._dmin, self._idx, *self.tracked):
-            vec[:k] = vec[keep]
-        self._resize(k)
-
-    def singular(self, out=None) -> np.ndarray:
-        """Live rows whose min pair distance is below the threshold or NaN."""
-        return np.logical_not(np.greater_equal(self.dmin, COINCIDENCE_THRESHOLD, out=out), out=out)
+        self.flags[src] = flag
+        k = self._swap_out(mask)
+        # the frozen rows now sit at [m, m + k), ahead of the parked ones;
+        # the last parked rows take their place
+        moved = min(k, self.live - self.m - k)
+        if moved:
+            for values in self._per_row:
+                values[..., self.m : self.m + moved] = values[..., self.live - moved : self.live]
+        self.live -= k
 
     def retire_singular(self) -> None:
-        """Freeze the `singular` rows with FLAG_SINGULAR."""
-        # minimum propagates NaN, so this is any(singular) in one pass
+        """Freeze with FLAG_SINGULAR the active rows whose min pair
+        distance is below the threshold or NaN."""
+        # minimum propagates NaN, so this tests for such a row in one pass
         if self.m and not np.minimum.reduce(self.dmin) >= COINCIDENCE_THRESHOLD:
-            self.retire(self.singular(), FLAG_SINGULAR)
+            self.retire(~(self.dmin >= COINCIDENCE_THRESHOLD), FLAG_SINGULAR)
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Final (N, n, d) states of every row, frozen or live, and flags."""
+        """Fresh (N, n, d) states of every row in input order, live rows
+        scattered by idx and frozen ones as they retired, and the flags."""
+        shape = (self.N,) + self._X.shape[:2]
         if self._out is None:
-            return _row_major(self.X), _row_major(self.V), self.flags
-        out_x, out_v = self._out
-        out_x[self.idx] = np.moveaxis(self.X, -1, 0)
-        out_v[self.idx] = np.moveaxis(self.V, -1, 0)
-        return out_x, out_v, self.flags
+            out_x, out_v = np.empty(shape), np.empty(shape)
+        else:
+            out_x, out_v = self._out[0].copy(), self._out[1].copy()
+        live = self._idx[: self.live]
+        out_x[live] = np.moveaxis(self._X[..., : self.live], -1, 0)
+        out_v[live] = np.moveaxis(self._V[..., : self.live], -1, 0)
+        return out_x, out_v, self.flags.copy()
 
     def step(self, h) -> None:
-        """Advance every live row by h, a scalar or one step per row."""
+        """Advance every active row by h, a scalar or one step per row."""
         if self.rk4:
             if isinstance(h, np.ndarray):
                 half, sixth, sq_sixth = self.coefs
@@ -402,63 +447,86 @@ def _energy_batch(x: np.ndarray, v: np.ndarray, potential) -> np.ndarray:
     return e
 
 
-def _run_fixed(x, v, potential, t, icfg, recorder=None):
-    """Advance every row by time t with fixed steps; returns (x, v, flags)."""
-    if t == 0.0:
-        return x.copy(), v.copy(), np.zeros(x.shape[0], dtype=np.int8)
-    sgn = 1.0 if t > 0 else -1.0
-    nsteps = int(math.floor(abs(t) / icfg.dt + 1e-12))
-    rem = t - sgn * nsteps * icfg.dt
-    total = nsteps + int(abs(rem) > 1e-9 * max(1.0, abs(t)))
+def _fixed_plan(leg: float, icfg: IntegratorConfig) -> tuple[float, int, float, int]:
+    """(sign, whole steps, remainder, steps taken) of a fixed-step leg;
+    raises if the steps taken exceed the budget."""
+    sgn = 1.0 if leg > 0 else -1.0
+    nsteps = int(math.floor(abs(leg) / icfg.dt + 1e-12))
+    rem = leg - sgn * nsteps * icfg.dt
+    total = nsteps + int(abs(rem) > 1e-9 * max(1.0, abs(leg)))
     if total > icfg.max_substeps:
         raise SubstepLimitError(f"{total} fixed steps exceed the budget of {icfg.max_substeps}")
-    batch = _Batch(x, v, potential, icfg)
-    batch.retire_singular()
-    for k in range(total):
-        if not batch.m:
-            break
-        batch.step(sgn * icfg.dt if k < nsteps else rem)
+    return sgn, nsteps, rem, total
+
+
+def _run_fixed(batch: _Batch, legs, icfg, recorder=None):
+    """Step each leg with fixed steps; yields after every leg."""
+    plans = [_fixed_plan(leg, icfg) for leg in legs]
+    for leg, (sgn, nsteps, rem, total) in zip(legs, plans):
+        if leg != 0.0:
+            batch.retire_singular()
+        for k in range(total):
+            if not batch.m:
+                break
+            batch.step(sgn * icfg.dt if k < nsteps else rem)
+            batch.retire_singular()
+            if recorder is not None and batch.m:
+                recorder(sgn * icfg.dt * (k + 1) if k < nsteps else leg, batch.X, batch.V)
+        yield
+
+
+def _run_adaptive(batch: _Batch, legs, icfg, recorder=None):
+    """Step each leg with per-row steps shrunk near pair coincidences;
+    rows that finish a leg early are parked until it ends."""
+    N = batch.N
+    remaining = batch.track(np.empty(N))
+    steps, masks = np.empty((2, N)), np.empty((2, N), dtype=bool)
+    for leg in legs:
+        if leg == 0.0:
+            yield
+            continue
         batch.retire_singular()
-        if recorder is not None and batch.m:
-            recorder(sgn * icfg.dt * (k + 1) if k < nsteps else t, batch.X, batch.V)
-    return batch.result()
+        sgn = 1.0 if leg > 0 else -1.0
+        remaining[: batch.m] = abs(leg)
+        m, elapsed, taken = -1, 0.0, 0
+        while batch.m:
+            if batch.m != m:
+                m = batch.m
+                h, signed = steps[:, :m]
+                last, near = masks[:, :m]
+                rem = remaining[:m]
+            # every active row has taken the same number of steps this leg
+            taken += 1
+            # h = dt min(1, (dmin / reference_distance)^1.5), which is dt
+            # unless dmin < reference_distance, clipped to what is left
+            h.fill(icfg.dt)
+            if np.less(batch.dmin, icfg.reference_distance, out=near).any():
+                rows = np.flatnonzero(near)
+                scale = np.power(batch.dmin[rows] / icfg.reference_distance, 1.5)
+                h[rows] = np.minimum(scale, 1.0, out=scale) * icfg.dt
+            np.copyto(h, rem, where=np.greater_equal(h, rem, out=last))
+            batch.step(h if sgn > 0 else np.multiply(h, sgn, out=signed))
+            # a row that took its last step has exactly 0 left, the others more
+            np.subtract(rem, h, out=rem)
+            if recorder is not None:
+                elapsed += float(h[0])
+                recorder(sgn * elapsed, batch.X, batch.V)
+            finished = last.any()
+            batch.retire_singular()
+            if taken >= icfg.max_substeps:
+                batch.retire(remaining[: batch.m] > 0.0, FLAG_SUBSTEP_LIMIT)
+            if finished and batch.m:
+                batch.park(remaining[: batch.m] == 0.0)
+        batch.unpark()
+        yield
 
 
-def _run_adaptive(x, v, potential, t, icfg, recorder=None):
-    """Advance by t with per-row steps shrunk near pair coincidences."""
-    N = x.shape[0]
-    if t == 0.0:
-        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
-    sgn = 1.0 if t > 0 else -1.0
-    batch = _Batch(x, v, potential, icfg)
-    remaining = batch.track(np.full(N, abs(t)))
-    batch.retire_singular()
-    buffers = np.empty((2, N)), np.empty((3, N), dtype=bool)
-    m, elapsed, taken = -1, 0.0, 0
-    while batch.m:
-        if batch.m != m:
-            m = batch.m
-            h, signed = buffers[0][:, :m]
-            last, singular, retire = buffers[1][:, :m]
-            rem = remaining[:m]
-        # every live row has taken the same number of steps
-        taken += 1
-        # h = dt min(1, (dmin / reference_distance)^1.5), clipped to what is left
-        np.power(np.divide(batch.dmin, icfg.reference_distance, out=h), 1.5, out=h)
-        np.multiply(np.minimum(h, 1.0, out=h), icfg.dt, out=h)
-        np.copyto(h, rem, where=np.greater_equal(h, rem, out=last))
-        batch.step(h if sgn > 0 else np.multiply(h, sgn, out=signed))
-        np.subtract(rem, h, out=rem)
-        if recorder is not None:
-            elapsed += float(h[0])
-            recorder(sgn * elapsed, batch.X, batch.V)
-        batch.singular(out=singular)
-        if taken >= icfg.max_substeps:
-            codes = np.where(singular, FLAG_SINGULAR, np.where(last, FLAG_OK, FLAG_SUBSTEP_LIMIT))
-            batch.retire(np.ones(m, dtype=bool), codes.astype(np.int8))
-        elif np.logical_or(last, singular, out=retire).any():
-            batch.retire(retire, singular.astype(np.int8))
-    return batch.result()
+def _run_drift(batch: _Batch, legs, icfg):
+    """The free flow in closed form, x + leg v for each leg."""
+    for leg in legs:
+        if leg != 0.0:
+            np.add(batch.X, np.multiply(batch.V, leg, out=batch.S[0]), out=batch.X)
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +585,11 @@ def integrate(
         xs.append(X[..., 0].copy())
         vs.append(V[..., 0].copy())
 
+    batch = _Batch(cfg.x[None], cfg.v[None], potential, icfg)
     runner = _run_adaptive if icfg.adaptive else _run_fixed
-    _, _, flags = runner(cfg.x[None], cfg.v[None], potential, t_final, icfg, recorder)
-    _raise_for_flag(int(flags[0]))
+    for _ in runner(batch, [t_final], icfg, recorder):
+        pass
+    _raise_for_flag(int(batch.flags[0]))
     x = np.stack(xs)
     v = np.stack(vs)
     return Trajectory(
@@ -541,25 +611,54 @@ def flow_map(cfg: Configuration, t: float, potential, icfg: IntegratorConfig) ->
 
 
 def flow_batch(
-    x: np.ndarray, v: np.ndarray, potential, t: float, icfg: IntegratorConfig
+    x: np.ndarray,
+    v: np.ndarray,
+    potential,
+    t: float,
+    icfg: IntegratorConfig,
+    *,
+    stops=(),
+    observe=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flow an (N, n, d) batch by time t; returns (x, v, flags).
 
     Flagged rows hold their state frozen at the moment of failure and
     must be excluded from downstream statistics.  The free potential is
     advanced in closed form, so its flow is exact to roundoff.
+
+    `stops` are times from 0 towards t, in order (repeats allowed).  The
+    flow pauses at each and calls observe(stop, batch) with the live
+    `_Batch`: column j of its (n, d, m) arrays X, V, A is input row
+    idx[j], and `flags` marks the rows frozen so far.  Each leg between
+    two stops takes exactly the steps of its own flow_batch call, so the
+    result equals flowing leg by leg, bitwise on unflagged rows; a row
+    flagged on one leg stays frozen with that flag for the rest.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     if x.shape != v.shape or x.ndim != 3:
         raise DomainError(f"batch shapes must match as (N, n, d), got {x.shape}, {v.shape}")
+    ends = [float(s) for s in stops] + [t]
+    legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
+    sgn = -1.0 if t < 0 else 1.0
+    if not all(sgn * leg >= 0.0 for leg in legs):
+        raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
     N = x.shape[0]
-    if t == 0.0:
-        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
-    if getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0:
-        return x + t * v, v.copy(), np.zeros(N, dtype=np.int8)
-    runner = _run_adaptive if icfg.adaptive else _run_fixed
-    return runner(x, v, potential, t, icfg)
+    closed_form = getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
+    if observe is None and (closed_form or not any(legs)):
+        # nothing to observe: the closed form needs no batch, whose
+        # transposes would cost more than x + leg v itself
+        out = x
+        for leg in legs:
+            if leg != 0.0:
+                out = out + leg * v
+        return out.copy() if out is x else out, v.copy(), np.zeros(N, dtype=np.int8)
+    batch = _Batch(x, v, potential, icfg)
+    runner = _run_drift if closed_form else _run_adaptive if icfg.adaptive else _run_fixed
+    for k, _ in enumerate(runner(batch, legs, icfg)):
+        if k < len(stops) and observe is not None:
+            observe(ends[k], batch)
+    return batch.result()
 
 
 def reversed_velocities(cfg: Configuration) -> Configuration:

@@ -125,15 +125,14 @@ class PairPotential:
         r = np.asarray(r, dtype=float)
         if r.shape[-1] != self.d:
             raise DomainError(f"expected last axis {self.d}, got shape {r.shape}")
-        rad = np.sqrt(np.sum(r * r, axis=-1))
-        safe = np.where(rad > 0.0, rad, 1.0)
         if self.kind == "free":
             return np.zeros_like(r)
         if self.kind == "harmonic":
             return self.strength * r
+        rad = np.sqrt(np.sum(r * r, axis=-1))
         if self.kind == "repulsive_power":
             a = self.exponent
-            coef = -self.strength * a * safe ** (-a - 2.0)
+            coef = -self.strength * a * np.where(rad > 0.0, rad, 1.0) ** (-a - 2.0)
             return np.where(rad[..., None] > 0.0, coef[..., None] * r, 0.0)
         if self.kind == "gaussian_well":
             w2 = self.width**2
@@ -142,7 +141,7 @@ class PairPotential:
         if self.kind == "piecewise_radial":
             # inner slope applies on the closed ball |r| <= r0
             slope = np.where(rad <= self.jump_radius, self.slope_inner, self.slope_outer)
-            coef = slope / safe
+            coef = slope / np.where(rad > 0.0, rad, 1.0)
             return np.where(rad[..., None] > 0.0, coef[..., None] * r, 0.0)
         raise DomainError(f"unknown potential kind {self.kind!r}")
 

@@ -340,29 +340,44 @@ class TestFunction:
         return tval, tprime, bvals, bprime
 
     def value(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        z = _flatten_phase(x, v)
-        tval, _, bvals, _ = self._axis_factors(t, z)
-        return tval * np.prod(bvals, axis=1)
+        """phi(t, x, v), evaluated only on the `support_mask` rows.
+
+        A row outside it has some |z_k - c_k| >= w_k, so its factor
+        b((z_k - c_k)/w_k) is exactly 0 and so is phi; NaN rows read 0.
+        """
+        N = x.shape[0]
+        out = np.zeros(N)
+        rows = self._support_rows(t, x, v)
+        if rows.size:
+            nd = self.n * self.d
+            z = np.concatenate([x.reshape(N, nd)[rows], v.reshape(N, nd)[rows]], axis=1)
+            tval = float(bump(np.asarray((t - self.t_center) / self.t_width)))
+            out[rows] = tval * np.prod(bump((z - self.centers) / self.widths), axis=1)
+        return out
 
     def support_mask(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Rows where phi(t, ., .) can be nonzero; cheap comparisons only.
+        """Rows where phi(t, ., .) can be nonzero; cheap comparisons only."""
+        inside = np.zeros(x.shape[0], dtype=bool)
+        inside[self._support_rows(t, x, v)] = True
+        return inside
+
+    def _support_rows(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Increasing indices of the `support_mask` rows.
 
         Each axis is compared only on the rows inside all earlier axes,
         which at 100k rows costs a quarter of comparing every axis of
         every row.
         """
         N = x.shape[0]
-        inside = np.zeros(N, dtype=bool)
         if abs(t - self.t_center) >= self.t_width:
-            return inside
+            return np.arange(0)
         nd = self.n * self.d
         halves = (x.reshape(N, nd), v.reshape(N, nd))
         rows = np.arange(N)
         for k in range(2 * nd):
             coord = halves[k // nd][rows, k % nd]
             rows = rows[np.abs(coord - self.centers[k]) < self.widths[k]]
-        inside[rows] = True
-        return inside
+        return rows
 
     def value_and_gradients(self, t: float, x: np.ndarray, v: np.ndarray):
         """(phi, d phi/dt, grad_x phi, grad_v phi) at scalar time t.

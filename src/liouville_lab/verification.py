@@ -361,12 +361,17 @@ class _Sample:
         return x, v, ok & (flags == dynamics.FLAG_OK)
 
     def walk(self, stops, icfg: IntegratorConfig):
-        """Yield (stop, state) at each of the increasing stop times,
-        flowing one leg from the previous stop (the first from 0)."""
-        state, now = self.start, 0.0
-        for stop in stops:
-            state, now = self.advance(state, stop - now, icfg), stop
-            yield stop, state
+        """[(stop, state)] at each of the increasing stop times, from one
+        flow that pauses at every stop."""
+        states = []
+
+        def keep(stop, batch):
+            x, v, flags = batch.result()
+            states.append((stop, (x, v, flags == dynamics.FLAG_OK)))
+
+        x0, v0, _ = self.start
+        flow_batch(x0, v0, self.potential, stops[-1], icfg, stops=stops, observe=keep)
+        return states
 
     def report(
         self, name: str, control: bool, statistic: float, tolerance: float, ok,
@@ -453,52 +458,65 @@ def _energy_invariance(
     )
 
 
-def _weak_ode(
-    sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig,
-    tolerance: float, control: bool, started: float,
-):
-    """Walk the Simpson nodes once, accumulating the defect as it goes;
-    returns the report and the state at t_final."""
+def _simpson_defects(sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig):
+    """Per-sample worst component of the Simpson sum of Y chi' + B(Y) chi
+    over the nodes and of its gap to the sum over every other node, from
+    one flow that pauses at the nodes; returns them and the final state."""
     if nodes < 5 or (nodes - 1) % 4 != 0:
         raise DomainError("node count must be 4 m + 1")
     t_mid, t_half = t_final / 2.0, t_final / 2.0
     times = np.linspace(0.0, t_final, nodes)
     w_full = transport.simpson_weights(nodes, 0.0, t_final)
     w_half = transport.simpson_weights((nodes + 1) // 2, 0.0, t_final)
-    x0, v0, _ = sample.start
-    defect = np.zeros((sample.count, 2) + x0.shape[1:])
-    defect_half = np.zeros_like(defect)
-    for k, (tk, state) in enumerate(sample.walk(times, icfg)):
-        x, v, _ = state
-        if k == 0:
-            identity_defect = max(
-                float(np.max(np.abs(x - x0))), float(np.max(np.abs(v - v0)))
-            )
+    # the two sums per row, component-major as (2, n, d, row); the batch
+    # moves them with its rows
+    full = half = held = None
+    k = 0
+
+    def add_node(tk, batch):
+        nonlocal full, half, held, k
+        if held is None:
+            held = batch
+            full = batch.track(np.zeros((2,) + batch.X.shape[:2] + (batch.N,)))
+            half = batch.track(np.zeros_like(full))
         u = (tk - t_mid) / t_half
         chi = float(bump(np.asarray(u)))
         chi_p = float(bump_prime(np.asarray(u))) / t_half
-        forces, _ = _forces(x, sample.potential)
-        term = np.stack([x * chi_p + v * chi, v * chi_p + forces * chi], axis=1)
-        defect += w_full[k] * term
-        if k % 2 == 0:
-            defect_half += w_half[k // 2] * term
-    ok = state[2]
+        terms = (batch.X * chi_p + batch.V * chi, batch.V * chi_p + batch.A * chi)
+        for part, term in enumerate(terms):
+            full[part, ..., : batch.m] += w_full[k] * term
+            if k % 2 == 0:
+                half[part, ..., : batch.m] += w_half[k // 2] * term
+        k += 1
+
+    x0, v0, _ = sample.start
+    x, v, flags = flow_batch(
+        x0, v0, sample.potential, t_final, icfg, stops=times, observe=add_node
+    )
+    live = full[..., : held.m], half[..., : held.m]
+    per_sample = np.zeros(sample.count)
+    per_half = np.zeros(sample.count)
+    per_sample[held.idx] = np.max(np.abs(live[0]), axis=(0, 1, 2))
+    per_half[held.idx] = np.max(np.abs(live[0] - live[1]), axis=(0, 1, 2))
+    return per_sample, per_half, (x, v, flags == dynamics.FLAG_OK)
+
+
+def _weak_ode(
+    sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig,
+    tolerance: float, control: bool, started: float,
+):
+    """The weak_ode report and the state at t_final."""
+    per_sample, per_half, end = _simpson_defects(sample, t_final, nodes, icfg)
+    ok = end[2]
     selected = ok & sample.below
-    per_sample = np.max(np.abs(defect), axis=(1, 2, 3))
-    per_half = np.max(np.abs(defect - defect_half), axis=(1, 2, 3))
-    statistic = max(_worst(per_sample, selected), identity_defect)
+    statistic = _worst(per_sample, selected)
     quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
     report = sample.report(
         "weak_ode", control, statistic, tolerance, ok, started,
-        {
-            "t_final": t_final,
-            "nodes": nodes,
-            "energy_level": sample.level,
-            "initial_identity_defect": identity_defect,
-        },
+        {"t_final": t_final, "nodes": nodes, "energy_level": sample.level},
         std_error=quad_err,
     )
-    return report, state
+    return report, end
 
 
 def check_time_continuity(
@@ -591,9 +609,9 @@ def check_weak_ode(
     Integrating by parts, int (Y chi' + B(Y) chi) dt must vanish for
     every chi compactly supported in (0, t_final); the check integrates
     one bump per sample with composite Simpson and takes the worst
-    component, restricted below an energy level.  The statistic also
-    absorbs the initial-identity defect max |Y(0, z) - z|.  Control:
-    velocity damping makes trajectories solve a different ODE.
+    component, restricted below an energy level.  One flow pauses at
+    the Simpson nodes and each adds its terms from the live batch state.
+    Control: velocity damping makes trajectories solve a different ODE.
     """
     started = time.perf_counter()
     sample = _Sample(potential, box, count, seed)
@@ -626,8 +644,11 @@ def flow_axiom_suite(
     pass stops at 0.5 t, 0.5 t + delta and t and serves continuity, the
     group law's direct leg and energy invariance, and the controls of
     the first two; one Simpson walk per damping gives weak_ode and,
-    damped, the energy control.  On a fixed step grid the positives
-    equal the standalone check_* calls at these times bitwise.
+    damped, the energy control.  Each pass and each walk is one
+    flow_batch call that pauses at its stops, and every leg between two
+    stops takes the steps of its own flow_batch call, so the reports
+    equal flowing leg by leg bitwise.  On a fixed step grid the
+    positives equal the standalone check_* calls at these times bitwise.
 
     Preservation samples its own ensemble, with its own horizon and
     count: its power comes from how many samples visit the observable

@@ -406,6 +406,8 @@ def test_section_rules_exit_two_before_writing(tmp_path):
         ("simulate", {"simulate": {"x0": [[0.0, 0.0]] * 3, "v0": [[0.0, 0.0]] * 2}}),
         ("converge", {"converge": {"levels": [4, 3]}}),
         ("converge", {"converge": {"levels": [4]}}),
+        ("converge", {"converge": {"kernel_power": 1}}),
+        ("converge", {"converge": {"shrink_cap": 2.0}}),
         ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),
         ("scaling", {"scaling": {"pair": [1, 1]}}),
         ("scaling", {"scaling": {"pair": [0, 2]}}),

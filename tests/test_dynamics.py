@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from liouville_lab import dynamics
 from liouville_lab.dynamics import (
     FLAG_OK,
     FLAG_SINGULAR,
@@ -18,6 +20,7 @@ from liouville_lab.dynamics import (
     step,
     total_momentum,
     vector_field,
+    _forces,
 )
 from liouville_lab.errors import DomainError, SingularityError, SubstepLimitError
 from liouville_lab.potentials import free_potential, gaussian_well, harmonic, repulsive_power
@@ -83,18 +86,24 @@ def test_rk4_reaches_roundoff_on_two_body(two_body):
     assert phase_gap(got, want) < 1e-12
 
 
+FORCES_PER_STEP = {"velocity_verlet": 1, "rk4": 4}
+
+
+class Counting:
+    """A potential without a kind that counts its gradient_batch calls."""
+
+    def __init__(self, base):
+        self.base = base
+        self.calls = 0
+
+    def gradient_batch(self, r):
+        self.calls += 1
+        return self.base.gradient_batch(r)
+
+
 def test_rk4_step_reuses_incoming_forces(two_body):
     # the incoming acceleration is k1, so a step costs 4 force evaluations
     # (k2, k3, k4 and the outgoing acceleration) after the initial one
-    class Counting:
-        def __init__(self, base):
-            self.base = base
-            self.calls = 0
-
-        def gradient_batch(self, r):
-            self.calls += 1
-            return self.base.gradient_batch(r)
-
     pot = Counting(harmonic(2))
     flow_map(two_body, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
     assert pot.calls == 1 + 4 * 10
@@ -450,3 +459,146 @@ def test_nan_rows_are_singular_in_both_runners(adaptive, scheme, kind):
     np.testing.assert_array_equal(xo[others], np.stack([r[0] for r in rows]))
     np.testing.assert_array_equal(vo[others], np.stack([r[1] for r in rows]))
     np.testing.assert_array_equal(flags[others], np.array([r[2] for r in rows], dtype=np.int8))
+
+
+# -- flows that pause at stops: one batch, stepped leg by leg
+
+
+def _flow_by_legs(x, v, potential, t, stops, icfg):
+    """(x, v, flags) at each stop and at t from one flow_batch call per
+    leg; a row keeps the first flag any leg gave it."""
+    out, now = [], 0.0
+    flags = np.zeros(x.shape[0], dtype=np.int8)
+    for end in [*stops, t]:
+        x, v, leg_flags = flow_batch(x, v, potential, end - now, icfg)
+        now = end
+        flags = np.where(flags == FLAG_OK, leg_flags, flags)
+        out.append((x, v, flags))
+    return out
+
+
+def _assert_stops_match_legs(x, v, potential, t, stops, icfg):
+    """One flow_batch call with stops equals flowing leg by leg: at every
+    stop (positions, velocities and the batch's forces) and at t, bitwise
+    on unflagged rows, with equal flags; returns the final flags."""
+    seen = []
+
+    def observe(stop, batch):
+        xs, vs, flags = batch.result()
+        acc = np.full_like(xs, np.nan)
+        acc[batch.idx] = np.moveaxis(batch.A, -1, 0)
+        seen.append((stop, xs, vs, acc, flags))
+
+    x_end, v_end, flags_end = flow_batch(x, v, potential, t, icfg, stops=stops, observe=observe)
+    assert [stop for stop, *_ in seen] == list(stops)
+    got = [state for _, *state in seen] + [(x_end, v_end, None, flags_end)]
+    for (xs, vs, acc, flags), (wx, wv, wflags) in zip(got, _flow_by_legs(x, v, potential, t, stops, icfg)):
+        np.testing.assert_array_equal(flags, wflags)
+        ok = flags == FLAG_OK
+        np.testing.assert_array_equal(xs[ok], wx[ok])
+        np.testing.assert_array_equal(vs[ok], wv[ok])
+        if acc is not None:
+            np.testing.assert_array_equal(acc[ok], _forces(wx, potential)[0][ok])
+    return flags_end
+
+
+@pytest.mark.parametrize("t", [0.0305, -0.0305])
+@pytest.mark.parametrize("damping", [1.0, 0.99])
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, scheme, damping, t):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-1.0, 1.0, (16, 2, 2))
+    v = rng.uniform(-1.0, 1.0, (16, 2, 2))
+    # head-on pairs that close to about 2e-3 in the third leg and need more
+    # than 12 adaptive substeps there
+    for row in (4, 9):
+        x[row, 0], x[row, 1] = [-0.03, 0.001 * row], [0.03, -0.001 * row]
+        v[row, 0], v[row, 1] = [2.0, 0.0], [-2.0, 0.0]
+    # off-grid legs, a repeated stop (a leg of length 0) and a last leg
+    stops = [s * np.sign(t) for s in (0.0041, 0.0123, 0.0123, 0.0199, 0.0305)]
+    icfg = IntegratorConfig(
+        scheme=scheme, dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=12,
+    )
+    pot = repulsive_power(2, exponent=1.0)
+    flags = _assert_stops_match_legs(x, v, pot, t, stops, icfg)
+    limited = FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK
+    assert flags[4] == flags[9] == limited
+    assert np.count_nonzero(flags == FLAG_OK) >= 10
+    # with room for every substep no row is frozen, and parked rows still
+    # come back in input order
+    flags = _assert_stops_match_legs(x, v, pot, t, stops, replace(icfg, max_substeps=10_000))
+    assert not flags.any()
+
+
+@pytest.mark.parametrize("t", [1.7, -1.7])
+def test_stops_keep_the_free_closed_form(t, two_body):
+    # the free flow advances x + leg v leg by leg, observed or not
+    pot, icfg = free_potential(2), IntegratorConfig(dt=1e-3)
+    x, v = np.stack([two_body.x, THREE_BODY.x[:2]]), np.stack([two_body.v, THREE_BODY.v[:2]])
+    stops = [s * np.sign(t) for s in (0.3, 0.3, 1.1)]
+    assert not _assert_stops_match_legs(x, v, pot, t, stops, icfg).any()
+    x_end, _, _ = flow_batch(x, v, pot, t, icfg, stops=stops)
+    np.testing.assert_array_equal(x_end, _flow_by_legs(x, v, pot, t, stops, icfg)[-1][0])
+
+
+@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_stops_freeze_a_row_that_collides_mid_walk(adaptive, scheme):
+    # force-free flow on a dyadic grid is exact: row 3 closes 2 dt per step
+    # and meets at step 10, inside the third leg; row 0 starts coincident,
+    # so its retirement moves row 3 to the batch's first column
+    dt = 2.0**-10
+    x = np.zeros((4, 2, 2))
+    v = np.zeros((4, 2, 2))
+    x[:, 0, 0], x[:, 1, 0] = -0.5, 0.5
+    v[[1, 2], 0, 1] = 1.0
+    x[3, 0, 0], x[3, 1, 0] = -10 * dt, 10 * dt
+    v[3, 0, 0], v[3, 1, 0] = 1.0, -1.0
+    x[0, 1] = x[0, 0]
+    icfg = IntegratorConfig(
+        scheme=scheme, dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
+    )
+    potential = Untagged(free_potential(2))
+    stops = [0.0, 3 * dt, 3 * dt, 12 * dt]
+    flags = _assert_stops_match_legs(x, v, potential, 0.02, stops, icfg)
+    assert list(flags) == [FLAG_SINGULAR, FLAG_OK, FLAG_OK, FLAG_SINGULAR]
+    # both froze where their leg-by-leg flows froze
+    xo, vo, _ = flow_batch(x, v, potential, 0.02, icfg, stops=stops)
+    wx, wv, _ = _flow_by_legs(x, v, potential, 0.02, stops, icfg)[-1]
+    np.testing.assert_array_equal(xo, wx)
+    np.testing.assert_array_equal(vo, wv)
+    np.testing.assert_array_equal(xo[3, 0], xo[3, 1])
+
+
+@pytest.mark.parametrize(
+    "scheme, adaptive",
+    [("velocity_verlet", False), ("velocity_verlet", True), ("rk4", False)],
+)
+def test_stops_add_no_force_evaluations(scheme, adaptive, monkeypatch):
+    # a walk costs the evaluations of its steps plus one at the start: the
+    # forces of a leg's last step serve the next leg and the observer
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (50, 2, 2))
+    v = rng.uniform(-1.0, 1.0, (50, 2, 2))
+    icfg = IntegratorConfig(scheme=scheme, dt=1e-3, adaptive=adaptive)
+    stops = list(np.linspace(0.0, 0.05, 33))
+    steps = []
+    step = dynamics._Batch.step
+
+    def counted_step(batch, h):
+        steps.append(h)
+        step(batch, h)
+
+    monkeypatch.setattr(dynamics._Batch, "step", counted_step)
+    walk = Counting(repulsive_power(2, exponent=1.0))
+    flow_batch(x, v, walk, 0.05, icfg, stops=stops, observe=lambda stop, batch: None)
+    walk_steps = len(steps)
+    assert walk.calls == 1 + FORCES_PER_STEP[scheme] * walk_steps
+    # and it takes the steps of its legs flowed one by one
+    steps.clear()
+    now = 0.0
+    for end in [*stops, 0.05]:
+        x, v, _ = flow_batch(x, v, walk.base, end - now, icfg)
+        now = end
+    assert walk_steps == len(steps) > 32

@@ -249,6 +249,36 @@ def test_support_mask_bounds_value_support():
     assert phi.support_mask(0.5, x[:0], v[:0]).shape == (0,)
 
 
+def _value_on_every_row(phi, t, x, v):
+    """phi(t, x, v) with the bump product evaluated on every row."""
+    N = x.shape[0]
+    z = np.concatenate([x.reshape(N, -1), v.reshape(N, -1)], axis=1)
+    tval = float(bump(np.asarray((t - phi.t_center) / phi.t_width)))
+    return tval * np.prod(bump((z - phi.centers) / phi.widths), axis=1)
+
+
+def test_value_on_support_rows_equals_every_row_bitwise():
+    phi = make_phi(scale=0.8)
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.0, 1.0, size=(4000, 2, 2))
+    v = rng.uniform(-1.0, 1.0, size=(4000, 2, 2))
+    # rows exactly on the support boundary |z - c| == w, and NaN rows
+    x[:10, 1, 0] = phi.centers[2] + phi.widths[2]
+    v[10:20, 0, 1] = phi.centers[5] - phi.widths[5]
+    x[20, 0, 0] = np.nan
+    z = np.concatenate([x.reshape(4000, 4), v.reshape(4000, 4)], axis=1)
+    assert np.all(np.abs(z[:10, 2] - phi.centers[2]) == phi.widths[2])
+    assert np.all(np.abs(z[10:20, 5] - phi.centers[5]) == phi.widths[5])
+    inside = phi.support_mask(0.3, x, v)
+    assert 0 < np.count_nonzero(inside) < 4000
+    for t in (0.3, 0.5, 2.0):  # the last lies outside the time window
+        got = phi.value(t, x, v)
+        np.testing.assert_array_equal(got, _value_on_every_row(phi, t, x, v))
+    assert np.all(phi.value(2.0, x, v) == 0.0)
+    assert phi.value(0.3, x[:0], v[:0]).shape == (0,)
+    assert phi.value(0.3, x[:1], v[:1])[0] == _value_on_every_row(phi, 0.3, x[:1], v[:1])[0]
+
+
 def test_test_function_validation_and_window():
     with pytest.raises(DomainError):
         TestFunction(d=2, n=2, t_center=0.0, t_width=1.0, centers=np.zeros(5), widths=np.ones(5))
