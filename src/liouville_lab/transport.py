@@ -187,17 +187,6 @@ class Ensemble:
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
 
-    def take(self, rows: np.ndarray) -> "Ensemble":
-        """The sub-ensemble of the given rows, each keeping its weight and value."""
-        return replace(
-            self,
-            x=self.x[rows],
-            v=self.v[rows],
-            weights=self.weights[rows],
-            values=self.values[rows],
-            flags=self.flags[rows],
-        )
-
     def with_values(self, values: np.ndarray) -> "Ensemble":
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
@@ -249,30 +238,20 @@ def push_forward(e: Ensemble, potential, t: float, icfg: IntegratorConfig) -> En
     return replace(e, x=x, v=v, flags=np.maximum(e.flags, flags), time=e.time + t)
 
 
-def evolve_series_iter(
+def evolve_series(
     e: Ensemble, potential, times: Sequence[float], icfg: IntegratorConfig
-):
-    """Yield ensemble snapshots at the given non-decreasing times >= e.time.
-
-    Generator form: only one snapshot is alive at a time, so long series
-    over large ensembles stay within O(N) memory.
-    """
+) -> list[Ensemble]:
+    """Snapshots of the ensemble at the given non-decreasing times >= e.time."""
     times = list(times)
     if any(b < a for a, b in zip(times, times[1:])):
         raise DomainError("snapshot times must be non-decreasing")
     if times and times[0] < e.time:
         raise DomainError("snapshot times must not precede the ensemble time")
-    cur = e
+    out = []
     for tk in times:
-        cur = push_forward(cur, potential, tk - cur.time, icfg)
-        yield cur
-
-
-def evolve_series(
-    e: Ensemble, potential, times: Sequence[float], icfg: IntegratorConfig
-) -> list[Ensemble]:
-    """Snapshots of the ensemble at the given non-decreasing times >= e.time."""
-    return list(evolve_series_iter(e, potential, times, icfg))
+        e = push_forward(e, potential, tk - e.time, icfg)
+        out.append(e)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -581,121 +560,90 @@ def simpson_times(phi: TestFunction, count: int = 65) -> np.ndarray:
     return np.linspace(a, b, count)
 
 
-@dataclass(frozen=True)
 class ResidualTerms:
     """Per-row sums of the weak-identity defect, before any statistic.
 
     Row i of acc_full[m] holds sum_k S_k g_m(f0)_i Dphi(t_k, Y_i(t_k)) plus
     the t = 0 boundary term g_m(f0)_i phi(0, z_i); acc_half[m] holds the
     same on the half-resolution Simpson grid.  `active` marks rows that no
-    snapshot flagged and `weights` are the ensemble weights.  map_seconds[m]
-    is the time map m's own terms took inside the accumulation loop.
+    flow flagged and `weights` are the ensemble weights.  map_seconds[m]
+    is the time map m's own terms took.
+
+    The rows are those of e0, the ensemble at t = 0, whose datum must be
+    compactly supported inside its box.  `add` takes the terms of one
+    Simpson node (`times`) for any subset of the rows, so rows that are
+    never added sum to 0.
     """
 
-    acc_full: np.ndarray
-    acc_half: np.ndarray
-    active: np.ndarray
-    weights: np.ndarray
-    window: tuple[float, float]
-    map_seconds: np.ndarray
-
-    def scatter(self, rows: np.ndarray, weights: np.ndarray) -> "ResidualTerms":
-        """These terms, summed over the given rows of a larger ensemble with
-        `weights`, as the terms of that ensemble: every other row is active
-        and sums to 0."""
-        acc_full = np.zeros((self.acc_full.shape[0], weights.size))
-        acc_half = np.zeros_like(acc_full)
-        active = np.ones(weights.size, dtype=bool)
-        acc_full[:, rows] = self.acc_full
-        acc_half[:, rows] = self.acc_half
-        active[rows] = self.active
-        return replace(
-            self, acc_full=acc_full, acc_half=acc_half, active=active, weights=weights
-        )
-
-
-def weak_residual_terms(
-    series,
-    potential,
-    phi: TestFunction,
-    value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
-    count: int = 65,
-    collision_margin: float = 1e-3,
-) -> ResidualTerms:
-    """The per-row accumulation step of weak_residual_suite; see there."""
-    a, b = residual_window(phi)
-    expected = simpson_times(phi, count)
-    w_full = simpson_weights(count, a, b)
-    w_half = simpson_weights((count + 1) // 2, a, b)
-    t0, _ = phi.time_window
-    n_maps = len(value_maps)
-    map_seconds = np.zeros(n_maps)
-
-    acc_full = acc_half = active = None
-    e0 = None
-    k = -1
-    for k, e in enumerate(series):
-        if k >= count:
-            raise AlignmentError(f"series has more than {count} snapshots")
-        if abs(e.time - expected[k]) > 1e-9:
-            raise AlignmentError(
-                f"snapshot {k} at t={e.time:g} does not match Simpson node {expected[k]:g}"
+    def __init__(
+        self,
+        e0: Ensemble,
+        potential,
+        phi: TestFunction,
+        value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
+        count: int = 65,
+        collision_margin: float = 1e-3,
+    ):
+        if e0.datum is None or not e0.datum.has_compact_support:
+            raise CoverageError("weak residuals need an initial datum with compact support")
+        lo, hi = e0.datum.support_bounds()
+        if not e0.box.contains(lo, hi):
+            raise CoverageError("initial datum support must lie inside the sampling box")
+        if phi.min_support_pair_distance() < collision_margin and getattr(
+            potential, "singularity_class", None
+        ) == CONFINING_AT_ZERO:
+            raise CoverageError(
+                "test function support reaches within the collision margin of"
+                " the coincidence set of a confining potential"
             )
-        if k == 0:
-            e0 = e
-            if e0.datum is None or not e0.datum.has_compact_support:
-                raise CoverageError(
-                    "weak residuals need an initial datum with compact support"
-                )
-            lo, hi = e0.datum.support_bounds()
-            if not e0.box.contains(lo, hi):
-                raise CoverageError(
-                    "initial datum support must lie inside the sampling box"
-                )
-            if phi.min_support_pair_distance() < collision_margin and getattr(
-                potential, "singularity_class", None
-            ) == CONFINING_AT_ZERO:
-                raise CoverageError(
-                    "test function support reaches within the collision margin of"
-                    " the coincidence set of a confining potential"
-                )
-            acc_full = np.zeros((n_maps, e0.size))
-            acc_half = np.zeros((n_maps, e0.size))
-            active = np.ones(e0.size, dtype=bool)
-            if t0 < 0.0:
-                phi0 = phi.value(0.0, e0.x, e0.v)
-                for m, g in enumerate(value_maps):
-                    started = time.perf_counter()
-                    term0 = (e0.values if g is None else g(e0.values)) * phi0
-                    acc_full[m] += term0
-                    acc_half[m] += term0
-                    map_seconds[m] += time.perf_counter() - started
-        active &= e.flags == dynamics.FLAG_OK
+        self.potential, self.phi, self.value_maps = potential, phi, list(value_maps)
+        self.times = simpson_times(phi, count)
+        self.window = a, b = residual_window(phi)
+        self.w_full = simpson_weights(count, a, b)
+        self.w_half = simpson_weights((count + 1) // 2, a, b)
+        n_maps = len(self.value_maps)
+        self.acc_full = np.zeros((n_maps, e0.size))
+        self.acc_half = np.zeros((n_maps, e0.size))
+        self.active = np.ones(e0.size, dtype=bool)
+        self.weights = e0.weights
+        self.map_seconds = np.zeros(n_maps)
+
+    def add(self, k: int, t: float, x, v, forces, values, rows) -> None:
+        """Add the terms of Simpson node k, at time t, of the given rows:
+        (m, n, d) positions x and velocities v, their accelerations
+        `forces` (None: evaluated here where the pairing needs them), the
+        carried values and the row numbers, all in one order."""
+        if k >= self.times.size:
+            raise AlignmentError(f"series has more than {self.times.size} snapshots")
+        if abs(t - self.times[k]) > 1e-9:
+            raise AlignmentError(
+                f"snapshot {k} at t={t:g} does not match Simpson node {self.times[k]:g}"
+            )
+        if k == 0 and self.phi.time_window[0] < 0.0:
+            phi0 = self.phi.value(0.0, x, v)
+            for m, g in enumerate(self.value_maps):
+                started = time.perf_counter()
+                term0 = (values if g is None else g(values)) * phi0
+                self.acc_full[m, rows] += term0
+                self.acc_half[m, rows] += term0
+                self.map_seconds[m] += time.perf_counter() - started
         # the pairing vanishes off supp phi, so evaluate only there
-        inside = phi.support_mask(e.time, e.x, e.v)
+        inside = self.phi.support_mask(t, x, v)
         if not np.any(inside):
-            continue
+            return
         idx = inside.nonzero()[0]
-        forces, _ = _forces(e.x[idx], potential)
-        pairing_in = phi.transport_pairing(e.time, e.x[idx], e.v[idx], forces)
-        for m, g in enumerate(value_maps):
+        x_in = x[idx]
+        acc = _forces(x_in, self.potential)[0] if forces is None else forces[idx]
+        pairing_in = self.phi.transport_pairing(t, x_in, v[idx], acc)
+        at = rows[idx]
+        for m, g in enumerate(self.value_maps):
             started = time.perf_counter()
-            vals = e.values[idx] if g is None else g(e.values[idx])
+            vals = values[idx] if g is None else g(values[idx])
             term = vals * pairing_in
-            acc_full[m, idx] += w_full[k] * term
+            self.acc_full[m, at] += self.w_full[k] * term
             if k % 2 == 0:
-                acc_half[m, idx] += w_half[k // 2] * term
-            map_seconds[m] += time.perf_counter() - started
-    if e0 is None or k != count - 1:
-        raise AlignmentError(f"series ended early: expected {count} snapshots")
-    return ResidualTerms(
-        acc_full=acc_full,
-        acc_half=acc_half,
-        active=active,
-        weights=e0.weights,
-        window=(a, b),
-        map_seconds=map_seconds,
-    )
+                self.acc_half[m, at] += self.w_half[k // 2] * term
+            self.map_seconds[m] += time.perf_counter() - started
 
 
 def weak_residual_statistics(
@@ -751,14 +699,22 @@ def weak_residual_suite(
     bias_bound is the pinned O(dt^2) discretization term when the
     integrator step is supplied.
 
-    The two steps, weak_residual_terms and weak_residual_statistics, can
-    also be run apart: terms summed over some rows of an ensemble and
-    scattered back (ResidualTerms.scatter) give the statistics of the
-    whole ensemble when the other rows would have summed to 0.
+    Each snapshot adds its node's terms to one ResidualTerms, evaluating
+    the forces on the rows inside supp phi; weak_residual_statistics
+    turns the sums into estimates.  A caller holding the states and
+    forces of a paused flow can feed the same accumulator directly.
     """
-    terms = weak_residual_terms(
-        series, potential, phi, value_maps, count=count, collision_margin=collision_margin
-    )
+    terms = None
+    k = -1
+    for k, e in enumerate(series):
+        if terms is None:
+            terms = ResidualTerms(
+                e, potential, phi, value_maps, count=count, collision_margin=collision_margin
+            )
+        terms.active &= e.flags == dynamics.FLAG_OK
+        terms.add(k, e.time, e.x, e.v, None, e.values, np.arange(e.size))
+    if terms is None or k != count - 1:
+        raise AlignmentError(f"series ended early: expected {count} snapshots")
     return weak_residual_statistics(terms, step_size=step_size)
 
 
@@ -816,7 +772,7 @@ def collision_boundary_term(
 
 
 # ---------------------------------------------------------------------------
-# energy cutoff and the uniqueness functional
+# energy cutoff and the level-difference series
 
 
 @dataclass(frozen=True)
@@ -872,25 +828,6 @@ class EnergyCutoff:
         return float(self.value_batch(t, cfg.x[None], cfg.v[None], potential)[0])
 
 
-def uniqueness_functional(
-    h_series: Sequence[Ensemble], cutoff: EnergyCutoff, potential
-) -> tuple[np.ndarray, np.ndarray]:
-    """F(t_k) = sum_i w_i h_i(t_k) cutoff(t_k, Y_i(t_k)) with standard errors.
-
-    For h = beta(difference of two solutions) with beta >= 0, F must be
-    non-increasing; comparing a solution with itself must give F = 0 up
-    to discretization.
-    """
-    values = np.empty(len(h_series))
-    errors = np.empty(len(h_series))
-    for k, e in enumerate(h_series):
-        phi = cutoff.value_batch(e.time, e.x, e.v, potential)
-        xi = np.where(e.active, e.weights * e.values * phi, 0.0)
-        values[k] = float(np.sum(xi))
-        errors[k] = float(np.std(xi, ddof=1) * math.sqrt(e.size))
-    return values, errors
-
-
 def level_difference_series(
     e0: Ensemble,
     make_potential: Callable[[int], object],
@@ -902,11 +839,16 @@ def level_difference_series(
 ) -> tuple[list[Ensemble], list[np.ndarray]]:
     """Series carrying h(t) = beta(f_a(t) - f_b(t)) along the level-a flow.
 
-    f_a is the push-forward of e0.datum under the level_forward flow; at
-    each snapshot the level_backward flow runs backward to time 0 and
-    f_b is read off as f0 at the arrival point.  With matching levels
-    the round trip is the identity up to integration error, so h probes
-    the gap between the two regularized dynamics.
+    f_a is the push-forward of e0.datum, sampled at t = 0, under the
+    level_forward flow; at each snapshot the level_backward flow runs
+    backward to time 0 and f_b is read off as f0 at the arrival point.
+    With matching levels the round trip is the identity up to integration
+    error, so h probes the gap between the two regularized dynamics.
+
+    The forward snapshots come from one flow that pauses at the
+    non-decreasing `times`; each leg between two takes the steps of its
+    own flow, so the snapshots equal flowing leg by leg, bitwise on
+    unflagged rows.  Each backward run is a flow of its own.
 
     Returns the series together with the per-sample round-trip phase
     displacements |roundtrip(z) - z| at each time, which bound |h| via
@@ -916,19 +858,20 @@ def level_difference_series(
         raise DomainError("level difference series needs the initial datum")
     pot_fwd = make_potential(level_forward)
     pot_bwd = make_potential(level_backward)
+    z0 = e0.phase_flat()
     out = []
     displacements = []
-    cur = e0
-    for tk in times:
-        cur = push_forward(cur, pot_fwd, tk - cur.time, icfg)
-        back_x, back_v, back_flags = flow_batch(cur.x, cur.v, pot_bwd, -tk, icfg)
+
+    def snapshot(tk, batch):
+        x, v, flags = batch.result()
+        back_x, back_v, back_flags = flow_batch(x, v, pot_bwd, -tk, icfg)
         z = _flatten_phase(back_x, back_v)
-        f_b = e0.datum.evaluate(z)
-        h = beta(cur.values - f_b)
-        displacements.append(np.sqrt(np.sum((z - e0.phase_flat()) ** 2, axis=1)))
-        out.append(
-            replace(cur, values=h, flags=np.maximum(cur.flags, back_flags))
-        )
+        h = beta(e0.values - e0.datum.evaluate(z))
+        displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
+        flags = np.maximum(np.maximum(e0.flags, flags), back_flags)
+        out.append(replace(e0, x=x, v=v, values=h, flags=flags, time=tk))
+
+    flow_batch(e0.x, e0.v, pot_fwd, times[-1], icfg, stops=times, observe=snapshot)
     return out, displacements
 
 

@@ -15,6 +15,7 @@ tolerance: `check_gradient_l1_decreasing` and `check_collision_scaling`.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -184,6 +185,10 @@ DELTA_STEPS = 10
 # velocity kick of the group-law control after every flow leg
 KICK = 0.05
 WEAK_ODE_NODES = 129
+# largest shrink factor of the box holding a non-confining observable: its
+# support then ends by 0.887 of the half width, clear of the 0.02 pad at
+# the box edge that the preimage coverage probes must stay inside
+INNER_FRACTION_CAP = 0.9
 
 
 def default_observable_for(potential, box: PhaseBox, seed: int) -> TestFunction:
@@ -192,12 +197,18 @@ def default_observable_for(potential, box: PhaseBox, seed: int) -> TestFunction:
     For confining potentials the particle position supports tile the
     first axis with gaps, keeping the observable away from the
     coincidence set where probe energies diverge; otherwise a random
-    product bump on a shrunken box is used.
+    product bump on a shrunken box is used.  Its widths are drawn from
+    0.55-0.85 of the shrunken box, so the support's expected share of
+    the box is (0.7 f)^(2 n d) for a box shrunk by f: f = 0.6 at n = 2,
+    and for other n the f giving the same share, (0.7 * 0.6)^(2/n) / 0.7,
+    up to INNER_FRACTION_CAP.
     """
     if getattr(potential, "singularity_class", None) != CONFINING_AT_ZERO:
         mid = (box.highs + box.lows) / 2.0
         half = (box.highs - box.lows) / 2.0
-        inner = PhaseBox(lows=mid - 0.6 * half, highs=mid + 0.6 * half, d=box.d, n=box.n)
+        # written so that n = 2 gives 0.6 exactly
+        f = min(INNER_FRACTION_CAP, 0.6 ** (2 / box.n) * 0.7 ** (2 / box.n - 1))
+        inner = PhaseBox(lows=mid - f * half, highs=mid + f * half, d=box.d, n=box.n)
         return random_test_function(
             box.d, box.n, inner, t_center=0.0, t_width=1.0,
             rng=rng_for(seed, "observable"),
@@ -944,22 +955,25 @@ def check_renormalization_suite(
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
-    One ensemble pass serves the identity map and all betas.  Only the
-    rows whose carried value f0 is nonzero are flowed and estimated
-    (support mask, forces and pairing included): renormalization in L^1
-    needs beta(0) = 0, which is checked for every beta (DomainError
-    otherwise), so a zero row adds exactly 0 to every residual.  The
-    per-row sums are scattered back into full-length zero arrays before
-    any statistic is taken, so estimate, std_error and bias_bound are
-    those of the whole ensemble, bitwise.  A row that is not flowed
-    counts as unflagged, since it contributes 0 wherever it would go.
+    One flow serves the identity map and all betas.  Only the rows whose
+    carried value f0 is nonzero are flowed and estimated (support mask
+    and pairing included): renormalization in L^1 needs beta(0) = 0,
+    which is checked for every beta (DomainError otherwise), so a zero
+    row adds exactly 0 to every residual.  The flow pauses at the Simpson
+    nodes, and each node adds its terms from the live batch (states and
+    the forces of its last step) into per-row sums over the whole
+    ensemble, at rows[batch.idx].  Each leg takes the steps of its own
+    flow, so estimate, std_error and bias_bound equal those of
+    weak_residual_suite on every sample's series, bitwise.  A row that
+    is not flowed counts as unflagged, since it contributes 0 wherever
+    it would go.
 
     Control: the carried values gain a smooth time-dependent factor,
     which no transported density can have (it also maps 0 to 0).
 
     runtime_seconds is measured: the identity report carries sampling,
-    the flow, the shared support mask, forces and pairing, its own terms
-    and the statistics; each beta report carries only its own terms,
+    the flow, the shared support mask and pairing, its own terms and the
+    statistics; each beta report carries only its own terms,
     timed inside the per-map loop.  The shares sum to the call's wall
     time.  details["carried_rows"] is the number of rows flowed.
     """
@@ -976,19 +990,24 @@ def check_renormalization_suite(
         )
     e0 = sample_ensemble(box, count, datum, seed)
     rows = np.flatnonzero(e0.values)
-    times = transport.simpson_times(phi, nodes)
-    a, _ = transport.residual_window(phi)
-    series = transport.evolve_series_iter(e0.take(rows), potential, times, icfg)
-    if negative_control:
-        series = (
-            e.with_values((1.0 + 3.0 * (e.time - a)) * e.values) for e in series
-        )
-    terms = transport.weak_residual_terms(
-        series, potential, phi, [None] + list(betas), count=nodes
+    terms = transport.ResidualTerms(e0, potential, phi, [None] + list(betas), count=nodes)
+    a, _ = terms.window
+    carried = e0.values[rows]
+    nodes_seen = itertools.count()
+
+    def add_node(tk, batch):
+        values = carried[batch.idx]
+        if negative_control:
+            values = (1.0 + 3.0 * (tk - a)) * values
+        x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
+        terms.add(next(nodes_seen), tk, x, v, forces, values, rows[batch.idx])
+
+    _, _, flags = flow_batch(
+        e0.x[rows], e0.v[rows], potential, terms.times[-1], icfg,
+        stops=terms.times, observe=add_node,
     )
-    results = transport.weak_residual_statistics(
-        terms.scatter(rows, e0.weights), step_size=icfg.dt
-    )
+    terms.active[rows] = flags == dynamics.FLAG_OK
+    results = transport.weak_residual_statistics(terms, step_size=icfg.dt)
     elapsed = time.perf_counter() - started
     beta_seconds = terms.map_seconds[1:].tolist()
     shares = [elapsed - sum(beta_seconds)] + beta_seconds

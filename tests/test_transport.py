@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig
 from liouville_lab.errors import AlignmentError, CoverageError, DomainError
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
@@ -37,11 +38,8 @@ from liouville_lab.transport import (
     smoothed_clamp,
     tanh_squash,
     truncate,
-    uniqueness_functional,
     weak_residual,
-    weak_residual_statistics,
     weak_residual_suite,
-    weak_residual_terms,
 )
 
 
@@ -472,32 +470,6 @@ def test_weak_residual_suite_shares_one_series_pass():
         assert est.consistent_with(0.0, sigmas=3.0)
 
 
-def test_residual_terms_of_carried_rows_scatter_back_bitwise():
-    # a window opening before t = 0 exercises the phi(0, z) boundary term
-    box, _, e, _ = free_setup(count=2000)
-    phi = random_test_function(
-        2, 2, box, t_center=0.3, t_width=0.45, rng=np.random.default_rng(5)
-    )
-    pot = free_potential(2)
-    icfg = IntegratorConfig(dt=1e-2)
-    times = simpson_times(phi, 33)
-    maps = [None, tanh_squash(1.0)]
-    full = weak_residual_terms(evolve_series(e, pot, times, icfg), pot, phi, maps, count=33)
-    rows = np.flatnonzero(e.values)
-    assert 0 < rows.size < e.size
-    carried = e.take(rows)
-    assert np.array_equal(carried.weights, e.weights[rows])
-    part = weak_residual_terms(
-        evolve_series(carried, pot, times, icfg), pot, phi, maps, count=33
-    )
-    assert part.acc_full.shape == (2, rows.size) and part.map_seconds.shape == (2,)
-    back = part.scatter(rows, e.weights)
-    np.testing.assert_array_equal(back.acc_full, full.acc_full)
-    np.testing.assert_array_equal(back.acc_half, full.acc_half)
-    np.testing.assert_array_equal(back.active, full.active)
-    assert weak_residual_statistics(back, 1e-2) == weak_residual_statistics(full, 1e-2)
-
-
 def test_weak_residual_rejects_non_compact_datum():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
@@ -619,7 +591,7 @@ def test_collision_boundary_term_hand_computed():
 
 
 # ---------------------------------------------------------------------------
-# energy cutoff and uniqueness functional
+# energy cutoff and level-difference series
 
 
 def test_energy_cutoff_values_and_domain():
@@ -639,7 +611,7 @@ def test_energy_cutoff_values_and_domain():
         EnergyCutoff(radius=0.0, horizon=1.0, speed_constant=1.0)
 
 
-def test_uniqueness_functional_zero_for_identical_levels():
+def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     base = repulsive_power(2, exponent=0.5, strength=0.5)
     from liouville_lab.potentials import MollifiedPotential, MollifierKernel, ShrinkFunction
 
@@ -654,16 +626,27 @@ def test_uniqueness_functional_zero_for_identical_levels():
     e0 = sample_ensemble(box, 400, datum, seed=21)
     icfg = IntegratorConfig(dt=2e-3)
     times = [0.1, 0.2, 0.3]
+    legs = evolve_series(e0, make_potential(4), times, icfg)
+    calls = []
+    flow = transport.flow_batch
+
+    def counted_flow(*args, **kwargs):
+        calls.append(args[3])
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "flow_batch", counted_flow)
     series, disps = level_difference_series(
         e0, make_potential, 4, 4, nonneg_squash(0.5), times, icfg
     )
+    # one forward flow pausing at every snapshot, one backward flow per snapshot
+    assert calls == [0.3, -0.1, -0.2, -0.3]
     assert len(series) == 3 and len(disps) == 3
+    for e, leg in zip(series, legs):
+        assert e.time == leg.time
+        np.testing.assert_array_equal(e.x, leg.x)
+        np.testing.assert_array_equal(e.v, leg.v)
     # identical levels retrace bitwise under the reversible stepper
     assert max(float(np.max(d)) for d in disps) < 1e-12
-    cut = EnergyCutoff.for_potential(base, n=2, radius=6.0, horizon=0.3)
-    values, errors = uniqueness_functional(series, cut, make_potential(4))
-    assert np.max(np.abs(values)) < 1e-20
-    assert errors.shape == (3,)
 
 
 def test_level_difference_series_requires_datum():

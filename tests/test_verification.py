@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from liouville_lab import potentials, transport
+from liouville_lab import dynamics, potentials, transport
 from liouville_lab.dynamics import FLAG_OK, IntegratorConfig, _forces, flow_batch
 from liouville_lab.errors import CoverageError, DomainError
 from liouville_lab.estimates import MCEstimate
@@ -18,12 +18,14 @@ from liouville_lab.potentials import (
     repulsive_power,
 )
 from liouville_lab.profiles import bump, bump_prime
+from liouville_lab.rng import rng_for
 from liouville_lab.transport import (
     BetaFunction,
     InitialDatum,
     PhaseBox,
     TestFunction,
     evolve_series,
+    random_test_function,
     residual_window,
     sample_ensemble,
     shipped_beta_family,
@@ -199,6 +201,25 @@ def test_measure_preservation_reports_support_visits():
     empty = check_measure_preservation(harmonic(2), BOX, 0.3, 1000, SEED, ICFG, phi=tiny)
     assert empty.statistic == 0.0 and empty.std_error == 0.0 and empty.passed
     assert empty.details["support_visits"] == {"start": 0, "end": 0}
+
+
+def test_measure_preservation_observable_is_sized_with_n():
+    # n = 2 keeps its observable: a bump on the box shrunk to 0.6
+    lows, highs = 0.6 * BOX.lows, 0.6 * BOX.highs
+    inner = PhaseBox(lows=lows, highs=highs, d=2, n=2)
+    ref = random_test_function(
+        2, 2, inner, t_center=0.0, t_width=1.0, rng=rng_for(5, "observable")
+    )
+    phi = default_observable_for(harmonic(2), BOX, seed=5)
+    np.testing.assert_array_equal(phi.centers, ref.centers)
+    np.testing.assert_array_equal(phi.widths, ref.widths)
+    # the three-body verify config at seed 30: with n = 2's shrink factor one
+    # sample of 100k reached only the support's edge and the check raised
+    box = PhaseBox.centered(2, 3, 2.0, 2.0)
+    report = check_measure_preservation(harmonic(2), box, 0.05, 100_000, 30, ICFG)
+    assert report.passed
+    visits = report.details["support_visits"]
+    assert visits["start"] >= 20 and visits["end"] >= 20
 
 
 def test_measure_preservation_rejects_colliding_observable_when_confining():
@@ -445,16 +466,25 @@ class CountingPotential:
         return getattr(self.inner, name)
 
 
-def test_renormalization_suite_forces_see_only_carried_rows():
+def test_renormalization_suite_walks_one_flow(monkeypatch):
+    steps = []
+    step = dynamics._Batch.step
+
+    def counted_step(batch, h):
+        steps.append(h)
+        step(batch, h)
+
+    monkeypatch.setattr(dynamics._Batch, "step", counted_step)
     pot = CountingPotential(piecewise_radial(2, 0.8, -0.6, 0.4))
     (report,) = check_renormalization_suite(
         pot, RESIDUAL_BOX, RESIDUAL_DATUM, [], 3000, SEED, RESIDUAL_ICFG, phi=RESIDUAL_PHI,
     )
     carried = report.details["carried_rows"]
     assert 0 < carried < 3000
-    # each flow leg starts with a force pass over every carried row; the
-    # estimator evaluates forces only on carried rows inside supp phi
-    assert max(pot.rows) == carried
+    # one force pass at the start and one per Verlet step, each over every
+    # carried row: no pass per leg, and the nodes read the last step's forces
+    assert len(steps) > 64
+    assert pot.rows == [carried] * (1 + len(steps))
 
 
 def test_renormalization_suite_without_carried_rows_reads_zero():
