@@ -74,8 +74,15 @@ class PhaseBox:
         return bool(np.all(lows >= self.lows) and np.all(highs <= self.highs))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """count uniform rows, scaled into the box inside the drawn buffer.
+
+        Bitwise equal to lows + u * (highs - lows), without the two
+        temporaries of that size the expression would allocate.
+        """
         u = rng.random((count, self.lows.size))
-        return self.lows + u * (self.highs - self.lows)
+        u *= self.highs - self.lows
+        u += self.lows
+        return u
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,11 @@ class Ensemble:
     Nonzero `flags` mark samples whose flow failed (coincidence or
     substep budget); they are excluded from statistics and their
     fraction is policed by the checks.
+
+    `pair_terms` computes a pair's distance |x_i - x_j| and carried
+    weight w |f0| |v_i - v_j| once and keeps them in a private memo.
+    The arrays are never written in place and `replace` builds a new
+    instance with an empty memo, so a kept entry cannot go stale.
     """
 
     x: np.ndarray
@@ -163,6 +175,7 @@ class Ensemble:
     seed: int
     time: float = 0.0
     datum: InitialDatum | None = None
+    _pair_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -186,6 +199,20 @@ class Ensemble:
 
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
+
+    def pair_terms(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(|x_i - x_j|, weights * |values| * |v_i - v_j|) per row, memoized.
+
+        The norms are bitwise those of np.linalg.norm(..., axis=-1),
+        taken on one difference buffer squared in place.
+        """
+        key = (i, j)
+        if key not in self._pair_memo:
+            rel_x = _pair_distance(self.x, i, j)
+            carried = self.weights * np.abs(self.values)
+            carried *= _pair_distance(self.v, i, j)
+            self._pair_memo[key] = (rel_x, carried)
+        return self._pair_memo[key]
 
     def with_values(self, values: np.ndarray) -> "Ensemble":
         values = np.asarray(values, dtype=float)
@@ -211,6 +238,13 @@ class Ensemble:
                     f"{int(self.flags[j])}",
                 ]
                 fh.write(",".join(row) + "\n")
+
+
+def _pair_distance(a: np.ndarray, i: int, j: int) -> np.ndarray:
+    r = a[:, i] - a[:, j]
+    r *= r
+    s = np.add.reduce(r, -1)
+    return np.sqrt(s, out=s)
 
 
 def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -> Ensemble:
@@ -753,16 +787,18 @@ def collision_boundary_term(
     This is the boundary term produced by cutting test functions off
     near the coincidence set; it scales like mu^(d-1) for bounded
     densities, which is what makes the cutoff removable for d >= 2.
+    The pair's distances and carried weights come from
+    `Ensemble.pair_terms`, taken once per ensemble; each call only
+    masks them at its own mu and divides by mu.
     """
     if mu <= 0:
         raise DomainError("cutoff width mu must be positive")
     i, j = pair
     if not (0 <= i < e.n and 0 <= j < e.n and i != j):
         raise DomainError(f"invalid particle pair {pair} for n={e.n}")
-    rel_x = np.linalg.norm(e.x[:, i, :] - e.x[:, j, :], axis=-1)
-    rel_v = np.linalg.norm(e.v[:, i, :] - e.v[:, j, :], axis=-1)
+    rel_x, carried = e.pair_terms(i, j)
     inside = (rel_x <= mu) & (e.flags == dynamics.FLAG_OK)
-    xi = np.where(inside, e.weights * np.abs(e.values) * rel_v / mu, 0.0)
+    xi = np.where(inside, carried / mu, 0.0)
     return MCEstimate(
         estimate=float(np.sum(xi)),
         std_error=float(np.std(xi, ddof=1) * math.sqrt(e.size)),

@@ -904,18 +904,33 @@ def check_collision_scaling(
     term of the pair at every cutoff radius in mus and fits the log-log
     slope by least squares.  The samples are not flowed: the term is a
     property of the density, and potential only names the report.  The
+    ensemble keeps the pair's distances and carried weights after the
+    first radius, so each further radius only masks and sums them.  The
     statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
     std_error and bias_bound are 0.  With fewer than two radii the slope
-    is nan and the check fails.  This check has no negative control yet
-    and its budget is pinned, not measured.  details: mus, terms and
-    std_errors per radius, fitted_slope, expected_slope.
+    is nan and the check fails.  A radius whose term is 0, because no
+    unflagged sample with a nonzero value lies within it, has no
+    logarithm to fit and raises CoverageError.  This check has no
+    negative control yet and its budget is pinned, not measured.
+    details: mus, terms and std_errors per radius, fitted_slope,
+    expected_slope.
     """
     started = time.perf_counter()
     mus = list(mus)
     e = sample_ensemble(box, count, datum, seed)
     estimates = [transport.collision_boundary_term(e, mu, pair=pair) for mu in mus]
     terms = [est.estimate for est in estimates]
-    slope = float(np.polyfit(np.log(mus), np.log(terms), 1)[0]) if len(mus) >= 2 else math.nan
+    if len(mus) >= 2:
+        empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
+        if empty:
+            raise CoverageError(
+                f"no unflagged sample of {count} with a nonzero value lies within cutoff"
+                f" radius mu = {empty}, so the collision term there is 0 and has no"
+                " logarithm to fit; raise the count or the smallest radius"
+            )
+        slope = float(np.polyfit(np.log(mus), np.log(terms), 1)[0])
+    else:
+        slope = math.nan
     return CheckReport.build(
         check_name="collision_scaling_slope",
         potential=potential.describe(),

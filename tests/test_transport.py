@@ -590,6 +590,40 @@ def test_collision_boundary_term_hand_computed():
         collision_boundary_term(e, mu=0.5, pair=(1, 1))
 
 
+def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
+    # the box is scaled into the drawn buffer in place
+    lows = np.array([-1.3, -0.2, 0.5, -2.0, -0.7, 0.1, -3.0, 1.0])
+    widths = np.array([2.1, 0.4, 1.7, 3.3, 1.1, 0.9, 5.0, 0.3])
+    box = PhaseBox(lows=lows, highs=lows + widths, d=2, n=2)
+    u = np.random.default_rng(7).random((1000, 8))
+    textbook = box.lows + u * (box.highs - box.lows)
+    assert np.array_equal(box.sample(np.random.default_rng(7), 1000), textbook)
+    # the pair memo of an n = 3 ensemble with flagged rows, visited pair by
+    # pair, against the per-call formula
+    e = sample_ensemble(
+        PhaseBox.centered(3, 3, 1.0, 1.0),
+        2000,
+        InitialDatum(kind="bump", center=np.zeros(18), width=0.9),
+        seed=5,
+    )
+    e = replace(e, flags=np.where(np.arange(e.size) % 7 == 3, 1, 0).astype(np.int8))
+    for pair in ((0, 1), (0, 2), (0, 1)):
+        i, j = pair
+        for mu in (0.8, 0.4, 0.2):
+            rel_x = np.linalg.norm(e.x[:, i, :] - e.x[:, j, :], axis=-1)
+            rel_v = np.linalg.norm(e.v[:, i, :] - e.v[:, j, :], axis=-1)
+            inside = (rel_x <= mu) & (e.flags == 0)
+            xi = np.where(inside, e.weights * np.abs(e.values) * rel_v / mu, 0.0)
+            est = collision_boundary_term(e, mu, pair=pair)
+            assert est.estimate == float(np.sum(xi))
+            assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))
+            assert est.sample_count == int(np.sum(inside)) > 0
+    # new values make a new ensemble with its own memo
+    halved = e.with_values(0.5 * e.values)
+    full = collision_boundary_term(e, 0.4).estimate
+    assert collision_boundary_term(halved, 0.4).estimate == 0.5 * full
+
+
 # ---------------------------------------------------------------------------
 # energy cutoff and level-difference series
 

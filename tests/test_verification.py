@@ -1,6 +1,8 @@
 import csv
 import json
+import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -605,6 +607,38 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
         assert rep.details["std_errors"] == [0.1 * mu**2 for mu in mus]
         assert rep.statistic == pytest.approx(abs(2.0 - (d - 1)), abs=1e-12)
         assert rep.passed is passed
+
+
+def test_collision_scaling_raises_on_an_empty_radius():
+    # 200 rows leave mu = 0.2 and 0.001 without a sample; a zero term has no
+    # logarithm to fit
+    box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
+    with pytest.raises(CoverageError, match=r"mu = 0\.2, 0\.001"):
+        check_collision_scaling(free_potential(3), box, datum, 200, 1, [0.4, 0.2, 0.001])
+    # a single radius fits nothing and fails as before
+    single = check_collision_scaling(free_potential(3), box, datum, 200, 1, [0.001])
+    assert math.isnan(single.details["fitted_slope"]) and not single.passed
+
+
+def test_collision_scaling_peaks_below_twice_its_sample_buffer():
+    # the box is scaled into the drawn buffer and each pair's distances are
+    # taken once, so the peak stays under 2x the 200k x 12 doubles drawn
+    count = 200_000
+    box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        check_collision_scaling(free_potential(3), box, datum, count, 14, [0.4, 0.2, 0.1, 0.05])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak < 2.0 * count * 12 * 8
 
 
 def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
