@@ -542,29 +542,6 @@ def min_pair_distance(cfg: Configuration) -> float:
     return float(_min_pair_distance(cfg.x[None])[0])
 
 
-def vector_field(cfg: Configuration, potential) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dx/dt, dv/dt) at cfg; raises at a coincidence."""
-    acc, dmin = _forces(cfg.x[None], potential)
-    if potential.is_singular and dmin[0] < COINCIDENCE_THRESHOLD:
-        raise SingularityError(f"pair distance {dmin[0]:g} below threshold")
-    return cfg.v.copy(), acc[0]
-
-
-def step(cfg: Configuration, potential, dt: float, scheme: str = "velocity_verlet") -> Configuration:
-    """One explicit step of size dt (possibly negative)."""
-    icfg = IntegratorConfig(scheme=scheme, dt=abs(dt) if dt != 0 else 1.0)
-    if dt == 0.0:
-        return cfg
-    batch = _Batch(cfg.x[None], cfg.v[None], potential, icfg)
-    if batch.dmin[0] < COINCIDENCE_THRESHOLD:
-        raise SingularityError(f"pair distance {batch.dmin[0]:g} below threshold")
-    batch.step(dt)
-    if batch.dmin[0] < COINCIDENCE_THRESHOLD:
-        raise SingularityError(f"pair distance {batch.dmin[0]:g} below threshold after step")
-    x, v, _ = batch.result()
-    return Configuration(x[0], v[0])
-
-
 def _raise_for_flag(flag: int):
     if flag == FLAG_SINGULAR:
         raise SingularityError("trajectory reached the pair-coincidence threshold")

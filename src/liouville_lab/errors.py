@@ -34,4 +34,4 @@ class CoverageError(LiouvilleLabError):
 
 
 class AlignmentError(LiouvilleLabError):
-    """Ensembles passed to a pointwise combination disagree on sample points."""
+    """States offered to an estimator do not match its time nodes."""

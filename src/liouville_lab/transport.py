@@ -14,6 +14,7 @@ solutions apply a C^1 function beta to the carried values first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, flow_batch, _forces, _energy_batch
+from .dynamics import IntegratorConfig, flow_batch, _energy_batch
 from .errors import AlignmentError, CoverageError, DomainError
 from .estimates import MCEstimate
 from .potentials import CONFINING_AT_ZERO
@@ -36,6 +37,10 @@ MAX_ABS_POLY_PRIME = 1.5396007178387945
 
 # pinned constant for the O(dt^2) discretization bias of second order flows
 DT_BIAS_COEFFICIENT = 100.0
+
+# closest a test function's support may come to the coincidence set of a
+# confining potential, whose forces diverge there
+COLLISION_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -220,25 +225,6 @@ class Ensemble:
             raise DomainError("replacement values must match sample count")
         return replace(self, values=values)
 
-    def to_csv(self, path) -> None:
-        n, d = self.n, self.d
-        cols = ["sample_id", "t"]
-        cols += [f"x_{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
-        cols += [f"v_{i + 1}_{k + 1}" for i in range(n) for k in range(d)]
-        cols += ["weight", "f0_value", "flags"]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            for j in range(self.size):
-                row = [f"{j}", f"{self.time:.17g}"]
-                row += [f"{val:.17g}" for val in self.x[j].ravel()]
-                row += [f"{val:.17g}" for val in self.v[j].ravel()]
-                row += [
-                    f"{self.weights[j]:.17g}",
-                    f"{self.values[j]:.17g}",
-                    f"{int(self.flags[j])}",
-                ]
-                fh.write(",".join(row) + "\n")
-
 
 def _pair_distance(a: np.ndarray, i: int, j: int) -> np.ndarray:
     r = a[:, i] - a[:, j]
@@ -270,22 +256,6 @@ def push_forward(e: Ensemble, potential, t: float, icfg: IntegratorConfig) -> En
     """Flow the ensemble by time t; values ride along unchanged."""
     x, v, flags = flow_batch(e.x, e.v, potential, t, icfg)
     return replace(e, x=x, v=v, flags=np.maximum(e.flags, flags), time=e.time + t)
-
-
-def evolve_series(
-    e: Ensemble, potential, times: Sequence[float], icfg: IntegratorConfig
-) -> list[Ensemble]:
-    """Snapshots of the ensemble at the given non-decreasing times >= e.time."""
-    times = list(times)
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise DomainError("snapshot times must be non-decreasing")
-    if times and times[0] < e.time:
-        raise DomainError("snapshot times must not precede the ensemble time")
-    out = []
-    for tk in times:
-        e = push_forward(e, potential, tk - e.time, icfg)
-        out.append(e)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -597,16 +567,20 @@ def simpson_times(phi: TestFunction, count: int = 65) -> np.ndarray:
 class ResidualTerms:
     """Per-row sums of the weak-identity defect, before any statistic.
 
-    Row i of acc_full[m] holds sum_k S_k g_m(f0)_i Dphi(t_k, Y_i(t_k)) plus
-    the t = 0 boundary term g_m(f0)_i phi(0, z_i); acc_half[m] holds the
-    same on the half-resolution Simpson grid.  `active` marks rows that no
-    flow flagged and `weights` are the ensemble weights.  map_seconds[m]
-    is the time map m's own terms took.
+    Row i of acc_full[m] holds sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k))
+    plus the t = 0 boundary term g_m(0, f0_i) phi(0, z_i); acc_half[m]
+    holds the same on the half-resolution Simpson grid.  A value map
+    g(t, f0) gives the value a row carries at time t (None: f0 itself);
+    a transported density carries f0 unchanged, so a renormalizer beta
+    is the map (t, f0) -> beta(f0).  `active` marks rows that no flow
+    flagged and `weights` are the ensemble weights.  map_seconds[m] is
+    the time map m's own terms took.
 
     The rows are those of e0, the ensemble at t = 0, whose datum must be
     compactly supported inside its box.  `add` takes the terms of one
     Simpson node (`times`) for any subset of the rows, so rows that are
-    never added sum to 0.
+    never added sum to 0.  weak_residual_suite feeds it from one flow
+    paused at the nodes.
     """
 
     def __init__(
@@ -614,23 +588,22 @@ class ResidualTerms:
         e0: Ensemble,
         potential,
         phi: TestFunction,
-        value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
+        value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
         count: int = 65,
-        collision_margin: float = 1e-3,
     ):
         if e0.datum is None or not e0.datum.has_compact_support:
             raise CoverageError("weak residuals need an initial datum with compact support")
         lo, hi = e0.datum.support_bounds()
         if not e0.box.contains(lo, hi):
             raise CoverageError("initial datum support must lie inside the sampling box")
-        if phi.min_support_pair_distance() < collision_margin and getattr(
+        if phi.min_support_pair_distance() < COLLISION_MARGIN and getattr(
             potential, "singularity_class", None
         ) == CONFINING_AT_ZERO:
             raise CoverageError(
                 "test function support reaches within the collision margin of"
                 " the coincidence set of a confining potential"
             )
-        self.potential, self.phi, self.value_maps = potential, phi, list(value_maps)
+        self.phi, self.value_maps = phi, list(value_maps)
         self.times = simpson_times(phi, count)
         self.window = a, b = residual_window(phi)
         self.w_full = simpson_weights(count, a, b)
@@ -638,26 +611,26 @@ class ResidualTerms:
         n_maps = len(self.value_maps)
         self.acc_full = np.zeros((n_maps, e0.size))
         self.acc_half = np.zeros((n_maps, e0.size))
-        self.active = np.ones(e0.size, dtype=bool)
+        self.active = e0.flags == dynamics.FLAG_OK
         self.weights = e0.weights
         self.map_seconds = np.zeros(n_maps)
 
     def add(self, k: int, t: float, x, v, forces, values, rows) -> None:
         """Add the terms of Simpson node k, at time t, of the given rows:
-        (m, n, d) positions x and velocities v, their accelerations
-        `forces` (None: evaluated here where the pairing needs them), the
-        carried values and the row numbers, all in one order."""
+        (m, n, d) positions x, velocities v and accelerations `forces`,
+        the values carried from t = 0 and the row numbers, all in one
+        order."""
         if k >= self.times.size:
-            raise AlignmentError(f"series has more than {self.times.size} snapshots")
+            raise AlignmentError(f"more than {self.times.size} nodes offered")
         if abs(t - self.times[k]) > 1e-9:
             raise AlignmentError(
-                f"snapshot {k} at t={t:g} does not match Simpson node {self.times[k]:g}"
+                f"node {k} offered at t={t:g} is not Simpson node {self.times[k]:g}"
             )
         if k == 0 and self.phi.time_window[0] < 0.0:
             phi0 = self.phi.value(0.0, x, v)
             for m, g in enumerate(self.value_maps):
                 started = time.perf_counter()
-                term0 = (values if g is None else g(values)) * phi0
+                term0 = (values if g is None else g(t, values)) * phi0
                 self.acc_full[m, rows] += term0
                 self.acc_half[m, rows] += term0
                 self.map_seconds[m] += time.perf_counter() - started
@@ -666,13 +639,11 @@ class ResidualTerms:
         if not np.any(inside):
             return
         idx = inside.nonzero()[0]
-        x_in = x[idx]
-        acc = _forces(x_in, self.potential)[0] if forces is None else forces[idx]
-        pairing_in = self.phi.transport_pairing(t, x_in, v[idx], acc)
+        pairing_in = self.phi.transport_pairing(t, x[idx], v[idx], forces[idx])
         at = rows[idx]
         for m, g in enumerate(self.value_maps):
             started = time.perf_counter()
-            vals = values[idx] if g is None else g(values[idx])
+            vals = values[idx] if g is None else g(t, values[idx])
             term = vals * pairing_in
             self.acc_full[m, at] += self.w_full[k] * term
             if k % 2 == 0:
@@ -680,10 +651,16 @@ class ResidualTerms:
             self.map_seconds[m] += time.perf_counter() - started
 
 
-def weak_residual_statistics(
-    terms: ResidualTerms, step_size: float | None = None
-) -> list[MCEstimate]:
-    """One estimate per value map from the per-row sums; see weak_residual_suite."""
+def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCEstimate]:
+    """One estimate per value map from the per-row sums.
+
+    The estimate is sum_i w_i acc_full_i over the active rows.
+    std_error combines the Monte Carlo error with a Richardson estimate
+    of the Simpson error (the full grid against the half grid);
+    bias_bound is the pinned O(dt^2) term of an integrator of step
+    `step_size`.  details["map_seconds"] is the time the map's own
+    terms took.
+    """
     size = terms.weights.size
     n_active = int(np.sum(terms.active))
     out = []
@@ -693,9 +670,7 @@ def weak_residual_statistics(
         se_mc = float(np.std(xi, ddof=1) * math.sqrt(size))
         coarse = float(np.sum(np.where(terms.active, terms.weights * terms.acc_half[m], 0.0)))
         quad_err = abs(coarse - estimate) / 15.0
-        bias = 0.0
-        if step_size is not None:
-            bias = DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi)))
+        bias = DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi)))
         out.append(
             MCEstimate(
                 estimate=estimate,
@@ -707,6 +682,7 @@ def weak_residual_statistics(
                     "mc_std_error": se_mc,
                     "quadrature_error": quad_err,
                     "window": terms.window,
+                    "map_seconds": float(terms.map_seconds[m]),
                 },
             )
         )
@@ -714,65 +690,61 @@ def weak_residual_statistics(
 
 
 def weak_residual_suite(
-    series,
+    e0: Ensemble,
     potential,
-    phi: TestFunction,
-    value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
-    count: int = 65,
-    collision_margin: float = 1e-3,
-    step_size: float | None = None,
-) -> list[MCEstimate]:
-    """Weak-identity defects for several renormalizers in one series pass.
+    phis: Sequence[TestFunction],
+    value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
+    icfg: IntegratorConfig,
+    nodes: int = 65,
+) -> list[list[MCEstimate]]:
+    """Weak-identity defects of e0's carried density, one flow for all.
 
-    Each map g gives the estimate  sum_k S_k sum_i w_i g(f0)_i
-    Dphi(t_k, Y_i(t_k)) + sum_i w_i g(f0)_i phi(0, z_i),  which vanishes
-    in expectation for exact transport (g = None means the identity).
-    `series` is any iterable (a generator is fine) of ensembles sampled
-    exactly at simpson_times(phi, count).  std_error combines the Monte
-    Carlo error with a Richardson estimate of the Simpson error;
-    bias_bound is the pinned O(dt^2) discretization term when the
-    integrator step is supplied.
+    For each test function phi and value map g the estimate is
 
-    Each snapshot adds its node's terms to one ResidualTerms, evaluating
-    the forces on the rows inside supp phi; weak_residual_statistics
-    turns the sums into estimates.  A caller holding the states and
-    forces of a paused flow can feed the same accumulator directly.
+        sum_k S_k sum_i w_i g(t_k, f0_i) Dphi(t_k, Y_i(t_k))
+            + sum_i w_i g(0, f0_i) phi(0, z_i),
+
+    which vanishes in expectation for exact transport (see ResidualTerms
+    for the maps).  Returns one list of estimates, in value-map order,
+    per test function.  The test functions must share one time window,
+    so that they share the `nodes` Simpson nodes.
+
+    Only the rows with a nonzero carried value are flowed: every map
+    must send 0 to 0 (renormalization in L^1 needs beta(0) = 0), so a
+    zero row adds exactly 0 wherever it goes and counts as unflagged.
+    The flow pauses at the nodes and each node adds its terms from the
+    live batch (states and the forces of its last step) into one
+    ResidualTerms per test function.  Each leg takes the steps of its
+    own flow, so the estimates equal stepping every row leg by leg with
+    push_forward, bitwise on unflagged rows.
     """
-    terms = None
-    k = -1
-    for k, e in enumerate(series):
-        if terms is None:
-            terms = ResidualTerms(
-                e, potential, phi, value_maps, count=count, collision_margin=collision_margin
-            )
-        terms.active &= e.flags == dynamics.FLAG_OK
-        terms.add(k, e.time, e.x, e.v, None, e.values, np.arange(e.size))
-    if terms is None or k != count - 1:
-        raise AlignmentError(f"series ended early: expected {count} snapshots")
-    return weak_residual_statistics(terms, step_size=step_size)
+    phis = list(phis)
+    if not phis:
+        raise DomainError("need at least one test function")
+    window = residual_window(phis[0])
+    if any(residual_window(phi) != window for phi in phis[1:]):
+        raise DomainError("test functions of one call must share one time window")
+    suite = [ResidualTerms(e0, potential, phi, value_maps, count=nodes) for phi in phis]
+    times = suite[0].times
+    rows = np.flatnonzero(e0.values)
+    carried = e0.values[rows]
+    nodes_seen = itertools.count()
 
+    def add_node(tk, batch):
+        k = next(nodes_seen)
+        x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
+        values, at = carried[batch.idx], rows[batch.idx]
+        for terms in suite:
+            terms.add(k, tk, x, v, forces, values, at)
 
-def weak_residual(
-    series,
-    potential,
-    phi: TestFunction,
-    value_map: Callable[[np.ndarray], np.ndarray] | None = None,
-    count: int = 65,
-    collision_margin: float = 1e-3,
-    step_size: float | None = None,
-) -> MCEstimate:
-    """Single-map form of weak_residual_suite; see there for semantics."""
-    if hasattr(series, "__len__"):
-        count = len(series)
-    return weak_residual_suite(
-        series,
-        potential,
-        phi,
-        [value_map],
-        count=count,
-        collision_margin=collision_margin,
-        step_size=step_size,
-    )[0]
+    _, _, flags = flow_batch(
+        e0.x[rows], e0.v[rows], potential, times[-1], icfg, stops=times, observe=add_node
+    )
+    out = []
+    for terms in suite:
+        terms.active[rows] &= flags == dynamics.FLAG_OK
+        out.append(weak_residual_statistics(terms, icfg.dt))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -909,29 +881,3 @@ def level_difference_series(
 
     flow_batch(e0.x, e0.v, pot_fwd, times[-1], icfg, stops=times, observe=snapshot)
     return out, displacements
-
-
-# ---------------------------------------------------------------------------
-# pointwise combination of aligned ensembles
-
-
-def combine_solutions(
-    op: Callable[..., np.ndarray], ensembles: Sequence[Ensemble]
-) -> np.ndarray:
-    """Apply op to the value arrays of ensembles sharing identical samples.
-
-    All inputs must agree bitwise on time, positions, and velocities;
-    means drawn from different sample sets cannot be combined pointwise
-    and raise AlignmentError instead.
-    """
-    if not ensembles:
-        raise DomainError("need at least one ensemble")
-    ref = ensembles[0]
-    for e in ensembles[1:]:
-        if e.time != ref.time:
-            raise AlignmentError("ensembles combined at different times")
-        if e.x.shape != ref.x.shape:
-            raise AlignmentError("ensembles have different sample shapes")
-        if not (np.array_equal(e.x, ref.x) and np.array_equal(e.v, ref.v)):
-            raise AlignmentError("ensembles do not share sample points")
-    return op(*[e.values for e in ensembles])

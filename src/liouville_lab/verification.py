@@ -15,7 +15,6 @@ tolerance: `check_gradient_l1_decreasing` and `check_collision_scaling`.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import time
@@ -43,8 +42,8 @@ from .transport import (
     TestFunction,
     level_difference_series,
     random_test_function,
+    residual_window,
     sample_ensemble,
-    # not called here; perfbench/tracer.py wraps it in this namespace
     weak_residual_suite,
 )
 
@@ -970,18 +969,11 @@ def check_renormalization_suite(
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
-    One flow serves the identity map and all betas.  Only the rows whose
-    carried value f0 is nonzero are flowed and estimated (support mask
-    and pairing included): renormalization in L^1 needs beta(0) = 0,
-    which is checked for every beta (DomainError otherwise), so a zero
-    row adds exactly 0 to every residual.  The flow pauses at the Simpson
-    nodes, and each node adds its terms from the live batch (states and
-    the forces of its last step) into per-row sums over the whole
-    ensemble, at rows[batch.idx].  Each leg takes the steps of its own
-    flow, so estimate, std_error and bias_bound equal those of
-    weak_residual_suite on every sample's series, bitwise.  A row that
-    is not flowed counts as unflagged, since it contributes 0 wherever
-    it would go.
+    One weak_residual_suite call serves the identity map and all betas,
+    so only the rows whose carried value f0 is nonzero are flowed, once,
+    pausing at the Simpson nodes.  That needs beta(0) = 0, as
+    renormalization in L^1 does, which is checked for every beta
+    (DomainError otherwise).
 
     Control: the carried values gain a smooth time-dependent factor,
     which no transported density can have (it also maps 0 to 0).
@@ -1004,32 +996,24 @@ def check_renormalization_suite(
             t_center=1.0, t_width=0.8, rng=rng_for(seed, "residual-phi"),
         )
     e0 = sample_ensemble(box, count, datum, seed)
-    rows = np.flatnonzero(e0.values)
-    terms = transport.ResidualTerms(e0, potential, phi, [None] + list(betas), count=nodes)
-    a, _ = terms.window
-    carried = e0.values[rows]
-    nodes_seen = itertools.count()
+    a, _ = residual_window(phi)
 
-    def add_node(tk, batch):
-        values = carried[batch.idx]
+    def value_map(beta):
         if negative_control:
-            values = (1.0 + 3.0 * (tk - a)) * values
-        x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        terms.add(next(nodes_seen), tk, x, v, forces, values, rows[batch.idx])
+            return lambda t, f: beta((1.0 + 3.0 * (t - a)) * f)
+        return lambda t, f: beta(f)
 
-    _, _, flags = flow_batch(
-        e0.x[rows], e0.v[rows], potential, terms.times[-1], icfg,
-        stops=terms.times, observe=add_node,
-    )
-    terms.active[rows] = flags == dynamics.FLAG_OK
-    results = transport.weak_residual_statistics(terms, step_size=icfg.dt)
+    maps = [value_map(lambda f: f)] + [value_map(b) for b in betas]
+    (results,) = weak_residual_suite(e0, potential, [phi], maps, icfg, nodes=nodes)
     elapsed = time.perf_counter() - started
-    beta_seconds = terms.map_seconds[1:].tolist()
+    beta_seconds = [r.details["map_seconds"] for r in results[1:]]
     shares = [elapsed - sum(beta_seconds)] + beta_seconds
     names = ["identity"] + [b.name for b in betas]
     suffix = "_control" if negative_control else ""
+    carried_rows = int(np.count_nonzero(e0.values))
     reports = []
     for name, r, share in zip(names, results, shares):
+        details = {k: val for k, val in r.details.items() if k != "map_seconds"}
         reports.append(
             CheckReport.build(
                 check_name=f"renormalized_residual[{name}]" + suffix,
@@ -1042,7 +1026,7 @@ def check_renormalization_suite(
                 tolerance=0.0,
                 flagged_fraction=r.details.get("flagged_fraction", 0.0),
                 runtime_seconds=share,
-                details={**r.details, "carried_rows": rows.size},
+                details={**details, "carried_rows": carried_rows},
             )
         )
     return reports

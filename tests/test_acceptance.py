@@ -36,14 +36,11 @@ from liouville_lab.transport import (
     InitialDatum,
     PhaseBox,
     TestFunction,
-    combine_solutions,
-    evolve_series,
     random_test_function,
     sample_ensemble,
     shipped_beta_family,
-    simpson_times,
     truncate,
-    weak_residual,
+    weak_residual_suite,
 )
 
 VERLET = IntegratorConfig(scheme="velocity_verlet", dt=1e-3)
@@ -65,13 +62,16 @@ def test_criterion_1_weak_identity_free_transport():
         datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
         pot = free_potential(2)
         ensemble = sample_ensemble(box, 100_000, datum, seed=1)
-        for j in range(10):
-            phi = random_test_function(
+        # the test functions share one time window, so one flow serves all
+        phis = [
+            random_test_function(
                 2, 2, box, t_center=0.5, t_width=0.45,
                 rng=rng_for(1, f"acceptance-phi-{j}"),
             )
-            series = evolve_series(ensemble, pot, simpson_times(phi, 65), VERLET)
-            est = weak_residual(series, pot, phi, count=65)
+            for j in range(10)
+        ]
+        estimates = weak_residual_suite(ensemble, pot, phis, [None], VERLET, nodes=65)
+        for j, (est,) in enumerate(estimates):
             assert abs(est.estimate) < 3.0 * est.std_error, f"phi {j}"
 
 
@@ -232,16 +232,15 @@ def test_criterion_8_product_renormalization():
         )
         for pot in (free_potential(2), harmonic(2, 1.0)):
             ensemble = sample_ensemble(box, 100_000, f, seed=21)
-            # second solution on the same samples: carry its initial values
+            # second solution on the same samples: carry the product of both
+            # initial values, which the flow leaves unchanged along each path
             g_values = g.evaluate(ensemble.phase_flat())
-            series = evolve_series(ensemble, pot, simpson_times(phi, 65), VERLET)
-            product_series = []
-            for e in series:
-                pv = combine_solutions(polarized_product, [e, e.with_values(g_values)])
-                np.testing.assert_allclose(pv, e.values * g_values, atol=1e-12)
-                product_series.append(e.with_values(pv))
-            est = weak_residual(product_series, pot, phi, count=65)
-            assert abs(est.estimate) < 3.0 * est.std_error + est.bias_bound, pot.kind
+            pv = polarized_product(ensemble.values, g_values)
+            np.testing.assert_allclose(pv, ensemble.values * g_values, atol=1e-12)
+            ((est,),) = weak_residual_suite(
+                ensemble.with_values(pv), pot, [phi], [None], VERLET, nodes=65
+            )
+            assert abs(est.estimate) < 3.0 * est.std_error, pot.kind
 
 
 def test_criterion_9_dynamics_quality_gates():

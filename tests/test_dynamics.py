@@ -17,9 +17,7 @@ from liouville_lab.dynamics import (
     integrate,
     min_pair_distance,
     reversed_velocities,
-    step,
     total_momentum,
-    vector_field,
     _forces,
 )
 from liouville_lab.errors import DomainError, SingularityError, SubstepLimitError
@@ -147,23 +145,6 @@ def test_fixed_grid_flow_composes_bitwise(two_body):
     np.testing.assert_array_equal(direct.v, composed.v)
 
 
-def test_single_step_matches_flow_of_one_dt(two_body):
-    pot = harmonic(2)
-    a = step(two_body, pot, 1e-3)
-    b = flow_map(two_body, 1e-3, pot, IntegratorConfig(dt=1e-3))
-    np.testing.assert_array_equal(a.x, b.x)
-    np.testing.assert_array_equal(a.v, b.v)
-
-
-def test_vector_field_returns_rhs(two_body):
-    pot = harmonic(2)
-    dx, dv = vector_field(two_body, pot)
-    np.testing.assert_array_equal(dx, two_body.v)
-    r = two_body.x[0] - two_body.x[1]
-    np.testing.assert_allclose(dv[0], -r, atol=1e-14)
-    np.testing.assert_allclose(dv[1], r, atol=1e-14)
-
-
 def test_trajectory_recording_and_csv(two_body, tmp_path):
     pot = harmonic(2)
     traj = integrate(two_body, pot, 0.01, IntegratorConfig(dt=1e-3))
@@ -267,9 +248,7 @@ def test_singularity_guards_on_scalar_interface():
     pot = repulsive_power(2, exponent=1.0)
     cfg = Configuration(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(SingularityError):
-        vector_field(cfg, pot)
-    with pytest.raises(SingularityError):
-        step(cfg, pot, 1e-3)
+        flow_map(cfg, 1e-3, pot, IntegratorConfig(dt=1e-3))
 
 
 def test_configuration_and_integrator_validation():

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig
-from liouville_lab.errors import AlignmentError, CoverageError, DomainError
+from liouville_lab.errors import CoverageError, DomainError
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
 from liouville_lab.profiles import bump, bump_prime, smooth_step_down_prime
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
     MAX_ABS_POLY_PRIME,
     MAX_ABS_STEP_PRIME,
-    BetaFunction,
     EnergyCutoff,
     Ensemble,
     InitialDatum,
@@ -23,8 +22,6 @@ from liouville_lab.transport import (
     TruncationLevel,
     arctan_squash,
     collision_boundary_term,
-    combine_solutions,
-    evolve_series,
     level_difference_series,
     nonneg_squash,
     push_forward,
@@ -38,7 +35,6 @@ from liouville_lab.transport import (
     smoothed_clamp,
     tanh_squash,
     truncate,
-    weak_residual,
     weak_residual_suite,
 )
 
@@ -149,28 +145,6 @@ def test_sample_ensemble_is_deterministic():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_ensemble_snapshot_csv(tmp_path):
-    box = PhaseBox.centered(2, 2, 1.0, 1.0)
-    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.6)
-    e = push_forward(
-        sample_ensemble(box, 5, datum, seed=2),
-        free_potential(2), 0.3, IntegratorConfig(dt=1e-2),
-    )
-    path = tmp_path / "snapshot.csv"
-    e.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == (
-        "sample_id,t,x_1_1,x_1_2,x_2_1,x_2_2,v_1_1,v_1_2,v_2_1,v_2_2,"
-        "weight,f0_value,flags"
-    )
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert first[0] == "0" and float(first[1]) == pytest.approx(0.3)
-    assert float(first[2]) == pytest.approx(e.x[0, 0, 0])
-    assert float(first[-2]) == pytest.approx(e.values[0])
-    assert first[-1] == "0"
-
-
 def test_push_forward_carries_values_and_time():
     box = PhaseBox.centered(2, 2, 1.0, 1.0)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.6)
@@ -179,21 +153,6 @@ def test_push_forward_carries_values_and_time():
     assert out.time == pytest.approx(0.7)
     np.testing.assert_array_equal(out.values, e.values)
     np.testing.assert_array_equal(out.x, e.x + 0.7 * e.v)
-
-
-def test_evolve_series_time_validation():
-    box = PhaseBox.centered(2, 2, 1.0, 1.0)
-    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.6)
-    e = sample_ensemble(box, 50, datum, seed=1)
-    pot = free_potential(2)
-    icfg = IntegratorConfig(dt=1e-2)
-    with pytest.raises(DomainError):
-        evolve_series(e, pot, [0.4, 0.2], icfg)
-    started = push_forward(e, pot, 0.5, icfg)
-    with pytest.raises(DomainError):
-        evolve_series(started, pot, [0.2, 0.6], icfg)
-    series = evolve_series(e, pot, [0.1, 0.4], icfg)
-    assert [s.time for s in series] == pytest.approx([0.1, 0.4])
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +393,10 @@ def free_setup(count=4000, seed=29, phi_seed=3):
 
 def test_weak_residual_vanishes_for_exact_transport():
     _, _, e, phi = free_setup()
-    pot = free_potential(2)
-    icfg = IntegratorConfig(dt=1e-2)
-    series = evolve_series(e, pot, simpson_times(phi, 33), icfg)
-    est = weak_residual(series, pot, phi)
-    assert est.consistent_with(0.0, sigmas=3.0)
+    ((est,),) = weak_residual_suite(
+        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2), nodes=33
+    )
+    assert abs(est.estimate) <= 3.0 * est.std_error
     assert est.details["flagged_fraction"] == 0.0
 
 
@@ -449,47 +407,72 @@ def test_weak_residual_flags_a_non_solution():
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.7)
     e = sample_ensemble(box, 10_000, datum, seed=29)
     phi = make_phi(scale=0.85)
-    pot = free_potential(2)
-    icfg = IntegratorConfig(dt=1e-2)
     a, _ = residual_window(phi)
-    series = evolve_series(e, pot, simpson_times(phi, 33), icfg)
-    corrupted = [s.with_values((1.0 + 6.0 * (s.time - a)) * s.values) for s in series]
-    est = weak_residual(corrupted, pot, phi)
-    assert not est.consistent_with(0.0, sigmas=3.0)
+    corrupted = lambda t, f: (1.0 + 6.0 * (t - a)) * f  # noqa: E731
+    ((est,),) = weak_residual_suite(
+        e, free_potential(2), [phi], [corrupted], IntegratorConfig(dt=1e-2), nodes=33
+    )
+    assert abs(est.estimate) > 3.0 * est.std_error
 
 
-def test_weak_residual_suite_shares_one_series_pass():
+def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
     _, _, e, phi = free_setup()
-    pot = free_potential(2)
+    tanh = tanh_squash(1.0)
+    ((ident, squashed),) = weak_residual_suite(
+        e, free_potential(2), [phi], [None, lambda t, f: tanh(f)],
+        IntegratorConfig(dt=1e-2), nodes=33,
+    )
+    for est in (ident, squashed):
+        assert abs(est.estimate) <= 3.0 * est.std_error
+    assert squashed.estimate != ident.estimate
+
+
+def test_weak_residual_suite_equals_one_call_per_test_function_bitwise():
+    box, _, e, _ = free_setup(count=3000)
+    pot = harmonic(2, 1.0)
     icfg = IntegratorConfig(dt=1e-2)
-    times = simpson_times(phi, 33)
-    gen = (s for s in evolve_series(e, pot, times, icfg))
-    ests = weak_residual_suite(gen, pot, phi, [None, tanh_squash(1.0)], count=33)
-    assert len(ests) == 2
-    for est in ests:
-        assert est.consistent_with(0.0, sigmas=3.0)
+    rng = np.random.default_rng(11)
+    phis = [random_test_function(2, 2, box, t_center=0.5, t_width=0.45, rng=rng) for _ in range(3)]
+    maps = [None, lambda t, f: arctan_squash(1.0)(f)]
+    together = weak_residual_suite(e, pot, phis, maps, icfg, nodes=33)
+    assert len(together) == 3
+    for phi, ests in zip(phis, together):
+        (alone,) = weak_residual_suite(e, pot, [phi], maps, icfg, nodes=33)
+        for est, ref in zip(ests, alone):
+            assert (est.estimate, est.std_error, est.bias_bound, est.sample_count) == (
+                ref.estimate, ref.std_error, ref.bias_bound, ref.sample_count
+            )
+    # the test functions are not interchangeable: each has its own defect
+    assert len({ests[0].estimate for ests in together}) == 3
+
+
+def test_weak_residual_suite_rejects_test_functions_with_different_windows():
+    _, _, e, phi = free_setup(count=100)
+    later = replace(phi, t_center=phi.t_center + 0.1)
+    with pytest.raises(DomainError, match="one time window"):
+        weak_residual_suite(e, free_potential(2), [phi, later], [None], IntegratorConfig(dt=1e-2))
+    with pytest.raises(DomainError):
+        weak_residual_suite(e, free_potential(2), [], [None], IntegratorConfig(dt=1e-2))
 
 
 def test_weak_residual_rejects_non_compact_datum():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
     e = sample_ensemble(box, 100, datum, seed=1)
-    pot = free_potential(2)
-    phi = make_phi()
-    series = evolve_series(e, pot, simpson_times(phi, 5), IntegratorConfig(dt=1e-2))
     with pytest.raises(CoverageError):
-        weak_residual(series, pot, phi)
+        weak_residual_suite(
+            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2), nodes=5
+        )
 
 
 def test_weak_residual_rejects_datum_leaking_out_of_box():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.full(8, 1.0), width=0.8)
     e = sample_ensemble(box, 100, datum, seed=1)
-    pot = free_potential(2)
-    phi = make_phi()
-    series = evolve_series(e, pot, simpson_times(phi, 5), IntegratorConfig(dt=1e-2))
     with pytest.raises(CoverageError):
-        weak_residual(series, pot, phi)
+        weak_residual_suite(
+            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2), nodes=5
+        )
 
 
 def test_weak_residual_rejects_collision_adjacent_support_when_confining():
@@ -498,54 +481,8 @@ def test_weak_residual_rejects_collision_adjacent_support_when_confining():
     e = sample_ensemble(box, 100, datum, seed=1)
     pot = repulsive_power(2, exponent=1.0)  # confining in d = 2
     phi = make_phi()  # particle supports overlap: pair distance 0
-    series = evolve_series(e, pot, simpson_times(phi, 5), IntegratorConfig(dt=1e-3))
-    with pytest.raises(CoverageError):
-        weak_residual(series, pot, phi)
-
-
-def test_weak_residual_alignment_errors():
-    _, _, e, phi = free_setup(count=100)
-    pot = free_potential(2)
-    icfg = IntegratorConfig(dt=1e-2)
-    times = simpson_times(phi, 9)
-    shifted = evolve_series(e, pot, times + 0.01, icfg)
-    with pytest.raises(AlignmentError):
-        weak_residual_suite(shifted, pot, phi, [None], count=9)
-    short = evolve_series(e, pot, times[:5], icfg)
-    with pytest.raises(AlignmentError):
-        weak_residual_suite(iter(short), pot, phi, [None], count=9)
-    long = evolve_series(e, pot, list(times) + [times[-1]], icfg)
-    with pytest.raises(AlignmentError):
-        weak_residual_suite(iter(long), pot, phi, [None], count=9)
-
-
-# ---------------------------------------------------------------------------
-# pointwise combination
-
-
-def test_combine_solutions_product_identity():
-    box = PhaseBox.centered(2, 2, 1.2, 1.2)
-    datum_f = InitialDatum(kind="bump", center=np.zeros(8), width=0.7)
-    datum_g = InitialDatum(kind="clipped_polynomial", center=np.zeros(8), width=0.9)
-    e_f = sample_ensemble(box, 5000, datum_f, seed=2)
-    e_g = e_f.with_values(datum_g.evaluate(e_f.phase_flat()))
-    prod = combine_solutions(
-        lambda a, b: 0.25 * ((a + b) ** 2 - (a - b) ** 2), [e_f, e_g]
-    )
-    np.testing.assert_allclose(prod, e_f.values * e_g.values, atol=1e-12)
-
-
-def test_combine_solutions_alignment_guards():
-    box = PhaseBox.centered(2, 2, 1.2, 1.2)
-    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.7)
-    e1 = sample_ensemble(box, 100, datum, seed=2)
-    e2 = sample_ensemble(box, 100, datum, seed=3)
-    with pytest.raises(AlignmentError):
-        combine_solutions(lambda a, b: a * b, [e1, e2])
-    with pytest.raises(AlignmentError):
-        combine_solutions(lambda a, b: a * b, [e1, replace(e1, time=0.5)])
-    with pytest.raises(DomainError):
-        combine_solutions(lambda a: a, [])
+    with pytest.raises(CoverageError, match="collision margin"):
+        weak_residual_suite(e, pot, [phi], [None], IntegratorConfig(dt=1e-3), nodes=5)
 
 
 # ---------------------------------------------------------------------------
@@ -660,7 +597,11 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     e0 = sample_ensemble(box, 400, datum, seed=21)
     icfg = IntegratorConfig(dt=2e-3)
     times = [0.1, 0.2, 0.3]
-    legs = evolve_series(e0, make_potential(4), times, icfg)
+    # the every-row reference: one push_forward per leg
+    legs, e = [], e0
+    for tk in times:
+        e = push_forward(e, make_potential(4), tk - e.time, icfg)
+        legs.append(e)
     calls = []
     flow = transport.flow_batch
 

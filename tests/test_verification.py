@@ -26,15 +26,13 @@ from liouville_lab.transport import (
     InitialDatum,
     PhaseBox,
     TestFunction,
-    evolve_series,
+    push_forward,
     random_test_function,
     residual_window,
     sample_ensemble,
     shipped_beta_family,
-    simpson_times,
     smoothed_clamp,
     tanh_squash,
-    weak_residual_suite,
 )
 from liouville_lab.verification import (
     FLAGGED_FRACTION_LIMIT,
@@ -419,16 +417,21 @@ RESIDUAL_ICFG = IntegratorConfig(dt=1e-2)
 
 
 def residual_reference(pot, count, negative_control):
-    """The suite's estimates by hand: every sample flowed, one full pass."""
+    """The suite's estimates by hand: every sample stepped leg by leg."""
     e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
-    series = evolve_series(e0, pot, simpson_times(RESIDUAL_PHI, 65), RESIDUAL_ICFG)
-    if negative_control:
-        a, _ = residual_window(RESIDUAL_PHI)
-        series = [e.with_values((1.0 + 3.0 * (e.time - a)) * e.values) for e in series]
-    maps = [None] + shipped_beta_family(1.0)
-    return e0, weak_residual_suite(
-        series, pot, RESIDUAL_PHI, maps, count=65, step_size=RESIDUAL_ICFG.dt
-    )
+    a, _ = residual_window(RESIDUAL_PHI)
+    maps = [None] + [lambda t, f, b=b: b(f) for b in shipped_beta_family(1.0)]
+    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, maps, count=65)
+    e = e0
+    for k, tk in enumerate(terms.times):
+        e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
+        values = e.values
+        if negative_control:
+            values = (1.0 + 3.0 * (e.time - a)) * values
+        terms.active &= e.flags == FLAG_OK
+        forces = _forces(e.x, pot)[0]
+        terms.add(k, e.time, e.x, e.v, forces, values, np.arange(e.size))
+    return e0, transport.weak_residual_statistics(terms, RESIDUAL_ICFG.dt)
 
 
 @pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
