@@ -576,8 +576,8 @@ class ResidualTerms:
     flagged and `weights` are the ensemble weights.  map_seconds[m] is
     the time map m's own terms took.
 
-    The rows are those of e0, the ensemble at t = 0, whose datum must be
-    compactly supported inside its box.  `add` takes the terms of one
+    The rows are those of e0, the ensemble at t = 0 (DomainError at any
+    other time), whose datum must be compactly supported inside its box.  `add` takes the terms of one
     Simpson node (`times`) for any subset of the rows, so rows that are
     never added sum to 0.  weak_residual_suite feeds it from one flow
     paused at the nodes.
@@ -591,6 +591,8 @@ class ResidualTerms:
         value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
         count: int = 65,
     ):
+        if e0.time != 0.0:
+            raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
         if e0.datum is None or not e0.datum.has_compact_support:
             raise CoverageError("weak residuals need an initial datum with compact support")
         lo, hi = e0.datum.support_bounds()

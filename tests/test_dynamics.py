@@ -145,6 +145,14 @@ def test_fixed_grid_flow_composes_bitwise(two_body):
     np.testing.assert_array_equal(direct.v, composed.v)
 
 
+def test_forces_return_rhs(two_body):
+    acc, dmin = _forces(two_body.x[None], harmonic(2))
+    r = two_body.x[0] - two_body.x[1]
+    np.testing.assert_allclose(acc[0, 0], -r, atol=1e-14)
+    np.testing.assert_allclose(acc[0, 1], r, atol=1e-14)
+    assert dmin[0] == pytest.approx(np.linalg.norm(r))
+
+
 def test_trajectory_recording_and_csv(two_body, tmp_path):
     pot = harmonic(2)
     traj = integrate(two_body, pot, 0.01, IntegratorConfig(dt=1e-3))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig
-from liouville_lab.errors import CoverageError, DomainError
+from liouville_lab.errors import AlignmentError, CoverageError, DomainError
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
 from liouville_lab.profiles import bump, bump_prime, smooth_step_down_prime
 from liouville_lab.transport import (
@@ -18,6 +18,7 @@ from liouville_lab.transport import (
     Ensemble,
     InitialDatum,
     PhaseBox,
+    ResidualTerms,
     TestFunction,
     TruncationLevel,
     arctan_squash,
@@ -35,6 +36,7 @@ from liouville_lab.transport import (
     smoothed_clamp,
     tanh_squash,
     truncate,
+    weak_residual_statistics,
     weak_residual_suite,
 )
 
@@ -453,6 +455,83 @@ def test_weak_residual_suite_rejects_test_functions_with_different_windows():
         weak_residual_suite(e, free_potential(2), [phi, later], [None], IntegratorConfig(dt=1e-2))
     with pytest.raises(DomainError):
         weak_residual_suite(e, free_potential(2), [], [None], IntegratorConfig(dt=1e-2))
+
+
+def test_weak_residual_suite_time_validation():
+    _, _, e, phi = free_setup(count=100)
+    pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
+    started = push_forward(e, pot, 0.5, icfg)
+    with pytest.raises(DomainError, match="t = 0"):
+        weak_residual_suite(started, pot, [phi], [None], icfg, nodes=9)
+    ended = replace(phi, t_center=-1.0, t_width=0.5)
+    with pytest.raises(DomainError, match="ends before t = 0"):
+        weak_residual_suite(e, pot, [ended], [None], icfg, nodes=9)
+    with pytest.raises(DomainError, match="4 m"):
+        weak_residual_suite(e, pot, [phi], [None], icfg, nodes=8)
+
+
+def test_weak_residual_alignment_errors():
+    _, _, e, phi = free_setup(count=100)
+    terms = ResidualTerms(e, free_potential(2), phi, [None], count=9)
+    rows = np.arange(e.size)
+    node = lambda k, t: terms.add(k, t, e.x, e.v, np.zeros_like(e.x), e.values, rows)  # noqa: E731
+    with pytest.raises(AlignmentError):
+        node(0, terms.times[0] + 0.01)
+    for k, tk in enumerate(terms.times):
+        node(k, tk)
+    with pytest.raises(AlignmentError):
+        node(terms.times.size, terms.times[-1])
+
+
+def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
+    box, _, e, phi = free_setup(count=600)
+    e = e.with_values(np.where(np.arange(e.size) % 3 == 0, 0.0, e.values))
+    pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
+    # the every-row reference: one ResidualTerms fed from a flow of all rows
+    ref = ResidualTerms(e, pot, phi, [None], count=17)
+    rows, k = np.arange(e.size), iter(range(ref.times.size))
+
+    def add_node(tk, batch):
+        x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
+        ref.add(next(k), tk, x, v, forces, e.values[batch.idx], rows[batch.idx])
+
+    flow = transport.flow_batch
+    flow(e.x, e.v, pot, ref.times[-1], icfg, stops=ref.times, observe=add_node)
+    (want,) = weak_residual_statistics(ref, icfg.dt)
+    flowed = []
+    monkeypatch.setattr(
+        transport, "flow_batch", lambda x, *a, **k: flowed.append(len(x)) or flow(x, *a, **k)
+    )
+    ((got,),) = weak_residual_suite(e, pot, [phi], [None], icfg, nodes=17)
+    assert flowed == [np.count_nonzero(e.values)] and flowed[0] < e.size
+    assert got.sample_count == e.size
+    assert (got.estimate, got.std_error, got.bias_bound) == (
+        want.estimate, want.std_error, want.bias_bound
+    )
+
+
+def test_weak_residual_suite_hands_value_maps_the_node_times():
+    _, _, e, phi = free_setup()
+    early = replace(phi, t_center=0.2)  # window [0, 0.65]: a t = 0 boundary term
+    seen = []
+
+    def record(t, f):
+        seen.append((t, f.copy()))
+        return f
+
+    ((est,),) = weak_residual_suite(
+        e, free_potential(2), [early], [record], IntegratorConfig(dt=1e-2), nodes=9
+    )
+    times = simpson_times(early, 9)
+    assert seen[0][0] == 0.0 == times[0]
+    assert set(t for t, _ in seen) <= set(times)
+    assert len(set(t for t, _ in seen)) > times.size // 2
+    carried = set(e.values[e.values != 0.0])
+    assert all(set(f) <= carried for _, f in seen)
+    (ident,) = weak_residual_suite(
+        e, free_potential(2), [early], [None], IntegratorConfig(dt=1e-2), nodes=9
+    )[0]
+    assert est.estimate == ident.estimate
 
 
 def test_weak_residual_rejects_non_compact_datum():
