@@ -242,8 +242,8 @@ def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> Non
                 raise ConfigError(f"{path}.{key}: expected shape ({n}, {d})")
     elif experiment == "converge":
         levels = sec["levels"]
-        if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError(f"{path}.levels: need an increasing list of at least two levels")
+        if len(levels) < 3 or any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ConfigError(f"{path}.levels: need an increasing list of at least three levels")
         try:
             MollifierKernel(d=d, power=sec["kernel_power"])
             ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])

@@ -621,15 +621,10 @@ def flow_batch(
     if not all(sgn * leg >= 0.0 for leg in legs):
         raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
     N = x.shape[0]
+    if observe is None and not any(legs):
+        # the identity flow: no batch, whose set-up would evaluate forces
+        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
     closed_form = getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
-    if observe is None and (closed_form or not any(legs)):
-        # nothing to observe: the closed form needs no batch, whose
-        # transposes would cost more than x + leg v itself
-        out = x
-        for leg in legs:
-            if leg != 0.0:
-                out = out + leg * v
-        return out.copy() if out is x else out, v.copy(), np.zeros(N, dtype=np.int8)
     batch = _Batch(x, v, potential, icfg)
     runner = _run_drift if closed_form else _run_adaptive if icfg.adaptive else _run_fixed
     for k, _ in enumerate(runner(batch, legs, icfg)):

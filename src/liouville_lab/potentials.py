@@ -151,12 +151,6 @@ class PairPotential:
             raise SingularityError(f"{self.describe()} evaluated at r = 0")
         return float(self.value_batch(r))
 
-    def gradient(self, r) -> np.ndarray:
-        r = np.asarray(r, dtype=float).reshape(self.d)
-        if self.is_singular and float(np.dot(r, r)) == 0.0:
-            raise SingularityError(f"{self.describe()} gradient at r = 0")
-        return self.gradient_batch(r)
-
 
 def free_potential(d: int) -> PairPotential:
     return PairPotential(kind="free", d=d, singularity_class=SMOOTH, lower_bound_constant=0.0)
@@ -242,6 +236,17 @@ def piecewise_radial(
 # ---------------------------------------------------------------------------
 # mollification machinery
 
+# Gauss-Legendre order in radius and in angle of the ball quadrature behind
+# every batch evaluation; exact for the kernel, spectrally accurate for the
+# shipped families
+QUADRATURE_ORDER = 8
+# the scalar reference doubles the order from QUADRATURE_ORDER until two
+# estimates agree to REFINE_TOL, at most MAX_REFINEMENTS times
+REFINE_TOL = 1e-8
+MAX_REFINEMENTS = 3
+# quadrature points evaluated per block of a ball average, bounding its memory
+BALL_AVERAGE_BLOCK = 1 << 22
+
 
 @dataclass(frozen=True)
 class MollifierKernel:
@@ -274,9 +279,10 @@ class MollifierKernel:
         s = 1.0 - np.sum(z * z, axis=-1)
         return self.normalization * np.where(s > 0.0, s, 0.0) ** self.power
 
-    def mass_error(self, radial_order: int = 16, angular_order: int = 16) -> float:
-        """|quadrature mass - 1| of the kernel; an internal consistency probe."""
-        z, w = ball_nodes(self.d, radial_order, angular_order)
+    def mass_error(self) -> float:
+        """|quadrature mass - 1| of the kernel under the QUADRATURE_ORDER
+        ball rule; an internal consistency probe."""
+        z, w = ball_nodes(self.d, QUADRATURE_ORDER, QUADRATURE_ORDER)
         return abs(float(np.sum(w * self.profile(z))) - 1.0)
 
 
@@ -353,21 +359,20 @@ def _ball_average(
     kernel: MollifierKernel,
     centers: np.ndarray,
     radii_eps: np.ndarray,
-    radial_order: int,
-    angular_order: int,
-    max_block: int = 1 << 22,
+    order: int,
 ) -> np.ndarray:
-    """Kernel-weighted average of V over balls B(center_i, eps_i), vectorized.
+    """Kernel-weighted average of V over balls B(center_i, eps_i), vectorized,
+    with the ball rule of that order in radius and angle.
 
     Self-normalizes by the quadrature mass of the kernel so tiny rule-level
     mass defects cancel instead of biasing the average.
     """
-    z, w = ball_nodes(potential.d, radial_order, angular_order)
+    z, w = ball_nodes(potential.d, order, order)
     rho_w = w * kernel.profile(z)
     den = float(np.sum(rho_w))
     m, q = centers.shape[0], z.shape[0]
     out = np.empty(m)
-    rows = max(1, max_block // max(q, 1))
+    rows = max(1, BALL_AVERAGE_BLOCK // max(q, 1))
     for lo in range(0, m, rows):
         hi = min(lo + rows, m)
         pts = centers[lo:hi, None, :] + radii_eps[lo:hi, None, None] * z[None, :, :]
@@ -382,14 +387,12 @@ def mollified_potential(
     shrink: ShrinkFunction,
     level: int,
     r,
-    refine_tol: float = 1e-8,
-    max_refinements: int = 3,
 ) -> float:
     """V_level(r): average of V over the ball of radius 2^-level * alpha(r).
 
-    The quadrature order doubles until two successive estimates agree to
-    refine_tol; failure to converge within max_refinements doublings raises
-    QuadratureError.
+    The quadrature order doubles from QUADRATURE_ORDER until two successive
+    estimates agree to REFINE_TOL; failure to converge within
+    MAX_REFINEMENTS doublings raises QuadratureError.
     """
     if level < 0:
         raise DomainError("mollification level must be >= 0")
@@ -402,18 +405,16 @@ def mollified_potential(
         if potential.is_singular:
             raise SingularityError("mollification radius vanishes at r = 0")
         return potential.value(x)
-    order = 8
+    order = QUADRATURE_ORDER
     prev = None
-    for _ in range(max_refinements + 1):
-        cur = float(
-            _ball_average(potential, kernel, x[None, :], np.array([eps]), order, order)[0]
-        )
-        if prev is not None and abs(cur - prev) < refine_tol:
+    for _ in range(MAX_REFINEMENTS + 1):
+        cur = float(_ball_average(potential, kernel, x[None, :], np.array([eps]), order)[0])
+        if prev is not None and abs(cur - prev) < REFINE_TOL:
             return cur
         prev = cur
         order *= 2
     raise QuadratureError(
-        f"ball average did not converge to {refine_tol:g} at {potential.describe()}, "
+        f"ball average did not converge to {REFINE_TOL:g} at {potential.describe()}, "
         f"level {level}, |r|={rad:g}"
     )
 
@@ -513,14 +514,12 @@ def _radial_average(
     shrink: ShrinkFunction,
     level: int,
     rad: np.ndarray,
-    radial_order: int,
-    angular_order: int,
 ) -> np.ndarray:
     """Direct quadrature of f_n at radii rad > 0, on the first axis."""
     centers = np.zeros((rad.size, potential.d))
     centers[:, 0] = rad
     eps = 2.0 ** (-level) * shrink(rad)
-    return _ball_average(potential, kernel, centers, eps, radial_order, angular_order)
+    return _ball_average(potential, kernel, centers, eps, QUADRATURE_ORDER)
 
 
 @lru_cache(maxsize=64)
@@ -529,8 +528,6 @@ def _radial_table(
     kernel: MollifierKernel,
     shrink: ShrinkFunction,
     level: int,
-    radial_order: int,
-    angular_order: int,
 ) -> RadialTable:
     """Tabulate f_n over TABLE_RANGE.
 
@@ -543,7 +540,7 @@ def _radial_table(
     """
     kink = shrink.cap / shrink.slope
     lo, hi = TABLE_RANGE[0] * kink, TABLE_RANGE[1] * kink
-    z, _ = ball_nodes(potential.d, radial_order, angular_order)
+    z, _ = ball_nodes(potential.d, QUADRATURE_ORDER, QUADRATURE_ORDER)
     cuts = _node_crossings(potential, shrink, level, z)
     breaks = np.log(np.concatenate([[lo, kink, hi], cuts[(cuts > lo) & (cuts < hi)]]))
     breaks = np.sort(breaks)
@@ -559,9 +556,8 @@ def _radial_table(
     held = cheb.chebvander(held_t, k - 1)
 
     def average(s):
-        return _radial_average(
-            potential, kernel, shrink, level, np.exp(s).ravel(), radial_order, angular_order
-        ).reshape(s.shape)
+        rad = np.exp(s).ravel()
+        return _radial_average(potential, kernel, shrink, level, rad).reshape(s.shape)
 
     pending = np.stack([breaks[:-1], breaks[1:]], axis=1)
     done_edges, done_coefs, errors = [], [], [0.0]
@@ -606,14 +602,13 @@ def _radial_table(
 class MollifiedPotential:
     """Batch-evaluable mollified potential V_level with the PairPotential interface.
 
-    Uses a fixed quadrature order chosen once (the shipped default is
-    already exact for the kernel and spectrally accurate for the shipped
-    families).  Batch values and gradients come from the shared
-    table of these inputs, built on first use: V = f_n(|r|),
-    grad V = f_n'(|r|) r/|r|.  Rows outside the table range (near
-    coincidence or far out) take the direct quadrature at (|r|, 0, ...)
-    instead, with a radial central difference of step eps(|r|)/16 for the
-    gradient; `fallback_rows` counts these row evaluations.
+    Uses the ball quadrature of order QUADRATURE_ORDER.  Batch values and
+    gradients come from the shared table of these inputs, built on first
+    use: V = f_n(|r|), grad V = f_n'(|r|) r/|r|.  Rows outside the table
+    range (near coincidence or far out) take the direct quadrature at
+    (|r|, 0, ...) instead, with a radial central difference of step
+    eps(|r|)/16 for the gradient; `fallback_rows` counts these row
+    evaluations.
     """
 
     def __init__(
@@ -622,8 +617,6 @@ class MollifiedPotential:
         kernel: MollifierKernel,
         shrink: ShrinkFunction,
         level: int,
-        radial_order: int = 8,
-        angular_order: int = 8,
     ):
         if kernel.d != base.d:
             raise DomainError("kernel dimension does not match potential")
@@ -633,13 +626,10 @@ class MollifiedPotential:
         self.kernel = kernel
         self.shrink = shrink
         self.level = int(level)
-        self.radial_order = radial_order
-        self.angular_order = angular_order
         self.d = base.d
         self.kind = f"mollified({base.kind}, level={level})"
         self.singularity_class = base.singularity_class
         self.lower_bound_constant = base.lower_bound_constant
-        self.is_singular = base.is_singular
         self.fallback_rows = 0
         self._table = None
 
@@ -649,10 +639,7 @@ class MollifiedPotential:
     @property
     def table(self) -> RadialTable:
         if self._table is None:
-            self._table = _radial_table(
-                self.base, self.kernel, self.shrink, self.level, self.radial_order,
-                self.angular_order,
-            )
+            self._table = _radial_table(self.base, self.kernel, self.shrink, self.level)
         return self._table
 
     def _radii(self, r: np.ndarray) -> np.ndarray:
@@ -664,10 +651,7 @@ class MollifiedPotential:
         """f_n by direct quadrature; rad = 0 gives the base value at 0."""
         out = np.empty(rad.size)
         pos = rad > 0.0
-        out[pos] = _radial_average(
-            self.base, self.kernel, self.shrink, self.level, rad[pos], self.radial_order,
-            self.angular_order,
-        )
+        out[pos] = _radial_average(self.base, self.kernel, self.shrink, self.level, rad[pos])
         out[~pos] = self.base.value_batch(np.zeros((int(np.sum(~pos)), self.d)))
         return out
 
@@ -698,18 +682,6 @@ class MollifiedPotential:
             coef[rows] = (self._direct(ro + h) - self._direct(ro - h)) / (2.0 * h * ro)
             self.fallback_rows += int(np.sum(outside))
         return coef.reshape(r.shape[:-1])[..., None] * r
-
-    def value(self, r) -> float:
-        x = np.asarray(r, dtype=float).reshape(self.d)
-        if self.is_singular and float(np.dot(x, x)) == 0.0:
-            raise SingularityError("mollified value at r = 0")
-        return float(self.value_batch(x))
-
-    def gradient(self, r) -> np.ndarray:
-        x = np.asarray(r, dtype=float).reshape(self.d)
-        if self.is_singular and float(np.dot(x, x)) == 0.0:
-            raise SingularityError("mollified gradient at r = 0")
-        return self.gradient_batch(x)
 
 
 def gradient_l1_error(

@@ -42,6 +42,12 @@ DT_BIAS_COEFFICIENT = 100.0
 # confining potential, whose forces diverge there
 COLLISION_MARGIN = 1e-3
 
+# range of a random test function's half widths, as fractions of the box's;
+# well below ~0.5 the support is so small in the 2 n d dimensional phase
+# space that almost no samples visit it, leaving residual estimates
+# without statistical power
+TEST_FUNCTION_WIDTH_FRACTION = (0.55, 0.85)
+
 
 @dataclass(frozen=True)
 class PhaseBox:
@@ -408,17 +414,15 @@ def random_test_function(
     t_center: float,
     t_width: float,
     rng: np.random.Generator,
-    width_fraction: tuple[float, float] = (0.55, 0.85),
 ) -> TestFunction:
     """Random product bump whose phase support lies strictly inside box.
 
-    Width fractions well below ~0.5 of the box make the support so small
-    in the 2 n d dimensional phase space that almost no samples visit it,
-    leaving residual estimates without statistical power.
+    Each half width is a fraction of the box's half width drawn uniformly
+    from TEST_FUNCTION_WIDTH_FRACTION.
     """
     half = (box.highs - box.lows) / 2.0
     mid = (box.highs + box.lows) / 2.0
-    frac = rng.uniform(*width_fraction, size=half.size)
+    frac = rng.uniform(*TEST_FUNCTION_WIDTH_FRACTION, size=half.size)
     widths = frac * half
     slack = half - widths
     centers = mid + rng.uniform(-1.0, 1.0, size=half.size) * slack * 0.9
@@ -431,26 +435,15 @@ def random_test_function(
 # renormalization
 
 
-@dataclass(frozen=True)
-class TruncationLevel:
-    """Hard truncation at height m: values clip to [-m, m].
+def truncate(values: np.ndarray, m: float) -> np.ndarray:
+    """Hard truncation at height m > 0: values clip to [-m, m].
 
     Composing truncations at heights p >= m equals truncating at m,
     bitwise; the renormalization checks rely on that ladder identity.
     """
-
-    m: float
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise DomainError("truncation height must be positive")
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return np.clip(values, -self.m, self.m)
-
-
-def truncate(values: np.ndarray, m: float) -> np.ndarray:
-    return TruncationLevel(m)(values)
+    if m <= 0:
+        raise DomainError("truncation height must be positive")
+    return np.clip(values, -m, m)
 
 
 @dataclass(frozen=True)
@@ -465,18 +458,15 @@ class BetaFunction:
         return self.fn(np.asarray(values, dtype=float))
 
 
-def smoothed_clamp(m: float, delta: float | None = None) -> BetaFunction:
+def smoothed_clamp(m: float) -> BetaFunction:
     """C^1 clamp: identity on [-(m - delta), m - delta], constant beyond m.
 
-    The corner of the hard clip is rounded over a band of width delta
-    (default m/100) by integrating a linear ramp, so beta' is continuous.
+    The corner of the hard clip is rounded over a band of width
+    delta = m/100 by integrating a linear ramp, so beta' is continuous.
     """
     if m <= 0:
         raise DomainError("clamp height must be positive")
-    if delta is None:
-        delta = m / 100.0
-    if not (0.0 < delta <= m):
-        raise DomainError("clamp smoothing width must lie in (0, m]")
+    delta = m / 100.0
 
     def fn(x):
         a = np.abs(x)
@@ -577,10 +567,10 @@ class ResidualTerms:
     the time map m's own terms took.
 
     The rows are those of e0, the ensemble at t = 0 (DomainError at any
-    other time), whose datum must be compactly supported inside its box.  `add` takes the terms of one
-    Simpson node (`times`) for any subset of the rows, so rows that are
-    never added sum to 0.  weak_residual_suite feeds it from one flow
-    paused at the nodes.
+    other time), whose datum must be compactly supported inside its box.
+    `add` takes the terms of one Simpson node (`times`) for any subset of
+    the rows, so rows that are never added sum to 0.  weak_residual_suite
+    feeds it from one flow paused at the nodes.
     """
 
     def __init__(

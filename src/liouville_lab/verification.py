@@ -236,22 +236,28 @@ def _control_icfg(icfg: IntegratorConfig, negative_control: bool) -> IntegratorC
     return replace(icfg, velocity_damping=0.99)
 
 
+# probe points that _require_preimage_coverage flows backward, and the
+# share of each box side they must keep clear of its faces
+PREIMAGE_PROBES = 10_000
+PREIMAGE_MARGIN = 0.01
+
+
 def _require_preimage_coverage(
-    phi: TestFunction, box: PhaseBox, potential, t: float, icfg: IntegratorConfig,
-    seed: int, probes: int = 10_000, margin: float = 0.01,
+    phi: TestFunction, box: PhaseBox, potential, t: float, icfg: IntegratorConfig, seed: int
 ) -> None:
     """Flow supp phi backward; if any probe leaves (or hugs) the sampling
     box, mass could enter supp phi from outside the box and the
     preservation statistic would be biased."""
     rng = rng_for(seed, "coverage-probes")
     lo, hi = phi.support_bounds()
+    probes = PREIMAGE_PROBES
     z = lo + rng.random((probes, lo.size)) * (hi - lo)
     nd = box.n * box.d
     x = z[:, :nd].reshape(probes, box.n, box.d)
     v = z[:, nd:].reshape(probes, box.n, box.d)
     bx, bv, flags = flow_batch(x, v, potential, -t, icfg)
     back = np.concatenate([bx.reshape(probes, -1), bv.reshape(probes, -1)], axis=1)
-    pad = margin * (box.highs - box.lows)
+    pad = PREIMAGE_MARGIN * (box.highs - box.lows)
     ok = flags == dynamics.FLAG_OK
     inside = np.all(back[ok] > box.lows + pad, axis=1) & np.all(
         back[ok] < box.highs - pad, axis=1
@@ -294,7 +300,7 @@ def check_measure_preservation(
         phi = default_observable_for(potential, box, seed)
     if (
         getattr(potential, "singularity_class", None) == CONFINING_AT_ZERO
-        and phi.min_support_pair_distance() < 1e-3
+        and phi.min_support_pair_distance() < transport.COLLISION_MARGIN
     ):
         raise CoverageError(
             "observable support reaches the coincidence set of a confining"
@@ -793,22 +799,26 @@ def check_mollification_cauchy(
     seed: int,
     icfg: IntegratorConfig,
     levels: Sequence[int] = (3, 4, 5, 6),
-    alt_kernel: MollifierKernel | None = None,
     negative_control: bool = False,
 ) -> list[CheckReport]:
     """Flows under consecutive regularization levels form a Cauchy sequence.
 
     Gap g_n = mean |Y_{n+1}(t,z) - Y_n(t,z)| must be non-increasing in n
-    (first report), and at the finest level the flow must not depend on
-    the kernel: switching to alt_kernel moves it by at most twice the
-    finest gap (second report).  Control: a damped flow at the finest
-    level breaks the gap ordering.
+    (first report), so at least three levels are needed (DomainError
+    otherwise).  At the finest level the flow must not depend on the
+    kernel: switching to the kernel of power + 2 moves it by at most
+    twice the finest gap (second report).  Control: a damped flow at the
+    finest level breaks the gap ordering.
     """
     started = time.perf_counter()
+    if len(levels) < 3:
+        raise DomainError(
+            "the Cauchy check compares consecutive gaps and needs at least three levels,"
+            f" got {list(levels)}"
+        )
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
-    if alt_kernel is None:
-        alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)
+    alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)
 
     ends = []
     pots = [MollifiedPotential(base, kernel, shrink, lvl) for lvl in levels]
@@ -1035,6 +1045,12 @@ def check_renormalization_suite(
 # ---------------------------------------------------------------------------
 # uniqueness functional monotonicity
 
+# beta = nonneg_squash(scale) is quadratic near 0, as the uniqueness
+# functional of a difference of solutions needs
+UNIQUENESS_BETA_SCALE = 0.5
+# radius of the contracting energy cutoff the functional is taken against
+UNIQUENESS_CUTOFF_RADIUS = 6.0
+
 
 def check_uniqueness_monotone(
     base,
@@ -1047,13 +1063,14 @@ def check_uniqueness_monotone(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    radius: float = 6.0,
     times_count: int = 10,
-    beta: transport.BetaFunction | None = None,
     negative_control: bool = False,
 ) -> CheckReport:
     """The cutoff functional of beta(solution difference) never increases.
 
+    beta is nonneg_squash(UNIQUENESS_BETA_SCALE) and the energy cutoff has
+    radius UNIQUENESS_CUTOFF_RADIUS; F is taken at times_count >= 2
+    snapshot times (DomainError otherwise) from 0 to the horizon.
     h(t) = beta(f_a(t) - f_b(t)) rides the level-a flow, with f_b
     reconstructed by flowing backward at level b; F(t) integrates h
     against the contracting energy cutoff.  Increments of F must stay
@@ -1066,10 +1083,11 @@ def check_uniqueness_monotone(
     which no difference of transported solutions can produce.
     """
     started = time.perf_counter()
-    if beta is None:
-        beta = transport.nonneg_squash(0.5)
+    if times_count < 2:
+        raise DomainError(f"the uniqueness check needs at least two times, got {times_count}")
     if datum.support_bounds() is None:
         raise DomainError("uniqueness check needs a compactly supported datum")
+    beta = transport.nonneg_squash(UNIQUENESS_BETA_SCALE)
     e0 = sample_ensemble(box, count, datum, seed)
     stride = max(1, round(horizon / (times_count - 1) / icfg.dt))
     times = icfg.dt * stride * np.arange(times_count)
@@ -1089,7 +1107,9 @@ def check_uniqueness_monotone(
             e.with_values(e0.values * (1.0 + 60.0 * e.time)) for e in series
         ]
     pot = make(level_pair[0])
-    cutoff = EnergyCutoff.for_potential(base, box.n, radius=radius, horizon=horizon)
+    cutoff = EnergyCutoff.for_potential(
+        base, box.n, radius=UNIQUENESS_CUTOFF_RADIUS, horizon=horizon
+    )
     F = np.empty(times_count)
     SE = np.empty(times_count)
     biases = np.empty(times_count)

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ from liouville_lab.errors import ConfigError
 from liouville_lab.potentials import MollifierKernel, ShrinkFunction, free_potential
 from liouville_lab.transport import InitialDatum, PhaseBox
 
-CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+CONFIGS = SCRIPTS / "configs"
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -206,6 +209,16 @@ def test_example_configs_load():
         assert cfg.experiment == raw["experiment"], path.name
         shipped.add(cfg.experiment)
     assert shipped == set(cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("script", ["weak_residual_demo.py", "integrator_bench.py"])
+def test_scripts_run_with_help(script, monkeypatch, capsys):
+    # the script's imports from the package run before --help exits
+    monkeypatch.setattr(sys, "argv", [script, "--help"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert stop.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_converge_runs_the_library_checks(tmp_path):
@@ -406,6 +419,7 @@ def test_section_rules_exit_two_before_writing(tmp_path):
         ("simulate", {"simulate": {"x0": [[0.0, 0.0]] * 3, "v0": [[0.0, 0.0]] * 2}}),
         ("converge", {"converge": {"levels": [4, 3]}}),
         ("converge", {"converge": {"levels": [4]}}),
+        ("converge", {"converge": {"levels": [3, 4]}}),
         ("converge", {"converge": {"kernel_power": 1}}),
         ("converge", {"converge": {"shrink_cap": 2.0}}),
         ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),

@@ -228,7 +228,7 @@ def test_table_matches_quadrature_at_held_out_radii(d):
     # the order-8 quadrature has kinks in |r|, which the panel edges follow
     straddle = np.linspace(0.7, 0.9, 41)
     pot = MollifiedPotential(bases[-1], kernel, shrink, level)
-    direct = potentials._radial_average(bases[-1], kernel, shrink, level, straddle, 8, 8)
+    direct = potentials._radial_average(bases[-1], kernel, shrink, level, straddle)
     got = pot.value_batch(random_rows(straddle, d, 7))
     assert np.max(np.abs(got - direct)) < 10 * TABLE_RTOL * np.max(np.abs(direct))
 

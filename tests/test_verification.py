@@ -374,6 +374,17 @@ def test_mollification_cauchy_passes_and_control_fails():
     assert not bad.passed
 
 
+@pytest.mark.parametrize("levels", [(3, 4), (3,)])
+def test_mollification_cauchy_needs_three_levels(levels):
+    # the gap ordering compares two consecutive gaps, so three flows
+    with pytest.raises(DomainError):
+        check_mollification_cauchy(
+            repulsive_power(2, exponent=0.5), MollifierKernel(d=2, power=3),
+            ShrinkFunction(), BOX, t=0.2, count=50, seed=SEED,
+            icfg=IntegratorConfig(dt=2e-3), levels=levels,
+        )
+
+
 # ---------------------------------------------------------------------------
 # renormalized residuals, free transport for speed
 
@@ -584,6 +595,13 @@ def test_uniqueness_monotone_needs_compact_datum():
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
     with pytest.raises(DomainError):
         check_uniqueness_monotone(**uniqueness_kwargs(datum=datum))
+
+
+@pytest.mark.parametrize("times_count", [0, 1])
+def test_uniqueness_monotone_needs_two_times(times_count):
+    # an increment of F needs two snapshot times
+    with pytest.raises(DomainError):
+        check_uniqueness_monotone(**uniqueness_kwargs(times_count=times_count))
 
 
 def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypatch):
