@@ -1,16 +1,16 @@
 """Integrator cost per sample-step of `flow_batch`.
 
-Times `dynamics.flow_batch` on a seeded n = 2, d = 2 ensemble for fixed
-and adaptive velocity Verlet and RK4, for each analytic pair potential
+Times `dynamics.flow_batch` on a seeded n = 2, d = 2 ensemble with fixed
+and adaptive velocity Verlet steps, for each analytic pair potential
 that is integrated step by step (the free potential is advanced in
 closed form), and prints one JSON object: median and min over k repeats
 of the wall time per sample-step in ns.  A sample-step is one row
 advanced by one step; the count comes from the rows the potential's
-`gradient_batch` sees (one force evaluation per Verlet step, four per
-RK4 step, plus the initial one), so adaptive substeps are counted too.
+`gradient_batch` sees (one force evaluation per step, plus the initial
+one), so adaptive substeps are counted too.
 
-The "walks" rows time the Simpson walk of the flow-axiom suite: velocity
-Verlet over t = 0.25 with 129 evenly spaced stops, on harmonic with
+The "walks" rows time the Simpson walk of the flow-axiom suite: a flow
+over t = 0.25 with 129 evenly spaced stops, on harmonic with
 fixed steps and repulsive_power with fixed and adaptive steps.  (Adaptive
 steps on a smooth potential crawl through near coincidences for
 millions of substeps, so that case is left out.)  "stopped" is one
@@ -42,9 +42,7 @@ KINDS = {
     "gaussian_well": lambda: gaussian_well(2, depth=1.3, width=0.8),
     "piecewise_radial": lambda: piecewise_radial(2, 0.8, -0.6, 0.4),
 }
-SCHEMES = ("velocity_verlet", "rk4")
 MODES = ("fixed", "adaptive")
-FORCES_PER_STEP = {"velocity_verlet": 1, "rk4": 4}
 
 
 class CountingRows:
@@ -65,9 +63,9 @@ def ensemble(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return rng.uniform(-1.5, 1.5, (count, 2, 2)), rng.uniform(-1.5, 1.5, (count, 2, 2))
 
 
-def measure(kind: str, scheme: str, mode: str, count: int, steps: int, repeats: int, seed: int):
+def measure(kind: str, mode: str, count: int, steps: int, repeats: int, seed: int):
     x, v = ensemble(count, seed)
-    icfg = IntegratorConfig(scheme=scheme, dt=1e-3, adaptive=mode == "adaptive")
+    icfg = IntegratorConfig(dt=1e-3, adaptive=mode == "adaptive")
     pot = CountingRows(KINDS[kind]())
     t = steps * icfg.dt
     walls = []
@@ -76,11 +74,10 @@ def measure(kind: str, scheme: str, mode: str, count: int, steps: int, repeats: 
         started = time.perf_counter()
         flow_batch(x, v, pot, t, icfg)
         walls.append(time.perf_counter() - started)
-    sample_steps = (pot.rows - count) / FORCES_PER_STEP[scheme]
+    sample_steps = pot.rows - count
     per = [1e9 * w / sample_steps for w in walls]
     return {
         "kind": kind,
-        "scheme": scheme,
         "mode": mode,
         "rows": count,
         "steps": steps,
@@ -128,7 +125,6 @@ def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
         per[name] = {"median": statistics.median(ns), "min": min(ns)}
     return {
         "kind": kind,
-        "scheme": "velocity_verlet",
         "mode": mode,
         "rows": count,
         "t": WALK_T,
@@ -146,10 +142,9 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
     results = [
-        measure(kind, scheme, mode, count, args.steps, args.repeats, args.seed)
+        measure(kind, mode, count, args.steps, args.repeats, args.seed)
         for count in args.sizes
         for kind in KINDS
-        for scheme in SCHEMES
         for mode in MODES
     ]
     walks = [

@@ -241,10 +241,9 @@ def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> Non
             if rows is not None and (len(rows) != n or any(len(r) != d for r in rows)):
                 raise ConfigError(f"{path}.{key}: expected shape ({n}, {d})")
     elif experiment == "converge":
-        levels = sec["levels"]
-        if len(levels) < 3 or any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError(f"{path}.levels: need an increasing list of at least three levels")
         try:
+            # the Cauchy check of a converge run needs three levels
+            verification.require_levels(sec["levels"], 3)
             MollifierKernel(d=d, power=sec["kernel_power"])
             ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
         except LiouvilleLabError as exc:
@@ -467,16 +466,14 @@ def emit_scaling_table(path, details: dict) -> None:
     """Write the mu-sweep table of a `collision_scaling_slope` report.
 
     Columns mu, term, std_error, fitted_slope, from the report's
-    details; the slope appears once, in a footer row.  An empty sweep
-    writes the header only.
+    details; the slope appears once, in a footer row.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mu", "term", "std_error", "fitted_slope"])
         for mu, term, se in zip(details["mus"], details["terms"], details["std_errors"]):
             writer.writerow([f"{mu:.17g}", f"{term:.17g}", f"{se:.17g}", ""])
-        if details["mus"]:
-            writer.writerow(["fit", "", "", f"{details['fitted_slope']:.17g}"])
+        writer.writerow(["fit", "", "", f"{details['fitted_slope']:.17g}"])
 
 
 _RUNNERS = {

@@ -5,8 +5,9 @@ vector field is
 
     dx_i/dt = v_i,      dv_i/dt = - sum_{j != i} grad V(x_i - x_j),
 
-integrated by velocity Verlet (symplectic, exactly time reversible) or a
-classical RK4 reference.  Near-coincident pairs make singular potentials
+integrated by velocity Verlet, the one stepper: it is symplectic, so it
+preserves phase volume, and exactly time reversible, both of which the
+flow checks rely on.  Near-coincident pairs make singular potentials
 stiff, so an adaptive mode shrinks the step with the minimum pair
 distance.  Batch drivers propagate whole Monte Carlo ensembles at once
 and flag (rather than raise on) samples that hit a coincidence or the
@@ -52,7 +53,7 @@ FLAG_OK = 0
 FLAG_SINGULAR = 1
 FLAG_SUBSTEP_LIMIT = 2
 
-_SCHEMES = ("velocity_verlet", "rk4")
+_SCHEMES = ("velocity_verlet",)
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class Configuration:
 class IntegratorConfig:
     """Time stepping controls.
 
+    `scheme` names the stepper; velocity Verlet is the only one.
     `reference_distance` sets where adaptive stepping starts shrinking:
     the local step is dt * min(1, (dmin / reference_distance)^(3/2)).
     `velocity_damping` < 1 deliberately dissipates energy; it exists for
@@ -264,17 +266,16 @@ class _Batch:
     def __init__(self, x, v, potential, icfg: IntegratorConfig):
         N, n, d = np.shape(x)
         self.N = N
-        self.rk4 = icfg.scheme == "rk4"
         self.damping = icfg.velocity_damping
         self.forces = _PairForces(n, d, N, potential)
         self._X = _component_major(x)
         self._V = _component_major(v)
         self._A = np.empty_like(self._X)
-        # scratch: S for Verlet; S, K2, K3, K4, T for RK4
-        self._S = np.empty((5 if self.rk4 else 1,) + self._X.shape)
+        self._S = np.empty_like(self._X)
         self._dmin = np.empty(N)
         self._idx = np.arange(N)
-        self._coefs = np.empty((3, N))
+        # h/2 of each row when steps differ per row
+        self._half = np.empty(N)
         # per-row arrays whose last axis follows the rows when they move
         self._per_row = [self._X, self._V, self._A, self._dmin, self._idx]
         self.flags = np.zeros(N, dtype=np.int8)
@@ -288,7 +289,7 @@ class _Batch:
         self.X, self.V, self.A = self._X[..., :m], self._V[..., :m], self._A[..., :m]
         self.S = self._S[..., :m]
         self.dmin, self.idx = self._dmin[:m], self._idx[:m]
-        self.coefs = self._coefs[:, :m]
+        self.half = self._half[:m]
         self.forces.resize(m)
 
     def track(self, values: np.ndarray) -> np.ndarray:
@@ -366,55 +367,16 @@ class _Batch:
         return out_x, out_v, self.flags.copy()
 
     def step(self, h) -> None:
-        """Advance every active row by h, a scalar or one step per row."""
-        if self.rk4:
-            if isinstance(h, np.ndarray):
-                half, sixth, sq_sixth = self.coefs
-                np.multiply(h, 0.5, out=half)
-                np.divide(h, 6.0, out=sixth)
-                np.divide(np.multiply(h, h, out=sq_sixth), 6.0, out=sq_sixth)
-            else:
-                half, sixth, sq_sixth = 0.5 * h, h / 6.0, h * h / 6.0
-            self._rk4(h, half, sixth, sq_sixth)
-        else:
-            half = np.multiply(h, 0.5, out=self.coefs[0]) if isinstance(h, np.ndarray) else 0.5 * h
-            self._verlet(h, half)
-
-    def _verlet(self, h, half) -> None:
-        """Kick by h/2, drift by h, kick by h/2 with the forces at the new x."""
-        X, V, A, S = self.X, self.V, self.A, self.S[0]
+        """Advance every active row by h, a scalar or one step per row:
+        kick by h/2, drift by h, kick by h/2 with the forces at the new x."""
+        half = np.multiply(h, 0.5, out=self.half) if isinstance(h, np.ndarray) else 0.5 * h
+        X, V, A, S = self.X, self.V, self.A, self.S
         np.add(V, np.multiply(A, half, out=S), out=V)
         np.add(X, np.multiply(V, h, out=S), out=X)
         self.forces.accelerate(X, A, self.dmin)
         np.add(V, np.multiply(A, half, out=S), out=V)
         if self.damping != 1.0:
             np.multiply(V, self.damping, out=V)
-
-    def _rk4(self, h, half, sixth, sq_sixth) -> None:
-        """Classical RK4 with k1 = A, the forces at the incoming x."""
-        X, V, A = self.X, self.V, self.A
-        S, K2, K3, K4, T = self.S
-        accelerate = self.forces.accelerate
-        # k2 at x + h/2 v
-        accelerate(np.add(X, np.multiply(V, half, out=S), out=S), K2)
-        # k3 at x + h/2 (v + h/2 k1)
-        np.add(V, np.multiply(A, half, out=T), out=T)
-        accelerate(np.add(X, np.multiply(T, half, out=T), out=S), K3)
-        # k4 at x + h (v + h/2 k2)
-        np.add(V, np.multiply(K2, half, out=T), out=T)
-        accelerate(np.add(X, np.multiply(T, h, out=T), out=S), K4)
-        # x + h v + h^2/6 (k1 + k2 + k3)
-        np.add(X, np.multiply(V, h, out=S), out=S)
-        np.add(np.add(A, K2, out=T), K3, out=T)
-        np.add(S, np.multiply(T, sq_sixth, out=T), out=X)
-        # v + h/6 (k1 + 2 k2 + 2 k3 + k4)
-        np.add(A, np.multiply(K2, 2.0, out=T), out=T)
-        np.add(T, np.multiply(K3, 2.0, out=S), out=T)
-        np.add(T, K4, out=T)
-        np.add(V, np.multiply(T, sixth, out=T), out=V)
-        if self.damping != 1.0:
-            np.multiply(V, self.damping, out=V)
-        accelerate(X, A, self.dmin)
 
 
 def _forces(x: np.ndarray, potential) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +487,7 @@ def _run_drift(batch: _Batch, legs, icfg):
     """The free flow in closed form, x + leg v for each leg."""
     for leg in legs:
         if leg != 0.0:
-            np.add(batch.X, np.multiply(batch.V, leg, out=batch.S[0]), out=batch.X)
+            np.add(batch.X, np.multiply(batch.V, leg, out=batch.S), out=batch.X)
         yield
 
 

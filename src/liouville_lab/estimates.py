@@ -21,10 +21,6 @@ class MCEstimate:
     sample_count: int = 0
     details: dict = field(default_factory=dict, compare=False)
 
-    def consistent_with(self, target: float, sigmas: float = 3.0) -> bool:
-        """Whether `target` lies within sigmas * std_error + bias_bound."""
-        return abs(self.estimate - target) <= sigmas * self.std_error + self.bias_bound
-
     @staticmethod
     def from_samples(xi, weights=None) -> "MCEstimate":
         """Mean-of-weighted-samples estimator for sum_i w_i xi_i with plug-in SE."""

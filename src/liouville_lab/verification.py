@@ -474,12 +474,12 @@ def _energy_invariance(
     )
 
 
-def _simpson_defects(sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig):
+def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
     """Per-sample worst component of the Simpson sum of Y chi' + B(Y) chi
-    over the nodes and of its gap to the sum over every other node, from
-    one flow that pauses at the nodes; returns them and the final state."""
-    if nodes < 5 or (nodes - 1) % 4 != 0:
-        raise DomainError("node count must be 4 m + 1")
+    over the WEAK_ODE_NODES nodes and of its gap to the sum over every
+    other node, from one flow that pauses at the nodes; returns them and
+    the final state."""
+    nodes = WEAK_ODE_NODES
     t_mid, t_half = t_final / 2.0, t_final / 2.0
     times = np.linspace(0.0, t_final, nodes)
     w_full = transport.simpson_weights(nodes, 0.0, t_final)
@@ -518,18 +518,18 @@ def _simpson_defects(sample: _Sample, t_final: float, nodes: int, icfg: Integrat
 
 
 def _weak_ode(
-    sample: _Sample, t_final: float, nodes: int, icfg: IntegratorConfig,
+    sample: _Sample, t_final: float, icfg: IntegratorConfig,
     tolerance: float, control: bool, started: float,
 ):
     """The weak_ode report and the state at t_final."""
-    per_sample, per_half, end = _simpson_defects(sample, t_final, nodes, icfg)
+    per_sample, per_half, end = _simpson_defects(sample, t_final, icfg)
     ok = end[2]
     selected = ok & sample.below
     statistic = _worst(per_sample, selected)
     quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
     report = sample.report(
         "weak_ode", control, statistic, tolerance, ok, started,
-        {"t_final": t_final, "nodes": nodes, "energy_level": sample.level},
+        {"t_final": t_final, "nodes": WEAK_ODE_NODES, "energy_level": sample.level},
         std_error=quad_err,
     )
     return report, end
@@ -617,22 +617,22 @@ def check_weak_ode(
     seed: int,
     icfg: IntegratorConfig,
     tolerance: float = TOLERANCES["weak_ode"],
-    nodes: int = WEAK_ODE_NODES,
     negative_control: bool = False,
 ) -> CheckReport:
     """Distributional form of dY/dt = B(Y) against a smooth time bump.
 
     Integrating by parts, int (Y chi' + B(Y) chi) dt must vanish for
     every chi compactly supported in (0, t_final); the check integrates
-    one bump per sample with composite Simpson and takes the worst
-    component, restricted below an energy level.  One flow pauses at
-    the Simpson nodes and each adds its terms from the live batch state.
+    one bump per sample with composite Simpson on WEAK_ODE_NODES nodes
+    and takes the worst component, restricted below an energy level.
+    One flow pauses at the nodes and each adds its terms from the live
+    batch state.
     Control: velocity damping makes trajectories solve a different ODE.
     """
     started = time.perf_counter()
     sample = _Sample(potential, box, count, seed)
     report, _ = _weak_ode(
-        sample, t_final, nodes, _control_icfg(icfg, negative_control), tolerance,
+        sample, t_final, _control_icfg(icfg, negative_control), tolerance,
         negative_control, started,
     )
     return report
@@ -712,7 +712,7 @@ def flow_axiom_suite(
             )
         if "weak_ode" in checks or (control and "energy_invariance" in checks):
             out["weak_ode", control], walk_end = _weak_ode(
-                sample, t, WEAK_ODE_NODES, _control_icfg(icfg, control), tol["weak_ode"],
+                sample, t, _control_icfg(icfg, control), tol["weak_ode"],
                 control, time.perf_counter(),
             )
         if "energy_invariance" in checks:
@@ -725,6 +725,18 @@ def flow_axiom_suite(
 
 # ---------------------------------------------------------------------------
 # mollification convergence
+
+
+def require_levels(levels: Sequence[int], least: int) -> list[int]:
+    """The levels as a list, if there are at least `least` of them and
+    they strictly increase; DomainError otherwise.  A repeated level
+    compares a flow with itself and a falling one reverses the ladder, so
+    a convergence check over such levels would pass or fail by
+    construction."""
+    levels = list(levels)
+    if len(levels) < least or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise DomainError(f"need at least {least} strictly increasing levels, got {levels}")
+    return levels
 
 
 def _table_details(pots: Sequence[MollifiedPotential]) -> dict:
@@ -749,17 +761,16 @@ def check_gradient_l1_decreasing(
     """Mollified gradients approach the true gradient in L1, level by level.
 
     The L1 error of grad V_n - grad V on the annulus r_inner <= |r| <=
-    r_outer is estimated at each level (an increasing list of at least
-    two) from the same sample points, so consecutive estimates share
-    their randomness.  The statistic is the worst fine/coarse ratio of
-    consecutive errors, held to a pinned tolerance of 1.05, the slack
-    left for Monte Carlo jitter; std_error and bias_bound are 0.  This
-    check has no negative control yet and its budget is pinned, not
-    measured.  details: levels, errors and std_errors per level, ratios.
+    r_outer is estimated at each level (at least two, strictly
+    increasing, DomainError otherwise) from the same sample points, so
+    consecutive estimates share their randomness.  The statistic is the
+    worst fine/coarse ratio of consecutive errors, held to a pinned
+    tolerance of 1.05, the slack left for Monte Carlo jitter; std_error
+    and bias_bound are 0.  This check has no negative control yet and its
+    budget is pinned, not measured.  details: levels, errors and
+    std_errors per level, ratios.
     """
-    levels = list(levels)
-    if len(levels) < 2 or any(b <= a for a, b in zip(levels, levels[1:])):
-        raise DomainError("gradient convergence needs an increasing list of at least two levels")
+    levels = require_levels(levels, 2)
     started = time.perf_counter()
     estimates = [
         potentials.gradient_l1_error(
@@ -804,18 +815,14 @@ def check_mollification_cauchy(
     """Flows under consecutive regularization levels form a Cauchy sequence.
 
     Gap g_n = mean |Y_{n+1}(t,z) - Y_n(t,z)| must be non-increasing in n
-    (first report), so at least three levels are needed (DomainError
-    otherwise).  At the finest level the flow must not depend on the
-    kernel: switching to the kernel of power + 2 moves it by at most
-    twice the finest gap (second report).  Control: a damped flow at the
-    finest level breaks the gap ordering.
+    (first report), so at least three strictly increasing levels are
+    needed (DomainError otherwise).  At the finest level the flow must
+    not depend on the kernel: switching to the kernel of power + 2 moves
+    it by at most twice the finest gap (second report).  Control: a
+    damped flow at the finest level breaks the gap ordering.
     """
     started = time.perf_counter()
-    if len(levels) < 3:
-        raise DomainError(
-            "the Cauchy check compares consecutive gaps and needs at least three levels,"
-            f" got {list(levels)}"
-        )
+    levels = require_levels(levels, 3)
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
     alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)
@@ -859,7 +866,7 @@ def check_mollification_cauchy(
         flagged_fraction=flagged,
         runtime_seconds=elapsed,
         details={
-            "levels": list(levels),
+            "levels": levels,
             "gap_means": [float(np.mean(g[ok])) for g in gaps],
             **_table_details(pots),
         },
@@ -916,8 +923,8 @@ def check_collision_scaling(
     ensemble keeps the pair's distances and carried weights after the
     first radius, so each further radius only masks and sums them.  The
     statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
-    std_error and bias_bound are 0.  With fewer than two radii the slope
-    is nan and the check fails.  A radius whose term is 0, because no
+    std_error and bias_bound are 0.  Fewer than two radii fit no slope
+    and raise DomainError.  A radius whose term is 0, because no
     unflagged sample with a nonzero value lies within it, has no
     logarithm to fit and raises CoverageError.  This check has no
     negative control yet and its budget is pinned, not measured.
@@ -926,20 +933,19 @@ def check_collision_scaling(
     """
     started = time.perf_counter()
     mus = list(mus)
+    if len(mus) < 2:
+        raise DomainError(f"a scaling slope needs at least two cutoff radii, got {mus}")
     e = sample_ensemble(box, count, datum, seed)
     estimates = [transport.collision_boundary_term(e, mu, pair=pair) for mu in mus]
     terms = [est.estimate for est in estimates]
-    if len(mus) >= 2:
-        empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
-        if empty:
-            raise CoverageError(
-                f"no unflagged sample of {count} with a nonzero value lies within cutoff"
-                f" radius mu = {empty}, so the collision term there is 0 and has no"
-                " logarithm to fit; raise the count or the smallest radius"
-            )
-        slope = float(np.polyfit(np.log(mus), np.log(terms), 1)[0])
-    else:
-        slope = math.nan
+    empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
+    if empty:
+        raise CoverageError(
+            f"no unflagged sample of {count} with a nonzero value lies within cutoff"
+            f" radius mu = {empty}, so the collision term there is 0 and has no"
+            " logarithm to fit; raise the count or the smallest radius"
+        )
+    slope = float(np.polyfit(np.log(mus), np.log(terms), 1)[0])
     return CheckReport.build(
         check_name="collision_scaling_slope",
         potential=potential.describe(),

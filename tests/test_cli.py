@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import runpy
 import sys
 from pathlib import Path
@@ -10,11 +9,11 @@ import pytest
 
 from liouville_lab import cli, verification
 from liouville_lab.errors import ConfigError
-from liouville_lab.potentials import MollifierKernel, ShrinkFunction, free_potential
-from liouville_lab.transport import InitialDatum, PhaseBox
+from liouville_lab.potentials import MollifierKernel, ShrinkFunction
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 CONFIGS = SCRIPTS / "configs"
+BENCH_CONFIGS = SCRIPTS.parent / "perfbench" / "configs"
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -199,15 +198,17 @@ def test_verify_runs_the_library_suite(tmp_path):
 
 
 def test_example_configs_load():
-    # schema drift check: every shipped config resolves without running,
-    # and every experiment ships at least one
-    paths = sorted(CONFIGS.glob("*.json"))
+    # schema drift check: every shipped config and every benchmark config
+    # resolves without running, and every experiment ships at least one
+    bench = sorted(BENCH_CONFIGS.glob("*.json"))
+    assert bench
     shipped = set()
-    for path in paths:
+    for path in sorted(CONFIGS.glob("*.json")) + bench:
         raw = json.loads(path.read_text())
         cfg = cli.load_config(raw, raw["experiment"], {})
         assert cfg.experiment == raw["experiment"], path.name
-        shipped.add(cfg.experiment)
+        if path.parent == CONFIGS:
+            shipped.add(cfg.experiment)
     assert shipped == set(cli.EXPERIMENTS)
 
 
@@ -328,24 +329,6 @@ def test_emit_scaling_table_formats(tmp_path):
     assert rows[3][0] == "fit" and float(rows[3][3]) == 2.0
 
 
-def test_emit_scaling_table_degenerate_sweeps(tmp_path):
-    # the check fits nothing and fails on fewer than two radii; the table
-    # still records what was swept
-    box = PhaseBox.centered(d=2, n=2, x_half=1.0, v_half=1.0)
-    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
-    path = tmp_path / "scaling.csv"
-    empty = verification.check_collision_scaling(free_potential(2), box, datum, 1000, 1, [])
-    assert math.isnan(empty.details["fitted_slope"]) and not empty.passed
-    cli.emit_scaling_table(path, empty.details)
-    assert path.read_text().strip() == "mu,term,std_error,fitted_slope"
-    single = verification.check_collision_scaling(free_potential(2), box, datum, 1000, 1, [0.4])
-    assert math.isnan(single.details["fitted_slope"]) and not single.passed
-    cli.emit_scaling_table(path, single.details)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 3 and rows[2][0] == "fit" and rows[2][3] == "nan"
-
-
 # ---------------------------------------------------------------------------
 # config validation and exit codes
 
@@ -417,9 +400,12 @@ def test_section_rules_exit_two_before_writing(tmp_path):
     for experiment, section in [
         ("simulate", {"simulate": {"x0": [[0.0, 0.0], [1.0]], "v0": [[0.0, 0.0]] * 2}}),
         ("simulate", {"simulate": {"x0": [[0.0, 0.0]] * 3, "v0": [[0.0, 0.0]] * 2}}),
+        # velocity Verlet is the one stepper
+        ("simulate", {"dynamics": {"scheme": "rk4"}}),
         ("converge", {"converge": {"levels": [4, 3]}}),
         ("converge", {"converge": {"levels": [4]}}),
         ("converge", {"converge": {"levels": [3, 4]}}),
+        ("converge", {"converge": {"levels": [4, 4, 4]}}),
         ("converge", {"converge": {"kernel_power": 1}}),
         ("converge", {"converge": {"shrink_cap": 2.0}}),
         ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),

@@ -77,16 +77,6 @@ def test_verlet_error_is_second_order(two_body):
     assert 3.0 < ratio < 5.0
 
 
-def test_rk4_reaches_roundoff_on_two_body(two_body):
-    pot = harmonic(2)
-    got = flow_map(two_body, 1.0, pot, IntegratorConfig(scheme="rk4", dt=1e-3))
-    want = harmonic_pair_closed_form(two_body, 1.0)
-    assert phase_gap(got, want) < 1e-12
-
-
-FORCES_PER_STEP = {"velocity_verlet": 1, "rk4": 4}
-
-
 class Counting:
     """A potential without a kind that counts its gradient_batch calls."""
 
@@ -99,16 +89,14 @@ class Counting:
         return self.base.gradient_batch(r)
 
 
-def test_rk4_step_reuses_incoming_forces(two_body):
-    # the incoming acceleration is k1, so a step costs 4 force evaluations
-    # (k2, k3, k4 and the outgoing acceleration) after the initial one
-    pot = Counting(harmonic(2))
-    flow_map(two_body, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
-    assert pot.calls == 1 + 4 * 10
-    # one force evaluation is one gradient_batch call for every pair
-    pot = Counting(harmonic(2))
-    flow_map(THREE_BODY, 1.0, pot, IntegratorConfig(scheme="rk4", dt=0.1))
-    assert pot.calls == 1 + 4 * 10
+def test_verlet_step_costs_one_force_evaluation(two_body):
+    # the forces at the new x serve the next step's first kick, so a step
+    # costs one evaluation after the initial one, and one evaluation is
+    # one gradient_batch call for every pair
+    for cfg in (two_body, THREE_BODY):
+        pot = Counting(harmonic(2))
+        flow_map(cfg, 1.0, pot, IntegratorConfig(dt=0.1))
+        assert pot.calls == 1 + 10
 
 
 def test_verlet_time_reversibility(two_body):
@@ -174,12 +162,11 @@ def test_trajectory_recording_and_csv(two_body, tmp_path):
         traj.to_csv(path, stride=0)
 
 
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("cfg", [pytest.param("two", id="n2"), pytest.param("three", id="n3")])
-def test_integrate_records_the_flow_bitwise(scheme, cfg, two_body):
+def test_integrate_records_the_flow_bitwise(cfg, two_body):
     cfg = two_body if cfg == "two" else THREE_BODY
     pot = gaussian_well(2, depth=1.3, width=0.8)
-    icfg = IntegratorConfig(scheme=scheme, dt=1e-3)
+    icfg = IntegratorConfig(dt=1e-3)
     # 12 whole steps and a remainder step
     traj = integrate(cfg, pot, -0.0125, icfg)
     assert traj.times.size == 14
@@ -264,8 +251,10 @@ def test_configuration_and_integrator_validation():
         Configuration(np.zeros((2, 2)), np.zeros((3, 2)))
     with pytest.raises(DomainError):
         Configuration(np.zeros(4), np.zeros(4))
-    with pytest.raises(DomainError):
-        IntegratorConfig(scheme="euler")
+    # velocity Verlet is the one stepper
+    for scheme in ("euler", "rk4"):
+        with pytest.raises(DomainError, match="unknown scheme"):
+            IntegratorConfig(scheme=scheme)
     with pytest.raises(DomainError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(DomainError):
@@ -314,25 +303,9 @@ def _reference_verlet(x, v, acc, potential, dt, damping):
     return x_new, v_new, acc_new, dmin_new
 
 
-def _reference_rk4(x, v, acc, potential, dt, damping):
-    k1v = acc
-    k2v, _ = _reference_forces(x + 0.5 * dt * v, potential)
-    x3 = x + 0.5 * dt * (v + 0.5 * dt * k1v)
-    k3v, _ = _reference_forces(x3, potential)
-    x4 = x + dt * (v + 0.5 * dt * k2v)
-    k4v, _ = _reference_forces(x4, potential)
-    x_new = x + dt * v + dt * dt / 6.0 * (k1v + k2v + k3v)
-    v_new = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    if damping != 1.0:
-        v_new = damping * v_new
-    acc_new, dmin_new = _reference_forces(x_new, potential)
-    return x_new, v_new, acc_new, dmin_new
-
-
 def _reference_flow_row(x, v, potential, t, icfg):
     """Flow one (n, d) state; returns (x, v, flag) with the state frozen
     at the step that raised the flag."""
-    step = _reference_verlet if icfg.scheme == "velocity_verlet" else _reference_rk4
     damping = icfg.velocity_damping
     x, v = x[None], v[None]
     acc, dmin = _reference_forces(x, potential)
@@ -345,7 +318,9 @@ def _reference_flow_row(x, v, potential, t, icfg):
             h = icfg.dt * np.minimum(1.0, (dmin / icfg.reference_distance) ** 1.5)
             last = h >= remaining
             h = np.where(last, remaining, h)
-            x, v, acc, dmin = step(x, v, acc, potential, (sgn * h)[:, None, None], damping)
+            x, v, acc, dmin = _reference_verlet(
+                x, v, acc, potential, (sgn * h)[:, None, None], damping
+            )
             remaining = remaining - h
             if dmin[0] < 1e-12:
                 return x[0], v[0], FLAG_SINGULAR
@@ -356,7 +331,7 @@ def _reference_flow_row(x, v, potential, t, icfg):
     rem = t - sgn * nsteps * icfg.dt
     sizes = [sgn * icfg.dt] * nsteps + ([rem] if abs(rem) > 1e-9 * max(1.0, abs(t)) else [])
     for h in sizes:
-        x, v, acc, dmin = step(x, v, acc, potential, h, damping)
+        x, v, acc, dmin = _reference_verlet(x, v, acc, potential, h, damping)
         if dmin[0] < 1e-12:
             return x[0], v[0], FLAG_SINGULAR
     return x[0], v[0], FLAG_OK
@@ -384,9 +359,8 @@ class Untagged:
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("t", [0.0305, -0.0305])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_flow_batch_matches_row_major_reference_bitwise(adaptive, scheme, damping, t, n):
+def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n):
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, (12, n, 2))
     v = rng.uniform(-1.0, 1.0, (12, n, 2))
@@ -395,7 +369,7 @@ def test_flow_batch_matches_row_major_reference_bitwise(adaptive, scheme, dampin
     x[5, 0], x[5, 1] = [-0.03, 0.001], [0.03, -0.001]
     v[5, 0], v[5, 1] = [2.0, 0.0], [-2.0, 0.0]
     icfg = IntegratorConfig(
-        scheme=scheme, dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=40,
+        dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=40,
     )
     flags = _assert_matches_reference(x, v, repulsive_power(2, exponent=1.0), t, icfg)
     assert flags[3] == FLAG_SINGULAR
@@ -403,9 +377,8 @@ def test_flow_batch_matches_row_major_reference_bitwise(adaptive, scheme, dampin
     assert flags[5] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
 
 
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_flagged_rows_freeze_like_the_reference(adaptive, scheme):
+def test_flagged_rows_freeze_like_the_reference(adaptive):
     # force-free flow on a dyadic grid is exact: row 1 closes 2 dt per step
     # and meets at step 10, row 2 sits below reference_distance and crawls
     dt = 2.0**-10
@@ -417,7 +390,7 @@ def test_flagged_rows_freeze_like_the_reference(adaptive, scheme):
     v[1, 0, 0], v[1, 1, 0] = 1.0, -1.0
     x[2, 1, 0] = x[2, 0, 0] + 2.0**-24
     icfg = IntegratorConfig(
-        scheme=scheme, dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
+        dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
     )
     flags = _assert_matches_reference(x, v, Untagged(free_potential(2)), 0.02, icfg)
     xo, _, _ = flow_batch(x, v, Untagged(free_potential(2)), 0.02, icfg)
@@ -428,9 +401,8 @@ def test_flagged_rows_freeze_like_the_reference(adaptive, scheme):
 
 
 @pytest.mark.parametrize("kind", ["harmonic", "repulsive_power"])
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_nan_rows_are_singular_in_both_runners(adaptive, scheme, kind):
+def test_nan_rows_are_singular_in_both_runners(adaptive, kind):
     # one flag rule: a NaN min pair distance is a coincidence at once, so an
     # adaptive run does not step a NaN row until its budget runs out
     pot = harmonic(2) if kind == "harmonic" else repulsive_power(2, exponent=1.0)
@@ -438,7 +410,7 @@ def test_nan_rows_are_singular_in_both_runners(adaptive, scheme, kind):
     x = rng.uniform(-1.0, 1.0, (5, 2, 2))
     v = rng.uniform(-1.0, 1.0, (5, 2, 2))
     x[2, 1, 0] = np.nan
-    icfg = IntegratorConfig(scheme=scheme, dt=1e-3, adaptive=adaptive, max_substeps=2000)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, max_substeps=2000)
     xo, vo, flags = flow_batch(x, v, pot, 0.0305, icfg)
     assert flags[2] == FLAG_SINGULAR
     others = [0, 1, 3, 4]
@@ -491,9 +463,8 @@ def _assert_stops_match_legs(x, v, potential, t, stops, icfg):
 
 @pytest.mark.parametrize("t", [0.0305, -0.0305])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, scheme, damping, t):
+def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t):
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.0, 1.0, (16, 2, 2))
     v = rng.uniform(-1.0, 1.0, (16, 2, 2))
@@ -505,7 +476,7 @@ def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, scheme, damping, t):
     # off-grid legs, a repeated stop (a leg of length 0) and a last leg
     stops = [s * np.sign(t) for s in (0.0041, 0.0123, 0.0123, 0.0199, 0.0305)]
     icfg = IntegratorConfig(
-        scheme=scheme, dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=12,
+        dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=12,
     )
     pot = repulsive_power(2, exponent=1.0)
     flags = _assert_stops_match_legs(x, v, pot, t, stops, icfg)
@@ -529,9 +500,8 @@ def test_stops_keep_the_free_closed_form(t, two_body):
     np.testing.assert_array_equal(x_end, _flow_by_legs(x, v, pot, t, stops, icfg)[-1][0])
 
 
-@pytest.mark.parametrize("scheme", ["velocity_verlet", "rk4"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_stops_freeze_a_row_that_collides_mid_walk(adaptive, scheme):
+def test_stops_freeze_a_row_that_collides_mid_walk(adaptive):
     # force-free flow on a dyadic grid is exact: row 3 closes 2 dt per step
     # and meets at step 10, inside the third leg; row 0 starts coincident,
     # so its retirement moves row 3 to the batch's first column
@@ -544,7 +514,7 @@ def test_stops_freeze_a_row_that_collides_mid_walk(adaptive, scheme):
     v[3, 0, 0], v[3, 1, 0] = 1.0, -1.0
     x[0, 1] = x[0, 0]
     icfg = IntegratorConfig(
-        scheme=scheme, dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
+        dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
     )
     potential = Untagged(free_potential(2))
     stops = [0.0, 3 * dt, 3 * dt, 12 * dt]
@@ -558,17 +528,14 @@ def test_stops_freeze_a_row_that_collides_mid_walk(adaptive, scheme):
     np.testing.assert_array_equal(xo[3, 0], xo[3, 1])
 
 
-@pytest.mark.parametrize(
-    "scheme, adaptive",
-    [("velocity_verlet", False), ("velocity_verlet", True), ("rk4", False)],
-)
-def test_stops_add_no_force_evaluations(scheme, adaptive, monkeypatch):
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_stops_add_no_force_evaluations(adaptive, monkeypatch):
     # a walk costs the evaluations of its steps plus one at the start: the
     # forces of a leg's last step serve the next leg and the observer
     rng = np.random.default_rng(3)
     x = rng.uniform(-1.0, 1.0, (50, 2, 2))
     v = rng.uniform(-1.0, 1.0, (50, 2, 2))
-    icfg = IntegratorConfig(scheme=scheme, dt=1e-3, adaptive=adaptive)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive)
     stops = list(np.linspace(0.0, 0.05, 33))
     steps = []
     step = dynamics._Batch.step
@@ -581,7 +548,7 @@ def test_stops_add_no_force_evaluations(scheme, adaptive, monkeypatch):
     walk = Counting(repulsive_power(2, exponent=1.0))
     flow_batch(x, v, walk, 0.05, icfg, stops=stops, observe=lambda stop, batch: None)
     walk_steps = len(steps)
-    assert walk.calls == 1 + FORCES_PER_STEP[scheme] * walk_steps
+    assert walk.calls == 1 + walk_steps
     # and it takes the steps of its legs flowed one by one
     steps.clear()
     now = 0.0

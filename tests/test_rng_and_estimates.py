@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from liouville_lab.estimates import MCEstimate
 from liouville_lab.rng import child_seed, rng_for
@@ -29,21 +28,3 @@ def test_from_samples_standard_error_oracle():
     # sqrt(N) * sample std of the per-sample contributions
     assert est.std_error == pytest.approx(np.sqrt(4) * np.std(xi, ddof=1))
     assert est.sample_count == 4
-
-
-def test_consistent_with_uses_sigma_and_bias():
-    est = MCEstimate(estimate=1.0, std_error=0.1, bias_bound=0.05)
-    assert est.consistent_with(1.3)       # 0.3 <= 3*0.1 + 0.05
-    assert not est.consistent_with(1.4)   # 0.4 > 0.35
-
-
-@given(
-    st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=64),
-    st.floats(min_value=0.0, max_value=10.0),
-)
-def test_consistent_with_is_symmetric_interval(values, slack):
-    xi = np.asarray(values)
-    est = MCEstimate.from_samples(xi)
-    target = est.estimate + slack * (est.std_error + 1e-12)
-    mirrored = est.estimate - slack * (est.std_error + 1e-12)
-    assert est.consistent_with(target) == est.consistent_with(mirrored)

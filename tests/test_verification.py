@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 import time
 import tracemalloc
 
@@ -264,12 +263,12 @@ def test_energy_invariance_passes_and_control_fails():
     assert not bad.passed
 
 
-def _simpson_defects_by_legs(sample, t_final, icfg, nodes=WEAK_ODE_NODES):
+def _simpson_defects_by_legs(sample, t_final, icfg):
     """Per-sample Simpson defects from one flow_batch call per leg and the
     forces recomputed at every node, row-major and in input order."""
     x, v, ok = sample.start
-    times = np.linspace(0.0, t_final, nodes)
-    weights = transport.simpson_weights(nodes, 0.0, t_final)
+    times = np.linspace(0.0, t_final, WEAK_ODE_NODES)
+    weights = transport.simpson_weights(WEAK_ODE_NODES, 0.0, t_final)
     defect = np.zeros((sample.count, 2) + x.shape[1:])
     now = 0.0
     for k, tk in enumerate(times):
@@ -298,7 +297,7 @@ def _simpson_defects_by_legs(sample, t_final, icfg, nodes=WEAK_ODE_NODES):
 def test_weak_ode_statistic_is_the_worst_selected_defect(potential, box, t_final, icfg):
     sample = _Sample(potential, box, 400, SEED)
     want, ok = _simpson_defects_by_legs(sample, t_final, icfg)
-    per_sample, _, (_, _, got_ok) = _simpson_defects(sample, t_final, WEAK_ODE_NODES, icfg)
+    per_sample, _, (_, _, got_ok) = _simpson_defects(sample, t_final, icfg)
     np.testing.assert_array_equal(got_ok, ok)
     assert 0.0 <= np.mean(~ok) < 0.05
     np.testing.assert_array_equal(per_sample[ok], want[ok])
@@ -313,8 +312,6 @@ def test_weak_ode_passes_and_control_fails():
     assert ok.passed
     bad = check_weak_ode(harmonic(2), BOX, 1.0, 2000, SEED, ICFG, negative_control=True)
     assert not bad.passed
-    with pytest.raises(DomainError):
-        check_weak_ode(harmonic(2), BOX, 1.0, 100, SEED, ICFG, nodes=10)
 
 
 def test_flow_axiom_suite_shape_and_verdicts():
@@ -374,10 +371,11 @@ def test_mollification_cauchy_passes_and_control_fails():
     assert not bad.passed
 
 
-@pytest.mark.parametrize("levels", [(3, 4), (3,)])
-def test_mollification_cauchy_needs_three_levels(levels):
-    # the gap ordering compares two consecutive gaps, so three flows
-    with pytest.raises(DomainError):
+@pytest.mark.parametrize("levels", [(3, 4), (3,), (4, 4, 4), (5, 4, 3)])
+def test_mollification_cauchy_needs_three_increasing_levels(levels):
+    # the gap ordering compares two consecutive gaps, so three flows; equal
+    # levels give gaps of exactly 0 and falling ones reverse the ladder
+    with pytest.raises(DomainError, match="strictly increasing"):
         check_mollification_cauchy(
             repulsive_power(2, exponent=0.5), MollifierKernel(d=2, power=3),
             ShrinkFunction(), BOX, t=0.2, count=50, seed=SEED,
@@ -637,9 +635,10 @@ def test_collision_scaling_raises_on_an_empty_radius():
     datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
     with pytest.raises(CoverageError, match=r"mu = 0\.2, 0\.001"):
         check_collision_scaling(free_potential(3), box, datum, 200, 1, [0.4, 0.2, 0.001])
-    # a single radius fits nothing and fails as before
-    single = check_collision_scaling(free_potential(3), box, datum, 200, 1, [0.001])
-    assert math.isnan(single.details["fitted_slope"]) and not single.passed
+    # fewer than two radii fit no slope
+    for mus in ([0.001], []):
+        with pytest.raises(DomainError, match="at least two cutoff radii"):
+            check_collision_scaling(free_potential(3), box, datum, 200, 1, mus)
 
 
 def test_collision_scaling_peaks_below_twice_its_sample_buffer():
