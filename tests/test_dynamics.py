@@ -21,7 +21,15 @@ from liouville_lab.dynamics import (
     _forces,
 )
 from liouville_lab.errors import DomainError, SingularityError, SubstepLimitError
-from liouville_lab.potentials import free_potential, gaussian_well, harmonic, repulsive_power
+from liouville_lab.potentials import (
+    MollifiedPotential,
+    MollifierKernel,
+    ShrinkFunction,
+    free_potential,
+    gaussian_well,
+    harmonic,
+    repulsive_power,
+)
 
 
 def harmonic_pair_closed_form(cfg: Configuration, t: float, strength: float = 1.0):
@@ -99,12 +107,57 @@ def test_verlet_step_costs_one_force_evaluation(two_body):
         assert pot.calls == 1 + 10
 
 
-def test_verlet_time_reversibility(two_body):
-    pot = gaussian_well(2, depth=1.3, width=0.8)
+def _potential(kind):
+    """The d = 2 pair potentials the estimators flow: smooth, singular,
+    and a mollification level of the singular one."""
+    if kind == "harmonic":
+        return harmonic(2)
+    if kind == "gaussian_well":
+        return gaussian_well(2, depth=1.3, width=0.8)
+    if kind == "repulsive_power":
+        return repulsive_power(2, exponent=1.0)
+    return MollifiedPotential(
+        repulsive_power(2, exponent=0.5), MollifierKernel(d=2, power=3), ShrinkFunction(), 2
+    )
+
+
+POTENTIALS = ["harmonic", "gaussian_well", "repulsive_power", "mollified"]
+BODIES = [pytest.param(2, id="n2"), pytest.param(3, id="n3")]
+
+
+@pytest.mark.parametrize("n", BODIES)
+@pytest.mark.parametrize("kind", POTENTIALS)
+def test_verlet_time_reversibility(kind, n):
+    # the identical-level uniqueness gate needs the backward run to retrace
+    # the forward one
+    cfg = Configuration(THREE_BODY.x[:n], THREE_BODY.v[:n])
+    pot = _potential(kind)
     icfg = IntegratorConfig(dt=1e-3)
-    fwd = flow_map(two_body, 2.0, pot, icfg)
+    fwd = flow_map(cfg, 2.0, pot, icfg)
     back = flow_map(reversed_velocities(fwd), 2.0, pot, icfg)
-    assert phase_gap(reversed_velocities(back), two_body) < 1e-12
+    assert phase_gap(reversed_velocities(back), cfg) < 1e-12
+
+
+@pytest.mark.parametrize("n", BODIES)
+@pytest.mark.parametrize("kind", POTENTIALS)
+def test_verlet_flow_preserves_phase_volume(kind, n):
+    # the weights vol/N assume J = 1: det of the central-difference
+    # Jacobian of the 50-step map is 1, and velocity damping c scales it
+    # by c per velocity component and step, which the difference resolves
+    cfg = Configuration(THREE_BODY.x[:n], THREE_BODY.v[:n])
+    pot = _potential(kind)
+    z0 = np.concatenate([cfg.x.ravel(), cfg.v.ravel()])
+    D, eps = z0.size, 1e-6
+    z = np.concatenate([z0 + eps * np.eye(D), z0 - eps * np.eye(D)])
+    for damping, want in ((1.0, 1.0), (0.99, 0.99 ** (D // 2 * 50))):
+        icfg = IntegratorConfig(dt=1e-2, velocity_damping=damping)
+        x, v, flags = flow_batch(
+            z[:, : D // 2].reshape(-1, n, 2), z[:, D // 2 :].reshape(-1, n, 2), pot, 0.5, icfg
+        )
+        assert not flags.any()
+        out = np.concatenate([x.reshape(2 * D, -1), v.reshape(2 * D, -1)], axis=1)
+        jac = (out[:D] - out[D:]).T / (2.0 * eps)
+        assert abs(np.linalg.det(jac) / want - 1.0) < 1e-7
 
 
 def test_energy_and_momentum_conservation(two_body):
@@ -356,22 +409,26 @@ class Untagged:
         return self.base.gradient_batch(r)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3], ids=["d1", "d2", "d3"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("t", [0.0305, -0.0305])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n):
+def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n, d):
+    # d = 1 and d = 3 take the other branches of the pair distance sum
     rng = np.random.default_rng(7)
-    x = rng.uniform(-1.0, 1.0, (12, n, 2))
-    v = rng.uniform(-1.0, 1.0, (12, n, 2))
+    x = rng.uniform(-1.0, 1.0, (12, n, d))
+    v = rng.uniform(-1.0, 1.0, (12, n, d))
     x[3, 1] = x[3, 0]  # coincident at the start
-    # a head-on pair that closes to 2e-3 within the run
-    x[5, 0], x[5, 1] = [-0.03, 0.001], [0.03, -0.001]
-    v[5, 0], v[5, 1] = [2.0, 0.0], [-2.0, 0.0]
+    # a head-on pair that closes to 2e-3 within the run (exactly head-on in d = 1)
+    x[5, :2] = 0.0
+    v[5, :2] = 0.0
+    x[5, 0, :2], x[5, 1, :2] = [-0.03, 0.001][:d], [0.03, -0.001][:d]
+    v[5, 0, 0], v[5, 1, 0] = 2.0, -2.0
     icfg = IntegratorConfig(
         dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=40,
     )
-    flags = _assert_matches_reference(x, v, repulsive_power(2, exponent=1.0), t, icfg)
+    flags = _assert_matches_reference(x, v, repulsive_power(d, exponent=1.0), t, icfg)
     assert flags[3] == FLAG_SINGULAR
     # 31 steps cover |t|; the encounter needs more than 40 adaptive substeps
     assert flags[5] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
