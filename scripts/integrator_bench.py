@@ -18,6 +18,14 @@ flow_batch call pausing at every stop, "straight" one call over t with
 no stop, and "restarted" one call per leg between two stops, each
 starting with its own force evaluation (not counted as a step).
 
+The "estimator" row times `transport.ResidualTerms.add`, the per-node
+terms of the renormalization suite, in microseconds per Simpson node.
+It feeds the rows of a bump datum on PhaseBox.centered(2, 2, 1.2, 1.2)
+that carry a nonzero value (about 23% of ESTIMATOR_SAMPLES = 100k, so
+about 23k rows) from a free flow paused at the 65 nodes
+of a window [0.2, 1.8], with the identity and the four shipped
+renormalizers as value maps, as `check_renormalization_suite` does.
+
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
 Single-threaded BLAS/numpy is assumed; set OMP_NUM_THREADS=1 and friends
@@ -33,8 +41,16 @@ import time
 
 import numpy as np
 
+from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig, flow_batch
-from liouville_lab.potentials import gaussian_well, harmonic, piecewise_radial, repulsive_power
+from liouville_lab.potentials import (
+    free_potential,
+    gaussian_well,
+    harmonic,
+    piecewise_radial,
+    repulsive_power,
+)
+from liouville_lab.rng import rng_for
 
 KINDS = {
     "harmonic": lambda: harmonic(2),
@@ -53,9 +69,9 @@ class CountingRows:
         self.kind = base.kind
         self.rows = 0
 
-    def gradient_batch(self, r):
+    def gradient_batch(self, r, radii=None):
         self.rows += r.shape[0]
-        return self.base.gradient_batch(r)
+        return self.base.gradient_batch(r, radii)
 
 
 def ensemble(count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,6 +150,48 @@ def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
     }
 
 
+ESTIMATOR_SAMPLES = 100_000
+ESTIMATOR_NODES = 65
+
+
+def measure_estimator(samples: int, repeats: int, seed: int):
+    box = transport.PhaseBox.centered(d=2, n=2, x_half=1.2, v_half=1.2)
+    datum = transport.InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
+    e0 = transport.sample_ensemble(box, samples, datum, seed)
+    phi = transport.random_test_function(
+        2, 2, box, t_center=1.0, t_width=0.8, rng=rng_for(seed, "integrator-bench-phi")
+    )
+    maps = [None] + [lambda t, f, b=b: b(f) for b in transport.shipped_beta_family(1.0)]
+    pot = free_potential(2)
+    rows = np.flatnonzero(e0.values)
+    carried = e0.values[rows]
+    walls, inside = [], 0
+    for _ in range(repeats):
+        terms = transport.ResidualTerms(e0, pot, phi, maps, ESTIMATOR_NODES, rows)
+        spent, k = 0.0, iter(range(ESTIMATOR_NODES))
+
+        def add(tk, batch):
+            nonlocal spent, inside
+            x, v, a = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
+            started = time.perf_counter()
+            terms.add(next(k), tk, x, v, a, carried, batch.idx)
+            spent += time.perf_counter() - started
+            inside += int(np.count_nonzero(phi.support_mask(tk, x, v)))
+
+        flow_batch(e0.x[rows], e0.v[rows], pot, terms.times[-1], IntegratorConfig(),
+                   stops=terms.times, observe=add)
+        walls.append(spent)
+    per = [1e6 * w / ESTIMATOR_NODES for w in walls]
+    return {
+        "kind": "estimator",
+        "samples": samples,
+        "carried_rows": int(rows.size),
+        "nodes": ESTIMATOR_NODES,
+        "support_rows_per_node": inside / (repeats * ESTIMATOR_NODES),
+        "us_per_node": {"median": statistics.median(per), "min": min(per)},
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[5_000, 100_000])
@@ -152,6 +210,7 @@ def main() -> None:
         for count in args.sizes
         for kind, mode in WALK_CASES
     ]
+    estimator = measure_estimator(ESTIMATOR_SAMPLES, args.repeats, args.seed)
     machine = {
         "cores": os.cpu_count(),
         "numpy": np.__version__,
@@ -159,7 +218,9 @@ def main() -> None:
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
     }
     print(json.dumps(
-        {"machine": machine, "repeats": args.repeats, "results": results, "walks": walks}, indent=1
+        {"machine": machine, "repeats": args.repeats, "results": results, "walks": walks,
+         "estimator": estimator},
+        indent=1,
     ))
 
 

@@ -249,8 +249,10 @@ def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> Non
         except LiouvilleLabError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
     elif experiment == "scaling":
-        if len(sec["mus"]) < 2 or any(m <= 0 for m in sec["mus"]):
-            raise ConfigError(f"{path}.mus: need at least two positive radii")
+        try:
+            verification.require_radii(sec["mus"])
+        except LiouvilleLabError as exc:
+            raise ConfigError(f"{path}.mus: {exc}") from exc
         pair = sec["pair"]
         if len(pair) != 2 or not (0 <= pair[0] < pair[1] < n):
             raise ConfigError(f"{path}.pair: expected two distinct particle indices i < j < {n}")

@@ -19,7 +19,10 @@ component one contiguous vector over the batch, updated in place in
 buffers allocated once per call.  The public functions keep their
 (N, n, d) arrays and transpose once on entry and once on exit.  Forces
 go through one `gradient_batch` call per evaluation on the (P*N, d)
-transposed view of all P pair displacements.  Every step performs the
+transposed view of all P pair displacements.  The pair radii |x_i - x_j|
+are taken once per evaluation, for the minimum pair distance, and the
+same (P*N,) vector is handed to `gradient_batch(r, radii=...)`, so no
+potential takes them again.  Every step performs the
 same floating-point operations, in the same order, as the row-major
 textbook form (`v + 0.5 dt a`, then `x + dt v`, ...), and rows that are
 frozen by a flag leave the batch, so results are bitwise those of
@@ -179,8 +182,9 @@ class _PairForces:
 
     The displacements x_i - x_j of all P pairs i < j share one (d, P, m)
     block, so a single `gradient_batch` call on its (P*m, d) transposed
-    view serves every pair.  Buffers hold up to `capacity` rows; `resize`
-    re-views them for the current row count.
+    view serves every pair, with the (P*m,) pair radii that
+    `min_distance` takes.  Buffers hold up to `capacity` rows;
+    `resize` re-views them for the current row count.
     """
 
     def __init__(self, n: int, d: int, capacity: int, potential):
@@ -199,45 +203,48 @@ class _PairForces:
         self.R = self._disp[: d * P * m].reshape(d, P, m)
         self.rows = self.R.reshape(d, P * m).T
         self.per_pair = [self.R[:, p] for p in range(P)]
-        self._squares = self._sq[: d * P * m].reshape(d, P, m)
-        self._radii = self._rad[: P * m].reshape(P, m)
+        self._squares = self._sq[: d * P * m].reshape(d, P * m)
+        self.radii = self._rad[: P * m]
 
     def displace(self, X: np.ndarray) -> None:
         for (i, j), r in zip(self.pairs, self.per_pair):
             np.subtract(X[i], X[j], out=r)
 
-    def min_distance(self, dmin: np.ndarray) -> None:
-        """Min over pairs of |x_i - x_j| of the displaced pairs; the
-        components are summed in order, as numpy sums fewer than 8."""
-        sq = np.multiply(self.R, self.R, out=self._squares)
+    def min_distance(self, dmin: np.ndarray) -> np.ndarray:
+        """Min over pairs of |x_i - x_j| of the displaced pairs into dmin;
+        returns the (P*m,) radii of every pair, which for a single pair
+        is dmin itself.  The components are summed in order, as numpy
+        sums fewer than 8, so each radius is bitwise
+        sqrt(sum(r * r, axis=-1)) of its row of `rows`."""
+        R = self.rows.T
+        sq = np.multiply(R, R, out=self._squares)
         total = sq[0]
         if self.d > 1:
-            total = np.add(sq[0], sq[1], out=self._radii)
+            total = np.add(sq[0], sq[1], out=self.radii)
             for k in range(2, self.d):
                 np.add(total, sq[k], out=total)
         if len(self.pairs) == 1:
-            np.sqrt(total[0], out=dmin)
-        else:
-            np.min(np.sqrt(total, out=self._radii), axis=0, out=dmin)
+            return np.sqrt(total, out=dmin)
+        np.sqrt(total, out=self.radii)
+        np.min(self.radii.reshape(len(self.pairs), self.m), axis=0, out=dmin)
+        return self.radii
 
     def values(self, X: np.ndarray) -> np.ndarray:
         """Pair potential values, one row per pair."""
         self.displace(X)
         return np.asarray(self.potential.value_batch(self.rows)).reshape(len(self.pairs), self.m)
 
-    def accelerate(self, X: np.ndarray, A: np.ndarray, dmin: np.ndarray | None = None) -> None:
+    def accelerate(self, X: np.ndarray, A: np.ndarray, dmin: np.ndarray) -> None:
         """A = -sum_j grad V(x_i - x_j), accumulated pair by pair in i < j
-        order from zero; dmin, if given, gets the min pair distance."""
+        order from zero; dmin gets the min pair distance."""
         if not self.pairs:
             A.fill(0.0)
-            if dmin is not None:
-                dmin.fill(np.inf)
+            dmin.fill(np.inf)
             return
         self.displace(X)
-        if dmin is not None:
-            self.min_distance(dmin)
+        radii = self.min_distance(dmin)
         m, single = self.m, len(self.pairs) == 1
-        G = self.potential.gradient_batch(self.rows).T
+        G = self.potential.gradient_batch(self.rows, radii=radii).T
         for p, (i, j) in enumerate(self.pairs):
             g = G if single else G[:, p * m : (p + 1) * m]
             # a particle's first term is 0 -/+ g, as on a zeroed A

@@ -116,10 +116,13 @@ class PairPotential:
             )
         raise DomainError(f"unknown potential kind {self.kind!r}")
 
-    def gradient_batch(self, r: np.ndarray) -> np.ndarray:
+    def gradient_batch(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
         """grad V at each displacement; rows at exactly r = 0 return 0.
 
-        Callers integrating dynamics must detect coincidences via the
+        `radii`, if given, must be |r| of every row, bitwise
+        sqrt(sum(r * r, axis=-1)) (shape r.shape[:-1]), as the integrator
+        takes them once per step for the minimum pair distance.  Callers
+        integrating dynamics must detect coincidences via the
         pair-distance threshold, not via the values returned here.
         """
         r = np.asarray(r, dtype=float)
@@ -129,21 +132,27 @@ class PairPotential:
             return np.zeros_like(r)
         if self.kind == "harmonic":
             return self.strength * r
-        rad = np.sqrt(np.sum(r * r, axis=-1))
-        if self.kind == "repulsive_power":
-            a = self.exponent
-            coef = -self.strength * a * np.where(rad > 0.0, rad, 1.0) ** (-a - 2.0)
-            return np.where(rad[..., None] > 0.0, coef[..., None] * r, 0.0)
+        rad = np.sqrt(np.sum(r * r, axis=-1)) if radii is None else radii
         if self.kind == "gaussian_well":
             w2 = self.width**2
             coef = (self.strength / w2) * np.exp(-rad * rad / (2.0 * w2))
             return coef[..., None] * r
-        if self.kind == "piecewise_radial":
+        if self.kind not in ("repulsive_power", "piecewise_radial"):
+            raise DomainError(f"unknown potential kind {self.kind!r}")
+        # rows at r = 0 (and NaN rows) get a zero gradient; the masking is
+        # skipped when every radius is positive, as it then changes nothing
+        positive = rad > 0.0
+        every = bool(positive.all())
+        safe = rad if every else np.where(positive, rad, 1.0)
+        if self.kind == "repulsive_power":
+            a = self.exponent
+            coef = -self.strength * a * safe ** (-a - 2.0)
+        else:
             # inner slope applies on the closed ball |r| <= r0
             slope = np.where(rad <= self.jump_radius, self.slope_inner, self.slope_outer)
-            coef = slope / np.where(rad > 0.0, rad, 1.0)
-            return np.where(rad[..., None] > 0.0, coef[..., None] * r, 0.0)
-        raise DomainError(f"unknown potential kind {self.kind!r}")
+            coef = slope / safe
+        grad = coef[..., None] * r
+        return grad if every else np.where(positive[..., None], grad, 0.0)
 
     def value(self, r) -> float:
         r = np.asarray(r, dtype=float).reshape(self.d)
@@ -642,9 +651,12 @@ class MollifiedPotential:
             self._table = _radial_table(self.base, self.kernel, self.shrink, self.level)
         return self._table
 
-    def _radii(self, r: np.ndarray) -> np.ndarray:
+    def _radii(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
+        """|r| of every row, flattened; taken from radii when given."""
         if r.shape[-1] != self.d:
             raise DomainError(f"expected last axis {self.d}, got shape {r.shape}")
+        if radii is not None:
+            return np.ravel(radii)
         return np.sqrt(np.sum(r * r, axis=-1)).ravel()
 
     def _direct(self, rad: np.ndarray) -> np.ndarray:
@@ -667,9 +679,11 @@ class MollifiedPotential:
             self.fallback_rows += int(np.sum(outside))
         return out.reshape(r.shape[:-1])
 
-    def gradient_batch(self, r: np.ndarray) -> np.ndarray:
+    def gradient_batch(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
+        """grad V_level at each displacement, from the radii |r| when given
+        (as PairPotential.gradient_batch takes them)."""
         r = np.asarray(r, dtype=float)
-        rad = self._radii(r)
+        rad = self._radii(r, radii)
         inside = self.table.covers(rad)
         # f_n'(|r|) / |r|; rows at r = 0 keep a zero gradient
         coef = np.zeros(rad.size)

@@ -19,25 +19,49 @@ BUMP_MASS = 1.2069003224378765
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
+def _bump(u, slope: bool):
+    """b(u), or (b(u), b'(u)) when slope, elementwise: the one evaluation
+    of b(w) = exp(1 - 1/s) and b'(w) = -2w / s^2 * b(w), s = 1 - w^2, on
+    the entries |w| < 1 (NaN lies outside); zero elsewhere.  The formula
+    runs in place on flat buffers, and when every entry is inside it
+    reads u itself, without a gather and a scatter."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    every = bool(inside.all())
+    w = u.reshape(-1) if every else u[inside]
+
+    def spread(values):
+        if every:
+            return values.reshape(u.shape)
+        out = np.zeros_like(u)
+        out[inside] = values
+        return out
+
+    s = np.multiply(w, w)
+    np.subtract(1.0, s, out=s)
+    b = np.divide(1.0, s)
+    np.exp(np.subtract(1.0, b, out=b), out=b)
+    if not slope:
+        return spread(b)
+    db = np.multiply(w, -2.0)
+    np.divide(db, np.multiply(s, s, out=s), out=db)
+    return spread(b), spread(np.multiply(db, b, out=db))
+
+
 def bump(u):
     """Evaluate b(u) elementwise; zero outside (-1, 1)."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    w = u[m]
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - w * w))
-    return out
+    return _bump(u, slope=False)
+
+
+def bump_pair(u):
+    """(b(u), b'(u)) elementwise from one mask and one exponential;
+    bitwise equal to (bump(u), bump_prime(u))."""
+    return _bump(u, slope=True)
 
 
 def bump_prime(u):
     """Derivative b'(u) = -2u / (1 - u^2)^2 * b(u), elementwise."""
-    u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    w = u[m]
-    s = 1.0 - w * w
-    out[m] = -2.0 * w / (s * s) * np.exp(1.0 - 1.0 / s)
-    return out
+    return _bump(u, slope=True)[1]
 
 
 def bump_incomplete(w):

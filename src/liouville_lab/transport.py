@@ -27,7 +27,7 @@ from .dynamics import IntegratorConfig, flow_batch, _energy_batch
 from .errors import AlignmentError, CoverageError, DomainError
 from .estimates import MCEstimate
 from .potentials import CONFINING_AT_ZERO
-from .profiles import bump, bump_prime, smooth_step_down
+from .profiles import bump, bump_pair, smooth_step_down
 from .rng import rng_for
 
 # suprema of the profile derivatives, used in Lipschitz bounds
@@ -320,86 +320,129 @@ class TestFunction:
         return best
 
     def _axis_factors(self, t: float, z: np.ndarray):
-        ut = (t - self.t_center) / self.t_width
-        tval = float(bump(np.asarray(ut)))
-        tprime = float(bump_prime(np.asarray(ut))) / self.t_width
-        u = (z - self.centers) / self.widths
-        bvals = bump(u)
-        bprime = bump_prime(u) / self.widths
-        return tval, tprime, bvals, bprime
+        """Time factor, its slope, and the (2 n d, m) axis factors
+        b((z_k - c_k)/w_k) and their slopes of a `_phase_block` z."""
+        tval, tprime = bump_pair((t - self.t_center) / self.t_width)
+        u = (z - self.centers[:, None]) / self.widths[:, None]
+        bvals, bprime = bump_pair(u)
+        return float(tval), float(tprime) / self.t_width, bvals, bprime / self.widths[:, None]
 
     def value(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """phi(t, x, v), evaluated only on the `support_mask` rows.
+        """phi(t, x, v), evaluated only on the support rows.
 
-        A row outside it has some |z_k - c_k| >= w_k, so its factor
+        A row outside supp phi has some |z_k - c_k| >= w_k, so its factor
         b((z_k - c_k)/w_k) is exactly 0 and so is phi; NaN rows read 0.
         """
-        N = x.shape[0]
-        out = np.zeros(N)
-        rows = self._support_rows(t, x, v)
+        out = np.zeros(x.shape[0])
+        rows = np.flatnonzero(self.support_mask(t, x, v))
         if rows.size:
-            nd = self.n * self.d
-            z = np.concatenate([x.reshape(N, nd)[rows], v.reshape(N, nd)[rows]], axis=1)
             tval = float(bump(np.asarray((t - self.t_center) / self.t_width)))
-            out[rows] = tval * np.prod(bump((z - self.centers) / self.widths), axis=1)
+            u = (_phase_block(x, v, rows) - self.centers[:, None]) / self.widths[:, None]
+            out[rows] = tval * np.prod(bump(u), axis=0)
         return out
 
     def support_mask(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Rows where phi(t, ., .) can be nonzero; cheap comparisons only."""
-        inside = np.zeros(x.shape[0], dtype=bool)
-        inside[self._support_rows(t, x, v)] = True
+        """Rows where phi(t, ., .) can be nonzero: t inside the time window
+        and |z_k - c_k| < w_k on every phase axis; cheap comparisons only.
+        A NaN coordinate never compares inside.
+
+        Every row is compared on every axis, one component vector
+        x[:, i, j] at a time (contiguous on the (m, n, d) view of a
+        component-major batch), through two reused buffers.  About 86%
+        of the rows pass each axis in the renormalization suite, so
+        gathering the survivors of the earlier axes would cost more than
+        it saves.
+        """
+        N = x.shape[0]
+        inside = np.zeros(N, dtype=bool)
+        if abs(t - self.t_center) >= self.t_width:
+            return inside
+        inside.fill(True)
+        nd = self.n * self.d
+        gap, hit = np.empty(N), np.empty(N, dtype=bool)
+        for k in range(2 * nd):
+            i, j = divmod(k % nd, self.d)
+            np.subtract((x if k < nd else v)[:, i, j], self.centers[k], out=gap)
+            np.less(np.abs(gap, out=gap), self.widths[k], out=hit)
+            inside &= hit
         return inside
 
-    def _support_rows(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Increasing indices of the `support_mask` rows.
+    def _derivatives(self, t: float, z: np.ndarray):
+        """(phi, d phi/dt, grad phi) of a (2 n d, m) `_phase_block` z;
+        the gradient is a (2 n d, m) block, x axes first.
 
-        Each axis is compared only on the rows inside all earlier axes,
-        which at 100k rows costs a quarter of comparing every axis of
-        every row.
+        Gradients come from prefix/suffix products down the axis factors,
+        so vanishing factors need no special casing.  With K = 2 n d axes,
+        prefix[k] is b_0 ... b_{k-1} and after[k] is b_{k+1} ... b_{K-1},
+        each multiplied from its outer end, as np.cumprod would; prefix[K]
+        is the product of all factors, bitwise np.prod(bvals, axis=0).
+        One multiply per axis over the rows replaces a cumprod down axis
+        0, which numpy runs one column at a time.
         """
-        N = x.shape[0]
-        if abs(t - self.t_center) >= self.t_width:
-            return np.arange(0)
-        nd = self.n * self.d
-        halves = (x.reshape(N, nd), v.reshape(N, nd))
-        rows = np.arange(N)
-        for k in range(2 * nd):
-            coord = halves[k // nd][rows, k % nd]
-            rows = rows[np.abs(coord - self.centers[k]) < self.widths[k]]
-        return rows
+        tval, tprime, bvals, bprime = self._axis_factors(t, z)
+        K, m = bvals.shape
+        prefix, after = np.empty((K + 1, m)), np.empty((K, m))
+        prefix[0] = 1.0
+        after[K - 1] = 1.0
+        for k in range(K):
+            np.multiply(prefix[k], bvals[k], out=prefix[k + 1])
+        for k in range(K - 2, -1, -1):
+            np.multiply(after[k + 1], bvals[k + 1], out=after[k])
+        others = np.multiply(prefix[:K], after, out=after)
+        space = prefix[K]
+        grads = np.multiply(bprime, tval, out=bprime)
+        return tval * space, tprime * space, np.multiply(grads, others, out=grads)
 
     def value_and_gradients(self, t: float, x: np.ndarray, v: np.ndarray):
-        """(phi, d phi/dt, grad_x phi, grad_v phi) at scalar time t.
-
-        Gradients come from prefix/suffix products of the axis factors,
-        so vanishing factors need no special casing.
-        """
-        N = x.shape[0]
-        z = _flatten_phase(x, v)
-        tval, tprime, bvals, bprime = self._axis_factors(t, z)
-        m = bvals.shape[1]
-        prefix = np.ones((N, m + 1))
-        np.cumprod(bvals, axis=1, out=prefix[:, 1:])
-        suffix = np.ones((N, m + 1))
-        np.cumprod(bvals[:, ::-1], axis=1, out=suffix[:, 1:])
-        others = prefix[:, :m] * suffix[:, ::-1][:, 1:]
-        space = np.prod(bvals, axis=1)
-        phi = tval * space
-        dphi_dt = tprime * space
-        grads = tval * bprime * others
-        nd = self.n * self.d
-        gx = grads[:, :nd].reshape(N, self.n, self.d)
-        gv = grads[:, nd:].reshape(N, self.n, self.d)
+        """(phi, d phi/dt, grad_x phi, grad_v phi) at scalar time t; the
+        gradients are (N, n, d) views of component-major arrays."""
+        phi, dphi_dt, grads = self._derivatives(t, _phase_block(x, v))
+        nd, shape = self.n * self.d, (self.n, self.d, x.shape[0])
+        gx = np.moveaxis(grads[:nd].reshape(shape), -1, 0)
+        gv = np.moveaxis(grads[nd:].reshape(shape), -1, 0)
         return phi, dphi_dt, gx, gv
 
     def transport_pairing(
-        self, t: float, x: np.ndarray, v: np.ndarray, acc: np.ndarray
+        self, t: float, x: np.ndarray, v: np.ndarray, acc: np.ndarray, rows=None
     ) -> np.ndarray:
         """The transport operator applied to phi along given accelerations:
-        d phi/dt + sum_i v_i . grad_{x_i} phi + sum_i a_i . grad_{v_i} phi.
+        d phi/dt + sum_i v_i . grad_{x_i} phi + sum_i a_i . grad_{v_i} phi,
+        on the given rows only (every row if None).
+
+        Each dot product adds its n d component products left to right,
+        which is how numpy sums fewer than 8 terms, so for n d < 8 it is
+        bitwise np.sum(v * grad_x, axis=(1, 2)).
         """
-        _, dphi_dt, gx, gv = self.value_and_gradients(t, x, v)
-        return dphi_dt + np.sum(v * gx, axis=(1, 2)) + np.sum(acc * gv, axis=(1, 2))
+        nd = self.n * self.d
+        z = _phase_block(x, v, rows)
+        _, out, grads = self._derivatives(t, z)
+        acc = _phase_block(acc, None, rows)
+        for terms, grad in ((z[nd:], grads[:nd]), (acc, grads[nd:])):
+            dot = terms[0] * grad[0]
+            for k in range(1, nd):
+                dot += terms[k] * grad[k]
+            out += dot
+        return out
+
+
+def _phase_block(x: np.ndarray, v: np.ndarray | None, rows=None) -> np.ndarray:
+    """The phase coordinates (x then v, each flattened as x.reshape(N, n d))
+    of the given rows of (N, n, d) states as one (2 n d, m) block, one
+    axis per block row; v None leaves out the velocities, rows None takes
+    every row.  Each axis is read as the component vector x[:, i, j],
+    which is contiguous on the (N, n, d) view of a component-major batch.
+    """
+    N, n, d = x.shape
+    halves = (x,) if v is None else (x, v)
+    z = np.empty((len(halves) * n * d, N if rows is None else rows.size))
+    for k in range(z.shape[0]):
+        i, j = divmod(k % (n * d), d)
+        component = halves[k // (n * d)][:, i, j]
+        if rows is None:
+            z[k] = component
+        else:
+            np.take(component, rows, out=z[k], mode="clip")
+    return z
 
 
 def _flatten_phase(x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -557,20 +600,28 @@ def simpson_times(phi: TestFunction, count: int = 65) -> np.ndarray:
 class ResidualTerms:
     """Per-row sums of the weak-identity defect, before any statistic.
 
-    Row i of acc_full[m] holds sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k))
-    plus the t = 0 boundary term g_m(0, f0_i) phi(0, z_i); acc_half[m]
-    holds the same on the half-resolution Simpson grid.  A value map
-    g(t, f0) gives the value a row carries at time t (None: f0 itself);
-    a transported density carries f0 unchanged, so a renormalizer beta
-    is the map (t, f0) -> beta(f0).  `active` marks rows that no flow
-    flagged and `weights` are the ensemble weights.  map_seconds[m] is
-    the time map m's own terms took.
-
     The rows are those of e0, the ensemble at t = 0 (DomainError at any
     other time), whose datum must be compactly supported inside its box.
+    Terms are kept for the e0 rows `rows` (every row if None); the
+    others sum to 0.  For kept row i (e0 row rows[i]), acc_full[i, m]
+    holds sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k)) plus the t = 0
+    boundary term g_m(0, f0_i) phi(0, z_i); acc_half[i, m] holds the
+    same on the half-resolution Simpson grid.  A value map g(t, f0) gives
+    the value a row carries at time t (None: f0 itself); a transported
+    density carries f0 unchanged, so a renormalizer beta is the map
+    (t, f0) -> beta(f0).  `active` marks the e0 rows that no flow flagged
+    and `weights` are the ensemble weights.  map_seconds[m] is the time
+    map m's own terms took.
+
     `add` takes the terms of one Simpson node (`times`) for any subset of
-    the rows, so rows that are never added sum to 0.  weak_residual_suite
-    feeds it from one flow paused at the nodes.
+    the kept rows, so rows that are never added sum to 0.
+    weak_residual_suite keeps the carried rows and feeds them from one
+    flow paused at the nodes, with the (m, n, d) views of the live
+    component-major batch.  Each node tests supp phi once
+    (`support_mask`), and only the rows inside it are gathered: their
+    states, forces and carried values.  One `bump_pair` call gives the
+    axis factors and their slopes, and one scatter adds the terms of
+    every map.
     """
 
     def __init__(
@@ -580,6 +631,7 @@ class ResidualTerms:
         phi: TestFunction,
         value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
         count: int = 65,
+        rows: np.ndarray | None = None,
     ):
         if e0.time != 0.0:
             raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
@@ -601,17 +653,20 @@ class ResidualTerms:
         self.w_full = simpson_weights(count, a, b)
         self.w_half = simpson_weights((count + 1) // 2, a, b)
         n_maps = len(self.value_maps)
-        self.acc_full = np.zeros((n_maps, e0.size))
-        self.acc_half = np.zeros((n_maps, e0.size))
+        self.rows = np.arange(e0.size) if rows is None else np.asarray(rows)
+        # one row per kept row, one column per map, so that a node adds the
+        # terms of every map in one scatter
+        self.acc_full = np.zeros((self.rows.size, n_maps))
+        self.acc_half = np.zeros((self.rows.size, n_maps))
         self.active = e0.flags == dynamics.FLAG_OK
         self.weights = e0.weights
         self.map_seconds = np.zeros(n_maps)
 
-    def add(self, k: int, t: float, x, v, forces, values, rows) -> None:
+    def add(self, k: int, t: float, x, v, forces, values, idx) -> None:
         """Add the terms of Simpson node k, at time t, of the given rows:
-        (m, n, d) positions x, velocities v and accelerations `forces`,
-        the values carried from t = 0 and the row numbers, all in one
-        order."""
+        (m, n, d) positions x, velocities v and accelerations `forces`.
+        Given row j is kept row idx[j] and carries values[idx[j]] from
+        t = 0."""
         if k >= self.times.size:
             raise AlignmentError(f"more than {self.times.size} nodes offered")
         if abs(t - self.times[k]) > 1e-9:
@@ -619,34 +674,36 @@ class ResidualTerms:
                 f"node {k} offered at t={t:g} is not Simpson node {self.times[k]:g}"
             )
         if k == 0 and self.phi.time_window[0] < 0.0:
-            phi0 = self.phi.value(0.0, x, v)
-            for m, g in enumerate(self.value_maps):
-                started = time.perf_counter()
-                term0 = (values if g is None else g(t, values)) * phi0
-                self.acc_full[m, rows] += term0
-                self.acc_half[m, rows] += term0
-                self.map_seconds[m] += time.perf_counter() - started
+            term0 = self._terms(t, values[idx], self.phi.value(0.0, x, v))
+            self.acc_full[idx] += term0
+            self.acc_half[idx] += term0
         # the pairing vanishes off supp phi, so evaluate only there
-        inside = self.phi.support_mask(t, x, v)
-        if not np.any(inside):
+        cols = np.flatnonzero(self.phi.support_mask(t, x, v))
+        if not cols.size:
             return
-        idx = inside.nonzero()[0]
-        pairing_in = self.phi.transport_pairing(t, x[idx], v[idx], forces[idx])
-        at = rows[idx]
+        pairing_in = self.phi.transport_pairing(t, x, v, forces, rows=cols)
+        at = idx[cols]
+        terms = self._terms(t, values[at], pairing_in)
+        self.acc_full[at] += self.w_full[k] * terms
+        if k % 2 == 0:
+            self.acc_half[at] += self.w_half[k // 2] * terms
+
+    def _terms(self, t: float, carried: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """g_m(t, carried) * factor for every map m, one column per map;
+        map_seconds[m] gets the time of column m."""
+        out = np.empty((carried.size, len(self.value_maps)))
         for m, g in enumerate(self.value_maps):
             started = time.perf_counter()
-            vals = values[idx] if g is None else g(t, values[idx])
-            term = vals * pairing_in
-            self.acc_full[m, at] += self.w_full[k] * term
-            if k % 2 == 0:
-                self.acc_half[m, at] += self.w_half[k // 2] * term
+            np.multiply(carried if g is None else g(t, carried), factor, out=out[:, m])
             self.map_seconds[m] += time.perf_counter() - started
+        return out
 
 
 def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCEstimate]:
     """One estimate per value map from the per-row sums.
 
-    The estimate is sum_i w_i acc_full_i over the active rows.
+    The estimate is sum_i w_i acc_full_i over the active e0 rows, the
+    rows that are not kept reading 0.
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid);
     bias_bound is the pinned O(dt^2) term of an integrator of step
@@ -656,11 +713,19 @@ def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCE
     size = terms.weights.size
     n_active = int(np.sum(terms.active))
     out = []
-    for m in range(terms.acc_full.shape[0]):
-        xi = np.where(terms.active, terms.weights * terms.acc_full[m], 0.0)
+    full = np.zeros(size)
+
+    def spread(acc):
+        full[terms.rows] = acc
+        return full
+
+    for m in range(terms.acc_full.shape[1]):
+        xi = np.where(terms.active, terms.weights * spread(terms.acc_full[:, m]), 0.0)
         estimate = float(np.sum(xi))
         se_mc = float(np.std(xi, ddof=1) * math.sqrt(size))
-        coarse = float(np.sum(np.where(terms.active, terms.weights * terms.acc_half[m], 0.0)))
+        coarse = float(
+            np.sum(np.where(terms.active, terms.weights * spread(terms.acc_half[:, m]), 0.0))
+        )
         quad_err = abs(coarse - estimate) / 15.0
         bias = DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi)))
         out.append(
@@ -716,18 +781,17 @@ def weak_residual_suite(
     window = residual_window(phis[0])
     if any(residual_window(phi) != window for phi in phis[1:]):
         raise DomainError("test functions of one call must share one time window")
-    suite = [ResidualTerms(e0, potential, phi, value_maps, count=nodes) for phi in phis]
-    times = suite[0].times
     rows = np.flatnonzero(e0.values)
+    suite = [ResidualTerms(e0, potential, phi, value_maps, nodes, rows) for phi in phis]
+    times = suite[0].times
     carried = e0.values[rows]
     nodes_seen = itertools.count()
 
     def add_node(tk, batch):
         k = next(nodes_seen)
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        values, at = carried[batch.idx], rows[batch.idx]
         for terms in suite:
-            terms.add(k, tk, x, v, forces, values, at)
+            terms.add(k, tk, x, v, forces, carried, batch.idx)
 
     _, _, flags = flow_batch(
         e0.x[rows], e0.v[rows], potential, times[-1], icfg, stops=times, observe=add_node

@@ -122,12 +122,19 @@ class CheckReport:
         return out
 
     def summary_line(self) -> str:
+        """Verdict, check, potential, statistic and budget on one line; a
+        report whose details carry support_visits (measure preservation)
+        appends the visits at the start and the end."""
         verdict = "pass" if self.passed else "FAIL"
-        return (
+        line = (
             f"{verdict}: {self.check_name} [{self.potential}] "
             f"statistic={self.statistic:.3e} "
             f"budget={self.tolerance + 3 * self.std_error + self.bias_bound:.3e}"
         )
+        visits = self.details.get("support_visits")
+        if visits is not None:
+            line += f" support_visits={visits['start']}/{visits['end']}"
+        return line
 
 
 def _jsonable(obj):
@@ -739,6 +746,19 @@ def require_levels(levels: Sequence[int], least: int) -> list[int]:
     return levels
 
 
+def require_radii(mus: Sequence[float]) -> list[float]:
+    """The cutoff radii as a list, if they are positive and at least two
+    of them differ; DomainError otherwise.  Repeated radii leave the
+    log-log fit of a scaling slope rank deficient, so it would fail (or
+    pass) for a reason the check does not name."""
+    mus = list(mus)
+    if len(set(mus)) < 2 or any(not mu > 0 for mu in mus):
+        raise DomainError(
+            f"a scaling slope needs at least two cutoff radii that differ, all positive; got {mus}"
+        )
+    return mus
+
+
 def _table_details(pots: Sequence[MollifiedPotential]) -> dict:
     """Largest held-out radial-table error and the row evaluations that
     fell back to direct quadrature, over the potentials a check flowed."""
@@ -923,8 +943,9 @@ def check_collision_scaling(
     ensemble keeps the pair's distances and carried weights after the
     first radius, so each further radius only masks and sums them.  The
     statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
-    std_error and bias_bound are 0.  Fewer than two radii fit no slope
-    and raise DomainError.  A radius whose term is 0, because no
+    std_error and bias_bound are 0.  Fewer than two distinct radii fit
+    no slope, and they and a radius <= 0 raise DomainError
+    (`require_radii`).  A radius whose term is 0, because no
     unflagged sample with a nonzero value lies within it, has no
     logarithm to fit and raises CoverageError.  This check has no
     negative control yet and its budget is pinned, not measured.
@@ -932,9 +953,7 @@ def check_collision_scaling(
     expected_slope.
     """
     started = time.perf_counter()
-    mus = list(mus)
-    if len(mus) < 2:
-        raise DomainError(f"a scaling slope needs at least two cutoff radii, got {mus}")
+    mus = require_radii(mus)
     e = sample_ensemble(box, count, datum, seed)
     estimates = [transport.collision_boundary_term(e, mu, pair=pair) for mu in mus]
     terms = [est.estimate for est in estimates]
@@ -991,14 +1010,23 @@ def check_renormalization_suite(
     renormalization in L^1 does, which is checked for every beta
     (DomainError otherwise).
 
+    Every beta report reweights one per-row defect.  Row i's bracket
+    sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i) is shared by all maps: the
+    identity report weights it by f0_i, each beta report by beta(f0_i).
+    Along a trajectory the bracket is the time integral of d/dt phi, so
+    it is 0 up to Simpson and integrator error for any map, and a beta
+    report adds no evidence of renormalization beyond the identity's
+    (details["reweighted_defect"] is True on the beta reports).
+
     Control: the carried values gain a smooth time-dependent factor,
     which no transported density can have (it also maps 0 to 0).
 
     runtime_seconds is measured: the identity report carries sampling,
-    the flow, the shared support mask and pairing, its own terms and the
-    statistics; each beta report carries only its own terms,
-    timed inside the per-map loop.  The shares sum to the call's wall
-    time.  details["carried_rows"] is the number of rows flowed.
+    the flow, the shared support mask and pairing, the accumulation of
+    the terms and the statistics; each beta report carries only the
+    evaluation of its own terms, timed inside the per-map loop.  The
+    shares sum to the call's wall time.  details["carried_rows"] is the
+    number of rows flowed.
     """
     started = time.perf_counter()
     shifted = [b.name for b in betas if b(np.zeros(1))[0] != 0.0]
@@ -1028,8 +1056,9 @@ def check_renormalization_suite(
     suffix = "_control" if negative_control else ""
     carried_rows = int(np.count_nonzero(e0.values))
     reports = []
-    for name, r, share in zip(names, results, shares):
+    for m, (name, r, share) in enumerate(zip(names, results, shares)):
         details = {k: val for k, val in r.details.items() if k != "map_seconds"}
+        details.update(carried_rows=carried_rows, reweighted_defect=m > 0)
         reports.append(
             CheckReport.build(
                 check_name=f"renormalized_residual[{name}]" + suffix,
@@ -1042,7 +1071,7 @@ def check_renormalization_suite(
                 tolerance=0.0,
                 flagged_fraction=r.details.get("flagged_fraction", 0.0),
                 runtime_seconds=share,
-                details={**details, "carried_rows": carried_rows},
+                details=details,
             )
         )
     return reports

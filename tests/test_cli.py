@@ -409,6 +409,8 @@ def test_section_rules_exit_two_before_writing(tmp_path):
         ("converge", {"converge": {"kernel_power": 1}}),
         ("converge", {"converge": {"shrink_cap": 2.0}}),
         ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),
+        # repeated radii fit no slope
+        ("scaling", {"scaling": {"mus": [0.2, 0.2]}}),
         ("scaling", {"scaling": {"pair": [1, 1]}}),
         ("scaling", {"scaling": {"pair": [0, 2]}}),
         ("scaling", {"ensemble": {"x_half": -1.0}}),

@@ -92,9 +92,9 @@ class Counting:
         self.base = base
         self.calls = 0
 
-    def gradient_batch(self, r):
+    def gradient_batch(self, r, radii=None):
         self.calls += 1
-        return self.base.gradient_batch(r)
+        return self.base.gradient_batch(r, radii)
 
 
 def test_verlet_step_costs_one_force_evaluation(two_body):
@@ -405,8 +405,8 @@ class Untagged:
     def __init__(self, base):
         self.base = base
 
-    def gradient_batch(self, r):
-        return self.base.gradient_batch(r)
+    def gradient_batch(self, r, radii=None):
+        return self.base.gradient_batch(r, radii)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3], ids=["d1", "d2", "d3"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from liouville_lab import potentials
+from liouville_lab import dynamics, potentials
 from liouville_lab.errors import ConfigError, DomainError, QuadratureError, SingularityError
 from liouville_lab.potentials import (
     CONFINING_AT_ZERO,
@@ -277,3 +277,31 @@ def test_table_panel_cap_raises(monkeypatch):
     )
     with pytest.raises(QuadratureError):
         pot.value_batch(np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_gradient_from_the_integrator_radii_equals_its_own_bitwise(n, d):
+    # the integrator hands gradient_batch the radii it took for the minimum
+    # pair distance; they must be |r| bitwise, and change no gradient
+    rng = np.random.default_rng(31 + d)
+    m = 40
+    x = rng.uniform(-2.0, 2.0, size=(n, d, m))
+    x[1, :, 0] = x[0, :, 0]  # r = 0
+    x[0, 0, 1] = np.nan
+    x[1, :, 2] = x[0, :, 2] + 1e-4  # below the mollified table: direct quadrature
+    x[1, :, 3] = x[0, :, 3] + 300.0  # above it
+    base = repulsive_power(d, exponent=1.0)
+    mollified = MollifiedPotential(base, MollifierKernel(d=d), ShrinkFunction(), level=4)
+    kinds = [free_potential(d), harmonic(d), base, gaussian_well(d, 1.3, 0.8),
+             piecewise_radial(d, 0.8, -0.6, 0.4), mollified]
+    for pot in kinds:
+        pairs = dynamics._PairForces(n, d, m, pot)
+        pairs.displace(x)
+        radii = pairs.min_distance(np.empty(m))
+        np.testing.assert_array_equal(radii, np.sqrt(np.sum(pairs.rows * pairs.rows, axis=-1)))
+        got = pot.gradient_batch(pairs.rows, radii=radii)
+        np.testing.assert_array_equal(got, pot.gradient_batch(pairs.rows))
+        assert np.isnan(got).any() == (pot.kind in ("harmonic", "gaussian_well") or pot is mollified)
+    # each call took the direct quadrature on the same rows
+    assert mollified.fallback_rows % 2 == 0 and mollified.fallback_rows >= 2 * 4

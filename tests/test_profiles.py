@@ -6,6 +6,7 @@ from liouville_lab.profiles import (
     BUMP_MASS,
     bump,
     bump_incomplete,
+    bump_pair,
     bump_prime,
     smooth_step_down,
     smooth_step_down_prime,
@@ -34,6 +35,44 @@ def test_bump_prime_matches_finite_differences():
     h = 1e-6
     fd = (bump(u + h) - bump(u - h)) / (2 * h)
     assert np.max(np.abs(fd - bump_prime(u))) < 1e-7
+
+
+def _reference_bump(u):
+    """b and b' written out entry by entry on a gathered copy of |u| < 1."""
+    u = np.asarray(u, dtype=float)
+    value, slope = np.zeros_like(u), np.zeros_like(u)
+    m = np.abs(u) < 1.0
+    w = u[m]
+    s = 1.0 - w * w
+    value[m] = np.exp(1.0 - 1.0 / (1.0 - w * w))
+    slope[m] = -2.0 * w / (s * s) * np.exp(1.0 - 1.0 / s)
+    return value, slope
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array(0.0),
+        np.array(1.0),
+        np.array(-0.5),
+        np.array(np.nan),
+        np.array([-1.0, -0.999, -0.3, 0.0, 0.3, 0.999, 1.0, 1.5, np.nan]),
+        # every entry inside, the path without a gather and a scatter
+        np.linspace(-0.99, 0.99, 64).reshape(8, 8),
+        np.linspace(-0.99, 0.99, 64).reshape(8, 8).T,
+        np.zeros((0, 3)),
+        np.random.default_rng(3).uniform(-1.3, 1.3, (5, 200)),
+    ],
+    ids=["zero", "one", "half", "nan", "edges", "inside", "inside_t", "empty", "random"],
+)
+def test_bump_pair_equals_bump_and_bump_prime_bitwise(u):
+    want_value, want_slope = _reference_bump(u)
+    value, slope = bump_pair(u)
+    for got, want in ((value, want_value), (slope, want_slope),
+                      (bump(u), want_value), (bump_prime(u), want_slope)):
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got, want)
+    assert not np.isnan(value).any() and not np.isnan(slope).any()
 
 
 def test_smooth_step_down_plateaus_and_ramp():

@@ -237,6 +237,100 @@ def test_value_on_support_rows_equals_every_row_bitwise():
     assert phi.value(0.3, x[:1], v[:1])[0] == _value_on_every_row(phi, 0.3, x[:1], v[:1])[0]
 
 
+def _batch_views(x, v, spare=5):
+    """(m, n, d) views of component-major copies of x and v, as an
+    observer sees the live rows of a flow: each component one contiguous
+    vector, in buffers with room for `spare` more rows."""
+    views = []
+    for a in (x, v):
+        buf = np.full(a.shape[1:] + (a.shape[0] + spare,), 7.0)
+        buf[..., : a.shape[0]] = np.moveaxis(a, 0, -1)
+        views.append(np.moveaxis(buf[..., : a.shape[0]], -1, 0))
+    return views
+
+
+def _edge_rows(phi, x, v):
+    """Rows exactly on |z_k - c_k| == w_k and NaN rows, in place."""
+    nd = phi.n * phi.d
+    x[:10, -1, 0] = phi.centers[nd - phi.d] + phi.widths[nd - phi.d]
+    v[10:20, 0, -1] = phi.centers[nd + phi.d - 1] - phi.widths[nd + phi.d - 1]
+    x[20, 0, 0] = np.nan
+    v[21, -1, -1] = np.nan
+
+
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (3, 3)])
+def test_support_mask_on_batch_views_equals_the_row_major_reference(n, d):
+    rng = np.random.default_rng(17)
+    phi = random_test_function(d, n, PhaseBox.centered(d, n, 1.0, 1.0), 0.5, 0.4, rng)
+    N = 3000
+    x = rng.uniform(-1.0, 1.0, size=(N, n, d))
+    v = rng.uniform(-1.0, 1.0, size=(N, n, d))
+    _edge_rows(phi, x, v)
+    z = np.concatenate([x.reshape(N, -1), v.reshape(N, -1)], axis=1)
+    inside = np.all(np.abs(z - phi.centers) < phi.widths, axis=1)
+    assert not inside[:22].any() and 0 < np.count_nonzero(inside) < N
+    xv, vv = _batch_views(x, v)
+    assert xv[:, 0, 0].flags.c_contiguous
+    # the window is open, |t - t_center| == t_width lies outside it
+    for t, want in ((0.5, inside), (0.85, inside), (0.9, False), (0.1, False), (2.0, False)):
+        for args in ((x, v), (xv, vv)):
+            got = phi.support_mask(t, *args)
+            assert got.dtype == bool
+            np.testing.assert_array_equal(got, np.broadcast_to(want, (N,)))
+    for args in ((x[:0], v[:0]), (xv[:0], vv[:0])):
+        assert phi.support_mask(0.5, *args).shape == (0,)
+
+
+def _pairing_row_major(phi, t, x, v, acc):
+    """The transport pairing on (N, 2 n d) rows, with cumulative products
+    along each row: the row-major form of TestFunction.transport_pairing."""
+    N, nd = x.shape[0], phi.n * phi.d
+    z = np.concatenate([x.reshape(N, nd), v.reshape(N, nd)], axis=1)
+    ut = np.asarray((t - phi.t_center) / phi.t_width)
+    tval, tprime = float(bump(ut)), float(bump_prime(ut)) / phi.t_width
+    u = (z - phi.centers) / phi.widths
+    bvals, bprime = bump(u), bump_prime(u) / phi.widths
+    m = bvals.shape[1]
+    prefix = np.ones((N, m + 1))
+    np.cumprod(bvals, axis=1, out=prefix[:, 1:])
+    suffix = np.ones((N, m + 1))
+    np.cumprod(bvals[:, ::-1], axis=1, out=suffix[:, 1:])
+    space = np.prod(bvals, axis=1)
+    grads = tval * bprime * (prefix[:, :m] * suffix[:, ::-1][:, 1:])
+    gx = grads[:, :nd].reshape(x.shape)
+    gv = grads[:, nd:].reshape(x.shape)
+    pairing = tprime * space + np.sum(v * gx, axis=(1, 2)) + np.sum(acc * gv, axis=(1, 2))
+    return tval * space, tprime * space, gx, gv, pairing
+
+
+# n d < 8, where numpy sums the components of a row left to right
+@pytest.mark.parametrize("n, d", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_pairing_on_support_rows_of_batch_views_equals_row_major_bitwise(n, d):
+    rng = np.random.default_rng(23)
+    phi = random_test_function(d, n, PhaseBox.centered(d, n, 1.0, 1.0), 0.5, 0.4, rng)
+    N = 2000
+    x, v, acc = (rng.uniform(-1.0, 1.0, size=(N, n, d)) for _ in range(3))
+    _edge_rows(phi, x, v)
+    xv, vv = _batch_views(x, v)
+    av, _ = _batch_views(acc, acc)
+    for t in (0.3, 0.5, 0.8):
+        cols = np.flatnonzero(phi.support_mask(t, xv, vv))
+        assert 0 < cols.size < N
+        want = _pairing_row_major(phi, t, x[cols], v[cols], acc[cols])
+        np.testing.assert_array_equal(phi.transport_pairing(t, xv, vv, av, rows=cols), want[4])
+        np.testing.assert_array_equal(
+            phi.transport_pairing(t, x[cols], v[cols], acc[cols]), want[4]
+        )
+        for got, ref in zip(phi.value_and_gradients(t, x[cols], v[cols]), want[:4]):
+            np.testing.assert_array_equal(got, ref)
+        # phi itself, on every row (zero off the support)
+        full = np.zeros(N)
+        full[cols] = want[0]
+        np.testing.assert_array_equal(phi.value(t, xv, vv), full)
+    empty = phi.transport_pairing(0.5, xv, vv, av, rows=np.arange(0))
+    assert empty.shape == (0,)
+
+
 def test_test_function_validation_and_window():
     with pytest.raises(DomainError):
         TestFunction(d=2, n=2, t_center=0.0, t_width=1.0, centers=np.zeros(5), widths=np.ones(5))
@@ -486,11 +580,11 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
     # the every-row reference: one ResidualTerms fed from a flow of all rows
     ref = ResidualTerms(e, pot, phi, [None], count=17)
-    rows, k = np.arange(e.size), iter(range(ref.times.size))
+    k = iter(range(ref.times.size))
 
     def add_node(tk, batch):
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        ref.add(next(k), tk, x, v, forces, e.values[batch.idx], rows[batch.idx])
+        ref.add(next(k), tk, x, v, forces, e.values, batch.idx)
 
     flow = transport.flow_batch
     flow(e.x, e.v, pot, ref.times[-1], icfg, stops=ref.times, observe=add_node)

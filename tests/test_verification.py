@@ -49,6 +49,7 @@ from liouville_lab.verification import (
     check_weak_ode,
     default_observable_for,
     flow_axiom_suite,
+    require_radii,
     write_reports_jsonl,
     write_summary_csv,
     _Sample,
@@ -107,6 +108,14 @@ def test_report_json_schema():
 def test_summary_line_format():
     assert make_report().summary_line().startswith("pass: demo [harmonic(k=1,d=2)]")
     assert make_report(statistic=9.0).summary_line().startswith("FAIL: demo")
+
+
+def test_summary_line_appends_support_visits():
+    visits = {"support_visits": {"start": 412, "end": 398}}
+    line = make_report(details=visits).summary_line()
+    assert line.startswith("pass: demo [harmonic(k=1,d=2)]")
+    assert line.endswith(" budget=5.500e-01 support_visits=412/398")
+    assert "support_visits" not in make_report().summary_line()
 
 
 def test_report_writers(tmp_path):
@@ -463,6 +472,8 @@ def test_renormalization_suite_flows_only_carried_rows_bitwise(pot, control):
         assert r.bias_bound == ref.bias_bound, r.check_name
         assert r.sample_count == ref.sample_count == 3000, r.check_name
         assert r.details["carried_rows"] == carried
+        # the beta reports reweight the identity report's per-row defect
+        assert r.details["reweighted_defect"] == (r is not reports[0])
 
 
 class CountingPotential:
@@ -472,9 +483,9 @@ class CountingPotential:
         self.inner = inner
         self.rows = []
 
-    def gradient_batch(self, r):
+    def gradient_batch(self, r, radii=None):
         self.rows.append(r.shape[0])
-        return self.inner.gradient_batch(r)
+        return self.inner.gradient_batch(r, radii)
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -639,6 +650,17 @@ def test_collision_scaling_raises_on_an_empty_radius():
     for mus in ([0.001], []):
         with pytest.raises(DomainError, match="at least two cutoff radii"):
             check_collision_scaling(free_potential(3), box, datum, 200, 1, mus)
+
+
+def test_collision_scaling_needs_two_distinct_positive_radii():
+    # a repeated radius leaves the log-log fit rank deficient: mu = [0.2, 0.2]
+    # once fitted a slope of -1.06 and failed for a reason no check names
+    box = PhaseBox.centered(2, 2, 1.0, 1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
+    for mus in ([0.2, 0.2], [0.4, 0.4, 0.4], [0.4, -0.2], [0.4, float("nan")]):
+        with pytest.raises(DomainError, match="at least two cutoff radii that differ"):
+            check_collision_scaling(free_potential(2), box, datum, 2000, 1, mus)
+    assert require_radii((0.4, 0.2, 0.4)) == [0.4, 0.2, 0.4]
 
 
 def test_collision_scaling_peaks_below_twice_its_sample_buffer():
