@@ -163,18 +163,17 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     )
     maps = [None] + [lambda t, f, b=b: b(f) for b in transport.shipped_beta_family(1.0)]
     pot = free_potential(2)
-    rows = np.flatnonzero(e0.values)
-    carried = e0.values[rows]
     walls, inside = [], 0
     for _ in range(repeats):
-        terms = transport.ResidualTerms(e0, pot, phi, maps, ESTIMATOR_NODES, rows)
+        terms = transport.ResidualTerms(e0, pot, phi, maps, ESTIMATOR_NODES)
+        rows = terms.rows
         spent, k = 0.0, iter(range(ESTIMATOR_NODES))
 
         def add(tk, batch):
             nonlocal spent, inside
             x, v, a = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
             started = time.perf_counter()
-            terms.add(next(k), tk, x, v, a, carried, batch.idx)
+            terms.add(next(k), tk, x, v, a, batch.idx)
             spent += time.perf_counter() - started
             inside += int(np.count_nonzero(phi.support_mask(tk, x, v)))
 

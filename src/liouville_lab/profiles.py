@@ -22,30 +22,23 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 def _bump(u, slope: bool):
     """b(u), or (b(u), b'(u)) when slope, elementwise: the one evaluation
     of b(w) = exp(1 - 1/s) and b'(w) = -2w / s^2 * b(w), s = 1 - w^2, on
-    the entries |w| < 1 (NaN lies outside); zero elsewhere.  The formula
-    runs in place on flat buffers, and when every entry is inside it
-    reads u itself, without a gather and a scatter."""
+    the entries |w| < 1 (NaN lies outside); zero elsewhere."""
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) < 1.0
-    every = bool(inside.all())
-    w = u.reshape(-1) if every else u[inside]
-
-    def spread(values):
-        if every:
-            return values.reshape(u.shape)
-        out = np.zeros_like(u)
-        out[inside] = values
-        return out
-
+    w = u[inside]
     s = np.multiply(w, w)
     np.subtract(1.0, s, out=s)
     b = np.divide(1.0, s)
     np.exp(np.subtract(1.0, b, out=b), out=b)
+    values = np.zeros_like(u)
+    values[inside] = b
     if not slope:
-        return spread(b)
+        return values
     db = np.multiply(w, -2.0)
     np.divide(db, np.multiply(s, s, out=s), out=db)
-    return spread(b), spread(np.multiply(db, b, out=db))
+    slopes = np.zeros_like(u)
+    slopes[inside] = np.multiply(db, b, out=db)
+    return values, slopes
 
 
 def bump(u):

@@ -334,7 +334,7 @@ class TestFunction:
         b((z_k - c_k)/w_k) is exactly 0 and so is phi; NaN rows read 0.
         """
         out = np.zeros(x.shape[0])
-        rows = np.flatnonzero(self.support_mask(t, x, v))
+        rows = np.flatnonzero(self._inside(t, x, v))
         if rows.size:
             tval = float(bump(np.asarray((t - self.t_center) / self.t_width)))
             u = (_phase_block(x, v, rows) - self.centers[:, None]) / self.widths[:, None]
@@ -344,7 +344,14 @@ class TestFunction:
     def support_mask(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Rows where phi(t, ., .) can be nonzero: t inside the time window
         and |z_k - c_k| < w_k on every phase axis; cheap comparisons only.
-        A NaN coordinate never compares inside.
+        A NaN coordinate never compares inside.  This is the support test
+        of the estimators and observables; `value` runs the same test
+        through `_inside`.
+        """
+        return self._inside(t, x, v)
+
+    def _inside(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The `support_mask` rows as a boolean mask.
 
         Every row is compared on every axis, one component vector
         x[:, i, j] at a time (contiguous on the (m, n, d) view of a
@@ -393,21 +400,12 @@ class TestFunction:
         grads = np.multiply(bprime, tval, out=bprime)
         return tval * space, tprime * space, np.multiply(grads, others, out=grads)
 
-    def value_and_gradients(self, t: float, x: np.ndarray, v: np.ndarray):
-        """(phi, d phi/dt, grad_x phi, grad_v phi) at scalar time t; the
-        gradients are (N, n, d) views of component-major arrays."""
-        phi, dphi_dt, grads = self._derivatives(t, _phase_block(x, v))
-        nd, shape = self.n * self.d, (self.n, self.d, x.shape[0])
-        gx = np.moveaxis(grads[:nd].reshape(shape), -1, 0)
-        gv = np.moveaxis(grads[nd:].reshape(shape), -1, 0)
-        return phi, dphi_dt, gx, gv
-
     def transport_pairing(
-        self, t: float, x: np.ndarray, v: np.ndarray, acc: np.ndarray, rows=None
+        self, t: float, x: np.ndarray, v: np.ndarray, acc: np.ndarray, rows: np.ndarray
     ) -> np.ndarray:
         """The transport operator applied to phi along given accelerations:
         d phi/dt + sum_i v_i . grad_{x_i} phi + sum_i a_i . grad_{v_i} phi,
-        on the given rows only (every row if None).
+        on the given rows of the (N, n, d) states only.
 
         Each dot product adds its n d component products left to right,
         which is how numpy sums fewer than 8 terms, so for n d < 8 it is
@@ -425,23 +423,19 @@ class TestFunction:
         return out
 
 
-def _phase_block(x: np.ndarray, v: np.ndarray | None, rows=None) -> np.ndarray:
+def _phase_block(x: np.ndarray, v: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
     """The phase coordinates (x then v, each flattened as x.reshape(N, n d))
     of the given rows of (N, n, d) states as one (2 n d, m) block, one
-    axis per block row; v None leaves out the velocities, rows None takes
-    every row.  Each axis is read as the component vector x[:, i, j],
-    which is contiguous on the (N, n, d) view of a component-major batch.
+    axis per block row; v None leaves out the velocities.  Each axis is
+    read as the component vector x[:, i, j], which is contiguous on the
+    (N, n, d) view of a component-major batch.
     """
     N, n, d = x.shape
     halves = (x,) if v is None else (x, v)
-    z = np.empty((len(halves) * n * d, N if rows is None else rows.size))
+    z = np.empty((len(halves) * n * d, rows.size))
     for k in range(z.shape[0]):
         i, j = divmod(k % (n * d), d)
-        component = halves[k // (n * d)][:, i, j]
-        if rows is None:
-            z[k] = component
-        else:
-            np.take(component, rows, out=z[k], mode="clip")
+        np.take(halves[k // (n * d)][:, i, j], rows, out=z[k])
     return z
 
 
@@ -602,26 +596,27 @@ class ResidualTerms:
 
     The rows are those of e0, the ensemble at t = 0 (DomainError at any
     other time), whose datum must be compactly supported inside its box.
-    Terms are kept for the e0 rows `rows` (every row if None); the
-    others sum to 0.  For kept row i (e0 row rows[i]), acc_full[i, m]
-    holds sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k)) plus the t = 0
-    boundary term g_m(0, f0_i) phi(0, z_i); acc_half[i, m] holds the
-    same on the half-resolution Simpson grid.  A value map g(t, f0) gives
-    the value a row carries at time t (None: f0 itself); a transported
-    density carries f0 unchanged, so a renormalizer beta is the map
-    (t, f0) -> beta(f0).  `active` marks the e0 rows that no flow flagged
-    and `weights` are the ensemble weights.  map_seconds[m] is the time
-    map m's own terms took.
+    Terms are kept for the carried rows, `rows` = the e0 rows with a
+    nonzero value, which carry `carried` = their values; every value
+    map must send 0 to 0, so the other rows sum to 0.  For kept row i
+    (e0 row rows[i]), acc_full[i, m] holds
+    sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k)) plus the t = 0 boundary
+    term g_m(0, f0_i) phi(0, z_i); acc_half[i, m] holds the same on the
+    half-resolution Simpson grid.  A value map g(t, f0) gives the value
+    a row carries at time t (None: f0 itself); a transported density
+    carries f0 unchanged, so a renormalizer beta is the map
+    (t, f0) -> beta(f0).  `active` marks the e0 rows that no flow
+    flagged and `weights` are the ensemble weights.  map_seconds[m] is
+    the time map m's own terms took.
 
     `add` takes the terms of one Simpson node (`times`) for any subset of
     the kept rows, so rows that are never added sum to 0.
-    weak_residual_suite keeps the carried rows and feeds them from one
-    flow paused at the nodes, with the (m, n, d) views of the live
-    component-major batch.  Each node tests supp phi once
-    (`support_mask`), and only the rows inside it are gathered: their
-    states, forces and carried values.  One `bump_pair` call gives the
-    axis factors and their slopes, and one scatter adds the terms of
-    every map.
+    weak_residual_suite flows the kept rows once, paused at the nodes,
+    and feeds the (m, n, d) views of the live component-major batch.
+    Each node tests supp phi once (`support_mask`), and only the rows
+    inside it are gathered: their states, forces and carried values.
+    One `bump_pair` call gives the axis factors and their slopes, and
+    one scatter adds the terms of every map.
     """
 
     def __init__(
@@ -631,7 +626,6 @@ class ResidualTerms:
         phi: TestFunction,
         value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
         count: int = 65,
-        rows: np.ndarray | None = None,
     ):
         if e0.time != 0.0:
             raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
@@ -653,7 +647,8 @@ class ResidualTerms:
         self.w_full = simpson_weights(count, a, b)
         self.w_half = simpson_weights((count + 1) // 2, a, b)
         n_maps = len(self.value_maps)
-        self.rows = np.arange(e0.size) if rows is None else np.asarray(rows)
+        self.rows = np.flatnonzero(e0.values)
+        self.carried = e0.values[self.rows]
         # one row per kept row, one column per map, so that a node adds the
         # terms of every map in one scatter
         self.acc_full = np.zeros((self.rows.size, n_maps))
@@ -662,11 +657,10 @@ class ResidualTerms:
         self.weights = e0.weights
         self.map_seconds = np.zeros(n_maps)
 
-    def add(self, k: int, t: float, x, v, forces, values, idx) -> None:
+    def add(self, k: int, t: float, x, v, forces, idx) -> None:
         """Add the terms of Simpson node k, at time t, of the given rows:
         (m, n, d) positions x, velocities v and accelerations `forces`.
-        Given row j is kept row idx[j] and carries values[idx[j]] from
-        t = 0."""
+        Given row j is kept row idx[j]."""
         if k >= self.times.size:
             raise AlignmentError(f"more than {self.times.size} nodes offered")
         if abs(t - self.times[k]) > 1e-9:
@@ -674,16 +668,16 @@ class ResidualTerms:
                 f"node {k} offered at t={t:g} is not Simpson node {self.times[k]:g}"
             )
         if k == 0 and self.phi.time_window[0] < 0.0:
-            term0 = self._terms(t, values[idx], self.phi.value(0.0, x, v))
+            term0 = self._terms(t, self.carried[idx], self.phi.value(0.0, x, v))
             self.acc_full[idx] += term0
             self.acc_half[idx] += term0
         # the pairing vanishes off supp phi, so evaluate only there
         cols = np.flatnonzero(self.phi.support_mask(t, x, v))
         if not cols.size:
             return
-        pairing_in = self.phi.transport_pairing(t, x, v, forces, rows=cols)
+        pairing_in = self.phi.transport_pairing(t, x, v, forces, cols)
         at = idx[cols]
-        terms = self._terms(t, values[at], pairing_in)
+        terms = self._terms(t, self.carried[at], pairing_in)
         self.acc_full[at] += self.w_full[k] * terms
         if k % 2 == 0:
             self.acc_half[at] += self.w_half[k // 2] * terms
@@ -781,17 +775,15 @@ def weak_residual_suite(
     window = residual_window(phis[0])
     if any(residual_window(phi) != window for phi in phis[1:]):
         raise DomainError("test functions of one call must share one time window")
-    rows = np.flatnonzero(e0.values)
-    suite = [ResidualTerms(e0, potential, phi, value_maps, nodes, rows) for phi in phis]
-    times = suite[0].times
-    carried = e0.values[rows]
+    suite = [ResidualTerms(e0, potential, phi, value_maps, nodes) for phi in phis]
+    times, rows = suite[0].times, suite[0].rows
     nodes_seen = itertools.count()
 
     def add_node(tk, batch):
         k = next(nodes_seen)
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
         for terms in suite:
-            terms.add(k, tk, x, v, forces, carried, batch.idx)
+            terms.add(k, tk, x, v, forces, batch.idx)
 
     _, _, flags = flow_batch(
         e0.x[rows], e0.v[rows], potential, times[-1], icfg, stops=times, observe=add_node

@@ -38,6 +38,7 @@ from liouville_lab.transport import (
     weak_residual_statistics,
     weak_residual_suite,
 )
+from liouville_lab.transport import _phase_block
 
 
 def make_phi(d=2, n=2, t_center=0.5, t_width=0.45, scale=0.9):
@@ -173,7 +174,8 @@ def test_test_function_gradients_match_finite_differences():
     x = rng.uniform(-0.4, 0.4, size=(40, 2, 2))
     v = rng.uniform(-0.4, 0.4, size=(40, 2, 2))
     t = 0.55
-    val, dt_got, gx, gv = phi.value_and_gradients(t, x, v)
+    val, dt_got, grads = phi._derivatives(t, _phase_block(x, v, np.arange(x.shape[0])))
+    gx, gv = (np.moveaxis(g.reshape(2, 2, -1), -1, 0) for g in (grads[:4], grads[4:]))
     np.testing.assert_allclose(val, phi.value(t, x, v), rtol=1e-14)
     h = 1e-6
     fd_t = (phi.value(t + h, x, v) - phi.value(t - h, x, v)) / (2 * h)
@@ -317,18 +319,25 @@ def test_pairing_on_support_rows_of_batch_views_equals_row_major_bitwise(n, d):
         cols = np.flatnonzero(phi.support_mask(t, xv, vv))
         assert 0 < cols.size < N
         want = _pairing_row_major(phi, t, x[cols], v[cols], acc[cols])
-        np.testing.assert_array_equal(phi.transport_pairing(t, xv, vv, av, rows=cols), want[4])
+        np.testing.assert_array_equal(phi.transport_pairing(t, xv, vv, av, cols), want[4])
+        every = np.arange(cols.size)
         np.testing.assert_array_equal(
-            phi.transport_pairing(t, x[cols], v[cols], acc[cols]), want[4]
+            phi.transport_pairing(t, x[cols], v[cols], acc[cols], every), want[4]
         )
-        for got, ref in zip(phi.value_and_gradients(t, x[cols], v[cols]), want[:4]):
+        val, dt_got, grads = phi._derivatives(t, _phase_block(xv, vv, cols))
+        gx, gv = (np.moveaxis(g.reshape(n, d, -1), -1, 0) for g in (grads[:n * d], grads[n * d:]))
+        for got, ref in zip((val, dt_got, gx, gv), want[:4]):
             np.testing.assert_array_equal(got, ref)
         # phi itself, on every row (zero off the support)
         full = np.zeros(N)
         full[cols] = want[0]
         np.testing.assert_array_equal(phi.value(t, xv, vv), full)
-    empty = phi.transport_pairing(0.5, xv, vv, av, rows=np.arange(0))
+    empty = phi.transport_pairing(0.5, xv, vv, av, np.arange(0))
     assert empty.shape == (0,)
+    # a row index off the batch raises instead of reading another row
+    for bad in ([N], [-N - 1], [0, N + 3]):
+        with pytest.raises(IndexError):
+            phi.transport_pairing(0.5, xv, vv, av, np.array(bad))
 
 
 def test_test_function_validation_and_window():
@@ -564,8 +573,9 @@ def test_weak_residual_suite_time_validation():
 def test_weak_residual_alignment_errors():
     _, _, e, phi = free_setup(count=100)
     terms = ResidualTerms(e, free_potential(2), phi, [None], count=9)
-    rows = np.arange(e.size)
-    node = lambda k, t: terms.add(k, t, e.x, e.v, np.zeros_like(e.x), e.values, rows)  # noqa: E731
+    x, v = e.x[terms.rows], e.v[terms.rows]
+    idx = np.arange(terms.rows.size)
+    node = lambda k, t: terms.add(k, t, x, v, np.zeros_like(x), idx)  # noqa: E731
     with pytest.raises(AlignmentError):
         node(0, terms.times[0] + 0.01)
     for k, tk in enumerate(terms.times):
@@ -578,13 +588,18 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     box, _, e, phi = free_setup(count=600)
     e = e.with_values(np.where(np.arange(e.size) % 3 == 0, 0.0, e.values))
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
-    # the every-row reference: one ResidualTerms fed from a flow of all rows
+    # the every-row reference: one ResidualTerms fed the carried rows of a
+    # flow of all rows
     ref = ResidualTerms(e, pot, phi, [None], count=17)
     k = iter(range(ref.times.size))
+    kept_of = np.full(e.size, -1)
+    kept_of[ref.rows] = np.arange(ref.rows.size)
 
     def add_node(tk, batch):
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        ref.add(next(k), tk, x, v, forces, e.values, batch.idx)
+        j = kept_of[batch.idx]
+        sel = j >= 0
+        ref.add(next(k), tk, x[sel], v[sel], forces[sel], j[sel])
 
     flow = transport.flow_batch
     flow(e.x, e.v, pot, ref.times[-1], icfg, stops=ref.times, observe=add_node)

@@ -438,17 +438,21 @@ def residual_reference(pot, count, negative_control):
     """The suite's estimates by hand: every sample stepped leg by leg."""
     e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
     a, _ = residual_window(RESIDUAL_PHI)
-    maps = [None] + [lambda t, f, b=b: b(f) for b in shipped_beta_family(1.0)]
+    betas = shipped_beta_family(1.0)
+    if negative_control:
+        scaled = lambda t, f: (1.0 + 3.0 * (t - a)) * f  # noqa: E731
+        maps = [scaled] + [lambda t, f, b=b: b(scaled(t, f)) for b in betas]
+    else:
+        maps = [None] + [lambda t, f, b=b: b(f) for b in betas]
     terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, maps, count=65)
+    # every row is stepped; the terms are fed the carried rows of each node
+    kept = terms.rows
     e = e0
     for k, tk in enumerate(terms.times):
         e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
-        values = e.values
-        if negative_control:
-            values = (1.0 + 3.0 * (e.time - a)) * values
         terms.active &= e.flags == FLAG_OK
-        forces = _forces(e.x, pot)[0]
-        terms.add(k, e.time, e.x, e.v, forces, values, np.arange(e.size))
+        x, v = e.x[kept], e.v[kept]
+        terms.add(k, e.time, x, v, _forces(x, pot)[0], np.arange(kept.size))
     return e0, transport.weak_residual_statistics(terms, RESIDUAL_ICFG.dt)
 
 
