@@ -22,8 +22,8 @@ The "estimator" row times `transport.ResidualTerms.add`, the per-node
 terms of the renormalization suite, in microseconds per Simpson node.
 It feeds the rows of a bump datum on PhaseBox.centered(2, 2, 1.2, 1.2)
 that carry a nonzero value (about 23% of ESTIMATOR_SAMPLES = 100k, so
-about 23k rows) from a free flow paused at the 65 nodes
-of a window [0.2, 1.8], with the identity and the four shipped
+about 23k rows) from a free flow paused at the transport.RESIDUAL_NODES
+Simpson nodes of a window [0.2, 1.8], with the identity and the four shipped
 renormalizers as value maps, as `check_renormalization_suite` does.
 
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
@@ -151,7 +151,6 @@ def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
 
 
 ESTIMATOR_SAMPLES = 100_000
-ESTIMATOR_NODES = 65
 
 
 def measure_estimator(samples: int, repeats: int, seed: int):
@@ -165,9 +164,9 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     pot = free_potential(2)
     walls, inside = [], 0
     for _ in range(repeats):
-        terms = transport.ResidualTerms(e0, pot, phi, maps, ESTIMATOR_NODES)
+        terms = transport.ResidualTerms(e0, pot, phi, maps)
         rows = terms.rows
-        spent, k = 0.0, iter(range(ESTIMATOR_NODES))
+        spent, k = 0.0, iter(range(transport.RESIDUAL_NODES))
 
         def add(tk, batch):
             nonlocal spent, inside
@@ -180,13 +179,13 @@ def measure_estimator(samples: int, repeats: int, seed: int):
         flow_batch(e0.x[rows], e0.v[rows], pot, terms.times[-1], IntegratorConfig(),
                    stops=terms.times, observe=add)
         walls.append(spent)
-    per = [1e6 * w / ESTIMATOR_NODES for w in walls]
+    per = [1e6 * w / transport.RESIDUAL_NODES for w in walls]
     return {
         "kind": "estimator",
         "samples": samples,
         "carried_rows": int(rows.size),
-        "nodes": ESTIMATOR_NODES,
-        "support_rows_per_node": inside / (repeats * ESTIMATOR_NODES),
+        "nodes": transport.RESIDUAL_NODES,
+        "support_rows_per_node": inside / (repeats * transport.RESIDUAL_NODES),
         "us_per_node": {"median": statistics.median(per), "min": min(per)},
     }
 

@@ -206,7 +206,7 @@ _ENSEMBLE = {
     "datum": (dict, {}),
 }
 _OUTPUT = {"directory": (str, "runs/latest"), "stride": (int, 1)}
-_CHECK = {"name": (str, None), "tolerance": (float, None)}
+_CHECK = {"name": (str, None)}
 _SECTIONS = {
     "simulate": {"t_final": (float, 1.0), "x0": ([[float]], None), "v0": ([[float]], None)},
     "verify": {"t": (float, 1.0), "measure_t": (float, 0.1), "measure_count": (int, None)},
@@ -225,7 +225,6 @@ _SECTIONS = {
         "phi_count": (int, 1),
         "t_center": (float, 1.0),
         "t_width": (float, 0.8),
-        "nodes": (int, 65),
         "beta_scale": (float, 1.0),
         "include_betas": (bool, True),
     },
@@ -391,7 +390,6 @@ def _run_verify(cfg: ResolvedConfig, quiet: bool) -> list:
         measure_count=sec["measure_count"],
         with_controls=False,
         checks=[c["name"] for c in cfg.checks],
-        tolerances={c["name"]: c["tolerance"] for c in cfg.checks if c["tolerance"] is not None},
     )
 
 
@@ -450,7 +448,6 @@ def _run_residual(cfg: ResolvedConfig, quiet: bool) -> list:
             cfg.seed,
             cfg.icfg,
             phi=phi,
-            nodes=sec["nodes"],
         )
     return reports
 
@@ -489,17 +486,6 @@ _RUNNERS = {
 
 # ---------------------------------------------------------------------------
 # entry point
-
-
-def _apply_thread_limit(threads: int | None):
-    if threads is None:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        print("threadpoolctl not installed; --threads ignored", file=sys.stderr)
 
 
 def run(config_path: str, experiment: str, overrides: dict, quiet: bool = False) -> int:
@@ -549,10 +535,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the ensemble seed")
-        p.add_argument("--threads", type=int, default=None, help="cap BLAS/OpenMP threads")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
-    _apply_thread_limit(args.threads)
     return run(
         args.config,
         args.experiment,

@@ -38,6 +38,12 @@ MAX_ABS_POLY_PRIME = 1.5396007178387945
 # pinned constant for the O(dt^2) discretization bias of second order flows
 DT_BIAS_COEFFICIENT = 100.0
 
+# Simpson nodes of every weak-residual window: 4 m + 1, so that the
+# estimate can be re-evaluated on the half-resolution grid; counts below
+# ~65 leave composite Simpson pre-asymptotic for bump windows of order
+# one, which breaks the Richardson error estimate
+RESIDUAL_NODES = 65
+
 # closest a test function's support may come to the coincidence set of a
 # confining potential, whose forces diverge there
 COLLISION_MARGIN = 1e-3
@@ -126,20 +132,34 @@ class InitialDatum:
     def has_compact_support(self) -> bool:
         return self.kind != "constant"
 
+    @property
+    def _reach(self) -> float:
+        # the indicator transition of smooth_step_down ends at 2 widths
+        return 2.0 if self.kind == "smoothed_indicator" else 1.0
+
     def support_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
         if not self.has_compact_support:
             return None
-        # the indicator transition of smooth_step_down ends at 2 widths
-        reach = 2.0 if self.kind == "smoothed_indicator" else 1.0
-        return self.center - reach * self.width, self.center + reach * self.width
+        return self.center - self._reach * self.width, self.center + self._reach * self.width
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
+        """f0 at each row of the (N, 2 n d) block z.
+
+        Only the rows strictly inside `support_bounds()` on every axis,
+        |z_k - c_k| < reach * w_k, are evaluated, bitwise as the product
+        over every entry would be; every other row reads 0.0, as the
+        product does on a finite row with an axis factor of exactly 0.
+        A row with a NaN coordinate reads 0 for every kind, `constant`
+        included.
+        """
         z = np.asarray(z, dtype=float)
         if z.ndim != 2 or z.shape[1] != self.center.size:
             raise DomainError(f"expected shape (N, {self.center.size}), got {z.shape}")
         if self.kind == "constant":
-            return np.full(z.shape[0], self.amplitude)
-        u = (z - self.center) / self.width
+            return np.where(np.any(np.isnan(z), axis=1), 0.0, self.amplitude)
+        out = np.zeros(z.shape[0])
+        rows = np.flatnonzero(_rows_inside(z.T, self.center, self._reach * self.width))
+        u = (z[rows] - self.center) / self.width
         if self.kind == "bump":
             axis = bump(u)
         elif self.kind == "clipped_polynomial":
@@ -147,7 +167,8 @@ class InitialDatum:
             axis = s * s
         else:
             axis = smooth_step_down(np.abs(u))
-        return self.amplitude * np.prod(axis, axis=1)
+        out[rows] = self.amplitude * np.prod(axis, axis=1)
+        return out
 
     def lipschitz_bound(self) -> float:
         """Upper bound on the Euclidean Lipschitz constant of the profile."""
@@ -163,8 +184,9 @@ class InitialDatum:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Weighted phase-space samples carrying their initial density values.
+    """Phase-space samples of a box carrying their initial density values.
 
+    Every sample has the same weight, `weight` = vol(box) / size.
     `values` holds f0 at the pre-image of each sample, which by volume
     preservation equals f(time, .) at the current sample position.
     Nonzero `flags` mark samples whose flow failed (coincidence or
@@ -179,11 +201,9 @@ class Ensemble:
 
     x: np.ndarray
     v: np.ndarray
-    weights: np.ndarray
     values: np.ndarray
     flags: np.ndarray
     box: PhaseBox
-    seed: int
     time: float = 0.0
     datum: InitialDatum | None = None
     _pair_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -191,6 +211,11 @@ class Ensemble:
     @property
     def size(self) -> int:
         return self.x.shape[0]
+
+    @property
+    def weight(self) -> float:
+        """vol(box) / size, the weight of every sample."""
+        return self.box.volume / self.size
 
     @property
     def n(self) -> int:
@@ -212,7 +237,7 @@ class Ensemble:
         return _flatten_phase(self.x, self.v)
 
     def pair_terms(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(|x_i - x_j|, weights * |values| * |v_i - v_j|) per row, memoized.
+        """(|x_i - x_j|, weight * |values| * |v_i - v_j|) per row, memoized.
 
         The norms are bitwise those of np.linalg.norm(..., axis=-1),
         taken on one difference buffer squared in place.
@@ -220,7 +245,8 @@ class Ensemble:
         key = (i, j)
         if key not in self._pair_memo:
             rel_x = _pair_distance(self.x, i, j)
-            carried = self.weights * np.abs(self.values)
+            carried = np.abs(self.values)
+            carried *= self.weight
             carried *= _pair_distance(self.v, i, j)
             self._pair_memo[key] = (rel_x, carried)
         return self._pair_memo[key]
@@ -240,7 +266,7 @@ def _pair_distance(a: np.ndarray, i: int, j: int) -> np.ndarray:
 
 
 def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -> Ensemble:
-    """Uniform samples in box with weights vol/N and carried f0 values."""
+    """count uniform samples in box, each of weight vol/count, carrying f0."""
     if count < 1:
         raise DomainError("sample count must be >= 1")
     rng = rng_for(seed, "ensemble-sampling")
@@ -249,11 +275,9 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
     return Ensemble(
         x=z[:, :nd].reshape(count, box.n, box.d),
         v=z[:, nd:].reshape(count, box.n, box.d),
-        weights=np.full(count, box.volume / count),
         values=datum.evaluate(z),
         flags=np.zeros(count, dtype=np.int8),
         box=box,
-        seed=seed,
         datum=datum,
     )
 
@@ -351,28 +375,12 @@ class TestFunction:
         return self._inside(t, x, v)
 
     def _inside(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The `support_mask` rows as a boolean mask.
-
-        Every row is compared on every axis, one component vector
-        x[:, i, j] at a time (contiguous on the (m, n, d) view of a
-        component-major batch), through two reused buffers.  About 86%
-        of the rows pass each axis in the renormalization suite, so
-        gathering the survivors of the earlier axes would cost more than
-        it saves.
-        """
-        N = x.shape[0]
-        inside = np.zeros(N, dtype=bool)
+        """The `support_mask` rows as a boolean mask, compared one
+        component vector x[:, i, j] at a time (contiguous on the (m, n, d)
+        view of a component-major batch)."""
         if abs(t - self.t_center) >= self.t_width:
-            return inside
-        inside.fill(True)
-        nd = self.n * self.d
-        gap, hit = np.empty(N), np.empty(N, dtype=bool)
-        for k in range(2 * nd):
-            i, j = divmod(k % nd, self.d)
-            np.subtract((x if k < nd else v)[:, i, j], self.centers[k], out=gap)
-            np.less(np.abs(gap, out=gap), self.widths[k], out=hit)
-            inside &= hit
-        return inside
+            return np.zeros(x.shape[0], dtype=bool)
+        return _rows_inside(_phase_columns(x, v), self.centers, self.widths)
 
     def _derivatives(self, t: float, z: np.ndarray):
         """(phi, d phi/dt, grad phi) of a (2 n d, m) `_phase_block` z;
@@ -423,19 +431,44 @@ class TestFunction:
         return out
 
 
-def _phase_block(x: np.ndarray, v: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+def _phase_columns(x: np.ndarray, v: np.ndarray | None) -> list[np.ndarray]:
     """The phase coordinates (x then v, each flattened as x.reshape(N, n d))
-    of the given rows of (N, n, d) states as one (2 n d, m) block, one
-    axis per block row; v None leaves out the velocities.  Each axis is
-    read as the component vector x[:, i, j], which is contiguous on the
-    (N, n, d) view of a component-major batch.
+    of (N, n, d) states as a list of component vectors x[:, i, j], one per
+    axis, each contiguous on the (N, n, d) view of a component-major batch;
+    v None leaves out the velocities."""
+    _, n, d = x.shape
+    return [half[:, i, j] for half in ((x,) if v is None else (x, v))
+            for i in range(n) for j in range(d)]
+
+
+def _rows_inside(columns, centers: np.ndarray, halves: np.ndarray) -> np.ndarray:
+    """Rows whose coordinate k satisfies |column_k - centers[k]| < halves[k]
+    on every axis k, as a boolean mask; a NaN coordinate never compares
+    inside.
+
+    Every row is compared on every axis, one column at a time, through two
+    reused buffers.  About 86% of the rows pass each axis of a test
+    function in the renormalization suite, so gathering the survivors of
+    the earlier axes would cost more than it saves.
     """
-    N, n, d = x.shape
-    halves = (x,) if v is None else (x, v)
-    z = np.empty((len(halves) * n * d, rows.size))
-    for k in range(z.shape[0]):
-        i, j = divmod(k % (n * d), d)
-        np.take(halves[k // (n * d)][:, i, j], rows, out=z[k])
+    N = len(columns[0])
+    inside = np.ones(N, dtype=bool)
+    gap, hit = np.empty(N), np.empty(N, dtype=bool)
+    for column, center, half in zip(columns, centers, halves):
+        np.subtract(column, center, out=gap)
+        np.less(np.abs(gap, out=gap), half, out=hit)
+        inside &= hit
+    return inside
+
+
+def _phase_block(x: np.ndarray, v: np.ndarray | None, rows: np.ndarray) -> np.ndarray:
+    """The given rows of the `_phase_columns` of (N, n, d) states as one
+    (2 n d, m) block, one axis per block row; v None leaves out the
+    velocities."""
+    columns = _phase_columns(x, v)
+    z = np.empty((len(columns), rows.size))
+    for k, column in enumerate(columns):
+        np.take(column, rows, out=z[k])
     return z
 
 
@@ -578,17 +611,10 @@ def residual_window(phi: TestFunction) -> tuple[float, float]:
     return max(0.0, t0), t1
 
 
-def simpson_times(phi: TestFunction, count: int = 65) -> np.ndarray:
-    """Simpson node times for the residual window; count must be 4m + 1
-    so the estimate can be re-evaluated on the half-resolution grid.
-
-    Counts below ~65 leave composite Simpson pre-asymptotic for bump
-    windows of order one, which breaks the Richardson error estimate.
-    """
-    if count < 5 or (count - 1) % 4 != 0:
-        raise DomainError("node count must be 4 m + 1 with m >= 1")
+def simpson_times(phi: TestFunction) -> np.ndarray:
+    """The RESIDUAL_NODES Simpson node times of the residual window."""
     a, b = residual_window(phi)
-    return np.linspace(a, b, count)
+    return np.linspace(a, b, RESIDUAL_NODES)
 
 
 class ResidualTerms:
@@ -605,9 +631,10 @@ class ResidualTerms:
     half-resolution Simpson grid.  A value map g(t, f0) gives the value
     a row carries at time t (None: f0 itself); a transported density
     carries f0 unchanged, so a renormalizer beta is the map
-    (t, f0) -> beta(f0).  `active` marks the e0 rows that no flow
-    flagged and `weights` are the ensemble weights.  map_seconds[m] is
-    the time map m's own terms took.
+    (t, f0) -> beta(f0).  The nodes are the RESIDUAL_NODES `simpson_times`
+    of phi.  `active` marks the e0 rows that no flow flagged and `weight`
+    is the ensemble's sample weight.  map_seconds[m] is the time map m's
+    own terms took.
 
     `add` takes the terms of one Simpson node (`times`) for any subset of
     the kept rows, so rows that are never added sum to 0.
@@ -625,7 +652,6 @@ class ResidualTerms:
         potential,
         phi: TestFunction,
         value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
-        count: int = 65,
     ):
         if e0.time != 0.0:
             raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
@@ -642,10 +668,10 @@ class ResidualTerms:
                 " the coincidence set of a confining potential"
             )
         self.phi, self.value_maps = phi, list(value_maps)
-        self.times = simpson_times(phi, count)
+        self.times = simpson_times(phi)
         self.window = a, b = residual_window(phi)
-        self.w_full = simpson_weights(count, a, b)
-        self.w_half = simpson_weights((count + 1) // 2, a, b)
+        self.w_full = simpson_weights(RESIDUAL_NODES, a, b)
+        self.w_half = simpson_weights((RESIDUAL_NODES + 1) // 2, a, b)
         n_maps = len(self.value_maps)
         self.rows = np.flatnonzero(e0.values)
         self.carried = e0.values[self.rows]
@@ -654,7 +680,7 @@ class ResidualTerms:
         self.acc_full = np.zeros((self.rows.size, n_maps))
         self.acc_half = np.zeros((self.rows.size, n_maps))
         self.active = e0.flags == dynamics.FLAG_OK
-        self.weights = e0.weights
+        self.weight = e0.weight
         self.map_seconds = np.zeros(n_maps)
 
     def add(self, k: int, t: float, x, v, forces, idx) -> None:
@@ -696,15 +722,15 @@ class ResidualTerms:
 def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCEstimate]:
     """One estimate per value map from the per-row sums.
 
-    The estimate is sum_i w_i acc_full_i over the active e0 rows, the
-    rows that are not kept reading 0.
+    The estimate is sum_i w acc_full_i over the active e0 rows, w the
+    sample weight, the rows that are not kept reading 0.
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid);
     bias_bound is the pinned O(dt^2) term of an integrator of step
     `step_size`.  details["map_seconds"] is the time the map's own
     terms took.
     """
-    size = terms.weights.size
+    size = terms.active.size
     n_active = int(np.sum(terms.active))
     out = []
     full = np.zeros(size)
@@ -714,11 +740,11 @@ def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCE
         return full
 
     for m in range(terms.acc_full.shape[1]):
-        xi = np.where(terms.active, terms.weights * spread(terms.acc_full[:, m]), 0.0)
+        xi = np.where(terms.active, terms.weight * spread(terms.acc_full[:, m]), 0.0)
         estimate = float(np.sum(xi))
         se_mc = float(np.std(xi, ddof=1) * math.sqrt(size))
         coarse = float(
-            np.sum(np.where(terms.active, terms.weights * spread(terms.acc_half[:, m]), 0.0))
+            np.sum(np.where(terms.active, terms.weight * spread(terms.acc_half[:, m]), 0.0))
         )
         quad_err = abs(coarse - estimate) / 15.0
         bias = DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi)))
@@ -746,7 +772,6 @@ def weak_residual_suite(
     phis: Sequence[TestFunction],
     value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
     icfg: IntegratorConfig,
-    nodes: int = 65,
 ) -> list[list[MCEstimate]]:
     """Weak-identity defects of e0's carried density, one flow for all.
 
@@ -758,7 +783,7 @@ def weak_residual_suite(
     which vanishes in expectation for exact transport (see ResidualTerms
     for the maps).  Returns one list of estimates, in value-map order,
     per test function.  The test functions must share one time window,
-    so that they share the `nodes` Simpson nodes.
+    so that they share its RESIDUAL_NODES Simpson nodes.
 
     Only the rows with a nonzero carried value are flowed: every map
     must send 0 to 0 (renormalization in L^1 needs beta(0) = 0), so a
@@ -775,7 +800,7 @@ def weak_residual_suite(
     window = residual_window(phis[0])
     if any(residual_window(phi) != window for phi in phis[1:]):
         raise DomainError("test functions of one call must share one time window")
-    suite = [ResidualTerms(e0, potential, phi, value_maps, nodes) for phi in phis]
+    suite = [ResidualTerms(e0, potential, phi, value_maps) for phi in phis]
     times, rows = suite[0].times, suite[0].rows
     nodes_seen = itertools.count()
 

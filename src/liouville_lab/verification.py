@@ -284,10 +284,10 @@ def check_measure_preservation(
     seed: int,
     icfg: IntegratorConfig,
     phi: TestFunction | None = None,
-    tolerance: float = TOLERANCES["measure_preservation"],
     negative_control: bool = False,
 ) -> CheckReport:
-    """Flow invariance of integrals of a fixed observable.
+    """Flow invariance of integrals of a fixed observable, held to
+    TOLERANCES["measure_preservation"].
 
     Samples z uniform in box; compares sum w phi(Y(t, z)) with
     sum w phi(z).  The default observable lives on a shrunken box so
@@ -322,7 +322,7 @@ def check_measure_preservation(
     ok = e1.flags == dynamics.FLAG_OK
     in_start = ok & phi.support_mask(phi.t_center, e0.x, e0.v)
     in_end = ok & phi.support_mask(phi.t_center, e1.x, e1.v)
-    xi = np.where(ok, e0.weights * (after - before), 0.0)
+    xi = np.where(ok, e0.weight * (after - before), 0.0)
     statistic = abs(float(np.sum(xi)))
     se = float(np.std(xi, ddof=1) * math.sqrt(count))
     if statistic > 0.0 and se == 0.0:
@@ -335,7 +335,7 @@ def check_measure_preservation(
             " raise the count or widen the observable"
         )
     bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(
-        np.sum(np.abs(np.where(ok, e0.weights * after, 0.0)))
+        np.sum(np.abs(np.where(ok, e0.weight * after, 0.0)))
     )
     return CheckReport.build(
         check_name="measure_preservation"
@@ -346,7 +346,7 @@ def check_measure_preservation(
         statistic=statistic,
         std_error=se,
         bias_bound=bias,
-        tolerance=tolerance,
+        tolerance=TOLERANCES["measure_preservation"],
         flagged_fraction=float(np.mean(~ok)),
         runtime_seconds=time.perf_counter() - started,
         details={
@@ -397,9 +397,10 @@ class _Sample:
         return states
 
     def report(
-        self, name: str, control: bool, statistic: float, tolerance: float, ok,
+        self, name: str, control: bool, statistic: float, ok,
         started: float, details: dict, std_error: float = 0.0,
     ) -> CheckReport:
+        """The report of check `name`, held to TOLERANCES[name]."""
         return CheckReport.build(
             check_name=name + ("_control" if control else ""),
             potential=self.potential.describe(),
@@ -408,7 +409,7 @@ class _Sample:
             statistic=statistic,
             std_error=std_error,
             bias_bound=0.0,
-            tolerance=tolerance,
+            tolerance=TOLERANCES[name],
             flagged_fraction=float(np.mean(~ok)),
             runtime_seconds=time.perf_counter() - started,
             details=details,
@@ -425,8 +426,7 @@ def _kicked(state):
 
 
 def _time_continuity(
-    sample: _Sample, a, b, t: float, delta: float, tolerance: float,
-    control: bool, started: float,
+    sample: _Sample, a, b, t: float, delta: float, control: bool, started: float,
 ) -> CheckReport:
     (xa, va, _), (xb, vb, ok) = a, b
     if control:
@@ -442,14 +442,14 @@ def _time_continuity(
     ratio = move[selected] / (delta * speed[selected])
     statistic = float(np.max(ratio)) if np.any(selected) else math.inf
     return sample.report(
-        "time_continuity", control, statistic, tolerance, ok, started,
+        "time_continuity", control, statistic, ok, started,
         {"t": t, "delta": delta, "energy_level": sample.level},
     )
 
 
 def _group_property(
     sample: _Sample, direct, mid, s: float, t: float, icfg: IntegratorConfig,
-    tolerance: float, control: bool, started: float,
+    control: bool, started: float,
 ) -> CheckReport:
     if control:
         direct, mid = _kicked(direct), _kicked(mid)
@@ -463,21 +463,21 @@ def _group_property(
         np.max(np.abs(v_comp - v_direct), axis=(1, 2)),
     )
     return sample.report(
-        "group_property", control, _worst(gap, ok & sample.below), tolerance, ok,
-        started, {"s": s, "t": t, "energy_level": sample.level},
+        "group_property", control, _worst(gap, ok & sample.below), ok, started,
+        {"s": s, "t": t, "energy_level": sample.level},
     )
 
 
 def _energy_invariance(
-    sample: _Sample, end, t: float, tolerance: float, control: bool, started: float
+    sample: _Sample, end, t: float, control: bool, started: float
 ) -> CheckReport:
     x, v, ok = end
     e_after = _energy_batch(x, v, sample.potential)
     e_before = sample.energies
     drift = np.abs(e_after - e_before) / np.maximum(1.0, np.abs(e_before))
     return sample.report(
-        "energy_invariance", control, _worst(drift, ok & sample.below), tolerance, ok,
-        started, {"t": t, "energy_level": sample.level},
+        "energy_invariance", control, _worst(drift, ok & sample.below), ok, started,
+        {"t": t, "energy_level": sample.level},
     )
 
 
@@ -525,8 +525,7 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
 
 
 def _weak_ode(
-    sample: _Sample, t_final: float, icfg: IntegratorConfig,
-    tolerance: float, control: bool, started: float,
+    sample: _Sample, t_final: float, icfg: IntegratorConfig, control: bool, started: float,
 ):
     """The weak_ode report and the state at t_final."""
     per_sample, per_half, end = _simpson_defects(sample, t_final, icfg)
@@ -535,7 +534,7 @@ def _weak_ode(
     statistic = _worst(per_sample, selected)
     quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
     report = sample.report(
-        "weak_ode", control, statistic, tolerance, ok, started,
+        "weak_ode", control, statistic, ok, started,
         {"t_final": t_final, "nodes": WEAK_ODE_NODES, "energy_level": sample.level},
         std_error=quad_err,
     )
@@ -549,7 +548,6 @@ def check_time_continuity(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = TOLERANCES["time_continuity"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Difference quotients of t -> Y(t, z) stay below the phase speed.
@@ -557,7 +555,8 @@ def check_time_continuity(
     At resolution delta = DELTA_STEPS * dt the displacement
     |Y(t + delta) - Y(t)| of every selected sample must not exceed
     delta times the larger of its endpoint phase speeds |(v, a)|, up to
-    the stated tolerance factor for speed variation along the way.
+    the TOLERANCES["time_continuity"] factor for speed variation along the
+    way.
     Control: a positional jump is injected between the two snapshots,
     which no continuous-in-time flow can produce.
     """
@@ -565,7 +564,7 @@ def check_time_continuity(
     sample = _Sample(potential, box, count, seed)
     delta = DELTA_STEPS * icfg.dt
     (_, a), (_, b) = sample.walk([t, t + delta], icfg)
-    return _time_continuity(sample, a, b, t, delta, tolerance, negative_control, started)
+    return _time_continuity(sample, a, b, t, delta, negative_control, started)
 
 
 def check_group_property(
@@ -576,10 +575,10 @@ def check_group_property(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = TOLERANCES["group_property"],
     negative_control: bool = False,
 ) -> CheckReport:
-    """Composition law Y(t + s, z) = Y(t, Y(s, z)) below an energy level.
+    """Composition law Y(t + s, z) = Y(t, Y(s, z)) below an energy level,
+    to within TOLERANCES["group_property"].
 
     The comparison is restricted to samples whose initial energy lies
     below the ENERGY_QUANTILE level, matching the truncated form in which
@@ -591,9 +590,7 @@ def check_group_property(
     sample = _Sample(potential, box, count, seed)
     direct = sample.advance(sample.start, s + t, icfg)
     mid = sample.advance(sample.start, s, icfg)
-    return _group_property(
-        sample, direct, mid, s, t, icfg, tolerance, negative_control, started
-    )
+    return _group_property(sample, direct, mid, s, t, icfg, negative_control, started)
 
 
 def check_energy_invariance(
@@ -603,17 +600,17 @@ def check_energy_invariance(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = TOLERANCES["energy_invariance"],
     negative_control: bool = False,
 ) -> CheckReport:
-    """Worst relative energy drift along the flow below an energy level.
+    """Worst relative energy drift along the flow below an energy level,
+    held to TOLERANCES["energy_invariance"].
 
     Control: velocity damping bleeds kinetic energy.
     """
     started = time.perf_counter()
     sample = _Sample(potential, box, count, seed)
     end = sample.advance(sample.start, t, _control_icfg(icfg, negative_control))
-    return _energy_invariance(sample, end, t, tolerance, negative_control, started)
+    return _energy_invariance(sample, end, t, negative_control, started)
 
 
 def check_weak_ode(
@@ -623,7 +620,6 @@ def check_weak_ode(
     count: int,
     seed: int,
     icfg: IntegratorConfig,
-    tolerance: float = TOLERANCES["weak_ode"],
     negative_control: bool = False,
 ) -> CheckReport:
     """Distributional form of dY/dt = B(Y) against a smooth time bump.
@@ -631,16 +627,15 @@ def check_weak_ode(
     Integrating by parts, int (Y chi' + B(Y) chi) dt must vanish for
     every chi compactly supported in (0, t_final); the check integrates
     one bump per sample with composite Simpson on WEAK_ODE_NODES nodes
-    and takes the worst component, restricted below an energy level.
-    One flow pauses at the nodes and each adds its terms from the live
-    batch state.
+    and takes the worst component, restricted below an energy level,
+    held to TOLERANCES["weak_ode"].  One flow pauses at the nodes and
+    each adds its terms from the live batch state.
     Control: velocity damping makes trajectories solve a different ODE.
     """
     started = time.perf_counter()
     sample = _Sample(potential, box, count, seed)
     report, _ = _weak_ode(
-        sample, t_final, _control_icfg(icfg, negative_control), tolerance,
-        negative_control, started,
+        sample, t_final, _control_icfg(icfg, negative_control), negative_control, started
     )
     return report
 
@@ -657,10 +652,9 @@ def flow_axiom_suite(
     measure_count: int | None = None,
     with_controls: bool = True,
     checks: Sequence[str] = CHECK_NAMES,
-    tolerances: dict[str, float] | None = None,
 ) -> list[CheckReport]:
     """The named flow-axiom checks in the order of `checks`, then their
-    negative controls; `tolerances` overrides TOLERANCES per name.
+    negative controls, each held to its TOLERANCES entry.
 
     Continuity runs at 0.5 t, the group law as 0.4 t + 0.6 t, energy
     invariance and weak_ode over t, all on one sample.  One undamped
@@ -685,7 +679,6 @@ def flow_axiom_suite(
     unknown = sorted(set(checks) - set(CHECK_NAMES))
     if unknown:
         raise DomainError(f"unknown flow-axiom checks {unknown}; known {list(CHECK_NAMES)}")
-    tol = {**TOLERANCES, **(tolerances or {})}
     controls = (False, True) if with_controls else (False,)
     out = {}
     if "measure_preservation" in checks:
@@ -693,8 +686,7 @@ def flow_axiom_suite(
             out["measure_preservation", control] = check_measure_preservation(
                 potential, box, t if measure_t is None else measure_t,
                 count if measure_count is None else measure_count, seed, icfg,
-                phi=observable, tolerance=tol["measure_preservation"],
-                negative_control=control,
+                phi=observable, negative_control=control,
             )
     per_sample = set(checks) - {"measure_preservation"}
     if per_sample:
@@ -706,26 +698,23 @@ def flow_axiom_suite(
     for control in controls:
         if "time_continuity" in checks:
             out["time_continuity", control] = _time_continuity(
-                sample, at[half], at[half + delta], half, delta, tol["time_continuity"],
-                control, time.perf_counter(),
+                sample, at[half], at[half + delta], half, delta, control,
+                time.perf_counter(),
             )
         if "group_property" in checks:
             started = time.perf_counter()
             if not control:
                 mid = sample.advance(sample.start, 0.4 * t, icfg)
             out["group_property", control] = _group_property(
-                sample, at[t], mid, 0.4 * t, 0.6 * t, icfg, tol["group_property"],
-                control, started,
+                sample, at[t], mid, 0.4 * t, 0.6 * t, icfg, control, started,
             )
         if "weak_ode" in checks or (control and "energy_invariance" in checks):
             out["weak_ode", control], walk_end = _weak_ode(
-                sample, t, _control_icfg(icfg, control), tol["weak_ode"],
-                control, time.perf_counter(),
+                sample, t, _control_icfg(icfg, control), control, time.perf_counter(),
             )
         if "energy_invariance" in checks:
             out["energy_invariance", control] = _energy_invariance(
-                sample, walk_end if control else at[t], t, tol["energy_invariance"],
-                control, time.perf_counter(),
+                sample, walk_end if control else at[t], t, control, time.perf_counter(),
             )
     return [out[name, control] for control in controls for name in checks]
 
@@ -999,16 +988,15 @@ def check_renormalization_suite(
     seed: int,
     icfg: IntegratorConfig,
     phi: TestFunction | None = None,
-    nodes: int = 65,
     negative_control: bool = False,
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
     One weak_residual_suite call serves the identity map and all betas,
     so only the rows whose carried value f0 is nonzero are flowed, once,
-    pausing at the Simpson nodes.  That needs beta(0) = 0, as
-    renormalization in L^1 does, which is checked for every beta
-    (DomainError otherwise).
+    pausing at the transport.RESIDUAL_NODES Simpson nodes.  That needs
+    beta(0) = 0, as renormalization in L^1 does, which is checked for
+    every beta (DomainError otherwise).
 
     Every beta report reweights one per-row defect.  Row i's bracket
     sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i) is shared by all maps: the
@@ -1048,7 +1036,7 @@ def check_renormalization_suite(
         return lambda t, f: beta(f)
 
     maps = [value_map(lambda f: f)] + [value_map(b) for b in betas]
-    (results,) = weak_residual_suite(e0, potential, [phi], maps, icfg, nodes=nodes)
+    (results,) = weak_residual_suite(e0, potential, [phi], maps, icfg)
     elapsed = time.perf_counter() - started
     beta_seconds = [r.details["map_seconds"] for r in results[1:]]
     shares = [elapsed - sum(beta_seconds)] + beta_seconds
@@ -1155,7 +1143,7 @@ def check_uniqueness_monotone(
     f_a = e0.values
     for k, e in enumerate(series):
         phi_vals = cutoff.value_batch(times[k], e.x, e.v, pot)
-        xi = np.where(e.active, e.weights * e.values * phi_vals, 0.0)
+        xi = np.where(e.active, e.weight * e.values * phi_vals, 0.0)
         xis[k] = xi
         F[k] = float(np.sum(xi))
         SE[k] = float(np.std(xi, ddof=1) * math.sqrt(e.size))
@@ -1165,7 +1153,7 @@ def check_uniqueness_monotone(
                 axis=1,
             )
         )
-        capacity = float(np.sum(np.where(e.active & near, e.weights * phi_vals, 0.0)))
+        capacity = float(np.sum(np.where(e.active & near, e.weight * phi_vals, 0.0)))
         biases[k] = DT_BIAS_COEFFICIENT * icfg.dt**2 * (
             lip * capacity + float(np.sum(np.abs(xi)))
         )

@@ -70,7 +70,7 @@ def test_criterion_1_weak_identity_free_transport():
             )
             for j in range(10)
         ]
-        estimates = weak_residual_suite(ensemble, pot, phis, [None], VERLET, nodes=65)
+        estimates = weak_residual_suite(ensemble, pot, phis, [None], VERLET)
         for j, (est,) in enumerate(estimates):
             assert abs(est.estimate) < 3.0 * est.std_error, f"phi {j}"
 
@@ -237,9 +237,7 @@ def test_criterion_8_product_renormalization():
             g_values = g.evaluate(ensemble.phase_flat())
             pv = polarized_product(ensemble.values, g_values)
             np.testing.assert_allclose(pv, ensemble.values * g_values, atol=1e-12)
-            ((est,),) = weak_residual_suite(
-                ensemble.with_values(pv), pot, [phi], [None], VERLET, nodes=65
-            )
+            ((est,),) = weak_residual_suite(ensemble.with_values(pv), pot, [phi], [None], VERLET)
             assert abs(est.estimate) < 3.0 * est.std_error, pot.kind
 
 

@@ -140,13 +140,15 @@ def test_verify_passes_and_writes_reports(tmp_path):
 
 
 def test_verify_check_failure_exits_one(tmp_path):
+    # a step too coarse for Verlet to conserve energy to the library tolerance
     out = tmp_path / "run"
-    cfg = verify_config(out, checks=[{"name": "energy_invariance", "tolerance": 0.0}])
+    cfg = verify_config(out, dynamics={"dt": 0.1}, checks=[{"name": "energy_invariance"}])
     code = cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"])
     assert code == 1
     report = json.loads((out / "reports.jsonl").read_text().strip())
     assert report["pass"] is False
-    assert report["tolerance"] == 0.0
+    assert report["tolerance"] == verification.TOLERANCES["energy_invariance"]
+    assert report["flagged_fraction"] == 0.0
 
 
 def test_verify_rerun_is_idempotent(tmp_path):
@@ -345,17 +347,23 @@ def test_invalid_json_exits_two(tmp_path):
 
 def test_unknown_keys_rejected_at_every_level(tmp_path):
     out = tmp_path / "run"
-    for mangle in [
-        lambda c: c.update(bogus=1),
-        lambda c: c["dynamics"].update(stepper="rk7"),
-        lambda c: c["simulate"].update(tfinal=1.0),
-        lambda c: c["potential"].update(shape="round"),
+    configs = {"simulate": simulate_config, "verify": verify_config,
+               "residual": lambda out: {"experiment": "residual",
+                                        "output": {"directory": str(out)}}}
+    for experiment, mangle in [
+        ("simulate", lambda c: c.update(bogus=1)),
+        ("simulate", lambda c: c["dynamics"].update(stepper="rk7")),
+        ("simulate", lambda c: c["simulate"].update(tfinal=1.0)),
+        ("simulate", lambda c: c["potential"].update(shape="round")),
+        # the flow-axiom tolerances and the residual node count are the library's
+        ("verify", lambda c: c["checks"][1].update(tolerance=0.0)),
+        ("residual", lambda c: c.update(residual={"nodes": 65})),
     ]:
-        cfg = simulate_config(out)
+        cfg = configs[experiment](out)
         mangle(cfg)
-        code = cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"])
-        assert code == 2
-        assert not (out / "resolved_config.json").exists()
+        code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
+        assert code == 2, experiment
+        assert not (out / "resolved_config.json").exists(), experiment
 
 
 def test_experiment_mismatch_exits_two(tmp_path):
@@ -368,9 +376,7 @@ def test_verify_requires_checks(tmp_path):
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
     cfg = verify_config(tmp_path / "run", checks=[{"name": "does_not_exist"}])
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
-    cfg = verify_config(
-        tmp_path / "run", checks=[{"name": "weak_ode"}, {"name": "weak_ode", "tolerance": 1.0}]
-    )
+    cfg = verify_config(tmp_path / "run", checks=[{"name": "weak_ode"}, {"name": "weak_ode"}])
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
 
 
@@ -458,6 +464,8 @@ def test_mollified_potential_config(tmp_path):
 
 
 def test_unknown_subcommand_is_an_argparse_error():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["frobnicate", "--config", "x.json"])
-    assert exc.value.code == 2
+    for argv in (["frobnicate", "--config", "x.json"],
+                 ["verify", "--config", "x.json", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2

@@ -9,7 +9,7 @@ from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig
 from liouville_lab.errors import AlignmentError, CoverageError, DomainError
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
-from liouville_lab.profiles import bump, bump_prime, smooth_step_down_prime
+from liouville_lab.profiles import bump, bump_prime, smooth_step_down, smooth_step_down_prime
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
     MAX_ABS_POLY_PRIME,
@@ -87,7 +87,9 @@ def test_initial_datum_kinds_and_bounds():
     d_const = InitialDatum(kind="constant", center=np.zeros(4), width=1.0)
     assert d_const.support_bounds() is None
     assert not d_const.has_compact_support
-    np.testing.assert_array_equal(d_const.evaluate(np.zeros((3, 4))), 1.0)
+    z = np.zeros((3, 4))
+    z[1, 2] = np.nan  # a NaN row reads 0 for every kind
+    np.testing.assert_array_equal(d_const.evaluate(z), [1.0, 0.0, 1.0])
     with pytest.raises(DomainError):
         d_bump.evaluate(np.zeros((3, 5)))
 
@@ -102,6 +104,42 @@ def test_initial_datum_lipschitz_bound_holds(kind):
     gap = np.abs(datum.evaluate(z1) - datum.evaluate(z2))
     dist = np.linalg.norm(z1 - z2, axis=1)
     assert np.all(gap <= lip * dist * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("kind", ["bump", "smoothed_indicator", "clipped_polynomial"])
+def test_initial_datum_evaluates_support_rows_as_every_entry_formula_bitwise(kind):
+    center = np.array([0.3, -0.2, 0.1, 0.7])
+    width = np.array([0.5, 0.8, 1.0, 1.3])
+    datum = InitialDatum(kind=kind, center=center, width=width, amplitude=1.7)
+
+    def every_entry(z):
+        u = (z - center) / width
+        if kind == "bump":
+            axis = bump(u)
+        elif kind == "clipped_polynomial":
+            axis = np.maximum(0.0, 1.0 - u * u) ** 2
+        else:
+            axis = smooth_step_down(np.abs(u))
+        return 1.7 * np.prod(axis, axis=1)
+
+    lo, hi = datum.support_bounds()
+    rng = np.random.default_rng(5)
+    inner = center + 0.5 * (hi - center) * rng.uniform(-1.0, 1.0, size=(40, 4))
+    # rows on a support edge and one ulp inside it, one axis at a time
+    edges = []
+    for k in range(4):
+        for bound in (lo[k], hi[k], np.nextafter(lo[k], hi[k]), np.nextafter(hi[k], lo[k])):
+            row = inner[k].copy()
+            row[k] = bound
+            edges.append(row)
+    z = np.concatenate([rng.uniform(lo - 0.3, hi + 0.3, size=(4000, 4)), inner, edges])
+    got = datum.evaluate(z)
+    assert got.tobytes() == every_entry(z).tobytes()
+    assert 0 < np.count_nonzero(got) < got.size
+    nan_rows = z[:8].copy()
+    nan_rows[np.arange(8), np.arange(8) % 4] = np.nan
+    assert np.all(datum.evaluate(nan_rows) == 0.0)
+    assert datum.evaluate(np.empty((0, 4))).shape == (0,)
 
 
 def test_profile_prime_constants_are_sharp_bounds():
@@ -127,7 +165,9 @@ def test_sample_ensemble_invariants():
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
     e = sample_ensemble(box, 4000, datum, seed=7)
     assert e.size == 4000 and e.n == 2 and e.d == 2
-    assert np.sum(e.weights) == pytest.approx(box.volume, rel=1e-12)
+    assert e.weight == box.volume / e.size
+    assert e.weight * e.size == pytest.approx(box.volume, rel=1e-15)
+    assert e.with_values(2.0 * e.values).weight == e.weight
     np.testing.assert_array_equal(e.values, datum.evaluate(e.phase_flat()))
     assert e.flagged_fraction == 0.0
     assert e.time == 0.0
@@ -471,13 +511,14 @@ def test_simpson_weights_integrate_cubics_exactly():
 
 def test_simpson_times_validation():
     phi = make_phi(t_center=0.5, t_width=0.45)
-    times = simpson_times(phi, 9)
+    times = simpson_times(phi)
+    assert times.size == transport.RESIDUAL_NODES
     assert times[0] == pytest.approx(0.05)
     assert times[-1] == pytest.approx(0.95)
-    with pytest.raises(DomainError):
-        simpson_times(phi, 8)
-    with pytest.raises(DomainError):
-        simpson_times(phi, 7)  # odd but not 4m + 1
+    # 4 m + 1 nodes, so that every other node is the half-resolution grid
+    assert (transport.RESIDUAL_NODES - 1) % 4 == 0
+    half = simpson_weights((transport.RESIDUAL_NODES + 1) // 2, 0.05, 0.95)
+    assert half.size == times[::2].size
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +537,7 @@ def free_setup(count=4000, seed=29, phi_seed=3):
 def test_weak_residual_vanishes_for_exact_transport():
     _, _, e, phi = free_setup()
     ((est,),) = weak_residual_suite(
-        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2), nodes=33
+        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2)
     )
     assert abs(est.estimate) <= 3.0 * est.std_error
     assert est.details["flagged_fraction"] == 0.0
@@ -512,7 +553,7 @@ def test_weak_residual_flags_a_non_solution():
     a, _ = residual_window(phi)
     corrupted = lambda t, f: (1.0 + 6.0 * (t - a)) * f  # noqa: E731
     ((est,),) = weak_residual_suite(
-        e, free_potential(2), [phi], [corrupted], IntegratorConfig(dt=1e-2), nodes=33
+        e, free_potential(2), [phi], [corrupted], IntegratorConfig(dt=1e-2)
     )
     assert abs(est.estimate) > 3.0 * est.std_error
 
@@ -522,7 +563,7 @@ def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
     tanh = tanh_squash(1.0)
     ((ident, squashed),) = weak_residual_suite(
         e, free_potential(2), [phi], [None, lambda t, f: tanh(f)],
-        IntegratorConfig(dt=1e-2), nodes=33,
+        IntegratorConfig(dt=1e-2),
     )
     for est in (ident, squashed):
         assert abs(est.estimate) <= 3.0 * est.std_error
@@ -536,10 +577,10 @@ def test_weak_residual_suite_equals_one_call_per_test_function_bitwise():
     rng = np.random.default_rng(11)
     phis = [random_test_function(2, 2, box, t_center=0.5, t_width=0.45, rng=rng) for _ in range(3)]
     maps = [None, lambda t, f: arctan_squash(1.0)(f)]
-    together = weak_residual_suite(e, pot, phis, maps, icfg, nodes=33)
+    together = weak_residual_suite(e, pot, phis, maps, icfg)
     assert len(together) == 3
     for phi, ests in zip(phis, together):
-        (alone,) = weak_residual_suite(e, pot, [phi], maps, icfg, nodes=33)
+        (alone,) = weak_residual_suite(e, pot, [phi], maps, icfg)
         for est, ref in zip(ests, alone):
             assert (est.estimate, est.std_error, est.bias_bound, est.sample_count) == (
                 ref.estimate, ref.std_error, ref.bias_bound, ref.sample_count
@@ -562,17 +603,15 @@ def test_weak_residual_suite_time_validation():
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
     started = push_forward(e, pot, 0.5, icfg)
     with pytest.raises(DomainError, match="t = 0"):
-        weak_residual_suite(started, pot, [phi], [None], icfg, nodes=9)
+        weak_residual_suite(started, pot, [phi], [None], icfg)
     ended = replace(phi, t_center=-1.0, t_width=0.5)
     with pytest.raises(DomainError, match="ends before t = 0"):
-        weak_residual_suite(e, pot, [ended], [None], icfg, nodes=9)
-    with pytest.raises(DomainError, match="4 m"):
-        weak_residual_suite(e, pot, [phi], [None], icfg, nodes=8)
+        weak_residual_suite(e, pot, [ended], [None], icfg)
 
 
 def test_weak_residual_alignment_errors():
     _, _, e, phi = free_setup(count=100)
-    terms = ResidualTerms(e, free_potential(2), phi, [None], count=9)
+    terms = ResidualTerms(e, free_potential(2), phi, [None])
     x, v = e.x[terms.rows], e.v[terms.rows]
     idx = np.arange(terms.rows.size)
     node = lambda k, t: terms.add(k, t, x, v, np.zeros_like(x), idx)  # noqa: E731
@@ -590,7 +629,7 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
     # the every-row reference: one ResidualTerms fed the carried rows of a
     # flow of all rows
-    ref = ResidualTerms(e, pot, phi, [None], count=17)
+    ref = ResidualTerms(e, pot, phi, [None])
     k = iter(range(ref.times.size))
     kept_of = np.full(e.size, -1)
     kept_of[ref.rows] = np.arange(ref.rows.size)
@@ -608,7 +647,7 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     monkeypatch.setattr(
         transport, "flow_batch", lambda x, *a, **k: flowed.append(len(x)) or flow(x, *a, **k)
     )
-    ((got,),) = weak_residual_suite(e, pot, [phi], [None], icfg, nodes=17)
+    ((got,),) = weak_residual_suite(e, pot, [phi], [None], icfg)
     assert flowed == [np.count_nonzero(e.values)] and flowed[0] < e.size
     assert got.sample_count == e.size
     assert (got.estimate, got.std_error, got.bias_bound) == (
@@ -626,16 +665,16 @@ def test_weak_residual_suite_hands_value_maps_the_node_times():
         return f
 
     ((est,),) = weak_residual_suite(
-        e, free_potential(2), [early], [record], IntegratorConfig(dt=1e-2), nodes=9
+        e, free_potential(2), [early], [record], IntegratorConfig(dt=1e-2)
     )
-    times = simpson_times(early, 9)
+    times = simpson_times(early)
     assert seen[0][0] == 0.0 == times[0]
     assert set(t for t, _ in seen) <= set(times)
     assert len(set(t for t, _ in seen)) > times.size // 2
     carried = set(e.values[e.values != 0.0])
     assert all(set(f) <= carried for _, f in seen)
     (ident,) = weak_residual_suite(
-        e, free_potential(2), [early], [None], IntegratorConfig(dt=1e-2), nodes=9
+        e, free_potential(2), [early], [None], IntegratorConfig(dt=1e-2)
     )[0]
     assert est.estimate == ident.estimate
 
@@ -646,7 +685,7 @@ def test_weak_residual_rejects_non_compact_datum():
     e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
         weak_residual_suite(
-            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2), nodes=5
+            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2)
         )
 
 
@@ -656,7 +695,7 @@ def test_weak_residual_rejects_datum_leaking_out_of_box():
     e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
         weak_residual_suite(
-            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2), nodes=5
+            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2)
         )
 
 
@@ -667,7 +706,7 @@ def test_weak_residual_rejects_collision_adjacent_support_when_confining():
     pot = repulsive_power(2, exponent=1.0)  # confining in d = 2
     phi = make_phi()  # particle supports overlap: pair distance 0
     with pytest.raises(CoverageError, match="collision margin"):
-        weak_residual_suite(e, pot, [phi], [None], IntegratorConfig(dt=1e-3), nodes=5)
+        weak_residual_suite(e, pot, [phi], [None], IntegratorConfig(dt=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -693,15 +732,13 @@ def test_collision_boundary_term_hand_computed():
     e = Ensemble(
         x=x,
         v=v,
-        weights=np.full(3, 2.0),
         values=np.array([0.5, 1.0, -1.0]),
         flags=np.zeros(3, dtype=np.int8),
         box=box,
-        seed=0,
     )
     est = collision_boundary_term(e, mu=0.5)
-    # (2 * 0.5 * 1.0 + 2 * 1.0 * 3.0) / 0.5
-    assert est.estimate == pytest.approx((1.0 + 6.0) / 0.5)
+    # w (0.5 * 1.0 + 1.0 * 3.0) / 0.5 with w = vol / 3 = 4^8 / 3
+    assert est.estimate == pytest.approx(4.0**8 / 3.0 * (0.5 + 3.0) / 0.5)
     assert est.sample_count == 2
     assert est.details["hit_fraction"] == pytest.approx(2.0 / 3.0)
     with pytest.raises(DomainError):
@@ -735,7 +772,7 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
             rel_x = np.linalg.norm(e.x[:, i, :] - e.x[:, j, :], axis=-1)
             rel_v = np.linalg.norm(e.v[:, i, :] - e.v[:, j, :], axis=-1)
             inside = (rel_x <= mu) & (e.flags == 0)
-            xi = np.where(inside, e.weights * np.abs(e.values) * rel_v / mu, 0.0)
+            xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
             est = collision_boundary_term(e, mu, pair=pair)
             assert est.estimate == float(np.sum(xi))
             assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))

@@ -404,11 +404,8 @@ def test_renormalization_suite_passes_and_control_fails():
         centers=np.zeros(8), widths=np.full(8, 0.85),
     )
     betas = [tanh_squash(1.0), smoothed_clamp(1.0)]
-    # 33 nodes are pre-asymptotic for an order-one window and break the
-    # Richardson error estimate; 65 is the smallest reliable count
     reports = check_renormalization_suite(
-        free_potential(2), box, datum, betas, count=40_000, seed=SEED,
-        icfg=ICFG, phi=phi, nodes=65,
+        free_potential(2), box, datum, betas, count=40_000, seed=SEED, icfg=ICFG, phi=phi,
     )
     assert [r.check_name for r in reports] == [
         "renormalized_residual[identity]",
@@ -419,7 +416,7 @@ def test_renormalization_suite_passes_and_control_fails():
 
     controls = check_renormalization_suite(
         free_potential(2), box, datum, betas, count=40_000, seed=SEED,
-        icfg=ICFG, phi=phi, nodes=65, negative_control=True,
+        icfg=ICFG, phi=phi, negative_control=True,
     )
     assert all(r.check_name.endswith("_control") for r in controls)
     assert not any(r.passed for r in controls)
@@ -444,7 +441,7 @@ def residual_reference(pot, count, negative_control):
         maps = [scaled] + [lambda t, f, b=b: b(scaled(t, f)) for b in betas]
     else:
         maps = [None] + [lambda t, f, b=b: b(f) for b in betas]
-    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, maps, count=65)
+    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, maps)
     # every row is stepped; the terms are fed the carried rows of each node
     kept = terms.rows
     e = e0
