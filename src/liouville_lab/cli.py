@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from . import verification
-from .dynamics import Configuration, IntegratorConfig, integrate
+from .dynamics import IntegratorConfig, integrate
 from .errors import ConfigError, LiouvilleLabError
 from .potentials import (
     MollifiedPotential,
@@ -367,8 +367,7 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
 
 def _run_simulate(cfg: ResolvedConfig, quiet: bool) -> list:
     sec = cfg.section
-    start = Configuration(x=sec["x0"], v=sec["v0"])
-    traj = integrate(start, cfg.potential, sec["t_final"], cfg.icfg)
+    traj = integrate(sec["x0"], sec["v0"], cfg.potential, sec["t_final"], cfg.icfg)
     path = cfg.out_dir / "trajectory.csv"
     traj.to_csv(path, stride=cfg.stride)
     if not quiet:

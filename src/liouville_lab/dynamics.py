@@ -16,8 +16,8 @@ substep budget.
 Internally a batch of N states is component-major: positions,
 velocities and accelerations are (n, d, N) arrays, each particle
 component one contiguous vector over the batch, updated in place in
-buffers allocated once per call.  The public functions keep their
-(N, n, d) arrays and transpose once on entry and once on exit.  Forces
+buffers allocated once per call.  `flow_batch` keeps (N, n, d) arrays
+at its boundary and transposes once on entry and once on exit.  Forces
 go through one `gradient_batch` call per evaluation on the (P*N, d)
 transposed view of all P pair displacements.  The pair radii |x_i - x_j|
 are taken once per evaluation, for the minimum pair distance, and the
@@ -39,6 +39,10 @@ including the forces of its last step.  Parking and retiring move rows
 by swapping columns, so the batch keeps no input order: `idx` maps each
 column back to its input row, and every per-row result is scattered
 through it.
+
+`flow_batch` and `integrate`, which records a one-row flow step by step,
+run on one flow, `_flow`: the one place that builds a `_Batch` and picks
+its runner.
 """
 
 from __future__ import annotations
@@ -57,32 +61,6 @@ FLAG_SINGULAR = 1
 FLAG_SUBSTEP_LIMIT = 2
 
 _SCHEMES = ("velocity_verlet",)
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Positions and velocities of n particles in R^d; immutable."""
-
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=float)
-        v = np.array(self.v, dtype=float)
-        if x.ndim != 2 or x.shape != v.shape:
-            raise DomainError(f"x and v must both have shape (n, d), got {x.shape} and {v.shape}")
-        x.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[1]
 
 
 @dataclass(frozen=True)
@@ -118,7 +96,8 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    """Recorded states of a single integration, one row per accepted step."""
+    """The states `integrate` recorded: the start, then one row per step,
+    each with its time, total energy and min pair distance."""
 
     times: np.ndarray
     x: np.ndarray
@@ -133,9 +112,6 @@ class Trajectory:
     @property
     def d(self) -> int:
         return self.x.shape[2]
-
-    def state(self, k: int) -> Configuration:
-        return Configuration(self.x[k], self.v[k])
 
     def to_csv(self, path, stride: int = 1) -> None:
         if stride < 1:
@@ -396,16 +372,6 @@ def _forces(x: np.ndarray, potential) -> tuple[np.ndarray, np.ndarray]:
     return _row_major(A), dmin
 
 
-def _min_pair_distance(x: np.ndarray) -> np.ndarray:
-    X = _component_major(x)
-    dmin = np.full(X.shape[-1], np.inf)
-    pairs = _PairForces(*X.shape, None)
-    if pairs.pairs:
-        pairs.displace(X)
-        pairs.min_distance(dmin)
-    return dmin
-
-
 def _energy_batch(x: np.ndarray, v: np.ndarray, potential) -> np.ndarray:
     e = 0.5 * np.sum(v * v, axis=(1, 2))
     X = _component_major(x)
@@ -428,8 +394,9 @@ def _fixed_plan(leg: float, icfg: IntegratorConfig) -> tuple[float, int, float, 
     return sgn, nsteps, rem, total
 
 
-def _run_fixed(batch: _Batch, legs, icfg, recorder=None):
-    """Step each leg with fixed steps; yields after every leg."""
+def _run_fixed(batch: _Batch, legs, icfg, hook=None):
+    """Step each leg with fixed steps; yields after every leg.  hook(t,
+    batch) sees each step that leaves a row active, t its time into the leg."""
     plans = [_fixed_plan(leg, icfg) for leg in legs]
     for leg, (sgn, nsteps, rem, total) in zip(legs, plans):
         if leg != 0.0:
@@ -439,14 +406,15 @@ def _run_fixed(batch: _Batch, legs, icfg, recorder=None):
                 break
             batch.step(sgn * icfg.dt if k < nsteps else rem)
             batch.retire_singular()
-            if recorder is not None and batch.m:
-                recorder(sgn * icfg.dt * (k + 1) if k < nsteps else leg, batch.X, batch.V)
+            if hook is not None and batch.m:
+                hook(sgn * icfg.dt * (k + 1) if k < nsteps else leg, batch)
         yield
 
 
-def _run_adaptive(batch: _Batch, legs, icfg, recorder=None):
+def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
     """Step each leg with per-row steps shrunk near pair coincidences;
-    rows that finish a leg early are parked until it ends."""
+    rows that finish a leg early are parked until it ends.  hook(t, batch)
+    sees every step, t the first active row's time into the leg."""
     N = batch.N
     remaining = batch.track(np.empty(N))
     steps, masks = np.empty((2, N)), np.empty((2, N), dtype=bool)
@@ -477,9 +445,9 @@ def _run_adaptive(batch: _Batch, legs, icfg, recorder=None):
             batch.step(h if sgn > 0 else np.multiply(h, sgn, out=signed))
             # a row that took its last step has exactly 0 left, the others more
             np.subtract(rem, h, out=rem)
-            if recorder is not None:
+            if hook is not None:
                 elapsed += float(h[0])
-                recorder(sgn * elapsed, batch.X, batch.V)
+                hook(sgn * elapsed, batch)
             finished = last.any()
             batch.retire_singular()
             if taken >= icfg.max_substeps:
@@ -498,62 +466,44 @@ def _run_drift(batch: _Batch, legs, icfg):
         yield
 
 
+def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=None, hook=None):
+    """The one runner loop behind `flow_batch` and `integrate`.
+
+    hook(t, batch), if given, sees the live batch once at the start and
+    after every step (see `_run_fixed` and `_run_adaptive`).  A flow with
+    a hook is always stepped, never taken in closed form.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != v.shape or x.ndim != 3:
+        raise DomainError(f"batch shapes must match as (N, n, d), got {x.shape}, {v.shape}")
+    ends = [float(s) for s in stops] + [t]
+    legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
+    sgn = -1.0 if t < 0 else 1.0
+    if not all(sgn * leg >= 0.0 for leg in legs):
+        raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
+    N = x.shape[0]
+    if observe is None and hook is None and not any(legs):
+        # the identity flow: no batch, whose set-up would evaluate forces
+        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
+    closed_form = (
+        hook is None and getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
+    )
+    batch = _Batch(x, v, potential, icfg)
+    if hook is not None:
+        hook(0.0, batch)
+    if closed_form:
+        runner = _run_drift(batch, legs, icfg)
+    else:
+        runner = (_run_adaptive if icfg.adaptive else _run_fixed)(batch, legs, icfg, hook)
+    for k, _ in enumerate(runner):
+        if k < len(stops) and observe is not None:
+            observe(ends[k], batch)
+    return batch.result()
+
+
 # ---------------------------------------------------------------------------
 # public interface
-
-
-def energy(cfg: Configuration, potential) -> float:
-    """Total energy: sum of pair potentials over i < j plus kinetic energy."""
-    return float(_energy_batch(cfg.x[None], cfg.v[None], potential)[0])
-
-
-def min_pair_distance(cfg: Configuration) -> float:
-    return float(_min_pair_distance(cfg.x[None])[0])
-
-
-def _raise_for_flag(flag: int):
-    if flag == FLAG_SINGULAR:
-        raise SingularityError("trajectory reached the pair-coincidence threshold")
-    if flag == FLAG_SUBSTEP_LIMIT:
-        raise SubstepLimitError("adaptive integration exceeded max_substeps")
-
-
-def integrate(
-    cfg: Configuration, potential, t_final: float, icfg: IntegratorConfig
-) -> Trajectory:
-    """Integrate one configuration, recording every accepted step."""
-    times = [0.0]
-    xs = [cfg.x.copy()]
-    vs = [cfg.v.copy()]
-
-    def recorder(tk, X, V):
-        times.append(tk)
-        xs.append(X[..., 0].copy())
-        vs.append(V[..., 0].copy())
-
-    batch = _Batch(cfg.x[None], cfg.v[None], potential, icfg)
-    runner = _run_adaptive if icfg.adaptive else _run_fixed
-    for _ in runner(batch, [t_final], icfg, recorder):
-        pass
-    _raise_for_flag(int(batch.flags[0]))
-    x = np.stack(xs)
-    v = np.stack(vs)
-    return Trajectory(
-        times=np.asarray(times),
-        x=x,
-        v=v,
-        energies=_energy_batch(x, v, potential),
-        min_distances=_min_pair_distance(x),
-    )
-
-
-def flow_map(cfg: Configuration, t: float, potential, icfg: IntegratorConfig) -> Configuration:
-    """The flow Y(t, cfg); t = 0 is the exact identity."""
-    if t == 0.0:
-        return cfg
-    x, v, flags = flow_batch(cfg.x[None], cfg.v[None], potential, t, icfg)
-    _raise_for_flag(int(flags[0]))
-    return Configuration(x[0], v[0])
 
 
 def flow_batch(
@@ -580,31 +530,38 @@ def flow_batch(
     result equals flowing leg by leg, bitwise on unflagged rows; a row
     flagged on one leg stays frozen with that flag for the rest.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape or x.ndim != 3:
-        raise DomainError(f"batch shapes must match as (N, n, d), got {x.shape}, {v.shape}")
-    ends = [float(s) for s in stops] + [t]
-    legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
-    sgn = -1.0 if t < 0 else 1.0
-    if not all(sgn * leg >= 0.0 for leg in legs):
-        raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
-    N = x.shape[0]
-    if observe is None and not any(legs):
-        # the identity flow: no batch, whose set-up would evaluate forces
-        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
-    closed_form = getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
-    batch = _Batch(x, v, potential, icfg)
-    runner = _run_drift if closed_form else _run_adaptive if icfg.adaptive else _run_fixed
-    for k, _ in enumerate(runner(batch, legs, icfg)):
-        if k < len(stops) and observe is not None:
-            observe(ends[k], batch)
-    return batch.result()
+    return _flow(x, v, potential, t, icfg, stops, observe)
 
 
-def reversed_velocities(cfg: Configuration) -> Configuration:
-    return Configuration(cfg.x, -cfg.v)
+def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Trajectory:
+    """Flow one configuration, positions x0 and velocities v0 of shape
+    (n, d), by t_final and record its state after every step.
 
+    The steps are those of a one-row `flow_batch` call, but even the free
+    potential is stepped, so the trajectory has a row per step.  Where
+    that call would flag the row, this raises SingularityError or
+    SubstepLimitError.
+    """
+    times, xs, vs, dmins = [], [], [], []
 
-def total_momentum(cfg: Configuration) -> np.ndarray:
-    return np.sum(cfg.v, axis=0)
+    def record(tk, batch):
+        times.append(tk)
+        xs.append(batch.X[..., 0].copy())
+        vs.append(batch.V[..., 0].copy())
+        dmins.append(batch.dmin[0])
+
+    x0 = np.asarray(x0, dtype=float)[None]
+    v0 = np.asarray(v0, dtype=float)[None]
+    _, _, flags = _flow(x0, v0, potential, t_final, icfg, hook=record)
+    if flags[0] == FLAG_SINGULAR:
+        raise SingularityError("trajectory reached the pair-coincidence threshold")
+    if flags[0] == FLAG_SUBSTEP_LIMIT:
+        raise SubstepLimitError("adaptive integration exceeded max_substeps")
+    x, v = np.stack(xs), np.stack(vs)
+    return Trajectory(
+        times=np.asarray(times),
+        x=x,
+        v=v,
+        energies=_energy_batch(x, v, potential),
+        min_distances=np.asarray(dmins),
+    )

@@ -357,8 +357,13 @@ class TestFunction:
         A row outside supp phi has some |z_k - c_k| >= w_k, so its factor
         b((z_k - c_k)/w_k) is exactly 0 and so is phi; NaN rows read 0.
         """
+        return self._value_on(t, x, v, self._inside(t, x, v))
+
+    def _value_on(self, t: float, x: np.ndarray, v: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """phi(t, x, v) given the `support_mask(t, x, v)` rows `inside`,
+        so a caller that needs the mask as well tests the support once."""
         out = np.zeros(x.shape[0])
-        rows = np.flatnonzero(self._inside(t, x, v))
+        rows = np.flatnonzero(inside)
         if rows.size:
             tval = float(bump(np.asarray((t - self.t_center) / self.t_width)))
             u = (_phase_block(x, v, rows) - self.centers[:, None]) / self.widths[:, None]
@@ -370,7 +375,7 @@ class TestFunction:
         and |z_k - c_k| < w_k on every phase axis; cheap comparisons only.
         A NaN coordinate never compares inside.  This is the support test
         of the estimators and observables; `value` runs the same test
-        through `_inside`.
+        through `_inside`, and `_value_on` takes its result as an argument.
         """
         return self._inside(t, x, v)
 
@@ -904,9 +909,6 @@ class EnergyCutoff:
         spatial = smooth_step_down(rho - barrier - 2.0)
         energies = _energy_batch(x, v, potential)
         return spatial * smooth_step_down(energies / self.radius**2)
-
-    def value(self, t: float, cfg: dynamics.Configuration, potential) -> float:
-        return float(self.value_batch(t, cfg.x[None], cfg.v[None], potential)[0])
 
 
 def level_difference_series(

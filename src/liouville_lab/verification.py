@@ -317,11 +317,14 @@ def check_measure_preservation(
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
     e1 = transport.push_forward(e0, potential, t, run_icfg)
-    before = phi.value(phi.t_center, e0.x, e0.v)
-    after = phi.value(phi.t_center, e1.x, e1.v)
+    # one support test per ensemble serves both phi and the visit counts
+    mask0 = phi.support_mask(phi.t_center, e0.x, e0.v)
+    mask1 = phi.support_mask(phi.t_center, e1.x, e1.v)
+    before = phi._value_on(phi.t_center, e0.x, e0.v, mask0)
+    after = phi._value_on(phi.t_center, e1.x, e1.v, mask1)
     ok = e1.flags == dynamics.FLAG_OK
-    in_start = ok & phi.support_mask(phi.t_center, e0.x, e0.v)
-    in_end = ok & phi.support_mask(phi.t_center, e1.x, e1.v)
+    in_start = ok & mask0
+    in_end = ok & mask1
     xi = np.where(ok, e0.weight * (after - before), 0.0)
     statistic = abs(float(np.sum(xi)))
     se = float(np.std(xi, ddof=1) * math.sqrt(count))

@@ -14,14 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from liouville_lab import verification as V
-from liouville_lab.dynamics import (
-    Configuration,
-    IntegratorConfig,
-    energy,
-    flow_map,
-    reversed_velocities,
-    total_momentum,
-)
+from liouville_lab.dynamics import FLAG_OK, IntegratorConfig, _energy_batch, flow_batch
 from liouville_lab.potentials import (
     MollifierKernel,
     ShrinkFunction,
@@ -242,40 +235,46 @@ def test_criterion_8_product_renormalization():
 
 
 def test_criterion_9_dynamics_quality_gates():
-    two_body = Configuration(
-        x=np.array([[0.3, -0.2], [-0.5, 0.4]]),
-        v=np.array([[0.1, 0.5], [-0.3, 0.2]]),
-    )
+    # one configuration is a one-row batch; every flow must leave it unflagged
+    x0 = np.array([[0.3, -0.2], [-0.5, 0.4]])
+    v0 = np.array([[0.1, 0.5], [-0.3, 0.2]])
     smooth = gaussian_well(2, depth=1.0, width=1.5)
 
+    def flow(x, v, t, pot, icfg):
+        xo, vo, flags = flow_batch(x[None], v[None], pot, t, icfg)
+        assert flags[0] == FLAG_OK
+        return xo[0], vo[0]
+
+    def energy(x, v, pot):
+        return float(_energy_batch(x[None], v[None], pot)[0])
+
     # energy drift over a long horizon
-    drifted = flow_map(two_body, 10.0, smooth, VERLET)
-    assert abs(energy(drifted, smooth) - energy(two_body, smooth)) < 1e-6
+    drifted = flow(x0, v0, 10.0, smooth, VERLET)
+    assert abs(energy(*drifted, smooth) - energy(x0, v0, smooth)) < 1e-6
 
     # second-order convergence against the closed-form harmonic pair
     pot = harmonic(2)
     om = math.sqrt(2.0)
-    r0 = two_body.x[0] - two_body.x[1]
-    w0 = two_body.v[0] - two_body.v[1]
-    xc = 0.5 * (two_body.x[0] + two_body.x[1]) + 0.5 * (two_body.v[0] + two_body.v[1])
+    r0 = x0[0] - x0[1]
+    w0 = v0[0] - v0[1]
+    xc = 0.5 * (x0[0] + x0[1]) + 0.5 * (v0[0] + v0[1])
     rt = r0 * math.cos(om) + w0 * math.sin(om) / om
     exact_x0 = xc + 0.5 * rt
 
     def endpoint_error(dt: float) -> float:
-        got = flow_map(two_body, 1.0, pot, IntegratorConfig(dt=dt))
-        return float(np.max(np.abs(got.x[0] - exact_x0)))
+        got_x, _ = flow(x0, v0, 1.0, pot, IntegratorConfig(dt=dt))
+        return float(np.max(np.abs(got_x[0] - exact_x0)))
 
     ratio = endpoint_error(2e-3) / endpoint_error(1e-3)
     assert 3.0 < ratio < 5.0
 
     # exact step reversibility
-    fwd = flow_map(two_body, 2.0, smooth, VERLET)
-    back = flow_map(reversed_velocities(fwd), 2.0, smooth, VERLET)
-    round_trip = reversed_velocities(back)
-    assert np.max(np.abs(round_trip.x - two_body.x)) < 1e-12
-    assert np.max(np.abs(round_trip.v - two_body.v)) < 1e-12
+    fwd_x, fwd_v = flow(x0, v0, 2.0, smooth, VERLET)
+    back_x, back_v = flow(fwd_x, -fwd_v, 2.0, smooth, VERLET)
+    assert np.max(np.abs(back_x - x0)) < 1e-12
+    assert np.max(np.abs(-back_v - v0)) < 1e-12
 
     # momentum conservation per unit time
     t = 3.0
-    out = flow_map(two_body, t, smooth, VERLET)
-    assert np.max(np.abs(total_momentum(out) - total_momentum(two_body))) < 1e-10 * t
+    _, out_v = flow(x0, v0, t, smooth, VERLET)
+    assert np.max(np.abs(np.sum(out_v, axis=0) - np.sum(v0, axis=0))) < 1e-10 * t

@@ -9,15 +9,10 @@ from liouville_lab.dynamics import (
     FLAG_OK,
     FLAG_SINGULAR,
     FLAG_SUBSTEP_LIMIT,
-    Configuration,
     IntegratorConfig,
-    energy,
     flow_batch,
-    flow_map,
     integrate,
-    min_pair_distance,
-    reversed_velocities,
-    total_momentum,
+    _energy_batch,
     _forces,
 )
 from liouville_lab.errors import DomainError, SingularityError, SubstepLimitError
@@ -31,54 +26,68 @@ from liouville_lab.potentials import (
     repulsive_power,
 )
 
+# a configuration is a pair (x, v) of (n, d) arrays, flowed as a one-row batch
 
-def harmonic_pair_closed_form(cfg: Configuration, t: float, strength: float = 1.0):
+
+def flow_one(x, v, t, potential, icfg):
+    """Flow one configuration by t; the row must come back unflagged."""
+    xo, vo, flags = flow_batch(x[None], v[None], potential, t, icfg)
+    assert flags[0] == FLAG_OK
+    return xo[0], vo[0]
+
+
+def energy(x, v, potential) -> float:
+    return float(_energy_batch(x[None], v[None], potential)[0])
+
+
+def harmonic_pair_closed_form(x, v, t: float, strength: float = 1.0):
     """Exact two-body solution: relative coordinate oscillates at sqrt(2k)."""
     om = math.sqrt(2.0 * strength)
-    r0 = cfg.x[0] - cfg.x[1]
-    w0 = cfg.v[0] - cfg.v[1]
-    xc = 0.5 * (cfg.x[0] + cfg.x[1])
-    vc = 0.5 * (cfg.v[0] + cfg.v[1])
+    r0 = x[0] - x[1]
+    w0 = v[0] - v[1]
+    xc = 0.5 * (x[0] + x[1])
+    vc = 0.5 * (v[0] + v[1])
     rt = r0 * math.cos(om * t) + w0 * math.sin(om * t) / om
     wt = -om * r0 * math.sin(om * t) + w0 * math.cos(om * t)
     xct = xc + t * vc
-    x = np.stack([xct + 0.5 * rt, xct - 0.5 * rt])
-    v = np.stack([vc + 0.5 * wt, vc - 0.5 * wt])
-    return Configuration(x, v)
+    return (
+        np.stack([xct + 0.5 * rt, xct - 0.5 * rt]),
+        np.stack([vc + 0.5 * wt, vc - 0.5 * wt]),
+    )
 
 
 @pytest.fixture
 def two_body():
-    return Configuration(
-        x=np.array([[0.3, -0.2], [-0.5, 0.4]]),
-        v=np.array([[0.1, 0.5], [-0.3, 0.2]]),
+    return (
+        np.array([[0.3, -0.2], [-0.5, 0.4]]),
+        np.array([[0.1, 0.5], [-0.3, 0.2]]),
     )
 
 
-THREE_BODY = Configuration(
-    x=np.array([[0.3, -0.2], [-0.5, 0.4], [0.6, 0.7]]),
-    v=np.array([[0.1, 0.5], [-0.3, 0.2], [0.2, -0.4]]),
+THREE_BODY = (
+    np.array([[0.3, -0.2], [-0.5, 0.4], [0.6, 0.7]]),
+    np.array([[0.1, 0.5], [-0.3, 0.2], [0.2, -0.4]]),
 )
 
 
-def phase_gap(a: Configuration, b: Configuration) -> float:
-    return max(np.max(np.abs(a.x - b.x)), np.max(np.abs(a.v - b.v)))
+def phase_gap(a, b) -> float:
+    return max(np.max(np.abs(a[0] - b[0])), np.max(np.abs(a[1] - b[1])))
 
 
 def test_verlet_matches_two_body_oracle(two_body):
     pot = harmonic(2)
     icfg = IntegratorConfig(dt=1e-3)
-    got = flow_map(two_body, 1.0, pot, icfg)
-    want = harmonic_pair_closed_form(two_body, 1.0)
+    got = flow_one(*two_body, 1.0, pot, icfg)
+    want = harmonic_pair_closed_form(*two_body, 1.0)
     err = phase_gap(got, want)
     assert 1e-9 < err < 1.2e-7
 
 
 def test_verlet_error_is_second_order(two_body):
     pot = harmonic(2)
-    want = harmonic_pair_closed_form(two_body, 1.0)
+    want = harmonic_pair_closed_form(*two_body, 1.0)
     errs = [
-        phase_gap(flow_map(two_body, 1.0, pot, IntegratorConfig(dt=dt)), want)
+        phase_gap(flow_one(*two_body, 1.0, pot, IntegratorConfig(dt=dt)), want)
         for dt in (2e-3, 1e-3)
     ]
     ratio = errs[0] / errs[1]
@@ -103,7 +112,7 @@ def test_verlet_step_costs_one_force_evaluation(two_body):
     # one gradient_batch call for every pair
     for cfg in (two_body, THREE_BODY):
         pot = Counting(harmonic(2))
-        flow_map(cfg, 1.0, pot, IntegratorConfig(dt=0.1))
+        flow_one(*cfg, 1.0, pot, IntegratorConfig(dt=0.1))
         assert pot.calls == 1 + 10
 
 
@@ -130,12 +139,12 @@ BODIES = [pytest.param(2, id="n2"), pytest.param(3, id="n3")]
 def test_verlet_time_reversibility(kind, n):
     # the identical-level uniqueness gate needs the backward run to retrace
     # the forward one
-    cfg = Configuration(THREE_BODY.x[:n], THREE_BODY.v[:n])
+    x, v = THREE_BODY[0][:n], THREE_BODY[1][:n]
     pot = _potential(kind)
     icfg = IntegratorConfig(dt=1e-3)
-    fwd = flow_map(cfg, 2.0, pot, icfg)
-    back = flow_map(reversed_velocities(fwd), 2.0, pot, icfg)
-    assert phase_gap(reversed_velocities(back), cfg) < 1e-12
+    fx, fv = flow_one(x, v, 2.0, pot, icfg)
+    bx, bv = flow_one(fx, -fv, 2.0, pot, icfg)
+    assert phase_gap((bx, -bv), (x, v)) < 1e-12
 
 
 @pytest.mark.parametrize("n", BODIES)
@@ -144,9 +153,8 @@ def test_verlet_flow_preserves_phase_volume(kind, n):
     # the weights vol/N assume J = 1: det of the central-difference
     # Jacobian of the 50-step map is 1, and velocity damping c scales it
     # by c per velocity component and step, which the difference resolves
-    cfg = Configuration(THREE_BODY.x[:n], THREE_BODY.v[:n])
     pot = _potential(kind)
-    z0 = np.concatenate([cfg.x.ravel(), cfg.v.ravel()])
+    z0 = np.concatenate([THREE_BODY[0][:n].ravel(), THREE_BODY[1][:n].ravel()])
     D, eps = z0.size, 1e-6
     z = np.concatenate([z0 + eps * np.eye(D), z0 - eps * np.eye(D)])
     for damping, want in ((1.0, 1.0), (0.99, 0.99 ** (D // 2 * 50))):
@@ -164,31 +172,33 @@ def test_energy_and_momentum_conservation(two_body):
     pot = gaussian_well(2, depth=1.3, width=0.8)
     icfg = IntegratorConfig(dt=1e-3)
     t = 3.0
-    out = flow_map(two_body, t, pot, icfg)
-    assert abs(energy(out, pot) - energy(two_body, pot)) < 1e-6
-    assert np.max(np.abs(total_momentum(out) - total_momentum(two_body))) < 1e-10 * t
+    x, v = flow_one(*two_body, t, pot, icfg)
+    assert abs(energy(x, v, pot) - energy(*two_body, pot)) < 1e-6
+    assert np.max(np.abs(np.sum(v, axis=0) - np.sum(two_body[1], axis=0))) < 1e-10 * t
 
 
 def test_free_flow_is_exact(two_body):
     pot = free_potential(2)
-    x, v, flags = flow_batch(two_body.x[None], two_body.v[None], pot, 1.7, IntegratorConfig(dt=1e-3))
-    np.testing.assert_array_equal(x[0], two_body.x + 1.7 * two_body.v)
-    np.testing.assert_array_equal(v[0], two_body.v)
+    x0, v0 = two_body
+    x, v, flags = flow_batch(x0[None], v0[None], pot, 1.7, IntegratorConfig(dt=1e-3))
+    np.testing.assert_array_equal(x[0], x0 + 1.7 * v0)
+    np.testing.assert_array_equal(v[0], v0)
     assert np.all(flags == FLAG_OK)
 
 
 def test_fixed_grid_flow_composes_bitwise(two_body):
     pot = harmonic(2)
     icfg = IntegratorConfig(dt=1e-3)
-    direct = flow_map(two_body, 0.6, pot, icfg)
-    composed = flow_map(flow_map(two_body, 0.25, pot, icfg), 0.35, pot, icfg)
-    np.testing.assert_array_equal(direct.x, composed.x)
-    np.testing.assert_array_equal(direct.v, composed.v)
+    direct = flow_one(*two_body, 0.6, pot, icfg)
+    composed = flow_one(*flow_one(*two_body, 0.25, pot, icfg), 0.35, pot, icfg)
+    np.testing.assert_array_equal(direct[0], composed[0])
+    np.testing.assert_array_equal(direct[1], composed[1])
 
 
 def test_forces_return_rhs(two_body):
-    acc, dmin = _forces(two_body.x[None], harmonic(2))
-    r = two_body.x[0] - two_body.x[1]
+    x = two_body[0]
+    acc, dmin = _forces(x[None], harmonic(2))
+    r = x[0] - x[1]
     np.testing.assert_allclose(acc[0, 0], -r, atol=1e-14)
     np.testing.assert_allclose(acc[0, 1], r, atol=1e-14)
     assert dmin[0] == pytest.approx(np.linalg.norm(r))
@@ -196,13 +206,12 @@ def test_forces_return_rhs(two_body):
 
 def test_trajectory_recording_and_csv(two_body, tmp_path):
     pot = harmonic(2)
-    traj = integrate(two_body, pot, 0.01, IntegratorConfig(dt=1e-3))
+    traj = integrate(*two_body, pot, 0.01, IntegratorConfig(dt=1e-3))
     assert traj.times.size == 11
     assert traj.times[0] == 0.0
     assert traj.times[-1] == pytest.approx(0.01, abs=1e-12)
     assert traj.energies.shape == (11,)
-    s0 = traj.state(0)
-    np.testing.assert_array_equal(s0.x, two_body.x)
+    np.testing.assert_array_equal(traj.x[0], two_body[0])
 
     path = tmp_path / "traj.csv"
     traj.to_csv(path, stride=3)
@@ -215,32 +224,53 @@ def test_trajectory_recording_and_csv(two_body, tmp_path):
         traj.to_csv(path, stride=0)
 
 
-@pytest.mark.parametrize("cfg", [pytest.param("two", id="n2"), pytest.param("three", id="n3")])
-def test_integrate_records_the_flow_bitwise(cfg, two_body):
-    cfg = two_body if cfg == "two" else THREE_BODY
-    pot = gaussian_well(2, depth=1.3, width=0.8)
-    icfg = IntegratorConfig(dt=1e-3)
+@pytest.mark.parametrize(
+    "cfg, kind, adaptive",
+    [
+        pytest.param("two", "gaussian_well", False, id="n2"),
+        pytest.param("three", "gaussian_well", False, id="n3"),
+        pytest.param("three", "repulsive_power", True, id="adaptive-repulsive_power-n3"),
+    ],
+)
+def test_integrate_records_the_flow_bitwise(cfg, kind, adaptive, two_body):
+    x0, v0 = two_body if cfg == "two" else THREE_BODY
+    pot = _potential(kind)
+    # every pair starts within reference_distance, so adaptive steps shrink
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, reference_distance=2.0)
     # 12 whole steps and a remainder step
-    traj = integrate(cfg, pot, -0.0125, icfg)
-    assert traj.times.size == 14
-    for k in range(1, traj.times.size):
-        want = flow_map(cfg, float(traj.times[k]), pot, icfg)
-        np.testing.assert_array_equal(traj.x[k], want.x)
-        np.testing.assert_array_equal(traj.v[k], want.v)
+    traj = integrate(x0, v0, pot, -0.0125, icfg)
+    if adaptive:
+        # a flow to an adaptive row's time need not take its steps, which
+        # are clipped to what is left; the whole flow does
+        assert np.all(np.abs(np.diff(traj.times)) < icfg.dt)
+        assert traj.times[-1] == pytest.approx(-0.0125, abs=1e-15)
+        rows = [traj.times.size - 1]
+    else:
+        assert traj.times.size == 14
+        rows = range(1, traj.times.size)
+    for k in rows:
+        x, v = flow_one(x0, v0, -0.0125 if adaptive else float(traj.times[k]), pot, icfg)
+        np.testing.assert_array_equal(traj.x[k], x)
+        np.testing.assert_array_equal(traj.v[k], v)
+    # the recorded distances and energies are those of the recorded states
+    n = x0.shape[0]
+    for k in range(traj.times.size):
+        radii = [np.sqrt(np.sum(r * r)) for r in (traj.x[k, i] - traj.x[k, j]
+                 for i in range(n) for j in range(i + 1, n))]
+        assert traj.min_distances[k] == min(radii)
+    np.testing.assert_array_equal(traj.energies, _energy_batch(traj.x, traj.v, pot))
 
 
 def test_adaptive_close_encounter_conserves_energy():
     pot = repulsive_power(2, exponent=1.0)
-    cfg = Configuration(
-        x=np.array([[-1.0, 0.02], [1.0, -0.02]]),
-        v=np.array([[2.0, 0.0], [-2.0, 0.0]]),
-    )
+    x0 = np.array([[-1.0, 0.02], [1.0, -0.02]])
+    v0 = np.array([[2.0, 0.0], [-2.0, 0.0]])
     icfg = IntegratorConfig(dt=1e-3, adaptive=True, reference_distance=0.5)
-    out = flow_map(cfg, 1.0, pot, icfg)
-    rel = abs(energy(out, pot) - energy(cfg, pot)) / abs(energy(cfg, pot))
+    x, v = flow_one(x0, v0, 1.0, pot, icfg)
+    rel = abs(energy(x, v, pot) - energy(x0, v0, pot)) / abs(energy(x0, v0, pot))
     assert rel < 1e-4
     # the encounter is over and the particles have separated again
-    assert min_pair_distance(out) > 1.0
+    assert _forces(x[None], pot)[1][0] > 1.0
 
 
 def test_adaptive_substep_budget_flags_rows():
@@ -250,24 +280,25 @@ def test_adaptive_substep_budget_flags_rows():
     icfg = IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=5)
     _, _, flags = flow_batch(x, v, pot, 1.0, icfg)
     assert flags[0] == FLAG_SUBSTEP_LIMIT
+    # the one-configuration recorder raises instead
     with pytest.raises(SubstepLimitError):
-        flow_map(Configuration(x[0], v[0]), 1.0, pot, icfg)
+        integrate(x[0], v[0], pot, 1.0, icfg)
 
 
 def test_fixed_step_budget_raises():
     pot = harmonic(2)
-    cfg = Configuration(np.zeros((2, 2)), np.ones((2, 2)))
     with pytest.raises(SubstepLimitError):
-        flow_map(cfg, 1.0, pot, IntegratorConfig(dt=1e-3, max_substeps=10))
+        flow_batch(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), pot, 1.0,
+                   IntegratorConfig(dt=1e-3, max_substeps=10))
 
 
 @pytest.mark.parametrize("t, steps", [(0.01, 10), (0.0105, 11)])
 def test_fixed_step_budget_counts_steps_taken(t, steps, two_body):
     # 0.01 is ten whole steps with no remainder step; 0.0105 takes one
     pot = harmonic(2)
-    flow_map(two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps))
+    flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps))
     with pytest.raises(SubstepLimitError, match=f"{steps} fixed steps"):
-        flow_map(two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps - 1))
+        flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps - 1))
 
 
 def test_coincident_rows_freeze_with_singular_flag():
@@ -294,16 +325,20 @@ def test_coincident_rows_freeze_with_singular_flag():
 
 def test_singularity_guards_on_scalar_interface():
     pot = repulsive_power(2, exponent=1.0)
-    cfg = Configuration(np.zeros((2, 2)), np.zeros((2, 2)))
+    icfg = IntegratorConfig(dt=1e-3)
+    _, _, flags = flow_batch(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)), pot, 1e-3, icfg)
+    assert flags[0] == FLAG_SINGULAR
+    # the one-configuration recorder raises instead
     with pytest.raises(SingularityError):
-        flow_map(cfg, 1e-3, pot, IntegratorConfig(dt=1e-3))
+        integrate(np.zeros((2, 2)), np.zeros((2, 2)), pot, 1e-3, icfg)
 
 
 def test_configuration_and_integrator_validation():
+    icfg = IntegratorConfig()
     with pytest.raises(DomainError):
-        Configuration(np.zeros((2, 2)), np.zeros((3, 2)))
+        flow_batch(np.zeros((1, 2, 2)), np.zeros((1, 3, 2)), harmonic(2), 1.0, icfg)
     with pytest.raises(DomainError):
-        Configuration(np.zeros(4), np.zeros(4))
+        integrate(np.zeros(4), np.zeros(4), harmonic(2), 1.0, icfg)
     # velocity Verlet is the one stepper
     for scheme in ("euler", "rk4"):
         with pytest.raises(DomainError, match="unknown scheme"):
@@ -318,15 +353,10 @@ def test_configuration_and_integrator_validation():
         IntegratorConfig(reference_distance=-1.0)
 
 
-def test_configuration_arrays_are_frozen(two_body):
-    with pytest.raises(ValueError):
-        two_body.x[0, 0] = 99.0
-
-
 def test_velocity_damping_dissipates(two_body):
     pot = harmonic(2)
-    out = flow_map(two_body, 1.0, pot, IntegratorConfig(dt=1e-3, velocity_damping=0.99))
-    assert energy(out, pot) < energy(two_body, pot)
+    x, v = flow_one(*two_body, 1.0, pot, IntegratorConfig(dt=1e-3, velocity_damping=0.99))
+    assert energy(x, v, pot) < energy(*two_body, pot)
 
 
 # -- bitwise oracle: the row-major (N, n, d) integrator, one row at a time
@@ -550,7 +580,8 @@ def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t):
 def test_stops_keep_the_free_closed_form(t, two_body):
     # the free flow advances x + leg v leg by leg, observed or not
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-3)
-    x, v = np.stack([two_body.x, THREE_BODY.x[:2]]), np.stack([two_body.v, THREE_BODY.v[:2]])
+    x = np.stack([two_body[0], THREE_BODY[0][:2]])
+    v = np.stack([two_body[1], THREE_BODY[1][:2]])
     stops = [s * np.sign(t) for s in (0.3, 0.3, 1.1)]
     assert not _assert_stops_match_legs(x, v, pot, t, stops, icfg).any()
     x_end, _, _ = flow_batch(x, v, pot, t, icfg, stops=stops)
