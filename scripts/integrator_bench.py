@@ -158,7 +158,7 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     datum = transport.InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
     e0 = transport.sample_ensemble(box, samples, datum, seed)
     phi = transport.random_test_function(
-        2, 2, box, t_center=1.0, t_width=0.8, rng=rng_for(seed, "integrator-bench-phi")
+        2, 2, box, *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "integrator-bench-phi")
     )
     maps = [None] + [lambda t, f, b=b: b(f) for b in transport.shipped_beta_family(1.0)]
     pot = free_potential(2)

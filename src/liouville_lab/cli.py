@@ -3,7 +3,8 @@
 Subcommands bind JSON configs to potentials, integrators, ensembles,
 and checks, then write artifacts: the resolved config with all defaults
 materialized, trajectory CSVs, JSON-lines reports, and summary tables.
-Every value is checked against one typed schema in `load_config`, so a
+Every value is checked against its experiment's typed schema in
+`load_config`, which holds exactly the keys that experiment reads, so a
 config error (exit 2) stops the run before anything is written.  Every
 report comes from a library check in `verification`.  Exit codes: 0 all
 checks passed, 1 a check failed, 2 config error, 3 runtime error.
@@ -25,7 +26,6 @@ from . import verification
 from .dynamics import IntegratorConfig, integrate
 from .errors import ConfigError, LiouvilleLabError
 from .potentials import (
-    MollifiedPotential,
     MollifierKernel,
     ShrinkFunction,
     free_potential,
@@ -38,6 +38,7 @@ from .potentials import (
 )
 from .rng import rng_for
 from .transport import (
+    TEST_FUNCTION_WINDOW,
     InitialDatum,
     PhaseBox,
     # not called here; perfbench/tracer.py wraps it in this namespace
@@ -92,52 +93,34 @@ def _as_type(value, kind, path: str):
 
 @dataclass
 class ResolvedConfig:
+    """A checked config.  The inputs an experiment does not read are
+    None: icfg for `scaling`, box and count for `simulate`, datum
+    outside `residual` and `scaling`, stride outside `simulate`."""
+
     experiment: str
     n: int
     potential: object
-    icfg: IntegratorConfig
-    box: PhaseBox
-    count: int
+    icfg: IntegratorConfig | None
+    box: PhaseBox | None
+    count: int | None
     seed: int
-    datum: InitialDatum
+    datum: InitialDatum | None
     out_dir: Path
-    stride: int
+    stride: int | None
     section: dict
     checks: list[dict]
     resolved: dict = field(default_factory=dict)
-
-
-def _mollified(d, base, level, kernel_power, shrink_cap, shrink_slope):
-    return MollifiedPotential(
-        base,
-        MollifierKernel(d=d, power=kernel_power),
-        ShrinkFunction(cap=shrink_cap, slope=shrink_slope),
-        level=level,
-    )
 
 
 # kind -> (factory called as factory(d, **params), params schema)
 _POTENTIALS = {
     "free": (free_potential, {}),
     "harmonic": (harmonic, {"strength": (float, 1.0)}),
-    "repulsive_power": (
-        repulsive_power,
-        {"exponent": (float, 1.0), "strength": (float, 1.0), "singularity_class": (str, None)},
-    ),
+    "repulsive_power": (repulsive_power, {"exponent": (float, 1.0), "strength": (float, 1.0)}),
     "gaussian_well": (gaussian_well, {"depth": (float, 1.0), "width": (float, 1.0)}),
     "piecewise_radial": (
         piecewise_radial,
         {"jump_radius": (float, 1.0), "slope_inner": (float, -0.5), "slope_outer": (float, 0.5)},
-    ),
-    "mollified": (
-        _mollified,
-        {
-            "base": (dict, None),
-            "level": (int, 4),
-            "kernel_power": (int, 3),
-            "shrink_cap": (float, 1.0),
-            "shrink_slope": (float, 0.5),
-        },
     ),
 }
 
@@ -146,46 +129,27 @@ def _parse_potential(spec, path: str):
     spec = _require_keys(
         spec, {"kind": (str, "harmonic"), "d": (int, 2), "params": (dict, {})}, path
     )
-    kind, d = spec["kind"], spec["d"]
-    if kind not in _POTENTIALS:
+    if spec["kind"] not in _POTENTIALS:
         raise ConfigError(
-            f"{path}.kind: unknown potential {kind!r}; known: {', '.join(_POTENTIALS)}"
+            f"{path}.kind: unknown potential {spec['kind']!r}; known: {', '.join(_POTENTIALS)}"
         )
-    factory, schema = _POTENTIALS[kind]
-    p = _require_keys(spec["params"], schema, f"{path}.params")
-    args = dict(p)
-    if kind == "mollified":
-        if p["base"] is None:
-            raise ConfigError(f"{path}.params.base: required for mollified kind")
-        args["base"], p["base"] = _parse_potential(p["base"], f"{path}.params.base")
+    factory, schema = _POTENTIALS[spec["kind"]]
+    spec["params"] = _require_keys(spec["params"], schema, f"{path}.params")
     try:
-        pot = factory(d, **args)
+        pot = factory(spec["d"], **spec["params"])
     except LiouvilleLabError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return pot, {"kind": kind, "d": d, "params": p}
+    return pot, spec
 
 
-_DATUM = {
-    "kind": (str, "bump"),
-    "width": (float, 1.0),
-    "amplitude": (float, 1.0),
-    "center": ([float], None),
-}
+# a datum is centered at the origin of phase space
+_DATUM = {"kind": (str, "bump"), "width": (float, 1.0)}
 
 
 def _parse_datum(spec, n: int, d: int, path: str) -> tuple[InitialDatum, dict]:
     spec = _require_keys(spec, _DATUM, path)
-    if spec["center"] is None:
-        spec["center"] = [0.0] * (2 * n * d)
-    elif len(spec["center"]) != 2 * n * d:
-        raise ConfigError(f"{path}.center: expected {2 * n * d} entries")
     try:
-        datum = InitialDatum(
-            kind=spec["kind"],
-            center=np.asarray(spec["center"]),
-            width=spec["width"],
-            amplitude=spec["amplitude"],
-        )
+        datum = InitialDatum(kind=spec["kind"], center=np.zeros(2 * n * d), width=spec["width"])
     except LiouvilleLabError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     return datum, spec
@@ -207,29 +171,52 @@ _ENSEMBLE = {
 }
 _OUTPUT = {"directory": (str, "runs/latest"), "stride": (int, 1)}
 _CHECK = {"name": (str, None)}
-_SECTIONS = {
-    "simulate": {"t_final": (float, 1.0), "x0": ([[float]], None), "v0": ([[float]], None)},
-    "verify": {"t": (float, 1.0), "measure_t": (float, 0.1), "measure_count": (int, None)},
+
+
+def _only(schema: dict, *keys: str) -> dict:
+    return {key: schema[key] for key in keys}
+
+
+_BOX = ("x_half", "v_half", "count", "seed")
+# experiment -> the schema of every section it reads, holding only the
+# keys it reads; `scaling` flows nothing, so it has no dynamics
+_SCHEMAS = {
+    "simulate": {
+        "dynamics": _DYNAMICS,
+        # the seed draws a missing x0 or v0
+        "ensemble": _only(_ENSEMBLE, "seed"),
+        "output": _OUTPUT,
+        "simulate": {"t_final": (float, 1.0), "x0": ([[float]], None), "v0": ([[float]], None)},
+    },
+    "verify": {
+        "dynamics": _DYNAMICS,
+        "ensemble": _only(_ENSEMBLE, *_BOX),
+        "output": _only(_OUTPUT, "directory"),
+        "verify": {"t": (float, 1.0), "measure_t": (float, 0.1), "measure_count": (int, None)},
+    },
     "converge": {
-        "levels": ([int], [3, 4, 5, 6]),
-        "r_inner": (float, 0.5),
-        "r_outer": (float, 2.0),
-        "gradient_samples": (int, 20000),
-        "flow_t": (float, 0.4),
-        "flow_count": (int, 1200),
-        "kernel_power": (int, 3),
-        "shrink_cap": (float, 1.0),
-        "shrink_slope": (float, 0.5),
+        "dynamics": _DYNAMICS,
+        "ensemble": _only(_ENSEMBLE, *_BOX),
+        "output": _only(_OUTPUT, "directory"),
+        "converge": {"levels": ([int], [3, 4, 5, 6]), "flow_t": (float, 0.4)},
     },
     "residual": {
-        "phi_count": (int, 1),
-        "t_center": (float, 1.0),
-        "t_width": (float, 0.8),
-        "beta_scale": (float, 1.0),
-        "include_betas": (bool, True),
+        "dynamics": _DYNAMICS,
+        "ensemble": _ENSEMBLE,
+        "output": _only(_OUTPUT, "directory"),
+        "residual": {"phi_count": (int, 1), "include_betas": (bool, True)},
     },
-    "scaling": {"mus": ([float], [0.4, 0.2, 0.1, 0.05]), "pair": ([int], [0, 1])},
+    "scaling": {
+        "ensemble": _ENSEMBLE,
+        "output": _only(_OUTPUT, "directory"),
+        "scaling": {"mus": ([float], [0.4, 0.2, 0.1, 0.05])},
+    },
 }
+
+# converge's gradient L1 check: the annulus r_inner <= |r| <= r_outer and
+# its sample count
+GRADIENT_ANNULUS = (0.5, 2.0)
+GRADIENT_SAMPLES = 20_000
 
 
 def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> None:
@@ -239,40 +226,47 @@ def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> Non
             rows = sec[key]
             if rows is not None and (len(rows) != n or any(len(r) != d for r in rows)):
                 raise ConfigError(f"{path}.{key}: expected shape ({n}, {d})")
+    elif experiment == "verify":
+        for key in ("t", "measure_t"):
+            if not sec[key] > 0.0:
+                raise ConfigError(f"{path}.{key}: must be positive")
+        if sec["measure_count"] is not None and sec["measure_count"] < 1:
+            raise ConfigError(f"{path}.measure_count: need at least one sample")
     elif experiment == "converge":
+        if not sec["flow_t"] > 0.0:
+            raise ConfigError(f"{path}.flow_t: must be positive")
         try:
             # the Cauchy check of a converge run needs three levels
             verification.require_levels(sec["levels"], 3)
-            MollifierKernel(d=d, power=sec["kernel_power"])
-            ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
         except LiouvilleLabError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+            raise ConfigError(f"{path}.levels: {exc}") from exc
+    elif experiment == "residual":
+        # a run that draws no test function checks nothing
+        if sec["phi_count"] < 1:
+            raise ConfigError(f"{path}.phi_count: need at least one test function")
     elif experiment == "scaling":
         try:
             verification.require_radii(sec["mus"])
         except LiouvilleLabError as exc:
             raise ConfigError(f"{path}.mus: {exc}") from exc
-        pair = sec["pair"]
-        if len(pair) != 2 or not (0 <= pair[0] < pair[1] < n):
-            raise ConfigError(f"{path}.pair: expected two distinct particle indices i < j < {n}")
 
 
 def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
     """Check a parsed JSON config against the schema for experiment.
 
-    Every value is type-checked, and every rule that needs a whole
-    section is applied, before anything runs or is written.
+    The schema holds exactly the keys the experiment reads, so a key it
+    would ignore is an error.  Every value is type-checked, and every
+    rule that needs a whole section is applied, before anything runs or
+    is written.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
+    sections = _SCHEMAS[experiment]
     schema = {
         "experiment": (str, experiment),
         "potential": (dict, {}),
         "n": (int, 2),
-        "dynamics": (dict, {}),
-        "ensemble": (dict, {}),
-        "output": (dict, {}),
-        experiment: (dict, {}),
+        **{name: (dict, {}) for name in sections},
     }
     if experiment == "verify":
         schema["checks"] = ([dict], [{"name": name} for name in verification.CHECK_NAMES])
@@ -282,41 +276,53 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
             f"config.experiment {top['experiment']!r} does not match"
             f" subcommand {experiment!r}"
         )
+    resolved = {"experiment": experiment}
 
-    potential, pot_resolved = _parse_potential(top["potential"], "config.potential")
-    d = pot_resolved["d"]
-    n = top["n"]
+    potential, resolved["potential"] = _parse_potential(top["potential"], "config.potential")
+    d = resolved["potential"]["d"]
+    n = resolved["n"] = top["n"]
     if n < 2:
         raise ConfigError("config.n: need at least two particles")
 
-    dyn = _require_keys(top["dynamics"], _DYNAMICS, "config.dynamics")
-    try:
-        icfg = IntegratorConfig(**dyn)
-    except LiouvilleLabError as exc:
-        raise ConfigError(f"config.dynamics: {exc}") from exc
+    icfg = None
+    if "dynamics" in sections:
+        dyn = resolved["dynamics"] = _require_keys(top["dynamics"], _DYNAMICS, "config.dynamics")
+        try:
+            icfg = IntegratorConfig(**dyn)
+        except LiouvilleLabError as exc:
+            raise ConfigError(f"config.dynamics: {exc}") from exc
 
-    ens = _require_keys(top["ensemble"], _ENSEMBLE, "config.ensemble")
-    if ens["count"] < 1:
-        raise ConfigError("config.ensemble.count: need at least one sample")
+    ens = resolved["ensemble"] = _require_keys(
+        top["ensemble"], sections["ensemble"], "config.ensemble"
+    )
     if overrides.get("seed") is not None:
         ens["seed"] = overrides["seed"]
-    try:
-        box = PhaseBox.centered(d=d, n=n, x_half=ens["x_half"], v_half=ens["v_half"])
-    except LiouvilleLabError as exc:
-        raise ConfigError(f"config.ensemble: {exc}") from exc
-    datum, ens["datum"] = _parse_datum(ens["datum"], n, d, "config.ensemble.datum")
+    box = datum = None
+    if "count" in ens:
+        if ens["count"] < 1:
+            raise ConfigError("config.ensemble.count: need at least one sample")
+        try:
+            box = PhaseBox.centered(d=d, n=n, x_half=ens["x_half"], v_half=ens["v_half"])
+        except LiouvilleLabError as exc:
+            raise ConfigError(f"config.ensemble: {exc}") from exc
+    if "datum" in ens:
+        datum, ens["datum"] = _parse_datum(ens["datum"], n, d, "config.ensemble.datum")
 
-    out = _require_keys(top["output"], _OUTPUT, "config.output")
+    out = resolved["output"] = _require_keys(top["output"], sections["output"], "config.output")
     out["directory"] = str(Path(overrides.get("out") or out["directory"]))
-    if out["stride"] < 1:
+    if out.get("stride", 1) < 1:
         raise ConfigError("config.output.stride: must be positive")
 
-    section = _require_keys(top[experiment], _SECTIONS[experiment], f"config.{experiment}")
-    _check_section(experiment, section, n, d, f"config.{experiment}")
+    path = f"config.{experiment}"
+    section = resolved[experiment] = _require_keys(top[experiment], sections[experiment], path)
+    _check_section(experiment, section, n, d, path)
     if experiment == "simulate" and (section["x0"] is None or section["v0"] is None):
+        # only a missing x0 or v0 is drawn; x0's draw always comes first
         rng = rng_for(ens["seed"], "simulate-initial")
-        section["x0"] = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
-        section["v0"] = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
+        for key in ("x0", "v0"):
+            drawn = rng.uniform(-1.0, 1.0, size=(n, d)).tolist()
+            if section[key] is None:
+                section[key] = drawn
 
     checks = []
     if experiment == "verify":
@@ -332,29 +338,19 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
             if any(c["name"] == seen["name"] for seen in checks):
                 raise ConfigError(f"config.checks[{i}].name: repeated check {c['name']!r}")
             checks.append(c)
-
-    resolved = {
-        "experiment": experiment,
-        "potential": pot_resolved,
-        "n": n,
-        "dynamics": dyn,
-        "ensemble": ens,
-        "output": out,
-        experiment: section,
-    }
-    if experiment == "verify":
         resolved["checks"] = checks
+
     return ResolvedConfig(
         experiment=experiment,
         n=n,
         potential=potential,
         icfg=icfg,
         box=box,
-        count=ens["count"],
+        count=ens.get("count"),
         seed=ens["seed"],
         datum=datum,
         out_dir=Path(out["directory"]),
-        stride=out["stride"],
+        stride=out.get("stride"),
         section=section,
         checks=checks,
         resolved=resolved,
@@ -394,16 +390,15 @@ def _run_verify(cfg: ResolvedConfig, quiet: bool) -> list:
 
 def _run_converge(cfg: ResolvedConfig, quiet: bool) -> list:
     sec = cfg.section
-    kernel = MollifierKernel(d=cfg.potential.d, power=sec["kernel_power"])
-    shrink = ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
+    kernel = MollifierKernel(d=cfg.potential.d)
+    shrink = ShrinkFunction()
     gradient = verification.check_gradient_l1_decreasing(
         cfg.potential,
         kernel,
         shrink,
         sec["levels"],
-        sec["r_inner"],
-        sec["r_outer"],
-        n_samples=sec["gradient_samples"],
+        *GRADIENT_ANNULUS,
+        n_samples=GRADIENT_SAMPLES,
         seed=cfg.seed,
     )
     g = gradient.details
@@ -418,7 +413,7 @@ def _run_converge(cfg: ResolvedConfig, quiet: bool) -> list:
         shrink,
         cfg.box,
         t=sec["flow_t"],
-        count=sec["flow_count"],
+        count=cfg.count,
         seed=cfg.seed,
         icfg=cfg.icfg,
         levels=sec["levels"],
@@ -427,15 +422,14 @@ def _run_converge(cfg: ResolvedConfig, quiet: bool) -> list:
 
 def _run_residual(cfg: ResolvedConfig, quiet: bool) -> list:
     sec = cfg.section
-    betas = shipped_beta_family(sec["beta_scale"]) if sec["include_betas"] else []
+    betas = shipped_beta_family() if sec["include_betas"] else []
     reports = []
     for j in range(sec["phi_count"]):
         phi = random_test_function(
             cfg.potential.d,
             cfg.n,
             cfg.box,
-            t_center=sec["t_center"],
-            t_width=sec["t_width"],
+            *TEST_FUNCTION_WINDOW,
             rng=rng_for(cfg.seed, f"residual-phi-{j}"),
         )
         reports += verification.check_renormalization_suite(
@@ -453,8 +447,7 @@ def _run_residual(cfg: ResolvedConfig, quiet: bool) -> list:
 
 def _run_scaling(cfg: ResolvedConfig, quiet: bool) -> list:
     report = verification.check_collision_scaling(
-        cfg.potential, cfg.box, cfg.datum, cfg.count, cfg.seed, cfg.section["mus"],
-        pair=cfg.section["pair"],
+        cfg.potential, cfg.box, cfg.datum, cfg.count, cfg.seed, cfg.section["mus"]
     )
     emit_scaling_table(cfg.out_dir / "scaling.csv", report.details)
     return [report]

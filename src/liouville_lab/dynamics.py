@@ -425,7 +425,7 @@ def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
         batch.retire_singular()
         sgn = 1.0 if leg > 0 else -1.0
         remaining[: batch.m] = abs(leg)
-        m, elapsed, taken = -1, 0.0, 0
+        m, taken = -1, 0
         while batch.m:
             if batch.m != m:
                 m = batch.m
@@ -446,8 +446,7 @@ def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
             # a row that took its last step has exactly 0 left, the others more
             np.subtract(rem, h, out=rem)
             if hook is not None:
-                elapsed += float(h[0])
-                hook(sgn * elapsed, batch)
+                hook(leg - sgn * rem[0], batch)
             finished = last.any()
             batch.retire_singular()
             if taken >= icfg.max_substeps:

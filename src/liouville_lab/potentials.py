@@ -177,31 +177,18 @@ def harmonic(d: int, strength: float = 1.0) -> PairPotential:
     )
 
 
-def repulsive_power(
-    d: int, exponent: float, strength: float = 1.0, singularity_class: str | None = None
-) -> PairPotential:
+def repulsive_power(d: int, exponent: float, strength: float = 1.0) -> PairPotential:
     """V(r) = strength / |r|^exponent.
 
-    Declared class defaults to l1_singular_gradient when the gradient is
-    locally integrable (exponent < d - 1) and confining_at_zero otherwise;
-    an explicit l1 declaration with exponent >= d - 1 is rejected.
+    Its class is l1_singular_gradient when the gradient is locally
+    integrable (exponent < d - 1) and confining_at_zero otherwise.
     """
     if exponent <= 0 or strength <= 0:
         raise DomainError("repulsive_power needs positive exponent and strength")
-    if singularity_class is None:
-        singularity_class = (
-            L1_SINGULAR_GRADIENT if exponent < d - 1 else CONFINING_AT_ZERO
-        )
-    if singularity_class == SMOOTH:
-        raise DomainError("repulsive_power is singular at r = 0")
-    if singularity_class == L1_SINGULAR_GRADIENT and exponent >= d - 1:
-        raise DomainError(
-            f"gradient of |r|^-{exponent:g} is not locally integrable in d={d}"
-        )
     return PairPotential(
         kind="repulsive_power",
         d=d,
-        singularity_class=singularity_class,
+        singularity_class=L1_SINGULAR_GRADIENT if exponent < d - 1 else CONFINING_AT_ZERO,
         lower_bound_constant=0.0,
         strength=strength,
         exponent=exponent,

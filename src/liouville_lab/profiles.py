@@ -86,13 +86,3 @@ def smooth_step_down(s):
         near = bump_incomplete(-np.abs(w)) / BUMP_MASS
         out[m] = np.where(w > 0.0, near, 1.0 - near)
     return out
-
-
-def smooth_step_down_prime(s):
-    """Derivative of smooth_step_down, elementwise."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    m = (s > 1.0) & (s < 2.0)
-    if np.any(m):
-        out[m] = -2.0 * bump(2.0 * s[m] - 3.0) / BUMP_MASS
-    return out

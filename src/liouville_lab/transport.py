@@ -18,6 +18,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,7 +33,6 @@ from .rng import rng_for
 
 # suprema of the profile derivatives, used in Lipschitz bounds
 MAX_ABS_BUMP_PRIME = 2.170357085707947
-MAX_ABS_STEP_PRIME = 1.6571376797382098
 MAX_ABS_POLY_PRIME = 1.5396007178387945
 
 # pinned constant for the O(dt^2) discretization bias of second order flows
@@ -53,6 +53,10 @@ COLLISION_MARGIN = 1e-3
 # space that almost no samples visit it, leaving residual estimates
 # without statistical power
 TEST_FUNCTION_WIDTH_FRACTION = (0.55, 0.85)
+
+# (t_center, t_width) of the random test functions that the residual
+# checks draw, in the library and the CLI alike
+TEST_FUNCTION_WINDOW = (1.0, 0.8)
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,9 @@ class InitialDatum:
     kind: str
     center: np.ndarray
     width: np.ndarray
-    amplitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("bump", "smoothed_indicator", "clipped_polynomial", "constant"):
+        if self.kind not in ("bump", "clipped_polynomial", "constant"):
             raise DomainError(f"unknown initial datum kind {self.kind!r}")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         width = np.broadcast_to(np.asarray(self.width, dtype=float), center.shape).copy()
@@ -132,21 +135,16 @@ class InitialDatum:
     def has_compact_support(self) -> bool:
         return self.kind != "constant"
 
-    @property
-    def _reach(self) -> float:
-        # the indicator transition of smooth_step_down ends at 2 widths
-        return 2.0 if self.kind == "smoothed_indicator" else 1.0
-
     def support_bounds(self) -> tuple[np.ndarray, np.ndarray] | None:
         if not self.has_compact_support:
             return None
-        return self.center - self._reach * self.width, self.center + self._reach * self.width
+        return self.center - self.width, self.center + self.width
 
     def evaluate(self, z: np.ndarray) -> np.ndarray:
         """f0 at each row of the (N, 2 n d) block z.
 
         Only the rows strictly inside `support_bounds()` on every axis,
-        |z_k - c_k| < reach * w_k, are evaluated, bitwise as the product
+        |z_k - c_k| < w_k, are evaluated, bitwise as the product
         over every entry would be; every other row reads 0.0, as the
         product does on a finite row with an axis factor of exactly 0.
         A row with a NaN coordinate reads 0 for every kind, `constant`
@@ -156,30 +154,24 @@ class InitialDatum:
         if z.ndim != 2 or z.shape[1] != self.center.size:
             raise DomainError(f"expected shape (N, {self.center.size}), got {z.shape}")
         if self.kind == "constant":
-            return np.where(np.any(np.isnan(z), axis=1), 0.0, self.amplitude)
+            return np.where(np.any(np.isnan(z), axis=1), 0.0, 1.0)
         out = np.zeros(z.shape[0])
-        rows = np.flatnonzero(_rows_inside(z.T, self.center, self._reach * self.width))
+        rows = np.flatnonzero(_rows_inside(z.T, self.center, self.width))
         u = (z[rows] - self.center) / self.width
         if self.kind == "bump":
             axis = bump(u)
-        elif self.kind == "clipped_polynomial":
+        else:
             s = np.maximum(0.0, 1.0 - u * u)
             axis = s * s
-        else:
-            axis = smooth_step_down(np.abs(u))
-        out[rows] = self.amplitude * np.prod(axis, axis=1)
+        out[rows] = np.prod(axis, axis=1)
         return out
 
     def lipschitz_bound(self) -> float:
         """Upper bound on the Euclidean Lipschitz constant of the profile."""
         if self.kind == "constant":
             return 0.0
-        per_axis = {
-            "bump": MAX_ABS_BUMP_PRIME,
-            "clipped_polynomial": MAX_ABS_POLY_PRIME,
-            "smoothed_indicator": MAX_ABS_STEP_PRIME,
-        }[self.kind]
-        return float(self.amplitude * per_axis * np.linalg.norm(1.0 / self.width))
+        per_axis = MAX_ABS_BUMP_PRIME if self.kind == "bump" else MAX_ABS_POLY_PRIME
+        return float(per_axis * np.linalg.norm(1.0 / self.width))
 
 
 @dataclass(frozen=True)
@@ -193,10 +185,10 @@ class Ensemble:
     substep budget); they are excluded from statistics and their
     fraction is policed by the checks.
 
-    `pair_terms` computes a pair's distance |x_i - x_j| and carried
-    weight w |f0| |v_i - v_j| once and keeps them in a private memo.
-    The arrays are never written in place and `replace` builds a new
-    instance with an empty memo, so a kept entry cannot go stale.
+    `pair_terms` takes the distance |x_1 - x_2| of the first two
+    particles and their carried weight w |f0| |v_1 - v_2| once and keeps
+    them.  The arrays are never written in place and `replace` builds a
+    new instance that has not taken them yet, so they cannot go stale.
     """
 
     x: np.ndarray
@@ -206,7 +198,6 @@ class Ensemble:
     box: PhaseBox
     time: float = 0.0
     datum: InitialDatum | None = None
-    _pair_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -236,20 +227,18 @@ class Ensemble:
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
 
-    def pair_terms(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(|x_i - x_j|, weight * |values| * |v_i - v_j|) per row, memoized.
+    @cached_property
+    def pair_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(|x_1 - x_2|, weight * |values| * |v_1 - v_2|) per row.
 
         The norms are bitwise those of np.linalg.norm(..., axis=-1),
         taken on one difference buffer squared in place.
         """
-        key = (i, j)
-        if key not in self._pair_memo:
-            rel_x = _pair_distance(self.x, i, j)
-            carried = np.abs(self.values)
-            carried *= self.weight
-            carried *= _pair_distance(self.v, i, j)
-            self._pair_memo[key] = (rel_x, carried)
-        return self._pair_memo[key]
+        rel_x = _pair_distance(self.x)
+        carried = np.abs(self.values)
+        carried *= self.weight
+        carried *= _pair_distance(self.v)
+        return rel_x, carried
 
     def with_values(self, values: np.ndarray) -> "Ensemble":
         values = np.asarray(values, dtype=float)
@@ -258,8 +247,8 @@ class Ensemble:
         return replace(self, values=values)
 
 
-def _pair_distance(a: np.ndarray, i: int, j: int) -> np.ndarray:
-    r = a[:, i] - a[:, j]
+def _pair_distance(a: np.ndarray) -> np.ndarray:
+    r = a[:, 0] - a[:, 1]
     r *= r
     s = np.add.reduce(r, -1)
     return np.sqrt(s, out=s)
@@ -829,24 +818,21 @@ def weak_residual_suite(
 # collision cutoff boundary term
 
 
-def collision_boundary_term(
-    e: Ensemble, mu: float, pair: tuple[int, int] = (0, 1)
-) -> MCEstimate:
-    """(1/mu) integral over {|x_i - x_j| <= mu} of |f (v_i - v_j)|.
+def collision_boundary_term(e: Ensemble, mu: float) -> MCEstimate:
+    """(1/mu) integral over {|x_1 - x_2| <= mu} of |f (v_1 - v_2)|.
 
     This is the boundary term produced by cutting test functions off
     near the coincidence set; it scales like mu^(d-1) for bounded
     densities, which is what makes the cutoff removable for d >= 2.
-    The pair's distances and carried weights come from
-    `Ensemble.pair_terms`, taken once per ensemble; each call only
-    masks them at its own mu and divides by mu.
+    The term is that of particles 1 and 2.  Their distances and carried
+    weights come from `Ensemble.pair_terms`, taken once per ensemble;
+    each call only masks them at its own mu and divides by mu.
     """
     if mu <= 0:
         raise DomainError("cutoff width mu must be positive")
-    i, j = pair
-    if not (0 <= i < e.n and 0 <= j < e.n and i != j):
-        raise DomainError(f"invalid particle pair {pair} for n={e.n}")
-    rel_x, carried = e.pair_terms(i, j)
+    if e.n < 2:
+        raise DomainError(f"the collision term needs two particles, got n={e.n}")
+    rel_x, carried = e.pair_terms
     inside = (rel_x <= mu) & (e.flags == dynamics.FLAG_OK)
     xi = np.where(inside, carried / mu, 0.0)
     return MCEstimate(

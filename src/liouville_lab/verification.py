@@ -924,15 +924,14 @@ def check_collision_scaling(
     count: int,
     seed: int,
     mus: Sequence[float],
-    pair: Sequence[int] = (0, 1),
 ) -> CheckReport:
     """The collision boundary term scales like mu^(d-1).
 
     Samples the (box, seed) ensemble carrying datum, takes the boundary
-    term of the pair at every cutoff radius in mus and fits the log-log
-    slope by least squares.  The samples are not flowed: the term is a
-    property of the density, and potential only names the report.  The
-    ensemble keeps the pair's distances and carried weights after the
+    term of particles 1 and 2 at every cutoff radius in mus and fits the
+    log-log slope by least squares.  The samples are not flowed: the term
+    is a property of the density, and potential only names the report.
+    The ensemble keeps the pair's distances and carried weights after the
     first radius, so each further radius only masks and sums them.  The
     statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
     std_error and bias_bound are 0.  Fewer than two distinct radii fit
@@ -947,7 +946,7 @@ def check_collision_scaling(
     started = time.perf_counter()
     mus = require_radii(mus)
     e = sample_ensemble(box, count, datum, seed)
-    estimates = [transport.collision_boundary_term(e, mu, pair=pair) for mu in mus]
+    estimates = [transport.collision_boundary_term(e, mu) for mu in mus]
     terms = [est.estimate for est in estimates]
     empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
     if empty:
@@ -1028,7 +1027,7 @@ def check_renormalization_suite(
     if phi is None:
         phi = random_test_function(
             box.d, box.n, box,
-            t_center=1.0, t_width=0.8, rng=rng_for(seed, "residual-phi"),
+            *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "residual-phi"),
         )
     e0 = sample_ensemble(box, count, datum, seed)
     a, _ = residual_window(phi)

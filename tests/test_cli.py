@@ -53,6 +53,36 @@ def verify_config(out_dir, **over):
     return cfg
 
 
+def small_config(experiment, out_dir):
+    """A quick valid config of each experiment."""
+    if experiment == "simulate":
+        return simulate_config(out_dir)
+    if experiment == "verify":
+        return verify_config(out_dir)
+    cfg = {"experiment": experiment, "output": {"directory": str(out_dir)}, "n": 2}
+    if experiment == "converge":
+        cfg.update(
+            potential={"kind": "repulsive_power", "d": 2, "params": {"exponent": 0.5}},
+            dynamics={"dt": 0.01},
+            ensemble={"count": 40, "seed": 3},
+            converge={"levels": [3, 4, 5], "flow_t": 0.1},
+        )
+    elif experiment == "residual":
+        cfg.update(
+            potential={"kind": "free", "d": 2},
+            ensemble={"count": 2000, "seed": 5, "datum": {"kind": "bump", "width": 1.0}},
+            residual={"phi_count": 1, "include_betas": False},
+        )
+    else:
+        cfg.update(
+            potential={"kind": "free", "d": 3},
+            ensemble={"x_half": 1.0, "v_half": 1.0, "count": 20000, "seed": 14,
+                      "datum": {"kind": "constant"}},
+            scaling={"mus": [0.4, 0.2]},
+        )
+    return cfg
+
+
 def report_stats(report_dicts):
     return [
         {k: v for k, v in json.loads(json.dumps(r)).items() if k != "runtime_seconds"}
@@ -91,7 +121,9 @@ def test_simulate_free_matches_closed_form(tmp_path):
     resolved = json.loads((out / "resolved_config.json").read_text())
     assert resolved["dynamics"]["scheme"] == "velocity_verlet"
     assert resolved["dynamics"]["dt"] == 1e-2
-    assert resolved["ensemble"]["count"] == 10000  # default materialized
+    # the seed, which draws a missing x0 or v0, is all simulate reads of it
+    assert resolved["ensemble"] == {"seed": 0}
+    assert resolved["output"]["stride"] == 1  # default materialized
 
 
 def test_simulate_without_initial_state_uses_seeded_draw(tmp_path):
@@ -108,6 +140,13 @@ def test_simulate_without_initial_state_uses_seeded_draw(tmp_path):
     assert r1["simulate"]["x0"] == r1b["simulate"]["x0"]
     assert r1["simulate"]["x0"] != r2["simulate"]["x0"]
     assert r1["ensemble"]["seed"] == 1 and r2["ensemble"]["seed"] == 2
+    # a given x0 is kept and only the missing v0 is drawn, as with neither given
+    half = dict(base, simulate={"t_final": 0.1, "x0": [[0.5, 0.5], [-0.5, -0.5]]})
+    p = write_config(tmp_path, half, "half.json")
+    assert cli.main(["simulate", "--config", p, "--out", str(tmp_path / "h1"), "--seed", "1", "--quiet"]) == 0
+    h1 = json.loads((tmp_path / "h1" / "resolved_config.json").read_text())
+    assert h1["simulate"]["x0"] == [[0.5, 0.5], [-0.5, -0.5]]
+    assert h1["simulate"]["v0"] == r1["simulate"]["v0"]
 
 
 def test_trajectory_stride_keeps_final_row(tmp_path):
@@ -227,13 +266,16 @@ def test_scripts_run_with_help(script, monkeypatch, capsys):
 def test_converge_runs_the_library_checks(tmp_path):
     out = tmp_path / "run"
     raw = json.loads((CONFIGS / "converge_mollified.json").read_text())
-    code = cli.main(["converge", "--config", str(CONFIGS / "converge_mollified.json"),
+    # the Cauchy check flows the ensemble's count
+    raw["ensemble"]["count"] = 300
+    code = cli.main(["converge", "--config", write_config(tmp_path, raw),
                      "--out", str(out), "--quiet"])
     assert code == 0
     reports = read_reports(out)
     assert [r["check_name"] for r in reports] == [
         "gradient_l1_decreasing", "mollification_cauchy", "mollification_kernel_independence",
     ]
+    assert [r["N"] for r in reports] == [20000, 300, 300]
     g = reports[0]["details"]
     assert read_rows(out / "levels.csv") == [["level", "l1_error", "std_error"]] + [
         [str(level), f"{err:.17g}", f"{se:.17g}"]
@@ -241,15 +283,15 @@ def test_converge_runs_the_library_checks(tmp_path):
     ]
     cfg = cli.load_config(raw, "converge", {})
     sec = cfg.section
-    kernel = MollifierKernel(d=2, power=sec["kernel_power"])
-    shrink = ShrinkFunction(cap=sec["shrink_cap"], slope=sec["shrink_slope"])
+    kernel = MollifierKernel(d=2, power=3)
+    shrink = ShrinkFunction(cap=1.0, slope=0.5)
     direct = [
         verification.check_gradient_l1_decreasing(
-            cfg.potential, kernel, shrink, sec["levels"], sec["r_inner"], sec["r_outer"],
-            n_samples=sec["gradient_samples"], seed=cfg.seed,
+            cfg.potential, kernel, shrink, sec["levels"], 0.5, 2.0, n_samples=20000,
+            seed=cfg.seed,
         )
     ] + verification.check_mollification_cauchy(
-        cfg.potential, kernel, shrink, cfg.box, t=sec["flow_t"], count=sec["flow_count"],
+        cfg.potential, kernel, shrink, cfg.box, t=sec["flow_t"], count=300,
         seed=cfg.seed, icfg=cfg.icfg, levels=sec["levels"],
     )
     assert report_stats(reports) == report_stats(r.to_json_dict() for r in direct)
@@ -270,22 +312,116 @@ def test_scaling_runs_the_library_check(tmp_path):
     ] + [["fit", "", "", f"{details['fitted_slope']:.17g}"]]
     cfg = cli.load_config(raw, "scaling", {})
     direct = verification.check_collision_scaling(
-        cfg.potential, cfg.box, cfg.datum, cfg.count, cfg.seed, cfg.section["mus"],
-        pair=cfg.section["pair"],
+        cfg.potential, cfg.box, cfg.datum, cfg.count, cfg.seed, cfg.section["mus"]
     )
     assert report_stats(reports) == report_stats([direct.to_json_dict()])
 
 
+DYNAMICS_KEYS = {"scheme", "dt", "adaptive", "reference_distance", "max_substeps"}
+BOX_KEYS = {"x_half", "v_half", "count", "seed"}
+# experiment -> the keys of each section of its resolved config: the keys
+# it reads, and no other
+RESOLVED_SECTIONS = {
+    "simulate": {"dynamics": DYNAMICS_KEYS, "ensemble": {"seed"},
+                 "output": {"directory", "stride"}, "simulate": {"t_final", "x0", "v0"}},
+    "verify": {"dynamics": DYNAMICS_KEYS, "ensemble": BOX_KEYS, "output": {"directory"},
+               "verify": {"t", "measure_t", "measure_count"}},
+    "converge": {"dynamics": DYNAMICS_KEYS, "ensemble": BOX_KEYS, "output": {"directory"},
+                 "converge": {"levels", "flow_t"}},
+    "residual": {"dynamics": DYNAMICS_KEYS, "ensemble": BOX_KEYS | {"datum"},
+                 "output": {"directory"}, "residual": {"phi_count", "include_betas"}},
+    "scaling": {"ensemble": BOX_KEYS | {"datum"}, "output": {"directory"}, "scaling": {"mus"}},
+}
+
+
 def test_resolved_config_round_trips(tmp_path):
-    raw = verify_config(tmp_path / "r1")
-    cfg = cli.load_config(raw, "verify", {})
-    again = cli.load_config(cfg.resolved, "verify", {})
-    assert cfg.resolved == again.resolved
-    # and the emitted file itself reloads to the same resolution
-    p = write_config(tmp_path, raw)
-    assert cli.main(["verify", "--config", p, "--quiet"]) == 0
-    emitted = json.loads((tmp_path / "r1" / "resolved_config.json").read_text())
-    assert cli.load_config(emitted, "verify", {}).resolved == cfg.resolved
+    for experiment in cli.EXPERIMENTS:
+        first, rerun = tmp_path / experiment / "r1", tmp_path / experiment / "r2"
+        raw = small_config(experiment, first)
+        cfg = cli.load_config(raw, experiment, {})
+        again = cli.load_config(cfg.resolved, experiment, {})
+        assert cfg.resolved == again.resolved, experiment
+        # and the emitted file itself reloads to the same resolution
+        p = write_config(tmp_path, raw)
+        assert cli.main([experiment, "--config", p, "--quiet"]) == 0, experiment
+        emitted = json.loads((first / "resolved_config.json").read_text())
+        assert emitted == cfg.resolved, experiment
+        assert cli.load_config(emitted, experiment, {}).resolved == cfg.resolved, experiment
+        sections = {key: set(value) for key, value in emitted.items()
+                    if isinstance(value, dict) and key != "potential"}
+        assert sections == RESOLVED_SECTIONS[experiment], experiment
+        if "datum" in emitted["ensemble"]:
+            assert set(emitted["ensemble"]["datum"]) == {"kind", "width"}, experiment
+        # a rerun from the emitted file writes the same artifacts
+        p = write_config(tmp_path, emitted, "emitted.json")
+        assert cli.main([experiment, "--config", p, "--out", str(rerun), "--quiet"]) == 0
+        for name in ("trajectory.csv", "levels.csv", "scaling.csv", "summary.csv"):
+            if (first / name).exists():
+                assert (rerun / name).read_bytes() == (first / name).read_bytes(), name
+        if experiment != "simulate":
+            assert report_stats(read_reports(rerun)) == report_stats(read_reports(first))
+
+
+# (section path, key, value): a key of each experiment's config that the
+# experiment would not read, either because another experiment reads it or
+# because no input of that name is left
+UNREAD_KEYS = {
+    "simulate": [
+        ("ensemble", "x_half", 1.0),
+        ("ensemble", "v_half", 1.0),
+        ("ensemble", "count", 300),
+        ("ensemble", "datum", {"kind": "bump"}),
+    ],
+    "verify": [
+        ("ensemble", "datum", {}),
+        ("output", "stride", 1),
+    ],
+    "converge": [
+        ("ensemble", "datum", {}),
+        ("output", "stride", 1),
+        ("converge", "flow_count", 1200),
+        ("converge", "r_inner", 0.5),
+        ("converge", "r_outer", 2.0),
+        ("converge", "gradient_samples", 20000),
+        ("converge", "kernel_power", 3),
+        ("converge", "shrink_cap", 1.0),
+        ("converge", "shrink_slope", 0.5),
+        ("potential.params", "singularity_class", "l1_singular_gradient"),
+    ],
+    "residual": [
+        ("output", "stride", 1),
+        ("ensemble.datum", "amplitude", 1.0),
+        ("ensemble.datum", "center", [0.0] * 8),
+        ("residual", "t_center", 1.0),
+        ("residual", "t_width", 0.8),
+        ("residual", "beta_scale", 1.0),
+    ],
+    "scaling": [
+        ("dynamics", "dt", 5.0),
+        ("dynamics", "adaptive", True),
+        ("output", "stride", 1),
+        ("scaling", "pair", [0, 1]),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, where, key, value",
+    [(experiment, *case) for experiment, cases in UNREAD_KEYS.items() for case in cases],
+    ids=[f"{experiment}-{where}.{key}" for experiment, cases in UNREAD_KEYS.items()
+         for where, key, _ in cases],
+)
+def test_key_the_experiment_does_not_read_exits_two(tmp_path, experiment, where, key, value):
+    out = tmp_path / "run"
+    cfg = small_config(experiment, out)
+    cli.load_config(cfg, experiment, {})  # the config without the key is valid
+    section = cfg
+    for part in where.split("."):
+        section = section.setdefault(part, {})
+    section[key] = value
+    code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
+    assert code == 2
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +494,10 @@ def test_unknown_keys_rejected_at_every_level(tmp_path):
         # the flow-axiom tolerances and the residual node count are the library's
         ("verify", lambda c: c["checks"][1].update(tolerance=0.0)),
         ("residual", lambda c: c.update(residual={"nodes": 65})),
+        # input kinds that no config set are gone
+        ("simulate", lambda c: c.update(potential={
+            "kind": "mollified", "d": 2, "params": {"base": {"kind": "free", "d": 2}}})),
+        ("residual", lambda c: c.update(ensemble={"datum": {"kind": "smoothed_indicator"}})),
     ]:
         cfg = configs[experiment](out)
         mangle(cfg)
@@ -387,9 +527,9 @@ def test_type_errors_exit_two(tmp_path):
         ("simulate", {"dynamics": {"dt": "fast"}}),
         ("simulate", {"dynamics": {"adaptive": 1}}),
         ("scaling", {"scaling": {"mus": "0.4"}}),
-        ("scaling", {"scaling": {"pair": [0.0, 1.9]}}),
+        ("scaling", {"ensemble": {"count": 1.5}}),
         ("converge", {"converge": {"levels": "34"}}),
-        ("converge", {"converge": {"gradient_samples": "x"}}),
+        ("converge", {"converge": {"flow_t": "x"}}),
         ("residual", {"residual": {"include_betas": "no"}}),
         ("verify", {"verify": {"measure_count": 1.5}}),
     ]:
@@ -412,14 +552,20 @@ def test_section_rules_exit_two_before_writing(tmp_path):
         ("converge", {"converge": {"levels": [4]}}),
         ("converge", {"converge": {"levels": [3, 4]}}),
         ("converge", {"converge": {"levels": [4, 4, 4]}}),
-        ("converge", {"converge": {"kernel_power": 1}}),
-        ("converge", {"converge": {"shrink_cap": 2.0}}),
+        ("converge", {"converge": {"flow_t": 0.0}}),
+        ("converge", {"converge": {"flow_t": -0.4}}),
+        ("converge", {"ensemble": {"count": 0}}),
         ("scaling", {"scaling": {"mus": [0.4, 0.0]}}),
         # repeated radii fit no slope
         ("scaling", {"scaling": {"mus": [0.2, 0.2]}}),
-        ("scaling", {"scaling": {"pair": [1, 1]}}),
-        ("scaling", {"scaling": {"pair": [0, 2]}}),
         ("scaling", {"ensemble": {"x_half": -1.0}}),
+        ("simulate", {"output": {"stride": 0}}),
+        ("verify", {"verify": {"t": -0.5}}),
+        ("verify", {"verify": {"t": 0.0}}),
+        ("verify", {"verify": {"measure_t": 0.0}}),
+        ("verify", {"verify": {"measure_count": 0}}),
+        # a run that draws no test function checks nothing
+        ("residual", {"residual": {"phi_count": 0}}),
     ]:
         cfg = {"experiment": experiment, "output": {"directory": str(out)}, **section}
         code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
@@ -437,30 +583,6 @@ def test_runtime_failure_exits_three(tmp_path):
     # config was valid, so the resolved form was still written
     assert (out / "resolved_config.json").exists()
     assert not (out / "trajectory.csv").exists()
-
-
-def test_mollified_potential_config(tmp_path):
-    cfg = {
-        "experiment": "simulate",
-        "potential": {
-            "kind": "mollified",
-            "d": 2,
-            "params": {
-                "base": {"kind": "repulsive_power", "d": 2, "params": {"exponent": 0.5}},
-                "level": 3,
-            },
-        },
-        "simulate": {"t_final": 0.05, "x0": [[0.4, 0.0], [-0.4, 0.1]], "v0": [[0.0, 0.1], [0.0, -0.1]]},
-        "output": {"directory": str(tmp_path / "run")},
-    }
-    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"])
-    assert code == 0
-    resolved = json.loads((tmp_path / "run" / "resolved_config.json").read_text())
-    params = resolved["potential"]["params"]
-    assert params["kernel_power"] == 3 and params["level"] == 3
-    assert params["base"]["params"]["strength"] == 1.0
-    bad = dict(cfg, potential={"kind": "mollified", "d": 2, "params": {"level": 3}})
-    assert cli.main(["simulate", "--config", write_config(tmp_path, bad), "--quiet"]) == 2
 
 
 def test_unknown_subcommand_is_an_argparse_error():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from liouville_lab import dynamics, potentials
-from liouville_lab.errors import ConfigError, DomainError, QuadratureError, SingularityError
+from liouville_lab.errors import DomainError, QuadratureError, SingularityError
 from liouville_lab.potentials import (
     CONFINING_AT_ZERO,
     L1_SINGULAR_GRADIENT,
@@ -32,12 +32,9 @@ def test_factory_classification():
     assert gaussian_well(2).singularity_class == SMOOTH
     assert repulsive_power(3, exponent=1.0).singularity_class == L1_SINGULAR_GRADIENT
     assert repulsive_power(3, exponent=2.5).singularity_class == CONFINING_AT_ZERO
+    # the class is derived: a gradient that is not locally integrable confines
+    assert repulsive_power(2, exponent=1.5).singularity_class == CONFINING_AT_ZERO
     assert piecewise_radial(2, 1.0, -0.5, 0.5).singularity_class == L1_SINGULAR_GRADIENT
-
-
-def test_repulsive_power_rejects_bogus_l1_declaration():
-    with pytest.raises((DomainError, ConfigError)):
-        repulsive_power(2, exponent=1.5, singularity_class=L1_SINGULAR_GRADIENT)
 
 
 def test_constructor_validation():

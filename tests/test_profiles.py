@@ -9,7 +9,6 @@ from liouville_lab.profiles import (
     bump_pair,
     bump_prime,
     smooth_step_down,
-    smooth_step_down_prime,
 )
 
 
@@ -82,15 +81,6 @@ def test_smooth_step_down_plateaus_and_ramp():
     np.testing.assert_array_equal(out[3:], 0.0)
     mid = smooth_step_down(np.array(1.5))
     assert 0.0 < mid < 1.0
-
-
-def test_smooth_step_down_prime_matches_finite_differences():
-    s = np.linspace(0.5, 2.5, 101)
-    h = 1e-5
-    fd = (smooth_step_down(s + h) - smooth_step_down(s - h)) / (2 * h)
-    # the transition has third derivatives of order 1e3, so central
-    # differences carry an O(h^2 f''') truncation floor
-    assert np.max(np.abs(fd - smooth_step_down_prime(s))) < 5e-6
 
 
 @given(st.floats(min_value=-10, max_value=10, allow_nan=False))

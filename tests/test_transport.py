@@ -9,11 +9,10 @@ from liouville_lab import transport
 from liouville_lab.dynamics import IntegratorConfig
 from liouville_lab.errors import AlignmentError, CoverageError, DomainError
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
-from liouville_lab.profiles import bump, bump_prime, smooth_step_down, smooth_step_down_prime
+from liouville_lab.profiles import bump, bump_prime
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
     MAX_ABS_POLY_PRIME,
-    MAX_ABS_STEP_PRIME,
     EnergyCutoff,
     Ensemble,
     InitialDatum,
@@ -81,9 +80,6 @@ def test_initial_datum_kinds_and_bounds():
     lo, hi = d_bump.support_bounds()
     np.testing.assert_allclose(lo, -0.8)
     np.testing.assert_allclose(hi, 0.8)
-    d_ind = InitialDatum(kind="smoothed_indicator", center=np.zeros(4), width=0.5)
-    lo, hi = d_ind.support_bounds()
-    np.testing.assert_allclose(hi, 1.0)  # transition ends at two widths
     d_const = InitialDatum(kind="constant", center=np.zeros(4), width=1.0)
     assert d_const.support_bounds() is None
     assert not d_const.has_compact_support
@@ -94,9 +90,9 @@ def test_initial_datum_kinds_and_bounds():
         d_bump.evaluate(np.zeros((3, 5)))
 
 
-@pytest.mark.parametrize("kind", ["bump", "smoothed_indicator", "clipped_polynomial"])
+@pytest.mark.parametrize("kind", ["bump", "clipped_polynomial"])
 def test_initial_datum_lipschitz_bound_holds(kind):
-    datum = InitialDatum(kind=kind, center=np.zeros(4), width=np.array([0.5, 0.8, 1.0, 1.3]), amplitude=1.7)
+    datum = InitialDatum(kind=kind, center=np.zeros(4), width=np.array([0.5, 0.8, 1.0, 1.3]))
     lip = datum.lipschitz_bound()
     rng = np.random.default_rng(3)
     z1 = rng.uniform(-2, 2, size=(4000, 4))
@@ -106,21 +102,19 @@ def test_initial_datum_lipschitz_bound_holds(kind):
     assert np.all(gap <= lip * dist * (1 + 1e-12))
 
 
-@pytest.mark.parametrize("kind", ["bump", "smoothed_indicator", "clipped_polynomial"])
+@pytest.mark.parametrize("kind", ["bump", "clipped_polynomial"])
 def test_initial_datum_evaluates_support_rows_as_every_entry_formula_bitwise(kind):
     center = np.array([0.3, -0.2, 0.1, 0.7])
     width = np.array([0.5, 0.8, 1.0, 1.3])
-    datum = InitialDatum(kind=kind, center=center, width=width, amplitude=1.7)
+    datum = InitialDatum(kind=kind, center=center, width=width)
 
     def every_entry(z):
         u = (z - center) / width
         if kind == "bump":
             axis = bump(u)
-        elif kind == "clipped_polynomial":
-            axis = np.maximum(0.0, 1.0 - u * u) ** 2
         else:
-            axis = smooth_step_down(np.abs(u))
-        return 1.7 * np.prod(axis, axis=1)
+            axis = np.maximum(0.0, 1.0 - u * u) ** 2
+        return np.prod(axis, axis=1)
 
     lo, hi = datum.support_bounds()
     rng = np.random.default_rng(5)
@@ -147,10 +141,6 @@ def test_profile_prime_constants_are_sharp_bounds():
     grid_max = np.max(np.abs(bump_prime(u)))
     assert grid_max <= MAX_ABS_BUMP_PRIME + 1e-12
     assert grid_max > MAX_ABS_BUMP_PRIME - 1e-5
-    s = np.linspace(0.0, 3.0, 2_000_001)
-    step_max = np.max(np.abs(smooth_step_down_prime(s)))
-    assert step_max <= MAX_ABS_STEP_PRIME + 1e-12
-    assert step_max > MAX_ABS_STEP_PRIME - 1e-5
     # clipped polynomial (1 - u^2)^2 has derivative extrema at u = 1/sqrt(3)
     poly_exact = 8.0 / (3.0 * math.sqrt(3.0))
     assert MAX_ABS_POLY_PRIME == pytest.approx(poly_exact, rel=1e-12)
@@ -743,10 +733,10 @@ def test_collision_boundary_term_hand_computed():
     assert est.details["hit_fraction"] == pytest.approx(2.0 / 3.0)
     with pytest.raises(DomainError):
         collision_boundary_term(e, mu=0.0)
+    one = Ensemble(x=x[:, :1], v=v[:, :1], values=e.values, flags=e.flags,
+                   box=PhaseBox.centered(2, 1, 2.0, 2.0))
     with pytest.raises(DomainError):
-        collision_boundary_term(e, mu=0.5, pair=(0, 2))
-    with pytest.raises(DomainError):
-        collision_boundary_term(e, mu=0.5, pair=(1, 1))
+        collision_boundary_term(one, mu=0.5)
 
 
 def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
@@ -757,8 +747,8 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
     u = np.random.default_rng(7).random((1000, 8))
     textbook = box.lows + u * (box.highs - box.lows)
     assert np.array_equal(box.sample(np.random.default_rng(7), 1000), textbook)
-    # the pair memo of an n = 3 ensemble with flagged rows, visited pair by
-    # pair, against the per-call formula
+    # the kept pair terms of an n = 3 ensemble with flagged rows, taken
+    # and then reused, against the per-call formula
     e = sample_ensemble(
         PhaseBox.centered(3, 3, 1.0, 1.0),
         2000,
@@ -766,18 +756,17 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
         seed=5,
     )
     e = replace(e, flags=np.where(np.arange(e.size) % 7 == 3, 1, 0).astype(np.int8))
-    for pair in ((0, 1), (0, 2), (0, 1)):
-        i, j = pair
+    rel_x = np.linalg.norm(e.x[:, 0, :] - e.x[:, 1, :], axis=-1)
+    rel_v = np.linalg.norm(e.v[:, 0, :] - e.v[:, 1, :], axis=-1)
+    for _ in range(2):
         for mu in (0.8, 0.4, 0.2):
-            rel_x = np.linalg.norm(e.x[:, i, :] - e.x[:, j, :], axis=-1)
-            rel_v = np.linalg.norm(e.v[:, i, :] - e.v[:, j, :], axis=-1)
             inside = (rel_x <= mu) & (e.flags == 0)
             xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
-            est = collision_boundary_term(e, mu, pair=pair)
+            est = collision_boundary_term(e, mu)
             assert est.estimate == float(np.sum(xi))
             assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))
             assert est.sample_count == int(np.sum(inside)) > 0
-    # new values make a new ensemble with its own memo
+    # new values make a new ensemble that takes its own pair terms
     halved = e.with_values(0.5 * e.values)
     full = collision_boundary_term(e, 0.4).estimate
     assert collision_boundary_term(halved, 0.4).estimate == 0.5 * full

@@ -619,8 +619,8 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
     # term is looked up on the transport module, where tracing wraps it
     calls = []
 
-    def squared(e, mu, pair=(0, 1)):
-        calls.append((mu, tuple(pair)))
+    def squared(e, mu):
+        calls.append(mu)
         return MCEstimate(estimate=mu**2, std_error=0.1 * mu**2, sample_count=10)
 
     monkeypatch.setattr(transport, "collision_boundary_term", squared)
@@ -629,8 +629,8 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
         box = PhaseBox.centered(d=d, n=3, x_half=1.0, v_half=1.0)
         datum = InitialDatum(kind="constant", center=np.zeros(6 * d), width=1.0)
         calls.clear()
-        rep = check_collision_scaling(free_potential(d), box, datum, 100, 1, mus, pair=(0, 2))
-        assert calls == [(mu, (0, 2)) for mu in mus]
+        rep = check_collision_scaling(free_potential(d), box, datum, 100, 1, mus)
+        assert calls == mus
         assert rep.check_name == "collision_scaling_slope"
         assert rep.details["fitted_slope"] == pytest.approx(2.0, abs=1e-12)
         assert rep.details["expected_slope"] == d - 1
