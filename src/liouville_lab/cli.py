@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -83,7 +84,15 @@ def _as_type(value, kind, path: str):
             raise ConfigError(f"{path}: expected a list, got {value!r}")
         return [_as_type(item, kind[0], f"{path}[{i}]") for i, item in enumerate(value)]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        # json reads NaN, Infinity and integers past the float range, none
+        # of them a finite number
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     if kind in (bool, str, dict) and isinstance(value, kind):
@@ -502,16 +511,15 @@ def run(config_path: str, experiment: str, overrides: dict, quiet: bool = False)
             json.dump(cfg.resolved, fh, indent=2, sort_keys=True)
             fh.write("\n")
         reports = _RUNNERS[experiment](cfg, quiet)
-    except LiouvilleLabError as exc:
+        if reports:
+            verification.write_reports_jsonl(reports, cfg.out_dir / "reports.jsonl")
+            verification.write_summary_csv(reports, cfg.out_dir / "summary.csv")
+    except (LiouvilleLabError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 3
     if not quiet:
         for rep in reports:
             print(rep.summary_line())
-    if reports:
-        verification.write_reports_jsonl(reports, cfg.out_dir / "reports.jsonl")
-        verification.write_summary_csv(reports, cfg.out_dir / "summary.csv")
-    if not quiet:
         print(f"artifacts in {cfg.out_dir}")
     return 0 if all(r.passed for r in reports) else 1
 

@@ -275,12 +275,6 @@ class MollifierKernel:
         s = 1.0 - np.sum(z * z, axis=-1)
         return self.normalization * np.where(s > 0.0, s, 0.0) ** self.power
 
-    def mass_error(self) -> float:
-        """|quadrature mass - 1| of the kernel under the QUADRATURE_ORDER
-        ball rule; an internal consistency probe."""
-        z, w = ball_nodes(self.d, QUADRATURE_ORDER, QUADRATURE_ORDER)
-        return abs(float(np.sum(w * self.profile(z))) - 1.0)
-
 
 @dataclass(frozen=True)
 class ShrinkFunction:

@@ -186,7 +186,7 @@ CHECK_NAMES = tuple(TOLERANCES)
 # per-sample checks compare only samples below this quantile of the
 # initial energy, the truncated form in which the axioms hold a.e.
 ENERGY_QUANTILE = 0.9
-# time-continuity resolution, in integrator steps
+# time-continuity resolution in integrator steps, rounded to walk nodes
 DELTA_STEPS = 10
 # velocity kick of the group-law control after every flow leg
 KICK = 0.05
@@ -386,19 +386,6 @@ class _Sample:
         x, v, flags = flow_batch(x, v, self.potential, t, icfg)
         return x, v, ok & (flags == dynamics.FLAG_OK)
 
-    def walk(self, stops, icfg: IntegratorConfig):
-        """[(stop, state)] at each of the increasing stop times, from one
-        flow that pauses at every stop."""
-        states = []
-
-        def keep(stop, batch):
-            x, v, flags = batch.result()
-            states.append((stop, (x, v, flags == dynamics.FLAG_OK)))
-
-        x0, v0, _ = self.start
-        flow_batch(x0, v0, self.potential, stops[-1], icfg, stops=stops, observe=keep)
-        return states
-
     def report(
         self, name: str, control: bool, statistic: float, ok,
         started: float, details: dict, std_error: float = 0.0,
@@ -428,9 +415,21 @@ def _kicked(state):
     return x, v + KICK, ok
 
 
+def _delta_nodes(t: float, dt: float) -> int:
+    """Time continuity's resolution in walk nodes: the k for which
+    delta = k t / 128 is nearest DELTA_STEPS dt, at least one node and
+    at most the 64 from 0.5 t to t."""
+    gaps = WEAK_ODE_NODES - 1
+    return min(gaps // 2, max(1, round(DELTA_STEPS * dt / (t / gaps))))
+
+
 def _time_continuity(
     sample: _Sample, a, b, t: float, delta: float, control: bool, started: float,
 ) -> CheckReport:
+    """Difference quotients of t -> Y(t, z): the displacement from state a
+    to state b, delta later, of every selected sample against delta times
+    the larger of its endpoint phase speeds |(v, a)|.  Control: a
+    positional jump between the two states."""
     (xa, va, _), (xb, vb, ok) = a, b
     if control:
         xb = xb + 0.5
@@ -451,14 +450,10 @@ def _time_continuity(
 
 
 def _group_property(
-    sample: _Sample, direct, mid, s: float, t: float, icfg: IntegratorConfig,
-    control: bool, started: float,
+    sample: _Sample, direct, comp, s: float, t: float, control: bool, started: float,
 ) -> CheckReport:
-    if control:
-        direct, mid = _kicked(direct), _kicked(mid)
-    comp = sample.advance(mid, t, icfg)
-    if control:
-        comp = _kicked(comp)
+    """Worst phase gap between the direct end Y(s + t, z) and the
+    composed one Y(t, Y(s, z))."""
     (x_direct, v_direct, ok_direct), (x_comp, v_comp, ok) = direct, comp
     ok = ok & ok_direct
     gap = np.maximum(
@@ -474,6 +469,8 @@ def _group_property(
 def _energy_invariance(
     sample: _Sample, end, t: float, control: bool, started: float
 ) -> CheckReport:
+    """Worst relative energy drift from the start to the end state.
+    Control: velocity damping bleeds kinetic energy."""
     x, v, ok = end
     e_after = _energy_batch(x, v, sample.potential)
     e_before = sample.energies
@@ -485,15 +482,18 @@ def _energy_invariance(
 
 
 def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
-    """Per-sample worst component of the Simpson sum of Y chi' + B(Y) chi
-    over the WEAK_ODE_NODES nodes and of its gap to the sum over every
-    other node, from one flow that pauses at the nodes; returns them and
-    the final state."""
+    """The Simpson walk: one flow over t_final that pauses at the
+    WEAK_ODE_NODES nodes.  Returns the per-sample worst component of the
+    Simpson sum of Y chi' + B(Y) chi, that of its gap to the sum over
+    every other node, and the states at the middle node (0.5 t_final),
+    at `_delta_nodes` nodes later and at t_final."""
     nodes = WEAK_ODE_NODES
     t_mid, t_half = t_final / 2.0, t_final / 2.0
     times = np.linspace(0.0, t_final, nodes)
     w_full = transport.simpson_weights(nodes, 0.0, t_final)
     w_half = transport.simpson_weights((nodes + 1) // 2, 0.0, t_final)
+    kept = {nodes // 2, nodes // 2 + _delta_nodes(t_final, icfg.dt)}
+    states = []
     # the two sums per row, component-major as (2, n, d, row); the batch
     # moves them with its rows
     full = half = held = None
@@ -513,6 +513,9 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
             full[part, ..., : batch.m] += w_full[k] * term
             if k % 2 == 0:
                 half[part, ..., : batch.m] += w_half[k // 2] * term
+        if k in kept:
+            x, v, flags = batch.result()
+            states.append((x, v, flags == dynamics.FLAG_OK))
         k += 1
 
     x0, v0, _ = sample.start
@@ -524,123 +527,68 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
     per_half = np.zeros(sample.count)
     per_sample[held.idx] = np.max(np.abs(live[0]), axis=(0, 1, 2))
     per_half[held.idx] = np.max(np.abs(live[0] - live[1]), axis=(0, 1, 2))
-    return per_sample, per_half, (x, v, flags == dynamics.FLAG_OK)
+    return per_sample, per_half, states + [(x, v, flags == dynamics.FLAG_OK)]
 
 
 def _weak_ode(
-    sample: _Sample, t_final: float, icfg: IntegratorConfig, control: bool, started: float,
-):
-    """The weak_ode report and the state at t_final."""
-    per_sample, per_half, end = _simpson_defects(sample, t_final, icfg)
-    ok = end[2]
+    sample: _Sample, walk, t_final: float, control: bool, started: float,
+) -> CheckReport:
+    """Distributional form of dY/dt = B(Y) against a smooth time bump:
+    int (Y chi' + B(Y) chi) dt vanishes for every chi compactly supported
+    in (0, t_final).  The statistic is the worst component of the walk's
+    Simpson sum; its gap to the sum over every other node, over 15, is
+    the std_error.  Control: velocity damping makes trajectories solve a
+    different ODE."""
+    per_sample, per_half, states = walk
+    ok = states[-1][2]
     selected = ok & sample.below
     statistic = _worst(per_sample, selected)
     quad_err = float(np.max(per_half[selected])) / 15.0 if np.any(selected) else 0.0
-    report = sample.report(
+    return sample.report(
         "weak_ode", control, statistic, ok, started,
         {"t_final": t_final, "nodes": WEAK_ODE_NODES, "energy_level": sample.level},
         std_error=quad_err,
     )
-    return report, end
+
+
+def _suite_report(name: str, potential, box, t, count, seed, icfg, negative_control):
+    """flow_axiom_suite's report of check `name` over horizon t, or its
+    control."""
+    return flow_axiom_suite(
+        potential, box, count, seed, icfg, t=t, checks=[name], with_controls=negative_control,
+    )[-1]
 
 
 def check_time_continuity(
-    potential,
-    box: PhaseBox,
-    t: float,
-    count: int,
-    seed: int,
-    icfg: IntegratorConfig,
+    potential, box: PhaseBox, t: float, count: int, seed: int, icfg: IntegratorConfig,
     negative_control: bool = False,
 ) -> CheckReport:
-    """Difference quotients of t -> Y(t, z) stay below the phase speed.
-
-    At resolution delta = DELTA_STEPS * dt the displacement
-    |Y(t + delta) - Y(t)| of every selected sample must not exceed
-    delta times the larger of its endpoint phase speeds |(v, a)|, up to
-    the TOLERANCES["time_continuity"] factor for speed variation along the
-    way.
-    Control: a positional jump is injected between the two snapshots,
-    which no continuous-in-time flow can produce.
-    """
-    started = time.perf_counter()
-    sample = _Sample(potential, box, count, seed)
-    delta = DELTA_STEPS * icfg.dt
-    (_, a), (_, b) = sample.walk([t, t + delta], icfg)
-    return _time_continuity(sample, a, b, t, delta, negative_control, started)
+    """flow_axiom_suite's time_continuity report over horizon t, or its control."""
+    return _suite_report("time_continuity", potential, box, t, count, seed, icfg, negative_control)
 
 
 def check_group_property(
-    potential,
-    box: PhaseBox,
-    s: float,
-    t: float,
-    count: int,
-    seed: int,
-    icfg: IntegratorConfig,
+    potential, box: PhaseBox, t: float, count: int, seed: int, icfg: IntegratorConfig,
     negative_control: bool = False,
 ) -> CheckReport:
-    """Composition law Y(t + s, z) = Y(t, Y(s, z)) below an energy level,
-    to within TOLERANCES["group_property"].
-
-    The comparison is restricted to samples whose initial energy lies
-    below the ENERGY_QUANTILE level, matching the truncated form in which
-    the law holds almost everywhere.  The direct leg never stops at s.
-    Control: a velocity kick after every flow invocation; composing
-    applies it twice.
-    """
-    started = time.perf_counter()
-    sample = _Sample(potential, box, count, seed)
-    direct = sample.advance(sample.start, s + t, icfg)
-    mid = sample.advance(sample.start, s, icfg)
-    return _group_property(sample, direct, mid, s, t, icfg, negative_control, started)
+    """flow_axiom_suite's group_property report over horizon t, or its control."""
+    return _suite_report("group_property", potential, box, t, count, seed, icfg, negative_control)
 
 
 def check_energy_invariance(
-    potential,
-    box: PhaseBox,
-    t: float,
-    count: int,
-    seed: int,
-    icfg: IntegratorConfig,
+    potential, box: PhaseBox, t: float, count: int, seed: int, icfg: IntegratorConfig,
     negative_control: bool = False,
 ) -> CheckReport:
-    """Worst relative energy drift along the flow below an energy level,
-    held to TOLERANCES["energy_invariance"].
-
-    Control: velocity damping bleeds kinetic energy.
-    """
-    started = time.perf_counter()
-    sample = _Sample(potential, box, count, seed)
-    end = sample.advance(sample.start, t, _control_icfg(icfg, negative_control))
-    return _energy_invariance(sample, end, t, negative_control, started)
+    """flow_axiom_suite's energy_invariance report over horizon t, or its control."""
+    return _suite_report("energy_invariance", potential, box, t, count, seed, icfg, negative_control)
 
 
 def check_weak_ode(
-    potential,
-    box: PhaseBox,
-    t_final: float,
-    count: int,
-    seed: int,
-    icfg: IntegratorConfig,
+    potential, box: PhaseBox, t: float, count: int, seed: int, icfg: IntegratorConfig,
     negative_control: bool = False,
 ) -> CheckReport:
-    """Distributional form of dY/dt = B(Y) against a smooth time bump.
-
-    Integrating by parts, int (Y chi' + B(Y) chi) dt must vanish for
-    every chi compactly supported in (0, t_final); the check integrates
-    one bump per sample with composite Simpson on WEAK_ODE_NODES nodes
-    and takes the worst component, restricted below an energy level,
-    held to TOLERANCES["weak_ode"].  One flow pauses at the nodes and
-    each adds its terms from the live batch state.
-    Control: velocity damping makes trajectories solve a different ODE.
-    """
-    started = time.perf_counter()
-    sample = _Sample(potential, box, count, seed)
-    report, _ = _weak_ode(
-        sample, t_final, _control_icfg(icfg, negative_control), negative_control, started
-    )
-    return report
+    """flow_axiom_suite's weak_ode report over horizon t, or its control."""
+    return _suite_report("weak_ode", potential, box, t, count, seed, icfg, negative_control)
 
 
 def flow_axiom_suite(
@@ -657,31 +605,41 @@ def flow_axiom_suite(
     checks: Sequence[str] = CHECK_NAMES,
 ) -> list[CheckReport]:
     """The named flow-axiom checks in the order of `checks`, then their
-    negative controls, each held to its TOLERANCES entry.
+    negative controls, each held to its TOLERANCES entry.  Each check is
+    named once; an empty, repeated or unknown name raises DomainError.
 
-    Continuity runs at 0.5 t, the group law as 0.4 t + 0.6 t, energy
-    invariance and weak_ode over t, all on one sample.  One undamped
-    pass stops at 0.5 t, 0.5 t + delta and t and serves continuity, the
-    group law's direct leg and energy invariance, and the controls of
-    the first two; one Simpson walk per damping gives weak_ode and,
-    damped, the energy control.  Each pass and each walk is one
-    flow_batch call that pauses at its stops, and every leg between two
-    stops takes the steps of its own flow_batch call, so the reports
-    equal flowing leg by leg bitwise.  On a fixed step grid the
-    positives equal the standalone check_* calls at these times bitwise.
+    The per-sample checks share one sample, flowed once per damping.
+    The undamped Simpson walk, a flow over t paused at the
+    WEAK_ODE_NODES nodes, gives weak_ode.  Its states at the middle
+    node, 0.5 t, and k nodes later serve time continuity at
+    delta = k t / 128, k the node count nearest DELTA_STEPS dt (at least
+    1, at most 64, so 0.5 t + delta <= t).  Its end is the group law's
+    direct end, composed against a 0.4 t leg from the start and a 0.6 t
+    leg on from there: the two paths stop at different times, so even on
+    a fixed step grid they take different remainder steps and the gap
+    measures the flow.  The composed end also gives energy invariance:
+    it steps by dt, while a walk whose nodes lie closer than dt steps by
+    the node spacing and would hide a coarse dt.
+    The walk damped, run only for the controls of weak_ode and energy
+    invariance, gives both.  Every leg between two stops takes the steps
+    of its own flow_batch call, so the reports equal flowing leg by leg
+    bitwise.
 
     Preservation samples its own ensemble, with its own horizon and
     count: its power comes from how many samples visit the observable
     support, while the other checks are per-sample statements.
 
     A report's runtime_seconds covers only its own work: its statistic
-    and the legs run for it (the mid leg goes to the positive group
-    law, each Simpson walk to its weak_ode).  Sampling and the shared
-    pass are not split among the reports and appear in none of them.
+    and the legs run for it alone (the kicked composition to the group
+    law control, the damped walk to the weak_ode control).  Sampling,
+    the undamped walk and the composed path are shared and appear in
+    none of them.
     """
     unknown = sorted(set(checks) - set(CHECK_NAMES))
     if unknown:
         raise DomainError(f"unknown flow-axiom checks {unknown}; known {list(CHECK_NAMES)}")
+    if not checks or len(set(checks)) < len(checks):
+        raise DomainError(f"name each flow-axiom check once, at least one; got {list(checks)}")
     controls = (False, True) if with_controls else (False,)
     out = {}
     if "measure_preservation" in checks:
@@ -691,33 +649,40 @@ def flow_axiom_suite(
                 count if measure_count is None else measure_count, seed, icfg,
                 phi=observable, negative_control=control,
             )
-    per_sample = set(checks) - {"measure_preservation"}
-    if per_sample:
+    names = set(checks)
+    if names - {"measure_preservation"}:
         sample = _Sample(potential, box, count, seed)
-    half, delta = 0.5 * t, DELTA_STEPS * icfg.dt
-    at = {}
-    if per_sample - {"weak_ode"}:
-        at = dict(sample.walk(sorted({half, half + delta, t}), icfg))
+    if {"time_continuity", "group_property", "weak_ode"} & names:
+        walk = _simpson_defects(sample, t, icfg)
+        half, later, end = walk[2]
+        delta = _delta_nodes(t, icfg.dt) * t / (WEAK_ODE_NODES - 1)
+    if {"group_property", "energy_invariance"} & names:
+        mid = sample.advance(sample.start, 0.4 * t, icfg)
+        composed = sample.advance(mid, 0.6 * t, icfg)
     for control in controls:
         if "time_continuity" in checks:
             out["time_continuity", control] = _time_continuity(
-                sample, at[half], at[half + delta], half, delta, control,
-                time.perf_counter(),
+                sample, half, later, 0.5 * t, delta, control, time.perf_counter(),
             )
         if "group_property" in checks:
             started = time.perf_counter()
-            if not control:
-                mid = sample.advance(sample.start, 0.4 * t, icfg)
+            direct, comp = end, composed
+            if control:
+                # a velocity kick after every leg, which composing applies twice
+                direct = _kicked(end)
+                comp = _kicked(sample.advance(_kicked(mid), 0.6 * t, icfg))
             out["group_property", control] = _group_property(
-                sample, at[t], mid, 0.4 * t, 0.6 * t, icfg, control, started,
+                sample, direct, comp, 0.4 * t, 0.6 * t, control, started,
             )
-        if "weak_ode" in checks or (control and "energy_invariance" in checks):
-            out["weak_ode", control], walk_end = _weak_ode(
-                sample, t, _control_icfg(icfg, control), control, time.perf_counter(),
-            )
+        started = time.perf_counter()
+        if control and {"weak_ode", "energy_invariance"} & names:
+            # from here on the walk is the damped one
+            walk = _simpson_defects(sample, t, _control_icfg(icfg, True))
+        if "weak_ode" in checks:
+            out["weak_ode", control] = _weak_ode(sample, walk, t, control, started)
         if "energy_invariance" in checks:
             out["energy_invariance", control] = _energy_invariance(
-                sample, walk_end if control else at[t], t, control, time.perf_counter(),
+                sample, walk[2][-1] if control else composed, t, control, time.perf_counter(),
             )
     return [out[name, control] for control in controls for name in checks]
 

@@ -204,8 +204,8 @@ def test_verify_rerun_is_idempotent(tmp_path):
 
 
 def test_verify_runs_the_library_suite(tmp_path):
-    # one code path: the CLI, the suite and the standalone checks at the
-    # suite's times give the same statistics to the bit on a fixed grid
+    # one code path: the CLI gives the suite's statistics to the bit, in
+    # config order
     order = ["weak_ode", "group_property", "time_continuity", "energy_invariance",
              "measure_preservation"]
     raw = verify_config(
@@ -215,24 +215,12 @@ def test_verify_runs_the_library_suite(tmp_path):
         checks=[{"name": name} for name in order],
     )
     cfg = cli.load_config(raw, "verify", {})
-    args = (cfg.potential, cfg.box)
-    run = (cfg.count, cfg.seed, cfg.icfg)
-    standalone = {
-        "time_continuity": verification.check_time_continuity(*args, 0.25, *run),
-        "measure_preservation": verification.check_measure_preservation(
-            *args, 0.2, 8000, cfg.seed, cfg.icfg
-        ),
-        "group_property": verification.check_group_property(*args, 0.2, 0.3, *run),
-        "energy_invariance": verification.check_energy_invariance(*args, 0.5, *run),
-        "weak_ode": verification.check_weak_ode(*args, 0.5, *run),
-    }
     suite = verification.flow_axiom_suite(
-        *args, *run, t=0.5, measure_t=0.2, measure_count=8000, with_controls=False,
-        checks=order,
+        cfg.potential, cfg.box, cfg.count, cfg.seed, cfg.icfg, t=0.5, measure_t=0.2,
+        measure_count=8000, with_controls=False, checks=order,
     )
 
-    want = report_stats(standalone[name].to_json_dict() for name in order)
-    assert report_stats(r.to_json_dict() for r in suite) == want
+    want = report_stats(r.to_json_dict() for r in suite)
     assert cli.main(["verify", "--config", write_config(tmp_path, raw), "--quiet"]) == 0
     assert report_stats(read_reports(tmp_path / "run")) == want
     assert [r["check_name"] for r in want] == order
@@ -532,6 +520,11 @@ def test_type_errors_exit_two(tmp_path):
         ("converge", {"converge": {"flow_t": "x"}}),
         ("residual", {"residual": {"include_betas": "no"}}),
         ("verify", {"verify": {"measure_count": 1.5}}),
+        # json writes and reads NaN, Infinity and integers past the float
+        # range; none is a finite number
+        ("verify", {"dynamics": {"dt": float("nan")}}),
+        ("verify", {"verify": {"t": float("inf")}}),
+        ("converge", {"converge": {"flow_t": 10**400}}),
     ]:
         cfg = {"experiment": experiment, "output": {"directory": str(out)}, **section}
         code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
@@ -583,6 +576,21 @@ def test_runtime_failure_exits_three(tmp_path):
     # config was valid, so the resolved form was still written
     assert (out / "resolved_config.json").exists()
     assert not (out / "trajectory.csv").exists()
+
+
+def test_unwritable_output_directory_exits_three(tmp_path, capsys):
+    # the output directory would sit under a regular file
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    p = write_config(tmp_path, simulate_config(blocker / "run"))
+    assert cli.main(["simulate", "--config", p, "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
+    # an artifact that cannot be written: its path is taken by a directory
+    out = tmp_path / "run"
+    (out / "reports.jsonl").mkdir(parents=True)
+    p = write_config(tmp_path, verify_config(out, ensemble={"count": 200, "seed": 11}))
+    assert cli.main(["verify", "--config", p, "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith("runtime error:")
 
 
 def test_unknown_subcommand_is_an_argparse_error():

@@ -252,13 +252,13 @@ def test_time_continuity_passes_and_control_fails():
 
 
 def test_group_property_passes_and_control_fails():
-    ok = check_group_property(harmonic(2), BOX, 0.4, 0.6, 2000, SEED, ICFG)
+    ok = check_group_property(harmonic(2), BOX, 1.0, 2000, SEED, ICFG)
     assert ok.passed
-    # fixed-grid composition is exact, not merely within tolerance
-    assert ok.statistic == 0.0
-    bad = check_group_property(
-        harmonic(2), BOX, 0.4, 0.6, 2000, SEED, ICFG, negative_control=True
-    )
+    # the direct end stops at the walk's nodes and the composed one at 0.4 t,
+    # so on a fixed grid they take different remainder steps: a real gap
+    assert 0.0 < ok.statistic
+    assert ok.details["s"] == 0.4 and ok.details["t"] == 0.6
+    bad = check_group_property(harmonic(2), BOX, 1.0, 2000, SEED, ICFG, negative_control=True)
     assert not bad.passed
     assert bad.statistic >= 0.04
 
@@ -274,46 +274,59 @@ def test_energy_invariance_passes_and_control_fails():
 
 def _simpson_defects_by_legs(sample, t_final, icfg):
     """Per-sample Simpson defects from one flow_batch call per leg and the
-    forces recomputed at every node, row-major and in input order."""
+    forces recomputed at every node, row-major and in input order, and
+    the state at every node."""
     x, v, ok = sample.start
     times = np.linspace(0.0, t_final, WEAK_ODE_NODES)
     weights = transport.simpson_weights(WEAK_ODE_NODES, 0.0, t_final)
     defect = np.zeros((sample.count, 2) + x.shape[1:])
+    states = []
     now = 0.0
     for k, tk in enumerate(times):
         x, v, flags = flow_batch(x, v, sample.potential, tk - now, icfg)
         now, ok = tk, ok & (flags == FLAG_OK)
+        states.append((x, v, ok))
         u = (tk - t_final / 2.0) / (t_final / 2.0)
         chi = float(bump(np.asarray(u)))
         chi_p = float(bump_prime(np.asarray(u))) / (t_final / 2.0)
         acc, _ = _forces(x, sample.potential)
         defect += weights[k] * np.stack([x * chi_p + v * chi, v * chi_p + acc * chi], axis=1)
-    return np.max(np.abs(defect), axis=(1, 2, 3)), ok
+    return np.max(np.abs(defect), axis=(1, 2, 3)), states
 
 
 @pytest.mark.parametrize(
-    "potential, box, t_final, icfg",
+    "potential, box, t_final, icfg, gap",
     [
-        (harmonic(2), BOX, 1.0, ICFG),
+        # DELTA_STEPS dt = 0.01 is 1.28 node gaps of t / 128
+        (harmonic(2), BOX, 1.0, ICFG, 1),
         # adaptive steps park rows that finish a leg early, which reorders
         # the batch rows and the sums that ride along with them; 4 substeps
-        # per leg flag 4% of the rows, which retire while others are parked
+        # per leg flag 4% of the rows, which retire while others are parked.
+        # 0.01 is 5.12 node gaps of 0.25 / 128
         (repulsive_power(2, exponent=1.0), PhaseBox.centered(2, 2, 1.5, 1.5), 0.25,
-         IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=4)),
+         IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=4), 5),
     ],
     ids=["harmonic", "repulsive_adaptive"],
 )
-def test_weak_ode_statistic_is_the_worst_selected_defect(potential, box, t_final, icfg):
+def test_weak_ode_statistic_is_the_worst_selected_defect(potential, box, t_final, icfg, gap):
     sample = _Sample(potential, box, 400, SEED)
-    want, ok = _simpson_defects_by_legs(sample, t_final, icfg)
-    per_sample, _, (_, _, got_ok) = _simpson_defects(sample, t_final, icfg)
-    np.testing.assert_array_equal(got_ok, ok)
+    want, states = _simpson_defects_by_legs(sample, t_final, icfg)
+    ok = states[-1][2]
+    per_sample, _, walk_states = _simpson_defects(sample, t_final, icfg)
+    # the walk keeps the states at 0.5 t, at 0.5 t + delta and at t
+    mid = (WEAK_ODE_NODES - 1) // 2
+    for got, ref in zip(walk_states, [states[mid], states[mid + gap], states[-1]]):
+        np.testing.assert_array_equal(got[2], ref[2])
+        np.testing.assert_array_equal(got[0][ref[2]], ref[0][ref[2]])
+        np.testing.assert_array_equal(got[1][ref[2]], ref[1][ref[2]])
     assert 0.0 <= np.mean(~ok) < 0.05
     np.testing.assert_array_equal(per_sample[ok], want[ok])
     report = check_weak_ode(potential, box, t_final, 400, SEED, icfg)
     assert report.statistic == np.max(want[ok & sample.below])
     assert report.flagged_fraction == np.mean(~ok)
     assert "initial_identity_defect" not in report.details
+    continuity = check_time_continuity(potential, box, t_final, 400, SEED, icfg)
+    assert continuity.details["delta"] == gap * t_final / (WEAK_ODE_NODES - 1)
 
 
 def test_weak_ode_passes_and_control_fails():
@@ -349,8 +362,54 @@ def test_flow_axiom_suite_group_law_direct_leg_is_its_own_path():
     )
     assert report.passed
     assert report.statistic > 0.0
-    with pytest.raises(DomainError):
-        flow_axiom_suite(harmonic(2), BOX, 300, SEED, icfg, checks=["no_such_check"])
+    # an unknown name, no name and a repeated name all check nothing new
+    for checks in (["no_such_check"], [], ["weak_ode", "group_property", "weak_ode"]):
+        with pytest.raises(DomainError):
+            flow_axiom_suite(harmonic(2), BOX, 300, SEED, icfg, checks=checks)
+
+
+PER_SAMPLE_CHECKS = {
+    "time_continuity": check_time_continuity,
+    "group_property": check_group_property,
+    "energy_invariance": check_energy_invariance,
+    "weak_ode": check_weak_ode,
+}
+
+
+def _hex_fields(report):
+    return [
+        report.check_name, report.passed, report.sample_count,
+        *(float(getattr(report, k)).hex() for k in
+          ("statistic", "std_error", "bias_bound", "tolerance", "flagged_fraction")),
+        json.dumps(report.to_json_dict()["details"], sort_keys=True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "potential, icfg",
+    [(harmonic(2), ICFG), (repulsive_power(2, exponent=1.0), IntegratorConfig(adaptive=True))],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_standalone_checks_are_the_suite_reports(potential, icfg):
+    suite = flow_axiom_suite(
+        potential, BOX, 300, SEED, icfg, t=0.25, checks=list(PER_SAMPLE_CHECKS),
+    )
+    by_name = {r.check_name: r for r in suite}
+    for name, check in PER_SAMPLE_CHECKS.items():
+        for control in (False, True):
+            got = check(potential, BOX, 0.25, 300, SEED, icfg, negative_control=control)
+            want = by_name[name + ("_control" if control else "")]
+            assert _hex_fields(got) == _hex_fields(want)
+
+
+def test_suite_flows_each_sample_once_per_damping():
+    # per row: one undamped and one damped walk of 128 legs of two steps
+    # (t / 128 = 1.95 dt), each with the start, 257; the mid leg 0.1, 101;
+    # two composed legs 0.15, 151 each; the phase speeds at both continuity
+    # states for the positive and the control, 4
+    pot = CountingPotential(harmonic(2))
+    flow_axiom_suite(pot, BOX, 200, SEED, ICFG, t=0.25, checks=list(PER_SAMPLE_CHECKS))
+    assert sum(pot.rows) == 921 * 200
 
 
 # ---------------------------------------------------------------------------
