@@ -222,11 +222,6 @@ _SCHEMAS = {
     },
 }
 
-# converge's gradient L1 check: the annulus r_inner <= |r| <= r_outer and
-# its sample count
-GRADIENT_ANNULUS = (0.5, 2.0)
-GRADIENT_SAMPLES = 20_000
-
 
 def _check_section(experiment: str, sec: dict, n: int, d: int, path: str) -> None:
     """The rules that need a whole typed section."""
@@ -402,13 +397,7 @@ def _run_converge(cfg: ResolvedConfig, quiet: bool) -> list:
     kernel = MollifierKernel(d=cfg.potential.d)
     shrink = ShrinkFunction()
     gradient = verification.check_gradient_l1_decreasing(
-        cfg.potential,
-        kernel,
-        shrink,
-        sec["levels"],
-        *GRADIENT_ANNULUS,
-        n_samples=GRADIENT_SAMPLES,
-        seed=cfg.seed,
+        cfg.potential, kernel, shrink, sec["levels"], cfg.seed
     )
     g = gradient.details
     with open(cfg.out_dir / "levels.csv", "w", encoding="utf-8", newline="") as fh:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -22,15 +26,22 @@ class MCEstimate:
     details: dict = field(default_factory=dict, compare=False)
 
     @staticmethod
-    def from_samples(xi, weights=None) -> "MCEstimate":
-        """Mean-of-weighted-samples estimator for sum_i w_i xi_i with plug-in SE."""
-        import numpy as np
+    def from_samples(xi, **fields) -> "MCEstimate":
+        """The sum of the iid terms xi with its plug-in standard error.
 
+        The standard error of a sum of n iid terms is sqrt(n) times the
+        sample std of one term; a paired difference takes it from the
+        per-sample differences.  `fields` set the estimate's other
+        fields; sample_count defaults to n.  Fewer than two terms have
+        no sample std and raise DomainError.
+        """
         xi = np.asarray(xi, dtype=float)
-        if weights is not None:
-            xi = xi * np.asarray(weights, dtype=float)
         n = xi.size
-        total = float(np.sum(xi))
-        # SE of a sum of iid terms: sqrt(n) * std of one term
-        se = float(np.std(xi, ddof=1) * math.sqrt(n)) if n > 1 else float("inf")
-        return MCEstimate(estimate=total, std_error=se, sample_count=n)
+        if n < 2:
+            raise DomainError(f"a standard error needs at least two samples, got {n}")
+        fields.setdefault("sample_count", n)
+        return MCEstimate(
+            estimate=float(np.sum(xi)),
+            std_error=float(np.std(xi, ddof=1) * math.sqrt(n)),
+            **fields,
+        )

@@ -300,41 +300,41 @@ class ShrinkFunction:
 
 
 @lru_cache(maxsize=64)
-def ball_nodes(d: int, radial_order: int, angular_order: int):
+def ball_nodes(d: int, order: int):
     """Product quadrature nodes and weights for the unit ball in R^d.
 
     Gauss-Legendre in radius (with the r^(d-1) jacobian folded into the
     weights) crossed with an exact angular rule: midpoint-offset uniform
     angles in d = 2, Gauss-Legendre in cos(theta) times uniform azimuth in
-    d = 3.  Returns (nodes, weights) with nodes of shape (Q, d); weights
-    sum to the ball volume.
+    d = 3; each factor takes `order` points.  Returns (nodes, weights)
+    with nodes of shape (Q, d); weights sum to the ball volume.
     """
-    x, w = np.polynomial.legendre.leggauss(radial_order)
+    x, w = np.polynomial.legendre.leggauss(order)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w * r ** (d - 1)
     if d == 1:
         z = np.concatenate([-r, r])[:, None]
         wt = np.concatenate([wr, wr])
     elif d == 2:
-        theta = 2.0 * math.pi * (np.arange(angular_order) + 0.5) / angular_order
-        wa = 2.0 * math.pi / angular_order
+        theta = 2.0 * math.pi * (np.arange(order) + 0.5) / order
+        wa = 2.0 * math.pi / order
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         z = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 2)
-        wt = (wr[:, None] * wa * np.ones(angular_order)[None, :]).reshape(-1)
+        wt = (wr[:, None] * wa * np.ones(order)[None, :]).reshape(-1)
     elif d == 3:
-        c, wc = np.polynomial.legendre.leggauss(angular_order)
-        phi = 2.0 * math.pi * (np.arange(angular_order) + 0.5) / angular_order
-        wp = 2.0 * math.pi / angular_order
+        c, wc = np.polynomial.legendre.leggauss(order)
+        phi = 2.0 * math.pi * (np.arange(order) + 0.5) / order
+        wp = 2.0 * math.pi / order
         s = np.sqrt(1.0 - c * c)
         dirs = np.stack(
             [
                 s[:, None] * np.cos(phi)[None, :],
                 s[:, None] * np.sin(phi)[None, :],
-                np.broadcast_to(c[:, None], (angular_order, angular_order)),
+                np.broadcast_to(c[:, None], (order, order)),
             ],
             axis=2,
         ).reshape(-1, 3)
-        wd = (wc[:, None] * wp * np.ones(angular_order)[None, :]).reshape(-1)
+        wd = (wc[:, None] * wp * np.ones(order)[None, :]).reshape(-1)
         z = (r[:, None, None] * dirs[None, :, :]).reshape(-1, 3)
         wt = (wr[:, None] * wd[None, :]).reshape(-1)
     else:
@@ -357,7 +357,7 @@ def _ball_average(
     Self-normalizes by the quadrature mass of the kernel so tiny rule-level
     mass defects cancel instead of biasing the average.
     """
-    z, w = ball_nodes(potential.d, order, order)
+    z, w = ball_nodes(potential.d, order)
     rho_w = w * kernel.profile(z)
     den = float(np.sum(rho_w))
     m, q = centers.shape[0], z.shape[0]
@@ -530,7 +530,7 @@ def _radial_table(
     """
     kink = shrink.cap / shrink.slope
     lo, hi = TABLE_RANGE[0] * kink, TABLE_RANGE[1] * kink
-    z, _ = ball_nodes(potential.d, QUADRATURE_ORDER, QUADRATURE_ORDER)
+    z, _ = ball_nodes(potential.d, QUADRATURE_ORDER)
     cuts = _node_crossings(potential, shrink, level, z)
     breaks = np.log(np.concatenate([[lo, kink, hi], cuts[(cuts > lo) & (cuts < hi)]]))
     breaks = np.sort(breaks)
@@ -711,4 +711,4 @@ def gradient_l1_error(
     moll = MollifiedPotential(potential, kernel, shrink, level)
     diff = moll.gradient_batch(pts) - potential.gradient_batch(pts)
     err = np.sqrt(np.sum(diff * diff, axis=-1))
-    return MCEstimate.from_samples(err, weights=vol / n_samples)
+    return MCEstimate.from_samples(err * (vol / n_samples))

@@ -18,7 +18,6 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -184,11 +183,6 @@ class Ensemble:
     Nonzero `flags` mark samples whose flow failed (coincidence or
     substep budget); they are excluded from statistics and their
     fraction is policed by the checks.
-
-    `pair_terms` takes the distance |x_1 - x_2| of the first two
-    particles and their carried weight w |f0| |v_1 - v_2| once and keeps
-    them.  The arrays are never written in place and `replace` builds a
-    new instance that has not taken them yet, so they cannot go stale.
     """
 
     x: np.ndarray
@@ -227,19 +221,6 @@ class Ensemble:
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
 
-    @cached_property
-    def pair_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(|x_1 - x_2|, weight * |values| * |v_1 - v_2|) per row.
-
-        The norms are bitwise those of np.linalg.norm(..., axis=-1),
-        taken on one difference buffer squared in place.
-        """
-        rel_x = _pair_distance(self.x)
-        carried = np.abs(self.values)
-        carried *= self.weight
-        carried *= _pair_distance(self.v)
-        return rel_x, carried
-
     def with_values(self, values: np.ndarray) -> "Ensemble":
         values = np.asarray(values, dtype=float)
         if values.shape != self.values.shape:
@@ -248,6 +229,8 @@ class Ensemble:
 
 
 def _pair_distance(a: np.ndarray) -> np.ndarray:
+    """|a_1 - a_2| per row, bitwise np.linalg.norm(..., axis=-1), taken
+    on one difference buffer squared in place."""
     r = a[:, 0] - a[:, 1]
     r *= r
     s = np.add.reduce(r, -1)
@@ -735,22 +718,22 @@ def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCE
 
     for m in range(terms.acc_full.shape[1]):
         xi = np.where(terms.active, terms.weight * spread(terms.acc_full[:, m]), 0.0)
-        estimate = float(np.sum(xi))
-        se_mc = float(np.std(xi, ddof=1) * math.sqrt(size))
+        mc = MCEstimate.from_samples(
+            xi,
+            bias_bound=DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi))),
+            sample_count=n_active,
+        )
         coarse = float(
             np.sum(np.where(terms.active, terms.weight * spread(terms.acc_half[:, m]), 0.0))
         )
-        quad_err = abs(coarse - estimate) / 15.0
-        bias = DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi)))
+        quad_err = abs(coarse - mc.estimate) / 15.0
         out.append(
-            MCEstimate(
-                estimate=estimate,
-                std_error=math.hypot(se_mc, quad_err),
-                bias_bound=bias,
-                sample_count=n_active,
+            replace(
+                mc,
+                std_error=math.hypot(mc.std_error, quad_err),
                 details={
                     "flagged_fraction": 1.0 - n_active / size,
-                    "mc_std_error": se_mc,
+                    "mc_std_error": mc.std_error,
                     "quadrature_error": quad_err,
                     "window": terms.window,
                     "map_seconds": float(terms.map_seconds[m]),
@@ -818,29 +801,38 @@ def weak_residual_suite(
 # collision cutoff boundary term
 
 
-def collision_boundary_term(e: Ensemble, mu: float) -> MCEstimate:
-    """(1/mu) integral over {|x_1 - x_2| <= mu} of |f (v_1 - v_2)|.
+def collision_boundary_term(e: Ensemble, mus: Sequence[float]) -> list[MCEstimate]:
+    """(1/mu) integral over {|x_1 - x_2| <= mu} of |f (v_1 - v_2)|, one
+    estimate per cutoff radius mu in mus.
 
     This is the boundary term produced by cutting test functions off
     near the coincidence set; it scales like mu^(d-1) for bounded
     densities, which is what makes the cutoff removable for d >= 2.
     The term is that of particles 1 and 2.  Their distances and carried
-    weights come from `Ensemble.pair_terms`, taken once per ensemble;
-    each call only masks them at its own mu and divides by mu.
+    weights w |f0| |v_1 - v_2| are taken once; each radius only masks
+    them and divides by mu.
     """
-    if mu <= 0:
-        raise DomainError("cutoff width mu must be positive")
+    mus = list(mus)
+    if any(not mu > 0 for mu in mus):
+        raise DomainError(f"cutoff widths mu must be positive, got {mus}")
     if e.n < 2:
         raise DomainError(f"the collision term needs two particles, got n={e.n}")
-    rel_x, carried = e.pair_terms
-    inside = (rel_x <= mu) & (e.flags == dynamics.FLAG_OK)
-    xi = np.where(inside, carried / mu, 0.0)
-    return MCEstimate(
-        estimate=float(np.sum(xi)),
-        std_error=float(np.std(xi, ddof=1) * math.sqrt(e.size)),
-        sample_count=int(np.sum(inside)),
-        details={"mu": mu, "hit_fraction": float(np.mean(inside))},
-    )
+    rel_x = _pair_distance(e.x)
+    carried = np.abs(e.values)
+    carried *= e.weight
+    carried *= _pair_distance(e.v)
+    ok = e.flags == dynamics.FLAG_OK
+    out = []
+    for mu in mus:
+        inside = (rel_x <= mu) & ok
+        out.append(
+            MCEstimate.from_samples(
+                np.where(inside, carried / mu, 0.0),
+                sample_count=int(np.sum(inside)),
+                details={"mu": mu, "hit_fraction": float(np.mean(inside))},
+            )
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -899,20 +891,20 @@ class EnergyCutoff:
 
 def level_difference_series(
     e0: Ensemble,
-    make_potential: Callable[[int], object],
-    level_forward: int,
-    level_backward: int,
+    pot_forward,
+    pot_backward,
     beta: BetaFunction,
     times: Sequence[float],
     icfg: IntegratorConfig,
 ) -> tuple[list[Ensemble], list[np.ndarray]]:
-    """Series carrying h(t) = beta(f_a(t) - f_b(t)) along the level-a flow.
+    """Series carrying h(t) = beta(f_a(t) - f_b(t)) along the flow of pot_forward.
 
     f_a is the push-forward of e0.datum, sampled at t = 0, under the
-    level_forward flow; at each snapshot the level_backward flow runs
+    pot_forward flow; at each snapshot the pot_backward flow runs
     backward to time 0 and f_b is read off as f0 at the arrival point.
-    With matching levels the round trip is the identity up to integration
-    error, so h probes the gap between the two regularized dynamics.
+    With matching potentials the round trip is the identity up to
+    integration error, so h probes the gap between two regularized
+    dynamics.
 
     The forward snapshots come from one flow that pauses at the
     non-decreasing `times`; each leg between two takes the steps of its
@@ -925,20 +917,18 @@ def level_difference_series(
     """
     if e0.datum is None:
         raise DomainError("level difference series needs the initial datum")
-    pot_fwd = make_potential(level_forward)
-    pot_bwd = make_potential(level_backward)
     z0 = e0.phase_flat()
     out = []
     displacements = []
 
     def snapshot(tk, batch):
         x, v, flags = batch.result()
-        back_x, back_v, back_flags = flow_batch(x, v, pot_bwd, -tk, icfg)
+        back_x, back_v, back_flags = flow_batch(x, v, pot_backward, -tk, icfg)
         z = _flatten_phase(back_x, back_v)
         h = beta(e0.values - e0.datum.evaluate(z))
         displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
         flags = np.maximum(np.maximum(e0.flags, flags), back_flags)
         out.append(replace(e0, x=x, v=v, values=h, flags=flags, time=tk))
 
-    flow_batch(e0.x, e0.v, pot_fwd, times[-1], icfg, stops=times, observe=snapshot)
+    flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
     return out, displacements

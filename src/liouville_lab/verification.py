@@ -32,7 +32,8 @@ from .potentials import (
     MollifiedPotential,
     ShrinkFunction,
 )
-from .profiles import bump, bump_prime
+from .estimates import MCEstimate
+from .profiles import bump_pair
 from .rng import rng_for
 from .transport import (
     DT_BIAS_COEFFICIENT,
@@ -50,6 +51,9 @@ from .transport import (
 FLAGGED_FRACTION_LIMIT = 0.01
 # pinned budgets of the two checks without a negative control
 GRADIENT_RATIO_TOLERANCE = 1.05
+# the gradient check's annulus r_inner <= |r| <= r_outer and its sample count
+GRADIENT_ANNULUS = (0.5, 2.0)
+GRADIENT_SAMPLES = 20_000
 SLOPE_TOLERANCE = 0.3
 
 
@@ -325,9 +329,8 @@ def check_measure_preservation(
     ok = e1.flags == dynamics.FLAG_OK
     in_start = ok & mask0
     in_end = ok & mask1
-    xi = np.where(ok, e0.weight * (after - before), 0.0)
-    statistic = abs(float(np.sum(xi)))
-    se = float(np.std(xi, ddof=1) * math.sqrt(count))
+    total = MCEstimate.from_samples(np.where(ok, e0.weight * (after - before), 0.0))
+    statistic, se = abs(total.estimate), total.std_error
     if statistic > 0.0 and se == 0.0:
         # nonzero terms whose squares underflow: phi was met only where it
         # is below 1e-154, at the edge of its support
@@ -506,8 +509,8 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
             full = batch.track(np.zeros((2,) + batch.X.shape[:2] + (batch.N,)))
             half = batch.track(np.zeros_like(full))
         u = (tk - t_mid) / t_half
-        chi = float(bump(np.asarray(u)))
-        chi_p = float(bump_prime(np.asarray(u))) / t_half
+        chi, slope = (float(a) for a in bump_pair(np.asarray(u)))
+        chi_p = slope / t_half
         terms = (batch.X * chi_p + batch.V * chi, batch.V * chi_p + batch.A * chi)
         for part, term in enumerate(terms):
             full[part, ..., : batch.m] += w_full[k] * term
@@ -730,16 +733,13 @@ def check_gradient_l1_decreasing(
     kernel: MollifierKernel,
     shrink: ShrinkFunction,
     levels: Sequence[int],
-    r_inner: float,
-    r_outer: float,
-    n_samples: int,
     seed: int,
 ) -> CheckReport:
     """Mollified gradients approach the true gradient in L1, level by level.
 
-    The L1 error of grad V_n - grad V on the annulus r_inner <= |r| <=
-    r_outer is estimated at each level (at least two, strictly
-    increasing, DomainError otherwise) from the same sample points, so
+    The L1 error of grad V_n - grad V on the annulus GRADIENT_ANNULUS is
+    estimated at each level (at least two, strictly increasing,
+    DomainError otherwise) from the same GRADIENT_SAMPLES points, so
     consecutive estimates share their randomness.  The statistic is the
     worst fine/coarse ratio of consecutive errors, held to a pinned
     tolerance of 1.05, the slack left for Monte Carlo jitter; std_error
@@ -751,7 +751,7 @@ def check_gradient_l1_decreasing(
     started = time.perf_counter()
     estimates = [
         potentials.gradient_l1_error(
-            base, kernel, shrink, level, r_inner, r_outer, n_samples=n_samples, seed=seed
+            base, kernel, shrink, level, *GRADIENT_ANNULUS, n_samples=GRADIENT_SAMPLES, seed=seed
         )
         for level in levels
     ]
@@ -761,7 +761,7 @@ def check_gradient_l1_decreasing(
         check_name="gradient_l1_decreasing",
         potential=base.describe(),
         seed=seed,
-        sample_count=n_samples,
+        sample_count=GRADIENT_SAMPLES,
         statistic=max(ratios),
         std_error=0.0,
         bias_bound=0.0,
@@ -896,10 +896,10 @@ def check_collision_scaling(
     term of particles 1 and 2 at every cutoff radius in mus and fits the
     log-log slope by least squares.  The samples are not flowed: the term
     is a property of the density, and potential only names the report.
-    The ensemble keeps the pair's distances and carried weights after the
-    first radius, so each further radius only masks and sums them.  The
-    statistic |slope - (d - 1)| is held to a pinned tolerance of 0.3;
-    std_error and bias_bound are 0.  Fewer than two distinct radii fit
+    One collision_boundary_term call takes the pair's distances and
+    carried weights once and sweeps every radius.  The statistic
+    |slope - (d - 1)| is held to a pinned tolerance of 0.3; std_error
+    and bias_bound are 0.  Fewer than two distinct radii fit
     no slope, and they and a radius <= 0 raise DomainError
     (`require_radii`).  A radius whose term is 0, because no
     unflagged sample with a nonzero value lies within it, has no
@@ -911,7 +911,7 @@ def check_collision_scaling(
     started = time.perf_counter()
     mus = require_radii(mus)
     e = sample_ensemble(box, count, datum, seed)
-    estimates = [transport.collision_boundary_term(e, mu) for mu in mus]
+    estimates = transport.collision_boundary_term(e, mus)
     terms = [est.estimate for est in estimates]
     empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
     if empty:
@@ -1083,20 +1083,12 @@ def check_uniqueness_monotone(
     times = icfg.dt * stride * np.arange(times_count)
     horizon = float(times[-1])
 
-    made = []
-
-    def make(lvl: int) -> MollifiedPotential:
-        made.append(MollifiedPotential(base, kernel, shrink, lvl))
-        return made[-1]
-
-    series, disps = level_difference_series(
-        e0, make, level_pair[0], level_pair[1], beta, times, icfg
-    )
+    pots = [MollifiedPotential(base, kernel, shrink, lvl) for lvl in level_pair]
+    series, disps = level_difference_series(e0, *pots, beta, times, icfg)
     if negative_control:
         series = [
             e.with_values(e0.values * (1.0 + 60.0 * e.time)) for e in series
         ]
-    pot = make(level_pair[0])
     cutoff = EnergyCutoff.for_potential(
         base, box.n, radius=UNIQUENESS_CUTOFF_RADIUS, horizon=horizon
     )
@@ -1109,11 +1101,12 @@ def check_uniqueness_monotone(
     z0 = e0.phase_flat()
     f_a = e0.values
     for k, e in enumerate(series):
-        phi_vals = cutoff.value_batch(times[k], e.x, e.v, pot)
+        # the cutoff's energies are those of the forward flow
+        phi_vals = cutoff.value_batch(times[k], e.x, e.v, pots[0])
         xi = np.where(e.active, e.weight * e.values * phi_vals, 0.0)
         xis[k] = xi
-        F[k] = float(np.sum(xi))
-        SE[k] = float(np.std(xi, ddof=1) * math.sqrt(e.size))
+        total = MCEstimate.from_samples(xi)
+        F[k], SE[k] = total.estimate, total.std_error
         near = (f_a > 0.0) | (
             np.all(
                 np.abs(z0 - (lo + hi) / 2.0) < (hi - lo) / 2.0 + disps[k][:, None],
@@ -1128,7 +1121,7 @@ def check_uniqueness_monotone(
     # the same samples carry every node, so the increment noise is the
     # spread of the per-sample differences, not of the nodes separately
     deltas = xis[1:] - xis[:-1]
-    inc_se = np.std(deltas, axis=1, ddof=1) * math.sqrt(count)
+    inc_se = np.array([MCEstimate.from_samples(delta).std_error for delta in deltas])
     inc_bias = biases[1:] + biases[:-1]
     margins = increments - 3.0 * inc_se - inc_bias
     worst = int(np.argmax(margins))
@@ -1148,6 +1141,6 @@ def check_uniqueness_monotone(
             "levels": list(level_pair),
             "functional": F.tolist(),
             "std_errors": SE.tolist(),
-            **_table_details(made),
+            **_table_details(pots),
         },
     )

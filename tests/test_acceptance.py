@@ -149,9 +149,7 @@ def test_criterion_6_mollification_convergence():
 
         # shared-seed estimates; every fine/coarse ratio against 1.05, the
         # slack that absorbs Monte Carlo jitter
-        gradient = V.check_gradient_l1_decreasing(
-            base, kernel, shrink, (3, 4, 5, 6), 0.5, 2.0, n_samples=20_000, seed=12
-        )
+        gradient = V.check_gradient_l1_decreasing(base, kernel, shrink, (3, 4, 5, 6), seed=12)
         assert gradient.passed, gradient.summary_line()
         assert gradient.tolerance == 1.05 and gradient.std_error == gradient.bias_bound == 0.0
         errors = gradient.details["errors"]

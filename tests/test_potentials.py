@@ -101,14 +101,14 @@ def test_kernel_mass_normalization(d):
     # the analytic normalization makes the kernel a probability density
     # under the ball rule of the batch evaluations
     kernel = MollifierKernel(d=d, power=3)
-    nodes, weights = ball_nodes(d, QUADRATURE_ORDER, QUADRATURE_ORDER)
+    nodes, weights = ball_nodes(d, QUADRATURE_ORDER)
     total = float(np.sum(weights * kernel.profile(nodes)))
     assert abs(total - 1.0) < 1e-10
 
 
 def test_ball_nodes_integrate_kernel_exactly():
     kernel = MollifierKernel(d=2, power=3)
-    nodes, weights = ball_nodes(2, radial_order=8, angular_order=8)
+    nodes, weights = ball_nodes(2, order=8)
     total = float(np.sum(weights * kernel.profile(nodes)))
     assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -726,17 +726,21 @@ def test_collision_boundary_term_hand_computed():
         flags=np.zeros(3, dtype=np.int8),
         box=box,
     )
-    est = collision_boundary_term(e, mu=0.5)
+    est, wide = collision_boundary_term(e, [0.5, 1.0])
     # w (0.5 * 1.0 + 1.0 * 3.0) / 0.5 with w = vol / 3 = 4^8 / 3
     assert est.estimate == pytest.approx(4.0**8 / 3.0 * (0.5 + 3.0) / 0.5)
     assert est.sample_count == 2
-    assert est.details["hit_fraction"] == pytest.approx(2.0 / 3.0)
-    with pytest.raises(DomainError):
-        collision_boundary_term(e, mu=0.0)
+    assert est.details == {"mu": 0.5, "hit_fraction": pytest.approx(2.0 / 3.0)}
+    # mu = 1 takes in the second row too
+    assert wide.estimate == pytest.approx(4.0**8 / 3.0 * (0.5 + 2.0 + 3.0))
+    assert wide.sample_count == 3
+    for mus in ([0.5, 0.0], [float("nan")]):
+        with pytest.raises(DomainError, match="must be positive"):
+            collision_boundary_term(e, mus)
     one = Ensemble(x=x[:, :1], v=v[:, :1], values=e.values, flags=e.flags,
                    box=PhaseBox.centered(2, 1, 2.0, 2.0))
-    with pytest.raises(DomainError):
-        collision_boundary_term(one, mu=0.5)
+    with pytest.raises(DomainError, match="two particles"):
+        collision_boundary_term(one, [0.5])
 
 
 def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
@@ -747,8 +751,8 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
     u = np.random.default_rng(7).random((1000, 8))
     textbook = box.lows + u * (box.highs - box.lows)
     assert np.array_equal(box.sample(np.random.default_rng(7), 1000), textbook)
-    # the kept pair terms of an n = 3 ensemble with flagged rows, taken
-    # and then reused, against the per-call formula
+    # one sweep over the radii of an n = 3 ensemble with flagged rows,
+    # radius by radius against the per-radius formula
     e = sample_ensemble(
         PhaseBox.centered(3, 3, 1.0, 1.0),
         2000,
@@ -758,18 +762,16 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
     e = replace(e, flags=np.where(np.arange(e.size) % 7 == 3, 1, 0).astype(np.int8))
     rel_x = np.linalg.norm(e.x[:, 0, :] - e.x[:, 1, :], axis=-1)
     rel_v = np.linalg.norm(e.v[:, 0, :] - e.v[:, 1, :], axis=-1)
-    for _ in range(2):
-        for mu in (0.8, 0.4, 0.2):
-            inside = (rel_x <= mu) & (e.flags == 0)
-            xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
-            est = collision_boundary_term(e, mu)
-            assert est.estimate == float(np.sum(xi))
-            assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))
-            assert est.sample_count == int(np.sum(inside)) > 0
-    # new values make a new ensemble that takes its own pair terms
-    halved = e.with_values(0.5 * e.values)
-    full = collision_boundary_term(e, 0.4).estimate
-    assert collision_boundary_term(halved, 0.4).estimate == 0.5 * full
+    mus = (0.8, 0.4, 0.2)
+    sweep = collision_boundary_term(e, mus)
+    assert len(sweep) == len(mus)
+    for mu, est in zip(mus, sweep):
+        inside = (rel_x <= mu) & (e.flags == 0)
+        xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
+        assert est.estimate == float(np.sum(xi))
+        assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))
+        assert est.sample_count == int(np.sum(inside)) > 0
+        assert est.details["mu"] == mu
 
 
 # ---------------------------------------------------------------------------
@@ -797,12 +799,7 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     base = repulsive_power(2, exponent=0.5, strength=0.5)
     from liouville_lab.potentials import MollifiedPotential, MollifierKernel, ShrinkFunction
 
-    kernel = MollifierKernel(d=2, power=3)
-    shrink = ShrinkFunction()
-
-    def make_potential(level):
-        return MollifiedPotential(base, kernel, shrink, level)
-
+    pot = MollifiedPotential(base, MollifierKernel(d=2, power=3), ShrinkFunction(), 4)
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
     e0 = sample_ensemble(box, 400, datum, seed=21)
@@ -811,7 +808,7 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     # the every-row reference: one push_forward per leg
     legs, e = [], e0
     for tk in times:
-        e = push_forward(e, make_potential(4), tk - e.time, icfg)
+        e = push_forward(e, pot, tk - e.time, icfg)
         legs.append(e)
     calls = []
     flow = transport.flow_batch
@@ -821,9 +818,8 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(transport, "flow_batch", counted_flow)
-    series, disps = level_difference_series(
-        e0, make_potential, 4, 4, nonneg_squash(0.5), times, icfg
-    )
+    # identical levels: the one potential runs forward and backward
+    series, disps = level_difference_series(e0, pot, pot, nonneg_squash(0.5), times, icfg)
     # one forward flow pausing at every snapshot, one backward flow per snapshot
     assert calls == [0.3, -0.1, -0.2, -0.3]
     assert len(series) == 3 and len(disps) == 3
@@ -842,6 +838,6 @@ def test_level_difference_series_requires_datum():
     stripped = replace(e0, datum=None)
     with pytest.raises(DomainError):
         level_difference_series(
-            stripped, lambda lvl: free_potential(2), 3, 4, nonneg_squash(0.5), [0.1],
+            stripped, free_potential(2), free_potential(2), nonneg_squash(0.5), [0.1],
             IntegratorConfig(dt=1e-2),
         )

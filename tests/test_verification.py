@@ -35,6 +35,8 @@ from liouville_lab.transport import (
 )
 from liouville_lab.verification import (
     FLAGGED_FRACTION_LIMIT,
+    GRADIENT_ANNULUS,
+    GRADIENT_SAMPLES,
     WEAK_ODE_NODES,
     CheckReport,
     check_collision_scaling,
@@ -209,6 +211,13 @@ def test_measure_preservation_reports_support_visits():
     empty = check_measure_preservation(harmonic(2), BOX, 0.3, 1000, SEED, ICFG, phi=tiny)
     assert empty.statistic == 0.0 and empty.std_error == 0.0 and empty.passed
     assert empty.details["support_visits"] == {"start": 0, "end": 0}
+
+
+def test_measure_preservation_needs_two_samples():
+    # one sample has no standard error: it read nan and failed, and an
+    # infinite one would widen the budget until any statistic passed
+    with pytest.raises(DomainError, match="at least two samples, got 1"):
+        check_measure_preservation(harmonic(2), BOX, 0.3, 1, SEED, ICFG)
 
 
 def test_measure_preservation_observable_is_sized_with_n():
@@ -675,12 +684,13 @@ def test_uniqueness_monotone_needs_two_times(times_count):
 
 def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypatch):
     # an exact mu^2 law fits slope 2 = d - 1 for d = 3 and fails d = 2; the
-    # term is looked up on the transport module, where tracing wraps it
+    # term is looked up on the transport module, where tracing wraps it, and
+    # one call sweeps every radius
     calls = []
 
-    def squared(e, mu):
-        calls.append(mu)
-        return MCEstimate(estimate=mu**2, std_error=0.1 * mu**2, sample_count=10)
+    def squared(e, mus):
+        calls.append(list(mus))
+        return [MCEstimate(estimate=mu**2, std_error=0.1 * mu**2, sample_count=10) for mu in mus]
 
     monkeypatch.setattr(transport, "collision_boundary_term", squared)
     mus = [0.4, 0.2, 0.1]
@@ -689,7 +699,7 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
         datum = InitialDatum(kind="constant", center=np.zeros(6 * d), width=1.0)
         calls.clear()
         rep = check_collision_scaling(free_potential(d), box, datum, 100, 1, mus)
-        assert calls == mus
+        assert calls == [mus]
         assert rep.check_name == "collision_scaling_slope"
         assert rep.details["fitted_slope"] == pytest.approx(2.0, abs=1e-12)
         assert rep.details["expected_slope"] == d - 1
@@ -744,19 +754,24 @@ def test_collision_scaling_peaks_below_twice_its_sample_buffer():
 
 
 def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
-    # the errors are looked up on the potentials module, where tracing wraps it
+    # the errors are looked up on the potentials module, where tracing wraps
+    # it; every level reads the fixed annulus and sample count
     base = repulsive_power(d=2, exponent=0.5)
     kernel, shrink = MollifierKernel(d=2), ShrinkFunction()
+    fixed = (*GRADIENT_ANNULUS, GRADIENT_SAMPLES)
     for errors, passed in (([1.0, 0.25, 0.26], True), ([1.0, 0.25, 0.27], False)):
         table = dict(zip((3, 4, 5), errors))
-        monkeypatch.setattr(
-            potentials, "gradient_l1_error",
-            lambda b, k, s, level, r_in, r_out, n_samples, seed: MCEstimate(
-                estimate=table[level], std_error=0.01 * table[level]
-            ),
-        )
-        rep = check_gradient_l1_decreasing(base, kernel, shrink, [3, 4, 5], 0.5, 2.0, 100, 1)
+        calls = []
+
+        def error(b, k, s, level, r_in, r_out, n_samples, seed):
+            calls.append((r_in, r_out, n_samples))
+            return MCEstimate(estimate=table[level], std_error=0.01 * table[level])
+
+        monkeypatch.setattr(potentials, "gradient_l1_error", error)
+        rep = check_gradient_l1_decreasing(base, kernel, shrink, [3, 4, 5], 1)
+        assert calls == [fixed] * 3 and fixed == (0.5, 2.0, 20_000)
         assert rep.check_name == "gradient_l1_decreasing"
+        assert rep.sample_count == GRADIENT_SAMPLES
         assert rep.statistic == max(errors[1] / errors[0], errors[2] / errors[1])
         assert rep.tolerance == 1.05 and rep.std_error == rep.bias_bound == 0.0
         assert rep.details["errors"] == errors
@@ -764,4 +779,4 @@ def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
         assert rep.passed is passed
     for levels in ([3], [3, 3], [4, 3]):
         with pytest.raises(DomainError):
-            check_gradient_l1_decreasing(base, kernel, shrink, levels, 0.5, 2.0, 100, 1)
+            check_gradient_l1_decreasing(base, kernel, shrink, levels, 1)
