@@ -19,12 +19,13 @@ no stop, and "restarted" one call per leg between two stops, each
 starting with its own force evaluation (not counted as a step).
 
 The "estimator" row times `transport.ResidualTerms.add`, the per-node
-terms of the renormalization suite, in microseconds per Simpson node.
-It feeds the rows of a bump datum on PhaseBox.centered(2, 2, 1.2, 1.2)
-that carry a nonzero value (about 23% of ESTIMATOR_SAMPLES = 100k, so
-about 23k rows) from a free flow paused at the transport.RESIDUAL_NODES
-Simpson nodes of a window [0.2, 1.8], with the identity and the four shipped
-renormalizers as value maps, as `check_renormalization_suite` does.
+defect brackets of the renormalization suite, in microseconds per
+Simpson node.  It feeds the rows of a bump datum on
+PhaseBox.centered(2, 2, 1.2, 1.2) that carry a nonzero value (about 23%
+of ESTIMATOR_SAMPLES = 100k, so about 23k rows) from a free flow paused
+at the transport.RESIDUAL_NODES Simpson nodes of a window [0.2, 1.8].
+No value map is evaluated per node: the bracket is the same for every
+map, which `weak_residual_statistics` weights by g(f0) once afterwards.
 
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
@@ -160,11 +161,10 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     phi = transport.random_test_function(
         2, 2, box, *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "integrator-bench-phi")
     )
-    maps = [None] + [lambda t, f, b=b: b(f) for b in transport.shipped_beta_family(1.0)]
     pot = free_potential(2)
     walls, inside = [], 0
     for _ in range(repeats):
-        terms = transport.ResidualTerms(e0, pot, phi, maps)
+        terms = transport.ResidualTerms(e0, pot, phi)
         rows = terms.rows
         spent, k = 0.0, iter(range(transport.RESIDUAL_NODES))
 

@@ -595,32 +595,31 @@ def simpson_times(phi: TestFunction) -> np.ndarray:
 
 
 class ResidualTerms:
-    """Per-row sums of the weak-identity defect, before any statistic.
+    """Per-row defect brackets of the weak identity, before any statistic.
 
     The rows are those of e0, the ensemble at t = 0 (DomainError at any
     other time), whose datum must be compactly supported inside its box.
-    Terms are kept for the carried rows, `rows` = the e0 rows with a
+    Brackets are kept for the carried rows, `rows` = the e0 rows with a
     nonzero value, which carry `carried` = their values; every value
-    map must send 0 to 0, so the other rows sum to 0.  For kept row i
-    (e0 row rows[i]), acc_full[i, m] holds
-    sum_k S_k g_m(t_k, f0_i) Dphi(t_k, Y_i(t_k)) plus the t = 0 boundary
-    term g_m(0, f0_i) phi(0, z_i); acc_half[i, m] holds the same on the
-    half-resolution Simpson grid.  A value map g(t, f0) gives the value
-    a row carries at time t (None: f0 itself); a transported density
-    carries f0 unchanged, so a renormalizer beta is the map
-    (t, f0) -> beta(f0).  The nodes are the RESIDUAL_NODES `simpson_times`
-    of phi.  `active` marks the e0 rows that no flow flagged and `weight`
-    is the ensemble's sample weight.  map_seconds[m] is the time map m's
-    own terms took.
+    map must send 0 to 0, so the other rows weigh 0.  For kept row i
+    (e0 row rows[i]), acc_full[i] holds the bracket
+    sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k)), plus the t = 0 boundary term
+    c(0) phi(0, z_i) when phi's time window opens before 0; acc_half[i]
+    holds the same on the half-resolution Simpson grid.  c is
+    `time_factor` (None: c = 1), a corruption no transported density
+    has.  weak_residual_statistics weights the bracket by g(f0_i) once
+    per value map g.  The nodes are the RESIDUAL_NODES
+    `simpson_times` of phi.  `active` marks the e0 rows that no flow
+    flagged and `weight` is the ensemble's sample weight.
 
     `add` takes the terms of one Simpson node (`times`) for any subset of
     the kept rows, so rows that are never added sum to 0.
     weak_residual_suite flows the kept rows once, paused at the nodes,
     and feeds the (m, n, d) views of the live component-major batch.
     Each node tests supp phi once (`support_mask`), and only the rows
-    inside it are gathered: their states, forces and carried values.
-    One `bump_pair` call gives the axis factors and their slopes, and
-    one scatter adds the terms of every map.
+    inside it are gathered: their states and forces.  One `bump_pair`
+    call gives the axis factors and their slopes, and one scatter per
+    grid adds the node's terms.
     """
 
     def __init__(
@@ -628,7 +627,7 @@ class ResidualTerms:
         e0: Ensemble,
         potential,
         phi: TestFunction,
-        value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
+        time_factor: Callable[[float], float] | None = None,
     ):
         if e0.time != 0.0:
             raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
@@ -644,21 +643,17 @@ class ResidualTerms:
                 "test function support reaches within the collision margin of"
                 " the coincidence set of a confining potential"
             )
-        self.phi, self.value_maps = phi, list(value_maps)
+        self.phi, self.time_factor = phi, time_factor
         self.times = simpson_times(phi)
         self.window = a, b = residual_window(phi)
         self.w_full = simpson_weights(RESIDUAL_NODES, a, b)
         self.w_half = simpson_weights((RESIDUAL_NODES + 1) // 2, a, b)
-        n_maps = len(self.value_maps)
         self.rows = np.flatnonzero(e0.values)
         self.carried = e0.values[self.rows]
-        # one row per kept row, one column per map, so that a node adds the
-        # terms of every map in one scatter
-        self.acc_full = np.zeros((self.rows.size, n_maps))
-        self.acc_half = np.zeros((self.rows.size, n_maps))
+        self.acc_full = np.zeros(self.rows.size)
+        self.acc_half = np.zeros(self.rows.size)
         self.active = e0.flags == dynamics.FLAG_OK
         self.weight = e0.weight
-        self.map_seconds = np.zeros(n_maps)
 
     def add(self, k: int, t: float, x, v, forces, idx) -> None:
         """Add the terms of Simpson node k, at time t, of the given rows:
@@ -670,8 +665,9 @@ class ResidualTerms:
             raise AlignmentError(
                 f"node {k} offered at t={t:g} is not Simpson node {self.times[k]:g}"
             )
+        c = 1.0 if self.time_factor is None else float(self.time_factor(t))
         if k == 0 and self.phi.time_window[0] < 0.0:
-            term0 = self._terms(t, self.carried[idx], self.phi.value(0.0, x, v))
+            term0 = c * self.phi.value(0.0, x, v)
             self.acc_full[idx] += term0
             self.acc_half[idx] += term0
         # the pairing vanishes off supp phi, so evaluate only there
@@ -680,87 +676,77 @@ class ResidualTerms:
             return
         pairing_in = self.phi.transport_pairing(t, x, v, forces, cols)
         at = idx[cols]
-        terms = self._terms(t, self.carried[at], pairing_in)
-        self.acc_full[at] += self.w_full[k] * terms
+        self.acc_full[at] += (c * self.w_full[k]) * pairing_in
         if k % 2 == 0:
-            self.acc_half[at] += self.w_half[k // 2] * terms
-
-    def _terms(self, t: float, carried: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """g_m(t, carried) * factor for every map m, one column per map;
-        map_seconds[m] gets the time of column m."""
-        out = np.empty((carried.size, len(self.value_maps)))
-        for m, g in enumerate(self.value_maps):
-            started = time.perf_counter()
-            np.multiply(carried if g is None else g(t, carried), factor, out=out[:, m])
-            self.map_seconds[m] += time.perf_counter() - started
-        return out
+            self.acc_half[at] += (c * self.w_half[k // 2]) * pairing_in
 
 
-def weak_residual_statistics(terms: ResidualTerms, step_size: float) -> list[MCEstimate]:
-    """One estimate per value map from the per-row sums.
+def weak_residual_statistics(
+    terms: ResidualTerms,
+    step_size: float,
+    value_map: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> MCEstimate:
+    """The estimate of one value map g from the per-row brackets.
 
-    The estimate is sum_i w acc_full_i over the active e0 rows, w the
-    sample weight, the rows that are not kept reading 0.
+    The estimate is sum_i w g(f0_i) acc_full_i over the active e0 rows,
+    w the sample weight, the rows that are not kept reading 0; g is
+    evaluated once, on the carried values (None: f0 itself).
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid);
     bias_bound is the pinned O(dt^2) term of an integrator of step
-    `step_size`.  details["map_seconds"] is the time the map's own
-    terms took.
+    `step_size`.  details["seconds"] is the wall time of this call.
     """
+    started = time.perf_counter()
     size = terms.active.size
     n_active = int(np.sum(terms.active))
-    out = []
+    weights = terms.carried if value_map is None else value_map(terms.carried)
     full = np.zeros(size)
 
-    def spread(acc):
-        full[terms.rows] = acc
-        return full
+    def weighted(acc):
+        full[terms.rows] = weights * acc
+        return np.where(terms.active, terms.weight * full, 0.0)
 
-    for m in range(terms.acc_full.shape[1]):
-        xi = np.where(terms.active, terms.weight * spread(terms.acc_full[:, m]), 0.0)
-        mc = MCEstimate.from_samples(
-            xi,
-            bias_bound=DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi))),
-            sample_count=n_active,
-        )
-        coarse = float(
-            np.sum(np.where(terms.active, terms.weight * spread(terms.acc_half[:, m]), 0.0))
-        )
-        quad_err = abs(coarse - mc.estimate) / 15.0
-        out.append(
-            replace(
-                mc,
-                std_error=math.hypot(mc.std_error, quad_err),
-                details={
-                    "flagged_fraction": 1.0 - n_active / size,
-                    "mc_std_error": mc.std_error,
-                    "quadrature_error": quad_err,
-                    "window": terms.window,
-                    "map_seconds": float(terms.map_seconds[m]),
-                },
-            )
-        )
-    return out
+    xi = weighted(terms.acc_full)
+    mc = MCEstimate.from_samples(
+        xi,
+        bias_bound=DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi))),
+        sample_count=n_active,
+    )
+    quad_err = abs(float(np.sum(weighted(terms.acc_half))) - mc.estimate) / 15.0
+    return replace(
+        mc,
+        std_error=math.hypot(mc.std_error, quad_err),
+        details={
+            "flagged_fraction": 1.0 - n_active / size,
+            "mc_std_error": mc.std_error,
+            "quadrature_error": quad_err,
+            "window": terms.window,
+            "seconds": time.perf_counter() - started,
+        },
+    )
 
 
 def weak_residual_suite(
     e0: Ensemble,
     potential,
     phis: Sequence[TestFunction],
-    value_maps: Sequence[Callable[[float, np.ndarray], np.ndarray] | None],
+    value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
     icfg: IntegratorConfig,
+    time_factor: Callable[[float], float] | None = None,
 ) -> list[list[MCEstimate]]:
     """Weak-identity defects of e0's carried density, one flow for all.
 
     For each test function phi and value map g the estimate is
 
-        sum_k S_k sum_i w_i g(t_k, f0_i) Dphi(t_k, Y_i(t_k))
-            + sum_i w_i g(0, f0_i) phi(0, z_i),
+        sum_i w_i g(f0_i) [sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k))
+                           + c(0) phi(0, z_i)],
 
-    which vanishes in expectation for exact transport (see ResidualTerms
-    for the maps).  Returns one list of estimates, in value-map order,
-    per test function.  The test functions must share one time window,
-    so that they share its RESIDUAL_NODES Simpson nodes.
+    which vanishes in expectation for exact transport with c = 1
+    (`time_factor` None; see ResidualTerms).  A value map g(f0) gives
+    the value a row carries (None: f0 itself), so a renormalizer beta is
+    its own map.  Returns one list of estimates, in value-map order, per
+    test function.  The test functions must share one time window, so
+    that they share its RESIDUAL_NODES Simpson nodes.
 
     Only the rows with a nonzero carried value are flowed: every map
     must send 0 to 0 (renormalization in L^1 needs beta(0) = 0), so a
@@ -777,7 +763,7 @@ def weak_residual_suite(
     window = residual_window(phis[0])
     if any(residual_window(phi) != window for phi in phis[1:]):
         raise DomainError("test functions of one call must share one time window")
-    suite = [ResidualTerms(e0, potential, phi, value_maps) for phi in phis]
+    suite = [ResidualTerms(e0, potential, phi, time_factor) for phi in phis]
     times, rows = suite[0].times, suite[0].rows
     nodes_seen = itertools.count()
 
@@ -793,7 +779,7 @@ def weak_residual_suite(
     out = []
     for terms in suite:
         terms.active[rows] &= flags == dynamics.FLAG_OK
-        out.append(weak_residual_statistics(terms, icfg.dt))
+        out.append([weak_residual_statistics(terms, icfg.dt, g) for g in value_maps])
     return out
 
 

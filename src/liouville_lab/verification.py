@@ -192,7 +192,8 @@ CHECK_NAMES = tuple(TOLERANCES)
 ENERGY_QUANTILE = 0.9
 # time-continuity resolution in integrator steps, rounded to walk nodes
 DELTA_STEPS = 10
-# velocity kick of the group-law control after every flow leg
+# velocity kick of the group-law control, given to particle 1 at s on the
+# composed path only
 KICK = 0.05
 WEAK_ODE_NODES = 129
 # largest shrink factor of the box holding a non-confining observable: its
@@ -414,8 +415,13 @@ def _worst(values: np.ndarray, selected: np.ndarray) -> float:
 
 
 def _kicked(state):
+    """The state with KICK added to every velocity component of particle 1.
+    A kick of every particle alike would only move the centre of mass,
+    which the pair forces carry along unchanged."""
     x, v, ok = state
-    return x, v + KICK, ok
+    v = v.copy()
+    v[:, 0] += KICK
+    return x, v, ok
 
 
 def _delta_nodes(t: float, dt: float) -> int:
@@ -669,13 +675,13 @@ def flow_axiom_suite(
             )
         if "group_property" in checks:
             started = time.perf_counter()
-            direct, comp = end, composed
+            comp = composed
             if control:
-                # a velocity kick after every leg, which composing applies twice
-                direct = _kicked(end)
-                comp = _kicked(sample.advance(_kicked(mid), 0.6 * t, icfg))
+                # one kick at s inside the composed path: the gap is what the
+                # flow makes of it by the end
+                comp = sample.advance(_kicked(mid), 0.6 * t, icfg)
             out["group_property", control] = _group_property(
-                sample, direct, comp, 0.4 * t, 0.6 * t, control, started,
+                sample, end, comp, 0.4 * t, 0.6 * t, control, started,
             )
         started = time.perf_counter()
         if control and {"weak_ode", "energy_invariance"} & names:
@@ -796,7 +802,9 @@ def check_mollification_cauchy(
     needed (DomainError otherwise).  At the finest level the flow must
     not depend on the kernel: switching to the kernel of power + 2 moves
     it by at most twice the finest gap (second report).  Control: a
-    damped flow at the finest level breaks the gap ordering.
+    damped flow at the finest level breaks the gap ordering.  Both
+    means are MCEstimate.from_samples sums of the per-sample terms over
+    their count, so fewer than two unflagged samples raise DomainError.
     """
     started = time.perf_counter()
     levels = require_levels(levels, 3)
@@ -822,13 +830,12 @@ def check_mollification_cauchy(
         )
 
     gaps = [phase_dist(ends[i], ends[i + 1]) for i in range(len(ends) - 1)]
-    diffs = []
-    diff_ses = []
-    for i in range(len(gaps) - 1):
-        delta = gaps[i + 1][ok] - gaps[i][ok]
-        diffs.append(float(np.mean(delta)))
-        diff_ses.append(float(np.std(delta, ddof=1) / math.sqrt(delta.size)))
-    worst = int(np.argmax(diffs))
+    # the mean change of the gap from one level pair to the next
+    diffs = [
+        MCEstimate.from_samples((fine[ok] - coarse[ok]) / np.count_nonzero(ok))
+        for coarse, fine in zip(gaps, gaps[1:])
+    ]
+    worst = max(diffs, key=lambda diff: diff.estimate)
     flagged = float(np.mean(~ok))
     elapsed = time.perf_counter() - started
     cauchy = CheckReport.build(
@@ -836,8 +843,8 @@ def check_mollification_cauchy(
         potential=base.describe(),
         seed=seed,
         sample_count=count,
-        statistic=diffs[worst],
-        std_error=diff_ses[worst],
+        statistic=worst.estimate,
+        std_error=worst.std_error,
         bias_bound=0.0,
         tolerance=0.0,
         flagged_fraction=flagged,
@@ -855,15 +862,14 @@ def check_mollification_cauchy(
     ok2 = ok & (afl == dynamics.FLAG_OK)
     kernel_gap = phase_dist(ends[-1], (ax, av))[ok2]
     finest_gap = float(np.mean(gaps[-1][ok2]))
-    stat = float(np.mean(kernel_gap))
-    se = float(np.std(kernel_gap, ddof=1) / math.sqrt(kernel_gap.size))
+    mean_gap = MCEstimate.from_samples(kernel_gap / kernel_gap.size)
     independence = CheckReport.build(
         check_name="mollification_kernel_independence",
         potential=base.describe(),
         seed=seed,
         sample_count=count,
-        statistic=stat,
-        std_error=se,
+        statistic=mean_gap.estimate,
+        std_error=mean_gap.std_error,
         bias_bound=0.0,
         tolerance=2.0 * finest_gap,
         flagged_fraction=float(np.mean(~ok2)),
@@ -965,23 +971,24 @@ def check_renormalization_suite(
     beta(0) = 0, as renormalization in L^1 does, which is checked for
     every beta (DomainError otherwise).
 
-    Every beta report reweights one per-row defect.  Row i's bracket
-    sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i) is shared by all maps: the
-    identity report weights it by f0_i, each beta report by beta(f0_i).
-    Along a trajectory the bracket is the time integral of d/dt phi, so
-    it is 0 up to Simpson and integrator error for any map, and a beta
+    Every beta report reweights one per-row defect: the suite keeps one
+    bracket per row, sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i), which
+    the identity report weights by f0_i and each beta report by
+    beta(f0_i).  Along a trajectory the bracket is the time integral of
+    d/dt phi, so it is 0 up to Simpson and integrator error for any map, and a beta
     report adds no evidence of renormalization beyond the identity's
     (details["reweighted_defect"] is True on the beta reports).
 
-    Control: the carried values gain a smooth time-dependent factor,
-    which no transported density can have (it also maps 0 to 0).
+    Control: the bracket's terms gain the time factor c(t) =
+    1 + 3 (t - a), a the window's start, which no transported density
+    can have; each beta report reweights that same corrupted bracket.
 
-    runtime_seconds is measured: the identity report carries sampling,
-    the flow, the shared support mask and pairing, the accumulation of
-    the terms and the statistics; each beta report carries only the
-    evaluation of its own terms, timed inside the per-map loop.  The
-    shares sum to the call's wall time.  details["carried_rows"] is the
-    number of rows flowed.
+    runtime_seconds is measured: each beta report carries the
+    weak_residual_statistics call that reweights the bracket by its
+    beta, and the identity report carries the rest (sampling, the flow,
+    the shared support mask and pairing, the accumulation of the
+    bracket and its own statistics).  The shares sum to the call's wall
+    time.  details["carried_rows"] is the number of rows flowed.
     """
     started = time.perf_counter()
     shifted = [b.name for b in betas if b(np.zeros(1))[0] != 0.0]
@@ -996,23 +1003,17 @@ def check_renormalization_suite(
         )
     e0 = sample_ensemble(box, count, datum, seed)
     a, _ = residual_window(phi)
-
-    def value_map(beta):
-        if negative_control:
-            return lambda t, f: beta((1.0 + 3.0 * (t - a)) * f)
-        return lambda t, f: beta(f)
-
-    maps = [value_map(lambda f: f)] + [value_map(b) for b in betas]
-    (results,) = weak_residual_suite(e0, potential, [phi], maps, icfg)
+    time_factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
+    (results,) = weak_residual_suite(e0, potential, [phi], [None, *betas], icfg, time_factor)
     elapsed = time.perf_counter() - started
-    beta_seconds = [r.details["map_seconds"] for r in results[1:]]
+    beta_seconds = [r.details["seconds"] for r in results[1:]]
     shares = [elapsed - sum(beta_seconds)] + beta_seconds
     names = ["identity"] + [b.name for b in betas]
     suffix = "_control" if negative_control else ""
     carried_rows = int(np.count_nonzero(e0.values))
     reports = []
     for m, (name, r, share) in enumerate(zip(names, results, shares)):
-        details = {k: val for k, val in r.details.items() if k != "map_seconds"}
+        details = {k: val for k, val in r.details.items() if k != "seconds"}
         details.update(carried_rows=carried_rows, reweighted_defect=m > 0)
         reports.append(
             CheckReport.build(

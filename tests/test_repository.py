@@ -38,9 +38,31 @@ def test_every_imported_name_is_used():
     assert found == KEPT_FOR_TRACER
 
 
+def test_standard_errors_come_from_the_one_sum():
+    # every Monte Carlo standard error is MCEstimate.from_samples
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "estimates.py" and "np.std(" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def test_readme_quick_start_runs(capsys):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = re.search(r"```python\n(.*?)```", text, re.S).group(1)
-    exec(compile(block, "README.md", "exec"), {})
-    # it prints the energy drift of a 10-unit flow
-    assert float(capsys.readouterr().out) < 1e-6
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    # the blocks run in order in one namespace, as a reader would paste them
+    namespace = {}
+    outputs = []
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+        outputs.append(capsys.readouterr().out.split("\n")[:-1])
+    # the energy drift of a 10-unit flow
+    (drift,) = outputs[0]
+    assert float(drift) < 1e-6
+    # one weak residual per test function, each inside its budget
+    assert len(outputs[1]) == 3
+    for line in outputs[1]:
+        estimate, std_error, bias_bound = map(float, line.split())
+        assert abs(estimate) <= 3.0 * std_error + bias_bound

@@ -541,9 +541,9 @@ def test_weak_residual_flags_a_non_solution():
     e = sample_ensemble(box, 10_000, datum, seed=29)
     phi = make_phi(scale=0.85)
     a, _ = residual_window(phi)
-    corrupted = lambda t, f: (1.0 + 6.0 * (t - a)) * f  # noqa: E731
     ((est,),) = weak_residual_suite(
-        e, free_potential(2), [phi], [corrupted], IntegratorConfig(dt=1e-2)
+        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2),
+        time_factor=lambda t: 1.0 + 6.0 * (t - a),
     )
     assert abs(est.estimate) > 3.0 * est.std_error
 
@@ -552,7 +552,7 @@ def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
     _, _, e, phi = free_setup()
     tanh = tanh_squash(1.0)
     ((ident, squashed),) = weak_residual_suite(
-        e, free_potential(2), [phi], [None, lambda t, f: tanh(f)],
+        e, free_potential(2), [phi], [None, tanh],
         IntegratorConfig(dt=1e-2),
     )
     for est in (ident, squashed):
@@ -566,7 +566,7 @@ def test_weak_residual_suite_equals_one_call_per_test_function_bitwise():
     icfg = IntegratorConfig(dt=1e-2)
     rng = np.random.default_rng(11)
     phis = [random_test_function(2, 2, box, t_center=0.5, t_width=0.45, rng=rng) for _ in range(3)]
-    maps = [None, lambda t, f: arctan_squash(1.0)(f)]
+    maps = [None, arctan_squash(1.0)]
     together = weak_residual_suite(e, pot, phis, maps, icfg)
     assert len(together) == 3
     for phi, ests in zip(phis, together):
@@ -601,7 +601,7 @@ def test_weak_residual_suite_time_validation():
 
 def test_weak_residual_alignment_errors():
     _, _, e, phi = free_setup(count=100)
-    terms = ResidualTerms(e, free_potential(2), phi, [None])
+    terms = ResidualTerms(e, free_potential(2), phi)
     x, v = e.x[terms.rows], e.v[terms.rows]
     idx = np.arange(terms.rows.size)
     node = lambda k, t: terms.add(k, t, x, v, np.zeros_like(x), idx)  # noqa: E731
@@ -619,7 +619,7 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
     # the every-row reference: one ResidualTerms fed the carried rows of a
     # flow of all rows
-    ref = ResidualTerms(e, pot, phi, [None])
+    ref = ResidualTerms(e, pot, phi)
     k = iter(range(ref.times.size))
     kept_of = np.full(e.size, -1)
     kept_of[ref.rows] = np.arange(ref.rows.size)
@@ -632,7 +632,7 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
 
     flow = transport.flow_batch
     flow(e.x, e.v, pot, ref.times[-1], icfg, stops=ref.times, observe=add_node)
-    (want,) = weak_residual_statistics(ref, icfg.dt)
+    want = weak_residual_statistics(ref, icfg.dt)
     flowed = []
     monkeypatch.setattr(
         transport, "flow_batch", lambda x, *a, **k: flowed.append(len(x)) or flow(x, *a, **k)
@@ -645,28 +645,34 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     )
 
 
-def test_weak_residual_suite_hands_value_maps_the_node_times():
+def test_weak_residual_suite_hands_time_factor_the_node_times():
     _, _, e, phi = free_setup()
     early = replace(phi, t_center=0.2)  # window [0, 0.65]: a t = 0 boundary term
-    seen = []
+    seen, weighed = [], []
 
-    def record(t, f):
-        seen.append((t, f.copy()))
+    def factor(t):
+        seen.append(t)
+        return 2.0
+
+    def weigh(f):
+        weighed.append(f.copy())
         return f
 
     ((est,),) = weak_residual_suite(
-        e, free_potential(2), [early], [record], IntegratorConfig(dt=1e-2)
+        e, free_potential(2), [early], [weigh], IntegratorConfig(dt=1e-2), time_factor=factor
     )
-    times = simpson_times(early)
-    assert seen[0][0] == 0.0 == times[0]
-    assert set(t for t, _ in seen) <= set(times)
-    assert len(set(t for t, _ in seen)) > times.size // 2
-    carried = set(e.values[e.values != 0.0])
-    assert all(set(f) <= carried for _, f in seen)
+    # one call per Simpson node, in order, whether or not a row is inside
+    assert seen == list(simpson_times(early))
+    assert seen[0] == 0.0
+    # a value map is evaluated once, on the carried values only
+    assert len(weighed) == 1
+    assert np.array_equal(weighed[0], e.values[e.values != 0.0])
+    # a factor of 2 doubles every term, the t = 0 boundary term included,
+    # and so the estimate, exactly
     (ident,) = weak_residual_suite(
         e, free_potential(2), [early], [None], IntegratorConfig(dt=1e-2)
     )[0]
-    assert est.estimate == ident.estimate
+    assert est.estimate == 2.0 * ident.estimate != 0.0
 
 
 def test_weak_residual_rejects_non_compact_datum():

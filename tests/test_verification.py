@@ -37,6 +37,7 @@ from liouville_lab.verification import (
     FLAGGED_FRACTION_LIMIT,
     GRADIENT_ANNULUS,
     GRADIENT_SAMPLES,
+    KICK,
     WEAK_ODE_NODES,
     CheckReport,
     check_collision_scaling,
@@ -269,7 +270,10 @@ def test_group_property_passes_and_control_fails():
     assert ok.details["s"] == 0.4 and ok.details["t"] == 0.6
     bad = check_group_property(harmonic(2), BOX, 1.0, 2000, SEED, ICFG, negative_control=True)
     assert not bad.passed
-    assert bad.statistic >= 0.04
+    # one kick of particle 1 at s, on the composed path only: the gap is
+    # what the flow makes of the kick, not the kick itself
+    assert bad.statistic > 1e4 * bad.tolerance
+    assert abs(bad.statistic - KICK) > 1e-3
 
 
 def test_energy_invariance_passes_and_control_fails():
@@ -460,6 +464,16 @@ def test_mollification_cauchy_needs_three_increasing_levels(levels):
         )
 
 
+def test_mollification_cauchy_needs_two_samples():
+    # one sample has no standard error for either mean
+    with pytest.raises(DomainError, match="two samples"):
+        check_mollification_cauchy(
+            repulsive_power(2, exponent=0.5), MollifierKernel(d=2, power=3),
+            ShrinkFunction(), PhaseBox.centered(2, 2, 1.2, 1.2), t=0.2, count=1,
+            seed=3, icfg=IntegratorConfig(dt=2e-3), levels=(3, 4, 5),
+        )
+
+
 # ---------------------------------------------------------------------------
 # renormalized residuals, free transport for speed
 
@@ -503,13 +517,8 @@ def residual_reference(pot, count, negative_control):
     """The suite's estimates by hand: every sample stepped leg by leg."""
     e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
     a, _ = residual_window(RESIDUAL_PHI)
-    betas = shipped_beta_family(1.0)
-    if negative_control:
-        scaled = lambda t, f: (1.0 + 3.0 * (t - a)) * f  # noqa: E731
-        maps = [scaled] + [lambda t, f, b=b: b(scaled(t, f)) for b in betas]
-    else:
-        maps = [None] + [lambda t, f, b=b: b(f) for b in betas]
-    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, maps)
+    factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
+    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, factor)
     # every row is stepped; the terms are fed the carried rows of each node
     kept = terms.rows
     e = e0
@@ -518,7 +527,71 @@ def residual_reference(pot, count, negative_control):
         terms.active &= e.flags == FLAG_OK
         x, v = e.x[kept], e.v[kept]
         terms.add(k, e.time, x, v, _forces(x, pot)[0], np.arange(kept.size))
-    return e0, transport.weak_residual_statistics(terms, RESIDUAL_ICFG.dt)
+    maps = [None, *shipped_beta_family(1.0)]
+    return e0, [transport.weak_residual_statistics(terms, RESIDUAL_ICFG.dt, g) for g in maps]
+
+
+def per_node_reference(pot, count, negative_control):
+    """(estimate, std_error) of each map by the per-node, per-map formula:
+    sum_k S_k g(t_k, f0) Dphi(t_k, Y(t_k)) + g(0, f0) phi(0, z) with a
+    value map g(t, f0) of its own per report, evaluated at every node.
+    The control map is beta((1 + 3 (t - a)) f0), a the window's start."""
+    e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
+    phi, times = RESIDUAL_PHI, transport.simpson_times(RESIDUAL_PHI)
+    a, b = residual_window(phi)
+    w_full = transport.simpson_weights(times.size, a, b)
+    w_half = transport.simpson_weights((times.size + 1) // 2, a, b)
+    scale = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else (lambda t: 1.0)
+    maps = [lambda t, f: scale(t) * f] + [
+        lambda t, f, beta=beta: beta(scale(t) * f) for beta in shipped_beta_family(1.0)
+    ]
+    full = np.zeros((len(maps), e0.size))
+    half = np.zeros((len(maps), e0.size))
+    assert phi.time_window[0] < 0.0 == times[0]
+    for m, g in enumerate(maps):
+        full[m] += g(0.0, e0.values) * phi.value(0.0, e0.x, e0.v)
+    half[:] = full
+    e = e0
+    for k, tk in enumerate(times):
+        e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
+        rows = np.flatnonzero(phi.support_mask(tk, e.x, e.v))
+        pairing = phi.transport_pairing(tk, e.x, e.v, _forces(e.x, pot)[0], rows)
+        for m, g in enumerate(maps):
+            term = g(tk, e0.values[rows]) * pairing
+            full[m, rows] += w_full[k] * term
+            if k % 2 == 0:
+                half[m, rows] += w_half[k // 2] * term
+    ok = e.flags == FLAG_OK
+    out = []
+    for m in range(len(maps)):
+        mc = MCEstimate.from_samples(np.where(ok, e0.weight * full[m], 0.0))
+        coarse = float(np.sum(np.where(ok, e0.weight * half[m], 0.0)))
+        out.append((mc.estimate, np.hypot(mc.std_error, abs(coarse - mc.estimate) / 15.0)))
+    return out
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
+@pytest.mark.parametrize(
+    "pot", [free_potential(2), piecewise_radial(2, 0.8, -0.6, 0.4)], ids=lambda p: p.kind
+)
+def test_renormalization_suite_reweights_the_per_node_formula(pot, control):
+    # one bracket per row, weighted once per map, is the per-node sum of
+    # every map's terms up to rounding
+    reports = check_renormalization_suite(
+        pot, RESIDUAL_BOX, RESIDUAL_DATUM, shipped_beta_family(1.0), 3000, SEED,
+        RESIDUAL_ICFG, phi=RESIDUAL_PHI, negative_control=control,
+    )
+    expected = per_node_reference(pot, 3000, control)
+    # the control's time factor multiplies the bracket, so only the
+    # identity control keeps the per-node form; a beta control weights the
+    # corrupted bracket by beta(f0) where the formula took beta of c(t) f0
+    compared = reports if not control else reports[:1]
+    for r, (estimate, std_error) in zip(compared, expected):
+        assert r.statistic == pytest.approx(abs(estimate), rel=1e-11, abs=0.0), r.check_name
+        assert r.std_error == pytest.approx(std_error, rel=1e-11, abs=0.0), r.check_name
+    if control:
+        for r, (estimate, _) in zip(reports[1:], expected[1:]):
+            assert r.statistic != abs(estimate), r.check_name
 
 
 @pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
