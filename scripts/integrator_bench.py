@@ -18,14 +18,13 @@ flow_batch call pausing at every stop, "straight" one call over t with
 no stop, and "restarted" one call per leg between two stops, each
 starting with its own force evaluation (not counted as a step).
 
-The "estimator" row times `transport.ResidualTerms.add`, the per-node
-defect brackets of the renormalization suite, in microseconds per
-Simpson node.  It feeds the rows of a bump datum on
-PhaseBox.centered(2, 2, 1.2, 1.2) that carry a nonzero value (about 23%
-of ESTIMATOR_SAMPLES = 100k, so about 23k rows) from a free flow paused
-at the transport.RESIDUAL_NODES Simpson nodes of a window [0.2, 1.8].
-No value map is evaluated per node: the bracket is the same for every
-map, which `weak_residual_statistics` weights by g(f0) once afterwards.
+The "estimator" row times one `transport.weak_residual_suite` call, the
+weak-residual estimator of the renormalization suite, in microseconds
+per Simpson node: its one `simpson_walk` over the rows of a bump datum
+on PhaseBox.centered(2, 2, 1.2, 1.2) that carry a nonzero value (about
+23% of ESTIMATOR_SAMPLES = 100k, so about 23k rows), under the free
+flow in closed form, paused at the transport.RESIDUAL_NODES Simpson
+nodes of a window [0.2, 1.8], and the statistics of the identity map.
 
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
@@ -161,31 +160,18 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     phi = transport.random_test_function(
         2, 2, box, *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "integrator-bench-phi")
     )
-    pot = free_potential(2)
-    walls, inside = [], 0
+    pot, icfg = free_potential(2), IntegratorConfig()
+    walls = []
     for _ in range(repeats):
-        terms = transport.ResidualTerms(e0, pot, phi)
-        rows = terms.rows
-        spent, k = 0.0, iter(range(transport.RESIDUAL_NODES))
-
-        def add(tk, batch):
-            nonlocal spent, inside
-            x, v, a = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-            started = time.perf_counter()
-            terms.add(next(k), tk, x, v, a, batch.idx)
-            spent += time.perf_counter() - started
-            inside += int(np.count_nonzero(phi.support_mask(tk, x, v)))
-
-        flow_batch(e0.x[rows], e0.v[rows], pot, terms.times[-1], IntegratorConfig(),
-                   stops=terms.times, observe=add)
-        walls.append(spent)
+        started = time.perf_counter()
+        transport.weak_residual_suite(e0, pot, phi, [None], icfg)
+        walls.append(time.perf_counter() - started)
     per = [1e6 * w / transport.RESIDUAL_NODES for w in walls]
     return {
         "kind": "estimator",
         "samples": samples,
-        "carried_rows": int(rows.size),
+        "carried_rows": int(np.count_nonzero(e0.values)),
         "nodes": transport.RESIDUAL_NODES,
-        "support_rows_per_node": inside / (repeats * transport.RESIDUAL_NODES),
         "us_per_node": {"median": statistics.median(per), "min": min(per)},
     }
 

@@ -4,9 +4,12 @@ Samples a compact bump, pushes it along the particle flow, and pairs the
 result against random compactly supported test functions.  The residual
 of the space-time integral identity should sit inside its Monte Carlo
 error band for the raw density and for every bounded renormalizer of it.
+With --with-control the suite's negative control runs too, and must
+fail.  Exits 1 when a positive report fails or a control report passes.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -22,7 +25,7 @@ POTENTIALS = {
 }
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--potential", choices=sorted(POTENTIALS), default="harmonic")
     ap.add_argument("--count", type=int, default=100_000, help="ensemble size")
@@ -39,6 +42,7 @@ def main():
     betas = shipped_beta_family(args.beta_scale)
 
     variants = [False, True] if args.with_control else [False]
+    wrong = []
     for control in variants:
         reports = V.check_renormalization_suite(
             pot, box, datum, betas, count=args.count, seed=args.seed,
@@ -46,7 +50,13 @@ def main():
         )
         for r in reports:
             print(r.summary_line())
+            if r.passed == control:
+                wrong.append(r.check_name)
+    if wrong:
+        print(f"wrong verdicts: {', '.join(wrong)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

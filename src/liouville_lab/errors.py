@@ -31,7 +31,3 @@ class QuadratureError(LiouvilleLabError):
 
 class CoverageError(LiouvilleLabError):
     """Sampling box cannot support the requested estimator."""
-
-
-class AlignmentError(LiouvilleLabError):
-    """States offered to an estimator do not match its time nodes."""

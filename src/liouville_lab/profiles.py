@@ -47,14 +47,9 @@ def bump(u):
 
 
 def bump_pair(u):
-    """(b(u), b'(u)) elementwise from one mask and one exponential;
-    bitwise equal to (bump(u), bump_prime(u))."""
+    """(b(u), b'(u)) elementwise from one mask and one exponential, with
+    b'(u) = -2u / (1 - u^2)^2 * b(u); the values are bitwise bump(u)."""
     return _bump(u, slope=True)
-
-
-def bump_prime(u):
-    """Derivative b'(u) = -2u / (1 - u^2)^2 * b(u), elementwise."""
-    return _bump(u, slope=True)[1]
 
 
 def bump_incomplete(w):

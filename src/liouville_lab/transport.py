@@ -14,7 +14,6 @@ solutions apply a C^1 function beta to the carried values first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import IntegratorConfig, flow_batch, _energy_batch
-from .errors import AlignmentError, CoverageError, DomainError
+from .errors import CoverageError, DomainError
 from .estimates import MCEstimate
 from .potentials import CONFINING_AT_ZERO
 from .profiles import bump, bump_pair, smooth_step_down
@@ -588,198 +587,162 @@ def residual_window(phi: TestFunction) -> tuple[float, float]:
     return max(0.0, t0), t1
 
 
-def simpson_times(phi: TestFunction) -> np.ndarray:
-    """The RESIDUAL_NODES Simpson node times of the residual window."""
-    a, b = residual_window(phi)
-    return np.linspace(a, b, RESIDUAL_NODES)
+def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, integrand):
+    """Composite Simpson sums of an integrand along one flow of the
+    (N, n, d) rows x, v.
 
+    The flow runs from 0 to the end b of window = (a, b) and pauses at
+    the `nodes` evenly spaced Simpson nodes of [a, b], 4 m + 1 of them
+    (DomainError otherwise), so that every other node forms the
+    half-resolution grid.  At node k, time
+    t, integrand(k, t, batch) reads the live batch (see flow_batch) and
+    returns (cols, terms): the (..., len(cols)) terms of the batch
+    columns cols, None for every active column.  The walk adds S_k times
+    the terms into the full-grid sum of their rows, and at even k the
+    half-grid weight times them into the half-grid sum, the composite
+    Simpson rule over every other node.  Both sums ride along with the
+    rows, allocated at the first node with the shape of its terms.
 
-class ResidualTerms:
-    """Per-row defect brackets of the weak identity, before any statistic.
-
-    The rows are those of e0, the ensemble at t = 0 (DomainError at any
-    other time), whose datum must be compactly supported inside its box.
-    Brackets are kept for the carried rows, `rows` = the e0 rows with a
-    nonzero value, which carry `carried` = their values; every value
-    map must send 0 to 0, so the other rows weigh 0.  For kept row i
-    (e0 row rows[i]), acc_full[i] holds the bracket
-    sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k)), plus the t = 0 boundary term
-    c(0) phi(0, z_i) when phi's time window opens before 0; acc_half[i]
-    holds the same on the half-resolution Simpson grid.  c is
-    `time_factor` (None: c = 1), a corruption no transported density
-    has.  weak_residual_statistics weights the bracket by g(f0_i) once
-    per value map g.  The nodes are the RESIDUAL_NODES
-    `simpson_times` of phi.  `active` marks the e0 rows that no flow
-    flagged and `weight` is the ensemble's sample weight.
-
-    `add` takes the terms of one Simpson node (`times`) for any subset of
-    the kept rows, so rows that are never added sum to 0.
-    weak_residual_suite flows the kept rows once, paused at the nodes,
-    and feeds the (m, n, d) views of the live component-major batch.
-    Each node tests supp phi once (`support_mask`), and only the rows
-    inside it are gathered: their states and forces.  One `bump_pair`
-    call gives the axis factors and their slopes, and one scatter per
-    grid adds the node's terms.
+    Returns the end state (x, v, flags) of the flow and the two sums per
+    input row, as (N, ...) arrays; a flagged row reads 0 in both.
     """
+    a, b = window
+    times = np.linspace(a, b, nodes)
+    w_full = simpson_weights(nodes, a, b)
+    w_half = simpson_weights((nodes + 1) // 2, a, b)
+    held = full = half = None
+    k = 0
 
-    def __init__(
-        self,
-        e0: Ensemble,
-        potential,
-        phi: TestFunction,
-        time_factor: Callable[[float], float] | None = None,
-    ):
-        if e0.time != 0.0:
-            raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
-        if e0.datum is None or not e0.datum.has_compact_support:
-            raise CoverageError("weak residuals need an initial datum with compact support")
-        lo, hi = e0.datum.support_bounds()
-        if not e0.box.contains(lo, hi):
-            raise CoverageError("initial datum support must lie inside the sampling box")
-        if phi.min_support_pair_distance() < COLLISION_MARGIN and getattr(
-            potential, "singularity_class", None
-        ) == CONFINING_AT_ZERO:
-            raise CoverageError(
-                "test function support reaches within the collision margin of"
-                " the coincidence set of a confining potential"
-            )
-        self.phi, self.time_factor = phi, time_factor
-        self.times = simpson_times(phi)
-        self.window = a, b = residual_window(phi)
-        self.w_full = simpson_weights(RESIDUAL_NODES, a, b)
-        self.w_half = simpson_weights((RESIDUAL_NODES + 1) // 2, a, b)
-        self.rows = np.flatnonzero(e0.values)
-        self.carried = e0.values[self.rows]
-        self.acc_full = np.zeros(self.rows.size)
-        self.acc_half = np.zeros(self.rows.size)
-        self.active = e0.flags == dynamics.FLAG_OK
-        self.weight = e0.weight
-
-    def add(self, k: int, t: float, x, v, forces, idx) -> None:
-        """Add the terms of Simpson node k, at time t, of the given rows:
-        (m, n, d) positions x, velocities v and accelerations `forces`.
-        Given row j is kept row idx[j]."""
-        if k >= self.times.size:
-            raise AlignmentError(f"more than {self.times.size} nodes offered")
-        if abs(t - self.times[k]) > 1e-9:
-            raise AlignmentError(
-                f"node {k} offered at t={t:g} is not Simpson node {self.times[k]:g}"
-            )
-        c = 1.0 if self.time_factor is None else float(self.time_factor(t))
-        if k == 0 and self.phi.time_window[0] < 0.0:
-            term0 = c * self.phi.value(0.0, x, v)
-            self.acc_full[idx] += term0
-            self.acc_half[idx] += term0
-        # the pairing vanishes off supp phi, so evaluate only there
-        cols = np.flatnonzero(self.phi.support_mask(t, x, v))
-        if not cols.size:
-            return
-        pairing_in = self.phi.transport_pairing(t, x, v, forces, cols)
-        at = idx[cols]
-        self.acc_full[at] += (c * self.w_full[k]) * pairing_in
+    def add_node(t, batch):
+        nonlocal held, full, half, k
+        cols, terms = integrand(k, t, batch)
+        if held is None:
+            held = batch
+            full = batch.track(np.zeros(terms.shape[:-1] + (batch.N,)))
+            half = batch.track(np.zeros_like(full))
+        if cols is None:
+            cols = slice(None, batch.m)
+        full[..., cols] += w_full[k] * terms
         if k % 2 == 0:
-            self.acc_half[at] += (c * self.w_half[k // 2]) * pairing_in
+            half[..., cols] += w_half[k // 2] * terms
+        k += 1
 
-
-def weak_residual_statistics(
-    terms: ResidualTerms,
-    step_size: float,
-    value_map: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> MCEstimate:
-    """The estimate of one value map g from the per-row brackets.
-
-    The estimate is sum_i w g(f0_i) acc_full_i over the active e0 rows,
-    w the sample weight, the rows that are not kept reading 0; g is
-    evaluated once, on the carried values (None: f0 itself).
-    std_error combines the Monte Carlo error with a Richardson estimate
-    of the Simpson error (the full grid against the half grid);
-    bias_bound is the pinned O(dt^2) term of an integrator of step
-    `step_size`.  details["seconds"] is the wall time of this call.
-    """
-    started = time.perf_counter()
-    size = terms.active.size
-    n_active = int(np.sum(terms.active))
-    weights = terms.carried if value_map is None else value_map(terms.carried)
-    full = np.zeros(size)
-
-    def weighted(acc):
-        full[terms.rows] = weights * acc
-        return np.where(terms.active, terms.weight * full, 0.0)
-
-    xi = weighted(terms.acc_full)
-    mc = MCEstimate.from_samples(
-        xi,
-        bias_bound=DT_BIAS_COEFFICIENT * step_size**2 * float(np.sum(np.abs(xi))),
-        sample_count=n_active,
-    )
-    quad_err = abs(float(np.sum(weighted(terms.acc_half))) - mc.estimate) / 15.0
-    return replace(
-        mc,
-        std_error=math.hypot(mc.std_error, quad_err),
-        details={
-            "flagged_fraction": 1.0 - n_active / size,
-            "mc_std_error": mc.std_error,
-            "quadrature_error": quad_err,
-            "window": terms.window,
-            "seconds": time.perf_counter() - started,
-        },
-    )
+    x, v, flags = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
+    sums = []
+    for acc in (full, half):
+        per_row = np.zeros((held.N,) + acc.shape[:-1])
+        per_row[held.idx] = np.moveaxis(acc[..., : held.m], -1, 0)
+        sums.append(per_row)
+    return (x, v, flags), *sums
 
 
 def weak_residual_suite(
     e0: Ensemble,
     potential,
-    phis: Sequence[TestFunction],
+    phi: TestFunction,
     value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
     icfg: IntegratorConfig,
     time_factor: Callable[[float], float] | None = None,
-) -> list[list[MCEstimate]]:
-    """Weak-identity defects of e0's carried density, one flow for all.
+) -> list[MCEstimate]:
+    """Weak-identity defects of e0's carried density against phi, one
+    estimate per value map g, in order:
 
-    For each test function phi and value map g the estimate is
+        sum_i w g(f0_i) [sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k))
+                         + c(0) phi(0, z_i)],
 
-        sum_i w_i g(f0_i) [sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k))
-                           + c(0) phi(0, z_i)],
+    w the sample weight, S_k the weights of the RESIDUAL_NODES Simpson
+    nodes of `residual_window(phi)`, Dphi the transport pairing and the
+    t = 0 boundary term present only when phi's time window opens before
+    0.  It vanishes in expectation for exact transport with c = 1
+    (`time_factor` None); c(t) != 1 is a corruption no transported
+    density has.  A value map g(f0) gives the value a row carries (None:
+    f0 itself), so a renormalizer beta is its own map.
 
-    which vanishes in expectation for exact transport with c = 1
-    (`time_factor` None; see ResidualTerms).  A value map g(f0) gives
-    the value a row carries (None: f0 itself), so a renormalizer beta is
-    its own map.  Returns one list of estimates, in value-map order, per
-    test function.  The test functions must share one time window, so
-    that they share its RESIDUAL_NODES Simpson nodes.
+    e0 is the ensemble at t = 0 (DomainError otherwise), its datum
+    compactly supported inside its box, and phi's support keeps
+    COLLISION_MARGIN from the coincidence set of a confining potential
+    (CoverageError otherwise).  Only the rows with a nonzero carried
+    value are flowed, in one `simpson_walk`: every map must send 0 to 0
+    (renormalization in L^1 needs beta(0) = 0), so a zero row adds
+    exactly 0 wherever it goes and counts as unflagged.  Each node tests
+    supp phi once (`support_mask`) and pairs only the rows inside it,
+    with the forces of the batch's last step.  The walk keeps one
+    bracket per row, which each map weights once.
 
-    Only the rows with a nonzero carried value are flowed: every map
-    must send 0 to 0 (renormalization in L^1 needs beta(0) = 0), so a
-    zero row adds exactly 0 wherever it goes and counts as unflagged.
-    The flow pauses at the nodes and each node adds its terms from the
-    live batch (states and the forces of its last step) into one
-    ResidualTerms per test function.  Each leg takes the steps of its
-    own flow, so the estimates equal stepping every row leg by leg with
-    push_forward, bitwise on unflagged rows.
+    std_error combines the Monte Carlo error with a Richardson estimate
+    of the Simpson error (the full grid against the half grid, over 15);
+    bias_bound is the pinned O(dt^2) term of an integrator of step
+    icfg.dt.  details["seconds"] is the wall time of the map's own
+    statistics.
     """
-    phis = list(phis)
-    if not phis:
-        raise DomainError("need at least one test function")
-    window = residual_window(phis[0])
-    if any(residual_window(phi) != window for phi in phis[1:]):
-        raise DomainError("test functions of one call must share one time window")
-    suite = [ResidualTerms(e0, potential, phi, time_factor) for phi in phis]
-    times, rows = suite[0].times, suite[0].rows
-    nodes_seen = itertools.count()
+    if e0.time != 0.0:
+        raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
+    if e0.datum is None or not e0.datum.has_compact_support:
+        raise CoverageError("weak residuals need an initial datum with compact support")
+    lo, hi = e0.datum.support_bounds()
+    if not e0.box.contains(lo, hi):
+        raise CoverageError("initial datum support must lie inside the sampling box")
+    if phi.min_support_pair_distance() < COLLISION_MARGIN and getattr(
+        potential, "singularity_class", None
+    ) == CONFINING_AT_ZERO:
+        raise CoverageError(
+            "test function support reaches within the collision margin of"
+            " the coincidence set of a confining potential"
+        )
+    window = residual_window(phi)
 
-    def add_node(tk, batch):
-        k = next(nodes_seen)
+    def pairing(k, t, batch):
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        for terms in suite:
-            terms.add(k, tk, x, v, forces, batch.idx)
+        # the pairing vanishes off supp phi, so evaluate only there
+        cols = np.flatnonzero(phi.support_mask(t, x, v))
+        terms = phi.transport_pairing(t, x, v, forces, cols)
+        if time_factor is not None:
+            terms *= float(time_factor(t))
+        return cols, terms
 
-    _, _, flags = flow_batch(
-        e0.x[rows], e0.v[rows], potential, times[-1], icfg, stops=times, observe=add_node
+    rows = np.flatnonzero(e0.values)
+    carried = e0.values[rows]
+    x0, v0 = e0.x[rows], e0.v[rows]
+    (_, _, flags), acc_full, acc_half = simpson_walk(
+        x0, v0, potential, window, RESIDUAL_NODES, icfg, pairing
     )
+    if phi.time_window[0] < 0.0:
+        term0 = phi.value(0.0, x0, v0)
+        if time_factor is not None:
+            term0 *= float(time_factor(0.0))
+        acc_full += term0
+        acc_half += term0
+    active = e0.flags == dynamics.FLAG_OK
+    active[rows] &= flags == dynamics.FLAG_OK
+    n_active = int(np.sum(active))
+    full = np.zeros(e0.size)
+
+    def weighted(weights, acc):
+        full[rows] = weights * acc
+        return np.where(active, e0.weight * full, 0.0)
+
     out = []
-    for terms in suite:
-        terms.active[rows] &= flags == dynamics.FLAG_OK
-        out.append([weak_residual_statistics(terms, icfg.dt, g) for g in value_maps])
+    for g in value_maps:
+        started = time.perf_counter()
+        weights = carried if g is None else g(carried)
+        xi = weighted(weights, acc_full)
+        mc = MCEstimate.from_samples(
+            xi,
+            bias_bound=DT_BIAS_COEFFICIENT * icfg.dt**2 * float(np.sum(np.abs(xi))),
+            sample_count=n_active,
+        )
+        quad_err = abs(float(np.sum(weighted(weights, acc_half))) - mc.estimate) / 15.0
+        out.append(replace(
+            mc,
+            std_error=math.hypot(mc.std_error, quad_err),
+            details={
+                "flagged_fraction": 1.0 - n_active / e0.size,
+                "mc_std_error": mc.std_error,
+                "quadrature_error": quad_err,
+                "window": window,
+                "seconds": time.perf_counter() - started,
+            },
+        ))
     return out
 
 

@@ -491,51 +491,31 @@ def _energy_invariance(
 
 
 def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
-    """The Simpson walk: one flow over t_final that pauses at the
-    WEAK_ODE_NODES nodes.  Returns the per-sample worst component of the
-    Simpson sum of Y chi' + B(Y) chi, that of its gap to the sum over
-    every other node, and the states at the middle node (0.5 t_final),
-    at `_delta_nodes` nodes later and at t_final."""
-    nodes = WEAK_ODE_NODES
-    t_mid, t_half = t_final / 2.0, t_final / 2.0
-    times = np.linspace(0.0, t_final, nodes)
-    w_full = transport.simpson_weights(nodes, 0.0, t_final)
-    w_half = transport.simpson_weights((nodes + 1) // 2, 0.0, t_final)
-    kept = {nodes // 2, nodes // 2 + _delta_nodes(t_final, icfg.dt)}
+    """The Simpson walk of Y chi' + B(Y) chi over [0, t_final], chi the
+    time bump centred on 0.5 t_final, at the WEAK_ODE_NODES nodes.
+    Returns the per-sample worst component of its Simpson sum, that of
+    the sum's gap to the half-grid sum, and the states at the middle
+    node (0.5 t_final), at `_delta_nodes` nodes later and at the walk's
+    end, t_final."""
+    t_half = t_final / 2.0
+    middle = WEAK_ODE_NODES // 2
+    kept = (middle, middle + _delta_nodes(t_final, icfg.dt))
     states = []
-    # the two sums per row, component-major as (2, n, d, row); the batch
-    # moves them with its rows
-    full = half = held = None
-    k = 0
 
-    def add_node(tk, batch):
-        nonlocal full, half, held, k
-        if held is None:
-            held = batch
-            full = batch.track(np.zeros((2,) + batch.X.shape[:2] + (batch.N,)))
-            half = batch.track(np.zeros_like(full))
-        u = (tk - t_mid) / t_half
-        chi, slope = (float(a) for a in bump_pair(np.asarray(u)))
+    def defect(k, tk, batch):
+        chi, slope = (float(a) for a in bump_pair(np.asarray((tk - t_half) / t_half)))
         chi_p = slope / t_half
-        terms = (batch.X * chi_p + batch.V * chi, batch.V * chi_p + batch.A * chi)
-        for part, term in enumerate(terms):
-            full[part, ..., : batch.m] += w_full[k] * term
-            if k % 2 == 0:
-                half[part, ..., : batch.m] += w_half[k // 2] * term
         if k in kept:
             x, v, flags = batch.result()
             states.append((x, v, flags == dynamics.FLAG_OK))
-        k += 1
+        return None, np.stack((batch.X * chi_p + batch.V * chi, batch.V * chi_p + batch.A * chi))
 
     x0, v0, _ = sample.start
-    x, v, flags = flow_batch(
-        x0, v0, sample.potential, t_final, icfg, stops=times, observe=add_node
+    (x, v, flags), full, half = transport.simpson_walk(
+        x0, v0, sample.potential, (0.0, t_final), WEAK_ODE_NODES, icfg, defect
     )
-    live = full[..., : held.m], half[..., : held.m]
-    per_sample = np.zeros(sample.count)
-    per_half = np.zeros(sample.count)
-    per_sample[held.idx] = np.max(np.abs(live[0]), axis=(0, 1, 2))
-    per_half[held.idx] = np.max(np.abs(live[0] - live[1]), axis=(0, 1, 2))
+    per_sample = np.max(np.abs(full), axis=(1, 2, 3))
+    per_half = np.max(np.abs(full - half), axis=(1, 2, 3))
     return per_sample, per_half, states + [(x, v, flags == dynamics.FLAG_OK)]
 
 
@@ -618,9 +598,9 @@ def flow_axiom_suite(
     named once; an empty, repeated or unknown name raises DomainError.
 
     The per-sample checks share one sample, flowed once per damping.
-    The undamped Simpson walk, a flow over t paused at the
-    WEAK_ODE_NODES nodes, gives weak_ode.  Its states at the middle
-    node, 0.5 t, and k nodes later serve time continuity at
+    The undamped Simpson walk (`transport.simpson_walk`), a flow over t
+    paused at the WEAK_ODE_NODES nodes, gives weak_ode.  Its states at
+    the middle node, 0.5 t, and k nodes later serve time continuity at
     delta = k t / 128, k the node count nearest DELTA_STEPS dt (at least
     1, at most 64, so 0.5 t + delta <= t).  Its end is the group law's
     direct end, composed against a 0.4 t leg from the start and a 0.6 t
@@ -967,7 +947,7 @@ def check_renormalization_suite(
 
     One weak_residual_suite call serves the identity map and all betas,
     so only the rows whose carried value f0 is nonzero are flowed, once,
-    pausing at the transport.RESIDUAL_NODES Simpson nodes.  That needs
+    in one Simpson walk over transport.RESIDUAL_NODES nodes.  That needs
     beta(0) = 0, as renormalization in L^1 does, which is checked for
     every beta (DomainError otherwise).
 
@@ -983,12 +963,11 @@ def check_renormalization_suite(
     1 + 3 (t - a), a the window's start, which no transported density
     can have; each beta report reweights that same corrupted bracket.
 
-    runtime_seconds is measured: each beta report carries the
-    weak_residual_statistics call that reweights the bracket by its
-    beta, and the identity report carries the rest (sampling, the flow,
-    the shared support mask and pairing, the accumulation of the
-    bracket and its own statistics).  The shares sum to the call's wall
-    time.  details["carried_rows"] is the number of rows flowed.
+    runtime_seconds is measured: each beta report carries the suite's
+    statistics of its beta, which reweight the bracket, and the identity
+    report carries the rest (sampling, the walk with its support tests
+    and pairings, and its own statistics).  The shares sum to the call's
+    wall time.  details["carried_rows"] is the number of rows flowed.
     """
     started = time.perf_counter()
     shifted = [b.name for b in betas if b(np.zeros(1))[0] != 0.0]
@@ -1004,7 +983,7 @@ def check_renormalization_suite(
     e0 = sample_ensemble(box, count, datum, seed)
     a, _ = residual_window(phi)
     time_factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
-    (results,) = weak_residual_suite(e0, potential, [phi], [None, *betas], icfg, time_factor)
+    results = weak_residual_suite(e0, potential, phi, [None, *betas], icfg, time_factor)
     elapsed = time.perf_counter() - started
     beta_seconds = [r.details["seconds"] for r in results[1:]]
     shares = [elapsed - sum(beta_seconds)] + beta_seconds

@@ -2,6 +2,7 @@ import csv
 import json
 import runpy
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +250,34 @@ def test_scripts_run_with_help(script, monkeypatch, capsys):
         runpy.run_path(str(SCRIPTS / script), run_name="__main__")
     assert stop.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _run_demo(argv, monkeypatch) -> int:
+    monkeypatch.setattr(sys, "argv", ["weak_residual_demo.py", *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(SCRIPTS / "weak_residual_demo.py"), run_name="__main__")
+    return stop.value.code
+
+
+def test_weak_residual_demo_exits_0_on_right_verdicts(monkeypatch, capsys):
+    assert _run_demo(["--count", "20000", "--with-control"], monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("pass: ") != ("_control" in line) for line in lines)
+
+
+def test_weak_residual_demo_exits_1_on_a_failing_positive(monkeypatch, capsys):
+    suite = verification.check_renormalization_suite
+
+    def failing_identity(*args, **kwargs):
+        reports = suite(*args, **kwargs)
+        return [replace(reports[0], passed=False)] + reports[1:]
+
+    monkeypatch.setattr(verification, "check_renormalization_suite", failing_identity)
+    assert _run_demo(["--count", "2000"], monkeypatch) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL: renormalized_residual[identity]")
+    assert "wrong verdicts: renormalized_residual[identity]" in captured.err
 
 
 def test_converge_runs_the_library_checks(tmp_path):

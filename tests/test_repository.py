@@ -48,6 +48,14 @@ def test_standard_errors_come_from_the_one_sum():
     assert found == []
 
 
+def test_verification_walks_no_flow_of_its_own():
+    # every Simpson walk is transport.simpson_walk: verification builds no
+    # Simpson weights, pauses no flow and reads no batch layout
+    text = (PACKAGE / "verification.py").read_text(encoding="utf-8")
+    for pattern in (r"simpson_weights\(", r"stops=", r"\bbatch\.(track|idx|m)\b"):
+        assert re.search(pattern, text) is None, pattern
+
+
 def test_readme_quick_start_runs(capsys):
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", text, re.S)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liouville_lab import transport
-from liouville_lab.dynamics import IntegratorConfig
-from liouville_lab.errors import AlignmentError, CoverageError, DomainError
+from liouville_lab.dynamics import FLAG_OK, FLAG_SINGULAR, IntegratorConfig, _forces, flow_batch
+from liouville_lab.errors import CoverageError, DomainError
+from liouville_lab.estimates import MCEstimate
 from liouville_lab.potentials import free_potential, harmonic, repulsive_power
-from liouville_lab.profiles import bump, bump_prime
+from liouville_lab.profiles import bump, bump_pair
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
     MAX_ABS_POLY_PRIME,
@@ -17,7 +18,6 @@ from liouville_lab.transport import (
     Ensemble,
     InitialDatum,
     PhaseBox,
-    ResidualTerms,
     TestFunction,
     arctan_squash,
     collision_boundary_term,
@@ -29,12 +29,11 @@ from liouville_lab.transport import (
     residual_window,
     sample_ensemble,
     shipped_beta_family,
-    simpson_times,
+    simpson_walk,
     simpson_weights,
     smoothed_clamp,
     tanh_squash,
     truncate,
-    weak_residual_statistics,
     weak_residual_suite,
 )
 from liouville_lab.transport import _phase_block
@@ -138,7 +137,7 @@ def test_initial_datum_evaluates_support_rows_as_every_entry_formula_bitwise(kin
 
 def test_profile_prime_constants_are_sharp_bounds():
     u = np.linspace(-1.0, 1.0, 2_000_001)
-    grid_max = np.max(np.abs(bump_prime(u)))
+    grid_max = np.max(np.abs(bump_pair(u)[1]))
     assert grid_max <= MAX_ABS_BUMP_PRIME + 1e-12
     assert grid_max > MAX_ABS_BUMP_PRIME - 1e-5
     # clipped polynomial (1 - u^2)^2 has derivative extrema at u = 1/sqrt(3)
@@ -319,9 +318,11 @@ def _pairing_row_major(phi, t, x, v, acc):
     N, nd = x.shape[0], phi.n * phi.d
     z = np.concatenate([x.reshape(N, nd), v.reshape(N, nd)], axis=1)
     ut = np.asarray((t - phi.t_center) / phi.t_width)
-    tval, tprime = float(bump(ut)), float(bump_prime(ut)) / phi.t_width
+    tval, tprime = (float(b) for b in bump_pair(ut))
+    tprime /= phi.t_width
     u = (z - phi.centers) / phi.widths
-    bvals, bprime = bump(u), bump_prime(u) / phi.widths
+    bvals, bprime = bump_pair(u)
+    bprime = bprime / phi.widths
     m = bvals.shape[1]
     prefix = np.ones((N, m + 1))
     np.cumprod(bvals, axis=1, out=prefix[:, 1:])
@@ -499,16 +500,99 @@ def test_simpson_weights_integrate_cubics_exactly():
         simpson_weights(1, a, b)
 
 
-def test_simpson_times_validation():
-    phi = make_phi(t_center=0.5, t_width=0.45)
-    times = simpson_times(phi)
-    assert times.size == transport.RESIDUAL_NODES
-    assert times[0] == pytest.approx(0.05)
-    assert times[-1] == pytest.approx(0.95)
+class ZeroForce:
+    """A stepped pair potential without forces: rows drift as x + k dt v,
+    one Verlet step at a time."""
+
+    kind = "zero_force"
+
+    def gradient_batch(self, r, radii=None):
+        return np.zeros_like(r)
+
+
+def test_simpson_walk_integrates_cubics_in_time_exactly():
     # 4 m + 1 nodes, so that every other node is the half-resolution grid
-    assert (transport.RESIDUAL_NODES - 1) % 4 == 0
-    half = simpson_weights((transport.RESIDUAL_NODES + 1) // 2, 0.05, 0.95)
-    assert half.size == times[::2].size
+    nodes = transport.RESIDUAL_NODES
+    assert (nodes - 1) % 4 == 0
+    rng = np.random.default_rng(5)
+    x, v = rng.uniform(-1.0, 1.0, (2, 40, 2, 2))
+    a, b = 0.05, 0.95
+    seen = []
+
+    def cubic(k, t, batch):
+        # along the free flow x_11(t) = x_11 + t v_11, so each row's terms
+        # are the cubic t^3 - 2 t^2 + t x_11 + t^2 v_11 and their double
+        seen.append((k, t))
+        p = t**3 - 2.0 * t**2 + t * batch.X[0, 0]
+        return None, np.stack((p, 2.0 * p))
+
+    (xe, ve, flags), full, half = simpson_walk(
+        x, v, free_potential(2), (a, b), nodes, IntegratorConfig(dt=1e-2), cubic
+    )
+    assert seen == list(enumerate(np.linspace(a, b, nodes)))
+    # the drift leg by leg, x + (t_k - t_{k-1}) v, rounds at each leg
+    np.testing.assert_allclose(xe, x + b * v, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(flags, 0)
+    exact = (
+        (b**4 - a**4) / 4.0 - 2.0 * (b**3 - a**3) / 3.0
+        + (b**2 - a**2) / 2.0 * x[:, 0, 0] + (b**3 - a**3) / 3.0 * v[:, 0, 0]
+    )
+    assert full.shape == half.shape == (40, 2)
+    np.testing.assert_allclose(full, np.stack((exact, 2.0 * exact), axis=1), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(full - half, 0.0, rtol=0, atol=1e-14)
+
+
+def test_simpson_walk_zeroes_a_row_flagged_mid_walk():
+    # row 1's particles meet at the origin at t = 0.5, node 4 of 9; rows 0
+    # and 2 pass each other 1 apart
+    x = np.array([[[-0.25, 0.5], [0.25, -0.5]], [[-0.25, 0.0], [0.25, 0.0]],
+                  [[0.5, -0.25], [-0.5, 0.25]]])
+    v = np.array([[[0.5, 0.0], [-0.5, 0.0]], [[0.5, 0.0], [-0.5, 0.0]],
+                  [[0.0, 0.5], [0.0, -0.5]]])
+    rows_seen = []
+
+    def ones(k, t, batch):
+        rows_seen.append(batch.m)
+        return None, np.ones(batch.m)
+
+    (_, _, flags), full, half = simpson_walk(
+        x, v, ZeroForce(), (0.0, 1.0), 9, IntegratorConfig(dt=0.125), ones
+    )
+    assert rows_seen == [3] * 4 + [2] * 5
+    assert list(flags) == [FLAG_OK, FLAG_SINGULAR, FLAG_OK]
+    # the flagged row summed four nodes before it retired, and reads 0
+    assert (full[1], half[1]) == (0.0, 0.0)
+    np.testing.assert_allclose(full[[0, 2]], 1.0, rtol=1e-15)
+    np.testing.assert_allclose(half[[0, 2]], 1.0, rtol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "potential, icfg",
+    [
+        (harmonic(2), IntegratorConfig(dt=1e-2)),
+        # adaptive legs park and retire rows; 4 substeps a leg flag 17 of 300
+        (repulsive_power(2, exponent=1.0),
+         IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=4)),
+    ],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_simpson_walk_end_state_is_the_paused_flow_bitwise(potential, icfg):
+    rng = np.random.default_rng(7)
+    x, v = rng.uniform(-1.0, 1.0, (2, 300, 2, 2))
+    window, nodes = (0.02, 0.34), 17
+    end, full, half = simpson_walk(
+        x, v, potential, window, nodes, icfg, lambda k, t, batch: (None, batch.X[0, 0])
+    )
+    want = flow_batch(x, v, potential, window[1], icfg, stops=np.linspace(*window, nodes))
+    for got, ref in zip(end, want):
+        np.testing.assert_array_equal(got, ref)
+    flagged = end[2] != FLAG_OK
+    if icfg.adaptive:
+        assert 0 < np.count_nonzero(flagged) < 30
+    else:
+        assert not flagged.any()
+    assert np.all(full[flagged] == 0.0) and np.all(half[flagged] == 0.0)
+    assert np.all(full[~flagged] != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +610,7 @@ def free_setup(count=4000, seed=29, phi_seed=3):
 
 def test_weak_residual_vanishes_for_exact_transport():
     _, _, e, phi = free_setup()
-    ((est,),) = weak_residual_suite(
-        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2)
-    )
+    (est,) = weak_residual_suite(e, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2))
     assert abs(est.estimate) <= 3.0 * est.std_error
     assert est.details["flagged_fraction"] == 0.0
 
@@ -541,8 +623,8 @@ def test_weak_residual_flags_a_non_solution():
     e = sample_ensemble(box, 10_000, datum, seed=29)
     phi = make_phi(scale=0.85)
     a, _ = residual_window(phi)
-    ((est,),) = weak_residual_suite(
-        e, free_potential(2), [phi], [None], IntegratorConfig(dt=1e-2),
+    (est,) = weak_residual_suite(
+        e, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2),
         time_factor=lambda t: 1.0 + 6.0 * (t - a),
     )
     assert abs(est.estimate) > 3.0 * est.std_error
@@ -551,41 +633,12 @@ def test_weak_residual_flags_a_non_solution():
 def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
     _, _, e, phi = free_setup()
     tanh = tanh_squash(1.0)
-    ((ident, squashed),) = weak_residual_suite(
-        e, free_potential(2), [phi], [None, tanh],
-        IntegratorConfig(dt=1e-2),
+    ident, squashed = weak_residual_suite(
+        e, free_potential(2), phi, [None, tanh], IntegratorConfig(dt=1e-2),
     )
     for est in (ident, squashed):
         assert abs(est.estimate) <= 3.0 * est.std_error
     assert squashed.estimate != ident.estimate
-
-
-def test_weak_residual_suite_equals_one_call_per_test_function_bitwise():
-    box, _, e, _ = free_setup(count=3000)
-    pot = harmonic(2, 1.0)
-    icfg = IntegratorConfig(dt=1e-2)
-    rng = np.random.default_rng(11)
-    phis = [random_test_function(2, 2, box, t_center=0.5, t_width=0.45, rng=rng) for _ in range(3)]
-    maps = [None, arctan_squash(1.0)]
-    together = weak_residual_suite(e, pot, phis, maps, icfg)
-    assert len(together) == 3
-    for phi, ests in zip(phis, together):
-        (alone,) = weak_residual_suite(e, pot, [phi], maps, icfg)
-        for est, ref in zip(ests, alone):
-            assert (est.estimate, est.std_error, est.bias_bound, est.sample_count) == (
-                ref.estimate, ref.std_error, ref.bias_bound, ref.sample_count
-            )
-    # the test functions are not interchangeable: each has its own defect
-    assert len({ests[0].estimate for ests in together}) == 3
-
-
-def test_weak_residual_suite_rejects_test_functions_with_different_windows():
-    _, _, e, phi = free_setup(count=100)
-    later = replace(phi, t_center=phi.t_center + 0.1)
-    with pytest.raises(DomainError, match="one time window"):
-        weak_residual_suite(e, free_potential(2), [phi, later], [None], IntegratorConfig(dt=1e-2))
-    with pytest.raises(DomainError):
-        weak_residual_suite(e, free_potential(2), [], [None], IntegratorConfig(dt=1e-2))
 
 
 def test_weak_residual_suite_time_validation():
@@ -593,56 +646,40 @@ def test_weak_residual_suite_time_validation():
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
     started = push_forward(e, pot, 0.5, icfg)
     with pytest.raises(DomainError, match="t = 0"):
-        weak_residual_suite(started, pot, [phi], [None], icfg)
+        weak_residual_suite(started, pot, phi, [None], icfg)
     ended = replace(phi, t_center=-1.0, t_width=0.5)
     with pytest.raises(DomainError, match="ends before t = 0"):
-        weak_residual_suite(e, pot, [ended], [None], icfg)
-
-
-def test_weak_residual_alignment_errors():
-    _, _, e, phi = free_setup(count=100)
-    terms = ResidualTerms(e, free_potential(2), phi)
-    x, v = e.x[terms.rows], e.v[terms.rows]
-    idx = np.arange(terms.rows.size)
-    node = lambda k, t: terms.add(k, t, x, v, np.zeros_like(x), idx)  # noqa: E731
-    with pytest.raises(AlignmentError):
-        node(0, terms.times[0] + 0.01)
-    for k, tk in enumerate(terms.times):
-        node(k, tk)
-    with pytest.raises(AlignmentError):
-        node(terms.times.size, terms.times[-1])
+        weak_residual_suite(e, pot, ended, [None], icfg)
 
 
 def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
-    box, _, e, phi = free_setup(count=600)
+    _, _, e, phi = free_setup()
     e = e.with_values(np.where(np.arange(e.size) % 3 == 0, 0.0, e.values))
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
-    # the every-row reference: one ResidualTerms fed the carried rows of a
-    # flow of all rows
-    ref = ResidualTerms(e, pot, phi)
-    k = iter(range(ref.times.size))
-    kept_of = np.full(e.size, -1)
-    kept_of[ref.rows] = np.arange(ref.rows.size)
 
-    def add_node(tk, batch):
+    # the every-row reference: one walk over all rows, the pairing of each
+    # node's forces on its support rows, weighted by the carried values
+    def pairing(k, t, batch):
         x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
-        j = kept_of[batch.idx]
-        sel = j >= 0
-        ref.add(next(k), tk, x[sel], v[sel], forces[sel], j[sel])
+        cols = np.flatnonzero(phi.support_mask(t, x, v))
+        return cols, phi.transport_pairing(t, x, v, forces, cols)
 
-    flow = transport.flow_batch
-    flow(e.x, e.v, pot, ref.times[-1], icfg, stops=ref.times, observe=add_node)
-    want = weak_residual_statistics(ref, icfg.dt)
+    (_, _, flags), acc, _ = simpson_walk(
+        e.x, e.v, pot, residual_window(phi), transport.RESIDUAL_NODES, icfg, pairing
+    )
+    xi = np.where(flags == FLAG_OK, e.weight * (e.values * acc), 0.0)
+    assert np.count_nonzero(xi) > 0
     flowed = []
+    flow = transport.flow_batch
     monkeypatch.setattr(
         transport, "flow_batch", lambda x, *a, **k: flowed.append(len(x)) or flow(x, *a, **k)
     )
-    ((got,),) = weak_residual_suite(e, pot, [phi], [None], icfg)
+    (got,) = weak_residual_suite(e, pot, phi, [None], icfg)
     assert flowed == [np.count_nonzero(e.values)] and flowed[0] < e.size
     assert got.sample_count == e.size
-    assert (got.estimate, got.std_error, got.bias_bound) == (
-        want.estimate, want.std_error, want.bias_bound
-    )
+    assert got.estimate == np.sum(xi)
+    assert got.details["mc_std_error"] == MCEstimate.from_samples(xi).std_error
+    assert got.bias_bound == transport.DT_BIAS_COEFFICIENT * icfg.dt**2 * np.sum(np.abs(xi))
 
 
 def test_weak_residual_suite_hands_time_factor_the_node_times():
@@ -658,11 +695,13 @@ def test_weak_residual_suite_hands_time_factor_the_node_times():
         weighed.append(f.copy())
         return f
 
-    ((est,),) = weak_residual_suite(
-        e, free_potential(2), [early], [weigh], IntegratorConfig(dt=1e-2), time_factor=factor
+    (est,) = weak_residual_suite(
+        e, free_potential(2), early, [weigh], IntegratorConfig(dt=1e-2), time_factor=factor
     )
-    # one call per Simpson node, in order, whether or not a row is inside
-    assert seen == list(simpson_times(early))
+    # one call per Simpson node, in order, whether or not a row is inside,
+    # then one for the t = 0 boundary term
+    nodes = np.linspace(*residual_window(early), transport.RESIDUAL_NODES)
+    assert seen == list(nodes) + [0.0]
     assert seen[0] == 0.0
     # a value map is evaluated once, on the carried values only
     assert len(weighed) == 1
@@ -670,8 +709,8 @@ def test_weak_residual_suite_hands_time_factor_the_node_times():
     # a factor of 2 doubles every term, the t = 0 boundary term included,
     # and so the estimate, exactly
     (ident,) = weak_residual_suite(
-        e, free_potential(2), [early], [None], IntegratorConfig(dt=1e-2)
-    )[0]
+        e, free_potential(2), early, [None], IntegratorConfig(dt=1e-2)
+    )
     assert est.estimate == 2.0 * ident.estimate != 0.0
 
 
@@ -680,9 +719,7 @@ def test_weak_residual_rejects_non_compact_datum():
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
     e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
-        weak_residual_suite(
-            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2)
-        )
+        weak_residual_suite(e, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2))
 
 
 def test_weak_residual_rejects_datum_leaking_out_of_box():
@@ -690,9 +727,7 @@ def test_weak_residual_rejects_datum_leaking_out_of_box():
     datum = InitialDatum(kind="bump", center=np.full(8, 1.0), width=0.8)
     e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
-        weak_residual_suite(
-            e, free_potential(2), [make_phi()], [None], IntegratorConfig(dt=1e-2)
-        )
+        weak_residual_suite(e, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2))
 
 
 def test_weak_residual_rejects_collision_adjacent_support_when_confining():
@@ -702,7 +737,7 @@ def test_weak_residual_rejects_collision_adjacent_support_when_confining():
     pot = repulsive_power(2, exponent=1.0)  # confining in d = 2
     phi = make_phi()  # particle supports overlap: pair distance 0
     with pytest.raises(CoverageError, match="collision margin"):
-        weak_residual_suite(e, pot, [phi], [None], IntegratorConfig(dt=1e-3))
+        weak_residual_suite(e, pot, phi, [None], IntegratorConfig(dt=1e-3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from liouville_lab.potentials import (
     piecewise_radial,
     repulsive_power,
 )
-from liouville_lab.profiles import bump, bump_prime
+from liouville_lab.profiles import bump_pair
 from liouville_lab.rng import rng_for
 from liouville_lab.transport import (
     BetaFunction,
@@ -56,6 +58,7 @@ from liouville_lab.verification import (
     write_reports_jsonl,
     write_summary_csv,
     _Sample,
+    _delta_nodes,
     _simpson_defects,
 )
 
@@ -299,9 +302,8 @@ def _simpson_defects_by_legs(sample, t_final, icfg):
         x, v, flags = flow_batch(x, v, sample.potential, tk - now, icfg)
         now, ok = tk, ok & (flags == FLAG_OK)
         states.append((x, v, ok))
-        u = (tk - t_final / 2.0) / (t_final / 2.0)
-        chi = float(bump(np.asarray(u)))
-        chi_p = float(bump_prime(np.asarray(u))) / (t_final / 2.0)
+        chi, slope = bump_pair(np.asarray((tk - t_final / 2.0) / (t_final / 2.0)))
+        chi, chi_p = float(chi), float(slope) / (t_final / 2.0)
         acc, _ = _forces(x, sample.potential)
         defect += weights[k] * np.stack([x * chi_p + v * chi, v * chi_p + acc * chi], axis=1)
     return np.max(np.abs(defect), axis=(1, 2, 3)), states
@@ -347,6 +349,28 @@ def test_weak_ode_passes_and_control_fails():
     assert ok.passed
     bad = check_weak_ode(harmonic(2), BOX, 1.0, 2000, SEED, ICFG, negative_control=True)
     assert not bad.passed
+
+
+def test_flow_axiom_suite_reads_the_walk_end_when_delta_reaches_it():
+    # dt = 0.1 t puts the delta node 64 nodes after the middle: the last
+    # node, which the walk's own end state serves as well
+    icfg = IntegratorConfig(dt=0.1)
+    assert _delta_nodes(1.0, icfg.dt) == (WEAK_ODE_NODES - 1) // 2
+    continuity, group, weak_ode = flow_axiom_suite(
+        harmonic(2), PhaseBox.centered(2, 2, 2.0, 2.0), 200, 1, icfg, t=1.0,
+        checks=["time_continuity", "group_property", "weak_ode"], with_controls=False,
+    )
+    assert continuity.details["delta"] == 0.5
+    # the statistics of the separate walk and kept-state bookkeeping
+    # this replaced, to rounding
+    for report, statistic, passed in (
+        (continuity, 1.006020421545878, True),
+        (group, 0.007030698429680182, False),
+        (weak_ode, 2.8583830327290754e-05, True),
+    ):
+        assert report.statistic == pytest.approx(statistic, rel=1e-9), report.check_name
+        assert report.passed is passed, report.check_name
+    assert weak_ode.std_error == pytest.approx(6.61244523327656e-05, rel=1e-9)
 
 
 def test_flow_axiom_suite_shape_and_verdicts():
@@ -514,21 +538,45 @@ RESIDUAL_ICFG = IntegratorConfig(dt=1e-2)
 
 
 def residual_reference(pot, count, negative_control):
-    """The suite's estimates by hand: every sample stepped leg by leg."""
+    """The suite's estimates by hand: every sample stepped leg by leg, the
+    forces recomputed at each node, the t = 0 boundary term added last."""
     e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
-    a, _ = residual_window(RESIDUAL_PHI)
-    factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
-    terms = transport.ResidualTerms(e0, pot, RESIDUAL_PHI, factor)
-    # every row is stepped; the terms are fed the carried rows of each node
-    kept = terms.rows
+    phi = RESIDUAL_PHI
+    a, b = residual_window(phi)
+    times = np.linspace(a, b, transport.RESIDUAL_NODES)
+    w_full = transport.simpson_weights(times.size, a, b)
+    w_half = transport.simpson_weights((times.size + 1) // 2, a, b)
+    factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else (lambda t: 1.0)
+    # every row is stepped; only the carried rows are paired
+    kept = np.flatnonzero(e0.values)
+    full, half = np.zeros(kept.size), np.zeros(kept.size)
     e = e0
-    for k, tk in enumerate(terms.times):
+    for k, tk in enumerate(times):
         e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
-        terms.active &= e.flags == FLAG_OK
         x, v = e.x[kept], e.v[kept]
-        terms.add(k, e.time, x, v, _forces(x, pot)[0], np.arange(kept.size))
-    maps = [None, *shipped_beta_family(1.0)]
-    return e0, [transport.weak_residual_statistics(terms, RESIDUAL_ICFG.dt, g) for g in maps]
+        cols = np.flatnonzero(phi.support_mask(tk, x, v))
+        terms = phi.transport_pairing(tk, x, v, _forces(x, pot)[0], cols) * factor(tk)
+        full[cols] += w_full[k] * terms
+        if k % 2 == 0:
+            half[cols] += w_half[k // 2] * terms
+    assert phi.time_window[0] < 0.0 == times[0]
+    term0 = phi.value(0.0, e0.x[kept], e0.v[kept]) * factor(0.0)
+    full += term0
+    half += term0
+    ok = e.flags == FLAG_OK
+    out = []
+    for g in [None, *shipped_beta_family(1.0)]:
+        weights = e0.values[kept] if g is None else g(e0.values[kept])
+        xi, coarse = (np.zeros(e0.size) for _ in range(2))
+        xi[kept], coarse[kept] = weights * full, weights * half
+        xi, coarse = (np.where(ok, e0.weight * arr, 0.0) for arr in (xi, coarse))
+        mc = MCEstimate.from_samples(
+            xi, bias_bound=transport.DT_BIAS_COEFFICIENT * RESIDUAL_ICFG.dt**2 * np.sum(np.abs(xi)),
+            sample_count=int(np.sum(ok)),
+        )
+        quad_err = abs(float(np.sum(coarse)) - mc.estimate) / 15.0
+        out.append(replace(mc, std_error=math.hypot(mc.std_error, quad_err)))
+    return e0, out
 
 
 def per_node_reference(pot, count, negative_control):
@@ -537,8 +585,9 @@ def per_node_reference(pot, count, negative_control):
     value map g(t, f0) of its own per report, evaluated at every node.
     The control map is beta((1 + 3 (t - a)) f0), a the window's start."""
     e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
-    phi, times = RESIDUAL_PHI, transport.simpson_times(RESIDUAL_PHI)
+    phi = RESIDUAL_PHI
     a, b = residual_window(phi)
+    times = np.linspace(a, b, transport.RESIDUAL_NODES)
     w_full = transport.simpson_weights(times.size, a, b)
     w_half = transport.simpson_weights((times.size + 1) // 2, a, b)
     scale = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else (lambda t: 1.0)
