@@ -14,9 +14,9 @@ over t = 0.25 with 129 evenly spaced stops, on harmonic with
 fixed steps and repulsive_power with fixed and adaptive steps.  (Adaptive
 steps on a smooth potential crawl through near coincidences for
 millions of substeps, so that case is left out.)  "stopped" is one
-flow_batch call pausing at every stop, "straight" one call over t with
-no stop, and "restarted" one call per leg between two stops, each
-starting with its own force evaluation (not counted as a step).
+flow_batch call pausing at every stop and "straight" one call over t
+with no stop; each starts with one force evaluation, not counted as a
+step.
 
 The "estimator" row times one `transport.weak_residual_suite` call, the
 weak-residual estimator of the renormalization suite, in microseconds
@@ -113,30 +113,19 @@ def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
     stops = np.linspace(0.0, WALK_T, WALK_STOPS)
     pot = CountingRows(KINDS[kind]())
 
-    def straight():
-        flow_batch(x, v, pot, WALK_T, icfg)
-        return 1
-
-    def stopped():
-        flow_batch(x, v, pot, WALK_T, icfg, stops=stops, observe=lambda stop, batch: None)
-        return 1
-
-    def restarted():
-        cx, cv, now = x, v, 0.0
-        for stop in stops[1:]:
-            cx, cv, _ = flow_batch(cx, cv, pot, stop - now, icfg)
-            now = stop
-        return stops.size - 1
-
+    walks = {
+        "straight": {},
+        "stopped": {"stops": stops, "observe": lambda stop, batch: None},
+    }
     per, sample_steps = {}, {}
-    for name, walk in (("straight", straight), ("stopped", stopped), ("restarted", restarted)):
+    for name, pause in walks.items():
         walls = []
         for _ in range(repeats):
             pot.rows = 0
             started = time.perf_counter()
-            starts = walk()
+            flow_batch(x, v, pot, WALK_T, icfg, **pause)
             walls.append(time.perf_counter() - started)
-        sample_steps[name] = pot.rows - starts * count
+        sample_steps[name] = pot.rows - count
         ns = [1e9 * w / sample_steps[name] for w in walls]
         per[name] = {"median": statistics.median(ns), "min": min(ns)}
     return {

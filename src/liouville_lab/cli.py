@@ -330,18 +330,13 @@ def load_config(raw: dict, experiment: str, overrides: dict) -> ResolvedConfig:
 
     checks = []
     if experiment == "verify":
-        if not top["checks"]:
-            raise ConfigError("config.checks: at least one check is required")
-        for i, c in enumerate(top["checks"]):
-            c = _require_keys(c, _CHECK, f"config.checks[{i}]")
-            if c["name"] not in verification.CHECK_NAMES:
-                raise ConfigError(
-                    f"config.checks[{i}].name: unknown check {c['name']!r};"
-                    f" known {list(verification.CHECK_NAMES)}"
-                )
-            if any(c["name"] == seen["name"] for seen in checks):
-                raise ConfigError(f"config.checks[{i}].name: repeated check {c['name']!r}")
-            checks.append(c)
+        checks = [
+            _require_keys(c, _CHECK, f"config.checks[{i}]") for i, c in enumerate(top["checks"])
+        ]
+        try:
+            verification.require_checks([c["name"] for c in checks])
+        except LiouvilleLabError as exc:
+            raise ConfigError(f"config.checks: {exc}") from exc
         resolved["checks"] = checks
 
     return ResolvedConfig(

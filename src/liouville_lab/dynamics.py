@@ -24,21 +24,22 @@ are taken once per evaluation, for the minimum pair distance, and the
 same (P*N,) vector is handed to `gradient_batch(r, radii=...)`, so no
 potential takes them again.  Every step performs the
 same floating-point operations, in the same order, as the row-major
-textbook form (`v + 0.5 dt a`, then `x + dt v`, ...), and rows that are
-frozen by a flag leave the batch, so results are bitwise those of
-stepping each row on its own (numpy sums fewer than 8 components left
-to right, which holds for d < 8).
+textbook form (`v + 0.5 dt a`, then `x + dt v`, ...), and only the
+active rows are stepped, so results are bitwise those of stepping each
+row on its own (numpy sums fewer than 8 components left to right, which
+holds for d < 8).
 
 A flow may pause at stops on its way to t.  The legs between stops are
 stepped one after another on the same batch, and each takes exactly the
 steps of a flow over that leg alone: fixed steps count and budget per
 leg, and adaptive steps are clipped to what is left of the leg.  An
 adaptive row that finishes a leg early is parked behind the active rows
-until the leg ends.  At each stop an observer sees the live batch,
-including the forces of its last step.  Parking and retiring move rows
-by swapping columns, so the batch keeps no input order: `idx` maps each
-column back to its input row, and every per-row result is scattered
-through it.
+until the leg ends, and a row frozen by a flag is retired behind the
+parked ones: every row stays in the batch for the whole flow.  At each
+stop an observer sees the live batch, including the forces of its last
+step.  Parking and retiring move rows by swapping columns, so the batch
+keeps no input order: `idx`, a permutation, maps each column back to
+its input row, and every per-row result is scattered through it.
 
 `flow_batch` and `integrate`, which records a one-row flow step by step,
 run on one flow, `_flow`: the one place that builds a `_Batch` and picks
@@ -235,14 +236,14 @@ class _PairForces:
 
 
 class _Batch:
-    """The rows of one flow still being integrated, component-major.
+    """Every row of one flow, component-major.
 
-    Columns [0, live) of the (n, d, N) buffers X, V, A (positions,
-    velocities, accelerations at X), of `dmin`, of `idx` (the input row
-    of each column) and of every `track`ed array hold the live rows, in
-    no particular order.  The first m of them are active: `step` and
-    `retire_singular` see only those.  An adaptive leg parks the rows that
-    finish it early behind the active ones (`park`) until the leg ends
+    The columns of the (n, d, N) buffers X, V, A (positions, velocities,
+    accelerations at X), of `dmin`, of `idx` (the input row of each
+    column) and of every `track`ed array form three blocks, each in no
+    particular order: active [0, m), parked [m, live), retired [live, N).
+    `step` and `retire_singular` see only the active rows.  An adaptive
+    leg parks the rows that finish it early (`park`) until it ends
     (`unpark`).  `retire` freezes rows with a flag for good.
     """
 
@@ -262,7 +263,6 @@ class _Batch:
         # per-row arrays whose last axis follows the rows when they move
         self._per_row = [self._X, self._V, self._A, self._dmin, self._idx]
         self.flags = np.zeros(N, dtype=np.int8)
-        self._out = None
         self.live = N
         self._resize(N)
         self.forces.accelerate(self.X, self.A, self.dmin)
@@ -281,6 +281,12 @@ class _Batch:
         self._per_row.append(values)
         return values
 
+    def _swap(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Trade the columns a and b of every per-row array."""
+        dst, src = np.concatenate([a, b]), np.concatenate([b, a])
+        for values in self._per_row:
+            values[..., dst] = values[..., src]
+
     def _swap_out(self, mask: np.ndarray) -> int:
         """Move the active rows in mask behind the other active rows,
         which then form the new active range; returns how many moved."""
@@ -290,11 +296,7 @@ class _Batch:
         # mask behind it, so only 2 min(k, m - k) columns move
         ahead = np.flatnonzero(mask[:cut])
         if ahead.size:
-            behind = cut + np.flatnonzero(~mask[cut:])
-            dst = np.concatenate([ahead, behind])
-            src = np.concatenate([behind, ahead])
-            for values in self._per_row:
-                values[..., dst] = values[..., src]
+            self._swap(ahead, cut + np.flatnonzero(~mask[cut:]))
         self._resize(cut)
         return k
 
@@ -308,25 +310,15 @@ class _Batch:
         self._resize(self.live)
 
     def retire(self, mask: np.ndarray, flag: int) -> None:
-        """Freeze the active rows in mask with flag and drop them from
-        the batch."""
-        rows = np.flatnonzero(mask)
-        if rows.size == 0:
+        """Freeze the active rows in mask with flag for good."""
+        if not mask.any():
             return
-        if self._out is None:
-            shape = (self.N,) + self._X.shape[:2]
-            self._out = (np.empty(shape), np.empty(shape))
-        src = self.idx[rows]
-        self._out[0][src] = np.moveaxis(self.X[..., rows], -1, 0)
-        self._out[1][src] = np.moveaxis(self.V[..., rows], -1, 0)
-        self.flags[src] = flag
+        self.flags[self.idx[mask]] = flag
         k = self._swap_out(mask)
-        # the frozen rows now sit at [m, m + k), ahead of the parked ones;
-        # the last parked rows take their place
+        # the frozen rows now sit at [m, m + k), ahead of the parked ones,
+        # and trade places with the last parked rows
         moved = min(k, self.live - self.m - k)
-        if moved:
-            for values in self._per_row:
-                values[..., self.m : self.m + moved] = values[..., self.live - moved : self.live]
+        self._swap(np.arange(self.m, self.m + moved), np.arange(self.live - moved, self.live))
         self.live -= k
 
     def retire_singular(self) -> None:
@@ -337,16 +329,12 @@ class _Batch:
             self.retire(~(self.dmin >= COINCIDENCE_THRESHOLD), FLAG_SINGULAR)
 
     def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh (N, n, d) states of every row in input order, live rows
-        scattered by idx and frozen ones as they retired, and the flags."""
+        """Fresh (N, n, d) states of every row in input order, frozen
+        ones as they retired, and the flags."""
         shape = (self.N,) + self._X.shape[:2]
-        if self._out is None:
-            out_x, out_v = np.empty(shape), np.empty(shape)
-        else:
-            out_x, out_v = self._out[0].copy(), self._out[1].copy()
-        live = self._idx[: self.live]
-        out_x[live] = np.moveaxis(self._X[..., : self.live], -1, 0)
-        out_v[live] = np.moveaxis(self._V[..., : self.live], -1, 0)
+        out_x, out_v = np.empty(shape), np.empty(shape)
+        out_x[self._idx] = np.moveaxis(self._X, -1, 0)
+        out_v[self._idx] = np.moveaxis(self._V, -1, 0)
         return out_x, out_v, self.flags.copy()
 
     def step(self, h) -> None:
@@ -481,10 +469,6 @@ def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=N
     sgn = -1.0 if t < 0 else 1.0
     if not all(sgn * leg >= 0.0 for leg in legs):
         raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
-    N = x.shape[0]
-    if observe is None and hook is None and not any(legs):
-        # the identity flow: no batch, whose set-up would evaluate forces
-        return x.copy(), v.copy(), np.zeros(N, dtype=np.int8)
     closed_form = (
         hook is None and getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
     )

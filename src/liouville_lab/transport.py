@@ -592,9 +592,10 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     (N, n, d) rows x, v.
 
     The flow runs from 0 to the end b of window = (a, b) and pauses at
-    the `nodes` evenly spaced Simpson nodes of [a, b], 4 m + 1 of them
-    (DomainError otherwise), so that every other node forms the
-    half-resolution grid.  At node k, time
+    the `nodes` evenly spaced Simpson nodes of [a, b], 4 m + 1 of them,
+    so that every other node forms the half-resolution grid, and at
+    least icfg.dt apart, which the walk would step by otherwise
+    (DomainError for either).  At node k, time
     t, integrand(k, t, batch) reads the live batch (see flow_batch) and
     returns (cols, terms): the (..., len(cols)) terms of the batch
     columns cols, None for every active column.  The walk adds S_k times
@@ -607,9 +608,11 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     input row, as (N, ...) arrays; a flagged row reads 0 in both.
     """
     a, b = window
-    times = np.linspace(a, b, nodes)
     w_full = simpson_weights(nodes, a, b)
     w_half = simpson_weights((nodes + 1) // 2, a, b)
+    if icfg.dt > (b - a) / (nodes - 1):
+        raise DomainError(f"dt = {icfg.dt:g} exceeds the node spacing of a {nodes}-node walk")
+    times = np.linspace(a, b, nodes)
     held = full = half = None
     k = 0
 

@@ -304,8 +304,12 @@ def check_measure_preservation(
     statistic with a zero standard error still passes, so
     details["support_visits"] counts the unflagged samples inside the
     support of phi at the start and at the end: 0 and 0 mean the verdict
-    rests on no sample.  Control: velocity damping contracts phase volume.
+    rests on no sample.  A horizon t <= 0, where both read 0 by
+    construction, raises DomainError.  Control: velocity damping
+    contracts phase volume.
     """
+    if not t > 0.0:
+        raise DomainError(f"measure preservation needs a horizon t > 0, got {t:g}")
     started = time.perf_counter()
     run_icfg = _control_icfg(icfg, negative_control)
     if phi is None:
@@ -426,10 +430,10 @@ def _kicked(state):
 
 def _delta_nodes(t: float, dt: float) -> int:
     """Time continuity's resolution in walk nodes: the k for which
-    delta = k t / 128 is nearest DELTA_STEPS dt, at least one node and
-    at most the 64 from 0.5 t to t."""
+    delta = k t / 128 is nearest DELTA_STEPS dt, at least one node and,
+    as the walk needs dt <= t / 128, at most DELTA_STEPS."""
     gaps = WEAK_ODE_NODES - 1
-    return min(gaps // 2, max(1, round(DELTA_STEPS * dt / (t / gaps))))
+    return max(1, round(DELTA_STEPS * dt / (t / gaps)))
 
 
 def _time_continuity(
@@ -595,20 +599,19 @@ def flow_axiom_suite(
 ) -> list[CheckReport]:
     """The named flow-axiom checks in the order of `checks`, then their
     negative controls, each held to its TOLERANCES entry.  Each check is
-    named once; an empty, repeated or unknown name raises DomainError.
+    named once (`require_checks`).  A per-sample check needs a horizon
+    t > 0 and, as the walk does, dt <= t / 128; DomainError otherwise.
 
     The per-sample checks share one sample, flowed once per damping.
     The undamped Simpson walk (`transport.simpson_walk`), a flow over t
     paused at the WEAK_ODE_NODES nodes, gives weak_ode.  Its states at
     the middle node, 0.5 t, and k nodes later serve time continuity at
     delta = k t / 128, k the node count nearest DELTA_STEPS dt (at least
-    1, at most 64, so 0.5 t + delta <= t).  Its end is the group law's
+    1, at most DELTA_STEPS).  Its end is the group law's
     direct end, composed against a 0.4 t leg from the start and a 0.6 t
     leg on from there: the two paths stop at different times, so even on
     a fixed step grid they take different remainder steps and the gap
-    measures the flow.  The composed end also gives energy invariance:
-    it steps by dt, while a walk whose nodes lie closer than dt steps by
-    the node spacing and would hide a coarse dt.
+    measures the flow.  The composed end also gives energy invariance.
     The walk damped, run only for the controls of weak_ode and energy
     invariance, gives both.  Every leg between two stops takes the steps
     of its own flow_batch call, so the reports equal flowing leg by leg
@@ -624,11 +627,10 @@ def flow_axiom_suite(
     the undamped walk and the composed path are shared and appear in
     none of them.
     """
-    unknown = sorted(set(checks) - set(CHECK_NAMES))
-    if unknown:
-        raise DomainError(f"unknown flow-axiom checks {unknown}; known {list(CHECK_NAMES)}")
-    if not checks or len(set(checks)) < len(checks):
-        raise DomainError(f"name each flow-axiom check once, at least one; got {list(checks)}")
+    checks = require_checks(checks)
+    names = set(checks)
+    if names - {"measure_preservation"} and not t > 0.0:
+        raise DomainError(f"the per-sample flow-axiom checks need a horizon t > 0, got {t:g}")
     controls = (False, True) if with_controls else (False,)
     out = {}
     if "measure_preservation" in checks:
@@ -638,7 +640,6 @@ def flow_axiom_suite(
                 count if measure_count is None else measure_count, seed, icfg,
                 phi=observable, negative_control=control,
             )
-    names = set(checks)
     if names - {"measure_preservation"}:
         sample = _Sample(potential, box, count, seed)
     if {"time_continuity", "group_property", "weak_ode"} & names:
@@ -674,6 +675,18 @@ def flow_axiom_suite(
                 sample, walk[2][-1] if control else composed, t, control, time.perf_counter(),
             )
     return [out[name, control] for control in controls for name in checks]
+
+
+def require_checks(names: Sequence[str]) -> list[str]:
+    """The names as a list, if each is a flow-axiom check named once, at
+    least one; DomainError otherwise."""
+    names = list(names)
+    unknown = [name for name in names if name not in CHECK_NAMES]
+    if unknown:
+        raise DomainError(f"unknown flow-axiom checks {unknown}; known {list(CHECK_NAMES)}")
+    if not names or len(set(names)) < len(names):
+        raise DomainError(f"name each flow-axiom check once, at least one; got {names}")
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -778,16 +791,19 @@ def check_mollification_cauchy(
     """Flows under consecutive regularization levels form a Cauchy sequence.
 
     Gap g_n = mean |Y_{n+1}(t,z) - Y_n(t,z)| must be non-increasing in n
-    (first report), so at least three strictly increasing levels are
-    needed (DomainError otherwise).  At the finest level the flow must
-    not depend on the kernel: switching to the kernel of power + 2 moves
-    it by at most twice the finest gap (second report).  Control: a
+    (first report), so it needs at least three strictly increasing
+    levels, and t > 0, where no gap is 0 by construction (DomainError
+    otherwise).  At the finest level the flow must not depend on the
+    kernel: switching to the kernel of power + 2 moves it by at most
+    twice the finest gap (second report).  Control: a
     damped flow at the finest level breaks the gap ordering.  Both
     means are MCEstimate.from_samples sums of the per-sample terms over
     their count, so fewer than two unflagged samples raise DomainError.
     """
     started = time.perf_counter()
     levels = require_levels(levels, 3)
+    if not t > 0.0:
+        raise DomainError(f"the Cauchy check needs a horizon t > 0, got {t:g}")
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
     alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)

@@ -536,6 +536,13 @@ def test_verify_requires_checks(tmp_path):
     assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 2
 
 
+def test_verify_refuses_a_dt_past_the_walk_node_spacing(tmp_path, capsys):
+    # dt = 0.1 exceeds the node spacing t / 128 of the weak_ode walk
+    cfg = verify_config(tmp_path / "run", dynamics={"dt": 0.1}, checks=[{"name": "weak_ode"}])
+    assert cli.main(["verify", "--config", write_config(tmp_path, cfg), "--quiet"]) == 3
+    assert "node spacing" in capsys.readouterr().err
+
+
 def test_type_errors_exit_two(tmp_path):
     # every value is type-checked at load, before resolved_config.json
     out = tmp_path / "run"

@@ -644,3 +644,44 @@ def test_stops_add_no_force_evaluations(adaptive, monkeypatch):
         x, v, _ = flow_batch(x, v, walk.base, end - now, icfg)
         now = end
     assert walk_steps == len(steps) > 32
+
+
+def test_retired_rows_stay_in_the_batch(monkeypatch):
+    # adaptive legs of 4 substeps park rows that finish early and retire
+    # others while rows are parked; every row keeps its column throughout
+    rng = np.random.default_rng(7)
+    x, v = rng.uniform(-1.0, 1.0, (2, 300, 2, 2))
+    icfg = IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=4)
+    parked_at_retirement = []
+    retire = dynamics._Batch.retire
+
+    def watched_retire(batch, mask, flag):
+        if mask.any():
+            parked_at_retirement.append(batch.live - batch.m)
+        retire(batch, mask, flag)
+
+    monkeypatch.setattr(dynamics._Batch, "retire", watched_retire)
+    seen, marks = [], []
+
+    def observe(stop, batch):
+        assert sorted(batch._idx) == list(range(batch.N))
+        if not marks:
+            # each row's input index, registered to ride along with it
+            marks.append(batch.track(batch._idx.astype(float)))
+        seen.append((batch._idx.copy(), marks[0].copy(), batch.live, batch.flags.copy()))
+
+    stops = np.linspace(0.02, 0.34, 17)
+    _, _, flags = flow_batch(
+        x, v, repulsive_power(2, exponent=1.0), 0.34, icfg, stops=stops, observe=observe,
+    )
+    assert len(seen) == 17 and max(parked_at_retirement) > 0
+    idx, mark, live, last_flags = seen[-1]
+    np.testing.assert_array_equal(last_flags, flags)
+    # the retired block holds exactly the flagged rows
+    retired = np.flatnonzero(flags)
+    assert 0 < retired.size < 30
+    assert sorted(idx[live:]) == list(retired)
+    # and the tracked array still holds each retired row's value
+    per_row = np.full(flags.size, -1.0)
+    per_row[idx] = mark
+    np.testing.assert_array_equal(per_row[retired], retired)

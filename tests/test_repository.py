@@ -69,7 +69,7 @@ def test_readme_quick_start_runs(capsys):
     # the energy drift of a 10-unit flow
     (drift,) = outputs[0]
     assert float(drift) < 1e-6
-    # one weak residual per test function, each inside its budget
+    # one weak residual per value map, each inside its budget
     assert len(outputs[1]) == 3
     for line in outputs[1]:
         estimate, std_error, bias_bound = map(float, line.split())

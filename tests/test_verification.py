@@ -36,6 +36,7 @@ from liouville_lab.transport import (
     tanh_squash,
 )
 from liouville_lab.verification import (
+    DELTA_STEPS,
     FLAGGED_FRACTION_LIMIT,
     GRADIENT_ANNULUS,
     GRADIENT_SAMPLES,
@@ -54,11 +55,11 @@ from liouville_lab.verification import (
     check_weak_ode,
     default_observable_for,
     flow_axiom_suite,
+    require_checks,
     require_radii,
     write_reports_jsonl,
     write_summary_csv,
     _Sample,
-    _delta_nodes,
     _simpson_defects,
 )
 
@@ -351,26 +352,51 @@ def test_weak_ode_passes_and_control_fails():
     assert not bad.passed
 
 
-def test_flow_axiom_suite_reads_the_walk_end_when_delta_reaches_it():
-    # dt = 0.1 t puts the delta node 64 nodes after the middle: the last
-    # node, which the walk's own end state serves as well
-    icfg = IntegratorConfig(dt=0.1)
-    assert _delta_nodes(1.0, icfg.dt) == (WEAK_ODE_NODES - 1) // 2
-    continuity, group, weak_ode = flow_axiom_suite(
-        harmonic(2), PhaseBox.centered(2, 2, 2.0, 2.0), 200, 1, icfg, t=1.0,
-        checks=["time_continuity", "group_property", "weak_ode"], with_controls=False,
+def test_flow_axiom_suite_refuses_a_dt_past_the_walk_node_spacing():
+    # at dt = 0.1 > t / 128 the walk would step by the node spacing, so its
+    # checks would read a finer flow than the configured one
+    box = PhaseBox.centered(2, 2, 2.0, 2.0)
+    for name in ("time_continuity", "group_property", "weak_ode"):
+        with pytest.raises(DomainError, match="node spacing"):
+            flow_axiom_suite(
+                harmonic(2), box, 200, 1, IntegratorConfig(dt=0.1), t=1.0,
+                checks=[name], with_controls=False,
+            )
+    # dt = t / 128 is the coarsest step the walk takes as configured
+    (report,) = flow_axiom_suite(
+        harmonic(2), box, 200, 1, IntegratorConfig(dt=1.0 / 128), t=1.0,
+        checks=["time_continuity"], with_controls=False,
     )
-    assert continuity.details["delta"] == 0.5
-    # the statistics of the separate walk and kept-state bookkeeping
-    # this replaced, to rounding
-    for report, statistic, passed in (
-        (continuity, 1.006020421545878, True),
-        (group, 0.007030698429680182, False),
-        (weak_ode, 2.8583830327290754e-05, True),
-    ):
-        assert report.statistic == pytest.approx(statistic, rel=1e-9), report.check_name
-        assert report.passed is passed, report.check_name
-    assert weak_ode.std_error == pytest.approx(6.61244523327656e-05, rel=1e-9)
+    assert report.details["delta"] == DELTA_STEPS / 128
+
+
+@pytest.mark.parametrize("t", [0.0, -0.5])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda t: flow_axiom_suite(
+            harmonic(2), BOX, 50, SEED, ICFG, t=t, checks=["energy_invariance"],
+        ),
+        lambda t: check_measure_preservation(harmonic(2), BOX, t, 50, SEED, ICFG),
+        lambda t: check_mollification_cauchy(
+            repulsive_power(2, exponent=0.5), MollifierKernel(d=2), ShrinkFunction(),
+            BOX, t, 20, SEED, ICFG,
+        ),
+    ],
+    ids=["per_sample", "measure_preservation", "mollification_cauchy"],
+)
+def test_checks_refuse_a_horizon_that_holds_by_construction(run, t):
+    # at t = 0 these checks and their controls pass with statistic 0, and a
+    # negative t flows backward
+    with pytest.raises(DomainError, match="t > 0"):
+        run(t)
+
+
+def test_require_checks():
+    assert require_checks(("weak_ode", "group_property")) == ["weak_ode", "group_property"]
+    for names in ([], ["weak_ode", "weak_ode"], ["does_not_exist"], [None, "x"]):
+        with pytest.raises(DomainError):
+            require_checks(names)
 
 
 def test_flow_axiom_suite_shape_and_verdicts():
