@@ -154,6 +154,26 @@ class PairPotential:
         grad = coef[..., None] * r
         return grad if every else np.where(positive[..., None], grad, 0.0)
 
+    def force_bound(self, r_lo, r_hi) -> np.ndarray:
+        """sup |grad V(r)| over r_lo <= |r| <= r_hi, elementwise over the
+        broadcast radii (0 < r_lo <= r_hi)."""
+        r_lo, r_hi = np.broadcast_arrays(
+            np.asarray(r_lo, dtype=float), np.asarray(r_hi, dtype=float)
+        )
+        if self.kind == "free":
+            return np.zeros_like(r_hi)
+        if self.kind == "harmonic":
+            return self.strength * r_hi
+        if self.kind == "repulsive_power":
+            a = self.exponent
+            return self.strength * a * r_lo ** (-a - 1.0)
+        if self.kind == "gaussian_well":
+            # |grad V| = (D / w^2) |r| exp(-|r|^2 / (2 w^2)) peaks at |r| = w
+            return np.full_like(r_hi, self.strength / (self.width * math.sqrt(math.e)))
+        if self.kind == "piecewise_radial":
+            return np.full_like(r_hi, max(abs(self.slope_inner), abs(self.slope_outer)))
+        raise DomainError(f"unknown potential kind {self.kind!r}")
+
     def value(self, r) -> float:
         r = np.asarray(r, dtype=float).reshape(self.d)
         if self.is_singular and float(np.dot(r, r)) == 0.0:
@@ -677,6 +697,11 @@ class MollifiedPotential:
             coef[rows] = (self._direct(ro + h) - self._direct(ro - h)) / (2.0 * h * ro)
             self.fallback_rows += int(np.sum(outside))
         return coef.reshape(r.shape[:-1])[..., None] * r
+
+    def force_bound(self, r_lo, r_hi) -> np.ndarray:
+        """inf for every radius range: no bound on |grad V_level| is
+        derived from the table, so a caller using it rules out nothing."""
+        return np.full(np.broadcast(r_lo, r_hi).shape, np.inf)
 
 
 def gradient_l1_error(

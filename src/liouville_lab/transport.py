@@ -56,6 +56,14 @@ TEST_FUNCTION_WIDTH_FRACTION = (0.55, 0.85)
 # checks draw, in the library and the CLI alike
 TEST_FUNCTION_WINDOW = (1.0, 0.8)
 
+# slack by which `may_reach` widens each reachable interval before testing
+# it against a support, relative to the largest coordinate, interval end or
+# support end of the row: it covers the rounding of the stepped flow and of
+# the support test, orders of magnitude smaller over any step budget
+REACH_SLACK = 1e-6
+# rows per block of `may_reach`, which bounds its temporaries
+REACH_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class PhaseBox:
@@ -253,10 +261,97 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
     )
 
 
-def push_forward(e: Ensemble, potential, t: float, icfg: IntegratorConfig) -> Ensemble:
-    """Flow the ensemble by time t; values ride along unchanged."""
-    x, v, flags = flow_batch(e.x, e.v, potential, t, icfg)
-    return replace(e, x=x, v=v, flags=np.maximum(e.flags, flags), time=e.time + t)
+def may_reach(
+    phi: TestFunction, x, v, potential, t: float, icfg: IntegratorConfig
+) -> np.ndarray:
+    """Rows of the (N, n, d) states (x, v) whose `flow_batch` by t may
+    start or end inside the phase support of phi, as a boolean mask.
+
+    A row is ruled out (False) only where a bound shows that it starts
+    and ends outside supp phi with FLAG_OK.  While every particle's
+    acceleration stays at most F, velocity Verlet over any steps h_k
+    summing to tau = |t| (fixed, remainder or adaptive), with any damping
+    c <= 1, keeps each velocity component within F tau of v(0), or of
+    the segment [0, v(0)] when c < 1, and each position component within
+    F tau^2 / 2 of the segment [x(0), x(0) + t v(0)], since
+    sum_k h_k (t_k + h_k / 2) = tau^2 / 2.  With dmin and dmax the
+    row's smallest and largest pair distance, F = (n - 1)
+    force_bound(dmin / 2, 2 dmax + 1) holds while no pair distance leaves
+    that range, and 2 tau max_i |v_i(0)| + F tau^2 <= dmin / 2 keeps every
+    pair distance within dmin / 2 of its start.  So a row is ruled out
+    when F is finite and that inequality holds, dmin / 2 is above
+    COINCIDENCE_THRESHOLD (no FLAG_SINGULAR), an adaptive flow's steps,
+    none below dt min(1, (dmin / 2 / reference_distance)^1.5), fit its
+    max_substeps (no FLAG_SUBSTEP_LIMIT), and on some phase axis k the
+    reachable interval, widened by REACH_SLACK of the row's scale,
+    misses the open support interval (c_k - w_k, c_k + w_k).  Rows with
+    a NaN or infinite coordinate are never ruled out, and a potential
+    whose force_bound is inf rules out none.  The rows are taken
+    REACH_BLOCK at a time.
+    """
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    out = np.empty(x.shape[0], dtype=bool)
+    for start in range(0, x.shape[0], REACH_BLOCK):
+        rows = slice(start, start + REACH_BLOCK)
+        out[rows] = _may_reach_block(phi, x[rows], v[rows], potential, t, icfg)
+    return out
+
+
+def _may_reach_block(
+    phi: TestFunction, x: np.ndarray, v: np.ndarray, potential, t: float, icfg: IntegratorConfig
+) -> np.ndarray:
+    """`may_reach` on one block of rows."""
+    # component-major (n, d, N) copies, so that every reduction over
+    # particles, components or axes runs across the rows
+    X, V = dynamics._component_major(x), dynamics._component_major(v)
+    n, d, N = X.shape
+    nd = n * d
+    pos, vel = X.reshape(nd, N), V.reshape(nd, N)
+    tau = abs(t)
+    centers, widths = phi.centers[:, None], phi.widths[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n > 1:
+            radii = np.stack(
+                [np.sqrt(np.sum((X[i] - X[j]) ** 2, axis=0))
+                 for i in range(n) for j in range(i + 1, n)]
+            )
+            dmin, dmax = radii.min(axis=0), radii.max(axis=0)
+            force = (n - 1) * potential.force_bound(0.5 * dmin, 2.0 * dmax + 1.0)
+        else:
+            dmin, force = np.full(N, np.inf), np.zeros(N)
+        speed = np.sqrt(np.max(np.sum(V * V, axis=1), axis=0))
+        spread = 0.5 * tau * tau * force
+        safe = (
+            np.isfinite(pos).all(axis=0)
+            & np.isfinite(speed)
+            & np.isfinite(force)
+            & (2.0 * tau * speed + 2.0 * spread <= 0.5 * dmin)
+            & (0.5 * dmin > dynamics.COINCIDENCE_THRESHOLD)
+        )
+        if icfg.adaptive:
+            shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / icfg.reference_distance) ** 1.5)
+            # one step more for the remainder the clipped steps leave
+            safe &= tau / shortest + 2.0 <= icfg.max_substeps
+        # an interval [m - r - R, m + r + R] misses (c - w, c + w) iff
+        # |m - c| - r - w >= R; R is the force term, the same on every
+        # position axis (F tau^2 / 2) and on every velocity axis (F tau)
+        half_drift = 0.5 * t * vel
+        pos_gap = np.abs(pos + half_drift - centers[:nd]) - np.abs(half_drift) - widths[:nd]
+        if icfg.velocity_damping == 1.0:
+            vel_gap = np.abs(vel - centers[nd:]) - widths[nd:]
+        else:
+            vel_gap = np.abs(0.5 * vel - centers[nd:]) - 0.5 * np.abs(vel) - widths[nd:]
+        # every coordinate, interval end and support end is below scale
+        scale = (
+            np.max(np.abs(pos), axis=0) + np.max(np.abs(vel), axis=0) * (1.0 + tau)
+            + spread + tau * force + float(np.max(np.abs(phi.centers) + phi.widths))
+        )
+        pad = REACH_SLACK * scale
+        misses = (np.max(pos_gap, axis=0) >= spread + pad) | (
+            np.max(vel_gap, axis=0) >= tau * force + pad
+        )
+        return ~(safe & misses)
 
 
 # ---------------------------------------------------------------------------

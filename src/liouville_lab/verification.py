@@ -257,9 +257,17 @@ PREIMAGE_MARGIN = 0.01
 def _require_preimage_coverage(
     phi: TestFunction, box: PhaseBox, potential, t: float, icfg: IntegratorConfig, seed: int
 ) -> None:
-    """Flow supp phi backward; if any probe leaves (or hugs) the sampling
-    box, mass could enter supp phi from outside the box and the
-    preservation statistic would be biased."""
+    """Flow supp phi backward under the undamped icfg; if any probe leaves
+    (or hugs) the sampling box, mass could enter supp phi from outside the
+    box and the preservation statistic would be biased.
+
+    The control runs the same probe, so its own preimage goes unprobed:
+    the inverse of a damped map expands velocities, and a damped
+    backward flow, which contracts them, would not test it.  Samples
+    that would enter supp phi from outside the box are then missing from
+    a damped control's sum of w phi(Y(t, z)), which damping raises above
+    the sum of w phi(z) by contracting phase volume; they only remove
+    positive terms from it."""
     rng = rng_for(seed, "coverage-probes")
     lo, hi = phi.support_bounds()
     probes = PREIMAGE_PROBES
@@ -298,15 +306,20 @@ def check_measure_preservation(
     sum w phi(z).  The default observable lives on a shrunken box so
     that its backward image can stay inside the sampling box, which
     _require_preimage_coverage verifies by flowing probe points
-    backward.  A nonzero statistic with a zero standard error means no
-    sample got past the edge of the observable support, where the
-    squared terms underflow; that raises CoverageError.  A zero
-    statistic with a zero standard error still passes, so
-    details["support_visits"] counts the unflagged samples inside the
-    support of phi at the start and at the end: 0 and 0 mean the verdict
-    rests on no sample.  A horizon t <= 0, where both read 0 by
-    construction, raises DomainError.  Control: velocity damping
-    contracts phase volume.
+    backward under the undamped flow, for the control too.  Only the
+    samples that `transport.may_reach` cannot rule out are flowed;
+    every other sample provably starts and ends outside supp phi
+    unflagged, so its term is exactly 0 either way and the report is
+    bitwise that of flowing every sample.  details["flowed_rows"]
+    counts the flowed samples, out of sample_count.  A nonzero
+    statistic with a zero standard error means no sample got past the
+    edge of the observable support, where the squared terms underflow;
+    that raises CoverageError.  A zero statistic with a zero standard
+    error still passes, so details["support_visits"] counts the
+    unflagged samples inside the support of phi at the start and at the
+    end: 0 and 0 mean the verdict rests on no sample.  A horizon t <= 0,
+    where both read 0 by construction, raises DomainError.  Control:
+    velocity damping contracts phase volume.
     """
     if not t > 0.0:
         raise DomainError(f"measure preservation needs a horizon t > 0, got {t:g}")
@@ -322,16 +335,23 @@ def check_measure_preservation(
             "observable support reaches the coincidence set of a confining"
             " potential; pass a phi with separated particle supports"
         )
-    _require_preimage_coverage(phi, box, potential, t, run_icfg, seed)
+    _require_preimage_coverage(phi, box, potential, t, icfg, seed)
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
-    e1 = transport.push_forward(e0, potential, t, run_icfg)
-    # one support test per ensemble serves both phi and the visit counts
+    rows = np.flatnonzero(transport.may_reach(phi, e0.x, e0.v, potential, t, run_icfg))
+    x1, v1, flowed_flags = flow_batch(e0.x[rows], e0.v[rows], potential, t, run_icfg)
+    # one support test per ensemble serves both phi and the visit counts;
+    # the samples not flowed stay outside the support, unflagged
     mask0 = phi.support_mask(phi.t_center, e0.x, e0.v)
-    mask1 = phi.support_mask(phi.t_center, e1.x, e1.v)
+    inside = phi.support_mask(phi.t_center, x1, v1)
+    mask1 = np.zeros(count, dtype=bool)
+    mask1[rows] = inside
     before = phi._value_on(phi.t_center, e0.x, e0.v, mask0)
-    after = phi._value_on(phi.t_center, e1.x, e1.v, mask1)
-    ok = e1.flags == dynamics.FLAG_OK
+    after = np.zeros(count)
+    after[rows] = phi._value_on(phi.t_center, x1, v1, inside)
+    flags = np.zeros(count, dtype=np.int8)
+    flags[rows] = flowed_flags
+    ok = flags == dynamics.FLAG_OK
     in_start = ok & mask0
     in_end = ok & mask1
     total = MCEstimate.from_samples(np.where(ok, e0.weight * (after - before), 0.0))
@@ -367,6 +387,7 @@ def check_measure_preservation(
                 "start": int(np.count_nonzero(in_start)),
                 "end": int(np.count_nonzero(in_end)),
             },
+            "flowed_rows": int(rows.size),
         },
     )
 

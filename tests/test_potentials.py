@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liouville_lab import dynamics, potentials
 from liouville_lab.errors import DomainError, QuadratureError, SingularityError
@@ -82,6 +83,48 @@ def test_lower_bound_constant_bounds_value():
         vals = pot.value_batch(r)
         bound = -pot.lower_bound_constant * (1.0 + np.sum(r * r, axis=1))
         assert np.all(vals >= bound - 1e-12)
+
+
+FORCE_BOUND_FAMILIES = [
+    free_potential(2),
+    harmonic(3, strength=0.7),
+    repulsive_power(2, exponent=0.5),
+    repulsive_power(3, exponent=2.5, strength=0.3),
+    gaussian_well(2, depth=1.3, width=0.8),
+    piecewise_radial(2, 0.8, -0.6, 0.4),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(range(len(FORCE_BOUND_FAMILIES))),
+    r_lo=st.floats(1e-3, 5.0),
+    span=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_force_bound_bounds_the_gradient(family, r_lo, span, seed):
+    # sup |grad V| over r_lo <= |r| <= r_hi, at random radii and directions;
+    # the gaussian well's radius of largest force, its width, is always tried
+    pot = FORCE_BOUND_FAMILIES[family]
+    r_hi = r_lo + span
+    rng = np.random.default_rng(seed)
+    radii = np.append(rng.uniform(r_lo, r_hi, 256), [r_lo, r_hi, np.clip(pot.width, r_lo, r_hi)])
+    directions = rng.normal(size=(radii.size, pot.d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    largest = np.max(np.linalg.norm(pot.gradient_batch(radii[:, None] * directions), axis=1))
+    bound = pot.force_bound(r_lo, r_hi)
+    assert bound.shape == ()
+    # the norm of the rounded gradient may exceed the bound by a few ulps
+    assert largest <= bound * (1.0 + 1e-12)
+
+
+def test_force_bound_is_elementwise_and_mollified_bounds_nothing():
+    pot = repulsive_power(2, exponent=1.0)
+    lo, hi = np.array([0.5, 1.0, 2.0]), np.array([1.0, 3.0, 2.0])
+    np.testing.assert_array_equal(pot.force_bound(lo, hi), lo**-2.0)
+    np.testing.assert_array_equal(harmonic(2, strength=2.0).force_bound(lo, hi), 2.0 * hi)
+    mollified = MollifiedPotential(pot, MollifierKernel(d=2, power=3), ShrinkFunction(), 2)
+    np.testing.assert_array_equal(mollified.force_bound(lo, hi), np.full(3, np.inf))
 
 
 def test_singular_value_raises_and_batch_returns_zero_gradient():

@@ -9,7 +9,16 @@ from liouville_lab import transport
 from liouville_lab.dynamics import FLAG_OK, FLAG_SINGULAR, IntegratorConfig, _forces, flow_batch
 from liouville_lab.errors import CoverageError, DomainError
 from liouville_lab.estimates import MCEstimate
-from liouville_lab.potentials import free_potential, harmonic, repulsive_power
+from liouville_lab.potentials import (
+    MollifiedPotential,
+    MollifierKernel,
+    ShrinkFunction,
+    free_potential,
+    gaussian_well,
+    harmonic,
+    piecewise_radial,
+    repulsive_power,
+)
 from liouville_lab.profiles import bump, bump_pair
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
@@ -22,8 +31,8 @@ from liouville_lab.transport import (
     arctan_squash,
     collision_boundary_term,
     level_difference_series,
+    may_reach,
     nonneg_squash,
-    push_forward,
     random_test_function,
     rational_squash,
     residual_window,
@@ -176,14 +185,67 @@ def test_sample_ensemble_is_deterministic():
     assert not np.array_equal(a.x, c.x)
 
 
-def test_push_forward_carries_values_and_time():
-    box = PhaseBox.centered(2, 2, 1.0, 1.0)
-    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.6)
-    e = sample_ensemble(box, 200, datum, seed=1)
-    out = push_forward(e, free_potential(2), 0.7, IntegratorConfig(dt=1e-2))
-    assert out.time == pytest.approx(0.7)
-    np.testing.assert_array_equal(out.values, e.values)
-    np.testing.assert_array_equal(out.x, e.x + 0.7 * e.v)
+REACH_CASES = {
+    "free": (free_potential(2), IntegratorConfig(dt=1e-2)),
+    "harmonic": (harmonic(2), IntegratorConfig(dt=1e-2)),
+    "repulsive_fixed": (repulsive_power(2, exponent=1.0), IntegratorConfig(dt=1e-2)),
+    "repulsive_adaptive": (
+        repulsive_power(2, exponent=1.0), IntegratorConfig(dt=1e-2, adaptive=True)
+    ),
+    "gaussian_well": (gaussian_well(2, depth=1.3, width=0.8), IntegratorConfig(dt=1e-2)),
+    "piecewise_radial": (piecewise_radial(2, 0.8, -0.6, 0.4), IntegratorConfig(dt=1e-2)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("damping", [1.0, 0.99])
+# 7 steps and a remainder step, and 15 steps
+@pytest.mark.parametrize("t", [0.075, -0.075, 0.15, -0.15])
+@pytest.mark.parametrize("case", list(REACH_CASES))
+def test_may_reach_rules_out_only_rows_that_stay_outside(case, t, damping, n):
+    # every row is flowed anyway: a row ruled out must start and end
+    # outside supp phi, unflagged
+    pot, icfg = REACH_CASES[case]
+    icfg = replace(icfg, velocity_damping=damping)
+    box = PhaseBox.centered(2, n, 1.5, 1.5)
+    rng = np.random.default_rng(17)
+    phi = random_test_function(2, n, box, t_center=0.0, t_width=1.0, rng=rng)
+    z = box.sample(rng, 4000)
+    x, v = z[:, : 2 * n].reshape(-1, n, 2), z[:, 2 * n :].reshape(-1, n, 2)
+    reach = may_reach(phi, x, v, pot, t, icfg)
+    assert reach.dtype == bool and reach.shape == (4000,)
+    out = ~reach
+    assert 0 < np.count_nonzero(out) < 4000
+    x1, v1, flags = flow_batch(x, v, pot, t, icfg)
+    assert np.all(flags[out] == FLAG_OK)
+    assert not phi.support_mask(0.0, x[out], v[out]).any()
+    assert not phi.support_mask(0.0, x1[out], v1[out]).any()
+
+
+def test_may_reach_keeps_rows_it_cannot_bound():
+    box = PhaseBox.centered(2, 2, 1.5, 1.5)
+    rng = np.random.default_rng(3)
+    phi = random_test_function(2, 2, box, t_center=0.0, t_width=1.0, rng=rng)
+    z = box.sample(rng, 500)
+    x, v = z[:, :4].reshape(-1, 2, 2), z[:, 4:].reshape(-1, 2, 2)
+    icfg = IntegratorConfig(dt=1e-2)
+    assert not may_reach(phi, x, v, harmonic(2), 0.05, icfg).all()
+    # a mollified potential has no force bound
+    base = repulsive_power(2, exponent=1.0)
+    mollified = MollifiedPotential(base, MollifierKernel(d=2, power=3), ShrinkFunction(), 2)
+    assert may_reach(phi, x, v, mollified, 0.05, icfg).all()
+    # NaN or infinite coordinates
+    x[0, 0, 0], v[1, 1, 1] = np.nan, np.inf
+    assert may_reach(phi, x, v, harmonic(2), 0.05, icfg)[:2].all()
+    # a resting pair inside the coincidence threshold, which a stepped
+    # (damped) free flow flags
+    x[2, 1], v[2] = x[2, 0] + 1e-13, 0.0
+    damped = IntegratorConfig(dt=1e-2, velocity_damping=0.99)
+    assert flow_batch(x[2:3], v[2:3], free_potential(2), 0.05, damped)[2][0] != FLAG_OK
+    assert may_reach(phi, x[2:3], v[2:3], free_potential(2), 0.05, damped)[0]
+    # an adaptive flow whose steps would overrun its budget
+    tight = IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=6)
+    assert may_reach(phi, x[3:], v[3:], base, 0.05, tight).all()
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +706,8 @@ def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
 def test_weak_residual_suite_time_validation():
     _, _, e, phi = free_setup(count=100)
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
-    started = push_forward(e, pot, 0.5, icfg)
+    x, v, flags = flow_batch(e.x, e.v, pot, 0.5, icfg)
+    started = replace(e, x=x, v=v, flags=flags, time=0.5)
     with pytest.raises(DomainError, match="t = 0"):
         weak_residual_suite(started, pot, phi, [None], icfg)
     ended = replace(phi, t_center=-1.0, t_width=0.5)
@@ -846,11 +909,12 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     e0 = sample_ensemble(box, 400, datum, seed=21)
     icfg = IntegratorConfig(dt=2e-3)
     times = [0.1, 0.2, 0.3]
-    # the every-row reference: one push_forward per leg
-    legs, e = [], e0
+    # the every-row reference: one flow_batch call per leg
+    legs, x, v, now = [], e0.x, e0.v, 0.0
     for tk in times:
-        e = push_forward(e, pot, tk - e.time, icfg)
-        legs.append(e)
+        x, v, _ = flow_batch(x, v, pot, tk - now, icfg)
+        legs.append((tk, x, v))
+        now = tk
     calls = []
     flow = transport.flow_batch
 
@@ -864,10 +928,10 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     # one forward flow pausing at every snapshot, one backward flow per snapshot
     assert calls == [0.3, -0.1, -0.2, -0.3]
     assert len(series) == 3 and len(disps) == 3
-    for e, leg in zip(series, legs):
-        assert e.time == leg.time
-        np.testing.assert_array_equal(e.x, leg.x)
-        np.testing.assert_array_equal(e.v, leg.v)
+    for e, (tk, x, v) in zip(series, legs):
+        assert e.time == tk
+        np.testing.assert_array_equal(e.x, x)
+        np.testing.assert_array_equal(e.v, v)
     # identical levels retrace bitwise under the reversible stepper
     assert max(float(np.max(d)) for d in disps) < 1e-12
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from liouville_lab import dynamics, potentials, transport
+from liouville_lab import dynamics, potentials, transport, verification
 from liouville_lab.dynamics import FLAG_OK, IntegratorConfig, _forces, flow_batch
 from liouville_lab.errors import CoverageError, DomainError
 from liouville_lab.estimates import MCEstimate
@@ -27,7 +27,6 @@ from liouville_lab.transport import (
     InitialDatum,
     PhaseBox,
     TestFunction,
-    push_forward,
     random_test_function,
     residual_window,
     sample_ensemble,
@@ -242,6 +241,82 @@ def test_measure_preservation_observable_is_sized_with_n():
     assert report.passed
     visits = report.details["support_visits"]
     assert visits["start"] >= 20 and visits["end"] >= 20
+
+
+def test_measure_preservation_probes_the_undamped_preimage_for_the_control():
+    # the control probed its preimage under damping, which contracts the
+    # velocities that the inverse of the damped map expands, so on this box
+    # the positive raised and the control passed the probe
+    pot = harmonic(2)
+    phi = default_observable_for(pot, PhaseBox.centered(2, 2, 2.0, 2.0), 1)
+    box = PhaseBox.centered(2, 2, 2.0, 1.1)
+    for control in (False, True):
+        with pytest.raises(CoverageError, match="preimage"):
+            check_measure_preservation(
+                pot, box, 0.05, 20_000, 1, ICFG, phi=phi, negative_control=control
+            )
+
+
+SEPARATED = TestFunction(
+    d=2, n=2, t_center=0.0, t_width=1.0,
+    centers=np.array([-0.48, 0.0, 0.48, 0.0, 0.0, 0.0, 0.0, 0.0]),
+    widths=np.array([0.3, 0.6, 0.3, 0.6, 0.9, 0.9, 0.9, 0.9]),
+)
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
+@pytest.mark.parametrize(
+    "pot, box, icfg, phi",
+    [
+        (harmonic(2), PhaseBox.centered(2, 2, 2.0, 2.0), ICFG, None),
+        (repulsive_power(2, exponent=1.0), BOX, replace(ICFG, adaptive=True), SEPARATED),
+        (potentials.gaussian_well(2, depth=1.3, width=0.8),
+         PhaseBox.centered(2, 3, 2.0, 2.0), ICFG, None),
+    ],
+    ids=["harmonic", "repulsive_adaptive", "gaussian_well_n3"],
+)
+def test_measure_preservation_equals_flowing_every_sample(
+    monkeypatch, pot, box, icfg, phi, control
+):
+    # the samples may_reach rules out are not flowed; the report is bitwise
+    # that of flowing them all
+    got = check_measure_preservation(
+        pot, box, 0.05, 20_000, SEED, icfg, phi=phi, negative_control=control
+    )
+    monkeypatch.setattr(
+        transport, "may_reach", lambda phi, x, *args: np.ones(x.shape[0], dtype=bool)
+    )
+    want = check_measure_preservation(
+        pot, box, 0.05, 20_000, SEED, icfg, phi=phi, negative_control=control
+    )
+    assert want.details.pop("flowed_rows") == 20_000
+    assert 0 < got.details.pop("flowed_rows") < 5_000
+    assert got.details["support_visits"]["end"] > 0
+    assert _hex_fields(got) == _hex_fields(want)
+
+
+def test_measure_preservation_with_every_sample_ruled_out(monkeypatch):
+    # a short horizon and a small observable: no sample can reach it, and
+    # the samples' flow runs on zero rows
+    rows = []
+    flow = verification.flow_batch
+
+    def counted(x, v, *args, **kwargs):
+        rows.append(x.shape[0])
+        return flow(x, v, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "flow_batch", counted)
+    tiny = TestFunction(
+        d=2, n=2, t_center=0.0, t_width=1.0,
+        centers=np.zeros(8), widths=np.full(8, 0.05),
+    )
+    report = check_measure_preservation(harmonic(2), BOX, 0.01, 100, SEED, ICFG, phi=tiny)
+    # the coverage probes, then the samples
+    assert rows == [verification.PREIMAGE_PROBES, 0]
+    assert report.details["flowed_rows"] == 0
+    assert report.statistic == 0.0 and report.std_error == 0.0 and report.passed
+    assert report.flagged_fraction == 0.0
+    assert report.details["support_visits"] == {"start": 0, "end": 0}
 
 
 def test_measure_preservation_rejects_colliding_observable_when_confining():
@@ -576,10 +651,11 @@ def residual_reference(pot, count, negative_control):
     # every row is stepped; only the carried rows are paired
     kept = np.flatnonzero(e0.values)
     full, half = np.zeros(kept.size), np.zeros(kept.size)
-    e = e0
+    x_all, v_all, flags, now = e0.x, e0.v, e0.flags, 0.0
     for k, tk in enumerate(times):
-        e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
-        x, v = e.x[kept], e.v[kept]
+        x_all, v_all, leg_flags = flow_batch(x_all, v_all, pot, tk - now, RESIDUAL_ICFG)
+        flags, now = np.maximum(flags, leg_flags), tk
+        x, v = x_all[kept], v_all[kept]
         cols = np.flatnonzero(phi.support_mask(tk, x, v))
         terms = phi.transport_pairing(tk, x, v, _forces(x, pot)[0], cols) * factor(tk)
         full[cols] += w_full[k] * terms
@@ -589,7 +665,7 @@ def residual_reference(pot, count, negative_control):
     term0 = phi.value(0.0, e0.x[kept], e0.v[kept]) * factor(0.0)
     full += term0
     half += term0
-    ok = e.flags == FLAG_OK
+    ok = flags == FLAG_OK
     out = []
     for g in [None, *shipped_beta_family(1.0)]:
         weights = e0.values[kept] if g is None else g(e0.values[kept])
@@ -626,17 +702,18 @@ def per_node_reference(pot, count, negative_control):
     for m, g in enumerate(maps):
         full[m] += g(0.0, e0.values) * phi.value(0.0, e0.x, e0.v)
     half[:] = full
-    e = e0
+    x, v, flags, now = e0.x, e0.v, e0.flags, 0.0
     for k, tk in enumerate(times):
-        e = push_forward(e, pot, tk - e.time, RESIDUAL_ICFG)
-        rows = np.flatnonzero(phi.support_mask(tk, e.x, e.v))
-        pairing = phi.transport_pairing(tk, e.x, e.v, _forces(e.x, pot)[0], rows)
+        x, v, leg_flags = flow_batch(x, v, pot, tk - now, RESIDUAL_ICFG)
+        flags, now = np.maximum(flags, leg_flags), tk
+        rows = np.flatnonzero(phi.support_mask(tk, x, v))
+        pairing = phi.transport_pairing(tk, x, v, _forces(x, pot)[0], rows)
         for m, g in enumerate(maps):
             term = g(tk, e0.values[rows]) * pairing
             full[m, rows] += w_full[k] * term
             if k % 2 == 0:
                 half[m, rows] += w_half[k // 2] * term
-    ok = e.flags == FLAG_OK
+    ok = flags == FLAG_OK
     out = []
     for m in range(len(maps)):
         mc = MCEstimate.from_samples(np.where(ok, e0.weight * full[m], 0.0))
