@@ -364,44 +364,67 @@ def test_energy_invariance_passes_and_control_fails():
     assert not bad.passed
 
 
-def _simpson_defects_by_legs(sample, t_final, icfg):
-    """Per-sample Simpson defects from one flow_batch call per leg and the
-    forces recomputed at every node, row-major and in input order, and
-    the state at every node."""
-    x, v, ok = sample.start
+def _walk_by_legs(start, potential, t_final, icfg):
+    """The Simpson walk of the weak-ODE defect from the (x, v, ok) state
+    start, from one flow_batch call per leg and the forces recomputed at
+    every node, row-major and in input order: per row the worst
+    component of the full-grid sum and of its gap to the half-grid sum,
+    and the state at every node.  A flagged row's sums are not its
+    walk's, which reads 0 there."""
+    x, v, ok = start
     times = np.linspace(0.0, t_final, WEAK_ODE_NODES)
-    weights = transport.simpson_weights(WEAK_ODE_NODES, 0.0, t_final)
-    defect = np.zeros((sample.count, 2) + x.shape[1:])
+    w_full = transport.simpson_weights(WEAK_ODE_NODES, 0.0, t_final)
+    w_half = transport.simpson_weights((WEAK_ODE_NODES + 1) // 2, 0.0, t_final)
+    full = np.zeros((x.shape[0], 2) + x.shape[1:])
+    half = np.zeros_like(full)
     states = []
     now = 0.0
     for k, tk in enumerate(times):
-        x, v, flags = flow_batch(x, v, sample.potential, tk - now, icfg)
+        x, v, flags = flow_batch(x, v, potential, tk - now, icfg)
         now, ok = tk, ok & (flags == FLAG_OK)
         states.append((x, v, ok))
         chi, slope = bump_pair(np.asarray((tk - t_final / 2.0) / (t_final / 2.0)))
         chi, chi_p = float(chi), float(slope) / (t_final / 2.0)
-        acc, _ = _forces(x, sample.potential)
-        defect += weights[k] * np.stack([x * chi_p + v * chi, v * chi_p + acc * chi], axis=1)
-    return np.max(np.abs(defect), axis=(1, 2, 3)), states
+        acc, _ = _forces(x, potential)
+        terms = np.stack([x * chi_p + v * chi, v * chi_p + acc * chi], axis=1)
+        full += w_full[k] * terms
+        if k % 2 == 0:
+            half += w_half[k // 2] * terms
+    per_full = np.max(np.abs(full), axis=(1, 2, 3))
+    return per_full, np.max(np.abs(full - half), axis=(1, 2, 3)), states
+
+
+def _every_sample(potential, box, count, seed):
+    """All `count` samples of the per-sample checks as an (x, v, ok)
+    state, their initial energies, the energy level and the mask of the
+    samples below it."""
+    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
+    e0 = sample_ensemble(box, count, datum, seed)
+    energies = dynamics._energy_batch(e0.x, e0.v, potential)
+    level = float(np.quantile(energies, verification.ENERGY_QUANTILE))
+    return (e0.x, e0.v, np.ones(count, dtype=bool)), energies, level, energies < level
 
 
 @pytest.mark.parametrize(
-    "potential, box, t_final, icfg, gap",
+    "potential, box, t_final, icfg, gap, flagged",
     [
         # DELTA_STEPS dt = 0.01 is 1.28 node gaps of t / 128
-        (harmonic(2), BOX, 1.0, ICFG, 1),
+        (harmonic(2), BOX, 1.0, ICFG, 1, False),
         # adaptive steps park rows that finish a leg early, which reorders
-        # the batch rows and the sums that ride along with them; 4 substeps
-        # per leg flag 4% of the rows, which retire while others are parked.
-        # 0.01 is 5.12 node gaps of 0.25 / 128
+        # the batch rows and the sums that ride along with them; 2 substeps
+        # per leg flag 1.1% of the compared rows, which retire while others
+        # are parked.  0.01 is 5.12 node gaps of 0.25 / 128
         (repulsive_power(2, exponent=1.0), PhaseBox.centered(2, 2, 1.5, 1.5), 0.25,
-         IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=4), 5),
+         IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=2), 5, True),
     ],
     ids=["harmonic", "repulsive_adaptive"],
 )
-def test_weak_ode_statistic_is_the_worst_selected_defect(potential, box, t_final, icfg, gap):
+def test_weak_ode_statistic_is_the_worst_selected_defect(
+    potential, box, t_final, icfg, gap, flagged
+):
     sample = _Sample(potential, box, 400, SEED)
-    want, states = _simpson_defects_by_legs(sample, t_final, icfg)
+    assert sample.start[0].shape[0] == sample.rows == 360
+    want, _, states = _walk_by_legs(sample.start, potential, t_final, icfg)
     ok = states[-1][2]
     per_sample, _, walk_states = _simpson_defects(sample, t_final, icfg)
     # the walk keeps the states at 0.5 t, at 0.5 t + delta and at t
@@ -410,11 +433,12 @@ def test_weak_ode_statistic_is_the_worst_selected_defect(potential, box, t_final
         np.testing.assert_array_equal(got[2], ref[2])
         np.testing.assert_array_equal(got[0][ref[2]], ref[0][ref[2]])
         np.testing.assert_array_equal(got[1][ref[2]], ref[1][ref[2]])
-    assert 0.0 <= np.mean(~ok) < 0.05
+    assert (0.0 < np.mean(~ok) < 0.05) if flagged else np.all(ok)
     np.testing.assert_array_equal(per_sample[ok], want[ok])
     report = check_weak_ode(potential, box, t_final, 400, SEED, icfg)
-    assert report.statistic == np.max(want[ok & sample.below])
+    assert report.statistic == np.max(want[ok])
     assert report.flagged_fraction == np.mean(~ok)
+    assert report.details["flowed_rows"] == 360 and report.sample_count == 400
     assert "initial_identity_defect" not in report.details
     continuity = check_time_continuity(potential, box, t_final, 400, SEED, icfg)
     assert continuity.details["delta"] == gap * t_final / (WEAK_ODE_NODES - 1)
@@ -540,14 +564,186 @@ def test_standalone_checks_are_the_suite_reports(potential, icfg):
             assert _hex_fields(got) == _hex_fields(want)
 
 
+def _reference_reports(potential, box, count, seed, icfg, t):
+    """The per-sample reports, controls included, from flowing all `count`
+    samples leg by leg and reading only the rows below the energy level."""
+    start, energies, level, below = _every_sample(potential, box, count, seed)
+    damped = replace(icfg, velocity_damping=0.99)
+    walks = {control: _walk_by_legs(start, potential, t, damped if control else icfg)
+             for control in (False, True)}
+    states = walks[False][2]
+    gap = verification._delta_nodes(t, icfg.dt)
+    delta = gap * t / (WEAK_ODE_NODES - 1)
+
+    def advance(state, leg):
+        x, v, flags = flow_batch(state[0], state[1], potential, leg, icfg)
+        return x, v, state[2] & (flags == FLAG_OK)
+
+    def phase_speed(x, v):
+        acc, _ = _forces(x, potential)
+        return np.sqrt(np.sum(v**2, axis=(1, 2)) + np.sum(acc**2, axis=(1, 2)))
+
+    mid = advance(start, 0.4 * t)
+    composed = advance(mid, 0.6 * t)
+    kicked_v = mid[1].copy()
+    kicked_v[:, 0] += KICK
+    kicked = advance((mid[0], kicked_v, mid[2]), 0.6 * t)
+    out = {}
+    for control in (False, True):
+        suffix = "_control" if control else ""
+
+        def add(name, values, ok, details, std_error=0.0, where=True):
+            selected = ok & below & where
+            out[name + suffix] = CheckReport.build(
+                name + suffix, potential.describe(), seed, count,
+                np.max(values[selected]), std_error, 0.0, verification.TOLERANCES[name],
+                np.mean(~ok[below]), 0.0,
+                {**details, "energy_level": level, "flowed_rows": int(np.count_nonzero(below))},
+            )
+
+        middle = (WEAK_ODE_NODES - 1) // 2
+        (xa, va, _), (xb, vb, ok) = states[middle], states[middle + gap]
+        xb = xb + 0.5 if control else xb
+        move = np.sqrt(np.sum((xb - xa) ** 2, axis=(1, 2)) + np.sum((vb - va) ** 2, axis=(1, 2)))
+        speed = np.maximum(phase_speed(xa, va), phase_speed(xb, vb))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = move / (delta * speed)
+        add("time_continuity", ratio, ok, {"t": 0.5 * t, "delta": delta}, where=speed > 0)
+        x_comp, v_comp, ok_comp = kicked if control else composed
+        x_direct, v_direct, ok_direct = states[-1]
+        gaps = np.maximum(
+            np.max(np.abs(x_comp - x_direct), axis=(1, 2)),
+            np.max(np.abs(v_comp - v_direct), axis=(1, 2)),
+        )
+        add("group_property", gaps, ok_comp & ok_direct, {"s": 0.4 * t, "t": 0.6 * t})
+        per_sample, per_half, walk_states = walks[control]
+        ok = walk_states[-1][2]
+        add("weak_ode", per_sample, ok, {"t_final": t, "nodes": WEAK_ODE_NODES},
+            std_error=np.max(per_half[ok & below]) / 15.0)
+        x, v, ok = walk_states[-1] if control else composed
+        drift = np.abs(dynamics._energy_batch(x, v, potential) - energies) / np.maximum(
+            1.0, np.abs(energies)
+        )
+        add("energy_invariance", drift, ok, {"t": t})
+    return out
+
+
+@pytest.mark.parametrize("with_controls", [False, True], ids=["positives", "with_controls"])
+@pytest.mark.parametrize(
+    "potential, box, icfg",
+    [(harmonic(2), PhaseBox.centered(2, 2, 2.0, 2.0), ICFG),
+     (repulsive_power(2, exponent=1.0), BOX, IntegratorConfig(adaptive=True))],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_per_sample_reports_equal_flowing_every_sample(potential, box, icfg, with_controls):
+    # the suite flows only the rows below the energy level; the reports are
+    # bitwise those of flowing all of them and reading the rows below
+    reports = flow_axiom_suite(
+        potential, box, 300, SEED, icfg, t=0.25, checks=list(PER_SAMPLE_CHECKS),
+        with_controls=with_controls,
+    )
+    want = _reference_reports(potential, box, 300, SEED, icfg, 0.25)
+    assert len(reports) == 4 * (1 + with_controls)
+    for report in reports:
+        assert report.details["flowed_rows"] == 270
+        assert _hex_fields(report) == _hex_fields(want[report.check_name])
+
+
+def test_per_sample_flags_count_among_the_compared_rows():
+    # with 4 substeps per leg the walk flags 16 of 400 samples, every one
+    # above the energy level: weak_ode and time continuity failed at a
+    # flagged fraction of 0.04 when every sample counted, and now pass.
+    # With 2 substeps 4 of the 360 compared rows are flagged, 1.1%, and
+    # both fail on that alone
+    pot, box = repulsive_power(2, exponent=1.0), PhaseBox.centered(2, 2, 1.5, 1.5)
+    checks = ["time_continuity", "weak_ode"]
+    for budget, flagged, passed in ((4, 0, True), (2, 4, False)):
+        icfg = IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=budget)
+        start, _, _, below = _every_sample(pot, box, 400, SEED)
+        _, _, states = _walk_by_legs(start, pot, 0.25, icfg)
+        ok = states[-1][2]
+        assert np.count_nonzero(~ok & below) == flagged
+        assert np.count_nonzero(~ok & ~below) > 0.01 * 400
+        for report in flow_axiom_suite(
+            pot, box, 400, SEED, icfg, t=0.25, checks=checks, with_controls=False
+        ):
+            assert report.details["flowed_rows"] == 360
+            assert report.flagged_fraction == flagged / 360
+            budget_sum = report.tolerance + 3.0 * report.std_error + report.bias_bound
+            assert report.statistic <= budget_sum
+            assert report.passed is passed
+
+
+@pytest.mark.parametrize(
+    "potential, icfg",
+    [(harmonic(2), ICFG), (repulsive_power(2, exponent=1.0), IntegratorConfig(adaptive=True))],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_per_sample_checks_without_a_compared_row_fail(potential, icfg):
+    # one sample is its own energy level, so no sample lies below it: every
+    # walk and leg runs on zero rows, and each report fails with an
+    # infinite statistic and a finite flagged fraction
+    reports = flow_axiom_suite(
+        potential, BOX, 1, SEED, icfg, t=0.25, checks=list(PER_SAMPLE_CHECKS),
+    )
+    assert len(reports) == 8
+    for report in reports:
+        assert report.sample_count == 1 and report.details["flowed_rows"] == 0
+        assert report.statistic == math.inf and not report.passed
+        assert report.flagged_fraction == 0.0 and report.std_error == 0.0
+
+
 def test_suite_flows_each_sample_once_per_damping():
-    # per row: one undamped and one damped walk of 128 legs of two steps
-    # (t / 128 = 1.95 dt), each with the start, 257; the mid leg 0.1, 101;
-    # two composed legs 0.15, 151 each; the phase speeds at both continuity
-    # states for the positive and the control, 4
+    # per compared row: one undamped and one damped walk of 128 legs of two
+    # steps (t / 128 = 1.95 dt), each with the start, 257; the mid leg 0.1,
+    # 101; two composed legs 0.15, 151 each; the phase speeds at both
+    # continuity states for the positive and the control, 4.  The rows
+    # above the energy level are not flowed
     pot = CountingPotential(harmonic(2))
-    flow_axiom_suite(pot, BOX, 200, SEED, ICFG, t=0.25, checks=list(PER_SAMPLE_CHECKS))
-    assert sum(pot.rows) == 921 * 200
+    reports = flow_axiom_suite(
+        pot, BOX, 200, SEED, ICFG, t=0.25, checks=list(PER_SAMPLE_CHECKS)
+    )
+    assert {r.details["flowed_rows"] for r in reports} == {180}
+    assert sum(pot.rows) == 921 * 180
+
+
+def test_suite_probes_the_preimage_once_for_positive_and_control(monkeypatch):
+    backward = []
+    flow = verification.flow_batch
+
+    def counted(x, v, potential, t, *args, **kwargs):
+        if t < 0.0:
+            backward.append(x.shape[0])
+        return flow(x, v, potential, t, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "flow_batch", counted)
+    box = PhaseBox.centered(2, 2, 2.0, 2.0)
+    suite = flow_axiom_suite(
+        harmonic(2), box, 100, SEED, ICFG, measure_t=0.05, measure_count=4000,
+        checks=["measure_preservation"],
+    )
+    assert backward == [verification.PREIMAGE_PROBES]
+    # a standalone check still probes, and reports what the suite did
+    for report in suite:
+        control = report.check_name.endswith("_control")
+        alone = check_measure_preservation(
+            harmonic(2), box, 0.05, 4000, SEED, ICFG, negative_control=control
+        )
+        assert _hex_fields(alone) == _hex_fields(report)
+    assert backward == [verification.PREIMAGE_PROBES] * 3
+    # a suite whose probe fails leaves every later standalone check probing
+    wide = TestFunction(
+        d=2, n=2, t_center=0.0, t_width=1.0, centers=np.zeros(8), widths=np.full(8, 1.3),
+    )
+    with pytest.raises(CoverageError):
+        flow_axiom_suite(
+            free_potential(2), BOX, 100, SEED, ICFG, observable=wide, measure_t=3.0,
+            checks=["measure_preservation"],
+        )
+    backward.clear()
+    for _ in range(2):
+        check_measure_preservation(harmonic(2), box, 0.05, 4000, SEED, ICFG)
+    assert backward == [verification.PREIMAGE_PROBES] * 2
 
 
 # ---------------------------------------------------------------------------
