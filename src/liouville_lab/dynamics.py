@@ -73,6 +73,14 @@ class IntegratorConfig:
     the local step is dt * min(1, (dmin / reference_distance)^(3/2)).
     `velocity_damping` < 1 deliberately dissipates energy; it exists for
     negative controls and must stay 1 for physical runs.
+
+    `max_substeps` is a budget per leg: each `flow_batch` call, and each
+    leg between two of its stops, may take that many steps, whatever its
+    length.  Checks that flow legs of very different lengths therefore
+    read very different budgets.  At a budget of 4 (adaptive
+    `repulsive_power`, 400 samples, t = 0.25), the weak-ODE walk's legs
+    of about 2 steps flag no row, while the group law's 0.4 t and 0.6 t
+    legs, which need 100 and 150 steps, flag every row.
     """
 
     scheme: str = "velocity_verlet"
@@ -134,10 +142,10 @@ class Trajectory:
                 self.min_distances[idx],
             ]
         )
+        line = ",".join(["%.17g"] * len(cols)) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(cols) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+            fh.writelines(line % tuple(row) for row in rows.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -523,28 +531,39 @@ def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Traj
     The steps are those of a one-row `flow_batch` call, but even the free
     potential is stepped, so the trajectory has a row per step.  Where
     that call would flag the row, this raises SingularityError or
-    SubstepLimitError.
+    SubstepLimitError.  The states are written into buffers sized for
+    the fixed steps, which double whenever an adaptive flow fills them.
     """
-    times, xs, vs, dmins = [], [], [], []
-
-    def record(tk, batch):
-        times.append(tk)
-        xs.append(batch.X[..., 0].copy())
-        vs.append(batch.V[..., 0].copy())
-        dmins.append(batch.dmin[0])
-
     x0 = np.asarray(x0, dtype=float)[None]
     v0 = np.asarray(v0, dtype=float)[None]
+    # the start and every fixed step; no leg takes more than max_substeps
+    steps = abs(t_final) / icfg.dt
+    rows = int(steps) + 2 if steps < icfg.max_substeps else icfg.max_substeps + 1
+    buffers = [np.empty(rows), np.empty((rows, *x0.shape[1:])), np.empty((rows, *v0.shape[1:])),
+               np.empty(rows)]
+    taken = 0
+
+    def record(tk, batch):
+        nonlocal taken
+        if taken == buffers[0].shape[0]:
+            buffers[:] = [np.concatenate((b, np.empty_like(b))) for b in buffers]
+        times, xs, vs, dmins = buffers
+        times[taken] = tk
+        xs[taken] = batch.X[..., 0]
+        vs[taken] = batch.V[..., 0]
+        dmins[taken] = batch.dmin[0]
+        taken += 1
+
     _, _, flags = _flow(x0, v0, potential, t_final, icfg, hook=record)
     if flags[0] == FLAG_SINGULAR:
         raise SingularityError("trajectory reached the pair-coincidence threshold")
     if flags[0] == FLAG_SUBSTEP_LIMIT:
         raise SubstepLimitError("adaptive integration exceeded max_substeps")
-    x, v = np.stack(xs), np.stack(vs)
+    times, x, v, dmins = (b[:taken] for b in buffers)
     return Trajectory(
-        times=np.asarray(times),
+        times=times,
         x=x,
         v=v,
         energies=_energy_batch(x, v, potential),
-        min_distances=np.asarray(dmins),
+        min_distances=dmins,
     )

@@ -63,6 +63,9 @@ TEST_FUNCTION_WINDOW = (1.0, 0.8)
 REACH_SLACK = 1e-6
 # rows per block of `may_reach`, which bounds its temporaries
 REACH_BLOCK = 8192
+# rows per block of the sample that `collision_boundary_term` draws and
+# reduces, which bounds its temporaries
+SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -244,12 +247,20 @@ def _pair_distance(a: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
-def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -> Ensemble:
-    """count uniform samples in box, each of weight vol/count, carrying f0."""
+def _draw(box: PhaseBox, count: int, seed: int, block: int):
+    """The count rows of the (box, seed) sample, `block` at a time: yields
+    (start, z) with z the (rows, 2 n d) block from row start on.  The
+    blocks continue one stream, so they are bitwise the rows of one draw
+    of all count."""
     if count < 1:
         raise DomainError("sample count must be >= 1")
     rng = rng_for(seed, "ensemble-sampling")
-    z = box.sample(rng, count)
+    return ((start, box.sample(rng, min(block, count - start))) for start in range(0, count, block))
+
+
+def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -> Ensemble:
+    """count uniform samples in box, each of weight vol/count, carrying f0."""
+    [(_, z)] = _draw(box, count, seed, count)
     nd = box.n * box.d
     return Ensemble(
         x=z[:, :nd].reshape(count, box.n, box.d),
@@ -848,30 +859,42 @@ def weak_residual_suite(
 # collision cutoff boundary term
 
 
-def collision_boundary_term(e: Ensemble, mus: Sequence[float]) -> list[MCEstimate]:
+def collision_boundary_term(
+    box: PhaseBox, count: int, datum: InitialDatum, seed: int, mus: Sequence[float]
+) -> list[MCEstimate]:
     """(1/mu) integral over {|x_1 - x_2| <= mu} of |f (v_1 - v_2)|, one
-    estimate per cutoff radius mu in mus.
+    estimate per cutoff radius mu in mus, over the count rows of the
+    (box, seed) sample carrying datum.
 
     This is the boundary term produced by cutting test functions off
     near the coincidence set; it scales like mu^(d-1) for bounded
     densities, which is what makes the cutoff removable for d >= 2.
-    The term is that of particles 1 and 2.  Their distances and carried
-    weights w |f0| |v_1 - v_2| are taken once; each radius only masks
-    them and divides by mu.
+    The term is that of particles 1 and 2.  The sample is drawn
+    SAMPLE_BLOCK rows at a time from the stream of `sample_ensemble`,
+    and each block is reduced to its rows' pair distances |x_1 - x_2|
+    and carried weights w |f0| |v_1 - v_2|, so only those two vectors
+    outlive a block; each radius only masks them and divides by mu.  The
+    estimates are bitwise those over `sample_ensemble(box, count, datum,
+    seed)`.
     """
     mus = list(mus)
     if any(not mu > 0 for mu in mus):
         raise DomainError(f"cutoff widths mu must be positive, got {mus}")
-    if e.n < 2:
-        raise DomainError(f"the collision term needs two particles, got n={e.n}")
-    rel_x = _pair_distance(e.x)
-    carried = np.abs(e.values)
-    carried *= e.weight
-    carried *= _pair_distance(e.v)
-    ok = e.flags == dynamics.FLAG_OK
+    if box.n < 2:
+        raise DomainError(f"the collision term needs two particles, got n={box.n}")
+    blocks = _draw(box, count, seed, SAMPLE_BLOCK)
+    rel_x, carried = np.empty(count), np.empty(count)
+    weight = box.volume / count
+    nd = box.n * box.d
+    for start, z in blocks:
+        rows = slice(start, start + z.shape[0])
+        rel_x[rows] = _pair_distance(z[:, :nd].reshape(-1, box.n, box.d))
+        values = np.abs(datum.evaluate(z), out=carried[rows])
+        values *= weight
+        values *= _pair_distance(z[:, nd:].reshape(-1, box.n, box.d))
     out = []
     for mu in mus:
-        inside = (rel_x <= mu) & ok
+        inside = rel_x <= mu
         out.append(
             MCEstimate.from_samples(
                 np.where(inside, carried / mu, 0.0),

@@ -253,10 +253,6 @@ def _control_icfg(icfg: IntegratorConfig, negative_control: bool) -> IntegratorC
 # share of each box side they must keep clear of its faces
 PREIMAGE_PROBES = 10_000
 PREIMAGE_MARGIN = 0.01
-# None, except while flow_axiom_suite runs measure preservation: then
-# False until its first coverage probe passes and True after, since the
-# positive and the control probe the same preimage
-_suite_probed: bool | None = None
 
 
 def _require_preimage_coverage(
@@ -272,11 +268,7 @@ def _require_preimage_coverage(
     that would enter supp phi from outside the box are then missing from
     a damped control's sum of w phi(Y(t, z)), which damping raises above
     the sum of w phi(z) by contracting phase volume; they only remove
-    positive terms from it.  Inside flow_axiom_suite only the first call
-    probes (`_suite_probed`)."""
-    global _suite_probed
-    if _suite_probed:
-        return
+    positive terms from it."""
     rng = rng_for(seed, "coverage-probes")
     lo, hi = phi.support_bounds()
     probes = PREIMAGE_PROBES
@@ -296,8 +288,6 @@ def _require_preimage_coverage(
             "preimage of the observable support leaves the sampling box; "
             "enlarge the box or shorten the horizon"
         )
-    if _suite_probed is False:
-        _suite_probed = True
 
 
 def check_measure_preservation(
@@ -332,6 +322,25 @@ def check_measure_preservation(
     where both read 0 by construction, raises DomainError.  Control:
     velocity damping contracts phase volume.
     """
+    return _measure_preservation(
+        potential, box, t, count, seed, icfg, phi, negative_control, probe=True
+    )
+
+
+def _measure_preservation(
+    potential,
+    box: PhaseBox,
+    t: float,
+    count: int,
+    seed: int,
+    icfg: IntegratorConfig,
+    phi: TestFunction | None,
+    negative_control: bool,
+    probe: bool,
+) -> CheckReport:
+    """check_measure_preservation, which runs the coverage probe
+    (_require_preimage_coverage) only if probe: flow_axiom_suite probes
+    once for its positive and its control, which share the preimage."""
     if not t > 0.0:
         raise DomainError(f"measure preservation needs a horizon t > 0, got {t:g}")
     started = time.perf_counter()
@@ -346,7 +355,8 @@ def check_measure_preservation(
             "observable support reaches the coincidence set of a confining"
             " potential; pass a phi with separated particle supports"
         )
-    _require_preimage_coverage(phi, box, potential, t, icfg, seed)
+    if probe:
+        _require_preimage_coverage(phi, box, potential, t, icfg, seed)
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
     e0 = sample_ensemble(box, count, datum, seed)
     rows = np.flatnonzero(transport.may_reach(phi, e0.x, e0.v, potential, t, run_icfg))
@@ -681,17 +691,12 @@ def flow_axiom_suite(
     controls = (False, True) if with_controls else (False,)
     out = {}
     if "measure_preservation" in checks:
-        global _suite_probed
-        _suite_probed = False
-        try:
-            for control in controls:
-                out["measure_preservation", control] = check_measure_preservation(
-                    potential, box, t if measure_t is None else measure_t,
-                    count if measure_count is None else measure_count, seed, icfg,
-                    phi=observable, negative_control=control,
-                )
-        finally:
-            _suite_probed = None
+        for control in controls:
+            out["measure_preservation", control] = _measure_preservation(
+                potential, box, t if measure_t is None else measure_t,
+                count if measure_count is None else measure_count, seed, icfg,
+                observable, control, probe=not control,
+            )
     if names - {"measure_preservation"}:
         sample = _Sample(potential, box, count, seed)
     if {"time_continuity", "group_property", "weak_ode"} & names:
@@ -946,17 +951,18 @@ def check_collision_scaling(
 ) -> CheckReport:
     """The collision boundary term scales like mu^(d-1).
 
-    Samples the (box, seed) ensemble carrying datum, takes the boundary
-    term of particles 1 and 2 at every cutoff radius in mus and fits the
+    Takes the boundary term of particles 1 and 2 over the (box, seed)
+    sample carrying datum at every cutoff radius in mus and fits the
     log-log slope by least squares.  The samples are not flowed: the term
     is a property of the density, and potential only names the report.
-    One collision_boundary_term call takes the pair's distances and
-    carried weights once and sweeps every radius.  The statistic
+    One collision_boundary_term call draws the sample in blocks, keeps
+    only the pair's distances and carried weights and sweeps every
+    radius, so the check holds about 4 doubles per row.  The statistic
     |slope - (d - 1)| is held to a pinned tolerance of 0.3; std_error
     and bias_bound are 0.  Fewer than two distinct radii fit
     no slope, and they and a radius <= 0 raise DomainError
     (`require_radii`).  A radius whose term is 0, because no
-    unflagged sample with a nonzero value lies within it, has no
+    sample with a nonzero value lies within it, has no
     logarithm to fit and raises CoverageError.  This check has no
     negative control yet and its budget is pinned, not measured.
     details: mus, terms and std_errors per radius, fitted_slope,
@@ -964,13 +970,12 @@ def check_collision_scaling(
     """
     started = time.perf_counter()
     mus = require_radii(mus)
-    e = sample_ensemble(box, count, datum, seed)
-    estimates = transport.collision_boundary_term(e, mus)
+    estimates = transport.collision_boundary_term(box, count, datum, seed, mus)
     terms = [est.estimate for est in estimates]
     empty = ", ".join(f"{mu:g}" for mu, term in zip(mus, terms) if term == 0.0)
     if empty:
         raise CoverageError(
-            f"no unflagged sample of {count} with a nonzero value lies within cutoff"
+            f"no sample of {count} with a nonzero value lies within cutoff"
             f" radius mu = {empty}, so the collision term there is 0 and has no"
             " logarithm to fit; raise the count or the smallest radius"
         )

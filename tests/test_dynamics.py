@@ -224,6 +224,68 @@ def test_trajectory_recording_and_csv(two_body, tmp_path):
         traj.to_csv(path, stride=0)
 
 
+def _recorded_step_by_step(x0, v0, potential, t, icfg):
+    """(times, x, v, min distances) of a one-row flow, appended step by
+    step from its hook and stacked at the end."""
+    times, xs, vs, dmins = [], [], [], []
+
+    def record(tk, batch):
+        times.append(tk)
+        xs.append(batch.X[..., 0].copy())
+        vs.append(batch.V[..., 0].copy())
+        dmins.append(batch.dmin[0])
+
+    dynamics._flow(x0[None], v0[None], potential, t, icfg, hook=record)
+    return np.asarray(times), np.stack(xs), np.stack(vs), np.asarray(dmins)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_integrate_is_bitwise_the_step_by_step_record(adaptive):
+    pot = repulsive_power(2, exponent=1.0)
+    x0 = np.array([[-0.2, 0.02], [0.2, -0.02]])
+    v0 = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    t = 0.02
+    # every step shrinks to dt (dmin / 2)^1.5 < dt / 9 near the encounter
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, reference_distance=2.0)
+    traj = integrate(x0, v0, pot, t, icfg)
+    times, x, v, dmins = _recorded_step_by_step(x0, v0, pot, t, icfg)
+    if adaptive:
+        # the buffers start with a row per fixed step and the start, 22
+        # here, and doubled at least twice
+        assert times.size > 4 * (int(t / icfg.dt) + 2)
+    else:
+        assert times.size == 21
+    for got, want in zip(
+        (traj.times, traj.x, traj.v, traj.min_distances, traj.energies),
+        (times, x, v, dmins, _energy_batch(x, v, pot)),
+    ):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_trajectory_csv_is_bytewise_the_per_value_format(tmp_path):
+    # nan, +-inf and -0.0 print as the per-value f-string prints them
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1.0 / 3.0, -1e300]
+    rng = np.random.default_rng(3)
+    traj = dynamics.Trajectory(
+        times=np.array(special),
+        x=rng.standard_normal((8, 2, 2)) * np.array(special)[::-1, None, None],
+        v=np.array(special)[np.arange(32).reshape(8, 2, 2) % 8],
+        energies=np.array(special)[::-1],
+        min_distances=rng.standard_normal(8),
+    )
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    rows = np.column_stack(
+        [traj.times, traj.x.reshape(8, 4), traj.v.reshape(8, 4), traj.energies, traj.min_distances]
+    )
+    header = "t,x_1_1,x_1_2,x_2_1,x_2_2,v_1_1,v_1_2,v_2_1,v_2_2,E,dmin\n"
+    body = "".join(",".join(f"{val:.17g}" for val in row) + "\n" for row in rows)
+    assert path.read_bytes() == (header + body).encode("utf-8")
+    for text in ("nan", "inf", "-inf", "-0,"):
+        assert text in body
+
+
 @pytest.mark.parametrize(
     "cfg, kind, adaptive",
     [

@@ -48,6 +48,17 @@ def test_standard_errors_come_from_the_one_sum():
     assert found == []
 
 
+def test_no_module_keeps_state_in_a_global():
+    # a decision a caller makes is passed as an argument, not left in a
+    # module-level flag that every later call reads
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"^\s*global ", path.read_text(encoding="utf-8"), re.M)
+    ]
+    assert found == []
+
+
 def test_verification_walks_no_flow_of_its_own():
     # every Simpson walk is transport.simpson_walk: verification builds no
     # Simpson weights, pauses no flow and reads no batch layout

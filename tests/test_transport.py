@@ -807,7 +807,17 @@ def test_weak_residual_rejects_collision_adjacent_support_when_confining():
 # collision boundary term
 
 
-def test_collision_boundary_term_hand_computed():
+class _Values:
+    """A stand-in datum whose f0 reads the given values row by row."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def evaluate(self, z):
+        return self.values[: z.shape[0]].copy()
+
+
+def test_collision_boundary_term_hand_computed(monkeypatch):
     box = PhaseBox.centered(2, 2, 2.0, 2.0)
     x = np.array(
         [
@@ -823,14 +833,11 @@ def test_collision_boundary_term_hand_computed():
             [[0.0, 0.0], [0.0, -3.0]],  # rel_v 3.0
         ]
     )
-    e = Ensemble(
-        x=x,
-        v=v,
-        values=np.array([0.5, 1.0, -1.0]),
-        flags=np.zeros(3, dtype=np.int8),
-        box=box,
-    )
-    est, wide = collision_boundary_term(e, [0.5, 1.0])
+    # the three rows are the whole (box, seed) sample, drawn as one block
+    z = np.concatenate([x.reshape(3, 4), v.reshape(3, 4)], axis=1)
+    monkeypatch.setattr(transport, "_draw", lambda box, count, seed, block: iter([(0, z.copy())]))
+    datum = _Values([0.5, 1.0, -1.0])
+    est, wide = collision_boundary_term(box, 3, datum, 0, [0.5, 1.0])
     # w (0.5 * 1.0 + 1.0 * 3.0) / 0.5 with w = vol / 3 = 4^8 / 3
     assert est.estimate == pytest.approx(4.0**8 / 3.0 * (0.5 + 3.0) / 0.5)
     assert est.sample_count == 2
@@ -840,11 +847,31 @@ def test_collision_boundary_term_hand_computed():
     assert wide.sample_count == 3
     for mus in ([0.5, 0.0], [float("nan")]):
         with pytest.raises(DomainError, match="must be positive"):
-            collision_boundary_term(e, mus)
-    one = Ensemble(x=x[:, :1], v=v[:, :1], values=e.values, flags=e.flags,
-                   box=PhaseBox.centered(2, 1, 2.0, 2.0))
+            collision_boundary_term(box, 3, datum, 0, mus)
     with pytest.raises(DomainError, match="two particles"):
-        collision_boundary_term(one, [0.5])
+        collision_boundary_term(PhaseBox.centered(2, 1, 2.0, 2.0), 3, datum, 0, [0.5])
+
+
+def _textbook_collision_term(e, mus):
+    """The collision term of particles 1 and 2 of e, radius by radius."""
+    rel_x = np.linalg.norm(e.x[:, 0, :] - e.x[:, 1, :], axis=-1)
+    rel_v = np.linalg.norm(e.v[:, 0, :] - e.v[:, 1, :], axis=-1)
+    out = []
+    for mu in mus:
+        inside = rel_x <= mu
+        xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
+        out.append(MCEstimate(
+            estimate=float(np.sum(xi)),
+            std_error=float(np.std(xi, ddof=1) * math.sqrt(e.size)),
+            sample_count=int(np.sum(inside)),
+            details={"mu": mu, "hit_fraction": float(np.mean(inside))},
+        ))
+    return out
+
+
+def _hex_estimate(est):
+    details = {k: v.hex() if isinstance(v, float) else v for k, v in est.details.items()}
+    return est.estimate.hex(), est.std_error.hex(), est.bias_bound.hex(), est.sample_count, details
 
 
 def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
@@ -855,27 +882,41 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
     u = np.random.default_rng(7).random((1000, 8))
     textbook = box.lows + u * (box.highs - box.lows)
     assert np.array_equal(box.sample(np.random.default_rng(7), 1000), textbook)
-    # one sweep over the radii of an n = 3 ensemble with flagged rows,
-    # radius by radius against the per-radius formula
-    e = sample_ensemble(
-        PhaseBox.centered(3, 3, 1.0, 1.0),
-        2000,
-        InitialDatum(kind="bump", center=np.zeros(18), width=0.9),
-        seed=5,
-    )
-    e = replace(e, flags=np.where(np.arange(e.size) % 7 == 3, 1, 0).astype(np.int8))
-    rel_x = np.linalg.norm(e.x[:, 0, :] - e.x[:, 1, :], axis=-1)
-    rel_v = np.linalg.norm(e.v[:, 0, :] - e.v[:, 1, :], axis=-1)
+    # drawn in blocks, the rows are those of one draw
+    blocks = [z for _, z in transport._draw(box, 1000, 7, 300)]
+    assert [z.shape[0] for z in blocks] == [300, 300, 300, 100]
+    e = sample_ensemble(box, 1000, InitialDatum(kind="constant", center=np.zeros(8), width=1.0), 7)
+    assert np.array_equal(np.concatenate(blocks), e.phase_flat())
+    with pytest.raises(DomainError, match=">= 1"):
+        transport._draw(box, 0, 7, 300)
+    # one sweep over the radii of an n = 3 sample, radius by radius
+    # against the per-radius formula
+    box = PhaseBox.centered(3, 3, 1.0, 1.0)
+    datum = InitialDatum(kind="bump", center=np.zeros(18), width=0.9)
     mus = (0.8, 0.4, 0.2)
-    sweep = collision_boundary_term(e, mus)
-    assert len(sweep) == len(mus)
-    for mu, est in zip(mus, sweep):
-        inside = (rel_x <= mu) & (e.flags == 0)
-        xi = np.where(inside, e.weight * np.abs(e.values) * rel_v / mu, 0.0)
-        assert est.estimate == float(np.sum(xi))
-        assert est.std_error == float(np.std(xi, ddof=1) * math.sqrt(e.size))
-        assert est.sample_count == int(np.sum(inside)) > 0
-        assert est.details["mu"] == mu
+    sweep = collision_boundary_term(box, 2000, datum, 5, mus)
+    want = _textbook_collision_term(sample_ensemble(box, 2000, datum, seed=5), mus)
+    assert [_hex_estimate(est) for est in sweep] == [_hex_estimate(est) for est in want]
+    assert all(est.sample_count > 0 for est in sweep)
+
+
+@pytest.mark.parametrize("kind", ["bump", "constant"])
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "count",
+    [transport.SAMPLE_BLOCK // 3, 2 * transport.SAMPLE_BLOCK, 2 * transport.SAMPLE_BLOCK + 1234],
+    ids=["below-one-block", "two-blocks", "remainder"],
+)
+def test_collision_term_in_blocks_is_the_formula_over_the_sample(count, n, d, kind):
+    # drawn and reduced block by block, the term is bitwise the formula
+    # over the ensemble that sample_ensemble draws from the same stream
+    box = PhaseBox.centered(d, n, 1.0, 1.0)
+    datum = InitialDatum(kind=kind, center=np.zeros(2 * n * d), width=0.9)
+    mus = (0.8, 0.4, 0.2)
+    sweep = collision_boundary_term(box, count, datum, 5, mus)
+    want = _textbook_collision_term(sample_ensemble(box, count, datum, seed=5), mus)
+    assert [_hex_estimate(est) for est in sweep] == [_hex_estimate(est) for est in want]
+    assert all(est.sample_count > 0 for est in sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -1109,7 +1109,7 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
     # one call sweeps every radius
     calls = []
 
-    def squared(e, mus):
+    def squared(box, count, datum, seed, mus):
         calls.append(list(mus))
         return [MCEstimate(estimate=mu**2, std_error=0.1 * mu**2, sample_count=10) for mu in mus]
 
@@ -1155,8 +1155,11 @@ def test_collision_scaling_needs_two_distinct_positive_radii():
 
 
 def test_collision_scaling_peaks_below_twice_its_sample_buffer():
-    # the box is scaled into the drawn buffer and each pair's distances are
-    # taken once, so the peak stays under 2x the 200k x 12 doubles drawn
+    # the sample is drawn and reduced in blocks of SAMPLE_BLOCK rows: only
+    # each row's pair distance and carried weight outlive a block, and the
+    # sweep over the radii adds two doubles a row, so the peak stays under
+    # 5 doubles a row plus two blocks of 12 doubles a row, far below the
+    # 200k x 12 doubles of the whole sample
     count = 200_000
     box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
     datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
@@ -1171,7 +1174,7 @@ def test_collision_scaling_peaks_below_twice_its_sample_buffer():
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 2.0 * count * 12 * 8
+    assert peak < 5 * 8 * count + 2 * transport.SAMPLE_BLOCK * 12 * 8
 
 
 def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
