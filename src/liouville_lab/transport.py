@@ -185,22 +185,18 @@ class InitialDatum:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Phase-space samples of a box carrying their initial density values.
+    """The t = 0 sample: phase-space points of a box carrying f0.
 
-    Every sample has the same weight, `weight` = vol(box) / size.
-    `values` holds f0 at the pre-image of each sample, which by volume
-    preservation equals f(time, .) at the current sample position.
-    Nonzero `flags` mark samples whose flow failed (coincidence or
-    substep budget); they are excluded from statistics and their
-    fraction is policed by the checks.
+    Every sample has the same weight, `weight` = vol(box) / size, and
+    `values` holds the datum's f0 at each sample.  Flows return their
+    states as arrays (`flow_batch`, `simpson_walk`,
+    `level_difference_series`), not as ensembles.
     """
 
     x: np.ndarray
     v: np.ndarray
     values: np.ndarray
-    flags: np.ndarray
     box: PhaseBox
-    time: float = 0.0
     datum: InitialDatum | None = None
 
     @property
@@ -211,22 +207,6 @@ class Ensemble:
     def weight(self) -> float:
         """vol(box) / size, the weight of every sample."""
         return self.box.volume / self.size
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.x.shape[2]
-
-    @property
-    def active(self) -> np.ndarray:
-        return self.flags == dynamics.FLAG_OK
-
-    @property
-    def flagged_fraction(self) -> float:
-        return float(np.mean(self.flags != dynamics.FLAG_OK))
 
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
@@ -266,7 +246,6 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
         x=z[:, :nd].reshape(count, box.n, box.d),
         v=z[:, nd:].reshape(count, box.n, box.d),
         values=datum.evaluate(z),
-        flags=np.zeros(count, dtype=np.int8),
         box=box,
         datum=datum,
     )
@@ -591,7 +570,8 @@ def truncate(values: np.ndarray, m: float) -> np.ndarray:
     """Hard truncation at height m > 0: values clip to [-m, m].
 
     Composing truncations at heights p >= m equals truncating at m,
-    bitwise; the renormalization checks rely on that ladder identity.
+    bitwise.  Acceptance criterion 5 tests that ladder identity; no check
+    calls this function.
     """
     if m <= 0:
         raise DomainError("truncation height must be positive")
@@ -685,6 +665,21 @@ def simpson_weights(count: int, a: float, b: float) -> np.ndarray:
     return w * h / 3.0
 
 
+def require_collision_margin(phi: TestFunction, potential) -> None:
+    """CoverageError if the potential is confining and phi's support comes
+    within COLLISION_MARGIN of the coincidence set, where its forces
+    diverge."""
+    if (
+        getattr(potential, "singularity_class", None) == CONFINING_AT_ZERO
+        and phi.min_support_pair_distance() < COLLISION_MARGIN
+    ):
+        raise CoverageError(
+            "test function support reaches within the collision margin of"
+            " the coincidence set of a confining potential; pass a phi with"
+            " separated particle supports"
+        )
+
+
 def residual_window(phi: TestFunction) -> tuple[float, float]:
     """Time integration window: the phi support clipped to t >= 0."""
     t0, t1 = phi.time_window
@@ -767,16 +762,15 @@ def weak_residual_suite(
     density has.  A value map g(f0) gives the value a row carries (None:
     f0 itself), so a renormalizer beta is its own map.
 
-    e0 is the ensemble at t = 0 (DomainError otherwise), its datum
-    compactly supported inside its box, and phi's support keeps
-    COLLISION_MARGIN from the coincidence set of a confining potential
-    (CoverageError otherwise).  Only the rows with a nonzero carried
-    value are flowed, in one `simpson_walk`: every map must send 0 to 0
-    (renormalization in L^1 needs beta(0) = 0), so a zero row adds
-    exactly 0 wherever it goes and counts as unflagged.  Each node tests
-    supp phi once (`support_mask`) and pairs only the rows inside it,
-    with the forces of the batch's last step.  The walk keeps one
-    bracket per row, which each map weights once.
+    e0's datum must be compactly supported inside its box, and phi must
+    keep `require_collision_margin` (CoverageError otherwise).  Only the
+    rows with a nonzero carried value are flowed, in one `simpson_walk`:
+    every map must send 0 to 0 (renormalization in L^1 needs
+    beta(0) = 0; DomainError otherwise, naming each map that does not),
+    so a zero row adds exactly 0 wherever it goes and counts as
+    unflagged.  Each node tests supp phi once (`support_mask`) and pairs
+    only the rows inside it, with the forces of the batch's last step.
+    The walk keeps one bracket per row, which each map weights once.
 
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid, over 15);
@@ -784,20 +778,20 @@ def weak_residual_suite(
     icfg.dt.  details["seconds"] is the wall time of the map's own
     statistics.
     """
-    if e0.time != 0.0:
-        raise DomainError(f"weak residuals start from the ensemble at t = 0, got t = {e0.time:g}")
+    shifted = [
+        getattr(g, "name", repr(g)) for g in value_maps
+        if g is not None and g(np.zeros(1))[0] != 0.0
+    ]
+    if shifted:
+        raise DomainError(
+            f"value maps {shifted} do not map 0 to 0; renormalization needs beta(0) = 0"
+        )
     if e0.datum is None or not e0.datum.has_compact_support:
         raise CoverageError("weak residuals need an initial datum with compact support")
     lo, hi = e0.datum.support_bounds()
     if not e0.box.contains(lo, hi):
         raise CoverageError("initial datum support must lie inside the sampling box")
-    if phi.min_support_pair_distance() < COLLISION_MARGIN and getattr(
-        potential, "singularity_class", None
-    ) == CONFINING_AT_ZERO:
-        raise CoverageError(
-            "test function support reaches within the collision margin of"
-            " the coincidence set of a confining potential"
-        )
+    require_collision_margin(phi, potential)
     window = residual_window(phi)
 
     def pairing(k, t, batch):
@@ -821,8 +815,8 @@ def weak_residual_suite(
             term0 *= float(time_factor(0.0))
         acc_full += term0
         acc_half += term0
-    active = e0.flags == dynamics.FLAG_OK
-    active[rows] &= flags == dynamics.FLAG_OK
+    active = np.ones(e0.size, dtype=bool)
+    active[rows] = flags == dynamics.FLAG_OK
     n_active = int(np.sum(active))
     full = np.zeros(e0.size)
 
@@ -966,7 +960,7 @@ def level_difference_series(
     beta: BetaFunction,
     times: Sequence[float],
     icfg: IntegratorConfig,
-) -> tuple[list[Ensemble], list[np.ndarray]]:
+) -> tuple[list[tuple[np.ndarray, ...]], list[np.ndarray]]:
     """Series carrying h(t) = beta(f_a(t) - f_b(t)) along the flow of pot_forward.
 
     f_a is the push-forward of e0.datum, sampled at t = 0, under the
@@ -981,9 +975,11 @@ def level_difference_series(
     own flow, so the snapshots equal flowing leg by leg, bitwise on
     unflagged rows.  Each backward run is a flow of its own.
 
-    Returns the series together with the per-sample round-trip phase
-    displacements |roundtrip(z) - z| at each time, which bound |h| via
-    the Lipschitz constants of beta and the datum.
+    Returns one (x, v, h, flags) tuple of (N, ...) arrays per snapshot,
+    the forward state, h and the larger of the forward and backward
+    flags, together with the per-sample round-trip phase displacements
+    |roundtrip(z) - z| at each time, which bound |h| via the Lipschitz
+    constants of beta and the datum.
     """
     if e0.datum is None:
         raise DomainError("level difference series needs the initial datum")
@@ -997,8 +993,7 @@ def level_difference_series(
         z = _flatten_phase(back_x, back_v)
         h = beta(e0.values - e0.datum.evaluate(z))
         displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
-        flags = np.maximum(np.maximum(e0.flags, flags), back_flags)
-        out.append(replace(e0, x=x, v=v, values=h, flags=flags, time=tk))
+        out.append((x, v, h, np.maximum(flags, back_flags)))
 
     flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
     return out, displacements

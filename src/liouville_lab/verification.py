@@ -347,14 +347,7 @@ def _measure_preservation(
     run_icfg = _control_icfg(icfg, negative_control)
     if phi is None:
         phi = default_observable_for(potential, box, seed)
-    if (
-        getattr(potential, "singularity_class", None) == CONFINING_AT_ZERO
-        and phi.min_support_pair_distance() < transport.COLLISION_MARGIN
-    ):
-        raise CoverageError(
-            "observable support reaches the coincidence set of a confining"
-            " potential; pass a phi with separated particle supports"
-        )
+    transport.require_collision_margin(phi, potential)
     if probe:
         _require_preimage_coverage(phi, box, potential, t, icfg, seed)
     datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
@@ -957,7 +950,8 @@ def check_collision_scaling(
     is a property of the density, and potential only names the report.
     One collision_boundary_term call draws the sample in blocks, keeps
     only the pair's distances and carried weights and sweeps every
-    radius, so the check holds about 4 doubles per row.  The statistic
+    radius, so the check holds at most 5 doubles per row plus two blocks
+    of the sample.  The statistic
     |slope - (d - 1)| is held to a pinned tolerance of 0.3; std_error
     and bias_bound are 0.  Fewer than two distinct radii fit
     no slope, and they and a radius <= 0 raise DomainError
@@ -1021,8 +1015,8 @@ def check_renormalization_suite(
     One weak_residual_suite call serves the identity map and all betas,
     so only the rows whose carried value f0 is nonzero are flowed, once,
     in one Simpson walk over transport.RESIDUAL_NODES nodes.  That needs
-    beta(0) = 0, as renormalization in L^1 does, which is checked for
-    every beta (DomainError otherwise).
+    beta(0) = 0, as renormalization in L^1 does, which the suite checks
+    for every beta (DomainError otherwise).
 
     Every beta report reweights one per-row defect: the suite keeps one
     bracket per row, sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i), which
@@ -1043,11 +1037,6 @@ def check_renormalization_suite(
     wall time.  details["carried_rows"] is the number of rows flowed.
     """
     started = time.perf_counter()
-    shifted = [b.name for b in betas if b(np.zeros(1))[0] != 0.0]
-    if shifted:
-        raise DomainError(
-            f"renormalizers {shifted} do not map 0 to 0; renormalization needs beta(0) = 0"
-        )
     if phi is None:
         phi = random_test_function(
             box.d, box.n, box,
@@ -1121,7 +1110,8 @@ def check_uniqueness_monotone(
     samples whose round trip touches the datum support (elsewhere h
     vanishes identically at both endpoints).  Snapshot times snap to
     the integrator grid so that for identical levels the backward run
-    retraces the forward one exactly and F is zero to roundoff.
+    retraces the forward one to roundoff (about 1e-15 in phase space) and
+    F is zero to roundoff.
     Control: a source term growing linearly in time is injected into h,
     which no difference of transported solutions can produce.
     """
@@ -1138,10 +1128,6 @@ def check_uniqueness_monotone(
 
     pots = [MollifiedPotential(base, kernel, shrink, lvl) for lvl in level_pair]
     series, disps = level_difference_series(e0, *pots, beta, times, icfg)
-    if negative_control:
-        series = [
-            e.with_values(e0.values * (1.0 + 60.0 * e.time)) for e in series
-        ]
     cutoff = EnergyCutoff.for_potential(
         base, box.n, radius=UNIQUENESS_CUTOFF_RADIUS, horizon=horizon
     )
@@ -1153,10 +1139,13 @@ def check_uniqueness_monotone(
     lo, hi = datum.support_bounds()
     z0 = e0.phase_flat()
     f_a = e0.values
-    for k, e in enumerate(series):
+    for k, (x, v, h, flags) in enumerate(series):
+        if negative_control:
+            h = e0.values * (1.0 + 60.0 * times[k])
+        active = flags == dynamics.FLAG_OK
         # the cutoff's energies are those of the forward flow
-        phi_vals = cutoff.value_batch(times[k], e.x, e.v, pots[0])
-        xi = np.where(e.active, e.weight * e.values * phi_vals, 0.0)
+        phi_vals = cutoff.value_batch(times[k], x, v, pots[0])
+        xi = np.where(active, e0.weight * h * phi_vals, 0.0)
         xis[k] = xi
         total = MCEstimate.from_samples(xi)
         F[k], SE[k] = total.estimate, total.std_error
@@ -1166,7 +1155,7 @@ def check_uniqueness_monotone(
                 axis=1,
             )
         )
-        capacity = float(np.sum(np.where(e.active & near, e.weight * phi_vals, 0.0)))
+        capacity = float(np.sum(np.where(active & near, e0.weight * phi_vals, 0.0)))
         biases[k] = DT_BIAS_COEFFICIENT * icfg.dt**2 * (
             lip * capacity + float(np.sum(np.abs(xi)))
         )
@@ -1178,7 +1167,7 @@ def check_uniqueness_monotone(
     inc_bias = biases[1:] + biases[:-1]
     margins = increments - 3.0 * inc_se - inc_bias
     worst = int(np.argmax(margins))
-    flagged = max(e.flagged_fraction for e in series)
+    flagged = max(float(np.mean(flags != dynamics.FLAG_OK)) for *_, flags in series)
     return CheckReport.build(
         check_name="uniqueness_monotone" + ("_control" if negative_control else ""),
         potential=base.describe(),

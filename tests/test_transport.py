@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from liouville_lab.profiles import bump, bump_pair
 from liouville_lab.transport import (
     MAX_ABS_BUMP_PRIME,
     MAX_ABS_POLY_PRIME,
+    BetaFunction,
     EnergyCutoff,
     Ensemble,
     InitialDatum,
@@ -162,13 +163,13 @@ def test_sample_ensemble_invariants():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
     e = sample_ensemble(box, 4000, datum, seed=7)
-    assert e.size == 4000 and e.n == 2 and e.d == 2
+    # the t = 0 sample only: flows return their states as arrays
+    assert [f.name for f in fields(Ensemble)] == ["x", "v", "values", "box", "datum"]
+    assert e.size == 4000
     assert e.weight == box.volume / e.size
     assert e.weight * e.size == pytest.approx(box.volume, rel=1e-15)
     assert e.with_values(2.0 * e.values).weight == e.weight
     np.testing.assert_array_equal(e.values, datum.evaluate(e.phase_flat()))
-    assert e.flagged_fraction == 0.0
-    assert e.time == 0.0
     with pytest.raises(DomainError):
         sample_ensemble(box, 0, datum, seed=7)
     with pytest.raises(DomainError):
@@ -706,10 +707,6 @@ def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
 def test_weak_residual_suite_time_validation():
     _, _, e, phi = free_setup(count=100)
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
-    x, v, flags = flow_batch(e.x, e.v, pot, 0.5, icfg)
-    started = replace(e, x=x, v=v, flags=flags, time=0.5)
-    with pytest.raises(DomainError, match="t = 0"):
-        weak_residual_suite(started, pot, phi, [None], icfg)
     ended = replace(phi, t_center=-1.0, t_width=0.5)
     with pytest.raises(DomainError, match="ends before t = 0"):
         weak_residual_suite(e, pot, ended, [None], icfg)
@@ -766,15 +763,33 @@ def test_weak_residual_suite_hands_time_factor_the_node_times():
     nodes = np.linspace(*residual_window(early), transport.RESIDUAL_NODES)
     assert seen == list(nodes) + [0.0]
     assert seen[0] == 0.0
-    # a value map is evaluated once, on the carried values only
-    assert len(weighed) == 1
-    assert np.array_equal(weighed[0], e.values[e.values != 0.0])
+    # a value map is checked on 0 first, then evaluated once, on the
+    # carried values only
+    assert len(weighed) == 2
+    assert np.array_equal(weighed[0], np.zeros(1))
+    assert np.array_equal(weighed[1], e.values[e.values != 0.0])
     # a factor of 2 doubles every term, the t = 0 boundary term included,
     # and so the estimate, exactly
     (ident,) = weak_residual_suite(
         e, free_potential(2), early, [None], IntegratorConfig(dt=1e-2)
     )
     assert est.estimate == 2.0 * ident.estimate != 0.0
+
+
+def test_weak_residual_suite_requires_maps_fixing_zero():
+    # only the carried rows are flowed, which is the formula only if every
+    # map sends 0 to 0; each offending map is named
+    _, _, e, phi = free_setup(count=100)
+    pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
+    shifted = BetaFunction(name="shifted_tanh", fn=lambda f: np.tanh(f) + 0.1)
+
+    def plus_one(f):
+        return f + 1.0
+
+    with pytest.raises(DomainError, match=r"shifted_tanh.*plus_one"):
+        weak_residual_suite(e, pot, phi, [None, tanh_squash(1.0), shifted, plus_one], icfg)
+    with pytest.raises(DomainError, match="do not map 0 to 0"):
+        weak_residual_suite(e, pot, phi, [lambda f: f + 1], icfg)
 
 
 def test_weak_residual_rejects_non_compact_datum():
@@ -944,18 +959,35 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     base = repulsive_power(2, exponent=0.5, strength=0.5)
     from liouville_lab.potentials import MollifiedPotential, MollifierKernel, ShrinkFunction
 
-    pot = MollifiedPotential(base, MollifierKernel(d=2, power=3), ShrinkFunction(), 4)
-    box = PhaseBox.centered(2, 2, 1.5, 1.5)
-    datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
+    pot, coarse = (
+        MollifiedPotential(base, MollifierKernel(d=2, power=3), ShrinkFunction(), level)
+        for level in (4, 3)
+    )
+    # criterion 4's box and datum, so that about a quarter of the rows
+    # carry a nonzero f0 and h can differ from 0
+    box = PhaseBox.centered(2, 2, 1.2, 1.2)
+    datum = InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
     e0 = sample_ensemble(box, 400, datum, seed=21)
     icfg = IntegratorConfig(dt=2e-3)
+    beta = nonneg_squash(0.5)
     times = [0.1, 0.2, 0.3]
-    # the every-row reference: one flow_batch call per leg
-    legs, x, v, now = [], e0.x, e0.v, 0.0
-    for tk in times:
-        x, v, _ = flow_batch(x, v, pot, tk - now, icfg)
-        legs.append((tk, x, v))
-        now = tk
+
+    def reference(back_pot):
+        """One flow_batch call per leg, and from each snapshot one
+        backward flow to t = 0, where f0 is read off: the (x, v, h, flags)
+        of every snapshot and the round-trip displacements."""
+        legs, disps = [], []
+        x, v, flags, now = e0.x, e0.v, np.zeros(e0.size, dtype=np.int8), 0.0
+        for tk in times:
+            x, v, leg_flags = flow_batch(x, v, pot, tk - now, icfg)
+            flags, now = np.maximum(flags, leg_flags), tk
+            back_x, back_v, back_flags = flow_batch(x, v, back_pot, -tk, icfg)
+            z = transport._flatten_phase(back_x, back_v)
+            legs.append((x, v, beta(e0.values - datum.evaluate(z)), np.maximum(flags, back_flags)))
+            disps.append(np.sqrt(np.sum((z - e0.phase_flat()) ** 2, axis=1)))
+        return legs, disps
+
+    expected = {back: reference(back) for back in (pot, coarse)}
     calls = []
     flow = transport.flow_batch
 
@@ -964,17 +996,27 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(transport, "flow_batch", counted_flow)
-    # identical levels: the one potential runs forward and backward
-    series, disps = level_difference_series(e0, pot, pot, nonneg_squash(0.5), times, icfg)
-    # one forward flow pausing at every snapshot, one backward flow per snapshot
-    assert calls == [0.3, -0.1, -0.2, -0.3]
-    assert len(series) == 3 and len(disps) == 3
-    for e, (tk, x, v) in zip(series, legs):
-        assert e.time == tk
-        np.testing.assert_array_equal(e.x, x)
-        np.testing.assert_array_equal(e.v, v)
-    # identical levels retrace bitwise under the reversible stepper
-    assert max(float(np.max(d)) for d in disps) < 1e-12
+    for back, (legs, ref_disps) in expected.items():
+        calls.clear()
+        series, disps = level_difference_series(e0, pot, back, beta, times, icfg)
+        # one forward flow pausing at every snapshot, one backward flow per snapshot
+        assert calls == [0.3, -0.1, -0.2, -0.3]
+        assert len(series) == 3 and len(disps) == 3
+        # each snapshot is the arrays (x, v, h, flags), bitwise the reference
+        for snapshot, reference_snapshot in zip(series, legs):
+            assert len(snapshot) == 4
+            for got, want in zip(snapshot, reference_snapshot):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        for got, want in zip(disps, ref_disps):
+            np.testing.assert_array_equal(got, want)
+    # identical levels retrace to roundoff under the reversible stepper, so
+    # h stays below criterion 4's 1e-20; a coarser backward level leaves a
+    # gap on every carried row
+    same, other = ([snapshot[2] for snapshot in legs] for legs, _ in expected.values())
+    assert max(float(np.max(h)) for h in same) < 1e-20
+    assert all(np.count_nonzero(h) > 0.9 * np.count_nonzero(e0.values) for h in other)
+    assert max(float(np.max(d)) for d in expected[pot][1]) < 1e-12
 
 
 def test_level_difference_series_requires_datum():

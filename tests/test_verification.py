@@ -324,7 +324,9 @@ def test_measure_preservation_rejects_colliding_observable_when_confining():
         d=2, n=2, t_center=0.0, t_width=1.0,
         centers=np.zeros(8), widths=np.full(8, 0.5),
     )
-    with pytest.raises(CoverageError):
+    # the rule of transport.require_collision_margin, which the weak
+    # residuals share
+    with pytest.raises(CoverageError, match="collision margin"):
         check_measure_preservation(
             repulsive_power(2, exponent=1.0), BOX, 0.1, 1000, SEED, ICFG, phi=phi
         )
@@ -847,7 +849,7 @@ def residual_reference(pot, count, negative_control):
     # every row is stepped; only the carried rows are paired
     kept = np.flatnonzero(e0.values)
     full, half = np.zeros(kept.size), np.zeros(kept.size)
-    x_all, v_all, flags, now = e0.x, e0.v, e0.flags, 0.0
+    x_all, v_all, flags, now = e0.x, e0.v, np.zeros(e0.size, dtype=np.int8), 0.0
     for k, tk in enumerate(times):
         x_all, v_all, leg_flags = flow_batch(x_all, v_all, pot, tk - now, RESIDUAL_ICFG)
         flags, now = np.maximum(flags, leg_flags), tk
@@ -898,7 +900,7 @@ def per_node_reference(pot, count, negative_control):
     for m, g in enumerate(maps):
         full[m] += g(0.0, e0.values) * phi.value(0.0, e0.x, e0.v)
     half[:] = full
-    x, v, flags, now = e0.x, e0.v, e0.flags, 0.0
+    x, v, flags, now = e0.x, e0.v, np.zeros(e0.size, dtype=np.int8), 0.0
     for k, tk in enumerate(times):
         x, v, leg_flags = flow_batch(x, v, pot, tk - now, RESIDUAL_ICFG)
         flags, now = np.maximum(flags, leg_flags), tk
@@ -1154,7 +1156,7 @@ def test_collision_scaling_needs_two_distinct_positive_radii():
     assert require_radii((0.4, 0.2, 0.4)) == [0.4, 0.2, 0.4]
 
 
-def test_collision_scaling_peaks_below_twice_its_sample_buffer():
+def test_collision_scaling_peaks_below_five_doubles_a_row_plus_two_blocks():
     # the sample is drawn and reduced in blocks of SAMPLE_BLOCK rows: only
     # each row's pair distance and carried weight outlive a block, and the
     # sweep over the radii adds two doubles a row, so the peak stays under
