@@ -168,8 +168,6 @@ _DYNAMICS = {
     "scheme": (str, "velocity_verlet"),
     "dt": (float, 1e-3),
     "adaptive": (bool, False),
-    "reference_distance": (float, 0.5),
-    "max_substeps": (int, 1_000_000),
 }
 _ENSEMBLE = {
     "x_half": (float, 1.2),

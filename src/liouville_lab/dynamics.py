@@ -61,6 +61,13 @@ FLAG_OK = 0
 FLAG_SINGULAR = 1
 FLAG_SUBSTEP_LIMIT = 2
 
+# adaptive steps shrink below this min pair distance: the local step is
+# dt * min(1, (dmin / REFERENCE_DISTANCE)^(3/2))
+REFERENCE_DISTANCE = 0.5
+# a budget per leg: each `flow_batch` call, and each leg between two of
+# its stops, may take that many steps, whatever its length
+MAX_SUBSTEPS = 1_000_000
+
 _SCHEMES = ("velocity_verlet",)
 
 
@@ -69,25 +76,15 @@ class IntegratorConfig:
     """Time stepping controls.
 
     `scheme` names the stepper; velocity Verlet is the only one.
-    `reference_distance` sets where adaptive stepping starts shrinking:
-    the local step is dt * min(1, (dmin / reference_distance)^(3/2)).
+    `adaptive` shrinks the step near pair coincidences, below
+    REFERENCE_DISTANCE; every leg may take MAX_SUBSTEPS steps.
     `velocity_damping` < 1 deliberately dissipates energy; it exists for
     negative controls and must stay 1 for physical runs.
-
-    `max_substeps` is a budget per leg: each `flow_batch` call, and each
-    leg between two of its stops, may take that many steps, whatever its
-    length.  Checks that flow legs of very different lengths therefore
-    read very different budgets.  At a budget of 4 (adaptive
-    `repulsive_power`, 400 samples, t = 0.25), the weak-ODE walk's legs
-    of about 2 steps flag no row, while the group law's 0.4 t and 0.6 t
-    legs, which need 100 and 150 steps, flag every row.
     """
 
     scheme: str = "velocity_verlet"
     dt: float = 1e-3
     adaptive: bool = False
-    reference_distance: float = 0.5
-    max_substeps: int = 1_000_000
     velocity_damping: float = 1.0
 
     def __post_init__(self):
@@ -95,10 +92,6 @@ class IntegratorConfig:
             raise DomainError(f"unknown scheme {self.scheme!r}, pick from {_SCHEMES}")
         if self.dt <= 0:
             raise DomainError("dt must be positive")
-        if self.reference_distance <= 0:
-            raise DomainError("reference_distance must be positive")
-        if self.max_substeps < 1:
-            raise DomainError("max_substeps must be >= 1")
         if not (0.0 < self.velocity_damping <= 1.0):
             raise DomainError("velocity_damping must lie in (0, 1]")
 
@@ -385,8 +378,8 @@ def _fixed_plan(leg: float, icfg: IntegratorConfig) -> tuple[float, int, float, 
     nsteps = int(math.floor(abs(leg) / icfg.dt + 1e-12))
     rem = leg - sgn * nsteps * icfg.dt
     total = nsteps + int(abs(rem) > 1e-9 * max(1.0, abs(leg)))
-    if total > icfg.max_substeps:
-        raise SubstepLimitError(f"{total} fixed steps exceed the budget of {icfg.max_substeps}")
+    if total > MAX_SUBSTEPS:
+        raise SubstepLimitError(f"{total} fixed steps exceed the budget of {MAX_SUBSTEPS}")
     return sgn, nsteps, rem, total
 
 
@@ -430,12 +423,12 @@ def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
                 rem = remaining[:m]
             # every active row has taken the same number of steps this leg
             taken += 1
-            # h = dt min(1, (dmin / reference_distance)^1.5), which is dt
-            # unless dmin < reference_distance, clipped to what is left
+            # h = dt min(1, (dmin / REFERENCE_DISTANCE)^1.5), which is dt
+            # unless dmin < REFERENCE_DISTANCE, clipped to what is left
             h.fill(icfg.dt)
-            if np.less(batch.dmin, icfg.reference_distance, out=near).any():
+            if np.less(batch.dmin, REFERENCE_DISTANCE, out=near).any():
                 rows = np.flatnonzero(near)
-                scale = np.power(batch.dmin[rows] / icfg.reference_distance, 1.5)
+                scale = np.power(batch.dmin[rows] / REFERENCE_DISTANCE, 1.5)
                 h[rows] = np.minimum(scale, 1.0, out=scale) * icfg.dt
             np.copyto(h, rem, where=np.greater_equal(h, rem, out=last))
             batch.step(h if sgn > 0 else np.multiply(h, sgn, out=signed))
@@ -445,7 +438,7 @@ def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
                 hook(leg - sgn * rem[0], batch)
             finished = last.any()
             batch.retire_singular()
-            if taken >= icfg.max_substeps:
+            if taken >= MAX_SUBSTEPS:
                 batch.retire(remaining[: batch.m] > 0.0, FLAG_SUBSTEP_LIMIT)
             if finished and batch.m:
                 batch.park(remaining[: batch.m] == 0.0)
@@ -530,15 +523,16 @@ def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Traj
 
     The steps are those of a one-row `flow_batch` call, but even the free
     potential is stepped, so the trajectory has a row per step.  Where
-    that call would flag the row, this raises SingularityError or
-    SubstepLimitError.  The states are written into buffers sized for
-    the fixed steps, which double whenever an adaptive flow fills them.
+    that call would flag the row, this raises SingularityError, or
+    SubstepLimitError past MAX_SUBSTEPS steps.  The states are written
+    into buffers sized for the fixed steps, which double whenever an
+    adaptive flow fills them.
     """
     x0 = np.asarray(x0, dtype=float)[None]
     v0 = np.asarray(v0, dtype=float)[None]
-    # the start and every fixed step; no leg takes more than max_substeps
+    # the start and every fixed step; no leg takes more than MAX_SUBSTEPS
     steps = abs(t_final) / icfg.dt
-    rows = int(steps) + 2 if steps < icfg.max_substeps else icfg.max_substeps + 1
+    rows = int(steps) + 2 if steps < MAX_SUBSTEPS else MAX_SUBSTEPS + 1
     buffers = [np.empty(rows), np.empty((rows, *x0.shape[1:])), np.empty((rows, *v0.shape[1:])),
                np.empty(rows)]
     taken = 0
@@ -558,7 +552,7 @@ def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Traj
     if flags[0] == FLAG_SINGULAR:
         raise SingularityError("trajectory reached the pair-coincidence threshold")
     if flags[0] == FLAG_SUBSTEP_LIMIT:
-        raise SubstepLimitError("adaptive integration exceeded max_substeps")
+        raise SubstepLimitError(f"adaptive integration exceeded {MAX_SUBSTEPS} steps")
     times, x, v, dmins = (b[:taken] for b in buffers)
     return Trajectory(
         times=times,

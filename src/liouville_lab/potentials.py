@@ -41,23 +41,20 @@ SMOOTH = "smooth"
 L1_SINGULAR_GRADIENT = "l1_singular_gradient"
 CONFINING_AT_ZERO = "confining_at_zero"
 
-_CLASSES = (SMOOTH, L1_SINGULAR_GRADIENT, CONFINING_AT_ZERO)
+_KINDS = ("free", "harmonic", "repulsive_power", "gaussian_well", "piecewise_radial")
 
 
 @dataclass(frozen=True)
 class PairPotential:
-    """A radial pair potential on displacements in R^d.
+    """A radial pair potential on displacements in R^d, of one of the
+    shipped kinds; build it with that kind's factory.
 
-    `lower_bound_constant` is a C >= 0 with V(r) >= -C (1 + |r|^2) for
-    all r; energy estimates use it.  `singularity_class` declares how the
-    potential behaves at r = 0 and selects which verification routes are
-    meaningful for it.
+    `singularity_class` and `lower_bound_constant` follow from the kind
+    and its parameters.
     """
 
     kind: str
     d: int
-    singularity_class: str
-    lower_bound_constant: float
     strength: float = 1.0
     exponent: float = 1.0
     width: float = 1.0
@@ -68,10 +65,29 @@ class PairPotential:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
-        if self.singularity_class not in _CLASSES:
-            raise DomainError(f"unknown singularity class {self.singularity_class!r}")
-        if self.lower_bound_constant < 0:
-            raise DomainError("lower_bound_constant must be >= 0")
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown potential kind {self.kind!r}, pick from {_KINDS}")
+
+    @property
+    def singularity_class(self) -> str:
+        """How V behaves at r = 0; selects which verification routes are
+        meaningful for it."""
+        if self.kind == "repulsive_power":
+            return L1_SINGULAR_GRADIENT if self.exponent < self.d - 1 else CONFINING_AT_ZERO
+        if self.kind == "piecewise_radial":
+            return L1_SINGULAR_GRADIENT
+        return SMOOTH
+
+    @property
+    def lower_bound_constant(self) -> float:
+        """A C >= 0 with V(r) >= -C (1 + |r|^2) for all r; energy
+        estimates use it."""
+        if self.kind == "gaussian_well":
+            return self.strength
+        if self.kind == "piecewise_radial":
+            # V >= -M |r| with M = max drop rate, and -M|r| >= -(M/2)(1 + |r|^2)
+            return max(0.0, -self.slope_inner, -self.slope_outer) / 2.0
+        return 0.0
 
     @property
     def is_singular(self) -> bool:
@@ -86,12 +102,10 @@ class PairPotential:
             return f"repulsive_power(a={self.exponent:g},k={self.strength:g},d={self.d})"
         if self.kind == "gaussian_well":
             return f"gaussian_well(D={self.strength:g},w={self.width:g},d={self.d})"
-        if self.kind == "piecewise_radial":
-            return (
-                f"piecewise_radial(r0={self.jump_radius:g},"
-                f"s_in={self.slope_inner:g},s_out={self.slope_outer:g},d={self.d})"
-            )
-        return self.kind
+        return (
+            f"piecewise_radial(r0={self.jump_radius:g},"
+            f"s_in={self.slope_inner:g},s_out={self.slope_outer:g},d={self.d})"
+        )
 
     # -- vectorized evaluation over (..., d) displacement arrays --------
 
@@ -109,12 +123,10 @@ class PairPotential:
                 return self.strength * rad ** (-self.exponent)
         if self.kind == "gaussian_well":
             return -self.strength * np.exp(-rad * rad / (2.0 * self.width**2))
-        if self.kind == "piecewise_radial":
-            r0 = self.jump_radius
-            return self.slope_inner * np.minimum(rad, r0) + self.slope_outer * np.maximum(
-                rad - r0, 0.0
-            )
-        raise DomainError(f"unknown potential kind {self.kind!r}")
+        r0 = self.jump_radius
+        return self.slope_inner * np.minimum(rad, r0) + self.slope_outer * np.maximum(
+            rad - r0, 0.0
+        )
 
     def gradient_batch(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
         """grad V at each displacement; rows at exactly r = 0 return 0.
@@ -137,8 +149,6 @@ class PairPotential:
             w2 = self.width**2
             coef = (self.strength / w2) * np.exp(-rad * rad / (2.0 * w2))
             return coef[..., None] * r
-        if self.kind not in ("repulsive_power", "piecewise_radial"):
-            raise DomainError(f"unknown potential kind {self.kind!r}")
         # rows at r = 0 (and NaN rows) get a zero gradient; the masking is
         # skipped when every radius is positive, as it then changes nothing
         positive = rad > 0.0
@@ -170,9 +180,7 @@ class PairPotential:
         if self.kind == "gaussian_well":
             # |grad V| = (D / w^2) |r| exp(-|r|^2 / (2 w^2)) peaks at |r| = w
             return np.full_like(r_hi, self.strength / (self.width * math.sqrt(math.e)))
-        if self.kind == "piecewise_radial":
-            return np.full_like(r_hi, max(abs(self.slope_inner), abs(self.slope_outer)))
-        raise DomainError(f"unknown potential kind {self.kind!r}")
+        return np.full_like(r_hi, max(abs(self.slope_inner), abs(self.slope_outer)))
 
     def value(self, r) -> float:
         r = np.asarray(r, dtype=float).reshape(self.d)
@@ -182,19 +190,13 @@ class PairPotential:
 
 
 def free_potential(d: int) -> PairPotential:
-    return PairPotential(kind="free", d=d, singularity_class=SMOOTH, lower_bound_constant=0.0)
+    return PairPotential(kind="free", d=d)
 
 
 def harmonic(d: int, strength: float = 1.0) -> PairPotential:
     if strength <= 0:
         raise DomainError("harmonic strength must be positive")
-    return PairPotential(
-        kind="harmonic",
-        d=d,
-        singularity_class=SMOOTH,
-        lower_bound_constant=0.0,
-        strength=strength,
-    )
+    return PairPotential(kind="harmonic", d=d, strength=strength)
 
 
 def repulsive_power(d: int, exponent: float, strength: float = 1.0) -> PairPotential:
@@ -205,27 +207,13 @@ def repulsive_power(d: int, exponent: float, strength: float = 1.0) -> PairPoten
     """
     if exponent <= 0 or strength <= 0:
         raise DomainError("repulsive_power needs positive exponent and strength")
-    return PairPotential(
-        kind="repulsive_power",
-        d=d,
-        singularity_class=L1_SINGULAR_GRADIENT if exponent < d - 1 else CONFINING_AT_ZERO,
-        lower_bound_constant=0.0,
-        strength=strength,
-        exponent=exponent,
-    )
+    return PairPotential(kind="repulsive_power", d=d, strength=strength, exponent=exponent)
 
 
 def gaussian_well(d: int, depth: float = 1.0, width: float = 1.0) -> PairPotential:
     if depth <= 0 or width <= 0:
         raise DomainError("gaussian_well needs positive depth and width")
-    return PairPotential(
-        kind="gaussian_well",
-        d=d,
-        singularity_class=SMOOTH,
-        lower_bound_constant=depth,
-        strength=depth,
-        width=width,
-    )
+    return PairPotential(kind="gaussian_well", d=d, strength=depth, width=width)
 
 
 def piecewise_radial(
@@ -236,13 +224,9 @@ def piecewise_radial(
         raise DomainError("jump_radius must be positive")
     if slope_inner == slope_outer:
         raise DomainError("slopes must differ, otherwise use a smooth family")
-    # V >= -M |r| with M = max drop rate, and -M|r| >= -(M/2)(1 + |r|^2)
-    m = max(0.0, -slope_inner, -slope_outer)
     return PairPotential(
         kind="piecewise_radial",
         d=d,
-        singularity_class=L1_SINGULAR_GRADIENT,
-        lower_bound_constant=m / 2.0,
         jump_radius=jump_radius,
         slope_inner=slope_inner,
         slope_outer=slope_outer,
@@ -433,7 +417,8 @@ def mollified_potential(
 # checked on the interleaved second-kind nodes (Trefethen, Approximation
 # Theory and Approximation Practice, 2013, chapters 3 and 8).
 TABLE_DEGREE = 12
-# held-out error bound of every panel, relative to its largest |f_n|
+# held-out error bound of every panel, relative to its scale: its largest
+# |f_n|, and no less than TABLE_RTOL times the largest |f_n| met so far
 TABLE_RTOL = 1e-12
 TABLE_MAX_PANELS = 1024
 # longest panel in s = log(rho): the rounding of the series derivative
@@ -484,7 +469,8 @@ class RadialTable:
     Panel p spans s in [edges[p], edges[p+1]]; `coefs[p]` holds the series
     of f_n and `slopes[p]` that of df_n/ds in the panel variable t in
     [-1, 1].  `max_error` is the largest held-out gap to the direct
-    quadrature over all panels, relative to each panel's largest |f_n|.
+    quadrature over all panels, relative to each panel's scale (see
+    TABLE_RTOL).
     """
 
     edges: np.ndarray
@@ -571,6 +557,8 @@ def _radial_table(
 
     pending = np.stack([breaks[:-1], breaks[1:]], axis=1)
     done_edges, done_coefs, errors = [], [], [0.0]
+    # the largest |f_n| met so far
+    peak = 0.0
     while pending.size:
         if sum(map(len, done_edges)) + len(pending) > TABLE_MAX_PANELS:
             raise QuadratureError(
@@ -582,11 +570,11 @@ def _radial_table(
         vals = average(mid + half * fit_t)
         ref = average(mid + half * held_t)
         coefs = vals @ fit.T
+        own = np.maximum(np.max(np.abs(vals), axis=1), np.max(np.abs(ref), axis=1))
+        peak = max(peak, float(np.max(own)))
+        # a tail panel far below the table's largest |f_n| is held to that;
         # below the smallest normal float the quadrature has no relative digits
-        scale = np.maximum(
-            np.maximum(np.max(np.abs(vals), axis=1), np.max(np.abs(ref), axis=1)),
-            np.finfo(float).tiny / TABLE_RTOL,
-        )
+        scale = np.maximum(own, max(TABLE_RTOL * peak, np.finfo(float).tiny / TABLE_RTOL))
         err = np.max(np.abs(coefs @ held.T - ref), axis=1) / scale
         ok = (err <= TABLE_RTOL) & (2.0 * half[:, 0] <= TABLE_MAX_WIDTH)
         done_edges.append(pending[ok])

@@ -166,13 +166,20 @@ class InitialDatum:
             return np.where(np.any(np.isnan(z), axis=1), 0.0, 1.0)
         out = np.zeros(z.shape[0])
         rows = np.flatnonzero(_rows_inside(z.T, self.center, self.width))
-        u = (z[rows] - self.center) / self.width
-        if self.kind == "bump":
-            axis = bump(u)
-        else:
-            s = np.maximum(0.0, 1.0 - u * u)
-            axis = s * s
-        out[rows] = np.prod(axis, axis=1)
+        # the product over the axes in axis order, as np.prod takes it,
+        # one axis factor at a time
+        prod = np.ones(rows.size)
+        for k, (center, width) in enumerate(zip(self.center, self.width)):
+            u = z[rows, k]
+            np.divide(np.subtract(u, center, out=u), width, out=u)
+            if self.kind == "bump":
+                factor = bump(u)
+            else:
+                factor = np.subtract(1.0, np.multiply(u, u, out=u), out=u)
+                np.maximum(0.0, factor, out=factor)
+                np.multiply(factor, factor, out=factor)
+            np.multiply(prod, factor, out=prod)
+        out[rows] = prod
         return out
 
     def lipschitz_bound(self) -> float:
@@ -271,8 +278,9 @@ def may_reach(
     pair distance within dmin / 2 of its start.  So a row is ruled out
     when F is finite and that inequality holds, dmin / 2 is above
     COINCIDENCE_THRESHOLD (no FLAG_SINGULAR), an adaptive flow's steps,
-    none below dt min(1, (dmin / 2 / reference_distance)^1.5), fit its
-    max_substeps (no FLAG_SUBSTEP_LIMIT), and on some phase axis k the
+    none below dt min(1, (dmin / 2 / REFERENCE_DISTANCE)^1.5), fit in
+    MAX_SUBSTEPS (no FLAG_SUBSTEP_LIMIT; both constants are read from
+    `dynamics` at each call), and on some phase axis k the
     reachable interval, widened by REACH_SLACK of the row's scale,
     misses the open support interval (c_k - w_k, c_k + w_k).  Rows with
     a NaN or infinite coordinate are never ruled out, and a potential
@@ -320,9 +328,10 @@ def _may_reach_block(
             & (0.5 * dmin > dynamics.COINCIDENCE_THRESHOLD)
         )
         if icfg.adaptive:
-            shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / icfg.reference_distance) ** 1.5)
+            reference = dynamics.REFERENCE_DISTANCE
+            shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / reference) ** 1.5)
             # one step more for the remainder the clipped steps leave
-            safe &= tau / shortest + 2.0 <= icfg.max_substeps
+            safe &= tau / shortest + 2.0 <= dynamics.MAX_SUBSTEPS
         # an interval [m - r - R, m + r + R] misses (c - w, c + w) iff
         # |m - c| - r - w >= R; R is the force term, the same on every
         # position axis (F tau^2 / 2) and on every velocity axis (F tau)

@@ -333,7 +333,7 @@ def test_scaling_runs_the_library_check(tmp_path):
     assert report_stats(reports) == report_stats([direct.to_json_dict()])
 
 
-DYNAMICS_KEYS = {"scheme", "dt", "adaptive", "reference_distance", "max_substeps"}
+DYNAMICS_KEYS = {"scheme", "dt", "adaptive"}
 BOX_KEYS = {"x_half", "v_half", "count", "seed"}
 # experiment -> the keys of each section of its resolved config: the keys
 # it reads, and no other
@@ -437,6 +437,19 @@ def test_key_the_experiment_does_not_read_exits_two(tmp_path, experiment, where,
     section[key] = value
     code = cli.main([experiment, "--config", write_config(tmp_path, cfg), "--quiet"])
     assert code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("reference_distance", 0.5), ("max_substeps", 40)])
+def test_integrator_constants_are_not_config_keys(tmp_path, capsys, key, value):
+    # the adaptive step's reference distance and the per-leg step budget
+    # are constants of the integrator, which no config sets
+    out = tmp_path / "run"
+    cfg = simulate_config(out)
+    cfg["dynamics"][key] = value
+    code = cli.main(["simulate", "--config", write_config(tmp_path, cfg), "--quiet"])
+    assert code == 2
+    assert key in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,13 +239,14 @@ def _recorded_step_by_step(x0, v0, potential, t, icfg):
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_integrate_is_bitwise_the_step_by_step_record(adaptive):
+def test_integrate_is_bitwise_the_step_by_step_record(adaptive, monkeypatch):
     pot = repulsive_power(2, exponent=1.0)
     x0 = np.array([[-0.2, 0.02], [0.2, -0.02]])
     v0 = np.array([[1.0, 0.0], [-1.0, 0.0]])
     t = 0.02
     # every step shrinks to dt (dmin / 2)^1.5 < dt / 9 near the encounter
-    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, reference_distance=2.0)
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive)
     traj = integrate(x0, v0, pot, t, icfg)
     times, x, v, dmins = _recorded_step_by_step(x0, v0, pot, t, icfg)
     if adaptive:
@@ -294,11 +294,12 @@ def test_trajectory_csv_is_bytewise_the_per_value_format(tmp_path):
         pytest.param("three", "repulsive_power", True, id="adaptive-repulsive_power-n3"),
     ],
 )
-def test_integrate_records_the_flow_bitwise(cfg, kind, adaptive, two_body):
+def test_integrate_records_the_flow_bitwise(cfg, kind, adaptive, two_body, monkeypatch):
     x0, v0 = two_body if cfg == "two" else THREE_BODY
     pot = _potential(kind)
-    # every pair starts within reference_distance, so adaptive steps shrink
-    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, reference_distance=2.0)
+    # every pair starts within REFERENCE_DISTANCE, so adaptive steps shrink
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive)
     # 12 whole steps and a remainder step
     traj = integrate(x0, v0, pot, -0.0125, icfg)
     if adaptive:
@@ -323,11 +324,12 @@ def test_integrate_records_the_flow_bitwise(cfg, kind, adaptive, two_body):
     np.testing.assert_array_equal(traj.energies, _energy_batch(traj.x, traj.v, pot))
 
 
-def test_adaptive_close_encounter_conserves_energy():
+def test_adaptive_close_encounter_conserves_energy(monkeypatch):
     pot = repulsive_power(2, exponent=1.0)
     x0 = np.array([[-1.0, 0.02], [1.0, -0.02]])
     v0 = np.array([[2.0, 0.0], [-2.0, 0.0]])
-    icfg = IntegratorConfig(dt=1e-3, adaptive=True, reference_distance=0.5)
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 0.5)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=True)
     x, v = flow_one(x0, v0, 1.0, pot, icfg)
     rel = abs(energy(x, v, pot) - energy(x0, v0, pot)) / abs(energy(x0, v0, pot))
     assert rel < 1e-4
@@ -335,11 +337,12 @@ def test_adaptive_close_encounter_conserves_energy():
     assert _forces(x[None], pot)[1][0] > 1.0
 
 
-def test_adaptive_substep_budget_flags_rows():
+def test_adaptive_substep_budget_flags_rows(monkeypatch):
     pot = repulsive_power(2, exponent=1.0)
     x = np.array([[[-1.0, 0.02], [1.0, -0.02]]])
     v = np.array([[[2.0, 0.0], [-2.0, 0.0]]])
-    icfg = IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=5)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 5)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=True)
     _, _, flags = flow_batch(x, v, pot, 1.0, icfg)
     assert flags[0] == FLAG_SUBSTEP_LIMIT
     # the one-configuration recorder raises instead
@@ -347,20 +350,22 @@ def test_adaptive_substep_budget_flags_rows():
         integrate(x[0], v[0], pot, 1.0, icfg)
 
 
-def test_fixed_step_budget_raises():
+def test_fixed_step_budget_raises(monkeypatch):
     pot = harmonic(2)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 10)
     with pytest.raises(SubstepLimitError):
-        flow_batch(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), pot, 1.0,
-                   IntegratorConfig(dt=1e-3, max_substeps=10))
+        flow_batch(np.zeros((1, 2, 2)), np.ones((1, 2, 2)), pot, 1.0, IntegratorConfig(dt=1e-3))
 
 
 @pytest.mark.parametrize("t, steps", [(0.01, 10), (0.0105, 11)])
-def test_fixed_step_budget_counts_steps_taken(t, steps, two_body):
+def test_fixed_step_budget_counts_steps_taken(t, steps, two_body, monkeypatch):
     # 0.01 is ten whole steps with no remainder step; 0.0105 takes one
     pot = harmonic(2)
-    flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps))
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", steps)
+    flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3))
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", steps - 1)
     with pytest.raises(SubstepLimitError, match=f"{steps} fixed steps"):
-        flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3, max_substeps=steps - 1))
+        flow_one(*two_body, t, pot, IntegratorConfig(dt=1e-3))
 
 
 def test_coincident_rows_freeze_with_singular_flag():
@@ -411,8 +416,6 @@ def test_configuration_and_integrator_validation():
         IntegratorConfig(velocity_damping=0.0)
     with pytest.raises(DomainError):
         IntegratorConfig(velocity_damping=1.5)
-    with pytest.raises(DomainError):
-        IntegratorConfig(reference_distance=-1.0)
 
 
 def test_velocity_damping_dissipates(two_body):
@@ -459,8 +462,8 @@ def _reference_flow_row(x, v, potential, t, icfg):
     sgn = 1.0 if t > 0 else -1.0
     if icfg.adaptive:
         remaining = np.array([abs(t)])
-        for taken in range(1, icfg.max_substeps + 1):
-            h = icfg.dt * np.minimum(1.0, (dmin / icfg.reference_distance) ** 1.5)
+        for taken in range(1, dynamics.MAX_SUBSTEPS + 1):
+            h = icfg.dt * np.minimum(1.0, (dmin / dynamics.REFERENCE_DISTANCE) ** 1.5)
             last = h >= remaining
             h = np.where(last, remaining, h)
             x, v, acc, dmin = _reference_verlet(
@@ -506,7 +509,7 @@ class Untagged:
 @pytest.mark.parametrize("t", [0.0305, -0.0305])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n, d):
+def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n, d, monkeypatch):
     # d = 1 and d = 3 take the other branches of the pair distance sum
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, (12, n, d))
@@ -517,9 +520,8 @@ def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n,
     v[5, :2] = 0.0
     x[5, 0, :2], x[5, 1, :2] = [-0.03, 0.001][:d], [0.03, -0.001][:d]
     v[5, 0, 0], v[5, 1, 0] = 2.0, -2.0
-    icfg = IntegratorConfig(
-        dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=40,
-    )
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 40)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, velocity_damping=damping)
     flags = _assert_matches_reference(x, v, repulsive_power(d, exponent=1.0), t, icfg)
     assert flags[3] == FLAG_SINGULAR
     # 31 steps cover |t|; the encounter needs more than 40 adaptive substeps
@@ -527,9 +529,9 @@ def test_flow_batch_matches_row_major_reference_bitwise(adaptive, damping, t, n,
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_flagged_rows_freeze_like_the_reference(adaptive):
+def test_flagged_rows_freeze_like_the_reference(adaptive, monkeypatch):
     # force-free flow on a dyadic grid is exact: row 1 closes 2 dt per step
-    # and meets at step 10, row 2 sits below reference_distance and crawls
+    # and meets at step 10, row 2 sits below REFERENCE_DISTANCE and crawls
     dt = 2.0**-10
     x = np.zeros((4, 2, 2))
     v = np.zeros((4, 2, 2))
@@ -538,9 +540,9 @@ def test_flagged_rows_freeze_like_the_reference(adaptive):
     x[1, 0, 0], x[1, 1, 0] = -10 * dt, 10 * dt
     v[1, 0, 0], v[1, 1, 0] = 1.0, -1.0
     x[2, 1, 0] = x[2, 0, 0] + 2.0**-24
-    icfg = IntegratorConfig(
-        dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
-    )
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0**-20)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 40)
+    icfg = IntegratorConfig(dt=dt, adaptive=adaptive)
     flags = _assert_matches_reference(x, v, Untagged(free_potential(2)), 0.02, icfg)
     xo, _, _ = flow_batch(x, v, Untagged(free_potential(2)), 0.02, icfg)
     assert flags[1] == FLAG_SINGULAR
@@ -551,7 +553,7 @@ def test_flagged_rows_freeze_like_the_reference(adaptive):
 
 @pytest.mark.parametrize("kind", ["harmonic", "repulsive_power"])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_nan_rows_are_singular_in_both_runners(adaptive, kind):
+def test_nan_rows_are_singular_in_both_runners(adaptive, kind, monkeypatch):
     # one flag rule: a NaN min pair distance is a coincidence at once, so an
     # adaptive run does not step a NaN row until its budget runs out
     pot = harmonic(2) if kind == "harmonic" else repulsive_power(2, exponent=1.0)
@@ -559,7 +561,8 @@ def test_nan_rows_are_singular_in_both_runners(adaptive, kind):
     x = rng.uniform(-1.0, 1.0, (5, 2, 2))
     v = rng.uniform(-1.0, 1.0, (5, 2, 2))
     x[2, 1, 0] = np.nan
-    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, max_substeps=2000)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 2000)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive)
     xo, vo, flags = flow_batch(x, v, pot, 0.0305, icfg)
     assert flags[2] == FLAG_SINGULAR
     others = [0, 1, 3, 4]
@@ -613,7 +616,7 @@ def _assert_stops_match_legs(x, v, potential, t, stops, icfg):
 @pytest.mark.parametrize("t", [0.0305, -0.0305])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t):
+def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t, monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.uniform(-1.0, 1.0, (16, 2, 2))
     v = rng.uniform(-1.0, 1.0, (16, 2, 2))
@@ -624,9 +627,8 @@ def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t):
         v[row, 0], v[row, 1] = [2.0, 0.0], [-2.0, 0.0]
     # off-grid legs, a repeated stop (a leg of length 0) and a last leg
     stops = [s * np.sign(t) for s in (0.0041, 0.0123, 0.0123, 0.0199, 0.0305)]
-    icfg = IntegratorConfig(
-        dt=1e-3, adaptive=adaptive, velocity_damping=damping, max_substeps=12,
-    )
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 12)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, velocity_damping=damping)
     pot = repulsive_power(2, exponent=1.0)
     flags = _assert_stops_match_legs(x, v, pot, t, stops, icfg)
     limited = FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK
@@ -634,7 +636,8 @@ def test_stops_match_flowing_leg_by_leg_bitwise(adaptive, damping, t):
     assert np.count_nonzero(flags == FLAG_OK) >= 10
     # with room for every substep no row is frozen, and parked rows still
     # come back in input order
-    flags = _assert_stops_match_legs(x, v, pot, t, stops, replace(icfg, max_substeps=10_000))
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 10_000)
+    flags = _assert_stops_match_legs(x, v, pot, t, stops, icfg)
     assert not flags.any()
 
 
@@ -651,7 +654,7 @@ def test_stops_keep_the_free_closed_form(t, two_body):
 
 
 @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
-def test_stops_freeze_a_row_that_collides_mid_walk(adaptive):
+def test_stops_freeze_a_row_that_collides_mid_walk(adaptive, monkeypatch):
     # force-free flow on a dyadic grid is exact: row 3 closes 2 dt per step
     # and meets at step 10, inside the third leg; row 0 starts coincident,
     # so its retirement moves row 3 to the batch's first column
@@ -663,9 +666,9 @@ def test_stops_freeze_a_row_that_collides_mid_walk(adaptive):
     x[3, 0, 0], x[3, 1, 0] = -10 * dt, 10 * dt
     v[3, 0, 0], v[3, 1, 0] = 1.0, -1.0
     x[0, 1] = x[0, 0]
-    icfg = IntegratorConfig(
-        dt=dt, adaptive=adaptive, reference_distance=2.0**-20, max_substeps=40,
-    )
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0**-20)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 40)
+    icfg = IntegratorConfig(dt=dt, adaptive=adaptive)
     potential = Untagged(free_potential(2))
     stops = [0.0, 3 * dt, 3 * dt, 12 * dt]
     flags = _assert_stops_match_legs(x, v, potential, 0.02, stops, icfg)
@@ -713,7 +716,8 @@ def test_retired_rows_stay_in_the_batch(monkeypatch):
     # others while rows are parked; every row keeps its column throughout
     rng = np.random.default_rng(7)
     x, v = rng.uniform(-1.0, 1.0, (2, 300, 2, 2))
-    icfg = IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=4)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 4)
+    icfg = IntegratorConfig(dt=1e-2, adaptive=True)
     parked_at_retirement = []
     retire = dynamics._Batch.retire
 

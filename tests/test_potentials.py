@@ -50,6 +50,12 @@ def test_constructor_validation():
         piecewise_radial(2, jump_radius=1.0, slope_inner=0.5, slope_outer=0.5)
 
 
+def test_unknown_kind_raises_at_construction():
+    # the kind picks every formula, so an unknown one is refused up front
+    with pytest.raises(DomainError, match="unknown potential kind 'cubic'"):
+        potentials.PairPotential(kind="cubic", d=2)
+
+
 @pytest.mark.parametrize(
     "pot",
     [
@@ -257,6 +263,10 @@ def test_table_matches_quadrature_at_held_out_radii(d):
     for base in bases:
         pot = MollifiedPotential(base, kernel, shrink, level)
         assert pot.table.max_error <= TABLE_RTOL
+        if base.kind == "gaussian_well":
+            # the well's tail panels, where |f_n| vanishes, are held to the
+            # table's scale rather than their own: 41 panels in every d
+            assert len(pot.table.coefs) < 64
         want = np.array([mollified_potential(base, kernel, shrink, level, x) for x in r])
         scale = np.maximum(np.abs(want), 1.0)
         assert np.max(np.abs(pot.value_batch(r) - want) / scale) < 1e-10, base.kind

@@ -1,8 +1,11 @@
 """Checks on the repository's own sources and documents."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
+
+from liouville_lab import cli, dynamics
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liouville_lab"
@@ -65,6 +68,13 @@ def test_verification_walks_no_flow_of_its_own():
     text = (PACKAGE / "verification.py").read_text(encoding="utf-8")
     for pattern in (r"simpson_weights\(", r"stops=", r"\bbatch\.(track|idx|m)\b"):
         assert re.search(pattern, text) is None, pattern
+
+
+def test_config_dynamics_keys_are_the_integrator_fields():
+    # every integrator setting is a config key, apart from the damping that
+    # only the negative controls set, so the two cannot drift apart
+    fields = {field.name for field in dataclasses.fields(dynamics.IntegratorConfig)}
+    assert set(cli._DYNAMICS) == fields - {"velocity_damping"}
 
 
 def test_readme_quick_start_runs(capsys):

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liouville_lab import transport
+from liouville_lab import dynamics, transport
 from liouville_lab.dynamics import FLAG_OK, FLAG_SINGULAR, IntegratorConfig, _forces, flow_batch
 from liouville_lab.errors import CoverageError, DomainError
 from liouville_lab.estimates import MCEstimate
@@ -145,6 +146,22 @@ def test_initial_datum_evaluates_support_rows_as_every_entry_formula_bitwise(kin
     assert datum.evaluate(np.empty((0, 4))).shape == (0,)
 
 
+@pytest.mark.parametrize("kind", ["bump", "clipped_polynomial"])
+def test_initial_datum_temporaries_are_a_few_vectors_over_the_rows(kind):
+    # the product is taken one axis factor at a time, so no (rows, 2 n d)
+    # block is built: in the renormalization suite's box, where 23% of the
+    # rows lie in the support, the peak is near 23 B a row
+    z = PhaseBox.centered(2, 2, 1.2, 1.2).sample(np.random.default_rng(1), 100_000)
+    datum = InitialDatum(kind=kind, center=np.zeros(8), width=1.0)
+    tracemalloc.start()
+    try:
+        datum.evaluate(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * z.shape[0]
+
+
 def test_profile_prime_constants_are_sharp_bounds():
     u = np.linspace(-1.0, 1.0, 2_000_001)
     grid_max = np.max(np.abs(bump_pair(u)[1]))
@@ -223,7 +240,7 @@ def test_may_reach_rules_out_only_rows_that_stay_outside(case, t, damping, n):
     assert not phi.support_mask(0.0, x1[out], v1[out]).any()
 
 
-def test_may_reach_keeps_rows_it_cannot_bound():
+def test_may_reach_keeps_rows_it_cannot_bound(monkeypatch):
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     rng = np.random.default_rng(3)
     phi = random_test_function(2, 2, box, t_center=0.0, t_width=1.0, rng=rng)
@@ -245,7 +262,8 @@ def test_may_reach_keeps_rows_it_cannot_bound():
     assert flow_batch(x[2:3], v[2:3], free_potential(2), 0.05, damped)[2][0] != FLAG_OK
     assert may_reach(phi, x[2:3], v[2:3], free_potential(2), 0.05, damped)[0]
     # an adaptive flow whose steps would overrun its budget
-    tight = IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=6)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 6)
+    tight = IntegratorConfig(dt=1e-2, adaptive=True)
     assert may_reach(phi, x[3:], v[3:], base, 0.05, tight).all()
 
 
@@ -630,16 +648,17 @@ def test_simpson_walk_zeroes_a_row_flagged_mid_walk():
 
 
 @pytest.mark.parametrize(
-    "potential, icfg",
+    "potential, icfg, budget",
     [
-        (harmonic(2), IntegratorConfig(dt=1e-2)),
+        (harmonic(2), IntegratorConfig(dt=1e-2), None),
         # adaptive legs park and retire rows; 4 substeps a leg flag 17 of 300
-        (repulsive_power(2, exponent=1.0),
-         IntegratorConfig(dt=1e-2, adaptive=True, max_substeps=4)),
+        (repulsive_power(2, exponent=1.0), IntegratorConfig(dt=1e-2, adaptive=True), 4),
     ],
     ids=["harmonic", "repulsive_adaptive"],
 )
-def test_simpson_walk_end_state_is_the_paused_flow_bitwise(potential, icfg):
+def test_simpson_walk_end_state_is_the_paused_flow_bitwise(potential, icfg, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
     rng = np.random.default_rng(7)
     x, v = rng.uniform(-1.0, 1.0, (2, 300, 2, 2))
     window, nodes = (0.02, 0.34), 17

@@ -408,22 +408,24 @@ def _every_sample(potential, box, count, seed):
 
 
 @pytest.mark.parametrize(
-    "potential, box, t_final, icfg, gap, flagged",
+    "potential, box, t_final, icfg, budget, gap, flagged",
     [
         # DELTA_STEPS dt = 0.01 is 1.28 node gaps of t / 128
-        (harmonic(2), BOX, 1.0, ICFG, 1, False),
+        (harmonic(2), BOX, 1.0, ICFG, None, 1, False),
         # adaptive steps park rows that finish a leg early, which reorders
         # the batch rows and the sums that ride along with them; 2 substeps
         # per leg flag 1.1% of the compared rows, which retire while others
         # are parked.  0.01 is 5.12 node gaps of 0.25 / 128
         (repulsive_power(2, exponent=1.0), PhaseBox.centered(2, 2, 1.5, 1.5), 0.25,
-         IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=2), 5, True),
+         IntegratorConfig(dt=1e-3, adaptive=True), 2, 5, True),
     ],
     ids=["harmonic", "repulsive_adaptive"],
 )
 def test_weak_ode_statistic_is_the_worst_selected_defect(
-    potential, box, t_final, icfg, gap, flagged
+    potential, box, t_final, icfg, budget, gap, flagged, monkeypatch
 ):
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
     sample = _Sample(potential, box, 400, SEED)
     assert sample.start[0].shape[0] == sample.rows == 360
     want, _, states = _walk_by_legs(sample.start, potential, t_final, icfg)
@@ -651,7 +653,7 @@ def test_per_sample_reports_equal_flowing_every_sample(potential, box, icfg, wit
         assert _hex_fields(report) == _hex_fields(want[report.check_name])
 
 
-def test_per_sample_flags_count_among_the_compared_rows():
+def test_per_sample_flags_count_among_the_compared_rows(monkeypatch):
     # with 4 substeps per leg the walk flags 16 of 400 samples, every one
     # above the energy level: weak_ode and time continuity failed at a
     # flagged fraction of 0.04 when every sample counted, and now pass.
@@ -660,7 +662,8 @@ def test_per_sample_flags_count_among_the_compared_rows():
     pot, box = repulsive_power(2, exponent=1.0), PhaseBox.centered(2, 2, 1.5, 1.5)
     checks = ["time_continuity", "weak_ode"]
     for budget, flagged, passed in ((4, 0, True), (2, 4, False)):
-        icfg = IntegratorConfig(dt=1e-3, adaptive=True, max_substeps=budget)
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
+        icfg = IntegratorConfig(dt=1e-3, adaptive=True)
         start, _, _, below = _every_sample(pot, box, 400, SEED)
         _, _, states = _walk_by_legs(start, pot, 0.25, icfg)
         ok = states[-1][2]
