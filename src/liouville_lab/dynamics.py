@@ -90,7 +90,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise DomainError(f"unknown scheme {self.scheme!r}, pick from {_SCHEMES}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise DomainError("dt must be positive")
         if not (0.0 < self.velocity_damping <= 1.0):
             raise DomainError("velocity_damping must lie in (0, 1]")
@@ -470,9 +470,7 @@ def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=N
     sgn = -1.0 if t < 0 else 1.0
     if not all(sgn * leg >= 0.0 for leg in legs):
         raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
-    closed_form = (
-        hook is None and getattr(potential, "kind", None) == "free" and icfg.velocity_damping == 1.0
-    )
+    closed_form = hook is None and potential.kind == "free" and icfg.velocity_damping == 1.0
     batch = _Batch(x, v, potential, icfg)
     if hook is not None:
         hook(0.0, batch)

@@ -47,7 +47,8 @@ _KINDS = ("free", "harmonic", "repulsive_power", "gaussian_well", "piecewise_rad
 @dataclass(frozen=True)
 class PairPotential:
     """A radial pair potential on displacements in R^d, of one of the
-    shipped kinds; build it with that kind's factory.
+    shipped kinds; build it with that kind's factory.  Construction
+    refuses parameters outside the kind's domain.
 
     `singularity_class` and `lower_bound_constant` follow from the kind
     and its parameters.
@@ -67,6 +68,18 @@ class PairPotential:
             raise DomainError(f"dimension must be >= 1, got {self.d}")
         if self.kind not in _KINDS:
             raise DomainError(f"unknown potential kind {self.kind!r}, pick from {_KINDS}")
+        # each family's domain, named by its factory's parameters; `not x > 0`
+        # refuses NaN too
+        if self.kind == "harmonic" and not self.strength > 0:
+            raise DomainError("harmonic strength must be positive")
+        if self.kind == "repulsive_power" and not (self.exponent > 0 and self.strength > 0):
+            raise DomainError("repulsive_power needs positive exponent and strength")
+        if self.kind == "gaussian_well" and not (self.strength > 0 and self.width > 0):
+            raise DomainError("gaussian_well needs positive depth and width")
+        if self.kind == "piecewise_radial" and not self.jump_radius > 0:
+            raise DomainError("jump_radius must be positive")
+        if self.kind == "piecewise_radial" and self.slope_inner == self.slope_outer:
+            raise DomainError("slopes must differ, otherwise use a smooth family")
 
     @property
     def singularity_class(self) -> str:
@@ -194,8 +207,6 @@ def free_potential(d: int) -> PairPotential:
 
 
 def harmonic(d: int, strength: float = 1.0) -> PairPotential:
-    if strength <= 0:
-        raise DomainError("harmonic strength must be positive")
     return PairPotential(kind="harmonic", d=d, strength=strength)
 
 
@@ -205,14 +216,10 @@ def repulsive_power(d: int, exponent: float, strength: float = 1.0) -> PairPoten
     Its class is l1_singular_gradient when the gradient is locally
     integrable (exponent < d - 1) and confining_at_zero otherwise.
     """
-    if exponent <= 0 or strength <= 0:
-        raise DomainError("repulsive_power needs positive exponent and strength")
     return PairPotential(kind="repulsive_power", d=d, strength=strength, exponent=exponent)
 
 
 def gaussian_well(d: int, depth: float = 1.0, width: float = 1.0) -> PairPotential:
-    if depth <= 0 or width <= 0:
-        raise DomainError("gaussian_well needs positive depth and width")
     return PairPotential(kind="gaussian_well", d=d, strength=depth, width=width)
 
 
@@ -220,10 +227,6 @@ def piecewise_radial(
     d: int, jump_radius: float, slope_inner: float, slope_outer: float
 ) -> PairPotential:
     """Radial potential with piecewise constant dV/d|r| jumping at jump_radius."""
-    if jump_radius <= 0:
-        raise DomainError("jump_radius must be positive")
-    if slope_inner == slope_outer:
-        raise DomainError("slopes must differ, otherwise use a smooth family")
     return PairPotential(
         kind="piecewise_radial",
         d=d,
@@ -388,10 +391,8 @@ def mollified_potential(
     estimates agree to REFINE_TOL; failure to converge within
     MAX_REFINEMENTS doublings raises QuadratureError.
     """
-    if level < 0:
-        raise DomainError("mollification level must be >= 0")
-    if kernel.d != potential.d:
-        raise DomainError("kernel dimension does not match potential")
+    # the level and kernel rules are MollifiedPotential's
+    MollifiedPotential(potential, kernel, shrink, level)
     x = np.asarray(r, dtype=float).reshape(potential.d)
     rad = float(np.linalg.norm(x))
     eps = float(2.0 ** (-level) * shrink(rad))

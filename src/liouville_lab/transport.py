@@ -82,7 +82,7 @@ class PhaseBox:
         highs = np.asarray(self.highs, dtype=float)
         if lows.shape != (2 * self.n * self.d,) or highs.shape != lows.shape:
             raise DomainError("box bounds must have length 2 n d")
-        if np.any(highs <= lows):
+        if not np.all(highs > lows):
             raise DomainError("box must have positive extent on every axis")
         lows.setflags(write=False)
         highs.setflags(write=False)
@@ -91,8 +91,6 @@ class PhaseBox:
 
     @staticmethod
     def centered(d: int, n: int, x_half: float, v_half: float) -> "PhaseBox":
-        if x_half <= 0 or v_half <= 0:
-            raise DomainError("box half widths must be positive")
         half = np.concatenate([np.full(n * d, x_half), np.full(n * d, v_half)])
         return PhaseBox(lows=-half, highs=half, d=d, n=n)
 
@@ -133,7 +131,7 @@ class InitialDatum:
             raise DomainError(f"unknown initial datum kind {self.kind!r}")
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
         width = np.broadcast_to(np.asarray(self.width, dtype=float), center.shape).copy()
-        if np.any(width <= 0):
+        if not np.all(width > 0):
             raise DomainError("datum widths must be positive")
         center.setflags(write=False)
         width.setflags(write=False)
@@ -378,7 +376,7 @@ class TestFunction:
         widths = np.asarray(self.widths, dtype=float)
         if centers.shape != (2 * self.n * self.d,) or widths.shape != centers.shape:
             raise DomainError("centers and widths must have length 2 n d")
-        if self.t_width <= 0 or np.any(widths <= 0):
+        if not (self.t_width > 0 and np.all(widths > 0)):
             raise DomainError("test function widths must be positive")
         centers.setflags(write=False)
         widths.setflags(write=False)
@@ -582,7 +580,7 @@ def truncate(values: np.ndarray, m: float) -> np.ndarray:
     bitwise.  Acceptance criterion 5 tests that ladder identity; no check
     calls this function.
     """
-    if m <= 0:
+    if not m > 0:
         raise DomainError("truncation height must be positive")
     return np.clip(values, -m, m)
 
@@ -605,7 +603,7 @@ def smoothed_clamp(m: float) -> BetaFunction:
     The corner of the hard clip is rounded over a band of width
     delta = m/100 by integrating a linear ramp, so beta' is continuous.
     """
-    if m <= 0:
+    if not m > 0:
         raise DomainError("clamp height must be positive")
     delta = m / 100.0
 
@@ -679,7 +677,7 @@ def require_collision_margin(phi: TestFunction, potential) -> None:
     within COLLISION_MARGIN of the coincidence set, where its forces
     diverge."""
     if (
-        getattr(potential, "singularity_class", None) == CONFINING_AT_ZERO
+        potential.singularity_class == CONFINING_AT_ZERO
         and phi.min_support_pair_distance() < COLLISION_MARGIN
     ):
         raise CoverageError(
@@ -931,7 +929,7 @@ class EnergyCutoff:
     speed_constant: float
 
     def __post_init__(self):
-        if self.radius <= 0 or self.horizon <= 0 or self.speed_constant <= 0:
+        if not (self.radius > 0 and self.horizon > 0 and self.speed_constant > 0):
             raise DomainError("cutoff radius, horizon, and rate must be positive")
 
     @staticmethod
@@ -943,7 +941,7 @@ class EnergyCutoff:
         at spatial radius rho; the returned rate dominates that bound on
         the barrier shell for all t <= horizon.
         """
-        c = float(getattr(potential, "lower_bound_constant", 0.0))
+        c = float(potential.lower_bound_constant)
         rate = (
             2.0 * math.sqrt(n * c)
             + (2.0 * radius + n * math.sqrt(c) + 6.0 * math.sqrt(n * c)) / (radius + 1.0)

@@ -215,7 +215,7 @@ def default_observable_for(potential, box: PhaseBox, seed: int) -> TestFunction:
     and for other n the f giving the same share, (0.7 * 0.6)^(2/n) / 0.7,
     up to INNER_FRACTION_CAP.
     """
-    if getattr(potential, "singularity_class", None) != CONFINING_AT_ZERO:
+    if potential.singularity_class != CONFINING_AT_ZERO:
         mid = (box.highs + box.lows) / 2.0
         half = (box.highs - box.lows) / 2.0
         # written so that n = 2 gives 0.6 exactly
@@ -1102,7 +1102,8 @@ def check_uniqueness_monotone(
 
     beta is nonneg_squash(UNIQUENESS_BETA_SCALE) and the energy cutoff has
     radius UNIQUENESS_CUTOFF_RADIUS; F is taken at times_count >= 2
-    snapshot times (DomainError otherwise) from 0 to the horizon.
+    snapshot times from 0 to the horizon, at least one step of dt apart
+    (DomainError otherwise).
     h(t) = beta(f_a(t) - f_b(t)) rides the level-a flow, with f_b
     reconstructed by flowing backward at level b; F(t) integrates h
     against the contracting energy cutoff.  Increments of F must stay
@@ -1120,9 +1121,16 @@ def check_uniqueness_monotone(
         raise DomainError(f"the uniqueness check needs at least two times, got {times_count}")
     if datum.support_bounds() is None:
         raise DomainError("uniqueness check needs a compactly supported datum")
+    # a horizon that snaps to no step between snapshots would flow one
+    # step each, whatever its sign, and hold by construction
+    stride = round(horizon / (times_count - 1) / icfg.dt) if 0 < horizon < math.inf else 0
+    if stride < 1:
+        raise DomainError(
+            f"the uniqueness check needs a finite horizon t > 0 of at least one step"
+            f" between snapshots, got {horizon:g}"
+        )
     beta = transport.nonneg_squash(UNIQUENESS_BETA_SCALE)
     e0 = sample_ensemble(box, count, datum, seed)
-    stride = max(1, round(horizon / (times_count - 1) / icfg.dt))
     times = icfg.dt * stride * np.arange(times_count)
     horizon = float(times[-1])
 

@@ -94,7 +94,10 @@ def test_verlet_error_is_second_order(two_body):
 
 
 class Counting:
-    """A potential without a kind that counts its gradient_batch calls."""
+    """A potential of its own kind, so always stepped, that counts its
+    gradient_batch calls."""
+
+    kind = "counting"
 
     def __init__(self, base):
         self.base = base
@@ -495,7 +498,10 @@ def _assert_matches_reference(x, v, potential, t, icfg):
 
 
 class Untagged:
-    """A potential without a kind, so that flow_batch steps even free flow."""
+    """A potential of a kind other than free, so that flow_batch steps even
+    free flow."""
+
+    kind = "untagged"
 
     def __init__(self, base):
         self.base = base

@@ -39,15 +39,70 @@ def test_factory_classification():
     assert piecewise_radial(2, 1.0, -0.5, 0.5).singularity_class == L1_SINGULAR_GRADIENT
 
 
-def test_constructor_validation():
-    with pytest.raises(DomainError):
-        harmonic(2, strength=-1.0)
-    with pytest.raises(DomainError):
-        gaussian_well(2, depth=0.0)
-    with pytest.raises(DomainError):
-        piecewise_radial(2, jump_radius=-1.0, slope_inner=-0.5, slope_outer=0.5)
-    with pytest.raises(DomainError):
-        piecewise_radial(2, jump_radius=1.0, slope_inner=0.5, slope_outer=0.5)
+@pytest.mark.parametrize(
+    "factory, direct, message",
+    [
+        (lambda: harmonic(2, strength=-1.0), dict(kind="harmonic", strength=-2.0), "strength"),
+        (lambda: harmonic(2, strength=0.0), dict(kind="harmonic", strength=0.0), "strength"),
+        (
+            lambda: repulsive_power(2, exponent=1.0, strength=-1.0),
+            dict(kind="repulsive_power", strength=-1.0),
+            "exponent and strength",
+        ),
+        (
+            lambda: repulsive_power(2, exponent=0.0),
+            dict(kind="repulsive_power", exponent=0.0),
+            "exponent and strength",
+        ),
+        (lambda: gaussian_well(2, depth=0.0), dict(kind="gaussian_well", strength=0.0), "depth"),
+        (
+            lambda: gaussian_well(2, width=-1.0),
+            dict(kind="gaussian_well", width=-1.0),
+            "depth and width",
+        ),
+        (
+            lambda: piecewise_radial(2, jump_radius=-1.0, slope_inner=-0.5, slope_outer=0.5),
+            dict(kind="piecewise_radial", jump_radius=-1.0, slope_inner=-0.5, slope_outer=0.5),
+            "jump_radius",
+        ),
+        (
+            lambda: piecewise_radial(2, jump_radius=1.0, slope_inner=0.5, slope_outer=0.5),
+            dict(kind="piecewise_radial", jump_radius=1.0, slope_inner=0.5, slope_outer=0.5),
+            "slopes must differ",
+        ),
+        # the defaults slope_inner = slope_outer = 0 give a smooth V = 0
+        (
+            lambda: piecewise_radial(2, 1.0, 0.0, 0.0),
+            dict(kind="piecewise_radial"),
+            "slopes must differ",
+        ),
+    ],
+    ids=[
+        "harmonic_negative", "harmonic_zero", "repulsive_negative_strength",
+        "repulsive_zero_exponent", "gaussian_depth", "gaussian_width",
+        "piecewise_jump_radius", "piecewise_equal_slopes", "piecewise_default_slopes",
+    ],
+)
+def test_construction_refuses_what_the_factory_refuses(factory, direct, message):
+    # the lower bound and the class are derived from the parameters, so
+    # V = -1/|r| built directly would report C = 0 for a V with no lower bound
+    with pytest.raises(DomainError, match=message):
+        factory()
+    with pytest.raises(DomainError, match=message):
+        potentials.PairPotential(d=2, **direct)
+
+
+def test_each_factory_is_the_direct_construction():
+    P = potentials.PairPotential
+    assert free_potential(3) == P(kind="free", d=3)
+    assert harmonic(2, 1.0) == P(kind="harmonic", d=2, strength=1.0)
+    assert repulsive_power(3, 2.5, 0.3) == P(
+        kind="repulsive_power", d=3, exponent=2.5, strength=0.3
+    )
+    assert gaussian_well(2, 1.3, 0.8) == P(kind="gaussian_well", d=2, strength=1.3, width=0.8)
+    assert piecewise_radial(2, 0.8, -0.6, 0.4) == P(
+        kind="piecewise_radial", d=2, jump_radius=0.8, slope_inner=-0.6, slope_outer=0.4
+    )
 
 
 def test_unknown_kind_raises_at_construction():

@@ -62,6 +62,17 @@ def test_no_module_keeps_state_in_a_global():
     assert found == []
 
 
+def test_the_potential_contract_has_no_silent_default():
+    # a reader of a potential's kind, class or lower bound reads the
+    # attribute, so an object without it fails instead of getting a default
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "getattr(potential" in path.read_text(encoding="utf-8")
+    ]
+    assert found == []
+
+
 def test_verification_walks_no_flow_of_its_own():
     # every Simpson walk is transport.simpson_walk: verification builds no
     # Simpson weights, pauses no flow and reads no batch layout

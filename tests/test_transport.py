@@ -81,6 +81,48 @@ def test_phase_box_basics():
         PhaseBox(lows=np.zeros(8), highs=np.zeros(8), d=2, n=2)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegratorConfig(dt=NAN),
+        lambda: PhaseBox.centered(2, 2, NAN, 1.0),
+        lambda: PhaseBox.centered(2, 2, 1.0, NAN),
+        lambda: PhaseBox(lows=np.zeros(8), highs=np.full(8, NAN), d=2, n=2),
+        lambda: InitialDatum(kind="bump", center=np.zeros(8), width=NAN),
+        lambda: TestFunction(
+            d=2, n=2, t_center=0.0, t_width=1.0, centers=np.zeros(8), widths=np.full(8, NAN)
+        ),
+        lambda: TestFunction(
+            d=2, n=2, t_center=0.0, t_width=NAN, centers=np.zeros(8), widths=np.ones(8)
+        ),
+        lambda: EnergyCutoff(radius=NAN, horizon=1.0, speed_constant=1.0),
+        lambda: EnergyCutoff(radius=1.0, horizon=NAN, speed_constant=1.0),
+        lambda: EnergyCutoff(radius=1.0, horizon=1.0, speed_constant=NAN),
+        lambda: truncate(np.ones(3), NAN),
+        lambda: smoothed_clamp(NAN),
+        lambda: harmonic(2, NAN),
+        lambda: repulsive_power(2, exponent=NAN),
+        lambda: repulsive_power(2, exponent=1.0, strength=NAN),
+        lambda: gaussian_well(2, depth=NAN),
+        lambda: gaussian_well(2, width=NAN),
+        lambda: piecewise_radial(2, NAN, -0.5, 0.5),
+    ],
+    ids=[
+        "dt", "box_x_half", "box_v_half", "box_extent", "datum_width", "phi_widths",
+        "phi_t_width", "cutoff_radius", "cutoff_horizon", "cutoff_rate", "truncate",
+        "smoothed_clamp", "harmonic", "repulsive_exponent", "repulsive_strength",
+        "gaussian_depth", "gaussian_width", "piecewise_jump_radius",
+    ],
+)
+def test_positivity_rules_refuse_nan(build):
+    # NaN > 0 is false, so `not x > 0` refuses it where `x <= 0` would not
+    with pytest.raises(DomainError, match="positive"):
+        build()
+
+
 def test_initial_datum_kinds_and_bounds():
     with pytest.raises(DomainError):
         InitialDatum(kind="delta", center=np.zeros(4), width=1.0)

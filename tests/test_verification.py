@@ -473,26 +473,33 @@ def test_flow_axiom_suite_refuses_a_dt_past_the_walk_node_spacing():
     assert report.details["delta"] == DELTA_STEPS / 128
 
 
-@pytest.mark.parametrize("t", [0.0, -0.5])
+HORIZON_RUNS = {
+    "per_sample": lambda t: flow_axiom_suite(
+        harmonic(2), BOX, 50, SEED, ICFG, t=t, checks=["energy_invariance"],
+    ),
+    "measure_preservation": lambda t: check_measure_preservation(
+        harmonic(2), BOX, t, 50, SEED, ICFG
+    ),
+    "mollification_cauchy": lambda t: check_mollification_cauchy(
+        repulsive_power(2, exponent=0.5), MollifierKernel(d=2), ShrinkFunction(),
+        BOX, t, 20, SEED, ICFG,
+    ),
+    "uniqueness_monotone": lambda t: check_uniqueness_monotone(**uniqueness_kwargs(horizon=t)),
+}
+
+
 @pytest.mark.parametrize(
-    "run",
-    [
-        lambda t: flow_axiom_suite(
-            harmonic(2), BOX, 50, SEED, ICFG, t=t, checks=["energy_invariance"],
-        ),
-        lambda t: check_measure_preservation(harmonic(2), BOX, t, 50, SEED, ICFG),
-        lambda t: check_mollification_cauchy(
-            repulsive_power(2, exponent=0.5), MollifierKernel(d=2), ShrinkFunction(),
-            BOX, t, 20, SEED, ICFG,
-        ),
-    ],
-    ids=["per_sample", "measure_preservation", "mollification_cauchy"],
+    "name, t",
+    [(name, t) for name in HORIZON_RUNS for t in (0.0, -0.5)]
+    + [("uniqueness_monotone", t) for t in (1e-5, math.nan, math.inf)],
 )
-def test_checks_refuse_a_horizon_that_holds_by_construction(run, t):
+def test_checks_refuse_a_horizon_that_holds_by_construction(name, t):
     # at t = 0 these checks and their controls pass with statistic 0, and a
-    # negative t flows backward
+    # negative t flows backward; the uniqueness check would snap each of
+    # these horizons, and one shorter than a step per snapshot, to one step
+    # of dt between snapshots, and an infinite one overflowed the snapping
     with pytest.raises(DomainError, match="t > 0"):
-        run(t)
+        HORIZON_RUNS[name](t)
 
 
 def test_require_checks():
