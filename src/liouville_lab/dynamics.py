@@ -43,7 +43,9 @@ its input row, and every per-row result is scattered through it.
 
 `flow_batch` and `integrate`, which records a one-row flow step by step,
 run on one flow, `_flow`: the one place that builds a `_Batch` and picks
-its runner.
+its runner.  A `flow_batch` call without stops runs `_flow` on
+SAMPLE_BLOCK rows at a time, so its buffers stay the size of one block;
+each row is stepped on its own, so the blocks give the same bits.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ REFERENCE_DISTANCE = 0.5
 # a budget per leg: each `flow_batch` call, and each leg between two of
 # its stops, may take that many steps, whatever its length
 MAX_SUBSTEPS = 1_000_000
+# rows per block of a flow without stops, and of the samples that
+# `transport` draws and reduces, which bounds their buffers
+SAMPLE_BLOCK = 1 << 14
 
 _SCHEMES = ("velocity_verlet",)
 
@@ -454,6 +459,15 @@ def _run_drift(batch: _Batch, legs, icfg):
         yield
 
 
+def _states(x, v) -> tuple[np.ndarray, np.ndarray]:
+    """x and v as float arrays; raises unless both are (N, n, d)."""
+    x = np.asarray(x, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if x.shape != v.shape or x.ndim != 3:
+        raise DomainError(f"batch shapes must match as (N, n, d), got {x.shape}, {v.shape}")
+    return x, v
+
+
 def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=None, hook=None):
     """The one runner loop behind `flow_batch` and `integrate`.
 
@@ -461,10 +475,7 @@ def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=N
     after every step (see `_run_fixed` and `_run_adaptive`).  A flow with
     a hook is always stepped, never taken in closed form.
     """
-    x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if x.shape != v.shape or x.ndim != 3:
-        raise DomainError(f"batch shapes must match as (N, n, d), got {x.shape}, {v.shape}")
+    x, v = _states(x, v)
     ends = [float(s) for s in stops] + [t]
     legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
     sgn = -1.0 if t < 0 else 1.0
@@ -511,8 +522,20 @@ def flow_batch(
     two stops takes exactly the steps of its own flow_batch call, so the
     result equals flowing leg by leg, bitwise on unflagged rows; a row
     flagged on one leg stays frozen with that flag for the rest.
+
+    Without stops, the rows are flowed SAMPLE_BLOCK at a time.  Each row
+    is stepped on its own, and every active row of an adaptive leg has
+    taken the same number of steps, so the substep budget holds per row:
+    states and flags are bitwise those of one flow of every row.
     """
-    return _flow(x, v, potential, t, icfg, stops, observe)
+    x, v = _states(x, v)
+    if len(stops) or x.shape[0] <= SAMPLE_BLOCK:
+        return _flow(x, v, potential, t, icfg, stops, observe)
+    parts = [
+        _flow(x[start : start + SAMPLE_BLOCK], v[start : start + SAMPLE_BLOCK], potential, t, icfg)
+        for start in range(0, x.shape[0], SAMPLE_BLOCK)
+    ]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Trajectory:

@@ -78,6 +78,10 @@ class PairPotential:
             raise DomainError("gaussian_well needs positive depth and width")
         if self.kind == "piecewise_radial" and not self.jump_radius > 0:
             raise DomainError("jump_radius must be positive")
+        if self.kind == "piecewise_radial":
+            for name, slope in (("slope_inner", self.slope_inner), ("slope_outer", self.slope_outer)):
+                if not math.isfinite(slope):
+                    raise DomainError(f"{name} must be finite, got {slope}")
         if self.kind == "piecewise_radial" and self.slope_inner == self.slope_outer:
             raise DomainError("slopes must differ, otherwise use a smooth family")
 

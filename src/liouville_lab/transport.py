@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import IntegratorConfig, flow_batch, _energy_batch
+from .dynamics import SAMPLE_BLOCK, IntegratorConfig, flow_batch, _energy_batch
 from .errors import CoverageError, DomainError
 from .estimates import MCEstimate
 from .potentials import CONFINING_AT_ZERO
@@ -61,11 +61,6 @@ TEST_FUNCTION_WINDOW = (1.0, 0.8)
 # support end of the row: it covers the rounding of the stepped flow and of
 # the support test, orders of magnitude smaller over any step budget
 REACH_SLACK = 1e-6
-# rows per block of `may_reach`, which bounds its temporaries
-REACH_BLOCK = 8192
-# rows per block of the sample that `collision_boundary_term` draws and
-# reduces, which bounds its temporaries
-SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -225,10 +220,14 @@ class Ensemble:
 
 def _pair_distance(a: np.ndarray) -> np.ndarray:
     """|a_1 - a_2| per row, bitwise np.linalg.norm(..., axis=-1), taken
-    on one difference buffer squared in place."""
+    on one difference buffer squared in place.  The d squared components
+    are summed in order with explicit adds, as numpy sums fewer than 8,
+    so this holds for d < 8."""
     r = a[:, 0] - a[:, 1]
     r *= r
-    s = np.add.reduce(r, -1)
+    s = r[:, 0].copy()
+    for k in range(1, r.shape[1]):
+        s += r[:, k]
     return np.sqrt(s, out=s)
 
 
@@ -282,14 +281,15 @@ def may_reach(
     reachable interval, widened by REACH_SLACK of the row's scale,
     misses the open support interval (c_k - w_k, c_k + w_k).  Rows with
     a NaN or infinite coordinate are never ruled out, and a potential
-    whose force_bound is inf rules out none.  The rows are taken
-    REACH_BLOCK at a time.
+    whose force_bound is inf rules out none.  Each row is bounded on its
+    own, so the rows are taken SAMPLE_BLOCK at a time, which bounds the
+    temporaries and leaves the mask as it would be in one block.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     out = np.empty(x.shape[0], dtype=bool)
-    for start in range(0, x.shape[0], REACH_BLOCK):
-        rows = slice(start, start + REACH_BLOCK)
+    for start in range(0, x.shape[0], SAMPLE_BLOCK):
+        rows = slice(start, start + SAMPLE_BLOCK)
         out[rows] = _may_reach_block(phi, x[rows], v[rows], potential, t, icfg)
     return out
 
@@ -305,7 +305,6 @@ def _may_reach_block(
     nd = n * d
     pos, vel = X.reshape(nd, N), V.reshape(nd, N)
     tau = abs(t)
-    centers, widths = phi.centers[:, None], phi.widths[:, None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if n > 1:
             radii = np.stack(
@@ -332,22 +331,40 @@ def _may_reach_block(
             safe &= tau / shortest + 2.0 <= dynamics.MAX_SUBSTEPS
         # an interval [m - r - R, m + r + R] misses (c - w, c + w) iff
         # |m - c| - r - w >= R; R is the force term, the same on every
-        # position axis (F tau^2 / 2) and on every velocity axis (F tau)
-        half_drift = 0.5 * t * vel
-        pos_gap = np.abs(pos + half_drift - centers[:nd]) - np.abs(half_drift) - widths[:nd]
-        if icfg.velocity_damping == 1.0:
-            vel_gap = np.abs(vel - centers[nd:]) - widths[nd:]
-        else:
-            vel_gap = np.abs(0.5 * vel - centers[nd:]) - 0.5 * np.abs(vel) - widths[nd:]
+        # position axis (F tau^2 / 2) and on every velocity axis (F tau).
+        # The largest gap and coordinate over the axes are folded in one
+        # axis at a time through (N,) buffers, so the temporaries stay a
+        # few vectors; max is exact and keeps NaN, so they are the maxima
+        # over the (n d, N) arrays
+        pos_gap, vel_gap = np.full(N, -np.inf), np.full(N, -np.inf)
+        pos_top, vel_top = np.zeros(N), np.zeros(N)
+        gap, drift = np.empty(N), np.empty(N)
+        damped = icfg.velocity_damping != 1.0
+        for k in range(nd):
+            x_k, v_k = pos[k], vel[k]
+            # |x + t v / 2 - c| - |t v / 2| - w
+            np.multiply(v_k, 0.5 * t, out=drift)
+            np.subtract(np.add(x_k, drift, out=gap), phi.centers[k], out=gap)
+            np.subtract(np.abs(gap, out=gap), np.abs(drift, out=drift), out=gap)
+            np.maximum(pos_gap, np.subtract(gap, phi.widths[k], out=gap), out=pos_gap)
+            np.maximum(pos_top, np.abs(x_k, out=gap), out=pos_top)
+            # |v - c| - w, or |v / 2 - c| - |v| / 2 - w under damping
+            center, width = phi.centers[nd + k], phi.widths[nd + k]
+            if damped:
+                np.subtract(np.multiply(v_k, 0.5, out=gap), center, out=gap)
+                np.multiply(np.abs(v_k, out=drift), 0.5, out=drift)
+                np.subtract(np.abs(gap, out=gap), drift, out=gap)
+            else:
+                np.abs(np.subtract(v_k, center, out=gap), out=gap)
+            np.maximum(vel_gap, np.subtract(gap, width, out=gap), out=vel_gap)
+            np.maximum(vel_top, np.abs(v_k, out=gap), out=vel_top)
         # every coordinate, interval end and support end is below scale
         scale = (
-            np.max(np.abs(pos), axis=0) + np.max(np.abs(vel), axis=0) * (1.0 + tau)
+            pos_top + vel_top * (1.0 + tau)
             + spread + tau * force + float(np.max(np.abs(phi.centers) + phi.widths))
         )
         pad = REACH_SLACK * scale
-        misses = (np.max(pos_gap, axis=0) >= spread + pad) | (
-            np.max(vel_gap, axis=0) >= tau * force + pad
-        )
+        misses = (pos_gap >= spread + pad) | (vel_gap >= tau * force + pad)
         return ~(safe & misses)
 
 
@@ -872,35 +889,43 @@ def collision_boundary_term(
     densities, which is what makes the cutoff removable for d >= 2.
     The term is that of particles 1 and 2.  The sample is drawn
     SAMPLE_BLOCK rows at a time from the stream of `sample_ensemble`,
-    and each block is reduced to its rows' pair distances |x_1 - x_2|
-    and carried weights w |f0| |v_1 - v_2|, so only those two vectors
-    outlive a block; each radius only masks them and divides by mu.  The
-    estimates are bitwise those over `sample_ensemble(box, count, datum,
-    seed)`.
+    and only the hits of a block, its rows with |x_1 - x_2| <= max(mus),
+    outlive it: their row index, pair distance and carried weight
+    w |f0| |v_1 - v_2|, with f0 evaluated on the hits alone.  Each radius
+    zeroes one count-length buffer and scatters carried / mu into its
+    hits in row order.  The estimates are bitwise those over
+    `sample_ensemble(box, count, datum, seed)`.
     """
     mus = list(mus)
     if any(not mu > 0 for mu in mus):
         raise DomainError(f"cutoff widths mu must be positive, got {mus}")
     if box.n < 2:
         raise DomainError(f"the collision term needs two particles, got n={box.n}")
-    blocks = _draw(box, count, seed, SAMPLE_BLOCK)
-    rel_x, carried = np.empty(count), np.empty(count)
     weight = box.volume / count
     nd = box.n * box.d
-    for start, z in blocks:
-        rows = slice(start, start + z.shape[0])
-        rel_x[rows] = _pair_distance(z[:, :nd].reshape(-1, box.n, box.d))
-        values = np.abs(datum.evaluate(z), out=carried[rows])
-        values *= weight
-        values *= _pair_distance(z[:, nd:].reshape(-1, box.n, box.d))
+    reach = max(mus, default=0.0)
+    hits = []
+    for start, z in _draw(box, count, seed, SAMPLE_BLOCK):
+        rel_x = _pair_distance(z[:, :nd].reshape(-1, box.n, box.d))
+        rows = np.flatnonzero(rel_x <= reach)
+        near = z[rows]
+        carried = np.abs(datum.evaluate(near))
+        carried *= weight
+        carried *= _pair_distance(near[:, nd:].reshape(-1, box.n, box.d))
+        hits.append((start + rows, rel_x[rows], carried))
+    index, rel_x, carried = (np.concatenate(part) for part in zip(*hits))
+    terms = np.empty(count)
     out = []
     for mu in mus:
         inside = rel_x <= mu
+        terms.fill(0.0)
+        terms[index[inside]] = carried[inside] / mu
+        inside_count = int(np.count_nonzero(inside))
         out.append(
             MCEstimate.from_samples(
-                np.where(inside, carried / mu, 0.0),
-                sample_count=int(np.sum(inside)),
-                details={"mu": mu, "hit_fraction": float(np.mean(inside))},
+                terms,
+                sample_count=inside_count,
+                details={"mu": mu, "hit_fraction": inside_count / count},
             )
         )
     return out

@@ -307,11 +307,15 @@ def check_measure_preservation(
     sum w phi(z).  The default observable lives on a shrunken box so
     that its backward image can stay inside the sampling box, which
     _require_preimage_coverage verifies by flowing probe points
-    backward under the undamped flow, for the control too.  Only the
-    samples that `transport.may_reach` cannot rule out are flowed;
-    every other sample provably starts and ends outside supp phi
-    unflagged, so its term is exactly 0 either way and the report is
-    bitwise that of flowing every sample.  details["flowed_rows"]
+    backward under the undamped flow, for the control too.  The sample
+    of `sample_ensemble(box, count, ., seed)` is drawn SAMPLE_BLOCK rows
+    at a time; each block gives its rows' phi at the start, and only the
+    states that `transport.may_reach` cannot rule out outlive it, to be
+    flowed in one call.  Every other sample provably starts and ends
+    outside supp phi unflagged, so its term is exactly 0 either way and
+    the report is bitwise that of flowing every sample.  So beside the
+    flowed rows, memory grows by a few count-length vectors.
+    details["flowed_rows"]
     counts the flowed samples, out of sample_count.  A nonzero
     statistic with a zero standard error means no sample got past the
     edge of the observable support, where the squared terms underflow;
@@ -350,17 +354,24 @@ def _measure_preservation(
     transport.require_collision_margin(phi, potential)
     if probe:
         _require_preimage_coverage(phi, box, potential, t, icfg, seed)
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
-    rows = np.flatnonzero(transport.may_reach(phi, e0.x, e0.v, potential, t, run_icfg))
-    x1, v1, flowed_flags = flow_batch(e0.x[rows], e0.v[rows], potential, t, run_icfg)
-    # one support test per ensemble serves both phi and the visit counts;
+    # the sample of sample_ensemble(box, count, ., seed), drawn in blocks:
+    # a block's start states outlive it only in its reachable rows
+    nd = box.n * box.d
+    mask0, before, kept = np.empty(count, dtype=bool), np.empty(count), []
+    for start, z in transport._draw(box, count, seed, dynamics.SAMPLE_BLOCK):
+        x, v = z[:, :nd].reshape(-1, box.n, box.d), z[:, nd:].reshape(-1, box.n, box.d)
+        block = slice(start, start + z.shape[0])
+        # one support test per state serves both phi and the visit counts
+        mask0[block] = phi.support_mask(phi.t_center, x, v)
+        before[block] = phi._value_on(phi.t_center, x, v, mask0[block])
+        reach = np.flatnonzero(transport.may_reach(phi, x, v, potential, t, run_icfg))
+        kept.append((start + reach, x[reach], v[reach]))
+    rows, x0, v0 = (np.concatenate(part) for part in zip(*kept))
+    x1, v1, flowed_flags = flow_batch(x0, v0, potential, t, run_icfg)
     # the samples not flowed stay outside the support, unflagged
-    mask0 = phi.support_mask(phi.t_center, e0.x, e0.v)
     inside = phi.support_mask(phi.t_center, x1, v1)
     mask1 = np.zeros(count, dtype=bool)
     mask1[rows] = inside
-    before = phi._value_on(phi.t_center, e0.x, e0.v, mask0)
     after = np.zeros(count)
     after[rows] = phi._value_on(phi.t_center, x1, v1, inside)
     flags = np.zeros(count, dtype=np.int8)
@@ -368,7 +379,8 @@ def _measure_preservation(
     ok = flags == dynamics.FLAG_OK
     in_start = ok & mask0
     in_end = ok & mask1
-    total = MCEstimate.from_samples(np.where(ok, e0.weight * (after - before), 0.0))
+    weight = box.volume / count
+    total = MCEstimate.from_samples(np.where(ok, weight * (after - before), 0.0))
     statistic, se = abs(total.estimate), total.std_error
     if statistic > 0.0 and se == 0.0:
         # nonzero terms whose squares underflow: phi was met only where it
@@ -380,7 +392,7 @@ def _measure_preservation(
             " raise the count or widen the observable"
         )
     bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(
-        np.sum(np.abs(np.where(ok, e0.weight * after, 0.0)))
+        np.sum(np.abs(np.where(ok, weight * after, 0.0)))
     )
     return CheckReport.build(
         check_name="measure_preservation"
@@ -949,9 +961,10 @@ def check_collision_scaling(
     log-log slope by least squares.  The samples are not flowed: the term
     is a property of the density, and potential only names the report.
     One collision_boundary_term call draws the sample in blocks, keeps
-    only the pair's distances and carried weights and sweeps every
-    radius, so the check holds at most 5 doubles per row plus two blocks
-    of the sample.  The statistic
+    only the rows within the largest radius and sweeps every radius
+    through one reused buffer, so the check holds at most 2 doubles per
+    row, 3 per row within that radius and two blocks of the sample.  The
+    statistic
     |slope - (d - 1)| is held to a pinned tolerance of 0.3; std_error
     and bias_bound are 0.  Fewer than two distinct radii fit
     no slope, and they and a radius <= 0 raise DomainError

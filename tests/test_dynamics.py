@@ -578,6 +578,44 @@ def test_nan_rows_are_singular_in_both_runners(adaptive, kind, monkeypatch):
     np.testing.assert_array_equal(flags[others], np.array([r[2] for r in rows], dtype=np.int8))
 
 
+@pytest.mark.parametrize("damping", [1.0, 0.99], ids=["undamped", "damped"])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_flow_without_stops_runs_in_blocks_bitwise(adaptive, damping, monkeypatch):
+    # with blocks of 5 rows, 23 rows of n = 3 run as five flows, the last of
+    # 3 rows; each row is stepped on its own and every active row of a leg
+    # has taken the same substeps, so states and flags are bitwise those of
+    # one flow: a coincident row, a NaN row and a head-on encounter that
+    # needs more than the 40 adaptive substeps the budget allows, where
+    # steps shrink below pair distances of 0.1
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (23, 3, 2))
+    v = rng.uniform(-1.0, 1.0, (23, 3, 2))
+    x[3, 1] = x[3, 0]
+    x[8, 2, 1] = np.nan
+    x[12], v[12] = [[-0.03, 0.001], [0.03, -0.001], [0.9, 0.9]], [[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]]
+    pot = repulsive_power(2, exponent=1.0)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive, velocity_damping=damping)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 40)
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 0.1)
+    want = dynamics._flow(x, v, pot, 0.0305, icfg)
+    rows, flow = [], dynamics._flow
+    monkeypatch.setattr(dynamics, "_flow", lambda x, *args: rows.append(len(x)) or flow(x, *args))
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
+    got = flow_batch(x, v, pot, 0.0305, icfg)
+    assert rows == [5, 5, 5, 5, 3]
+    for part, whole in zip(got, want):
+        assert part.dtype == whole.dtype
+        np.testing.assert_array_equal(part, whole)
+    flags = got[2]
+    assert flags[3] == flags[8] == FLAG_SINGULAR
+    assert flags[12] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
+    assert np.count_nonzero(flags == FLAG_OK) >= 20
+    # a flow with stops stays one batch, which its observer sees whole
+    rows.clear()
+    flow_batch(x, v, pot, 0.0305, icfg, stops=[0.01])
+    assert rows == [23]
+
+
 # -- flows that pause at stops: one batch, stepped leg by leg
 
 

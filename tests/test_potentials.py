@@ -76,11 +76,23 @@ def test_factory_classification():
             dict(kind="piecewise_radial"),
             "slopes must differ",
         ),
+        # a NaN slope differs from every slope, and max(0.0, nan) is 0.0
+        (
+            lambda: piecewise_radial(2, jump_radius=1.0, slope_inner=float("nan"), slope_outer=0.5),
+            dict(kind="piecewise_radial", slope_inner=float("nan"), slope_outer=0.5),
+            "slope_inner must be finite",
+        ),
+        (
+            lambda: piecewise_radial(2, jump_radius=1.0, slope_inner=-0.5, slope_outer=float("inf")),
+            dict(kind="piecewise_radial", slope_inner=-0.5, slope_outer=float("inf")),
+            "slope_outer must be finite",
+        ),
     ],
     ids=[
         "harmonic_negative", "harmonic_zero", "repulsive_negative_strength",
         "repulsive_zero_exponent", "gaussian_depth", "gaussian_width",
         "piecewise_jump_radius", "piecewise_equal_slopes", "piecewise_default_slopes",
+        "piecewise_nan_slope", "piecewise_infinite_slope",
     ],
 )
 def test_construction_refuses_what_the_factory_refuses(factory, direct, message):

@@ -282,6 +282,73 @@ def test_may_reach_rules_out_only_rows_that_stay_outside(case, t, damping, n):
     assert not phi.support_mask(0.0, x1[out], v1[out]).any()
 
 
+def _textbook_may_reach(phi, x, v, potential, t, icfg):
+    """may_reach's bound on (n d, N) arrays of all the rows at once."""
+    X, V = np.moveaxis(x, 0, -1), np.moveaxis(v, 0, -1)
+    n, d, N = X.shape
+    nd = n * d
+    pos, vel = X.reshape(nd, N), V.reshape(nd, N)
+    tau = abs(t)
+    centers, widths = phi.centers[:, None], phi.widths[:, None]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n > 1:
+            radii = np.stack(
+                [np.sqrt(np.sum((X[i] - X[j]) ** 2, axis=0))
+                 for i in range(n) for j in range(i + 1, n)]
+            )
+            dmin, dmax = radii.min(axis=0), radii.max(axis=0)
+            force = (n - 1) * potential.force_bound(0.5 * dmin, 2.0 * dmax + 1.0)
+        else:
+            dmin, force = np.full(N, np.inf), np.zeros(N)
+        speed = np.sqrt(np.max(np.sum(V * V, axis=1), axis=0))
+        spread = 0.5 * tau * tau * force
+        safe = (
+            np.isfinite(pos).all(axis=0) & np.isfinite(speed) & np.isfinite(force)
+            & (2.0 * tau * speed + 2.0 * spread <= 0.5 * dmin)
+            & (0.5 * dmin > dynamics.COINCIDENCE_THRESHOLD)
+        )
+        if icfg.adaptive:
+            shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / dynamics.REFERENCE_DISTANCE) ** 1.5)
+            safe &= tau / shortest + 2.0 <= dynamics.MAX_SUBSTEPS
+        half_drift = 0.5 * t * vel
+        pos_gap = np.abs(pos + half_drift - centers[:nd]) - np.abs(half_drift) - widths[:nd]
+        if icfg.velocity_damping == 1.0:
+            vel_gap = np.abs(vel - centers[nd:]) - widths[nd:]
+        else:
+            vel_gap = np.abs(0.5 * vel - centers[nd:]) - 0.5 * np.abs(vel) - widths[nd:]
+        scale = (
+            np.max(np.abs(pos), axis=0) + np.max(np.abs(vel), axis=0) * (1.0 + tau)
+            + spread + tau * force + float(np.max(np.abs(phi.centers) + phi.widths))
+        )
+        pad = transport.REACH_SLACK * scale
+        misses = (np.max(pos_gap, axis=0) >= spread + pad) | (
+            np.max(vel_gap, axis=0) >= tau * force + pad
+        )
+        return ~(safe & misses)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("damping", [1.0, 0.99])
+@pytest.mark.parametrize("case", ["harmonic", "repulsive_adaptive", "gaussian_well"])
+def test_may_reach_folds_the_axes_bitwise_as_the_whole_array_formula(case, damping, n, monkeypatch):
+    # the gaps and coordinates are folded one axis at a time, in blocks of
+    # 700 rows here: the mask is that of the formula on (n d, N) arrays,
+    # rows with NaN and infinite coordinates included
+    pot, icfg = REACH_CASES[case]
+    icfg = replace(icfg, velocity_damping=damping)
+    box = PhaseBox.centered(2, n, 1.5, 1.5)
+    rng = np.random.default_rng(23)
+    phi = random_test_function(2, n, box, t_center=0.0, t_width=1.0, rng=rng)
+    z = box.sample(rng, 2000)
+    x, v = z[:, : 2 * n].reshape(-1, n, 2), z[:, 2 * n :].reshape(-1, n, 2)
+    x[5, 0, 1], v[9, -1, 0], x[11, -1, 0] = np.nan, np.inf, -np.inf
+    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 700)
+    for t in (0.075, -0.15):
+        want = _textbook_may_reach(phi, x, v, pot, t, icfg)
+        assert 0 < np.count_nonzero(want) < 2000 and want[[5, 9, 11]].all()
+        np.testing.assert_array_equal(may_reach(phi, x, v, pot, t, icfg), want)
+
+
 def test_may_reach_keeps_rows_it_cannot_bound(monkeypatch):
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     rng = np.random.default_rng(3)

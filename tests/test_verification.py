@@ -1166,27 +1166,67 @@ def test_collision_scaling_needs_two_distinct_positive_radii():
     assert require_radii((0.4, 0.2, 0.4)) == [0.4, 0.2, 0.4]
 
 
-def test_collision_scaling_peaks_below_five_doubles_a_row_plus_two_blocks():
-    # the sample is drawn and reduced in blocks of SAMPLE_BLOCK rows: only
-    # each row's pair distance and carried weight outlive a block, and the
-    # sweep over the radii adds two doubles a row, so the peak stays under
-    # 5 doubles a row plus two blocks of 12 doubles a row, far below the
-    # 200k x 12 doubles of the whole sample
-    count = 200_000
-    box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
-    datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
+def _traced_peak(call):
+    """The traced allocation peak of call(), in bytes above the start."""
     started = not tracemalloc.is_tracing()
     if started:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        check_collision_scaling(free_potential(3), box, datum, count, 14, [0.4, 0.2, 0.1, 0.05])
-        peak = tracemalloc.get_traced_memory()[1] - base
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         if started:
             tracemalloc.stop()
-    assert peak < 5 * 8 * count + 2 * transport.SAMPLE_BLOCK * 12 * 8
+
+
+def test_collision_scaling_peaks_below_two_doubles_a_row_three_a_hit_plus_two_blocks():
+    # the sample is drawn and reduced in blocks of SAMPLE_BLOCK rows: only
+    # the hits within the largest radius outlive a block, with their index,
+    # pair distance and carried weight, and each radius fills one reused
+    # buffer that np.std copies once, so the peak stays under 2 doubles a
+    # row, 3 a hit and two blocks of 12 doubles a row, far below the
+    # 200k x 12 doubles of the whole sample
+    count = 200_000
+    box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
+    mus = [0.4, 0.2, 0.1, 0.05]
+    hits = transport.collision_boundary_term(box, count, datum, 14, mus)[0].sample_count
+    assert 0 < hits < count // 10
+    peak = _traced_peak(
+        lambda: check_collision_scaling(free_potential(3), box, datum, count, 14, mus)
+    )
+    assert peak < 2 * 8 * count + 3 * 8 * hits + 2 * transport.SAMPLE_BLOCK * 12 * 8
+
+
+def test_measure_preservation_peaks_below_56_bytes_a_row():
+    # the sample is drawn in blocks and only the rows may_reach keeps are
+    # flowed, so what grows with the count is the count-length vectors: six
+    # masks and flags of a byte, before and after, and the statistic's terms
+    # with one temporary, 38 bytes a row.  The flowed rows' states and one
+    # block's temporaries must fit in the other 18 at 200k samples, where the
+    # whole sample alone would take 64 bytes a row
+    count = 200_000
+    box = PhaseBox.centered(2, 2, 2.0, 2.0)
+    peak = _traced_peak(
+        lambda: check_measure_preservation(harmonic(2), box, 0.05, count, SEED, ICFG)
+    )
+    assert peak < 56 * count
+
+
+def test_measure_preservation_does_not_depend_on_the_block_size(monkeypatch):
+    # 12,000 samples in one block and in blocks of 1,000 rows, with more
+    # than 1,000 rows flowed: the sample, the rows may_reach keeps and their
+    # flow are the same, and so is the report
+    box = PhaseBox.centered(2, 3, 2.0, 2.0)
+    pot = potentials.gaussian_well(2, depth=1.3, width=0.8)
+    want = check_measure_preservation(pot, box, 0.05, 12_000, SEED, ICFG)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 1_000)
+    got = check_measure_preservation(pot, box, 0.05, 12_000, SEED, ICFG)
+    assert got.details == want.details and got.details["flowed_rows"] > 1_000
+    assert got.details["support_visits"]["end"] > 0
+    assert _hex_fields(got) == _hex_fields(want)
 
 
 def test_gradient_l1_decreasing_holds_the_worst_ratio_to_1_05(monkeypatch):
