@@ -41,6 +41,11 @@ step.  Parking and retiring move rows by swapping columns, so the batch
 keeps no input order: `idx`, a permutation, maps each column back to
 its input row, and every per-row result is scattered through it.
 
+A flow without stops may instead give each row a time of its own, all
+of one sign: every row takes the steps of its own flow and is parked
+once done.  Under a `MollifiedLadder` each row carries the member it
+flows under, and one force evaluation serves the rows of every member.
+
 `flow_batch` and `integrate`, which records a one-row flow step by step,
 run on one flow, `_flow`: the one place that builds a `_Batch` and picks
 its runner.  A `flow_batch` call without stops runs `_flow` on
@@ -56,6 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SingularityError, SubstepLimitError
+from .potentials import MollifiedLadder
 
 COINCIDENCE_THRESHOLD = 1e-12
 
@@ -166,13 +172,16 @@ class _PairForces:
     The displacements x_i - x_j of all P pairs i < j share one (d, P, m)
     block, so a single `gradient_batch` call on its (P*m, d) transposed
     view serves every pair, with the (P*m,) pair radii that
-    `min_distance` takes.  Buffers hold up to `capacity` rows;
-    `resize` re-views them for the current row count.
+    `min_distance` takes.  Under a `MollifiedLadder`, `member` holds the
+    member of each row, and every pair of the row evaluates under it.
+    Buffers hold up to `capacity` rows; `resize` re-views them for the
+    current row count.
     """
 
-    def __init__(self, n: int, d: int, capacity: int, potential):
+    def __init__(self, n: int, d: int, capacity: int, potential, member=None):
         self.pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         self.potential = potential
+        self.member = member
         self.d = d
         size = len(self.pairs) * capacity
         self._disp = np.empty(d * size)
@@ -227,7 +236,11 @@ class _PairForces:
         self.displace(X)
         radii = self.min_distance(dmin)
         m, single = self.m, len(self.pairs) == 1
-        G = self.potential.gradient_batch(self.rows, radii=radii).T
+        if self.member is None:
+            G = self.potential.gradient_batch(self.rows, radii=radii).T
+        else:
+            member = np.tile(self.member[:m], len(self.pairs))
+            G = self.potential.gradient_batch(self.rows, radii, member).T
         for p, (i, j) in enumerate(self.pairs):
             g = G if single else G[:, p * m : (p + 1) * m]
             # a particle's first term is 0 -/+ g, as on a zeroed A
@@ -248,16 +261,17 @@ class _Batch:
     accelerations at X), of `dmin`, of `idx` (the input row of each
     column) and of every `track`ed array form three blocks, each in no
     particular order: active [0, m), parked [m, live), retired [live, N).
-    `step` and `retire_singular` see only the active rows.  An adaptive
-    leg parks the rows that finish it early (`park`) until it ends
-    (`unpark`).  `retire` freezes rows with a flag for good.
+    `step` and `retire_singular` see only the active rows.  A row that
+    finishes an adaptive leg, or its own flow time, early is parked
+    (`park`) until the leg ends (`unpark`).  `retire` freezes rows with a
+    flag for good.  Under a `MollifiedLadder`, `member` gives the member
+    each row flows under, and is tracked with the rows.
     """
 
-    def __init__(self, x, v, potential, icfg: IntegratorConfig):
+    def __init__(self, x, v, potential, icfg: IntegratorConfig, member=None):
         N, n, d = np.shape(x)
         self.N = N
         self.damping = icfg.velocity_damping
-        self.forces = _PairForces(n, d, N, potential)
         self._X = _component_major(x)
         self._V = _component_major(v)
         self._A = np.empty_like(self._X)
@@ -268,6 +282,9 @@ class _Batch:
         self._half = np.empty(N)
         # per-row arrays whose last axis follows the rows when they move
         self._per_row = [self._X, self._V, self._A, self._dmin, self._idx]
+        if member is not None:
+            member = self.track(np.array(member))
+        self.forces = _PairForces(n, d, N, potential, member)
         self.flags = np.zeros(N, dtype=np.int8)
         self.live = N
         self._resize(N)
@@ -405,20 +422,53 @@ def _run_fixed(batch: _Batch, legs, icfg, hook=None):
         yield
 
 
+def _run_fixed_rows(batch: _Batch, t: np.ndarray, icfg):
+    """Step per-row times t with fixed steps: each row takes the whole
+    steps and the remainder of the plan of its own flow, and is parked
+    once done."""
+    times, row = np.unique(t, return_inverse=True)
+    plans = np.array([_fixed_plan(tau, icfg)[1:] for tau in times.tolist()]).reshape(-1, 3)
+    # whole steps, remainder and steps taken of each row, as floats
+    nsteps, rem, total = (batch.track(part[row]) for part in plans.T)
+    sgn = -1.0 if np.any(t < 0.0) else 1.0
+    # the columns are still the input rows
+    batch.park(t == 0.0)
+    batch.retire_singular()
+    # the steps at which rows are done, and those at which rows take
+    # their remainder
+    done, last = set(total.tolist()), set(nsteps[total > nsteps].tolist())
+    for k in range(int(np.max(total, initial=0))):
+        if k in done:
+            batch.park(total[: batch.m] <= k)
+        if not batch.m:
+            break
+        h = sgn * icfg.dt
+        if k in last:
+            h = np.where(nsteps[: batch.m] == k, rem[: batch.m], h)
+        batch.step(h)
+        batch.retire_singular()
+    batch.unpark()
+    yield
+
+
 def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
     """Step each leg with per-row steps shrunk near pair coincidences;
-    rows that finish a leg early are parked until it ends.  hook(t, batch)
+    rows that finish a leg early are parked until it ends.  The only leg
+    of a flow may be an array of per-row times.  hook(t, batch)
     sees every step, t the first active row's time into the leg."""
     N = batch.N
     remaining = batch.track(np.empty(N))
     steps, masks = np.empty((2, N)), np.empty((2, N), dtype=bool)
     for leg in legs:
-        if leg == 0.0:
+        if not np.any(leg):
             yield
             continue
+        sgn = -1.0 if np.any(leg < 0) else 1.0
+        # every live row is active when a leg starts; per-row times come
+        # with the columns in input order, and rows with none are parked
+        remaining[: batch.m] = np.abs(leg)
+        batch.park(remaining[: batch.m] == 0.0)
         batch.retire_singular()
-        sgn = 1.0 if leg > 0 else -1.0
-        remaining[: batch.m] = abs(leg)
         m, taken = -1, 0
         while batch.m:
             if batch.m != m:
@@ -452,10 +502,11 @@ def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
 
 
 def _run_drift(batch: _Batch, legs, icfg):
-    """The free flow in closed form, x + leg v for each leg."""
+    """The free flow in closed form, x + leg v for each leg, or of each
+    row with a time of its own."""
     for leg in legs:
-        if leg != 0.0:
-            np.add(batch.X, np.multiply(batch.V, leg, out=batch.S), out=batch.X)
+        if np.any(leg):
+            np.add(batch.X, np.multiply(batch.V, leg, out=batch.S), out=batch.X, where=leg != 0.0)
         yield
 
 
@@ -468,30 +519,38 @@ def _states(x, v) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
-def _flow(x, v, potential, t: float, icfg: IntegratorConfig, stops=(), observe=None, hook=None):
+def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), observe=None,
+          hook=None):
     """The one runner loop behind `flow_batch` and `integrate`.
 
+    t is one time, or one time per row as `flow_batch` checks it, and
+    member the ladder member of each row.
     hook(t, batch), if given, sees the live batch once at the start and
     after every step (see `_run_fixed` and `_run_adaptive`).  A flow with
     a hook is always stepped, never taken in closed form.
     """
     x, v = _states(x, v)
-    ends = [float(s) for s in stops] + [t]
-    legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
-    sgn = -1.0 if t < 0 else 1.0
-    if not all(sgn * leg >= 0.0 for leg in legs):
-        raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
+    per_row = np.ndim(t) > 0
+    legs = [t]
+    if not per_row:
+        ends = [float(s) for s in stops] + [t]
+        legs = [b - a for a, b in zip([0.0] + ends[:-1], ends)]
+        sgn = -1.0 if t < 0 else 1.0
+        if not all(sgn * leg >= 0.0 for leg in legs):
+            raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
     closed_form = hook is None and potential.kind == "free" and icfg.velocity_damping == 1.0
-    batch = _Batch(x, v, potential, icfg)
+    batch = _Batch(x, v, potential, icfg, member)
     if hook is not None:
         hook(0.0, batch)
     if closed_form:
         runner = _run_drift(batch, legs, icfg)
+    elif per_row and not icfg.adaptive:
+        runner = _run_fixed_rows(batch, t, icfg)
     else:
         runner = (_run_adaptive if icfg.adaptive else _run_fixed)(batch, legs, icfg, hook)
     for k, _ in enumerate(runner):
         if k < len(stops) and observe is not None:
-            observe(ends[k], batch)
+            observe(float(stops[k]), batch)
     return batch.result()
 
 
@@ -503,7 +562,7 @@ def flow_batch(
     x: np.ndarray,
     v: np.ndarray,
     potential,
-    t: float,
+    t,
     icfg: IntegratorConfig,
     *,
     stops=(),
@@ -523,18 +582,45 @@ def flow_batch(
     result equals flowing leg by leg, bitwise on unflagged rows; a row
     flagged on one leg stays frozen with that flag for the rest.
 
+    t may instead be an (N,) array of per-row times, all of one sign,
+    without stops: each row takes the steps of its own flow (with fixed
+    steps its own whole steps and remainder, with adaptive steps its own
+    remaining time) and is parked once done.  A row with t = 0 is not
+    stepped and stays unflagged, as in a flow of length 0.
+
+    The potential may be a `MollifiedLadder` of K members; the N rows
+    are then K blocks of N / K, and block j flows under members[j].
+
     Without stops, the rows are flowed SAMPLE_BLOCK at a time.  Each row
     is stepped on its own, and every active row of an adaptive leg has
     taken the same number of steps, so the substep budget holds per row:
-    states and flags are bitwise those of one flow of every row.
+    states and flags are bitwise those of flowing each row alone, under
+    its own member and for its own time.
     """
     x, v = _states(x, v)
-    if len(stops) or x.shape[0] <= SAMPLE_BLOCK:
-        return _flow(x, v, potential, t, icfg, stops, observe)
-    parts = [
-        _flow(x[start : start + SAMPLE_BLOCK], v[start : start + SAMPLE_BLOCK], potential, t, icfg)
-        for start in range(0, x.shape[0], SAMPLE_BLOCK)
-    ]
+    N = x.shape[0]
+    member = None
+    if isinstance(potential, MollifiedLadder):
+        K = len(potential.members)
+        if N % K:
+            raise DomainError(f"a ladder of {K} members needs a multiple of {K} rows, got {N}")
+        member = np.repeat(np.arange(K), N // K)
+    if np.ndim(t):
+        t = np.asarray(t, dtype=float)
+        if t.shape != (N,) or len(stops) or not (np.all(t >= 0.0) or np.all(t <= 0.0)):
+            raise DomainError(
+                f"per-row times need one time of one sign for each of {N} rows and no stops,"
+                f" got shape {t.shape} and {len(stops)} stops"
+            )
+    if len(stops) or N <= SAMPLE_BLOCK:
+        return _flow(x, v, potential, t, icfg, member, stops, observe)
+    parts = []
+    for start in range(0, N, SAMPLE_BLOCK):
+        block = slice(start, start + SAMPLE_BLOCK)
+        parts.append(_flow(
+            x[block], v[block], potential, t[block] if np.ndim(t) else t, icfg,
+            None if member is None else member[block],
+        ))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 

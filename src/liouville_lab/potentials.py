@@ -22,14 +22,17 @@ Gauss-Legendre in angle) that integrates the kernel itself exactly.
 Base, kernel and alpha are radial, so V_n(x) = f_n(|x|).  Batch
 evaluation reads f_n from a RadialTable (piecewise Chebyshev series in
 log |x| fitted to that quadrature, built once per level) and takes the
-gradient f_n'(|x|) x/|x| from the series derivative.
+gradient f_n'(|x|) x/|x| from the series derivative.  One kernel reads
+a stack of tables, one per row's potential, so a ladder of levels
+(`MollifiedLadder`) is evaluated in one call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -270,8 +273,11 @@ class MollifierKernel:
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("kernel dimension must be >= 1")
-        if self.power < 2:
-            raise DomainError("kernel power must be >= 2 for a C^1 kernel")
+        # `not ... < inf` refuses NaN and inf, whose normalization is NaN
+        if not 2 <= self.power < math.inf:
+            raise DomainError(
+                f"kernel power must be finite and >= 2 for a C^1 kernel, got {self.power}"
+            )
 
     @property
     def normalization(self) -> float:
@@ -457,16 +463,6 @@ def _node_crossings(
     return np.concatenate(out) if out else np.empty(0)
 
 
-def _clenshaw(coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row-wise Chebyshev sums: sum_k coefs[i, k] T_k(t[i])."""
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    t2 = 2.0 * t
-    for k in range(coefs.shape[1] - 1, 0, -1):
-        b1, b2 = coefs[:, k] + t2 * b1 - b2, b1
-    return coefs[:, 0] + t * b1 - b2
-
-
 @dataclass(frozen=True)
 class RadialTable:
     """f_n(rho) on [lo, hi] as piecewise Chebyshev series in s = log(rho).
@@ -491,22 +487,61 @@ class RadialTable:
     def hi(self) -> float:
         return float(np.exp(self.edges[-1]))
 
-    def covers(self, rad: np.ndarray) -> np.ndarray:
-        return (rad >= self.lo) & (rad <= self.hi)
 
-    def _series(self, series: np.ndarray, rad: np.ndarray) -> np.ndarray:
+class _TableStack:
+    """The series of one or more RadialTables over one range [lo, hi], for
+    rows that each name their table.
+
+    The panels of every table are numbered in one list, and their series
+    are stacked coefficient-major, so each coefficient of all rows is one
+    contiguous gather.  A row's panel comes from one `searchsorted` on the
+    union of the tables' interior edges: each table's edges are among
+    them, so how many lie at or below a row's log radius fixes its panel
+    in every table.
+    """
+
+    def __init__(self, tables: Sequence[RadialTable]):
+        self.lo, self.hi = tables[0].lo, tables[0].hi
+        self.left = np.concatenate([t.edges[:-1] for t in tables])
+        self.right = np.concatenate([t.edges[1:] for t in tables])
+        self.series = {
+            "value": np.concatenate([t.coefs for t in tables]).T.copy(),
+            "log_slope": np.concatenate([t.slopes for t in tables]).T.copy(),
+        }
+        self.inner = np.unique(np.concatenate([t.edges[1:-1] for t in tables]))
+        # panel[j * (E + 1) + q]: the panel of table j holding the radii
+        # whose log has q of the E union edges at or below it
+        offsets = np.cumsum([0] + [len(t.coefs) for t in tables[:-1]])
+        below = [np.searchsorted(t.edges[1:-1], self.inner, side="right") for t in tables]
+        self.panel = (offsets[:, None] + np.pad(below, ((0, 0), (1, 0)))).ravel()
+
+    def evaluate(self, which: str, rad: np.ndarray, member: np.ndarray | None) -> np.ndarray:
+        """The series `which` ("value": f_n, "log_slope": rho f_n') of table
+        member[i] (of the only table when None) at each radius rad[i],
+        which must lie in [lo, hi]."""
         s = np.log(rad)
-        p = np.clip(np.searchsorted(self.edges, s, side="right") - 1, 0, len(series) - 1)
-        a, b = self.edges[p], self.edges[p + 1]
-        return _clenshaw(series[p], (2.0 * s - a - b) / (b - a))
-
-    def value(self, rad: np.ndarray) -> np.ndarray:
-        """f_n at radii inside [lo, hi]."""
-        return self._series(self.coefs, rad)
-
-    def log_slope(self, rad: np.ndarray) -> np.ndarray:
-        """rho f_n'(rho) = df_n/ds at radii inside [lo, hi]."""
-        return self._series(self.slopes, rad)
+        p = np.searchsorted(self.inner, s, side="right")
+        if member is not None:
+            p = self.panel[member * (self.inner.size + 1) + p]
+        a, b = self.left[p], self.right[p]
+        t = np.subtract(2.0 * s, a, out=s)
+        np.subtract(t, b, out=t)
+        np.divide(t, np.subtract(b, a, out=a), out=t)
+        # Clenshaw from its two top terms: the steps from b1 = b2 = 0 that
+        # it skips only add and subtract zeros.  Every index is in range, and
+        # take with mode="clip" writes into `ck` without a buffered copy
+        coefs = self.series[which]
+        t2 = 2.0 * t
+        ck, spare = np.empty_like(t), np.empty_like(t)
+        b2 = np.take(coefs[-1], p)
+        b1 = np.multiply(t2, b2, out=b)
+        np.add(np.take(coefs[-2], p, out=ck, mode="clip"), b1, out=b1)
+        for k in range(len(coefs) - 3, -1, -1):
+            np.multiply(t if k == 0 else t2, b1, out=spare)
+            np.add(np.take(coefs[k], p, out=ck, mode="clip"), spare, out=spare)
+            np.subtract(spare, b2, out=spare)
+            b1, b2, spare = spare, b1, b2
+        return b1
 
 
 def _radial_average(
@@ -607,11 +642,13 @@ class MollifiedPotential:
 
     Uses the ball quadrature of order QUADRATURE_ORDER.  Batch values and
     gradients come from the shared table of these inputs, built on first
-    use: V = f_n(|r|), grad V = f_n'(|r|) r/|r|.  Rows outside the table
-    range (near coincidence or far out) take the direct quadrature at
-    (|r|, 0, ...) instead, with a radial central difference of step
-    eps(|r|)/16 for the gradient; `fallback_rows` counts these row
-    evaluations.
+    use: V = f_n(|r|), grad V = f_n'(|r|) r/|r|, read by the table
+    kernel (`_TableStack`) with a stack of this one table.  Rows outside
+    the table range (near coincidence or far out) take the direct
+    quadrature at (|r|, 0, ...) instead, with a radial central difference
+    of step eps(|r|)/16 for the gradient; `fallback_rows` counts these
+    row evaluations.  The level must be a whole number >= 0.  A
+    `MollifiedLadder` flows several of these in one batch.
     """
 
     def __init__(
@@ -623,14 +660,14 @@ class MollifiedPotential:
     ):
         if kernel.d != base.d:
             raise DomainError("kernel dimension does not match potential")
-        if level < 0:
-            raise DomainError("mollification level must be >= 0")
+        if not (level >= 0 and float(level).is_integer()):
+            raise DomainError(f"mollification level must be a whole number >= 0, got {level}")
         self.base = base
         self.kernel = kernel
         self.shrink = shrink
         self.level = int(level)
         self.d = base.d
-        self.kind = f"mollified({base.kind}, level={level})"
+        self.kind = f"mollified({base.kind}, level={self.level})"
         self.singularity_class = base.singularity_class
         self.lower_bound_constant = base.lower_bound_constant
         self.fallback_rows = 0
@@ -644,6 +681,10 @@ class MollifiedPotential:
         if self._table is None:
             self._table = _radial_table(self.base, self.kernel, self.shrink, self.level)
         return self._table
+
+    @cached_property
+    def stack(self) -> _TableStack:
+        return _TableStack([self.table])
 
     def _radii(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
         """|r| of every row, flattened; taken from radii when given."""
@@ -661,40 +702,88 @@ class MollifiedPotential:
         out[~pos] = self.base.value_batch(np.zeros((int(np.sum(~pos)), self.d)))
         return out
 
+    def _fallback(self, rad: np.ndarray, gradient: bool) -> np.ndarray:
+        """f_n, or f_n'(rad) / rad when gradient, by direct quadrature at
+        radii outside the table, counted in fallback_rows; rows at r = 0
+        keep a zero gradient."""
+        self.fallback_rows += rad.size
+        if not gradient:
+            return self._direct(rad)
+        coef = np.zeros(rad.size)
+        rows = np.flatnonzero(rad > 0.0)
+        ro = rad[rows]
+        h = 2.0 ** (-self.level) * self.shrink(ro) / 16.0
+        coef[rows] = (self._direct(ro + h) - self._direct(ro - h)) / (2.0 * h * ro)
+        return coef
+
     def value_batch(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=float)
-        rad = self._radii(r)
-        inside = self.table.covers(rad)
-        out = np.empty(rad.size)
-        out[inside] = self.table.value(rad[inside])
-        outside = ~inside
-        if outside.any():
-            out[outside] = self._direct(rad[outside])
-            self.fallback_rows += int(np.sum(outside))
-        return out.reshape(r.shape[:-1])
+        return _radial_terms([self], self.stack, self._radii(r), None, False).reshape(r.shape[:-1])
 
     def gradient_batch(self, r: np.ndarray, radii: np.ndarray | None = None) -> np.ndarray:
         """grad V_level at each displacement, from the radii |r| when given
         (as PairPotential.gradient_batch takes them)."""
         r = np.asarray(r, dtype=float)
-        rad = self._radii(r, radii)
-        inside = self.table.covers(rad)
-        # f_n'(|r|) / |r|; rows at r = 0 keep a zero gradient
-        coef = np.zeros(rad.size)
-        coef[inside] = self.table.log_slope(rad[inside]) / rad[inside] ** 2
-        outside = ~inside
-        if outside.any():
-            rows = np.flatnonzero(outside & (rad > 0.0))
-            ro = rad[rows]
-            h = 2.0 ** (-self.level) * self.shrink(ro) / 16.0
-            coef[rows] = (self._direct(ro + h) - self._direct(ro - h)) / (2.0 * h * ro)
-            self.fallback_rows += int(np.sum(outside))
+        coef = _radial_terms([self], self.stack, self._radii(r, radii), None, True)
         return coef.reshape(r.shape[:-1])[..., None] * r
 
     def force_bound(self, r_lo, r_hi) -> np.ndarray:
         """inf for every radius range: no bound on |grad V_level| is
         derived from the table, so a caller using it rules out nothing."""
         return np.full(np.broadcast(r_lo, r_hi).shape, np.inf)
+
+
+def _radial_terms(pots, stack: _TableStack, rad: np.ndarray, member, gradient: bool):
+    """f_n(rad), or f_n'(rad) / rad when gradient, of pots[member[i]] at
+    each radius rad[i] (of pots[0] when member is None).  Rows inside the
+    stack's range read its series; the others take their potential's
+    direct quadrature."""
+    which = "log_slope" if gradient else "value"
+    inside = (rad >= stack.lo) & (rad <= stack.hi)
+    if inside.all():
+        out = stack.evaluate(which, rad, member)
+        return np.divide(out, rad**2, out=out) if gradient else out
+    out = np.empty(rad.size)
+    rin = rad[inside]
+    vals = stack.evaluate(which, rin, None if member is None else member[inside])
+    out[inside] = vals / rin**2 if gradient else vals
+    for j, pot in enumerate(pots):
+        outside = ~inside if member is None else ~inside & (member == j)
+        if outside.any():
+            out[outside] = pot._fallback(rad[outside], gradient)
+    return out
+
+
+class MollifiedLadder:
+    """Mollified potentials of one base and one shrink, flowed in one batch.
+
+    `flow_batch(x, v, ladder, t, icfg)` takes K blocks of N rows for K
+    members, and block j flows under members[j]: each row is stepped as
+    in a flow under its own member alone, so the result is bitwise that
+    of K flows.  A force evaluation is one kernel call for every row:
+    the members' tables span the same radii, so only the panel lookup
+    depends on the member.  Rows outside the tables take their member's
+    direct quadrature and count in its `fallback_rows`.
+    """
+
+    def __init__(self, members: Sequence[MollifiedPotential]):
+        self.members = tuple(members)
+        if not self.members or not all(isinstance(m, MollifiedPotential) for m in self.members):
+            raise DomainError("a ladder needs at least one mollified potential")
+        first = self.members[0]
+        if any((m.base, m.shrink) != (first.base, first.shrink) for m in self.members):
+            raise DomainError("the members of a ladder need one base and one shrink")
+        self.base = first.base
+        self.kind = f"ladder({first.base.kind}, levels={[m.level for m in self.members]})"
+
+    @cached_property
+    def stack(self) -> _TableStack:
+        return _TableStack([m.table for m in self.members])
+
+    def gradient_batch(self, r: np.ndarray, radii: np.ndarray, member: np.ndarray) -> np.ndarray:
+        """grad V of members[member[i]] at each displacement r[i] of the
+        (rows, d) array r, whose radii |r| are given."""
+        return _radial_terms(self.members, self.stack, radii, member, True)[:, None] * r
 
 
 def gradient_l1_error(

@@ -1005,7 +1005,10 @@ def level_difference_series(
     The forward snapshots come from one flow that pauses at the
     non-decreasing `times`; each leg between two takes the steps of its
     own flow, so the snapshots equal flowing leg by leg, bitwise on
-    unflagged rows.  Each backward run is a flow of its own.
+    unflagged rows.  The backward runs are one flow of every snapshot
+    stacked, with per-row times -t_k, so each row takes the steps of its
+    own backward flow and the results are bitwise those of one flow per
+    snapshot.
 
     Returns one (x, v, h, flags) tuple of (N, ...) arrays per snapshot,
     the forward state, h and the larger of the forward and backward
@@ -1016,16 +1019,26 @@ def level_difference_series(
     if e0.datum is None:
         raise DomainError("level difference series needs the initial datum")
     z0 = e0.phase_flat()
-    out = []
-    displacements = []
+    N = e0.size
+    # the snapshots stacked, block k the state at times[k]
+    x = np.empty((len(times) * N, *e0.x.shape[1:]))
+    v = np.empty_like(x)
+    flags = []
 
     def snapshot(tk, batch):
-        x, v, flags = batch.result()
-        back_x, back_v, back_flags = flow_batch(x, v, pot_backward, -tk, icfg)
-        z = _flatten_phase(back_x, back_v)
-        h = beta(e0.values - e0.datum.evaluate(z))
-        displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
-        out.append((x, v, h, np.maximum(flags, back_flags)))
+        rows = slice(len(flags) * N, (len(flags) + 1) * N)
+        x[rows], v[rows], row_flags = batch.result()
+        flags.append(row_flags)
 
     flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
+    back_t = np.repeat(-np.asarray(times, dtype=float), N)
+    back_x, back_v, back_flags = flow_batch(x, v, pot_backward, back_t, icfg)
+    out = []
+    displacements = []
+    for k, row_flags in enumerate(flags):
+        rows = slice(k * N, (k + 1) * N)
+        z = _flatten_phase(back_x[rows], back_v[rows])
+        h = beta(e0.values - e0.datum.evaluate(z))
+        displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
+        out.append((x[rows], v[rows], h, np.maximum(row_flags, back_flags[rows])))
     return out, displacements

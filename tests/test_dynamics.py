@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from liouville_lab import dynamics
+from liouville_lab import dynamics, potentials
 from liouville_lab.dynamics import (
     FLAG_OK,
     FLAG_SINGULAR,
@@ -795,3 +795,109 @@ def test_retired_rows_stay_in_the_batch(monkeypatch):
     per_row = np.full(flags.size, -1.0)
     per_row[idx] = mark
     np.testing.assert_array_equal(per_row[retired], retired)
+
+
+# -- a ladder of mollified levels flowed in one batch
+
+
+def _assert_flows_equal(got, want):
+    for part, whole in zip(got, want):
+        assert part.dtype == whole.dtype
+        np.testing.assert_array_equal(part, whole)
+
+
+def _ladder_members():
+    base = repulsive_power(2, exponent=0.5)
+    shrink = ShrinkFunction()
+    return [MollifiedPotential(base, MollifierKernel(d=2, power=p), shrink, level)
+            for level, p in ((3, 3), (4, 3), (4, 5))]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_ladder_flow_equals_separate_flows_bitwise(adaptive, n, monkeypatch):
+    # three members of 7 rows each, blocks of 5 rows, so that blocks cut
+    # across members; one member's rows hold a coincident row and a close
+    # encounter that takes the direct quadrature below the table
+    rng = np.random.default_rng(60 + n)
+    N = 7
+    x = rng.uniform(-1.0, 1.0, (3 * N, n, 2))
+    v = rng.uniform(-1.0, 1.0, (3 * N, n, 2))
+    x[N + 2, 1] = x[N + 2, 0]
+    x[2 * N + 4, 1] = x[2 * N + 4, 0] + 5e-4
+    v[2 * N + 4, 1] = v[2 * N + 4, 0]
+    icfg = IntegratorConfig(dt=2e-3, adaptive=adaptive)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
+    members = _ladder_members()
+    got = flow_batch(x, v, potentials.MollifiedLadder(members), 0.05, icfg)
+    alone = _ladder_members()
+    want = [flow_batch(x[j * N : (j + 1) * N], v[j * N : (j + 1) * N], pot, 0.05, icfg)
+            for j, pot in enumerate(alone)]
+    _assert_flows_equal(got, [np.concatenate(part) for part in zip(*want)])
+    assert got[2][N + 2] == FLAG_SINGULAR and np.count_nonzero(got[2]) == 1
+    assert [m.fallback_rows for m in members] == [m.fallback_rows for m in alone]
+    assert alone[2].fallback_rows > 0
+
+
+def test_ladder_flow_refuses_rows_that_do_not_split_into_its_members():
+    x = np.zeros((4, 2, 2))
+    with pytest.raises(DomainError, match="multiple of 3"):
+        flow_batch(x, x, potentials.MollifiedLadder(_ladder_members()), 0.1, IntegratorConfig())
+
+
+# -- one flow time per row
+
+
+def _per_row_case():
+    rng = np.random.default_rng(70)
+    x = rng.uniform(-1.0, 1.0, (12, 3, 2))
+    v = rng.uniform(-1.0, 1.0, (12, 3, 2))
+    x[4, 1] = x[4, 0]
+    x[5, 2] = x[5, 0]
+    # times off the step grid, a whole number of steps, and none at all,
+    # for the coincident rows too
+    t = np.array([0.0137, 0.02, 0.0, 0.0071, 0.009, 0.0, 0.03, 0.0233, 0.001, 0.0015, 0.0, 0.02])
+    return x, v, t
+
+
+@pytest.mark.parametrize("potential", [repulsive_power(2, exponent=1.0), free_potential(2)],
+                         ids=["repulsive", "free"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_per_row_times_equal_per_row_flows_bitwise(adaptive, sign, potential, monkeypatch):
+    x, v, t = _per_row_case()
+    t = sign * t
+    icfg = IntegratorConfig(dt=2e-3, adaptive=adaptive)
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0)
+    want = [flow_batch(x[i : i + 1], v[i : i + 1], potential, t[i], icfg) for i in range(len(t))]
+    want = [np.concatenate(part) for part in zip(*want)]
+    _assert_flows_equal(flow_batch(x, v, potential, t, icfg), want)
+    # the coincident row with a time is flagged; the one with none is not
+    if potential.kind != "free":
+        assert want[2][4] == FLAG_SINGULAR and want[2][5] == FLAG_OK
+    # and in blocks of 5 rows
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
+    _assert_flows_equal(flow_batch(x, v, potential, t, icfg), want)
+
+
+def test_per_row_times_with_a_ladder_equal_separate_flows_bitwise():
+    x, v, t = _per_row_case()
+    x, v, t = x[:9], v[:9], -t[:9]
+    icfg = IntegratorConfig(dt=2e-3)
+    got = flow_batch(x, v, potentials.MollifiedLadder(_ladder_members()), t, icfg)
+    want = [flow_batch(x[i : i + 1], v[i : i + 1], pot, t[i], icfg)
+            for pot, i in zip(np.repeat(_ladder_members(), 3), range(9))]
+    _assert_flows_equal(got, [np.concatenate(part) for part in zip(*want)])
+
+
+@pytest.mark.parametrize("t, stops", [
+    ([0.1, -0.1, 0.0], ()),
+    ([0.1, 0.2, np.nan], ()),
+    ([0.1, 0.2], ()),
+    ([0.1, 0.2, 0.3], (0.05,)),
+], ids=["mixed-signs", "nan", "length", "stops"])
+def test_per_row_times_refused(t, stops):
+    x = np.zeros((3, 2, 2))
+    with pytest.raises(DomainError):
+        flow_batch(x, x, repulsive_power(2, exponent=1.0), np.array(t), IntegratorConfig(),
+                   stops=stops)

@@ -427,3 +427,124 @@ def test_gradient_from_the_integrator_radii_equals_its_own_bitwise(n, d):
         assert np.isnan(got).any() == (pot.kind in ("harmonic", "gaussian_well") or pot is mollified)
     # each call took the direct quadrature on the same rows
     assert mollified.fallback_rows % 2 == 0 and mollified.fallback_rows >= 2 * 4
+
+
+@pytest.mark.parametrize("power", [np.nan, np.inf, 1.5])
+def test_kernel_refuses_a_power_outside_two_to_infinity(power):
+    # a NaN or infinite power would give a NaN normalization, and so NaN tables
+    with pytest.raises(DomainError, match=f"got {power}"):
+        MollifierKernel(d=2, power=power)
+
+
+@pytest.mark.parametrize("level", [2.5, np.nan, np.inf, -1])
+def test_mollified_level_must_be_a_whole_number(level):
+    with pytest.raises(DomainError, match="whole number"):
+        MollifiedPotential(repulsive_power(2, exponent=1.0), MollifierKernel(d=2),
+                           ShrinkFunction(), level)
+
+
+def test_mollified_kind_reads_the_level_it_uses():
+    pot = MollifiedPotential(repulsive_power(2, exponent=1.0), MollifierKernel(d=2),
+                             ShrinkFunction(), 2.0)
+    assert pot.level == 2 and pot.kind == "mollified(repulsive_power, level=2)"
+
+
+# -- the stacked table kernel against the series formulas it replaced
+
+
+def _reference_clenshaw(coefs, t):
+    b1 = np.zeros_like(t)
+    b2 = np.zeros_like(t)
+    t2 = 2.0 * t
+    for k in range(coefs.shape[1] - 1, 0, -1):
+        b1, b2 = coefs[:, k] + t2 * b1 - b2, b1
+    return coefs[:, 0] + t * b1 - b2
+
+
+def _reference_series(table, series, rad):
+    s = np.log(rad)
+    p = np.clip(np.searchsorted(table.edges, s, side="right") - 1, 0, len(series) - 1)
+    a, b = table.edges[p], table.edges[p + 1]
+    return _reference_clenshaw(series[p], (2.0 * s - a - b) / (b - a))
+
+
+def _reference_batch(pot, r, gradient):
+    """V or grad V of a MollifiedPotential by the table formulas, with
+    the direct quadrature outside the table."""
+    table = pot.table
+    rad = np.sqrt(np.sum(r * r, axis=-1))
+    inside = (rad >= table.lo) & (rad <= table.hi)
+    outside = ~inside
+    if not gradient:
+        out = np.empty(rad.size)
+        out[inside] = _reference_series(table, table.coefs, rad[inside])
+        out[outside] = pot._direct(rad[outside])
+        return out
+    coef = np.zeros(rad.size)
+    coef[inside] = _reference_series(table, table.slopes, rad[inside]) / rad[inside] ** 2
+    rows = np.flatnonzero(outside & (rad > 0.0))
+    ro = rad[rows]
+    h = 2.0 ** (-pot.level) * pot.shrink(ro) / 16.0
+    coef[rows] = (pot._direct(ro + h) - pot._direct(ro - h)) / (2.0 * h * ro)
+    return coef[:, None] * r
+
+
+def _kernel_cases():
+    for d in (2, 3):
+        for base in (repulsive_power(d, exponent=1.0), piecewise_radial(d, 0.8, -0.6, 0.4)):
+            yield [MollifiedPotential(base, MollifierKernel(d=d), ShrinkFunction(), level)
+                   for level in (3, 4)]
+
+
+def _table_radii(table, rng):
+    """Every panel edge, both table ends and just outside them, r = 0, NaN
+    and radii spread over the table."""
+    lo, hi = table.lo, table.hi
+    spread = np.exp(rng.uniform(table.edges[0], table.edges[-1], 200))
+    return np.concatenate([
+        np.exp(table.edges), [lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf)],
+        [0.5 * lo, 2.0 * hi, 0.0, np.nan], spread,
+    ])
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_table_kernel_equals_the_series_formulas_bitwise(case):
+    rng = np.random.default_rng(40 + case)
+    for pot in list(_kernel_cases())[case]:
+        r = random_rows(_table_radii(pot.table, rng), pot.d, 41 + case)
+        before = pot.fallback_rows
+        for gradient in (False, True):
+            got = pot.gradient_batch(r) if gradient else pot.value_batch(r)
+            np.testing.assert_array_equal(got, _reference_batch(pot, r, gradient))
+        rad = np.sqrt(np.sum(r * r, axis=-1))
+        outside = ~((rad >= pot.table.lo) & (rad <= pot.table.hi))
+        assert pot.fallback_rows - before == 2 * np.count_nonzero(outside) >= 2 * 5
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_ladder_kernel_equals_its_members_bitwise(case):
+    # rows of a ladder name their member; each gets its member's gradient,
+    # and its member counts its fallback rows
+    rng = np.random.default_rng(50 + case)
+    members = list(_kernel_cases())[case]
+    ladder = potentials.MollifiedLadder(members)
+    r = random_rows(_table_radii(members[0].table, rng), members[0].d, 51 + case)
+    member = rng.integers(0, len(members), r.shape[0])
+    rad = np.sqrt(np.sum(r * r, axis=-1))
+    before = [m.fallback_rows for m in members]
+    got = ladder.gradient_batch(r, rad, member)
+    for j, m in enumerate(members):
+        rows = member == j
+        counted = m.fallback_rows - before[j]
+        np.testing.assert_array_equal(got[rows], m.gradient_batch(r[rows]))
+        assert m.fallback_rows - before[j] == 2 * counted
+
+
+def test_ladder_needs_one_base_and_one_shrink():
+    kernel = MollifierKernel(d=2)
+    a = MollifiedPotential(repulsive_power(2, exponent=1.0), kernel, ShrinkFunction(), 3)
+    b = MollifiedPotential(repulsive_power(2, exponent=0.5), kernel, ShrinkFunction(), 3)
+    c = MollifiedPotential(a.base, kernel, ShrinkFunction(cap=0.5), 3)
+    for members in ([], [a, b], [a, c], [a, a.base]):
+        with pytest.raises(DomainError):
+            potentials.MollifiedLadder(members)
