@@ -22,9 +22,10 @@ The "estimator" row times one `transport.weak_residual_suite` call, the
 weak-residual estimator of the renormalization suite, in microseconds
 per Simpson node: its one `simpson_walk` over the rows of a bump datum
 on PhaseBox.centered(2, 2, 1.2, 1.2) that carry a nonzero value (about
-23% of ESTIMATOR_SAMPLES = 100k, so about 23k rows), under the free
-flow in closed form, paused at the transport.RESIDUAL_NODES Simpson
-nodes of a window [0.2, 1.8], and the statistics of the identity map.
+23% of ESTIMATOR_SAMPLES = 100k, so about 23k rows) and that
+`transport.may_reach` keeps ("flowed_rows"), under the free flow in
+closed form, paused at the transport.RESIDUAL_NODES Simpson nodes of a
+window [0.2, 1.8], and the statistics of the identity map.
 
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
@@ -153,13 +154,14 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     walls = []
     for _ in range(repeats):
         started = time.perf_counter()
-        transport.weak_residual_suite(e0, pot, phi, [None], icfg)
+        (est,) = transport.weak_residual_suite(e0, pot, phi, [None], icfg)
         walls.append(time.perf_counter() - started)
     per = [1e6 * w / transport.RESIDUAL_NODES for w in walls]
     return {
         "kind": "estimator",
         "samples": samples,
         "carried_rows": int(np.count_nonzero(e0.values)),
+        "flowed_rows": est.details["flowed_rows"],
         "nodes": transport.RESIDUAL_NODES,
         "us_per_node": {"median": statistics.median(per), "min": min(per)},
     }

@@ -519,6 +519,13 @@ def _states(x, v) -> tuple[np.ndarray, np.ndarray]:
     return x, v
 
 
+def closed_form(potential, icfg: IntegratorConfig) -> bool:
+    """Whether `flow_batch` takes the flow in closed form, x + t v: the
+    free potential, undamped.  No force acts on such a flow and it flags
+    no row."""
+    return potential.kind == "free" and icfg.velocity_damping == 1.0
+
+
 def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), observe=None,
           hook=None):
     """The one runner loop behind `flow_batch` and `integrate`.
@@ -538,11 +545,10 @@ def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), obs
         sgn = -1.0 if t < 0 else 1.0
         if not all(sgn * leg >= 0.0 for leg in legs):
             raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
-    closed_form = hook is None and potential.kind == "free" and icfg.velocity_damping == 1.0
     batch = _Batch(x, v, potential, icfg, member)
     if hook is not None:
         hook(0.0, batch)
-    if closed_form:
+    if hook is None and closed_form(potential, icfg):
         runner = _run_drift(batch, legs, icfg)
     elif per_row and not icfg.adaptive:
         runner = _run_fixed_rows(batch, t, icfg)

@@ -255,35 +255,68 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
     )
 
 
+def _carried_sample(box: PhaseBox, count: int, datum: InitialDatum, seed: int):
+    """The carried rows of `sample_ensemble(box, count, datum, seed)`,
+    those with f0 != 0, as (rows, x, v, f0): their input indices, in
+    input order, their (m, n, d) states and their f0.  The sample is
+    drawn and evaluated SAMPLE_BLOCK rows at a time, and only a block's
+    carried rows outlive it; f0 is taken row by row, so every value is
+    bitwise that of the whole draw."""
+    nd = box.n * box.d
+    kept = []
+    for start, z in _draw(box, count, seed, SAMPLE_BLOCK):
+        values = datum.evaluate(z)
+        rows = np.flatnonzero(values)
+        carried = z[rows]
+        kept.append((
+            start + rows,
+            carried[:, :nd].reshape(-1, box.n, box.d),
+            carried[:, nd:].reshape(-1, box.n, box.d),
+            values[rows],
+        ))
+    return tuple(np.concatenate(part) for part in zip(*kept))
+
+
 def may_reach(
     phi: TestFunction, x, v, potential, t: float, icfg: IntegratorConfig
 ) -> np.ndarray:
     """Rows of the (N, n, d) states (x, v) whose `flow_batch` by t may
-    start or end inside the phase support of phi, as a boolean mask.
+    enter the phase support of phi, as a boolean mask.
 
-    A row is ruled out (False) only where a bound shows that it starts
-    and ends outside supp phi with FLAG_OK.  While every particle's
+    A row is ruled out (False) only where a bound shows that it stays
+    outside supp phi at every state its flow visits, with FLAG_OK, on
+    the way to t and at any stops along it.  While every particle's
     acceleration stays at most F, velocity Verlet over any steps h_k
     summing to tau = |t| (fixed, remainder or adaptive), with any damping
     c <= 1, keeps each velocity component within F tau of v(0), or of
     the segment [0, v(0)] when c < 1, and each position component within
     F tau^2 / 2 of the segment [x(0), x(0) + t v(0)], since
-    sum_k h_k (t_k + h_k / 2) = tau^2 / 2.  With dmin and dmax the
-    row's smallest and largest pair distance, F = (n - 1)
+    sum_k h_k (t_k + h_k / 2) = tau^2 / 2; every partial sum of the steps
+    is bounded the same way, so the bound holds at every state.  With
+    dmin and dmax the row's smallest and largest pair distance, F = (n - 1)
     force_bound(dmin / 2, 2 dmax + 1) holds while no pair distance leaves
     that range, and 2 tau max_i |v_i(0)| + F tau^2 <= dmin / 2 keeps every
-    pair distance within dmin / 2 of its start.  So a row is ruled out
-    when F is finite and that inequality holds, dmin / 2 is above
-    COINCIDENCE_THRESHOLD (no FLAG_SINGULAR), an adaptive flow's steps,
-    none below dt min(1, (dmin / 2 / REFERENCE_DISTANCE)^1.5), fit in
-    MAX_SUBSTEPS (no FLAG_SUBSTEP_LIMIT; both constants are read from
+    pair distance within dmin / 2 of its start.  So a stepped row is
+    ruled out when F is finite and that inequality holds, dmin / 2 is
+    above COINCIDENCE_THRESHOLD (no FLAG_SINGULAR), an adaptive flow's
+    steps, none below dt min(1, (dmin / 2 / REFERENCE_DISTANCE)^1.5), fit
+    in MAX_SUBSTEPS (no FLAG_SUBSTEP_LIMIT; both constants are read from
     `dynamics` at each call), and on some phase axis k the
     reachable interval, widened by REACH_SLACK of the row's scale,
-    misses the open support interval (c_k - w_k, c_k + w_k).  Rows with
-    a NaN or infinite coordinate are never ruled out, and a potential
-    whose force_bound is inf rules out none.  Each row is bounded on its
-    own, so the rows are taken SAMPLE_BLOCK at a time, which bounds the
-    temporaries and leaves the mask as it would be in one block.
+    misses the open support interval (c_k - w_k, c_k + w_k).  The pair
+    distance condition binds long flows: over the renormalization suite's
+    window, tau = 1.8, a stepped flow keeps nearly every row
+    (`piecewise_radial` rules out none of the suite's carried rows).
+
+    A flow that `dynamics.closed_form` takes as x + t v feels no force
+    and flags no row, so F = 0 and the pair distance, coincidence and
+    substep conditions are moot: its row is ruled out when its
+    coordinates are finite and its straight path misses the support on
+    some axis.  Rows with a NaN or infinite coordinate are never ruled
+    out, and a potential whose force_bound is inf rules out none.  Each
+    row is bounded on its own, so the rows are taken SAMPLE_BLOCK at a
+    time, which bounds the temporaries and leaves the mask as it would be
+    in one block.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -305,8 +338,9 @@ def _may_reach_block(
     nd = n * d
     pos, vel = X.reshape(nd, N), V.reshape(nd, N)
     tau = abs(t)
+    stepped = not dynamics.closed_form(potential, icfg)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if n > 1:
+        if n > 1 and stepped:
             radii = np.stack(
                 [np.sqrt(np.sum((X[i] - X[j]) ** 2, axis=0))
                  for i in range(n) for j in range(i + 1, n)]
@@ -324,7 +358,7 @@ def _may_reach_block(
             & (2.0 * tau * speed + 2.0 * spread <= 0.5 * dmin)
             & (0.5 * dmin > dynamics.COINCIDENCE_THRESHOLD)
         )
-        if icfg.adaptive:
+        if icfg.adaptive and stepped:
             reference = dynamics.REFERENCE_DISTANCE
             shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / reference) ** 1.5)
             # one step more for the remainder the clipped steps leave
@@ -787,21 +821,36 @@ def weak_residual_suite(
     f0 itself), so a renormalizer beta is its own map.
 
     e0's datum must be compactly supported inside its box, and phi must
-    keep `require_collision_margin` (CoverageError otherwise).  Only the
-    rows with a nonzero carried value are flowed, in one `simpson_walk`:
-    every map must send 0 to 0 (renormalization in L^1 needs
-    beta(0) = 0; DomainError otherwise, naming each map that does not),
-    so a zero row adds exactly 0 wherever it goes and counts as
-    unflagged.  Each node tests supp phi once (`support_mask`) and pairs
-    only the rows inside it, with the forces of the batch's last step.
-    The walk keeps one bracket per row, which each map weights once.
+    keep `require_collision_margin` (CoverageError otherwise).  Every map
+    must send 0 to 0 (renormalization in L^1 needs beta(0) = 0;
+    DomainError otherwise, naming each map that does not), so a row with
+    f0 = 0 adds exactly 0 wherever it goes and is not flowed.  Of the
+    carried rows, only those that `may_reach` keeps for a flow to the
+    window's end b are walked, in one `simpson_walk`: a row ruled out
+    stays outside supp phi at every state of its flow, unflagged, so its
+    bracket is exactly 0 as well.  Each node tests supp phi once
+    (`support_mask`) and pairs only the rows inside it, with the forces
+    of the batch's last step.  The walk keeps one bracket per row, which
+    each map weights once.
 
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid, over 15);
     bias_bound is the pinned O(dt^2) term of an integrator of step
-    icfg.dt.  details["seconds"] is the wall time of the map's own
-    statistics.
+    icfg.dt.  details["flowed_rows"] is the number of rows walked, and
+    details["seconds"] the wall time of the map's own statistics.
     """
+    rows = np.flatnonzero(e0.values)
+    carried = (rows, e0.x[rows], e0.v[rows], e0.values[rows])
+    return _residual_estimates(
+        e0.box, e0.datum, e0.size, carried, potential, phi, value_maps, icfg, time_factor
+    )
+
+
+def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, icfg, time_factor):
+    """`weak_residual_suite` on a sample of count rows of box carrying
+    datum, given only its carried rows: (rows, x, v, f0) with rows their
+    input indices, in input order, and f0 != 0 on each.  The estimates
+    are bitwise those over the whole sample."""
     shifted = [
         getattr(g, "name", repr(g)) for g in value_maps
         if g is not None and g(np.zeros(1))[0] != 0.0
@@ -810,10 +859,10 @@ def weak_residual_suite(
         raise DomainError(
             f"value maps {shifted} do not map 0 to 0; renormalization needs beta(0) = 0"
         )
-    if e0.datum is None or not e0.datum.has_compact_support:
+    if datum is None or not datum.has_compact_support:
         raise CoverageError("weak residuals need an initial datum with compact support")
-    lo, hi = e0.datum.support_bounds()
-    if not e0.box.contains(lo, hi):
+    lo, hi = datum.support_bounds()
+    if not box.contains(lo, hi):
         raise CoverageError("initial datum support must lie inside the sampling box")
     require_collision_margin(phi, potential)
     window = residual_window(phi)
@@ -827,35 +876,44 @@ def weak_residual_suite(
             terms *= float(time_factor(t))
         return cols, terms
 
-    rows = np.flatnonzero(e0.values)
-    carried = e0.values[rows]
-    x0, v0 = e0.x[rows], e0.v[rows]
-    (_, _, flags), acc_full, acc_half = simpson_walk(
+    rows, x0, v0, values = carried
+    # the brackets of the carried rows; those of the rows ruled out stay 0
+    acc_full, acc_half = np.zeros(rows.size), np.zeros(rows.size)
+    walked = np.flatnonzero(may_reach(phi, x0, v0, potential, window[1], icfg))
+    x0, v0 = x0[walked], v0[walked]
+    (_, _, flags), full, half = simpson_walk(
         x0, v0, potential, window, RESIDUAL_NODES, icfg, pairing
     )
     if phi.time_window[0] < 0.0:
         term0 = phi.value(0.0, x0, v0)
         if time_factor is not None:
             term0 *= float(time_factor(0.0))
-        acc_full += term0
-        acc_half += term0
-    active = np.ones(e0.size, dtype=bool)
-    active[rows] = flags == dynamics.FLAG_OK
-    n_active = int(np.sum(active))
-    full = np.zeros(e0.size)
+        full += term0
+        half += term0
+    acc_full[walked], acc_half[walked] = full, half
+    flagged = rows[walked[flags != dynamics.FLAG_OK]]
+    n_active = count - flagged.size
+    weight = box.volume / count
+    xi = np.empty(count)
 
     def weighted(weights, acc):
-        full[rows] = weights * acc
-        return np.where(active, e0.weight * full, 0.0)
+        """The count-length terms np.where(active, weight * full, 0.0),
+        full being weights * acc on the carried rows and 0 elsewhere,
+        filled into one reused buffer."""
+        xi.fill(0.0)
+        xi[rows] = weights * acc
+        np.multiply(xi, weight, out=xi)
+        xi[flagged] = 0.0
+        return xi
 
     out = []
     for g in value_maps:
         started = time.perf_counter()
-        weights = carried if g is None else g(carried)
-        xi = weighted(weights, acc_full)
+        weights = values if g is None else g(values)
+        terms = weighted(weights, acc_full)
         mc = MCEstimate.from_samples(
-            xi,
-            bias_bound=DT_BIAS_COEFFICIENT * icfg.dt**2 * float(np.sum(np.abs(xi))),
+            terms,
+            bias_bound=DT_BIAS_COEFFICIENT * icfg.dt**2 * float(np.sum(np.abs(terms))),
             sample_count=n_active,
         )
         quad_err = abs(float(np.sum(weighted(weights, acc_half))) - mc.estimate) / 15.0
@@ -863,10 +921,11 @@ def weak_residual_suite(
             mc,
             std_error=math.hypot(mc.std_error, quad_err),
             details={
-                "flagged_fraction": 1.0 - n_active / e0.size,
+                "flagged_fraction": 1.0 - n_active / count,
                 "mc_std_error": mc.std_error,
                 "quadrature_error": quad_err,
                 "window": window,
+                "flowed_rows": int(walked.size),
                 "seconds": time.perf_counter() - started,
             },
         ))
@@ -1006,9 +1065,10 @@ def level_difference_series(
     non-decreasing `times`; each leg between two takes the steps of its
     own flow, so the snapshots equal flowing leg by leg, bitwise on
     unflagged rows.  The backward runs are one flow of every snapshot
-    stacked, with per-row times -t_k, so each row takes the steps of its
-    own backward flow and the results are bitwise those of one flow per
-    snapshot.
+    with t_k != 0 stacked, with per-row times -t_k, so each row takes the
+    steps of its own backward flow and the results are bitwise those of
+    one flow per snapshot.  A snapshot at t_k = 0 is not flowed back: a
+    flow of length 0 leaves its state as it is and flags no row.
 
     Returns one (x, v, h, flags) tuple of (N, ...) arrays per snapshot,
     the forward state, h and the larger of the forward and backward
@@ -1031,14 +1091,23 @@ def level_difference_series(
         flags.append(row_flags)
 
     flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
-    back_t = np.repeat(-np.asarray(times, dtype=float), N)
-    back_x, back_v, back_flags = flow_batch(x, v, pot_backward, back_t, icfg)
+    times = np.asarray(times, dtype=float)
+    # the times run from 0, so the snapshots at t_k = 0 lead the stack
+    skip = N * int(np.count_nonzero(times == 0.0))
+    back_x, back_v, back_flags = flow_batch(
+        x[skip:], v[skip:], pot_backward, np.repeat(-times, N)[skip:], icfg
+    )
     out = []
     displacements = []
     for k, row_flags in enumerate(flags):
         rows = slice(k * N, (k + 1) * N)
-        z = _flatten_phase(back_x[rows], back_v[rows])
+        if rows.start < skip:
+            z = _flatten_phase(x[rows], v[rows])
+        else:
+            back = slice(rows.start - skip, rows.stop - skip)
+            z = _flatten_phase(back_x[back], back_v[back])
+            row_flags = np.maximum(row_flags, back_flags[back])
         h = beta(e0.values - e0.datum.evaluate(z))
         displacements.append(np.sqrt(np.sum((z - z0) ** 2, axis=1)))
-        out.append((x[rows], v[rows], h, np.maximum(row_flags, back_flags[rows])))
+        out.append((x[rows], v[rows], h, row_flags))
     return out, displacements

@@ -47,6 +47,7 @@ from .transport import (
     random_test_function,
     residual_window,
     sample_ensemble,
+    # not called here; perfbench/tracer.py wraps it in this namespace
     weak_residual_suite,
 )
 
@@ -1033,9 +1034,10 @@ def check_renormalization_suite(
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
-    One weak_residual_suite call serves the identity map and all betas,
-    so only the rows whose carried value f0 is nonzero are flowed, once,
-    in one Simpson walk over transport.RESIDUAL_NODES nodes.  That needs
+    One pass of the weak_residual_suite estimator serves the identity
+    map and all betas, so only the rows whose carried value f0 is nonzero
+    and that can reach supp phi are flowed, once, in one Simpson walk
+    over transport.RESIDUAL_NODES nodes.  That needs
     beta(0) = 0, as renormalization in L^1 does, which the suite checks
     for every beta (DomainError otherwise).
 
@@ -1051,11 +1053,19 @@ def check_renormalization_suite(
     1 + 3 (t - a), a the window's start, which no transported density
     can have; each beta report reweights that same corrupted bracket.
 
+    The sample of sample_ensemble(box, count, datum, seed) is drawn
+    SAMPLE_BLOCK rows at a time, and only its carried rows, those with
+    f0 != 0, outlive their block: their index, x, v and f0.  Of these,
+    the walk steps only the rows that `transport.may_reach` keeps, so the
+    reports are bitwise those of weak_residual_suite on the whole sample.
+
     runtime_seconds is measured: each beta report carries the suite's
     statistics of its beta, which reweight the bracket, and the identity
     report carries the rest (sampling, the walk with its support tests
     and pairings, and its own statistics).  The shares sum to the call's
-    wall time.  details["carried_rows"] is the number of rows flowed.
+    wall time.  details["carried_rows"] is the number of rows with
+    f0 != 0, and details["flowed_rows"] the number of those the walk
+    stepped.
     """
     started = time.perf_counter()
     if phi is None:
@@ -1063,16 +1073,18 @@ def check_renormalization_suite(
             box.d, box.n, box,
             *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "residual-phi"),
         )
-    e0 = sample_ensemble(box, count, datum, seed)
+    carried = transport._carried_sample(box, count, datum, seed)
     a, _ = residual_window(phi)
     time_factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
-    results = weak_residual_suite(e0, potential, phi, [None, *betas], icfg, time_factor)
+    results = transport._residual_estimates(
+        box, datum, count, carried, potential, phi, [None, *betas], icfg, time_factor
+    )
     elapsed = time.perf_counter() - started
     beta_seconds = [r.details["seconds"] for r in results[1:]]
     shares = [elapsed - sum(beta_seconds)] + beta_seconds
     names = ["identity"] + [b.name for b in betas]
     suffix = "_control" if negative_control else ""
-    carried_rows = int(np.count_nonzero(e0.values))
+    carried_rows = int(carried[0].size)
     reports = []
     for m, (name, r, share) in enumerate(zip(names, results, shares)):
         details = {k: val for k, val in r.details.items() if k != "seconds"}

@@ -258,13 +258,17 @@ REACH_CASES = {
 
 
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("damping", [1.0, 0.99])
-# 7 steps and a remainder step, and 15 steps
-@pytest.mark.parametrize("t", [0.075, -0.075, 0.15, -0.15])
-@pytest.mark.parametrize("case", list(REACH_CASES))
+@pytest.mark.parametrize(
+    "case, t, damping",
+    # 7 steps and a remainder step, and 15 steps
+    [(case, t, damping) for case in REACH_CASES for t in (0.075, -0.075, 0.15, -0.15)
+     for damping in (1.0, 0.99)]
+    # the closed-form free flow over the renormalization suite's window
+    + [("free", 1.8, 1.0), ("free", -1.8, 1.0)],
+)
 def test_may_reach_rules_out_only_rows_that_stay_outside(case, t, damping, n):
-    # every row is flowed anyway: a row ruled out must start and end
-    # outside supp phi, unflagged
+    # every row is flowed anyway, pausing at a dozen stops: a row ruled out
+    # must stay outside supp phi, unflagged, at every state the flow visits
     pot, icfg = REACH_CASES[case]
     icfg = replace(icfg, velocity_damping=damping)
     box = PhaseBox.centered(2, n, 1.5, 1.5)
@@ -276,22 +280,30 @@ def test_may_reach_rules_out_only_rows_that_stay_outside(case, t, damping, n):
     assert reach.dtype == bool and reach.shape == (4000,)
     out = ~reach
     assert 0 < np.count_nonzero(out) < 4000
-    x1, v1, flags = flow_batch(x, v, pot, t, icfg)
-    assert np.all(flags[out] == FLAG_OK)
-    assert not phi.support_mask(0.0, x[out], v[out]).any()
-    assert not phi.support_mask(0.0, x1[out], v1[out]).any()
+    states = [(x, v, np.zeros(4000, dtype=np.int8))]
+    stops = np.linspace(0.0, t, 14)[1:-1]
+    end = flow_batch(
+        x, v, pot, t, icfg, stops=stops, observe=lambda tk, batch: states.append(batch.result())
+    )
+    assert len(states) == 1 + stops.size
+    for x_k, v_k, flags in states + [end]:
+        assert np.all(flags[out] == FLAG_OK)
+        assert not phi.support_mask(0.0, x_k[out], v_k[out]).any()
 
 
 def _textbook_may_reach(phi, x, v, potential, t, icfg):
-    """may_reach's bound on (n d, N) arrays of all the rows at once."""
+    """may_reach's bound on (n d, N) arrays of all the rows at once.  The
+    undamped free flow is x + t v: no force, no flag, so only finiteness
+    and the straight path's box test remain."""
     X, V = np.moveaxis(x, 0, -1), np.moveaxis(v, 0, -1)
     n, d, N = X.shape
     nd = n * d
     pos, vel = X.reshape(nd, N), V.reshape(nd, N)
     tau = abs(t)
     centers, widths = phi.centers[:, None], phi.widths[:, None]
+    stepped = potential.kind != "free" or icfg.velocity_damping != 1.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if n > 1:
+        if n > 1 and stepped:
             radii = np.stack(
                 [np.sqrt(np.sum((X[i] - X[j]) ** 2, axis=0))
                  for i in range(n) for j in range(i + 1, n)]
@@ -307,7 +319,7 @@ def _textbook_may_reach(phi, x, v, potential, t, icfg):
             & (2.0 * tau * speed + 2.0 * spread <= 0.5 * dmin)
             & (0.5 * dmin > dynamics.COINCIDENCE_THRESHOLD)
         )
-        if icfg.adaptive:
+        if icfg.adaptive and stepped:
             shortest = icfg.dt * np.minimum(1.0, (0.5 * dmin / dynamics.REFERENCE_DISTANCE) ** 1.5)
             safe &= tau / shortest + 2.0 <= dynamics.MAX_SUBSTEPS
         half_drift = 0.5 * t * vel
@@ -329,7 +341,7 @@ def _textbook_may_reach(phi, x, v, potential, t, icfg):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("damping", [1.0, 0.99])
-@pytest.mark.parametrize("case", ["harmonic", "repulsive_adaptive", "gaussian_well"])
+@pytest.mark.parametrize("case", ["free", "harmonic", "repulsive_adaptive", "gaussian_well"])
 def test_may_reach_folds_the_axes_bitwise_as_the_whole_array_formula(case, damping, n, monkeypatch):
     # the gaps and coordinates are folded one axis at a time, in blocks of
     # 700 rows here: the mask is that of the formula on (n d, N) arrays,
@@ -1147,6 +1159,38 @@ def test_level_difference_series_retraces_one_paused_forward_flow(monkeypatch):
     assert max(float(np.max(h)) for h in same) < 1e-20
     assert all(np.count_nonzero(h) > 0.9 * np.count_nonzero(e0.values) for h in other)
     assert max(float(np.max(d)) for d in expected[pot][1]) < 1e-12
+
+
+def test_level_difference_series_flows_no_t0_snapshot_back(monkeypatch):
+    # the uniqueness check's times start at 0: that snapshot is the start
+    # state, whose backward flow has length 0, so only the later ones are
+    # flowed back, and the series is bitwise the one without it
+    pot = harmonic(2)
+    box = PhaseBox.centered(2, 2, 1.2, 1.2)
+    datum = InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
+    e0 = sample_ensemble(box, 300, datum, seed=21)
+    icfg, beta = IntegratorConfig(dt=1e-2), nonneg_squash(0.5)
+    later, later_disps = level_difference_series(e0, pot, pot, beta, [0.1, 0.2], icfg)
+    calls = []
+    flow = transport.flow_batch
+
+    def counted_flow(*args, **kwargs):
+        calls.append(args[3])
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "flow_batch", counted_flow)
+    series, disps = level_difference_series(e0, pot, pot, beta, [0.0, 0.1, 0.2], icfg)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(calls[1], np.repeat([-0.1, -0.2], e0.size))
+    x, v, h, flags = series[0]
+    for got, want in ((x, e0.x), (v, e0.v), (h, np.zeros(e0.size)), (disps[0], np.zeros(e0.size))):
+        assert got.tobytes() == want.tobytes()
+    assert flags.dtype == np.int8 and not flags.any()
+    for snapshot, want in zip(series[1:], later):
+        for got, ref in zip(snapshot, want):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+    for got, ref in zip(disps[1:], later_disps):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_level_difference_series_requires_datum():

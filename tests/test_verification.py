@@ -978,6 +978,75 @@ def test_renormalization_suite_flows_only_carried_rows_bitwise(pot, control):
         assert r.details["reweighted_defect"] == (r is not reports[0])
 
 
+@pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
+@pytest.mark.parametrize(
+    "pot", [free_potential(2), piecewise_radial(2, 0.8, -0.6, 0.4)], ids=lambda p: p.kind
+)
+def test_renormalization_suite_is_the_full_sample_path_bitwise(pot, control, monkeypatch):
+    # the suite draws the sample 300 rows at a time, keeps only its carried
+    # rows and walks only those may_reach keeps (about half of them under
+    # the closed-form free flow, all under piecewise_radial); its reports are
+    # those of weak_residual_suite on the whole sample_ensemble, and of a
+    # walk of every carried row, bit for bit.  RESIDUAL_PHI's window opens
+    # before 0, so the phi(0, z) term runs
+    count, betas = 3000, shipped_beta_family(1.0)
+    e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
+    carried = int(np.count_nonzero(e0.values))
+    a, _ = residual_window(RESIDUAL_PHI)
+    factor = (lambda t: 1.0 + 3.0 * (t - a)) if control else None
+    estimates = transport.weak_residual_suite(
+        e0, pot, RESIDUAL_PHI, [None, *betas], RESIDUAL_ICFG, factor
+    )
+    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 300)
+
+    def suite():
+        return check_renormalization_suite(
+            pot, RESIDUAL_BOX, RESIDUAL_DATUM, betas, count, SEED, RESIDUAL_ICFG,
+            phi=RESIDUAL_PHI, negative_control=control,
+        )
+
+    reports = suite()
+    names = ["identity"] + [b.name for b in betas]
+    suffix = "_control" if control else ""
+    for m, (r, est) in enumerate(zip(reports, estimates, strict=True)):
+        details = {k: val for k, val in est.details.items() if k != "seconds"}
+        want = CheckReport.build(
+            f"renormalized_residual[{names[m]}]{suffix}", pot.describe(), SEED,
+            est.sample_count, abs(est.estimate), est.std_error, est.bias_bound, 0.0,
+            est.details["flagged_fraction"], 0.0,
+            {**details, "carried_rows": carried, "reweighted_defect": m > 0},
+        )
+        assert _hex_fields(r) == _hex_fields(want), r.check_name
+    flowed = reports[0].details["flowed_rows"]
+    assert 0 < flowed < carried if pot.kind == "free" else flowed == carried
+    monkeypatch.setattr(transport, "may_reach", lambda phi, x, *args: np.ones(len(x), dtype=bool))
+    for r, every in zip(reports, suite(), strict=True):
+        assert every.details["flowed_rows"] == carried
+        every = replace(every, details={**every.details, "flowed_rows": flowed})
+        assert _hex_fields(every) == _hex_fields(r), r.check_name
+
+
+def test_renormalization_suite_peaks_below_80_bytes_a_row():
+    # the sample is drawn in blocks and only its carried rows outlive them,
+    # 23% of the rows in the renormalized_residual box, each with an
+    # index, x, v, f0 and two brackets: 96 bytes, 22 a row.  The walk
+    # steps only the carried rows that can reach supp phi, 22% of them
+    # under the closed-form free flow, each with its start and end states,
+    # the batch buffers and the pairing temporaries, about 500 bytes: 25 a
+    # row.  After the walk the statistics take one count-length buffer and
+    # np.std's temporary, 16 bytes a row, and one block's temporaries add
+    # about 8 at 200k samples: 55 to 71 bytes a row, where the whole
+    # sample alone would take 72 and the full-sample suite peaks near 160
+    count = 200_000
+    peak = _traced_peak(
+        lambda: check_renormalization_suite(
+            free_potential(2), RESIDUAL_BOX, RESIDUAL_DATUM, shipped_beta_family(1.0), count,
+            SEED, RESIDUAL_ICFG,
+        )
+    )
+    assert peak < 80 * count
+
+
 class CountingPotential:
     """A pair potential that records the row count of every gradient call."""
 
