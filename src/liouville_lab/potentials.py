@@ -493,11 +493,12 @@ class _TableStack:
     rows that each name their table.
 
     The panels of every table are numbered in one list, and their series
-    are stacked coefficient-major, so each coefficient of all rows is one
-    contiguous gather.  A row's panel comes from one `searchsorted` on the
-    union of the tables' interior edges: each table's edges are among
-    them, so how many lie at or below a row's log radius fixes its panel
-    in every table.
+    are stacked coefficient-major, (K, panels) for K coefficients, so the
+    coefficients of all rows are one gather of their panels' columns.  A
+    row's panel comes from one `searchsorted` on the union of the tables'
+    interior edges, sorted with repeats dropped: each table's edges are
+    among them, so how many lie at or below a row's log radius fixes its
+    panel in every table.
     """
 
     def __init__(self, tables: Sequence[RadialTable]):
@@ -508,7 +509,8 @@ class _TableStack:
             "value": np.concatenate([t.coefs for t in tables]).T.copy(),
             "log_slope": np.concatenate([t.slopes for t in tables]).T.copy(),
         }
-        self.inner = np.unique(np.concatenate([t.edges[1:-1] for t in tables]))
+        inner = np.sort(np.concatenate([t.edges[1:-1] for t in tables]))
+        self.inner = inner[np.concatenate(([True], inner[1:] != inner[:-1]))]
         # panel[j * (E + 1) + q]: the panel of table j holding the radii
         # whose log has q of the E union edges at or below it
         offsets = np.cumsum([0] + [len(t.coefs) for t in tables[:-1]])
@@ -527,18 +529,19 @@ class _TableStack:
         t = np.subtract(2.0 * s, a, out=s)
         np.subtract(t, b, out=t)
         np.divide(t, np.subtract(b, a, out=a), out=t)
+        # the (K, m) coefficients of the rows' panels in one gather; then
         # Clenshaw from its two top terms: the steps from b1 = b2 = 0 that
-        # it skips only add and subtract zeros.  Every index is in range, and
-        # take with mode="clip" writes into `ck` without a buffered copy
-        coefs = self.series[which]
+        # it skips only add and subtract zeros.  b2 starts as a copy, so
+        # the result is never a row of the block that keeps it alive
+        coefs = np.take(self.series[which], p, axis=1)
         t2 = 2.0 * t
-        ck, spare = np.empty_like(t), np.empty_like(t)
-        b2 = np.take(coefs[-1], p)
+        spare = np.empty_like(t)
+        b2 = coefs[-1].copy()
         b1 = np.multiply(t2, b2, out=b)
-        np.add(np.take(coefs[-2], p, out=ck, mode="clip"), b1, out=b1)
+        np.add(coefs[-2], b1, out=b1)
         for k in range(len(coefs) - 3, -1, -1):
             np.multiply(t if k == 0 else t2, b1, out=spare)
-            np.add(np.take(coefs[k], p, out=ck, mode="clip"), spare, out=spare)
+            np.add(coefs[k], spare, out=spare)
             np.subtract(spare, b2, out=spare)
             b1, b2, spare = spare, b1, b2
         return b1

@@ -20,25 +20,33 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 def _bump(u, slope: bool):
-    """b(u), or (b(u), b'(u)) when slope, elementwise: the one evaluation
-    of b(w) = exp(1 - 1/s) and b'(w) = -2w / s^2 * b(w), s = 1 - w^2, on
-    the entries |w| < 1 (NaN lies outside); zero elsewhere."""
+    """b(u), or (b(u), b'(u)) when slope, elementwise: b(w) = exp(1 - 1/s)
+    and b'(w) = -2w / s^2 * b(w), s = 1 - w^2, evaluated in place on every
+    entry w, then set to zero on the entries not inside |w| < 1 (NaN is
+    not inside).  Off the support the formulas overflow, divide by zero
+    or read NaN without a warning; a block with every entry inside, as
+    the callers on supp phi pass, is never masked.  A 0-d u gives 0-d
+    results."""
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < 1.0
-    w = u[inside]
-    s = np.multiply(w, w)
-    np.subtract(1.0, s, out=s)
-    b = np.divide(1.0, s)
-    np.exp(np.subtract(1.0, b, out=b), out=b)
-    values = np.zeros_like(u)
-    values[inside] = b
-    if not slope:
-        return values
-    db = np.multiply(w, -2.0)
-    np.divide(db, np.multiply(s, s, out=s), out=db)
-    slopes = np.zeros_like(u)
-    slopes[inside] = np.multiply(db, b, out=db)
-    return values, slopes
+    # ufuncs on the 1-d view return arrays, which the in-place steps need
+    w = u.reshape(-1)
+    with np.errstate(all="ignore"):
+        s = np.multiply(w, w)
+        np.subtract(1.0, s, out=s)
+        b = np.divide(1.0, s)
+        np.exp(np.subtract(1.0, b, out=b), out=b)
+        if slope:
+            db = np.multiply(w, -2.0)
+            np.divide(db, np.multiply(s, s, out=s), out=db)
+            np.multiply(db, b, out=db)
+    out = (b, db) if slope else (b,)
+    inside = np.abs(w) < 1.0
+    if not inside.all():
+        outside = np.logical_not(inside, out=inside)
+        for r in out:
+            np.copyto(r, 0.0, where=outside)
+    out = tuple(r.reshape(u.shape) for r in out)
+    return out if slope else out[0]
 
 
 def bump(u):
@@ -47,7 +55,7 @@ def bump(u):
 
 
 def bump_pair(u):
-    """(b(u), b'(u)) elementwise from one mask and one exponential, with
+    """(b(u), b'(u)) elementwise from one exponential, with
     b'(u) = -2u / (1 - u^2)^2 * b(u); the values are bitwise bump(u)."""
     return _bump(u, slope=True)
 

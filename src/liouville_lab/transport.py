@@ -763,6 +763,12 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     Simpson rule over every other node.  Both sums ride along with the
     rows, allocated at the first node with the shape of its terms.
 
+    The rows are walked SAMPLE_BLOCK at a time, in order, each block in
+    a flow of its own that calls the integrand at every node, as
+    `flow_batch` flows the rows of a flow without stops.  Each row is
+    stepped on its own, so the blocks give the same bits; an integrand
+    that keeps states across calls gets one call per block and node.
+
     Returns the end state (x, v, flags) of the flow and the two sums per
     input row, as (N, ...) arrays; a flagged row reads 0 in both.
     """
@@ -772,30 +778,40 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     if icfg.dt > (b - a) / (nodes - 1):
         raise DomainError(f"dt = {icfg.dt:g} exceeds the node spacing of a {nodes}-node walk")
     times = np.linspace(a, b, nodes)
-    held = full = half = None
-    k = 0
 
-    def add_node(t, batch):
-        nonlocal held, full, half, k
-        cols, terms = integrand(k, t, batch)
-        if held is None:
-            held = batch
-            full = batch.track(np.zeros(terms.shape[:-1] + (batch.N,)))
-            half = batch.track(np.zeros_like(full))
-        if cols is None:
-            cols = slice(None, batch.m)
-        full[..., cols] += w_full[k] * terms
-        if k % 2 == 0:
-            half[..., cols] += w_half[k // 2] * terms
-        k += 1
+    def walk(x, v):
+        held = full = half = None
+        k = 0
 
-    x, v, flags = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
-    sums = []
-    for acc in (full, half):
-        per_row = np.zeros((held.N,) + acc.shape[:-1])
-        per_row[held.idx] = np.moveaxis(acc[..., : held.m], -1, 0)
-        sums.append(per_row)
-    return (x, v, flags), *sums
+        def add_node(t, batch):
+            nonlocal held, full, half, k
+            cols, terms = integrand(k, t, batch)
+            if held is None:
+                held = batch
+                full = batch.track(np.zeros(terms.shape[:-1] + (batch.N,)))
+                half = batch.track(np.zeros_like(full))
+            if cols is None:
+                cols = slice(None, batch.m)
+            full[..., cols] += w_full[k] * terms
+            if k % 2 == 0:
+                half[..., cols] += w_half[k // 2] * terms
+            k += 1
+
+        x, v, flags = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
+        sums = []
+        for acc in (full, half):
+            per_row = np.zeros((held.N,) + acc.shape[:-1])
+            per_row[held.idx] = np.moveaxis(acc[..., : held.m], -1, 0)
+            sums.append(per_row)
+        return (x, v, flags), *sums
+
+    N = len(x)
+    if N <= SAMPLE_BLOCK:
+        return walk(x, v)
+    parts = [walk(x[start:start + SAMPLE_BLOCK], v[start:start + SAMPLE_BLOCK])
+             for start in range(0, N, SAMPLE_BLOCK)]
+    ends, full, half = zip(*parts)
+    return tuple(map(np.concatenate, zip(*ends))), np.concatenate(full), np.concatenate(half)
 
 
 def weak_residual_suite(
@@ -868,7 +884,8 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
     window = residual_window(phi)
 
     def pairing(k, t, batch):
-        x, v, forces = (np.moveaxis(arr, -1, 0) for arr in (batch.X, batch.V, batch.A))
+        # the (m, n, d) views of the batch's (n, d, m) arrays
+        x, v, forces = (arr.transpose(2, 0, 1) for arr in (batch.X, batch.V, batch.A))
         # the pairing vanishes off supp phi, so evaluate only there
         cols = np.flatnonzero(phi.support_mask(t, x, v))
         terms = phi.transport_pairing(t, x, v, forces, cols)

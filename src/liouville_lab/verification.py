@@ -557,18 +557,18 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
     Returns the per-sample worst component of its Simpson sum, that of
     the sum's gap to the half-grid sum, and the states at the middle
     node (0.5 t_final), at `_delta_nodes` nodes later and at the walk's
-    end, t_final."""
+    end, t_final.  The walk calls `defect` once per block of rows at each
+    node, so a kept node's states are its blocks' states in row order."""
     t_half = t_final / 2.0
     middle = WEAK_ODE_NODES // 2
-    kept = (middle, middle + _delta_nodes(t_final, icfg.dt))
-    states = []
+    kept = {middle: [], middle + _delta_nodes(t_final, icfg.dt): []}
 
     def defect(k, tk, batch):
         chi, slope = (float(a) for a in bump_pair(np.asarray((tk - t_half) / t_half)))
         chi_p = slope / t_half
         if k in kept:
             x, v, flags = batch.result()
-            states.append((x, v, flags == dynamics.FLAG_OK))
+            kept[k].append((x, v, flags == dynamics.FLAG_OK))
         return None, np.stack((batch.X * chi_p + batch.V * chi, batch.V * chi_p + batch.A * chi))
 
     x0, v0, _ = sample.start
@@ -577,6 +577,7 @@ def _simpson_defects(sample: _Sample, t_final: float, icfg: IntegratorConfig):
     )
     per_sample = np.max(np.abs(full), axis=(1, 2, 3))
     per_half = np.max(np.abs(full - half), axis=(1, 2, 3))
+    states = [tuple(map(np.concatenate, zip(*blocks))) for blocks in kept.values()]
     return per_sample, per_half, states + [(x, v, flags == dynamics.FLAG_OK)]
 
 

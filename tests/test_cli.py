@@ -242,7 +242,9 @@ def test_example_configs_load():
     assert shipped == set(cli.EXPERIMENTS)
 
 
-@pytest.mark.parametrize("script", ["weak_residual_demo.py", "integrator_bench.py"])
+@pytest.mark.parametrize(
+    "script", ["weak_residual_demo.py", "integrator_bench.py", "kernel_bench.py"]
+)
 def test_scripts_run_with_help(script, monkeypatch, capsys):
     # the script's imports from the package run before --help exits
     monkeypatch.setattr(sys, "argv", [script, "--help"])

@@ -540,6 +540,59 @@ def test_ladder_kernel_equals_its_members_bitwise(case):
         assert m.fallback_rows - before[j] == 2 * counted
 
 
+def _per_coefficient_series(table, which, rad):
+    """Series `which` of one table at radii in its range, each Clenshaw
+    coefficient gathered on its own from the table's (panels, K) rows."""
+    series = table.coefs if which == "value" else table.slopes
+    s = np.log(rad)
+    p = np.clip(np.searchsorted(table.edges, s, side="right") - 1, 0, len(series) - 1)
+    a, b = table.edges[p], table.edges[p + 1]
+    t = (2.0 * s - a - b) / (b - a)
+    t2 = 2.0 * t
+    b2 = series[p, -1]
+    b1 = series[p, -2] + t2 * b2
+    for k in range(series.shape[1] - 3, -1, -1):
+        b1, b2 = series[p, k] + (t if k == 0 else t2) * b1 - b2, b1
+    return b1
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_stack_evaluate_equals_per_coefficient_clenshaw_bitwise(case):
+    # one gather of the rows' (K, m) coefficient block runs the recurrence
+    # of one gather per coefficient, on one table and on a ladder's stack,
+    # at every panel edge of every member and both ends of the range
+    rng = np.random.default_rng(60 + case)
+    members = list(_kernel_cases())[case]
+    tables = [m.table for m in members]
+    lo, hi = tables[0].lo, tables[0].hi
+    rad = np.concatenate(
+        [np.exp(t.edges) for t in tables]
+        + [[lo, hi], np.exp(rng.uniform(tables[0].edges[0], tables[0].edges[-1], 300))]
+    )
+    rad = np.clip(rad, lo, hi)
+    member = rng.integers(0, len(tables), rad.size)
+    single, ladder = potentials._TableStack(tables[:1]), potentials._TableStack(tables)
+    for which in ("value", "log_slope"):
+        np.testing.assert_array_equal(
+            single.evaluate(which, rad.copy(), None),
+            _per_coefficient_series(tables[0], which, rad),
+        )
+        got = ladder.evaluate(which, rad.copy(), member)
+        for j, table in enumerate(tables):
+            rows = member == j
+            np.testing.assert_array_equal(got[rows], _per_coefficient_series(table, which, rad[rows]))
+
+
+def test_stack_inner_edges_are_the_sorted_union_without_repeats():
+    # three members of one base: the shrink kink is an edge of each
+    base = piecewise_radial(2, 0.8, -0.6, 0.4)
+    tables = [MollifiedPotential(base, MollifierKernel(d=2), ShrinkFunction(), level).table
+              for level in (2, 3, 4)]
+    inner = np.concatenate([t.edges[1:-1] for t in tables])
+    assert np.unique(inner).size < inner.size
+    np.testing.assert_array_equal(potentials._TableStack(tables).inner, np.unique(inner))
+
+
 def test_ladder_needs_one_base_and_one_shrink():
     kernel = MollifierKernel(d=2)
     a = MollifiedPotential(repulsive_power(2, exponent=1.0), kernel, ShrinkFunction(), 3)

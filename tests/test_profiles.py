@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -70,6 +72,49 @@ def test_bump_pair_equals_bump_and_bump_prime_bitwise(u):
         assert got.shape == u.shape
         np.testing.assert_array_equal(got, want)
     assert not np.isnan(value).any() and not np.isnan(slope).any()
+
+
+def _entrywise_bump(x: float) -> tuple[float, float]:
+    """b(x) and b'(x) of one entry through one-entry ufunc calls, zero
+    unless |x| < 1."""
+    if not abs(x) < 1.0:
+        return 0.0, 0.0
+    w = np.array([x])
+    s = np.subtract(1.0, np.multiply(w, w))
+    b = np.exp(np.subtract(1.0, np.divide(1.0, s)))
+    db = np.divide(np.multiply(w, -2.0), np.multiply(s, s))
+    return float(b[0]), float(np.multiply(db, b)[0])
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array(0.25),
+        np.array(1.0),
+        np.array(np.inf),
+        np.array(np.nan),
+        # inside, exact +-1, just outside where exp(1 - 1/s) overflows,
+        # far outside, NaN, +-inf and entries whose b underflows to 0
+        np.array([
+            [0.5, 1.0, -1.0, 1.0 + 1e-12, -1.0 - 1e-9, 3.0, np.nan, np.inf],
+            [-np.inf, 0.999999, -0.0, 1e-300, -0.75, 1.0 - 1e-16, -2.0, 0.1],
+        ]),
+        np.random.default_rng(5).uniform(-1.2, 1.2, (8, 300)),
+        np.random.default_rng(6).uniform(-0.9, 0.9, (8, 300)).T,
+    ],
+    ids=["inside_0d", "one_0d", "inf_0d", "nan_0d", "mixed", "random", "inside_t"],
+)
+def test_bump_in_place_equals_entrywise_evaluation_without_warnings(u):
+    want = np.array([_entrywise_bump(x) for x in u.ravel()]).reshape(u.shape + (2,))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, slope = bump_pair(u)
+        alone = bump(u)
+    for got, expected in ((value, want[..., 0]), (slope, want[..., 1]), (alone, want[..., 0])):
+        assert got.shape == u.shape
+        np.testing.assert_array_equal(got, expected)
+        # bitwise, so the sign of a zero counts too
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_smooth_step_down_plateaus_and_ramp():

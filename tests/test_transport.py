@@ -772,6 +772,42 @@ def test_simpson_walk_zeroes_a_row_flagged_mid_walk():
     "potential, icfg, budget",
     [
         (harmonic(2), IntegratorConfig(dt=1e-2), None),
+        # 4 substeps a leg flag some rows of several blocks
+        (repulsive_power(2, exponent=1.0), IntegratorConfig(dt=1e-2, adaptive=True), 4),
+    ],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_simpson_walk_in_blocks_equals_one_walk_bitwise(potential, icfg, budget, monkeypatch):
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
+    rng = np.random.default_rng(8)
+    x, v = rng.uniform(-1.0, 1.0, (2, 300, 2, 2))
+    window, nodes = (0.02, 0.34), 17
+    calls = []
+
+    def terms(k, t, batch):
+        # the integrand sees each block at every node; the columns of the
+        # rows with x_11 > 0, as the pairing takes those inside supp phi
+        calls.append(batch.N)
+        cols = np.flatnonzero(batch.X[0, 0, : batch.m] > 0.0)
+        return cols, np.stack((batch.X[0, 0, cols], batch.V[1, 1, cols] * t))
+
+    want = simpson_walk(x, v, potential, window, nodes, icfg, terms)
+    assert calls == [300] * nodes
+    calls.clear()
+    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 40)
+    got = simpson_walk(x, v, potential, window, nodes, icfg, terms)
+    assert calls == [n for n in [40] * 7 + [20] for _ in range(nodes)]
+    for a, b in zip([*got[0], *got[1:]], [*want[0], *want[1:]]):
+        np.testing.assert_array_equal(a, b)
+    flagged = got[0][2] != FLAG_OK
+    assert flagged.any() == (budget is not None) and not flagged.all()
+
+
+@pytest.mark.parametrize(
+    "potential, icfg, budget",
+    [
+        (harmonic(2), IntegratorConfig(dt=1e-2), None),
         # adaptive legs park and retire rows; 4 substeps a leg flag 17 of 300
         (repulsive_power(2, exponent=1.0), IntegratorConfig(dt=1e-2, adaptive=True), 4),
     ],

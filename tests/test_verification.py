@@ -448,6 +448,35 @@ def test_weak_ode_statistic_is_the_worst_selected_defect(
     assert continuity.details["delta"] == gap * t_final / (WEAK_ODE_NODES - 1)
 
 
+@pytest.mark.parametrize(
+    "potential, t_final, icfg, budget",
+    [
+        (harmonic(2), 1.0, ICFG, None),
+        (repulsive_power(2, exponent=1.0), 0.25, IntegratorConfig(dt=1e-3, adaptive=True), 2),
+    ],
+    ids=["harmonic", "repulsive_adaptive"],
+)
+def test_simpson_defects_in_blocks_equal_one_walk_bitwise(
+    potential, t_final, icfg, budget, monkeypatch
+):
+    # a walk of 360 rows in blocks of 50: its defects and the states at
+    # every kept node come back in row order, bitwise one walk's
+    if budget is not None:
+        monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
+    sample = _Sample(potential, BOX, 400, SEED)
+    want = _simpson_defects(sample, t_final, icfg)
+    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 50)
+    got = _simpson_defects(sample, t_final, icfg)
+    for a, b in zip(got[:2], want[:2]):
+        np.testing.assert_array_equal(a, b)
+    assert len(got[2]) == len(want[2]) == 3
+    for got_state, want_state in zip(got[2], want[2]):
+        for a, b in zip(got_state, want_state):
+            assert a.shape[0] == sample.rows
+            np.testing.assert_array_equal(a, b)
+    assert (not want[2][-1][2].all()) == (budget is not None)
+
+
 def test_weak_ode_passes_and_control_fails():
     ok = check_weak_ode(harmonic(2), BOX, 1.0, 2000, SEED, ICFG)
     assert ok.passed
