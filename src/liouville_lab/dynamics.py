@@ -48,9 +48,10 @@ flows under, and one force evaluation serves the rows of every member.
 
 `flow_batch` and `integrate`, which records a one-row flow step by step,
 run on one flow, `_flow`: the one place that builds a `_Batch` and picks
-its runner.  A `flow_batch` call without stops runs `_flow` on
-SAMPLE_BLOCK rows at a time, so its buffers stay the size of one block;
-each row is stepped on its own, so the blocks give the same bits.
+its runner.  `flow_batch`, the one block loop, runs `_flow` on
+SAMPLE_BLOCK rows at a time, each pausing at every stop, so its buffers
+stay the size of one block; each row is stepped on its own, so the
+blocks give the same bits.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ REFERENCE_DISTANCE = 0.5
 # a budget per leg: each `flow_batch` call, and each leg between two of
 # its stops, may take that many steps, whatever its length
 MAX_SUBSTEPS = 1_000_000
-# rows per block of a flow without stops, and of the samples that
+# rows per block of a flow, and of the samples that
 # `transport` draws and reduces, which bounds their buffers
 SAMPLE_BLOCK = 1 << 14
 
@@ -406,49 +407,44 @@ def _fixed_plan(leg: float, icfg: IntegratorConfig) -> tuple[float, int, float, 
 
 
 def _run_fixed(batch: _Batch, legs, icfg, hook=None):
-    """Step each leg with fixed steps; yields after every leg.  hook(t,
-    batch) sees each step that leaves a row active, t its time into the leg."""
-    plans = [_fixed_plan(leg, icfg) for leg in legs]
-    for leg, (sgn, nsteps, rem, total) in zip(legs, plans):
-        if leg != 0.0:
-            batch.retire_singular()
-        for k in range(total):
+    """Step each leg with fixed steps; yields after every leg.  Each row
+    takes the whole steps and the remainder of the plan of its leg, and
+    is parked once done; the only leg of a flow may be an array of
+    per-row times.  hook(t, batch) sees each step of a scalar leg that
+    leaves a row active, t its time into the leg."""
+    # the distinct times of each leg and their (whole steps, remainder,
+    # steps taken) plans, all held to the budget up front
+    legs = [np.unique(np.atleast_1d(leg), return_inverse=True) for leg in legs]
+    plans = [np.array([_fixed_plan(tau, icfg)[1:] for tau in times.tolist()]).reshape(-1, 3)
+             for times, _ in legs]
+    # the plan of each row, as floats
+    nsteps, rem, total = plan = batch.track(np.empty((3, batch.N)))
+    for (times, row), steps in zip(legs, plans):
+        # every live row is active when a leg starts; per-row times come
+        # with the columns in input order
+        plan[:, : batch.m] = steps.T[:, row]
+        sgn = -1.0 if np.any(times < 0.0) else 1.0
+        # rows with a leg of length 0, no steps and no remainder, stay put
+        batch.park((nsteps[: batch.m] == 0.0) & (rem[: batch.m] == 0.0))
+        batch.retire_singular()
+        # the steps at which rows are done, and those at which rows take
+        # their remainder
+        done = set(steps[:, 2].tolist())
+        last = set(steps[steps[:, 2] > steps[:, 0], 0].tolist())
+        for k in range(int(steps[:, 2].max(initial=0))):
+            if k in done:
+                batch.park(total[: batch.m] <= k)
             if not batch.m:
                 break
-            batch.step(sgn * icfg.dt if k < nsteps else rem)
+            h = sgn * icfg.dt
+            if k in last:
+                h = np.where(nsteps[: batch.m] == k, rem[: batch.m], h)
+            batch.step(h)
             batch.retire_singular()
             if hook is not None and batch.m:
-                hook(sgn * icfg.dt * (k + 1) if k < nsteps else leg, batch)
+                hook(times[0] if k in last else h * (k + 1), batch)
+        batch.unpark()
         yield
-
-
-def _run_fixed_rows(batch: _Batch, t: np.ndarray, icfg):
-    """Step per-row times t with fixed steps: each row takes the whole
-    steps and the remainder of the plan of its own flow, and is parked
-    once done."""
-    times, row = np.unique(t, return_inverse=True)
-    plans = np.array([_fixed_plan(tau, icfg)[1:] for tau in times.tolist()]).reshape(-1, 3)
-    # whole steps, remainder and steps taken of each row, as floats
-    nsteps, rem, total = (batch.track(part[row]) for part in plans.T)
-    sgn = -1.0 if np.any(t < 0.0) else 1.0
-    # the columns are still the input rows
-    batch.park(t == 0.0)
-    batch.retire_singular()
-    # the steps at which rows are done, and those at which rows take
-    # their remainder
-    done, last = set(total.tolist()), set(nsteps[total > nsteps].tolist())
-    for k in range(int(np.max(total, initial=0))):
-        if k in done:
-            batch.park(total[: batch.m] <= k)
-        if not batch.m:
-            break
-        h = sgn * icfg.dt
-        if k in last:
-            h = np.where(nsteps[: batch.m] == k, rem[: batch.m], h)
-        batch.step(h)
-        batch.retire_singular()
-    batch.unpark()
-    yield
 
 
 def _run_adaptive(batch: _Batch, legs, icfg, hook=None):
@@ -550,8 +546,6 @@ def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), obs
         hook(0.0, batch)
     if hook is None and closed_form(potential, icfg):
         runner = _run_drift(batch, legs, icfg)
-    elif per_row and not icfg.adaptive:
-        runner = _run_fixed_rows(batch, t, icfg)
     else:
         runner = (_run_adaptive if icfg.adaptive else _run_fixed)(batch, legs, icfg, hook)
     for k, _ in enumerate(runner):
@@ -597,11 +591,13 @@ def flow_batch(
     The potential may be a `MollifiedLadder` of K members; the N rows
     are then K blocks of N / K, and block j flows under members[j].
 
-    Without stops, the rows are flowed SAMPLE_BLOCK at a time.  Each row
-    is stepped on its own, and every active row of an adaptive leg has
-    taken the same number of steps, so the substep budget holds per row:
-    states and flags are bitwise those of flowing each row alone, under
-    its own member and for its own time.
+    The rows are flowed SAMPLE_BLOCK at a time, in order, each block
+    pausing at every stop, so observe sees each block (batch.N rows) once
+    a stop.  Each row is stepped on its own, and every active row of an
+    adaptive leg has taken the same number of steps, so the substep
+    budget holds per row: states and flags are bitwise those of flowing
+    each row alone, under its own member and for its own time.  A time
+    that is not finite raises DomainError before any step.
     """
     x, v = _states(x, v)
     N = x.shape[0]
@@ -611,6 +607,8 @@ def flow_batch(
         if N % K:
             raise DomainError(f"a ladder of {K} members needs a multiple of {K} rows, got {N}")
         member = np.repeat(np.arange(K), N // K)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("flow times must be finite")
     if np.ndim(t):
         t = np.asarray(t, dtype=float)
         if t.shape != (N,) or len(stops) or not (np.all(t >= 0.0) or np.all(t <= 0.0)):
@@ -618,14 +616,13 @@ def flow_batch(
                 f"per-row times need one time of one sign for each of {N} rows and no stops,"
                 f" got shape {t.shape} and {len(stops)} stops"
             )
-    if len(stops) or N <= SAMPLE_BLOCK:
-        return _flow(x, v, potential, t, icfg, member, stops, observe)
     parts = []
-    for start in range(0, N, SAMPLE_BLOCK):
+    # one block even of no rows, so that the results keep their shapes
+    for start in range(0, max(N, 1), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
         parts.append(_flow(
             x[block], v[block], potential, t[block] if np.ndim(t) else t, icfg,
-            None if member is None else member[block],
+            None if member is None else member[block], stops, observe,
         ))
     return tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -641,6 +638,8 @@ def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Traj
     into buffers sized for the fixed steps, which double whenever an
     adaptive flow fills them.
     """
+    if not math.isfinite(t_final):
+        raise DomainError("flow times must be finite")
     x0 = np.asarray(x0, dtype=float)[None]
     v0 = np.asarray(v0, dtype=float)[None]
     # the start and every fixed step; no leg takes more than MAX_SUBSTEPS

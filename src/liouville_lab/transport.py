@@ -14,6 +14,7 @@ solutions apply a C^1 function beta to the carried values first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -763,11 +764,10 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     Simpson rule over every other node.  Both sums ride along with the
     rows, allocated at the first node with the shape of its terms.
 
-    The rows are walked SAMPLE_BLOCK at a time, in order, each block in
-    a flow of its own that calls the integrand at every node, as
-    `flow_batch` flows the rows of a flow without stops.  Each row is
-    stepped on its own, so the blocks give the same bits; an integrand
-    that keeps states across calls gets one call per block and node.
+    `flow_batch` flows the rows SAMPLE_BLOCK at a time, in order, each
+    block pausing at every node, so the integrand gets one call per block
+    and node, and a new block opens new sums.  Each row is stepped on its
+    own, so the blocks give the same bits.
 
     Returns the end state (x, v, flags) of the flow and the two sums per
     input row, as (N, ...) arrays; a flagged row reads 0 in both.
@@ -778,40 +778,32 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     if icfg.dt > (b - a) / (nodes - 1):
         raise DomainError(f"dt = {icfg.dt:g} exceeds the node spacing of a {nodes}-node walk")
     times = np.linspace(a, b, nodes)
+    # the (N, ...) sums of every row, the block in flight's two sums, and
+    # its first row
+    sums, acc, start, calls = [], [], 0, itertools.count()
 
-    def walk(x, v):
-        held = full = half = None
-        k = 0
+    def add_node(t, batch):
+        nonlocal start
+        # each block pauses at every node in turn
+        k = next(calls) % nodes
+        cols, terms = integrand(k, t, batch)
+        if k == 0:
+            acc[:] = [batch.track(np.zeros(terms.shape[:-1] + (batch.N,))) for _ in range(2)]
+            sums[:] = sums or [np.zeros((len(x),) + terms.shape[:-1]) for _ in range(2)]
+        if cols is None:
+            cols = slice(None, batch.m)
+        full, half = acc
+        full[..., cols] += w_full[k] * terms
+        if k % 2 == 0:
+            half[..., cols] += w_half[k // 2] * terms
+        if k == nodes - 1:
+            # the last node ends the block's flow: its sums go to its rows
+            for per_row, block in zip(sums, acc):
+                per_row[start + batch.idx] = np.moveaxis(block[..., : batch.m], -1, 0)
+            start += batch.N
 
-        def add_node(t, batch):
-            nonlocal held, full, half, k
-            cols, terms = integrand(k, t, batch)
-            if held is None:
-                held = batch
-                full = batch.track(np.zeros(terms.shape[:-1] + (batch.N,)))
-                half = batch.track(np.zeros_like(full))
-            if cols is None:
-                cols = slice(None, batch.m)
-            full[..., cols] += w_full[k] * terms
-            if k % 2 == 0:
-                half[..., cols] += w_half[k // 2] * terms
-            k += 1
-
-        x, v, flags = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
-        sums = []
-        for acc in (full, half):
-            per_row = np.zeros((held.N,) + acc.shape[:-1])
-            per_row[held.idx] = np.moveaxis(acc[..., : held.m], -1, 0)
-            sums.append(per_row)
-        return (x, v, flags), *sums
-
-    N = len(x)
-    if N <= SAMPLE_BLOCK:
-        return walk(x, v)
-    parts = [walk(x[start:start + SAMPLE_BLOCK], v[start:start + SAMPLE_BLOCK])
-             for start in range(0, N, SAMPLE_BLOCK)]
-    ends, full, half = zip(*parts)
-    return tuple(map(np.concatenate, zip(*ends))), np.concatenate(full), np.concatenate(half)
+    end = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
+    return end, *sums
 
 
 def weak_residual_suite(
@@ -977,11 +969,13 @@ def collision_boundary_term(
         raise DomainError(f"cutoff widths mu must be positive, got {mus}")
     if box.n < 2:
         raise DomainError(f"the collision term needs two particles, got n={box.n}")
+    # _draw refuses a count below 1 before the weight divides by it
+    blocks = _draw(box, count, seed, SAMPLE_BLOCK)
     weight = box.volume / count
     nd = box.n * box.d
     reach = max(mus, default=0.0)
     hits = []
-    for start, z in _draw(box, count, seed, SAMPLE_BLOCK):
+    for start, z in blocks:
         rel_x = _pair_distance(z[:, :nd].reshape(-1, box.n, box.d))
         rows = np.flatnonzero(rel_x <= reach)
         near = z[rows]
@@ -1081,7 +1075,9 @@ def level_difference_series(
     The forward snapshots come from one flow that pauses at the
     non-decreasing `times`; each leg between two takes the steps of its
     own flow, so the snapshots equal flowing leg by leg, bitwise on
-    unflagged rows.  The backward runs are one flow of every snapshot
+    unflagged rows.  `flow_batch` runs it a block of rows at a time, and
+    each block's states at each stop go into their rows of that
+    snapshot.  The backward runs are one flow of every snapshot
     with t_k != 0 stacked, with per-row times -t_k, so each row takes the
     steps of its own backward flow and the results are bitwise those of
     one flow per snapshot.  A snapshot at t_k = 0 is not flowed back: a
@@ -1100,12 +1096,17 @@ def level_difference_series(
     # the snapshots stacked, block k the state at times[k]
     x = np.empty((len(times) * N, *e0.x.shape[1:]))
     v = np.empty_like(x)
-    flags = []
+    flags = np.empty((len(times), N), dtype=np.int8)
+    # each block of rows pauses at every time in turn
+    calls, start = itertools.count(), 0
 
     def snapshot(tk, batch):
-        rows = slice(len(flags) * N, (len(flags) + 1) * N)
-        x[rows], v[rows], row_flags = batch.result()
-        flags.append(row_flags)
+        nonlocal start
+        k = next(calls) % len(times)
+        rows = slice(start, start + batch.N)
+        x[k * N:][rows], v[k * N:][rows], flags[k, rows] = batch.result()
+        if k == len(times) - 1:
+            start = rows.stop
 
     flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
     times = np.asarray(times, dtype=float)

@@ -311,12 +311,13 @@ def check_measure_preservation(
     _require_preimage_coverage verifies by flowing probe points
     backward under the undamped flow, for the control too.  The sample
     of `sample_ensemble(box, count, ., seed)` is drawn SAMPLE_BLOCK rows
-    at a time; each block gives its rows' phi at the start, and only the
-    states that `transport.may_reach` cannot rule out outlive it, to be
-    flowed in one call.  Every other sample provably starts and ends
-    outside supp phi unflagged, so its term is exactly 0 either way and
-    the report is bitwise that of flowing every sample.  So beside the
-    flowed rows, memory grows by a few count-length vectors.
+    at a time, and only the states that `transport.may_reach` cannot
+    rule out outlive their block, to be flowed in one call; phi at the
+    start and at the end and the support visits are taken on them alone.
+    Every other sample provably starts and ends outside supp phi
+    unflagged, so its term is exactly 0 either way, and one count-length
+    buffer of terms keeps the report bitwise that of flowing every
+    sample.  So beside the flowed rows, memory grows by 8 B a sample.
     details["flowed_rows"]
     counts the flowed samples, out of sample_count.  A nonzero
     statistic with a zero standard error means no sample got past the
@@ -357,32 +358,30 @@ def _measure_preservation(
     if probe:
         _require_preimage_coverage(phi, box, potential, t, icfg, seed)
     # the sample of sample_ensemble(box, count, ., seed), drawn in blocks:
-    # a block's start states outlive it only in its reachable rows
+    # only a block's reachable rows outlive it; every other row starts and
+    # ends outside supp phi, unflagged, so its term is 0 either way
     nd = box.n * box.d
-    mask0, before, kept = np.empty(count, dtype=bool), np.empty(count), []
+    kept = []
     for start, z in transport._draw(box, count, seed, dynamics.SAMPLE_BLOCK):
         x, v = z[:, :nd].reshape(-1, box.n, box.d), z[:, nd:].reshape(-1, box.n, box.d)
-        block = slice(start, start + z.shape[0])
-        # one support test per state serves both phi and the visit counts
-        mask0[block] = phi.support_mask(phi.t_center, x, v)
-        before[block] = phi._value_on(phi.t_center, x, v, mask0[block])
         reach = np.flatnonzero(transport.may_reach(phi, x, v, potential, t, run_icfg))
         kept.append((start + reach, x[reach], v[reach]))
     rows, x0, v0 = (np.concatenate(part) for part in zip(*kept))
-    x1, v1, flowed_flags = flow_batch(x0, v0, potential, t, run_icfg)
-    # the samples not flowed stay outside the support, unflagged
-    inside = phi.support_mask(phi.t_center, x1, v1)
-    mask1 = np.zeros(count, dtype=bool)
-    mask1[rows] = inside
-    after = np.zeros(count)
-    after[rows] = phi._value_on(phi.t_center, x1, v1, inside)
-    flags = np.zeros(count, dtype=np.int8)
-    flags[rows] = flowed_flags
+    # one support test per state serves both phi and the visit counts
+    in_start = phi.support_mask(phi.t_center, x0, v0)
+    before = phi._value_on(phi.t_center, x0, v0, in_start)
+    x1, v1, flags = flow_batch(x0, v0, potential, t, run_icfg)
+    in_end = phi.support_mask(phi.t_center, x1, v1)
+    after = phi._value_on(phi.t_center, x1, v1, in_end)
     ok = flags == dynamics.FLAG_OK
-    in_start = ok & mask0
-    in_end = ok & mask1
+    in_start &= ok
+    in_end &= ok
     weight = box.volume / count
-    total = MCEstimate.from_samples(np.where(ok, weight * (after - before), 0.0))
+    # the count-length terms, 0 on the rows not flowed, so that the sums
+    # are bitwise those over every row
+    terms = np.zeros(count)
+    terms[rows] = np.where(ok, weight * (after - before), 0.0)
+    total = MCEstimate.from_samples(terms)
     statistic, se = abs(total.estimate), total.std_error
     if statistic > 0.0 and se == 0.0:
         # nonzero terms whose squares underflow: phi was met only where it
@@ -393,9 +392,8 @@ def _measure_preservation(
             f" reached only its edge, statistic {statistic:.3g} has no standard error;"
             " raise the count or widen the observable"
         )
-    bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(
-        np.sum(np.abs(np.where(ok, weight * after, 0.0)))
-    )
+    terms[rows] = np.abs(np.where(ok, weight * after, 0.0))
+    bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(np.sum(terms))
     return CheckReport.build(
         check_name="measure_preservation"
         + ("_control" if negative_control else ""),
@@ -406,7 +404,7 @@ def _measure_preservation(
         std_error=se,
         bias_bound=bias,
         tolerance=TOLERANCES["measure_preservation"],
-        flagged_fraction=float(np.mean(~ok)),
+        flagged_fraction=int(np.count_nonzero(~ok)) / count,
         runtime_seconds=time.perf_counter() - started,
         details={
             "t": t,

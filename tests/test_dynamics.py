@@ -610,10 +610,73 @@ def test_flow_without_stops_runs_in_blocks_bitwise(adaptive, damping, monkeypatc
     assert flags[3] == flags[8] == FLAG_SINGULAR
     assert flags[12] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
     assert np.count_nonzero(flags == FLAG_OK) >= 20
-    # a flow with stops stays one batch, which its observer sees whole
+    # a flow with stops runs in the same blocks, with the same bits
     rows.clear()
-    flow_batch(x, v, pot, 0.0305, icfg, stops=[0.01])
-    assert rows == [23]
+    want = flow(x, v, pot, 0.0305, icfg, None, [0.01])
+    got = flow_batch(x, v, pot, 0.0305, icfg, stops=[0.01])
+    assert rows == [5, 5, 5, 5, 3]
+    for part, whole in zip(got, want):
+        np.testing.assert_array_equal(part, whole)
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_paused_flow_in_blocks_observes_each_block_at_each_stop(adaptive, monkeypatch):
+    # 23 rows in blocks of 5: each block pauses at every stop in turn, so
+    # the observer sees every block once at each stop, and each stop's
+    # blocks, in row order, are bitwise the rows of one block there
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-1.0, 1.0, (23, 3, 2))
+    v = rng.uniform(-1.0, 1.0, (23, 3, 2))
+    x[3, 1] = x[3, 0]
+    x[12], v[12] = [[-0.03, 0.001], [0.03, -0.001], [0.9, 0.9]], [[2.0, 0.0], [-2.0, 0.0], [0.0, 0.0]]
+    pot = repulsive_power(2, exponent=1.0)
+    icfg = IntegratorConfig(dt=1e-3, adaptive=adaptive)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 12)
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 0.1)
+    stops = [0.0041, 0.0123, 0.0123, 0.0199, 0.0305]
+
+    def observer(seen):
+        def observe(stop, batch):
+            seen.append((stop, batch.N, *batch.result()))
+        return observe
+
+    whole, parts = [], []
+    want = flow_batch(x, v, pot, 0.0305, icfg, stops=stops, observe=observer(whole))
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
+    got = flow_batch(x, v, pot, 0.0305, icfg, stops=stops, observe=observer(parts))
+    assert [seen[:2] for seen in whole] == [(stop, 23) for stop in stops]
+    assert [seen[:2] for seen in parts] == [(stop, n) for n in (5, 5, 5, 5, 3) for stop in stops]
+    for part, ref in zip(got, want):
+        np.testing.assert_array_equal(part, ref)
+    for k, (_, _, *state) in enumerate(whole):
+        blocks = [seen[2:] for seen in parts[k :: len(stops)]]
+        for part, ref in zip(zip(*blocks), state):
+            assert np.concatenate(part).tobytes() == ref.tobytes()
+    assert want[2][3] == FLAG_SINGULAR
+    assert want[2][12] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
+
+
+@pytest.mark.parametrize("t", [
+    np.inf, -np.inf, np.nan, np.array([0.1, np.inf, 0.0]), np.array([-0.1, -np.inf, -0.2]),
+], ids=["inf", "-inf", "nan", "row-inf", "row--inf"])
+@pytest.mark.parametrize("potential, adaptive", [
+    (repulsive_power(2, exponent=1.0), False),
+    (repulsive_power(2, exponent=1.0), True),
+    (free_potential(2), False),
+], ids=["fixed", "adaptive", "free"])
+def test_non_finite_times_refused_before_any_flow(t, potential, adaptive, monkeypatch):
+    # an infinite time once overflowed the fixed step plan, ran every
+    # adaptive leg to the substep budget, or left the free flow's rows NaN
+    # without a flag
+    flows = []
+    monkeypatch.setattr(dynamics, "_flow", lambda *args, **kwargs: flows.append(args))
+    x = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 2, 2))
+    with pytest.raises(DomainError, match="must be finite"):
+        flow_batch(x, x, potential, t, IntegratorConfig(adaptive=adaptive))
+    if np.ndim(t) == 0:
+        with pytest.raises(DomainError, match="must be finite"):
+            integrate(x[0], x[0], potential, t, IntegratorConfig(adaptive=adaptive))
+    assert not flows
 
 
 # -- flows that pause at stops: one batch, stepped leg by leg

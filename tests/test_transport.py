@@ -795,7 +795,7 @@ def test_simpson_walk_in_blocks_equals_one_walk_bitwise(potential, icfg, budget,
     want = simpson_walk(x, v, potential, window, nodes, icfg, terms)
     assert calls == [300] * nodes
     calls.clear()
-    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 40)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 40)
     got = simpson_walk(x, v, potential, window, nodes, icfg, terms)
     assert calls == [n for n in [40] * 7 + [20] for _ in range(nodes)]
     for a, b in zip([*got[0], *got[1:]], [*want[0], *want[1:]]):
@@ -1043,6 +1043,16 @@ def test_collision_boundary_term_hand_computed(monkeypatch):
         collision_boundary_term(PhaseBox.centered(2, 1, 2.0, 2.0), 3, datum, 0, [0.5])
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_collision_boundary_term_refuses_a_count_below_one(count):
+    # the weight vol / count was once taken before the draw refused the
+    # count, and a count of 0 raised ZeroDivisionError
+    box = PhaseBox.centered(2, 2, 1.0, 1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
+    with pytest.raises(DomainError, match="sample count must be >= 1"):
+        collision_boundary_term(box, count, datum, 0, [0.5])
+
+
 def _textbook_collision_term(e, mus):
     """The collision term of particles 1 and 2 of e, radius by radius."""
     rel_x = np.linalg.norm(e.x[:, 0, :] - e.x[:, 1, :], axis=-1)
@@ -1227,6 +1237,32 @@ def test_level_difference_series_flows_no_t0_snapshot_back(monkeypatch):
             assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
     for got, ref in zip(disps[1:], later_disps):
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("adaptive", [False, True], ids=["fixed", "adaptive"])
+def test_level_difference_series_in_blocks_equals_one_block_bitwise(adaptive, monkeypatch):
+    # 300 rows in blocks of 97, the last of 9: the forward flow pauses
+    # block by block at every snapshot, a repeated one and one at t = 0
+    # among them, and each snapshot gathers its blocks in row order; the
+    # adaptive budget flags some rows on the way
+    monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 2.0)
+    monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", 30)
+    pot = repulsive_power(2, exponent=1.0)
+    box = PhaseBox.centered(2, 2, 1.2, 1.2)
+    datum = InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
+    e0 = sample_ensemble(box, 300, datum, seed=21)
+    icfg, beta = IntegratorConfig(dt=1e-2, adaptive=adaptive), nonneg_squash(0.5)
+    times = [0.0, 0.1, 0.1, 0.2]
+    want = level_difference_series(e0, pot, pot, beta, times, icfg)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 97)
+    got = level_difference_series(e0, pot, pot, beta, times, icfg)
+    for snapshot, ref in zip(got[0], want[0]):
+        for part, whole in zip(snapshot, ref):
+            assert part.dtype == whole.dtype and part.tobytes() == whole.tobytes()
+    for part, whole in zip(got[1], want[1]):
+        assert part.tobytes() == whole.tobytes()
+    flagged = got[0][-1][3] != FLAG_OK
+    assert flagged.any() == adaptive and not flagged.all()
 
 
 def test_level_difference_series_requires_datum():

@@ -604,6 +604,24 @@ def test_standalone_checks_are_the_suite_reports(potential, icfg):
             assert _hex_fields(got) == _hex_fields(want)
 
 
+@pytest.mark.parametrize(
+    "potential, icfg",
+    [(harmonic(2), ICFG), (repulsive_power(2, exponent=1.0), IntegratorConfig(adaptive=True))],
+    ids=["fixed", "adaptive"],
+)
+def test_flow_axiom_suite_in_blocks_equals_one_block_bitwise(potential, icfg, monkeypatch):
+    # every walk, leg and preservation flow runs in blocks of 97 rows, each
+    # block pausing at every stop, with the same reports
+    def suite():
+        return flow_axiom_suite(potential, BOX, 300, SEED, icfg, t=0.25, measure_count=2000)
+
+    want = suite()
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 97)
+    got = suite()
+    assert [_hex_fields(r) for r in got] == [_hex_fields(r) for r in want]
+    assert max(r.details.get("flowed_rows", 0) for r in got) > 97
+
+
 def _reference_reports(potential, box, count, seed, icfg, t):
     """The per-sample reports, controls included, from flowing all `count`
     samples leg by leg and reading only the rows below the energy level."""
@@ -1184,6 +1202,15 @@ def test_uniqueness_monotone_identical_levels_are_exact():
     assert max(abs(f) for f in report.details["functional"]) < 1e-20
 
 
+def test_uniqueness_monotone_in_blocks_equals_one_block_bitwise(monkeypatch):
+    # the forward flow with its snapshots and the backward flow of every
+    # snapshot run in blocks of 37 rows, with the same report
+    want = check_uniqueness_monotone(**uniqueness_kwargs())
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 37)
+    got = check_uniqueness_monotone(**uniqueness_kwargs())
+    assert _hex_fields(got) == _hex_fields(want)
+
+
 def test_uniqueness_monotone_control_fails():
     # a tighter box and more samples give the injected source enough
     # statistical power to beat the paired-increment noise
@@ -1264,6 +1291,14 @@ def test_collision_scaling_needs_two_distinct_positive_radii():
     assert require_radii((0.4, 0.2, 0.4)) == [0.4, 0.2, 0.4]
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_collision_scaling_refuses_a_count_below_one(count):
+    box = PhaseBox.centered(2, 2, 1.0, 1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
+    with pytest.raises(DomainError, match="sample count must be >= 1"):
+        check_collision_scaling(free_potential(2), box, datum, count, 1, [0.4, 0.2])
+
+
 def _traced_peak(call):
     """The traced allocation peak of call(), in bytes above the start."""
     started = not tracemalloc.is_tracing()
@@ -1300,11 +1335,10 @@ def test_collision_scaling_peaks_below_two_doubles_a_row_three_a_hit_plus_two_bl
 
 def test_measure_preservation_peaks_below_56_bytes_a_row():
     # the sample is drawn in blocks and only the rows may_reach keeps are
-    # flowed, so what grows with the count is the count-length vectors: six
-    # masks and flags of a byte, before and after, and the statistic's terms
-    # with one temporary, 38 bytes a row.  The flowed rows' states and one
-    # block's temporaries must fit in the other 18 at 200k samples, where the
-    # whole sample alone would take 64 bytes a row
+    # flowed and evaluated, so what grows with the count is the statistic's
+    # count-length terms with np.std's temporaries; the flowed rows' states
+    # and one block's temporaries must fit in the rest at 200k samples, where
+    # the whole sample alone would take 64 bytes a row (this reads 28)
     count = 200_000
     box = PhaseBox.centered(2, 2, 2.0, 2.0)
     peak = _traced_peak(
