@@ -25,7 +25,7 @@ import numpy as np
 from . import dynamics
 from .dynamics import SAMPLE_BLOCK, IntegratorConfig, flow_batch, _energy_batch
 from .errors import CoverageError, DomainError
-from .estimates import MCEstimate
+from .estimates import MCEstimate, padded_sum
 from .potentials import CONFINING_AT_ZERO
 from .profiles import bump, bump_pair, smooth_step_down
 from .rng import rng_for
@@ -256,26 +256,29 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
     )
 
 
-def _carried_sample(box: PhaseBox, count: int, datum: InitialDatum, seed: int):
+def _carried_blocks(box: PhaseBox, count: int, datum: InitialDatum, seed: int):
     """The carried rows of `sample_ensemble(box, count, datum, seed)`,
-    those with f0 != 0, as (rows, x, v, f0): their input indices, in
-    input order, their (m, n, d) states and their f0.  The sample is
-    drawn and evaluated SAMPLE_BLOCK rows at a time, and only a block's
-    carried rows outlive it; f0 is taken row by row, so every value is
-    bitwise that of the whole draw."""
+    those with f0 != 0, one block at a time: an iterator of (rows, x, v,
+    f0) for each SAMPLE_BLOCK rows of the draw, with rows their input
+    indices, in input order, x and v their (m, n, d) states and f0 their
+    values.  Each block is drawn and evaluated when it is reached, so a
+    caller holds only what it keeps of the blocks before; f0 is taken row
+    by row, so every value is bitwise that of the whole draw.  A count
+    below 1 raises DomainError at once."""
     nd = box.n * box.d
-    kept = []
-    for start, z in _draw(box, count, seed, SAMPLE_BLOCK):
+
+    def carried(start, z):
         values = datum.evaluate(z)
         rows = np.flatnonzero(values)
-        carried = z[rows]
-        kept.append((
+        kept = z[rows]
+        return (
             start + rows,
-            carried[:, :nd].reshape(-1, box.n, box.d),
-            carried[:, nd:].reshape(-1, box.n, box.d),
+            kept[:, :nd].reshape(-1, box.n, box.d),
+            kept[:, nd:].reshape(-1, box.n, box.d),
             values[rows],
-        ))
-    return tuple(np.concatenate(part) for part in zip(*kept))
+        )
+
+    return (carried(start, z) for start, z in _draw(box, count, seed, SAMPLE_BLOCK))
 
 
 def may_reach(
@@ -844,11 +847,13 @@ def weak_residual_suite(
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid, over 15);
     bias_bound is the pinned O(dt^2) term of an integrator of step
-    icfg.dt.  details["flowed_rows"] is the number of rows walked, and
+    icfg.dt.  details["carried_rows"] is the number of rows with
+    f0 != 0, details["flowed_rows"] the number of those walked, and
     details["seconds"] the wall time of the map's own statistics.
     """
-    rows = np.flatnonzero(e0.values)
-    carried = (rows, e0.x[rows], e0.v[rows], e0.values[rows])
+    # the carried rows as one block, copied only when the estimator takes
+    # it, so that the copy dies with its may_reach test
+    carried = ((r, e0.x[r], e0.v[r], e0.values[r]) for r in [np.flatnonzero(e0.values)])
     return _residual_estimates(
         e0.box, e0.datum, e0.size, carried, potential, phi, value_maps, icfg, time_factor
     )
@@ -856,9 +861,15 @@ def weak_residual_suite(
 
 def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, icfg, time_factor):
     """`weak_residual_suite` on a sample of count rows of box carrying
-    datum, given only its carried rows: (rows, x, v, f0) with rows their
-    input indices, in input order, and f0 != 0 on each.  The estimates
-    are bitwise those over the whole sample."""
+    datum, given only its carried rows: `carried` yields them in blocks
+    (rows, x, v, f0), with rows their input indices, in input order, and
+    f0 != 0 on each.  Of a block, only the states of the rows that
+    `may_reach` keeps outlive it, so each walked row's start state is held
+    once and a row ruled out keeps only its index and f0.  Each map's
+    terms, its bias sum and its half-grid sum are passed on the carried
+    rows alone to `MCEstimate.from_padded` and `estimates.padded_sum`, so
+    no count-length vector is built.  The estimates are bitwise those
+    over the whole sample."""
     shifted = [
         getattr(g, "name", repr(g)) for g in value_maps
         if g is not None and g(np.zeros(1))[0] != 0.0
@@ -885,11 +896,16 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
             terms *= float(time_factor(t))
         return cols, terms
 
-    rows, x0, v0, values = carried
-    # the brackets of the carried rows; those of the rows ruled out stay 0
-    acc_full, acc_half = np.zeros(rows.size), np.zeros(rows.size)
-    walked = np.flatnonzero(may_reach(phi, x0, v0, potential, window[1], icfg))
-    x0, v0 = x0[walked], v0[walked]
+    def reachable(rows, x, v, f0):
+        # a block's rows, their f0 and whether may_reach keeps them; only the
+        # kept rows' start states outlive the block
+        reach = may_reach(phi, x, v, potential, window[1], icfg)
+        return rows, f0, reach, x[reach], v[reach]
+
+    kept = [reachable(*block) for block in carried]
+    rows, values, reach, x0, v0 = (np.concatenate(part) for part in zip(*kept))
+    del kept  # the blocks' copies, so that each state is held once
+    walked = np.flatnonzero(reach)
     (_, _, flags), full, half = simpson_walk(
         x0, v0, potential, window, RESIDUAL_NODES, icfg, pairing
     )
@@ -899,33 +915,29 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
             term0 *= float(time_factor(0.0))
         full += term0
         half += term0
+    # the brackets of the carried rows; those of the rows ruled out stay 0
+    acc_full, acc_half = np.zeros(rows.size), np.zeros(rows.size)
     acc_full[walked], acc_half[walked] = full, half
-    flagged = rows[walked[flags != dynamics.FLAG_OK]]
+    # the carried rows whose flow was flagged; their terms read 0
+    flagged = walked[flags != dynamics.FLAG_OK]
     n_active = count - flagged.size
     weight = box.volume / count
-    xi = np.empty(count)
-
-    def weighted(weights, acc):
-        """The count-length terms np.where(active, weight * full, 0.0),
-        full being weights * acc on the carried rows and 0 elsewhere,
-        filled into one reused buffer."""
-        xi.fill(0.0)
-        xi[rows] = weights * acc
-        np.multiply(xi, weight, out=xi)
-        xi[flagged] = 0.0
-        return xi
 
     out = []
     for g in value_maps:
         started = time.perf_counter()
         weights = values if g is None else g(values)
-        terms = weighted(weights, acc_full)
-        mc = MCEstimate.from_samples(
+        # w g(f0) times each bracket on the carried rows, 0 on the flagged
+        terms, half_terms = (weights * acc * weight for acc in (acc_full, acc_half))
+        terms[flagged] = half_terms[flagged] = 0.0
+        mc = MCEstimate.from_padded(
+            count,
+            rows,
             terms,
-            bias_bound=DT_BIAS_COEFFICIENT * icfg.dt**2 * float(np.sum(np.abs(terms))),
+            bias_bound=DT_BIAS_COEFFICIENT * icfg.dt**2 * padded_sum(count, rows, np.abs(terms)),
             sample_count=n_active,
         )
-        quad_err = abs(float(np.sum(weighted(weights, acc_half))) - mc.estimate) / 15.0
+        quad_err = abs(padded_sum(count, rows, half_terms) - mc.estimate) / 15.0
         out.append(replace(
             mc,
             std_error=math.hypot(mc.std_error, quad_err),
@@ -935,6 +947,7 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
                 "quadrature_error": quad_err,
                 "window": window,
                 "flowed_rows": int(walked.size),
+                "carried_rows": int(rows.size),
                 "seconds": time.perf_counter() - started,
             },
         ))
@@ -960,9 +973,11 @@ def collision_boundary_term(
     and only the hits of a block, its rows with |x_1 - x_2| <= max(mus),
     outlive it: their row index, pair distance and carried weight
     w |f0| |v_1 - v_2|, with f0 evaluated on the hits alone.  Each radius
-    zeroes one count-length buffer and scatters carried / mu into its
-    hits in row order.  The estimates are bitwise those over
-    `sample_ensemble(box, count, datum, seed)`.
+    passes carried / mu on its hits, in row order, to
+    `MCEstimate.from_padded`, so memory grows with the hits and not the
+    count: the estimates are bitwise those of the count-length terms over
+    `sample_ensemble(box, count, datum, seed)`, which are never built.
+    The widest radius's sample_count is the number of hits held.
     """
     mus = list(mus)
     if any(not mu > 0 for mu in mus):
@@ -984,18 +999,17 @@ def collision_boundary_term(
         carried *= _pair_distance(near[:, nd:].reshape(-1, box.n, box.d))
         hits.append((start + rows, rel_x[rows], carried))
     index, rel_x, carried = (np.concatenate(part) for part in zip(*hits))
-    terms = np.empty(count)
+    del hits  # the blocks' copies, so that each hit is held once
     out = []
     for mu in mus:
-        inside = rel_x <= mu
-        terms.fill(0.0)
-        terms[index[inside]] = carried[inside] / mu
-        inside_count = int(np.count_nonzero(inside))
+        inside = np.flatnonzero(rel_x <= mu)
         out.append(
-            MCEstimate.from_samples(
-                terms,
-                sample_count=inside_count,
-                details={"mu": mu, "hit_fraction": inside_count / count},
+            MCEstimate.from_padded(
+                count,
+                index[inside],
+                carried[inside] / mu,
+                sample_count=inside.size,
+                details={"mu": mu, "hit_fraction": inside.size / count},
             )
         )
     return out

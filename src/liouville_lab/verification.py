@@ -34,7 +34,7 @@ from .potentials import (
     MollifiedPotential,
     ShrinkFunction,
 )
-from .estimates import MCEstimate
+from .estimates import MCEstimate, padded_sum
 from .profiles import bump_pair
 from .rng import rng_for
 from .transport import (
@@ -315,9 +315,11 @@ def check_measure_preservation(
     rule out outlive their block, to be flowed in one call; phi at the
     start and at the end and the support visits are taken on them alone.
     Every other sample provably starts and ends outside supp phi
-    unflagged, so its term is exactly 0 either way, and one count-length
-    buffer of terms keeps the report bitwise that of flowing every
-    sample.  So beside the flowed rows, memory grows by 8 B a sample.
+    unflagged, so its term is exactly 0 either way: the statistic and the
+    bias sum pass only the flowed rows' terms to
+    `MCEstimate.from_padded` and `estimates.padded_sum`, and the report is
+    bitwise that of flowing every sample.  So memory grows with the
+    flowed rows and one block of the sample, not the count.
     details["flowed_rows"]
     counts the flowed samples, out of sample_count.  A nonzero
     statistic with a zero standard error means no sample got past the
@@ -367,6 +369,7 @@ def _measure_preservation(
         reach = np.flatnonzero(transport.may_reach(phi, x, v, potential, t, run_icfg))
         kept.append((start + reach, x[reach], v[reach]))
     rows, x0, v0 = (np.concatenate(part) for part in zip(*kept))
+    del kept  # the blocks' copies, so that each state is held once
     # one support test per state serves both phi and the visit counts
     in_start = phi.support_mask(phi.t_center, x0, v0)
     before = phi._value_on(phi.t_center, x0, v0, in_start)
@@ -377,11 +380,9 @@ def _measure_preservation(
     in_start &= ok
     in_end &= ok
     weight = box.volume / count
-    # the count-length terms, 0 on the rows not flowed, so that the sums
-    # are bitwise those over every row
-    terms = np.zeros(count)
-    terms[rows] = np.where(ok, weight * (after - before), 0.0)
-    total = MCEstimate.from_samples(terms)
+    # the terms of the flowed rows; every other row's is 0, so the sums are
+    # bitwise those over every row
+    total = MCEstimate.from_padded(count, rows, np.where(ok, weight * (after - before), 0.0))
     statistic, se = abs(total.estimate), total.std_error
     if statistic > 0.0 and se == 0.0:
         # nonzero terms whose squares underflow: phi was met only where it
@@ -392,8 +393,8 @@ def _measure_preservation(
             f" reached only its edge, statistic {statistic:.3g} has no standard error;"
             " raise the count or widen the observable"
         )
-    terms[rows] = np.abs(np.where(ok, weight * after, 0.0))
-    bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * float(np.sum(terms))
+    mass = padded_sum(count, rows, np.abs(np.where(ok, weight * after, 0.0)))
+    bias = DT_BIAS_COEFFICIENT * run_icfg.dt**2 * mass
     return CheckReport.build(
         check_name="measure_preservation"
         + ("_control" if negative_control else ""),
@@ -969,10 +970,10 @@ def check_collision_scaling(
     log-log slope by least squares.  The samples are not flowed: the term
     is a property of the density, and potential only names the report.
     One collision_boundary_term call draws the sample in blocks, keeps
-    only the rows within the largest radius and sweeps every radius
-    through one reused buffer, so the check holds at most 2 doubles per
-    row, 3 per row within that radius and two blocks of the sample.  The
-    statistic
+    only the rows within the largest radius and sums each radius over
+    those rows alone, so the check holds 3 doubles per row within that
+    radius and two blocks of the sample, and nothing per row of the
+    count.  The statistic
     |slope - (d - 1)| is held to a pinned tolerance of 0.3; std_error
     and bias_bound are 0.  Fewer than two distinct radii fit
     no slope, and they and a radius <= 0 raise DomainError
@@ -981,7 +982,8 @@ def check_collision_scaling(
     logarithm to fit and raises CoverageError.  This check has no
     negative control yet and its budget is pinned, not measured.
     details: mus, terms and std_errors per radius, fitted_slope,
-    expected_slope.
+    expected_slope, and held_rows, the rows the sweep kept (those within
+    the largest radius).
     """
     started = time.perf_counter()
     mus = require_radii(mus)
@@ -1012,6 +1014,8 @@ def check_collision_scaling(
             "std_errors": [est.std_error for est in estimates],
             "fitted_slope": slope,
             "expected_slope": box.d - 1,
+            # the widest radius's hits are the rows kept
+            "held_rows": max(est.sample_count for est in estimates),
         },
     )
 
@@ -1054,9 +1058,11 @@ def check_renormalization_suite(
 
     The sample of sample_ensemble(box, count, datum, seed) is drawn
     SAMPLE_BLOCK rows at a time, and only its carried rows, those with
-    f0 != 0, outlive their block: their index, x, v and f0.  Of these,
-    the walk steps only the rows that `transport.may_reach` keeps, so the
-    reports are bitwise those of weak_residual_suite on the whole sample.
+    f0 != 0, outlive their block: their index and f0, and x and v only
+    for the rows that `transport.may_reach` keeps, which alone the walk
+    steps.  The statistics take the carried rows alone, so no
+    count-length vector is built, and the reports are bitwise those of
+    weak_residual_suite on the whole sample.
 
     runtime_seconds is measured: each beta report carries the suite's
     statistics of its beta, which reweight the bracket, and the identity
@@ -1072,7 +1078,7 @@ def check_renormalization_suite(
             box.d, box.n, box,
             *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "residual-phi"),
         )
-    carried = transport._carried_sample(box, count, datum, seed)
+    carried = transport._carried_blocks(box, count, datum, seed)
     a, _ = residual_window(phi)
     time_factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
     results = transport._residual_estimates(
@@ -1083,11 +1089,10 @@ def check_renormalization_suite(
     shares = [elapsed - sum(beta_seconds)] + beta_seconds
     names = ["identity"] + [b.name for b in betas]
     suffix = "_control" if negative_control else ""
-    carried_rows = int(carried[0].size)
     reports = []
     for m, (name, r, share) in enumerate(zip(names, results, shares)):
         details = {k: val for k, val in r.details.items() if k != "seconds"}
-        details.update(carried_rows=carried_rows, reweighted_defect=m > 0)
+        details["reweighted_defect"] = m > 0
         reports.append(
             CheckReport.build(
                 check_name=f"renormalized_residual[{name}]" + suffix,

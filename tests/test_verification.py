@@ -1073,17 +1073,17 @@ def test_renormalization_suite_is_the_full_sample_path_bitwise(pot, control, mon
         assert _hex_fields(every) == _hex_fields(r), r.check_name
 
 
-def test_renormalization_suite_peaks_below_80_bytes_a_row():
+def test_renormalization_suite_peaks_below_48_bytes_a_row():
     # the sample is drawn in blocks and only its carried rows outlive them,
     # 23% of the rows in the renormalized_residual box, each with an
-    # index, x, v, f0 and two brackets: 96 bytes, 22 a row.  The walk
-    # steps only the carried rows that can reach supp phi, 22% of them
-    # under the closed-form free flow, each with its start and end states,
-    # the batch buffers and the pairing temporaries, about 500 bytes: 25 a
-    # row.  After the walk the statistics take one count-length buffer and
-    # np.std's temporary, 16 bytes a row, and one block's temporaries add
-    # about 8 at 200k samples: 55 to 71 bytes a row, where the whole
-    # sample alone would take 72 and the full-sample suite peaks near 160
+    # index, f0 and two brackets: 32 bytes, 7 a row.  Only the carried rows
+    # that can reach supp phi keep their start states, 22% of them under
+    # the closed-form free flow, and the walk steps those alone, with their
+    # end states, the batch buffers and the pairing temporaries, about 500
+    # bytes: 25 a row.  The statistics sum each map's terms on the carried
+    # rows alone, a few carried-length vectors, so no count-length vector is
+    # built; this reads 35 at 200k samples, where the whole sample alone
+    # would take 72 and the full-sample suite peaks near 160
     count = 200_000
     peak = _traced_peak(
         lambda: check_renormalization_suite(
@@ -1091,7 +1091,7 @@ def test_renormalization_suite_peaks_below_80_bytes_a_row():
             SEED, RESIDUAL_ICFG,
         )
     )
-    assert peak < 80 * count
+    assert peak < 48 * count
 
 
 class CountingPotential:
@@ -1267,6 +1267,17 @@ def test_collision_scaling_fits_the_slope_through_the_transport_module(monkeypat
         assert rep.passed is passed
 
 
+def test_collision_scaling_reports_the_rows_the_sweep_held():
+    # the sweep keeps the rows within the largest radius, wherever it is
+    # listed among the radii
+    box = PhaseBox.centered(d=2, n=2, x_half=1.0, v_half=1.0)
+    datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
+    e = sample_ensemble(box, 5000, datum, 3)
+    rel_x = np.linalg.norm(e.x[:, 0] - e.x[:, 1], axis=-1)
+    rep = check_collision_scaling(free_potential(2), box, datum, 5000, 3, [0.1, 0.4, 0.2])
+    assert rep.details["held_rows"] == np.count_nonzero(rel_x <= 0.4) > 0
+
+
 def test_collision_scaling_raises_on_an_empty_radius():
     # 200 rows leave mu = 0.2 and 0.001 without a sample; a zero term has no
     # logarithm to fit
@@ -1314,37 +1325,44 @@ def _traced_peak(call):
             tracemalloc.stop()
 
 
-def test_collision_scaling_peaks_below_two_doubles_a_row_three_a_hit_plus_two_blocks():
+@pytest.mark.parametrize("count", [200_000, 1_000_000])
+def test_collision_scaling_peaks_below_six_doubles_a_hit_plus_three_blocks(count):
     # the sample is drawn and reduced in blocks of SAMPLE_BLOCK rows: only
     # the hits within the largest radius outlive a block, with their index,
-    # pair distance and carried weight, and each radius fills one reused
-    # buffer that np.std copies once, so the peak stays under 2 doubles a
-    # row, 3 a hit and two blocks of 12 doubles a row, far below the
-    # 200k x 12 doubles of the whole sample
-    count = 200_000
+    # pair distance and carried weight, and each radius sums its hits alone,
+    # so nothing is held per row of the count.  The hits are held twice
+    # while they are joined, and beside them the draw holds two blocks of 12
+    # doubles a row and one block's temporaries.  At 1M rows the count-length
+    # terms and np.std's copy of them would add 16 MB, far above this bound
     box = PhaseBox.centered(d=3, n=2, x_half=1.0, v_half=1.0)
     datum = InitialDatum(kind="constant", center=np.zeros(12), width=1.0)
     mus = [0.4, 0.2, 0.1, 0.05]
     hits = transport.collision_boundary_term(box, count, datum, 14, mus)[0].sample_count
-    assert 0 < hits < count // 10
+    assert 0 < hits < count // 20
     peak = _traced_peak(
         lambda: check_collision_scaling(free_potential(3), box, datum, count, 14, mus)
     )
-    assert peak < 2 * 8 * count + 3 * 8 * hits + 2 * transport.SAMPLE_BLOCK * 12 * 8
+    assert peak < 6 * 8 * hits + 3 * transport.SAMPLE_BLOCK * 12 * 8
 
 
-def test_measure_preservation_peaks_below_56_bytes_a_row():
+def test_measure_preservation_peaks_below_three_blocks_plus_200_bytes_a_flowed_row():
     # the sample is drawn in blocks and only the rows may_reach keeps are
-    # flowed and evaluated, so what grows with the count is the statistic's
-    # count-length terms with np.std's temporaries; the flowed rows' states
-    # and one block's temporaries must fit in the rest at 200k samples, where
-    # the whole sample alone would take 64 bytes a row (this reads 28)
-    count = 200_000
+    # flowed and evaluated, and the statistic sums their terms alone, so
+    # what grows with the count is the flowed rows (3% of the sample here):
+    # their index, states, flow buffers and values.  Beside them one block
+    # of 16 doubles a row and its may_reach temporaries.  At 800k samples
+    # the count-length terms and np.std's temporaries would add 12.8 MB
+    count = 800_000
     box = PhaseBox.centered(2, 2, 2.0, 2.0)
+    reports = []
     peak = _traced_peak(
-        lambda: check_measure_preservation(harmonic(2), box, 0.05, count, SEED, ICFG)
+        lambda: reports.append(
+            check_measure_preservation(harmonic(2), box, 0.05, count, SEED, ICFG)
+        )
     )
-    assert peak < 56 * count
+    flowed = reports[0].details["flowed_rows"]
+    assert 0 < flowed < count // 20
+    assert peak < 200 * flowed + 3 * transport.SAMPLE_BLOCK * 16 * 8
 
 
 def test_measure_preservation_does_not_depend_on_the_block_size(monkeypatch):
