@@ -20,12 +20,13 @@ step.
 
 The "estimator" row times one `transport.weak_residual_suite` call, the
 weak-residual estimator of the renormalization suite, in microseconds
-per Simpson node: its one `simpson_walk` over the rows of a bump datum
-on PhaseBox.centered(2, 2, 1.2, 1.2) that carry a nonzero value (about
-23% of ESTIMATOR_SAMPLES = 100k, so about 23k rows) and that
-`transport.may_reach` keeps ("flowed_rows"), under the free flow in
-closed form, paused at the transport.RESIDUAL_NODES Simpson nodes of a
-window [0.2, 1.8], and the statistics of the identity map.
+per Simpson node: its draw of ESTIMATOR_SAMPLES = 100k rows of a bump
+datum on PhaseBox.centered(2, 2, 1.2, 1.2), of which it keeps the rows
+that carry a nonzero value ("carried_rows", about 23k) and that
+`transport.may_reach` keeps ("flowed_rows"), its one `simpson_walk` over
+those under the free flow in closed form, paused at the
+transport.RESIDUAL_NODES Simpson nodes of a window [0.2, 1.8], and the
+statistics of the identity map.
 
     PYTHONPATH=src python scripts/integrator_bench.py --sizes 5000 100000 --repeats 5
 
@@ -116,7 +117,7 @@ def measure_walk(kind: str, mode: str, count: int, repeats: int, seed: int):
 
     walks = {
         "straight": {},
-        "stopped": {"stops": stops, "observe": lambda stop, batch: None},
+        "stopped": {"stops": stops, "observe": lambda k, batch: None},
     }
     per, sample_steps = {}, {}
     for name, pause in walks.items():
@@ -146,7 +147,6 @@ ESTIMATOR_SAMPLES = 100_000
 def measure_estimator(samples: int, repeats: int, seed: int):
     box = transport.PhaseBox.centered(d=2, n=2, x_half=1.2, v_half=1.2)
     datum = transport.InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
-    e0 = transport.sample_ensemble(box, samples, datum, seed)
     phi = transport.random_test_function(
         2, 2, box, *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "integrator-bench-phi")
     )
@@ -154,13 +154,13 @@ def measure_estimator(samples: int, repeats: int, seed: int):
     walls = []
     for _ in range(repeats):
         started = time.perf_counter()
-        (est,) = transport.weak_residual_suite(e0, pot, phi, [None], icfg)
+        (est,) = transport.weak_residual_suite(box, samples, datum, seed, pot, phi, [None], icfg)
         walls.append(time.perf_counter() - started)
     per = [1e6 * w / transport.RESIDUAL_NODES for w in walls]
     return {
         "kind": "estimator",
         "samples": samples,
-        "carried_rows": int(np.count_nonzero(e0.values)),
+        "carried_rows": est.details["carried_rows"],
         "flowed_rows": est.details["flowed_rows"],
         "nodes": transport.RESIDUAL_NODES,
         "us_per_node": {"median": statistics.median(per), "min": min(per)},

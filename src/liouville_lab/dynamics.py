@@ -37,9 +37,10 @@ adaptive row that finishes a leg early is parked behind the active rows
 until the leg ends, and a row frozen by a flag is retired behind the
 parked ones: every row stays in the batch for the whole flow.  At each
 stop an observer sees the live batch, including the forces of its last
-step.  Parking and retiring move rows by swapping columns, so the batch
-keeps no input order: `idx`, a permutation, maps each column back to
-its input row, and every per-row result is scattered through it.
+step, and the index of the stop.  Parking and retiring move rows by
+swapping columns, so the batch keeps no input order: `idx`, a
+permutation, maps each column back to its input row, and every per-row
+result is scattered through it.
 
 A flow without stops may instead give each row a time of its own, all
 of one sign: every row takes the steps of its own flow and is parked
@@ -50,8 +51,9 @@ flows under, and one force evaluation serves the rows of every member.
 run on one flow, `_flow`: the one place that builds a `_Batch` and picks
 its runner.  `flow_batch`, the one block loop, runs `_flow` on
 SAMPLE_BLOCK rows at a time, each pausing at every stop, so its buffers
-stay the size of one block; each row is stepped on its own, so the
-blocks give the same bits.
+stay the size of one block, and writes each block's result into its
+rows of the output; each row is stepped on its own, so the blocks give
+the same bits.
 """
 
 from __future__ import annotations
@@ -262,6 +264,8 @@ class _Batch:
     accelerations at X), of `dmin`, of `idx` (the input row of each
     column) and of every `track`ed array form three blocks, each in no
     particular order: active [0, m), parked [m, live), retired [live, N).
+    The batch holds the input rows first, first + 1, ... of a flow run in
+    blocks, so column j is row first + idx[j] of that flow.
     `step` and `retire_singular` see only the active rows.  A row that
     finishes an adaptive leg, or its own flow time, early is parked
     (`park`) until the leg ends (`unpark`).  `retire` freezes rows with a
@@ -269,9 +273,10 @@ class _Batch:
     each row flows under, and is tracked with the rows.
     """
 
-    def __init__(self, x, v, potential, icfg: IntegratorConfig, member=None):
+    def __init__(self, x, v, potential, icfg: IntegratorConfig, member=None, first=0):
         N, n, d = np.shape(x)
         self.N = N
+        self.first = first
         self.damping = icfg.velocity_damping
         self._X = _component_major(x)
         self._V = _component_major(v)
@@ -352,14 +357,18 @@ class _Batch:
         if self.m and not np.minimum.reduce(self.dmin) >= COINCIDENCE_THRESHOLD:
             self.retire(~(self.dmin >= COINCIDENCE_THRESHOLD), FLAG_SINGULAR)
 
-    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fresh (N, n, d) states of every row in input order, frozen
-        ones as they retired, and the flags."""
-        shape = (self.N,) + self._X.shape[:2]
-        out_x, out_v = np.empty(shape), np.empty(shape)
+    def result(self, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (N, n, d) states of every row in input order, frozen ones as
+        they retired, and the flags: written into out, a triple of arrays
+        of those shapes, or into fresh ones."""
+        if out is None:
+            shape = (self.N,) + self._X.shape[:2]
+            out = np.empty(shape), np.empty(shape), np.empty(self.N, dtype=np.int8)
+        out_x, out_v, out_flags = out
         out_x[self._idx] = np.moveaxis(self._X, -1, 0)
         out_v[self._idx] = np.moveaxis(self._V, -1, 0)
-        return out_x, out_v, self.flags.copy()
+        out_flags[:] = self.flags
+        return out
 
     def step(self, h) -> None:
         """Advance every active row by h, a scalar or one step per row:
@@ -523,11 +532,13 @@ def closed_form(potential, icfg: IntegratorConfig) -> bool:
 
 
 def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), observe=None,
-          hook=None):
+          hook=None, first=0, out=None):
     """The one runner loop behind `flow_batch` and `integrate`.
 
     t is one time, or one time per row as `flow_batch` checks it, and
-    member the ladder member of each row.
+    member the ladder member of each row.  The rows are those from input
+    row `first` on of a flow run in blocks, and the result is written
+    into out (see `_Batch.result`).
     hook(t, batch), if given, sees the live batch once at the start and
     after every step (see `_run_fixed` and `_run_adaptive`).  A flow with
     a hook is always stepped, never taken in closed form.
@@ -541,7 +552,7 @@ def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), obs
         sgn = -1.0 if t < 0 else 1.0
         if not all(sgn * leg >= 0.0 for leg in legs):
             raise DomainError(f"stops must run in order from 0 to t = {t}, got {list(stops)}")
-    batch = _Batch(x, v, potential, icfg, member)
+    batch = _Batch(x, v, potential, icfg, member, first)
     if hook is not None:
         hook(0.0, batch)
     if hook is None and closed_form(potential, icfg):
@@ -550,8 +561,8 @@ def _flow(x, v, potential, t, icfg: IntegratorConfig, member=None, stops=(), obs
         runner = (_run_adaptive if icfg.adaptive else _run_fixed)(batch, legs, icfg, hook)
     for k, _ in enumerate(runner):
         if k < len(stops) and observe is not None:
-            observe(float(stops[k]), batch)
-    return batch.result()
+            observe(k, batch)
+    return batch.result(out)
 
 
 # ---------------------------------------------------------------------------
@@ -575,12 +586,13 @@ def flow_batch(
     advanced in closed form, so its flow is exact to roundoff.
 
     `stops` are times from 0 towards t, in order (repeats allowed).  The
-    flow pauses at each and calls observe(stop, batch) with the live
-    `_Batch`: column j of its (n, d, m) arrays X, V, A is input row
-    idx[j], and `flags` marks the rows frozen so far.  Each leg between
-    two stops takes exactly the steps of its own flow_batch call, so the
-    result equals flowing leg by leg, bitwise on unflagged rows; a row
-    flagged on one leg stays frozen with that flag for the rest.
+    flow pauses at each and calls observe(k, batch) with k the index of
+    the stop and the live `_Batch`: column j of its (n, d, m) arrays X, V,
+    A is input row batch.first + idx[j], and `flags` marks the rows frozen
+    so far.  Each leg between two stops takes exactly the steps of its own
+    flow_batch call, so the result equals flowing leg by leg, bitwise on
+    unflagged rows; a row flagged on one leg stays frozen with that flag
+    for the rest.
 
     t may instead be an (N,) array of per-row times, all of one sign,
     without stops: each row takes the steps of its own flow (with fixed
@@ -592,12 +604,14 @@ def flow_batch(
     are then K blocks of N / K, and block j flows under members[j].
 
     The rows are flowed SAMPLE_BLOCK at a time, in order, each block
-    pausing at every stop, so observe sees each block (batch.N rows) once
-    a stop.  Each row is stepped on its own, and every active row of an
-    adaptive leg has taken the same number of steps, so the substep
-    budget holds per row: states and flags are bitwise those of flowing
-    each row alone, under its own member and for its own time.  A time
-    that is not finite raises DomainError before any step.
+    pausing at every stop, so observe sees each block (batch.N rows from
+    input row batch.first on) once a stop, and each block's result is
+    written into its rows of the (N, ...) outputs, allocated once.  Each
+    row is stepped on its own, and every active row of an adaptive leg
+    has taken the same number of steps, so the substep budget holds per
+    row: states and flags are bitwise those of flowing each row alone,
+    under its own member and for its own time.  A time that is not finite
+    raises DomainError before any step.
     """
     x, v = _states(x, v)
     N = x.shape[0]
@@ -616,15 +630,16 @@ def flow_batch(
                 f"per-row times need one time of one sign for each of {N} rows and no stops,"
                 f" got shape {t.shape} and {len(stops)} stops"
             )
-    parts = []
-    # one block even of no rows, so that the results keep their shapes
+    out = np.empty(x.shape), np.empty(x.shape), np.empty(N, dtype=np.int8)
+    # one block even of no rows, so that an observer still sees every stop
     for start in range(0, max(N, 1), SAMPLE_BLOCK):
         block = slice(start, start + SAMPLE_BLOCK)
-        parts.append(_flow(
+        _flow(
             x[block], v[block], potential, t[block] if np.ndim(t) else t, icfg,
             None if member is None else member[block], stops, observe,
-        ))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+            first=start, out=tuple(part[block] for part in out),
+        )
+    return out
 
 
 def integrate(x0, v0, potential, t_final: float, icfg: IntegratorConfig) -> Trajectory:

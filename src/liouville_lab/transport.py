@@ -14,7 +14,6 @@ solutions apply a C^1 function beta to the carried values first.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -23,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dynamics
-from .dynamics import SAMPLE_BLOCK, IntegratorConfig, flow_batch, _energy_batch
+from .dynamics import IntegratorConfig, flow_batch, _energy_batch
 from .errors import CoverageError, DomainError
 from .estimates import MCEstimate, padded_sum
 from .potentials import CONFINING_AT_ZERO
@@ -212,12 +211,6 @@ class Ensemble:
     def phase_flat(self) -> np.ndarray:
         return _flatten_phase(self.x, self.v)
 
-    def with_values(self, values: np.ndarray) -> "Ensemble":
-        values = np.asarray(values, dtype=float)
-        if values.shape != self.values.shape:
-            raise DomainError("replacement values must match sample count")
-        return replace(self, values=values)
-
 
 def _pair_distance(a: np.ndarray) -> np.ndarray:
     """|a_1 - a_2| per row, bitwise np.linalg.norm(..., axis=-1), taken
@@ -254,31 +247,6 @@ def sample_ensemble(box: PhaseBox, count: int, datum: InitialDatum, seed: int) -
         box=box,
         datum=datum,
     )
-
-
-def _carried_blocks(box: PhaseBox, count: int, datum: InitialDatum, seed: int):
-    """The carried rows of `sample_ensemble(box, count, datum, seed)`,
-    those with f0 != 0, one block at a time: an iterator of (rows, x, v,
-    f0) for each SAMPLE_BLOCK rows of the draw, with rows their input
-    indices, in input order, x and v their (m, n, d) states and f0 their
-    values.  Each block is drawn and evaluated when it is reached, so a
-    caller holds only what it keeps of the blocks before; f0 is taken row
-    by row, so every value is bitwise that of the whole draw.  A count
-    below 1 raises DomainError at once."""
-    nd = box.n * box.d
-
-    def carried(start, z):
-        values = datum.evaluate(z)
-        rows = np.flatnonzero(values)
-        kept = z[rows]
-        return (
-            start + rows,
-            kept[:, :nd].reshape(-1, box.n, box.d),
-            kept[:, nd:].reshape(-1, box.n, box.d),
-            values[rows],
-        )
-
-    return (carried(start, z) for start, z in _draw(box, count, seed, SAMPLE_BLOCK))
 
 
 def may_reach(
@@ -325,10 +293,52 @@ def may_reach(
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
     out = np.empty(x.shape[0], dtype=bool)
-    for start in range(0, x.shape[0], SAMPLE_BLOCK):
-        rows = slice(start, start + SAMPLE_BLOCK)
+    block = dynamics.SAMPLE_BLOCK
+    for start in range(0, x.shape[0], block):
+        rows = slice(start, start + block)
         out[rows] = _may_reach_block(phi, x[rows], v[rows], potential, t, icfg)
     return out
+
+
+def reachable_rows(
+    box: PhaseBox,
+    count: int,
+    datum: InitialDatum,
+    seed: int,
+    phi: TestFunction,
+    potential,
+    t: float,
+    icfg: IntegratorConfig,
+):
+    """The rows of the (box, seed) sample carrying datum that may meet
+    supp phi on a flow to t: (rows, x, v, f0, carried), with rows their
+    increasing input indices, x and v their (m, n, d) start states, f0
+    their values, and carried the number of rows of the sample with
+    f0 != 0.
+
+    The count rows of `sample_ensemble(box, count, datum, seed)` are
+    drawn SAMPLE_BLOCK at a time, and of a block only the rows with
+    f0 != 0 that `may_reach` keeps outlive it: every other row carries 0,
+    or stays outside supp phi, unflagged, at every state of its flow.
+    Where every row of a block carries, as under the constant datum,
+    may_reach reads the block's own views and no copy of it is gathered.
+    So memory grows with the rows kept and one block, not the count, and
+    every state and value is bitwise that of the whole draw.  A count
+    below 1 raises DomainError.
+    """
+    nd = box.n * box.d
+    kept, carried = [], 0
+    for start, z in _draw(box, count, seed, dynamics.SAMPLE_BLOCK):
+        f0 = datum.evaluate(z)
+        rows = np.flatnonzero(f0)
+        carried += rows.size
+        if rows.size < len(z):
+            z, f0 = z[rows], f0[rows]
+        x, v = z[:, :nd].reshape(-1, box.n, box.d), z[:, nd:].reshape(-1, box.n, box.d)
+        reach = np.flatnonzero(may_reach(phi, x, v, potential, t, icfg))
+        kept.append((start + rows[reach], x[reach], v[reach], f0[reach]))
+    rows, x, v, f0 = (np.concatenate(part) for part in zip(*kept))
+    return rows, x, v, f0, carried
 
 
 def _may_reach_block(
@@ -769,8 +779,9 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
 
     `flow_batch` flows the rows SAMPLE_BLOCK at a time, in order, each
     block pausing at every node, so the integrand gets one call per block
-    and node, and a new block opens new sums.  Each row is stepped on its
-    own, so the blocks give the same bits.
+    and node, and a new block opens new sums, which its last node writes
+    into the rows from batch.first on.  Each row is stepped on its own, so
+    the blocks give the same bits.
 
     Returns the end state (x, v, flags) of the flow and the two sums per
     input row, as (N, ...) arrays; a flagged row reads 0 in both.
@@ -781,15 +792,11 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
     if icfg.dt > (b - a) / (nodes - 1):
         raise DomainError(f"dt = {icfg.dt:g} exceeds the node spacing of a {nodes}-node walk")
     times = np.linspace(a, b, nodes)
-    # the (N, ...) sums of every row, the block in flight's two sums, and
-    # its first row
-    sums, acc, start, calls = [], [], 0, itertools.count()
+    # the (N, ...) sums of every row and the block in flight's two sums
+    sums, acc = [], []
 
-    def add_node(t, batch):
-        nonlocal start
-        # each block pauses at every node in turn
-        k = next(calls) % nodes
-        cols, terms = integrand(k, t, batch)
+    def add_node(k, batch):
+        cols, terms = integrand(k, float(times[k]), batch)
         if k == 0:
             acc[:] = [batch.track(np.zeros(terms.shape[:-1] + (batch.N,))) for _ in range(2)]
             sums[:] = sums or [np.zeros((len(x),) + terms.shape[:-1]) for _ in range(2)]
@@ -802,47 +809,55 @@ def simpson_walk(x, v, potential, window, nodes: int, icfg: IntegratorConfig, in
         if k == nodes - 1:
             # the last node ends the block's flow: its sums go to its rows
             for per_row, block in zip(sums, acc):
-                per_row[start + batch.idx] = np.moveaxis(block[..., : batch.m], -1, 0)
-            start += batch.N
+                per_row[batch.first + batch.idx] = np.moveaxis(block[..., : batch.m], -1, 0)
 
     end = flow_batch(x, v, potential, b, icfg, stops=times, observe=add_node)
     return end, *sums
 
 
 def weak_residual_suite(
-    e0: Ensemble,
+    box: PhaseBox,
+    count: int,
+    datum: InitialDatum,
+    seed: int,
     potential,
     phi: TestFunction,
     value_maps: Sequence[Callable[[np.ndarray], np.ndarray] | None],
     icfg: IntegratorConfig,
     time_factor: Callable[[float], float] | None = None,
 ) -> list[MCEstimate]:
-    """Weak-identity defects of e0's carried density against phi, one
-    estimate per value map g, in order:
+    """Weak-identity defects of the density datum carries, pushed along
+    the flow, against phi: one estimate per value map g, in order, over
+    the count rows z_i of the (box, seed) sample,
 
         sum_i w g(f0_i) [sum_k c(t_k) S_k Dphi(t_k, Y_i(t_k))
                          + c(0) phi(0, z_i)],
 
-    w the sample weight, S_k the weights of the RESIDUAL_NODES Simpson
-    nodes of `residual_window(phi)`, Dphi the transport pairing and the
-    t = 0 boundary term present only when phi's time window opens before
-    0.  It vanishes in expectation for exact transport with c = 1
-    (`time_factor` None); c(t) != 1 is a corruption no transported
-    density has.  A value map g(f0) gives the value a row carries (None:
-    f0 itself), so a renormalizer beta is its own map.
+    w = vol(box) / count the sample weight, S_k the weights of the
+    RESIDUAL_NODES Simpson nodes of `residual_window(phi)`, Dphi the
+    transport pairing and the t = 0 boundary term present only when phi's
+    time window opens before 0.  It vanishes in expectation for exact
+    transport with c = 1 (`time_factor` None); c(t) != 1 is a corruption
+    no transported density has.  A value map g(f0) gives the value a row
+    carries (None: f0 itself), so a renormalizer beta is its own map.
 
-    e0's datum must be compactly supported inside its box, and phi must
-    keep `require_collision_margin` (CoverageError otherwise).  Every map
-    must send 0 to 0 (renormalization in L^1 needs beta(0) = 0;
-    DomainError otherwise, naming each map that does not), so a row with
-    f0 = 0 adds exactly 0 wherever it goes and is not flowed.  Of the
-    carried rows, only those that `may_reach` keeps for a flow to the
-    window's end b are walked, in one `simpson_walk`: a row ruled out
-    stays outside supp phi at every state of its flow, unflagged, so its
-    bracket is exactly 0 as well.  Each node tests supp phi once
+    datum must be compactly supported inside box, and phi must keep
+    `require_collision_margin` (CoverageError otherwise).  Every map must
+    send 0 to 0 (renormalization in L^1 needs beta(0) = 0; DomainError
+    otherwise, naming each map that does not), so a row with f0 = 0 adds
+    exactly 0 wherever it goes.  A row that `may_reach` rules out for a
+    flow to the window's end b stays outside supp phi at every state of
+    its flow, unflagged, so its bracket is exactly 0 as well.  So only the
+    rows that `reachable_rows` keeps are drawn past their block and
+    walked, in one `simpson_walk`.  Each node tests supp phi once
     (`support_mask`) and pairs only the rows inside it, with the forces
     of the batch's last step.  The walk keeps one bracket per row, which
-    each map weights once.
+    each map weights once, evaluated on the walked rows' f0 alone; each
+    map's terms, its bias sum and its half-grid sum are passed on those
+    rows to `MCEstimate.from_padded` and `estimates.padded_sum`.  No
+    count-length vector is built, and the estimates are bitwise those of
+    the count-length terms over `sample_ensemble(box, count, datum,
+    seed)`.
 
     std_error combines the Monte Carlo error with a Richardson estimate
     of the Simpson error (the full grid against the half grid, over 15);
@@ -851,25 +866,6 @@ def weak_residual_suite(
     f0 != 0, details["flowed_rows"] the number of those walked, and
     details["seconds"] the wall time of the map's own statistics.
     """
-    # the carried rows as one block, copied only when the estimator takes
-    # it, so that the copy dies with its may_reach test
-    carried = ((r, e0.x[r], e0.v[r], e0.values[r]) for r in [np.flatnonzero(e0.values)])
-    return _residual_estimates(
-        e0.box, e0.datum, e0.size, carried, potential, phi, value_maps, icfg, time_factor
-    )
-
-
-def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, icfg, time_factor):
-    """`weak_residual_suite` on a sample of count rows of box carrying
-    datum, given only its carried rows: `carried` yields them in blocks
-    (rows, x, v, f0), with rows their input indices, in input order, and
-    f0 != 0 on each.  Of a block, only the states of the rows that
-    `may_reach` keeps outlive it, so each walked row's start state is held
-    once and a row ruled out keeps only its index and f0.  Each map's
-    terms, its bias sum and its half-grid sum are passed on the carried
-    rows alone to `MCEstimate.from_padded` and `estimates.padded_sum`, so
-    no count-length vector is built.  The estimates are bitwise those
-    over the whole sample."""
     shifted = [
         getattr(g, "name", repr(g)) for g in value_maps
         if g is not None and g(np.zeros(1))[0] != 0.0
@@ -896,16 +892,9 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
             terms *= float(time_factor(t))
         return cols, terms
 
-    def reachable(rows, x, v, f0):
-        # a block's rows, their f0 and whether may_reach keeps them; only the
-        # kept rows' start states outlive the block
-        reach = may_reach(phi, x, v, potential, window[1], icfg)
-        return rows, f0, reach, x[reach], v[reach]
-
-    kept = [reachable(*block) for block in carried]
-    rows, values, reach, x0, v0 = (np.concatenate(part) for part in zip(*kept))
-    del kept  # the blocks' copies, so that each state is held once
-    walked = np.flatnonzero(reach)
+    rows, x0, v0, f0, carried = reachable_rows(
+        box, count, datum, seed, phi, potential, window[1], icfg
+    )
     (_, _, flags), full, half = simpson_walk(
         x0, v0, potential, window, RESIDUAL_NODES, icfg, pairing
     )
@@ -915,20 +904,17 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
             term0 *= float(time_factor(0.0))
         full += term0
         half += term0
-    # the brackets of the carried rows; those of the rows ruled out stay 0
-    acc_full, acc_half = np.zeros(rows.size), np.zeros(rows.size)
-    acc_full[walked], acc_half[walked] = full, half
-    # the carried rows whose flow was flagged; their terms read 0
-    flagged = walked[flags != dynamics.FLAG_OK]
+    # the walked rows whose flow was flagged; their terms read 0
+    flagged = np.flatnonzero(flags != dynamics.FLAG_OK)
     n_active = count - flagged.size
     weight = box.volume / count
 
     out = []
     for g in value_maps:
         started = time.perf_counter()
-        weights = values if g is None else g(values)
-        # w g(f0) times each bracket on the carried rows, 0 on the flagged
-        terms, half_terms = (weights * acc * weight for acc in (acc_full, acc_half))
+        weights = f0 if g is None else g(f0)
+        # w g(f0) times each bracket on the walked rows, 0 on the flagged
+        terms, half_terms = (weights * acc * weight for acc in (full, half))
         terms[flagged] = half_terms[flagged] = 0.0
         mc = MCEstimate.from_padded(
             count,
@@ -946,8 +932,8 @@ def _residual_estimates(box, datum, count, carried, potential, phi, value_maps, 
                 "mc_std_error": mc.std_error,
                 "quadrature_error": quad_err,
                 "window": window,
-                "flowed_rows": int(walked.size),
-                "carried_rows": int(rows.size),
+                "flowed_rows": int(rows.size),
+                "carried_rows": carried,
                 "seconds": time.perf_counter() - started,
             },
         ))
@@ -985,7 +971,7 @@ def collision_boundary_term(
     if box.n < 2:
         raise DomainError(f"the collision term needs two particles, got n={box.n}")
     # _draw refuses a count below 1 before the weight divides by it
-    blocks = _draw(box, count, seed, SAMPLE_BLOCK)
+    blocks = _draw(box, count, seed, dynamics.SAMPLE_BLOCK)
     weight = box.volume / count
     nd = box.n * box.d
     reach = max(mus, default=0.0)
@@ -1090,11 +1076,11 @@ def level_difference_series(
     non-decreasing `times`; each leg between two takes the steps of its
     own flow, so the snapshots equal flowing leg by leg, bitwise on
     unflagged rows.  `flow_batch` runs it a block of rows at a time, and
-    each block's states at each stop go into their rows of that
-    snapshot.  The backward runs are one flow of every snapshot
-    with t_k != 0 stacked, with per-row times -t_k, so each row takes the
-    steps of its own backward flow and the results are bitwise those of
-    one flow per snapshot.  A snapshot at t_k = 0 is not flowed back: a
+    each block's states at stop k go into its rows of snapshot k.  The
+    backward runs are one flow of every snapshot with t_k != 0 stacked,
+    with per-row times -t_k, so each row takes the steps of its own
+    backward flow and the results are bitwise those of one flow per
+    snapshot.  A snapshot at t_k = 0 is not flowed back: a
     flow of length 0 leaves its state as it is and flags no row.
 
     Returns one (x, v, h, flags) tuple of (N, ...) arrays per snapshot,
@@ -1111,16 +1097,10 @@ def level_difference_series(
     x = np.empty((len(times) * N, *e0.x.shape[1:]))
     v = np.empty_like(x)
     flags = np.empty((len(times), N), dtype=np.int8)
-    # each block of rows pauses at every time in turn
-    calls, start = itertools.count(), 0
 
-    def snapshot(tk, batch):
-        nonlocal start
-        k = next(calls) % len(times)
-        rows = slice(start, start + batch.N)
-        x[k * N:][rows], v[k * N:][rows], flags[k, rows] = batch.result()
-        if k == len(times) - 1:
-            start = rows.stop
+    def snapshot(k, batch):
+        rows = slice(batch.first, batch.first + batch.N)
+        batch.result((x[k * N:][rows], v[k * N:][rows], flags[k, rows]))
 
     flow_batch(e0.x, e0.v, pot_forward, times[-1], icfg, stops=times, observe=snapshot)
     times = np.asarray(times, dtype=float)

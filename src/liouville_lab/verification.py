@@ -47,7 +47,6 @@ from .transport import (
     random_test_function,
     residual_window,
     sample_ensemble,
-    # not called here; perfbench/tracer.py wraps it in this namespace
     weak_residual_suite,
 )
 
@@ -243,6 +242,11 @@ def default_observable_for(potential, box: PhaseBox, seed: int) -> TestFunction:
     )
 
 
+def _uniform_datum(box: PhaseBox) -> InitialDatum:
+    """The constant datum on box's phase space: every sample carries 1."""
+    return InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
+
+
 def _control_icfg(icfg: IntegratorConfig, negative_control: bool) -> IntegratorConfig:
     """Controls dissipate 1% of velocity per step, which no measure
     preserving, energy conserving flow can survive."""
@@ -310,8 +314,9 @@ def check_measure_preservation(
     that its backward image can stay inside the sampling box, which
     _require_preimage_coverage verifies by flowing probe points
     backward under the undamped flow, for the control too.  The sample
-    of `sample_ensemble(box, count, ., seed)` is drawn SAMPLE_BLOCK rows
-    at a time, and only the states that `transport.may_reach` cannot
+    of `sample_ensemble(box, count, ., seed)` under the constant datum
+    is drawn in blocks by `transport.reachable_rows`, the draw of the
+    weak-residual estimator, and only the states that `may_reach` cannot
     rule out outlive their block, to be flowed in one call; phi at the
     start and at the end and the support visits are taken on them alone.
     Every other sample provably starts and ends outside supp phi
@@ -320,12 +325,11 @@ def check_measure_preservation(
     `MCEstimate.from_padded` and `estimates.padded_sum`, and the report is
     bitwise that of flowing every sample.  So memory grows with the
     flowed rows and one block of the sample, not the count.
-    details["flowed_rows"]
-    counts the flowed samples, out of sample_count.  A nonzero
-    statistic with a zero standard error means no sample got past the
-    edge of the observable support, where the squared terms underflow;
-    that raises CoverageError.  A zero statistic with a zero standard
-    error still passes, so details["support_visits"] counts the
+    details["flowed_rows"] counts the flowed samples, out of
+    sample_count.  A nonzero statistic with a zero standard error means
+    no sample got past the edge of the observable support, where the
+    squared terms underflow; that raises CoverageError.  A zero statistic
+    with a zero standard error still passes, so details["support_visits"] counts the
     unflagged samples inside the support of phi at the start and at the
     end: 0 and 0 mean the verdict rests on no sample.  A horizon t <= 0,
     where both read 0 by construction, raises DomainError.  Control:
@@ -359,17 +363,11 @@ def _measure_preservation(
     transport.require_collision_margin(phi, potential)
     if probe:
         _require_preimage_coverage(phi, box, potential, t, icfg, seed)
-    # the sample of sample_ensemble(box, count, ., seed), drawn in blocks:
-    # only a block's reachable rows outlive it; every other row starts and
+    # only the reachable rows of the sample; every other row starts and
     # ends outside supp phi, unflagged, so its term is 0 either way
-    nd = box.n * box.d
-    kept = []
-    for start, z in transport._draw(box, count, seed, dynamics.SAMPLE_BLOCK):
-        x, v = z[:, :nd].reshape(-1, box.n, box.d), z[:, nd:].reshape(-1, box.n, box.d)
-        reach = np.flatnonzero(transport.may_reach(phi, x, v, potential, t, run_icfg))
-        kept.append((start + reach, x[reach], v[reach]))
-    rows, x0, v0 = (np.concatenate(part) for part in zip(*kept))
-    del kept  # the blocks' copies, so that each state is held once
+    rows, x0, v0, _, _ = transport.reachable_rows(
+        box, count, _uniform_datum(box), seed, phi, potential, t, run_icfg
+    )
     # one support test per state serves both phi and the visit counts
     in_start = phi.support_mask(phi.t_center, x0, v0)
     before = phi._value_on(phi.t_center, x0, v0, in_start)
@@ -433,8 +431,7 @@ class _Sample:
     """
 
     def __init__(self, potential, box: PhaseBox, count: int, seed: int):
-        datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-        e0 = sample_ensemble(box, count, datum, seed)
+        e0 = sample_ensemble(box, count, _uniform_datum(box), seed)
         self.potential, self.count, self.seed = potential, count, seed
         energies = _energy_batch(e0.x, e0.v, potential)
         self.level = float(np.quantile(energies, ENERGY_QUANTILE))
@@ -872,8 +869,7 @@ def check_mollification_cauchy(
     levels = require_levels(levels, 3)
     if not t > 0.0:
         raise DomainError(f"the Cauchy check needs a horizon t > 0, got {t:g}")
-    datum = InitialDatum(kind="constant", center=np.zeros(2 * box.n * box.d), width=1.0)
-    e0 = sample_ensemble(box, count, datum, seed)
+    e0 = sample_ensemble(box, count, _uniform_datum(box), seed)
     alt_kernel = MollifierKernel(d=kernel.d, power=kernel.power + 2)
 
     pots = [MollifiedPotential(base, kernel, shrink, lvl) for lvl in levels]
@@ -1037,12 +1033,12 @@ def check_renormalization_suite(
 ) -> list[CheckReport]:
     """Weak residual of f and of beta(f) for each shipped renormalizer.
 
-    One pass of the weak_residual_suite estimator serves the identity
-    map and all betas, so only the rows whose carried value f0 is nonzero
-    and that can reach supp phi are flowed, once, in one Simpson walk
-    over transport.RESIDUAL_NODES nodes.  That needs
-    beta(0) = 0, as renormalization in L^1 does, which the suite checks
-    for every beta (DomainError otherwise).
+    One `weak_residual_suite` call serves the identity map and all
+    betas, so only the rows whose carried value f0 is nonzero and that
+    can reach supp phi are flowed, once, in one Simpson walk over
+    transport.RESIDUAL_NODES nodes.  That needs beta(0) = 0, as
+    renormalization in L^1 does, which the estimator checks for every
+    beta (DomainError otherwise).
 
     Every beta report reweights one per-row defect: the suite keeps one
     bracket per row, sum_k S_k Dphi(t_k, Y_i(t_k)) + phi(0, z_i), which
@@ -1056,13 +1052,13 @@ def check_renormalization_suite(
     1 + 3 (t - a), a the window's start, which no transported density
     can have; each beta report reweights that same corrupted bracket.
 
-    The sample of sample_ensemble(box, count, datum, seed) is drawn
-    SAMPLE_BLOCK rows at a time, and only its carried rows, those with
-    f0 != 0, outlive their block: their index and f0, and x and v only
-    for the rows that `transport.may_reach` keeps, which alone the walk
-    steps.  The statistics take the carried rows alone, so no
-    count-length vector is built, and the reports are bitwise those of
-    weak_residual_suite on the whole sample.
+    The estimator draws the sample of sample_ensemble(box, count, datum,
+    seed) in blocks (`transport.reachable_rows`), and of a block only the
+    rows with f0 != 0 that `may_reach` keeps outlive it, with their
+    index, state and f0; the walk steps those alone and the statistics
+    sum their terms alone, so no count-length vector is built.  The
+    reports are bitwise those of the count-length terms over every
+    carried row of the sample, each walked.
 
     runtime_seconds is measured: each beta report carries the suite's
     statistics of its beta, which reweight the bracket, and the identity
@@ -1078,11 +1074,10 @@ def check_renormalization_suite(
             box.d, box.n, box,
             *transport.TEST_FUNCTION_WINDOW, rng=rng_for(seed, "residual-phi"),
         )
-    carried = transport._carried_blocks(box, count, datum, seed)
     a, _ = residual_window(phi)
     time_factor = (lambda t: 1.0 + 3.0 * (t - a)) if negative_control else None
-    results = transport._residual_estimates(
-        box, datum, count, carried, potential, phi, [None, *betas], icfg, time_factor
+    results = weak_residual_suite(
+        box, count, datum, seed, potential, phi, [None, *betas], icfg, time_factor
     )
     elapsed = time.perf_counter() - started
     beta_seconds = [r.details["seconds"] for r in results[1:]]

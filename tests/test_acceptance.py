@@ -30,7 +30,6 @@ from liouville_lab.transport import (
     PhaseBox,
     TestFunction,
     random_test_function,
-    sample_ensemble,
     shipped_beta_family,
     truncate,
     weak_residual_suite,
@@ -50,17 +49,17 @@ def runtime_budget(seconds: float):
 def test_criterion_1_weak_identity_free_transport():
     # 10 randomly placed test functions against a transported bump; the
     # residual of the time-space pairing must vanish within Monte Carlo noise.
+    # Each call draws the same 100k-row sample and keeps the rows it walks.
     with runtime_budget(30.0):
         box = PhaseBox.centered(d=2, n=2, x_half=1.5, v_half=1.5)
         datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
         pot = free_potential(2)
-        ensemble = sample_ensemble(box, 100_000, datum, seed=1)
         for j in range(10):
             phi = random_test_function(
                 2, 2, box, t_center=0.5, t_width=0.45,
                 rng=rng_for(1, f"acceptance-phi-{j}"),
             )
-            (est,) = weak_residual_suite(ensemble, pot, phi, [None], VERLET)
+            (est,) = weak_residual_suite(box, 100_000, datum, 1, pot, phi, [None], VERLET)
             assert abs(est.estimate) < 3.0 * est.std_error, f"phi {j}"
 
 
@@ -203,28 +202,45 @@ def test_criterion_7_flow_axioms_with_negative_controls():
                     assert r.passed, f"{pot.kind}: {r.summary_line()}"
 
 
+def polarized_product(a, b):
+    return 0.25 * ((a + b) ** 2 - (a - b) ** 2)
+
+
+class PolarizedProduct:
+    """The datum f g of two data, formed through the polarization
+    identity: every sample carries the product of both initial values,
+    which the flow leaves unchanged along its path.  Its support is f's,
+    off which f, and so the product, is 0."""
+
+    has_compact_support = True
+
+    def __init__(self, f, g):
+        self.f, self.g = f, g
+
+    def support_bounds(self):
+        return self.f.support_bounds()
+
+    def evaluate(self, z):
+        return polarized_product(self.f.evaluate(z), self.g.evaluate(z))
+
+
 def test_criterion_8_product_renormalization():
     # The product of two transported densities, formed through the
     # polarization identity, is itself a weak solution.
     with runtime_budget(120.0):
-        def polarized_product(a, b):
-            return 0.25 * ((a + b) ** 2 - (a - b) ** 2)
-
         box = PhaseBox.centered(d=2, n=2, x_half=1.2, v_half=1.2)
         f = InitialDatum(kind="bump", center=np.zeros(8), width=1.0)
         g = InitialDatum(kind="clipped_polynomial", center=np.zeros(8), width=0.9)
+        product = PolarizedProduct(f, g)
+        z = box.sample(rng_for(21, "acceptance-product"), 10_000)
+        np.testing.assert_allclose(product.evaluate(z), f.evaluate(z) * g.evaluate(z), atol=1e-12)
         phi = TestFunction(
             d=2, n=2, t_center=0.5, t_width=0.45,
             centers=np.zeros(8), widths=np.full(8, 0.85),
         )
         for pot in (free_potential(2), harmonic(2, 1.0)):
-            ensemble = sample_ensemble(box, 100_000, f, seed=21)
-            # second solution on the same samples: carry the product of both
-            # initial values, which the flow leaves unchanged along each path
-            g_values = g.evaluate(ensemble.phase_flat())
-            pv = polarized_product(ensemble.values, g_values)
-            np.testing.assert_allclose(pv, ensemble.values * g_values, atol=1e-12)
-            (est,) = weak_residual_suite(ensemble.with_values(pv), pot, phi, [None], VERLET)
+            # second solution on the same samples
+            (est,) = weak_residual_suite(box, 100_000, product, 21, pot, phi, [None], VERLET)
             assert abs(est.estimate) < 3.0 * est.std_error, pot.kind
 
 

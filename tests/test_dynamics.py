@@ -599,7 +599,10 @@ def test_flow_without_stops_runs_in_blocks_bitwise(adaptive, damping, monkeypatc
     monkeypatch.setattr(dynamics, "REFERENCE_DISTANCE", 0.1)
     want = dynamics._flow(x, v, pot, 0.0305, icfg)
     rows, flow = [], dynamics._flow
-    monkeypatch.setattr(dynamics, "_flow", lambda x, *args: rows.append(len(x)) or flow(x, *args))
+    monkeypatch.setattr(
+        dynamics, "_flow",
+        lambda x, *args, **kwargs: rows.append(len(x)) or flow(x, *args, **kwargs),
+    )
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
     got = flow_batch(x, v, pot, 0.0305, icfg)
     assert rows == [5, 5, 5, 5, 3]
@@ -636,16 +639,18 @@ def test_paused_flow_in_blocks_observes_each_block_at_each_stop(adaptive, monkey
     stops = [0.0041, 0.0123, 0.0123, 0.0199, 0.0305]
 
     def observer(seen):
-        def observe(stop, batch):
-            seen.append((stop, batch.N, *batch.result()))
+        def observe(k, batch):
+            seen.append((k, batch.N, *batch.result()))
         return observe
 
     whole, parts = [], []
     want = flow_batch(x, v, pot, 0.0305, icfg, stops=stops, observe=observer(whole))
     monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
     got = flow_batch(x, v, pot, 0.0305, icfg, stops=stops, observe=observer(parts))
-    assert [seen[:2] for seen in whole] == [(stop, 23) for stop in stops]
-    assert [seen[:2] for seen in parts] == [(stop, n) for n in (5, 5, 5, 5, 3) for stop in stops]
+    assert [seen[:2] for seen in whole] == [(k, 23) for k in range(len(stops))]
+    assert [seen[:2] for seen in parts] == [
+        (k, n) for n in (5, 5, 5, 5, 3) for k in range(len(stops))
+    ]
     for part, ref in zip(got, want):
         np.testing.assert_array_equal(part, ref)
     for k, (_, _, *state) in enumerate(whole):
@@ -654,6 +659,33 @@ def test_paused_flow_in_blocks_observes_each_block_at_each_stop(adaptive, monkey
             assert np.concatenate(part).tobytes() == ref.tobytes()
     assert want[2][3] == FLAG_SINGULAR
     assert want[2][12] == (FLAG_SUBSTEP_LIMIT if adaptive else FLAG_OK)
+
+
+@pytest.mark.parametrize("potential", [repulsive_power(2, exponent=1.0), free_potential(2)],
+                         ids=["stepped", "closed_form"])
+def test_observer_sees_each_stop_and_first_row_once_in_order(potential, monkeypatch):
+    # 13 rows in blocks of 5 with 3 stops: each block pauses at every stop
+    # in turn, and the observer is told the stop and the block's first row
+    rng = np.random.default_rng(5)
+    x, v = rng.uniform(-1.0, 1.0, (2, 13, 2, 2))
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 5)
+    seen = []
+    flow_batch(x, v, potential, 0.03, IntegratorConfig(dt=1e-2), stops=[0.01, 0.02, 0.02],
+               observe=lambda k, batch: seen.append((k, batch.first, batch.N)))
+    assert seen == [(k, first, n) for first, n in ((0, 5), (5, 5), (10, 3)) for k in range(3)]
+
+
+def test_flow_batch_of_no_rows_keeps_its_shapes_and_sees_every_stop():
+    # one block of no rows, so the results keep their shapes and dtypes
+    # and an observer still sees each stop
+    x = np.empty((0, 3, 2))
+    seen = []
+    got = flow_batch(x, x, harmonic(2), 0.02, IntegratorConfig(dt=1e-2), stops=[0.01],
+                     observe=lambda k, batch: seen.append((k, batch.first, batch.N)))
+    assert [(a.shape, a.dtype) for a in got] == [
+        ((0, 3, 2), np.float64), ((0, 3, 2), np.float64), ((0,), np.int8)
+    ]
+    assert seen == [(0, 0, 0)]
 
 
 @pytest.mark.parametrize("t", [
@@ -701,14 +733,14 @@ def _assert_stops_match_legs(x, v, potential, t, stops, icfg):
     on unflagged rows, with equal flags; returns the final flags."""
     seen = []
 
-    def observe(stop, batch):
+    def observe(k, batch):
         xs, vs, flags = batch.result()
         acc = np.full_like(xs, np.nan)
         acc[batch.idx] = np.moveaxis(batch.A, -1, 0)
-        seen.append((stop, xs, vs, acc, flags))
+        seen.append((k, xs, vs, acc, flags))
 
     x_end, v_end, flags_end = flow_batch(x, v, potential, t, icfg, stops=stops, observe=observe)
-    assert [stop for stop, *_ in seen] == list(stops)
+    assert [k for k, *_ in seen] == list(range(len(stops)))
     got = [state for _, *state in seen] + [(x_end, v_end, None, flags_end)]
     for (xs, vs, acc, flags), (wx, wv, wflags) in zip(got, _flow_by_legs(x, v, potential, t, stops, icfg)):
         np.testing.assert_array_equal(flags, wflags)
@@ -806,7 +838,7 @@ def test_stops_add_no_force_evaluations(adaptive, monkeypatch):
 
     monkeypatch.setattr(dynamics._Batch, "step", counted_step)
     walk = Counting(repulsive_power(2, exponent=1.0))
-    flow_batch(x, v, walk, 0.05, icfg, stops=stops, observe=lambda stop, batch: None)
+    flow_batch(x, v, walk, 0.05, icfg, stops=stops, observe=lambda k, batch: None)
     walk_steps = len(steps)
     assert walk.calls == 1 + walk_steps
     # and it takes the steps of its legs flowed one by one
@@ -836,7 +868,7 @@ def test_retired_rows_stay_in_the_batch(monkeypatch):
     monkeypatch.setattr(dynamics._Batch, "retire", watched_retire)
     seen, marks = [], []
 
-    def observe(stop, batch):
+    def observe(k, batch):
         assert sorted(batch._idx) == list(range(batch.N))
         if not marks:
             # each row's input index, registered to ride along with it

@@ -11,14 +11,11 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "liouville_lab"
 
 # imported but never called there: perfbench/tracer.py wraps each name in
-# every namespace that holds it, and raises if one is missing.  The
-# renormalization suite passes its carried rows to the estimator's core,
-# so verification no longer calls weak_residual_suite
+# every namespace that holds it, and raises if one is missing
 KEPT_FOR_TRACER = {
     ("cli", "collision_boundary_term"),
     ("cli", "gradient_l1_error"),
     ("cli", "sample_ensemble"),
-    ("verification", "weak_residual_suite"),
 }
 
 
@@ -83,6 +80,16 @@ def test_verification_walks_no_flow_of_its_own():
     text = (PACKAGE / "verification.py").read_text(encoding="utf-8")
     for pattern in (r"simpson_weights\(", r"stops=", r"\bbatch\.(track|idx|m)\b"):
         assert re.search(pattern, text) is None, pattern
+
+
+def test_verification_draws_through_the_public_transport_functions():
+    # the checks draw their samples through sample_ensemble, reachable_rows
+    # and collision_boundary_term, and run the estimator through
+    # weak_residual_suite: none reaches into transport's private helpers or
+    # sizes a block of its own
+    text = (PACKAGE / "verification.py").read_text(encoding="utf-8")
+    assert "transport._" not in text
+    assert "SAMPLE_BLOCK" not in text
 
 
 def test_config_dynamics_keys_are_the_integrator_fields():

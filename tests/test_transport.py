@@ -227,12 +227,9 @@ def test_sample_ensemble_invariants():
     assert e.size == 4000
     assert e.weight == box.volume / e.size
     assert e.weight * e.size == pytest.approx(box.volume, rel=1e-15)
-    assert e.with_values(2.0 * e.values).weight == e.weight
     np.testing.assert_array_equal(e.values, datum.evaluate(e.phase_flat()))
     with pytest.raises(DomainError):
         sample_ensemble(box, 0, datum, seed=7)
-    with pytest.raises(DomainError):
-        e.with_values(np.zeros(10))
 
 
 def test_sample_ensemble_is_deterministic():
@@ -354,7 +351,7 @@ def test_may_reach_folds_the_axes_bitwise_as_the_whole_array_formula(case, dampi
     z = box.sample(rng, 2000)
     x, v = z[:, : 2 * n].reshape(-1, n, 2), z[:, 2 * n :].reshape(-1, n, 2)
     x[5, 0, 1], v[9, -1, 0], x[11, -1, 0] = np.nan, np.inf, -np.inf
-    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 700)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 700)
     for t in (0.075, -0.15):
         want = _textbook_may_reach(phi, x, v, pot, t, icfg)
         assert 0 < np.count_nonzero(want) < 2000 and want[[5, 9, 11]].all()
@@ -839,17 +836,67 @@ def test_simpson_walk_end_state_is_the_paused_flow_bitwise(potential, icfg, budg
 
 
 def free_setup(count=4000, seed=29, phi_seed=3):
+    """The (box, count, datum, seed) of a sample and a test function."""
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
-    e = sample_ensemble(box, count, datum, seed=seed)
     rng = np.random.default_rng(phi_seed)
     phi = random_test_function(2, 2, box, t_center=0.5, t_width=0.45, rng=rng)
-    return box, datum, e, phi
+    return (box, count, datum, seed), phi
+
+
+@pytest.mark.parametrize("kind", ["bump", "clipped_polynomial", "constant"])
+def test_reachable_rows_are_the_whole_sample_filtered_bitwise(kind, monkeypatch):
+    # drawn in blocks of 300, the rows kept are those of the whole sample
+    # with f0 != 0 that may_reach keeps, with their states and values
+    box = PhaseBox.centered(2, 2, 1.5, 1.5)
+    datum = InitialDatum(kind=kind, center=np.zeros(8), width=0.8)
+    phi = random_test_function(2, 2, box, t_center=0.0, t_width=1.0, rng=np.random.default_rng(17))
+    pot, icfg = harmonic(2), IntegratorConfig(dt=1e-2)
+    e = sample_ensemble(box, 2000, datum, 29)
+    reach = (e.values != 0.0) & may_reach(phi, e.x, e.v, pot, 0.15, icfg)
+    want = np.flatnonzero(reach)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 300)
+    rows, x, v, f0, carried = transport.reachable_rows(box, 2000, datum, 29, phi, pot, 0.15, icfg)
+    assert carried == np.count_nonzero(e.values)
+    assert 0 < rows.size < carried
+    np.testing.assert_array_equal(rows, want)
+    for got, ref in ((x, e.x[want]), (v, e.v[want]), (f0, e.values[want])):
+        assert got.tobytes() == ref.tobytes()
+    with pytest.raises(DomainError, match=">= 1"):
+        transport.reachable_rows(box, 0, datum, 29, phi, pot, 0.15, icfg)
+
+
+@pytest.mark.parametrize("kind, gathered", [("constant", False), ("bump", True)])
+def test_reachable_rows_gather_a_block_only_where_some_row_carries_0(kind, gathered, monkeypatch):
+    # under the constant datum every row carries, so may_reach reads views
+    # of the drawn block; a datum that drops rows gathers the carried ones
+    box = PhaseBox.centered(2, 2, 1.5, 1.5)
+    datum = InitialDatum(kind=kind, center=np.zeros(8), width=0.8)
+    drawn, shared = [], []
+    draw, reach = transport._draw, transport.may_reach
+
+    def recorded_draw(*args):
+        for start, z in draw(*args):
+            drawn.append(z)
+            yield start, z
+
+    def recorded_reach(phi, x, v, *args):
+        shared.append((np.shares_memory(x, drawn[-1]), np.shares_memory(v, drawn[-1])))
+        return reach(phi, x, v, *args)
+
+    monkeypatch.setattr(transport, "_draw", recorded_draw)
+    monkeypatch.setattr(transport, "may_reach", recorded_reach)
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 400)
+    transport.reachable_rows(box, 1000, datum, 29, make_phi(), harmonic(2), 0.5,
+                             IntegratorConfig(dt=1e-2))
+    assert shared == [(not gathered, not gathered)] * 3
 
 
 def test_weak_residual_vanishes_for_exact_transport():
-    _, _, e, phi = free_setup()
-    (est,) = weak_residual_suite(e, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2))
+    sample, phi = free_setup()
+    (est,) = weak_residual_suite(
+        *sample, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2)
+    )
     assert abs(est.estimate) <= 3.0 * est.std_error
     assert est.details["flagged_fraction"] == 0.0
 
@@ -859,21 +906,20 @@ def test_weak_residual_flags_a_non_solution():
     # which is what gives the control statistical power at small N
     box = PhaseBox.centered(2, 2, 1.0, 1.0)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.7)
-    e = sample_ensemble(box, 10_000, datum, seed=29)
     phi = make_phi(scale=0.85)
     a, _ = residual_window(phi)
     (est,) = weak_residual_suite(
-        e, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2),
+        box, 10_000, datum, 29, free_potential(2), phi, [None], IntegratorConfig(dt=1e-2),
         time_factor=lambda t: 1.0 + 6.0 * (t - a),
     )
     assert abs(est.estimate) > 3.0 * est.std_error
 
 
 def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
-    _, _, e, phi = free_setup()
+    sample, phi = free_setup()
     tanh = tanh_squash(1.0)
     ident, squashed = weak_residual_suite(
-        e, free_potential(2), phi, [None, tanh], IntegratorConfig(dt=1e-2),
+        *sample, free_potential(2), phi, [None, tanh], IntegratorConfig(dt=1e-2),
     )
     for est in (ident, squashed):
         assert abs(est.estimate) <= 3.0 * est.std_error
@@ -881,16 +927,16 @@ def test_weak_residual_suite_takes_several_value_maps_in_one_pass():
 
 
 def test_weak_residual_suite_time_validation():
-    _, _, e, phi = free_setup(count=100)
+    sample, phi = free_setup(count=100)
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
     ended = replace(phi, t_center=-1.0, t_width=0.5)
     with pytest.raises(DomainError, match="ends before t = 0"):
-        weak_residual_suite(e, pot, ended, [None], icfg)
+        weak_residual_suite(*sample, pot, ended, [None], icfg)
 
 
 def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
-    _, _, e, phi = free_setup()
-    e = e.with_values(np.where(np.arange(e.size) % 3 == 0, 0.0, e.values))
+    sample, phi = free_setup()
+    e = sample_ensemble(*sample)
     pot, icfg = harmonic(2, 1.0), IntegratorConfig(dt=1e-2)
 
     # the every-row reference: one walk over all rows, the pairing of each
@@ -900,8 +946,9 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
         cols = np.flatnonzero(phi.support_mask(t, x, v))
         return cols, phi.transport_pairing(t, x, v, forces, cols)
 
+    window = residual_window(phi)
     (_, _, flags), acc, _ = simpson_walk(
-        e.x, e.v, pot, residual_window(phi), transport.RESIDUAL_NODES, icfg, pairing
+        e.x, e.v, pot, window, transport.RESIDUAL_NODES, icfg, pairing
     )
     xi = np.where(flags == FLAG_OK, e.weight * (e.values * acc), 0.0)
     assert np.count_nonzero(xi) > 0
@@ -910,8 +957,13 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
     monkeypatch.setattr(
         transport, "flow_batch", lambda x, *a, **k: flowed.append(len(x)) or flow(x, *a, **k)
     )
-    (got,) = weak_residual_suite(e, pot, phi, [None], icfg)
-    assert flowed == [np.count_nonzero(e.values)] and flowed[0] < e.size
+    (got,) = weak_residual_suite(*sample, pot, phi, [None], icfg)
+    # the walk steps the carried rows that may_reach keeps, and no other
+    reached = transport.reachable_rows(*sample, phi, pot, window[1], icfg)[0]
+    carried = np.count_nonzero(e.values)
+    assert flowed == [reached.size] and 0 < reached.size <= carried < e.size
+    assert got.details["carried_rows"] == carried
+    assert got.details["flowed_rows"] == reached.size
     assert got.sample_count == e.size
     assert got.estimate == np.sum(xi)
     assert got.details["mc_std_error"] == MCEstimate.from_samples(xi).std_error
@@ -919,7 +971,7 @@ def test_weak_residual_suite_flows_only_rows_carrying_mass(monkeypatch):
 
 
 def test_weak_residual_suite_hands_time_factor_the_node_times():
-    _, _, e, phi = free_setup()
+    sample, phi = free_setup()
     early = replace(phi, t_center=0.2)  # window [0, 0.65]: a t = 0 boundary term
     seen, weighed = [], []
 
@@ -931,31 +983,35 @@ def test_weak_residual_suite_hands_time_factor_the_node_times():
         weighed.append(f.copy())
         return f
 
+    icfg = IntegratorConfig(dt=1e-2)
     (est,) = weak_residual_suite(
-        e, free_potential(2), early, [weigh], IntegratorConfig(dt=1e-2), time_factor=factor
+        *sample, free_potential(2), early, [weigh], icfg, time_factor=factor
     )
     # one call per Simpson node, in order, whether or not a row is inside,
     # then one for the t = 0 boundary term
-    nodes = np.linspace(*residual_window(early), transport.RESIDUAL_NODES)
+    window = residual_window(early)
+    nodes = np.linspace(*window, transport.RESIDUAL_NODES)
     assert seen == list(nodes) + [0.0]
     assert seen[0] == 0.0
     # a value map is checked on 0 first, then evaluated once, on the
-    # carried values only
+    # values of the walked rows only
+    _, _, _, f0, carried = transport.reachable_rows(
+        *sample, early, free_potential(2), window[1], icfg
+    )
+    assert 0 < f0.size < carried
     assert len(weighed) == 2
     assert np.array_equal(weighed[0], np.zeros(1))
-    assert np.array_equal(weighed[1], e.values[e.values != 0.0])
+    assert np.array_equal(weighed[1], f0)
     # a factor of 2 doubles every term, the t = 0 boundary term included,
     # and so the estimate, exactly
-    (ident,) = weak_residual_suite(
-        e, free_potential(2), early, [None], IntegratorConfig(dt=1e-2)
-    )
+    (ident,) = weak_residual_suite(*sample, free_potential(2), early, [None], icfg)
     assert est.estimate == 2.0 * ident.estimate != 0.0
 
 
 def test_weak_residual_suite_requires_maps_fixing_zero():
     # only the carried rows are flowed, which is the formula only if every
     # map sends 0 to 0; each offending map is named
-    _, _, e, phi = free_setup(count=100)
+    sample, phi = free_setup(count=100)
     pot, icfg = free_potential(2), IntegratorConfig(dt=1e-2)
     shifted = BetaFunction(name="shifted_tanh", fn=lambda f: np.tanh(f) + 0.1)
 
@@ -963,35 +1019,36 @@ def test_weak_residual_suite_requires_maps_fixing_zero():
         return f + 1.0
 
     with pytest.raises(DomainError, match=r"shifted_tanh.*plus_one"):
-        weak_residual_suite(e, pot, phi, [None, tanh_squash(1.0), shifted, plus_one], icfg)
+        weak_residual_suite(*sample, pot, phi, [None, tanh_squash(1.0), shifted, plus_one], icfg)
     with pytest.raises(DomainError, match="do not map 0 to 0"):
-        weak_residual_suite(e, pot, phi, [lambda f: f + 1], icfg)
+        weak_residual_suite(*sample, pot, phi, [lambda f: f + 1], icfg)
 
 
 def test_weak_residual_rejects_non_compact_datum():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="constant", center=np.zeros(8), width=1.0)
-    e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
-        weak_residual_suite(e, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2))
+        weak_residual_suite(
+            box, 100, datum, 1, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2)
+        )
 
 
 def test_weak_residual_rejects_datum_leaking_out_of_box():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.full(8, 1.0), width=0.8)
-    e = sample_ensemble(box, 100, datum, seed=1)
     with pytest.raises(CoverageError):
-        weak_residual_suite(e, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2))
+        weak_residual_suite(
+            box, 100, datum, 1, free_potential(2), make_phi(), [None], IntegratorConfig(dt=1e-2)
+        )
 
 
 def test_weak_residual_rejects_collision_adjacent_support_when_confining():
     box = PhaseBox.centered(2, 2, 1.5, 1.5)
     datum = InitialDatum(kind="bump", center=np.zeros(8), width=0.8)
-    e = sample_ensemble(box, 100, datum, seed=1)
     pot = repulsive_power(2, exponent=1.0)  # confining in d = 2
     phi = make_phi()  # particle supports overlap: pair distance 0
     with pytest.raises(CoverageError, match="collision margin"):
-        weak_residual_suite(e, pot, phi, [None], IntegratorConfig(dt=1e-3))
+        weak_residual_suite(box, 100, datum, 1, pot, phi, [None], IntegratorConfig(dt=1e-3))
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1162,7 @@ def test_sample_and_collision_term_are_bitwise_the_textbook_formulas():
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 3), (3, 2), (3, 3)])
 @pytest.mark.parametrize(
     "count",
-    [transport.SAMPLE_BLOCK // 3, 2 * transport.SAMPLE_BLOCK, 2 * transport.SAMPLE_BLOCK + 1234],
+    [dynamics.SAMPLE_BLOCK // 3, 2 * dynamics.SAMPLE_BLOCK, 2 * dynamics.SAMPLE_BLOCK + 1234],
     ids=["below-one-block", "two-blocks", "remainder"],
 )
 def test_collision_term_in_blocks_is_the_formula_over_the_sample(count, n, d, kind):

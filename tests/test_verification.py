@@ -465,8 +465,14 @@ def test_simpson_defects_in_blocks_equal_one_walk_bitwise(
         monkeypatch.setattr(dynamics, "MAX_SUBSTEPS", budget)
     sample = _Sample(potential, BOX, 400, SEED)
     want = _simpson_defects(sample, t_final, icfg)
-    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 50)
+    blocks, flow = [], dynamics._flow
+    monkeypatch.setattr(
+        dynamics, "_flow",
+        lambda x, *args, **kwargs: blocks.append(len(x)) or flow(x, *args, **kwargs),
+    )
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 50)
     got = _simpson_defects(sample, t_final, icfg)
+    assert sample.rows == 360 and blocks == [50] * 7 + [10]
     for a, b in zip(got[:2], want[:2]):
         np.testing.assert_array_equal(a, b)
     assert len(got[2]) == len(want[2]) == 3
@@ -1025,26 +1031,87 @@ def test_renormalization_suite_flows_only_carried_rows_bitwise(pot, control):
         assert r.details["reweighted_defect"] == (r is not reports[0])
 
 
+def whole_sample_estimates(pot, count, value_maps, time_factor):
+    """The weak-residual estimates over the whole sample, by the formula:
+    one simpson_walk of every carried row, the terms of every row of the
+    count (0 where f0 = 0 or the flow was flagged) put in count-length
+    vectors with np.where, and summed by MCEstimate.from_samples and np.sum."""
+    e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
+    phi, icfg = RESIDUAL_PHI, RESIDUAL_ICFG
+    window = residual_window(phi)
+
+    def pairing(k, t, batch):
+        x, v, forces = (arr.transpose(2, 0, 1) for arr in (batch.X, batch.V, batch.A))
+        cols = np.flatnonzero(phi.support_mask(t, x, v))
+        terms = phi.transport_pairing(t, x, v, forces, cols)
+        if time_factor is not None:
+            terms *= float(time_factor(t))
+        return cols, terms
+
+    carried = np.flatnonzero(e0.values)
+    x0, v0 = e0.x[carried], e0.v[carried]
+    (_, _, flags), full, half = transport.simpson_walk(
+        x0, v0, pot, window, transport.RESIDUAL_NODES, icfg, pairing
+    )
+    assert phi.time_window[0] < 0.0
+    term0 = phi.value(0.0, x0, v0)
+    if time_factor is not None:
+        term0 *= float(time_factor(0.0))
+    # the brackets of every row, and the rows no flow flagged
+    brackets = np.zeros((2, count))
+    brackets[0, carried], brackets[1, carried] = full + term0, half + term0
+    ok = np.ones(count, dtype=bool)
+    ok[carried] = flags == FLAG_OK
+    out = []
+    for g in value_maps:
+        weights = e0.values if g is None else g(e0.values)
+        xi, coarse = (np.where(ok, weights * bracket * e0.weight, 0.0) for bracket in brackets)
+        mc = MCEstimate.from_samples(
+            xi, bias_bound=transport.DT_BIAS_COEFFICIENT * icfg.dt**2 * np.sum(np.abs(xi)),
+            sample_count=int(np.count_nonzero(ok)),
+        )
+        quad_err = abs(float(np.sum(coarse)) - mc.estimate) / 15.0
+        out.append(replace(mc, std_error=math.hypot(mc.std_error, quad_err), details={
+            "flagged_fraction": 1.0 - np.count_nonzero(ok) / count,
+            "mc_std_error": mc.std_error,
+            "quadrature_error": quad_err,
+            "window": window,
+            "flowed_rows": carried.size,
+            "carried_rows": carried.size,
+        }))
+    return out
+
+
 @pytest.mark.parametrize("control", [False, True], ids=["positive", "control"])
 @pytest.mark.parametrize(
     "pot", [free_potential(2), piecewise_radial(2, 0.8, -0.6, 0.4)], ids=lambda p: p.kind
 )
 def test_renormalization_suite_is_the_full_sample_path_bitwise(pot, control, monkeypatch):
-    # the suite draws the sample 300 rows at a time, keeps only its carried
-    # rows and walks only those may_reach keeps (about half of them under
-    # the closed-form free flow, all under piecewise_radial); its reports are
-    # those of weak_residual_suite on the whole sample_ensemble, and of a
-    # walk of every carried row, bit for bit.  RESIDUAL_PHI's window opens
-    # before 0, so the phi(0, z) term runs
+    # the suite draws the sample 300 rows at a time and walks only the
+    # carried rows may_reach keeps (about half of them under the
+    # closed-form free flow, all under piecewise_radial); its reports are
+    # those of the whole-sample formula, which walks every carried row and
+    # sums count-length terms, bit for bit, and so are they when may_reach
+    # keeps every row.  RESIDUAL_PHI's window opens before 0, so the
+    # phi(0, z) term runs
     count, betas = 3000, shipped_beta_family(1.0)
-    e0 = sample_ensemble(RESIDUAL_BOX, count, RESIDUAL_DATUM, SEED)
-    carried = int(np.count_nonzero(e0.values))
     a, _ = residual_window(RESIDUAL_PHI)
     factor = (lambda t: 1.0 + 3.0 * (t - a)) if control else None
-    estimates = transport.weak_residual_suite(
-        e0, pot, RESIDUAL_PHI, [None, *betas], RESIDUAL_ICFG, factor
-    )
-    monkeypatch.setattr(transport, "SAMPLE_BLOCK", 300)
+    estimates = whole_sample_estimates(pot, count, [None, *betas], factor)
+    carried = estimates[0].details["carried_rows"]
+    names = ["identity"] + [b.name for b in betas]
+    suffix = "_control" if control else ""
+
+    def expected(flowed):
+        return [
+            _hex_fields(CheckReport.build(
+                f"renormalized_residual[{names[m]}]{suffix}", pot.describe(), SEED,
+                est.sample_count, abs(est.estimate), est.std_error, est.bias_bound, 0.0,
+                est.details["flagged_fraction"], 0.0,
+                {**est.details, "flowed_rows": flowed, "reweighted_defect": m > 0},
+            ))
+            for m, est in enumerate(estimates)
+        ]
 
     def suite():
         return check_renormalization_suite(
@@ -1052,25 +1119,13 @@ def test_renormalization_suite_is_the_full_sample_path_bitwise(pot, control, mon
             phi=RESIDUAL_PHI, negative_control=control,
         )
 
+    monkeypatch.setattr(dynamics, "SAMPLE_BLOCK", 300)
     reports = suite()
-    names = ["identity"] + [b.name for b in betas]
-    suffix = "_control" if control else ""
-    for m, (r, est) in enumerate(zip(reports, estimates, strict=True)):
-        details = {k: val for k, val in est.details.items() if k != "seconds"}
-        want = CheckReport.build(
-            f"renormalized_residual[{names[m]}]{suffix}", pot.describe(), SEED,
-            est.sample_count, abs(est.estimate), est.std_error, est.bias_bound, 0.0,
-            est.details["flagged_fraction"], 0.0,
-            {**details, "carried_rows": carried, "reweighted_defect": m > 0},
-        )
-        assert _hex_fields(r) == _hex_fields(want), r.check_name
     flowed = reports[0].details["flowed_rows"]
     assert 0 < flowed < carried if pot.kind == "free" else flowed == carried
+    assert [_hex_fields(r) for r in reports] == expected(flowed)
     monkeypatch.setattr(transport, "may_reach", lambda phi, x, *args: np.ones(len(x), dtype=bool))
-    for r, every in zip(reports, suite(), strict=True):
-        assert every.details["flowed_rows"] == carried
-        every = replace(every, details={**every.details, "flowed_rows": flowed})
-        assert _hex_fields(every) == _hex_fields(r), r.check_name
+    assert [_hex_fields(r) for r in suite()] == expected(carried)
 
 
 def test_renormalization_suite_peaks_below_48_bytes_a_row():
@@ -1342,7 +1397,7 @@ def test_collision_scaling_peaks_below_six_doubles_a_hit_plus_three_blocks(count
     peak = _traced_peak(
         lambda: check_collision_scaling(free_potential(3), box, datum, count, 14, mus)
     )
-    assert peak < 6 * 8 * hits + 3 * transport.SAMPLE_BLOCK * 12 * 8
+    assert peak < 6 * 8 * hits + 3 * dynamics.SAMPLE_BLOCK * 12 * 8
 
 
 def test_measure_preservation_peaks_below_three_blocks_plus_200_bytes_a_flowed_row():
@@ -1362,7 +1417,7 @@ def test_measure_preservation_peaks_below_three_blocks_plus_200_bytes_a_flowed_r
     )
     flowed = reports[0].details["flowed_rows"]
     assert 0 < flowed < count // 20
-    assert peak < 200 * flowed + 3 * transport.SAMPLE_BLOCK * 16 * 8
+    assert peak < 200 * flowed + 3 * dynamics.SAMPLE_BLOCK * 16 * 8
 
 
 def test_measure_preservation_does_not_depend_on_the_block_size(monkeypatch):
